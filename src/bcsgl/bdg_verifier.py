@@ -757,7 +757,8 @@ class SweepReport:
     ``fitted_order`` is the least-squares slope of ``ln |observable|``
     against ``ln h``, computed only over points whose magnitude exceeds
     ``floor`` (default 100x unit roundoff), so sub-roundoff values
-    never pollute the fit.
+    never pollute the fit.  ``failures`` holds ``[h, repr(exc)]`` for
+    every h point whose observable raised and was dropped.
     """
 
     h_values: list
@@ -767,6 +768,7 @@ class SweepReport:
     label: str = ""
     extras: list = field(default_factory=list)
     floor: float = 100.0 * np.finfo(float).eps
+    failures: list = field(default_factory=list)
 
     def csv_rows(self) -> list[tuple]:
         rows = []
@@ -787,6 +789,7 @@ class SweepReport:
             "label": self.label,
             "extras": self.extras,
             "floor": self.floor,
+            "failures": self.failures,
         }
 
     @classmethod
@@ -799,6 +802,7 @@ class SweepReport:
             label=data.get("label", ""),
             extras=list(data.get("extras", [])),
             floor=float(data.get("floor", 100.0 * np.finfo(float).eps)),
+            failures=list(data.get("failures", [])),
         )
 
 
@@ -840,7 +844,7 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
         try:
             result = observable(h)
         except Exception as exc:   # noqa: BLE001 -- aggregated below
-            failures.append((h, repr(exc)))
+            failures.append([h, repr(exc)])
             continue
         if isinstance(result, tuple):
             value, extra = result
@@ -858,4 +862,5 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
     return SweepReport(
         h_values=h_ok, observed=values, fitted_order=order,
         reference=reference, label=label, extras=extras, floor=floor,
+        failures=failures,
     )

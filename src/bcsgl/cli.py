@@ -9,9 +9,9 @@ stage chain
 and writes machine-readable artifacts (``gap.json``, ``coeffs.json``,
 ``gl.json``, ``sweeps/*.json``, ``report.csv``) into the configured
 output directory.  Every artifact embeds the content hash of the
-normalized configuration; a re-run with an unchanged configuration
-leaves the files untouched, and a changed configuration recomputes
-every affected stage.
+normalized configuration and of the package source; a re-run with an
+unchanged configuration and code leaves the files untouched, and a
+change to either recomputes every affected stage.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -105,9 +106,21 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
+        """SHA-256 of the normalized config and of the package source."""
         payload = json.dumps(
             self.normalized, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(
+            (_code_digest() + payload).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest() -> str:
+    """SHA-256 of this package's ``*.py`` files, so that the artifact
+    cache never serves a result that different code produced."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +467,7 @@ def _stage_coeffs(cfg: RunConfig, sol: GapSolution
     return coef, False
 
 
-def _stage_gl_min(cfg: RunConfig, coef: GLCoefficients, workers: int
+def _stage_gl_min(cfg: RunConfig, coef: GLCoefficients
                   ) -> tuple[GLState, bool]:
     path = cfg.outputs / "gl.json"
     cached = _load_cached(path, cfg.config_hash)
@@ -462,8 +475,7 @@ def _stage_gl_min(cfg: RunConfig, coef: GLCoefficients, workers: int
         return GLState.from_dict(cached["state"]), True
     try:
         state = minimize(cfg.a_field, cfg.w_field, coef,
-                         n_max=cfg.torus_n_max, seed=cfg.seed,
-                         workers=workers)
+                         n_max=cfg.torus_n_max, seed=cfg.seed)
     except Exception as exc:
         raise StageError("gl-min", "numerical", repr(exc)) from exc
     _dump_json(path, {"config_hash": cfg.config_hash,
@@ -621,7 +633,7 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
     """
     sol, gap_cached = _stage_gap(cfg)
     coef, coeffs_cached = _stage_coeffs(cfg, sol)
-    state, gl_cached = _stage_gl_min(cfg, coef, workers)
+    state, gl_cached = _stage_gl_min(cfg, coef)
     payloads, cached_flags = {}, {}
     jobs = {
         "trace_expansion": lambda: _trace_sweep(cfg, sol, workers),
@@ -694,8 +706,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the output directory")
     parser.add_argument("--workers", metavar="N", type=int,
                         default=os.cpu_count() or 1,
-                        help="worker threads for fiber and descent "
-                             "workloads (default: hardware parallelism)")
+                        help="worker threads for the per-fiber sweep "
+                             "work only; GL descents always run serially "
+                             "(default: hardware parallelism)")
     parser.add_argument("--seed", metavar="K", type=int, default=None,
                         help="override the configured random seed")
     parser.add_argument("--h-list", metavar="a,b,c", default=None,
@@ -758,10 +771,10 @@ def _cmd_coeffs(cfg: RunConfig, workers: int) -> int:
     return EXIT_OK
 
 
-def _cmd_gl_min(cfg: RunConfig, workers: int) -> int:
+def _cmd_gl_min(cfg: RunConfig) -> int:
     sol, _ = _stage_gap(cfg)
     coef, _ = _stage_coeffs(cfg, sol)
-    state, cached = _stage_gl_min(cfg, coef, workers)
+    state, cached = _stage_gl_min(cfg, coef)
     _emit({"status": "ok", "energy": state.energy,
            "gradient_norm": state.gradient_norm,
            "converged": state.converged,
@@ -773,7 +786,7 @@ def _cmd_verify(cfg: RunConfig, workers: int, name: str) -> int:
     sol, _ = _stage_gap(cfg)
     if name == "energy_upper_bound":
         coef, _ = _stage_coeffs(cfg, sol)
-        state, _ = _stage_gl_min(cfg, coef, workers)
+        state, _ = _stage_gl_min(cfg, coef)
         compute = lambda: _energy_sweep(cfg, sol, coef, state, workers)  # noqa: E731
     elif name == "trace_expansion":
         compute = lambda: _trace_sweep(cfg, sol, workers)  # noqa: E731
@@ -816,7 +829,7 @@ def main(argv=None) -> int:
         if args.command == "coeffs":
             return _cmd_coeffs(cfg, args.workers)
         if args.command == "gl-min":
-            return _cmd_gl_min(cfg, args.workers)
+            return _cmd_gl_min(cfg)
         if args.command == "verify-thm2":
             return _cmd_verify(cfg, args.workers, "trace_expansion")
         if args.command == "verify-thm3":

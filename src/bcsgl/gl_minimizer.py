@@ -12,24 +12,25 @@ any field, products carry frequencies up to ``4 N``, so any grid with at
 least ``4 N + 1`` points makes the discrete mean of every term exact --
 there is no dealiasing error at all, not merely a reduced one.
 
-Minimization runs nonlinear conjugate gradients on the real/imaginary
-parts of the Fourier coefficients from several starting fields and keeps
-the lowest local minimum; the constant fields ``psi = 1`` and
-``psi = 0`` (always a critical point, with energy exactly ``B3``) bound
-the reported energy from above by construction.
+One routine evaluates the energy, its Wirtinger gradient and its exact
+Hessian action from a single grid transform.  Minimization runs a
+trust-region Newton-CG descent on the real/imaginary parts of the
+Fourier coefficients from several starting fields, finishes each with
+exact Newton steps, and keeps the lowest local minimum; the constant
+fields ``psi = 1`` and ``psi = 0`` (always a critical point, with energy
+exactly ``B3``) bound the reported energy from above by construction.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import optimize
 from scipy.fft import next_fast_len
+from scipy.sparse import linalg as sparse_linalg
 
 from .gl_coeffs import GLCoefficients
 
@@ -171,8 +172,7 @@ class TorusField:
                 f"grid of {m} points cannot hold modes up to {self.n_max}"
             )
         packed = np.zeros(m, dtype=complex)
-        for n, c in zip(self.modes, self.coeffs):
-            packed[n % m] = c
+        packed[self.modes % m] = self.coeffs
         return np.fft.ifft(packed) * m
 
     def with_n_max(self, n_max: int) -> "TorusField":
@@ -222,17 +222,12 @@ class TorusField:
 
 
 # ---------------------------------------------------------------------------
-# Energy and gradient
+# Energy, gradient and Hessian action
 # ---------------------------------------------------------------------------
 
 
-def _required_grid(psi: TorusField, a: TorusField, w: TorusField) -> int:
-    n = max(psi.n_max, a.n_max, w.n_max)
-    return 4 * n + 1
-
-
 def _resolve_grid(psi, a, w, grid_size):
-    need = _required_grid(psi, a, w)
+    need = 4 * max(psi.n_max, a.n_max, w.n_max) + 1
     if grid_size is None:
         return next_fast_len(need)
     if grid_size < need:
@@ -243,13 +238,74 @@ def _resolve_grid(psi, a, w, grid_size):
     return grid_size
 
 
-def _covariant_derivative(psi_grid, psi, a_grid, m):
-    dpsi = np.fft.ifft(_spectral_multiplier(m) * np.fft.fft(psi_grid))
-    return -1j * dpsi + 2.0 * a_grid * psi_grid
+def _pack(coeffs: np.ndarray) -> np.ndarray:
+    return np.concatenate([coeffs.real, coeffs.imag])
 
 
-def _spectral_multiplier(m: int) -> np.ndarray:
-    return 2j * math.pi * np.fft.fftfreq(m, d=1.0 / m)
+def _unpack(z: np.ndarray) -> np.ndarray:
+    half = len(z) // 2
+    return z[:half] + 1j * z[half:]
+
+
+def _grid_coeffs(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Fourier coefficients ``-n_max .. n_max`` of grid samples."""
+    m = len(values)
+    return (np.fft.fft(values) / m)[np.arange(-n_max, n_max + 1) % m]
+
+
+def _evaluate(psi: TorusField, a: TorusField, w: TorusField,
+              coef: GLCoefficients, m: int):
+    """Energy, Wirtinger gradient and exact Hessian action at ``psi``.
+
+    One transform of ``psi``, ``a`` and ``w`` to the ``m``-point grid
+    serves all three.  Returns ``(energy, grad, hessp)``: ``grad`` holds
+    the coefficients of ``B1 D(D psi) + B2 W psi - 2 B3 (1-|psi|^2) psi``
+    on ``psi``'s modes, and ``hessp(p)`` is the derivative of the packed
+    real gradient ``2 [Re grad, Im grad]`` along the packed direction
+    ``p = [Re eta, Im eta]``, i.e. ``2 [Re, Im]`` of the linearized
+    gradient
+
+        B1 D(D eta) + B2 W eta - 2 B3 (1-|psi|^2) eta
+        + 2 B3 (|psi|^2 eta + psi^2 conj(eta)).
+    """
+    n_max = psi.n_max
+    mult = 2j * math.pi * np.fft.fftfreq(m, d=1.0 / m)
+    a_g = a.values_on_grid(m)
+    w_g = w.values_on_grid(m)
+    psi_g = psi.values_on_grid(m)
+    abs2 = np.abs(psi_g) ** 2
+
+    def cov(f_g):
+        """``D f = -i f' + 2 a f`` on the grid."""
+        return -1j * np.fft.ifft(mult * np.fft.fft(f_g)) + 2.0 * a_g * f_g
+
+    dpsi = cov(psi_g)
+    # each coefficient multiplies the *mean* of its term, not the grid
+    # values, so a term whose mean is exact (e.g. the quartic at psi = 0)
+    # contributes without reduction roundoff
+    energy = (
+        coef.b1_scalar * np.mean(np.abs(dpsi) ** 2)
+        + coef.B2 * np.mean(w_g * abs2)
+        + coef.B3 * np.mean((1.0 - abs2) ** 2)
+    )
+    scale = max(1.0, abs(energy))
+    if abs(energy.imag) > 1e-12 * scale:
+        raise FloatingPointError(
+            f"energy has imaginary residue {energy.imag:.3e}; "
+            "are the external fields real?"
+        )
+    linear = coef.B2 * w_g - 2.0 * coef.B3 * (1.0 - abs2)
+    grad = _grid_coeffs(coef.b1_scalar * cov(dpsi) + linear * psi_g, n_max)
+
+    def hessp(p: np.ndarray) -> np.ndarray:
+        eta_g = TorusField(_unpack(p), n_max).values_on_grid(m)
+        action = (
+            coef.b1_scalar * cov(cov(eta_g)) + linear * eta_g
+            + 2.0 * coef.B3 * (abs2 * eta_g + psi_g ** 2 * np.conj(eta_g))
+        )
+        return 2.0 * _pack(_grid_coeffs(action, n_max))
+
+    return float(energy.real), grad, hessp
 
 
 def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
@@ -274,25 +330,7 @@ def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
     float
     """
     m = _resolve_grid(psi, a, w, grid_size)
-    psi_g = psi.values_on_grid(m)
-    a_g = a.values_on_grid(m)
-    w_g = w.values_on_grid(m)
-    dpsi = _covariant_derivative(psi_g, psi, a_g, m)
-    # each coefficient multiplies the *mean* of its term, not the grid
-    # values, so a term whose mean is exact (e.g. the quartic at psi = 0)
-    # contributes without reduction roundoff
-    value = (
-        coef.b1_scalar * np.mean(np.abs(dpsi) ** 2)
-        + coef.B2 * np.mean(w_g * np.abs(psi_g) ** 2)
-        + coef.B3 * np.mean((1.0 - np.abs(psi_g) ** 2) ** 2)
-    )
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > 1e-12 * scale:
-        raise FloatingPointError(
-            f"energy has imaginary residue {value.imag:.3e}; "
-            "are the external fields real?"
-        )
-    return float(value.real)
+    return _evaluate(psi, a, w, coef, m)[0]
 
 
 def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
@@ -307,22 +345,7 @@ def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
     ``2 Re <eta, grad>`` (see :func:`directional_derivative`).
     """
     m = _resolve_grid(psi, a, w, grid_size)
-    psi_g = psi.values_on_grid(m)
-    a_g = a.values_on_grid(m)
-    w_g = w.values_on_grid(m)
-    mult = _spectral_multiplier(m)
-    dpsi = _covariant_derivative(psi_g, psi, a_g, m)
-    ddpsi = -1j * np.fft.ifft(mult * np.fft.fft(dpsi)) + 2.0 * a_g * dpsi
-    grad_g = (
-        coef.b1_scalar * ddpsi
-        + coef.B2 * w_g * psi_g
-        - 2.0 * coef.B3 * (1.0 - np.abs(psi_g) ** 2) * psi_g
-    )
-    spectrum = np.fft.fft(grad_g) / m
-    out = TorusField.zero(psi.n_max)
-    for i, n in enumerate(out.modes):
-        out.coeffs[i] = spectrum[n % m]
-    return out
+    return TorusField(_evaluate(psi, a, w, coef, m)[1], psi.n_max)
 
 
 def directional_derivative(grad: TorusField, eta: TorusField) -> float:
@@ -390,65 +413,53 @@ class GLState:
         )
 
 
-def _pack(coeffs: np.ndarray) -> np.ndarray:
-    return np.concatenate([coeffs.real, coeffs.imag])
-
-
-def _unpack(z: np.ndarray) -> np.ndarray:
-    half = len(z) // 2
-    return z[:half] + 1j * z[half:]
-
-
 def _descend(start: TorusField, label: str, a, w, coef, grid_size,
              gtol, max_iter):
-    """Conjugate-gradient descent from one starting field."""
+    """Trust-region Newton-CG descent from one starting field, finished
+    by exact Newton steps on the gradient."""
     n_max = start.n_max
     m = _resolve_grid(start, a, w, grid_size)
+    last = {}
 
-    def objective(z):
-        psi = TorusField(_unpack(z), n_max)
-        energy = gl_energy(psi, a, w, coef, m)
-        grad = gl_gradient(psi, a, w, coef, m)
-        return energy, 2.0 * _pack(grad.coeffs)
+    def evaluate(z):
+        """``(energy, packed gradient, hessp)``, memoized on the last z."""
+        if "z" not in last or not np.array_equal(last["z"], z):
+            energy, grad, hessp = _evaluate(
+                TorusField(_unpack(z), n_max), a, w, coef, m)
+            last.update(z=z.copy(), value=(energy, 2.0 * _pack(grad), hessp))
+        return last["value"]
 
     z = _pack(start.coeffs)
-    iterations = 0
-    accepted_energies = [objective(z)[0]]
-    # The inf-norm target for the packed real gradient is set so that the
-    # l2 norm of the complex coefficients meets gtol with margin.
-    gtol_inf = gtol / (4.0 * math.sqrt(len(z)))
+    energies = [evaluate(z)[0]]
+    res = optimize.minimize(
+        lambda z: evaluate(z)[0], z, jac=lambda z: evaluate(z)[1],
+        hessp=lambda z, p: evaluate(z)[2](p), method="trust-ncg",
+        callback=lambda zk: energies.append(evaluate(zk)[0]),
+        options={"gtol": 0.1 * gtol, "maxiter": max_iter},
+    )
+    z = res.x
+    iterations = res.nit
+    # Trust-region acceptance compares energies, which near |grad| ~ 1e-9
+    # differ only at roundoff; Newton steps on the gradient itself finish
+    # the descent.  The Hessian is singular along the global-phase
+    # direction i psi, but the Newton system is consistent there.
+    slack = 1e-13 * max(1.0, abs(energies[0]))
+    energy, jac, hessp = evaluate(z)
     for _ in range(5):
-        res = optimize.minimize(
-            objective, z, jac=True, method="CG",
-            callback=lambda xk: accepted_energies.append(objective(xk)[0]),
-            options={"gtol": gtol_inf, "maxiter": max_iter},
-        )
-        z = res.x
-        iterations += res.nit
-        if np.linalg.norm(res.jac) / 2.0 < gtol:
+        op = sparse_linalg.LinearOperator((len(z), len(z)), matvec=hessp)
+        step = sparse_linalg.minres(op, -jac)[0]
+        trial = evaluate(z + step)
+        if (np.linalg.norm(trial[1]) >= np.linalg.norm(jac)
+                or trial[0] > energy + slack):
             break
-    if np.linalg.norm(res.jac) / 2.0 >= gtol:
-        # Line searches stall once energy differences reach machine
-        # precision; a short second-order polish (Hessian-vector products
-        # by central differences of the gradient) recovers the last digits.
-        def hessp(zz, p):
-            h = 1e-7 / max(np.linalg.norm(p), 1e-30)
-            return (objective(zz + h * p)[1] - objective(zz - h * p)[1]) / (2 * h)
-
-        polish = optimize.minimize(
-            objective, z, jac=True, hessp=hessp, method="trust-ncg",
-            options={"gtol": 0.1 * gtol, "maxiter": 50},
-        )
-        if np.linalg.norm(polish.jac) < np.linalg.norm(objective(z)[1]):
-            z = polish.x
-            iterations += polish.nit
-    psi = TorusField(_unpack(z), n_max)
-    energy = gl_energy(psi, a, w, coef, m)
-    grad_norm = gl_gradient(psi, a, w, coef, m).norm_l2()
-    steps = np.diff(accepted_energies)
-    slack = 1e-13 * max(1.0, abs(accepted_energies[0]))
+        z = z + step
+        energy, jac, hessp = trial
+        energies.append(energy)
+        iterations += 1
+    grad_norm = float(np.linalg.norm(jac)) / 2.0
+    steps = np.diff(energies)
     return GLState(
-        psi=psi,
+        psi=TorusField(_unpack(z), n_max),
         energy=energy,
         gradient_norm=grad_norm,
         converged=grad_norm < gtol,
@@ -486,12 +497,13 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
              workers: int = 1) -> GLState:
     """Minimize the GL energy over ``psi``; keep the best local minimum.
 
-    Runs conjugate-gradient descents from ``psi = 1``, ``psi = 0.5`` and
-    two random smooth fields (or caller-supplied ``starts``), optionally
-    in parallel, and reduces by lowest energy.  ``psi = 0`` is always a
-    critical point with energy exactly ``B3``; if no descent beats it,
-    the zero state is returned, so the reported energy never exceeds
-    ``min(B3, E(psi = 1))``.
+    Runs one trust-region Newton-CG descent with exact Hessian-vector
+    products from each of ``psi = 1``, ``psi = 0.5`` and two random
+    smooth fields (or caller-supplied ``starts``), finishes each with at
+    most five exact Newton steps, and reduces by lowest energy.
+    ``psi = 0`` is always a critical point with energy exactly ``B3``;
+    if no descent beats it, the zero state is returned, so the reported
+    energy never exceeds ``min(B3, E(psi = 1))``.
 
     Parameters
     ----------
@@ -505,8 +517,11 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
         Seed for the random starting fields.
     gtol : float
         l2 gradient-norm target for local convergence.
+    max_iter : int
+        Iteration cap of each trust-region descent.
     workers : int
-        Number of concurrent descents (1 = serial).
+        Ignored; the descents always run one after another.  Accepted so
+        that existing callers keep working.
 
     Returns
     -------
@@ -514,27 +529,11 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     """
     if starts is None:
         starts = _default_starts(n_max, seed)
-
-    def run(item):
-        label, start = item
-        return _descend(start.with_n_max(n_max), label, a, w, coef,
-                        grid_size, gtol, max_iter)
-
-    with warnings.catch_warnings():
-        # A stalled Wolfe search near machine precision is expected; the
-        # second-order polish in the descent finishes the job.  The filter
-        # is installed once out here because the warning state is
-        # process-global: per-thread contexts would race when descents
-        # run concurrently.
-        warnings.filterwarnings(
-            "ignore", message="The line search algorithm did not converge"
-        )
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                states = list(pool.map(run, starts))
-        else:
-            states = [run(item) for item in starts]
-
+    states = [
+        _descend(start.with_n_max(n_max), label, a, w, coef, grid_size,
+                 gtol, max_iter)
+        for label, start in starts
+    ]
     history = [rec for state in states for rec in state.history]
     best = min(states, key=lambda s: s.energy)
     if coef.B3 < best.energy:
@@ -579,8 +578,5 @@ def gauge_transform(psi: TorusField, a: TorusField, chi: TorusField,
     new_n_max = psi.n_max + chi.n_max + pad_modes
     m = next_fast_len(2 * new_n_max + 2)
     transformed = psi.values_on_grid(m) * np.exp(-2j * chi.values_on_grid(m))
-    spectrum = np.fft.fft(transformed) / m
-    out = TorusField.zero(new_n_max)
-    for i, n in enumerate(out.modes):
-        out.coeffs[i] = spectrum[n % m]
+    out = TorusField(_grid_coeffs(transformed, new_n_max), new_n_max)
     return out, a + chi.derivative()

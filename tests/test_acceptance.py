@@ -131,7 +131,7 @@ class TestEnergyMinimizer:
         assert abs(analytic - numeric) / abs(numeric) < 1e-6
 
     def test_free_minimum_is_unimodular(self, gl_coef):
-        state = minimize(ZERO, ZERO, gl_coef, n_max=16, workers=WORKERS)
+        state = minimize(ZERO, ZERO, gl_coef, n_max=16)
         assert state.energy < 1e-10
         values = np.abs(state.psi.values_on_grid(256))
         assert np.max(np.abs(values - 1.0)) < 1e-5

@@ -610,6 +610,11 @@ class TestSweep:
 
         report = bv.h_sweep(observable, self.H_LIST, min_points=2)
         assert len(report.h_values) == 2
+        dropped = [h for h in self.H_LIST if h < 0.06]
+        assert [h for h, _ in report.failures] == dropped
+        assert all("too small" in msg for _, msg in report.failures)
+        clone = bv.SweepReport.from_dict(report.to_dict())
+        assert clone.failures == report.failures
         with pytest.raises(RuntimeError, match="too small"):
             bv.h_sweep(observable, self.H_LIST, min_points=3)
 

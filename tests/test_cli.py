@@ -169,6 +169,18 @@ class TestStages:
         assert second["cached"] is False
         assert second["config_hash"] != first["config_hash"]
 
+    def test_code_change_invalidates_cache(self, tmp_path, capsys,
+                                           monkeypatch):
+        path = write_config(tmp_path, grids=fast_grids())
+        _, first = run_cli(capsys, "--config", str(path), "tc")
+        _, warm = run_cli(capsys, "--config", str(path), "tc")
+        assert warm["cached"] is True
+        monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+        code, second = run_cli(capsys, "--config", str(path), "tc")
+        assert code == 0
+        assert second["cached"] is False
+        assert second["config_hash"] != first["config_hash"]
+
     def test_no_pairing_exits_3_without_downstream(self, tmp_path, capsys):
         path = write_config(tmp_path, potential={"g": 0.0})
         code, out = run_cli(capsys, "--config", str(path), "coeffs")

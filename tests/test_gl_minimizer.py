@@ -1,12 +1,24 @@
 """Tests for the torus GL energy, its gradient, and the minimizer."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bcsgl
 from bcsgl.gl_coeffs import GLCoefficients
 from bcsgl.gl_minimizer import (
     GLState,
     TorusField,
+    _evaluate,
+    _pack,
+    _resolve_grid,
+    _unpack,
     directional_derivative,
     gauge_transform,
     gl_energy,
@@ -28,6 +40,29 @@ def _random_field(n_max, rng, scale=0.4, offset=1.0):
     )
     coeffs[n_max] += offset
     return TorusField(coeffs, n_max)
+
+
+def _hessian_action(psi, eta, a, w, coef):
+    """Exact Hessian action along ``eta`` as complex coefficients, with
+    the Wirtinger gradient at ``psi``."""
+    _, grad, hessp = _evaluate(psi, a, w, coef, _resolve_grid(psi, a, w, None))
+    return _unpack(hessp(_pack(eta.coeffs))) / 2.0, grad
+
+
+def _assert_hessian_action(psi, eta, a, w, coef, eps=1e-5):
+    """The exact Hessian action matches central differences of the
+    gradient along ``eta``.  Along ``i psi`` it equals ``i grad``: the
+    gradient turns with the global phase, so the phase direction is a
+    zero mode of the Hessian wherever the gradient vanishes."""
+    action, grad = _hessian_action(psi, eta, a, w, coef)
+    fd = (
+        gl_gradient(psi + eps * eta, a, w, coef).coeffs
+        - gl_gradient(psi - eps * eta, a, w, coef).coeffs
+    ) / (2 * eps)
+    assert np.linalg.norm(action - fd) <= 1e-6 * np.linalg.norm(fd) + 1e-12
+    phase, _ = _hessian_action(psi, 1j * psi, a, w, coef)
+    assert np.linalg.norm(phase - 1j * grad) <= 1e-12 * (
+        1.0 + np.linalg.norm(grad))
 
 
 class TestTorusField:
@@ -160,6 +195,7 @@ class TestGradient:
         a = TorusField.cosine(0.2, 1)
         w = TorusField.cosine(0.5, 1)
         grad = gl_gradient(psi, a, w, gl_coef)
+        near_unit = _random_field(6, rng, scale=0.01)
         eps = 1e-5
         for trial in range(3):
             eta = _random_field(6, rng, scale=0.5, offset=0.0)
@@ -170,6 +206,8 @@ class TestGradient:
             assert directional_derivative(grad, eta) == pytest.approx(
                 fd, rel=1e-6
             )
+            for base in (psi, near_unit):
+                _assert_hessian_action(base, eta, a, w, gl_coef)
 
     def test_each_term_separately(self, gap_sol):
         """Finite-difference check with the other two coefficients
@@ -195,10 +233,14 @@ class TestGradient:
             assert directional_derivative(grad, eta) == pytest.approx(
                 fd, rel=1e-6, abs=1e-12
             )
+            _assert_hessian_action(psi, eta, a, w, coef)
 
     def test_uniform_state_is_stationary_without_fields(self, gl_coef):
-        grad = gl_gradient(TorusField.constant(1.0, 6), ZERO, ZERO, gl_coef)
+        psi = TorusField.constant(1.0, 6)
+        grad = gl_gradient(psi, ZERO, ZERO, gl_coef)
         assert grad.norm_l2() < 1e-12
+        phase, _ = _hessian_action(psi, 1j * psi, ZERO, ZERO, gl_coef)
+        assert np.linalg.norm(phase) < 1e-12
 
     def test_zero_state_is_stationary(self, gl_coef):
         w = TorusField.cosine(0.5, 1)
@@ -261,11 +303,39 @@ class TestMinimize:
         )
         assert state.energy == pytest.approx(reference_state.energy, rel=1e-7)
 
-    def test_parallel_matches_serial(self, reference_state, gl_coef):
-        state = minimize(
-            ZERO, TorusField.cosine(0.5, 1), gl_coef, n_max=32, workers=4
-        )
-        assert state.energy == pytest.approx(reference_state.energy, rel=1e-12)
+    def test_phase_is_hessian_zero_mode_at_minimum(
+        self, reference_state, gl_coef
+    ):
+        psi = reference_state.psi
+        w = TorusField.cosine(0.5, 1)
+        phase, _ = _hessian_action(psi, 1j * psi, ZERO, w, gl_coef)
+        assert np.linalg.norm(phase) < 1e-12
+
+    def test_known_nonconvergence_point_converges(self):
+        """Gaussian well g=3, w=0.7, mu=0.5 in W = 2 cos 2 pi x at n_max=16
+        used to stop one start above gtol under one BLAS thread."""
+        script = textwrap.dedent("""
+            import json
+            from bcsgl import gap_solver as gs
+            from bcsgl.gl_coeffs import compute_coefficients
+            from bcsgl.gl_minimizer import TorusField, minimize
+            spec = gs.PotentialSpec.gaussian(3.0, 0.7, 0.5)
+            coef = compute_coefficients(gs.normalize(gs.find_tc(spec), 1.0))
+            states = [minimize(TorusField.zero(0), TorusField.cosine(2.0),
+                               coef, n_max=16, seed=seed) for seed in (0, 1)]
+            print(json.dumps([[s.converged, s.history] for s in states]))
+        """)
+        src = str(Path(bcsgl.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, check=True)
+        for converged, history in json.loads(result.stdout):
+            assert converged
+            assert len(history) == 4
+            assert all(rec["gradient_norm"] < 1e-9 for rec in history)
 
     def test_state_validate_and_serialize(self, reference_state, gl_coef):
         w = TorusField.cosine(0.5, 1)
