@@ -14,6 +14,19 @@ over a grid of ``xi`` values gives every observable in this module:
 * the three-term free-energy difference of the trial Gibbs state,
   whose ``h^{4-d}`` coefficient approaches the GL energy.
 
+The Bloch grid is symmetric about 0, ``xi_k = 2 pi k / M`` for
+``k = -ceil(M/2)+1 .. floor(M/2)``, i.e. ``M`` uniform nodes in
+``(-pi, pi]``.  On the mode window ``|n| <= n_max`` the fibers at ``xi``
+and ``-xi`` are particle-hole partners: swapping particle and hole,
+reflecting the modes (``n -> -n``, matrix ``J``) and conjugating maps
+``H(xi)`` to ``-H(-xi)``.  So the spectrum at ``-xi`` is the mirrored
+spectrum at ``xi`` and the pair block there is ``J alpha(xi)^T J``;
+every observable diagonalizes only ``xi = 0``, the positive nodes and
+(for even ``M``) ``xi = pi`` -- ``floor(M/2) + 1`` fibers -- and folds in
+each partner's contribution without another eigensolve.  ``xi = pi``
+has no partner on the grid: its reflection ``-pi`` shifts the mode
+window by one.
+
 Everything is exact-spectral: the kinetic term, the field couplings
 (finite Fourier series), and the pair symbol ``t`` (evaluated through
 its smooth extension) introduce no grid discretization error, so the
@@ -119,7 +132,12 @@ class FiberBasis:
         Retained modes ``|n| <= n_max``; fiber momenta are
         ``2 pi n + xi``.
     m_fibers : int
-        Number of uniform Bloch momenta in ``[0, 2 pi)``.
+        Number of uniform Bloch momenta in ``(-pi, pi]``: ``xi_k = 2 pi
+        k / M`` for ``k = -ceil(M/2)+1 .. floor(M/2)``.  The grid is
+        symmetric about 0 (``xi = pi`` aside, for even ``M``), so each
+        node ``0 < xi < pi`` has its particle-hole partner ``-xi`` on the
+        grid and the observables diagonalize only the last
+        ``floor(M/2) + 1`` nodes (:attr:`half_nodes`).
     """
 
     h: float
@@ -147,7 +165,13 @@ class FiberBasis:
 
     @property
     def xi_nodes(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.m_fibers) / self.m_fibers
+        m = self.m_fibers
+        return 2.0 * math.pi * np.arange(1 - (m + 1) // 2, m // 2 + 1) / m
+
+    @property
+    def half_nodes(self) -> np.ndarray:
+        """The nodes ``0 <= xi <= pi`` (same floats as in :attr:`xi_nodes`)."""
+        return self.xi_nodes[(self.m_fibers - 1) // 2:]
 
     def momenta(self, xi: float) -> np.ndarray:
         return 2.0 * math.pi * self.modes + xi
@@ -290,25 +314,45 @@ def trace_per_unit_volume(basis: FiberBasis, builder: Callable,
 
     def one(xi: float) -> float:
         built = builder(xi)
-        try:
-            if isinstance(built, tuple):
-                first, second = built
-                return float(np.sum(g(spectrum(first)) - g(spectrum(second))))
-            return float(np.sum(g(spectrum(built))))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"eigensolver failed on the fiber at xi={xi:.6f}"
-            ) from exc
+        if isinstance(built, tuple):
+            first, second = built
+            return float(np.sum(g(spectrum(first)) - g(spectrum(second))))
+        return float(np.sum(g(spectrum(built))))
 
-    values = _map_fibers(one, basis.xi_nodes, workers)
+    values = _map_fibers(one, [(xi,) for xi in basis.xi_nodes], workers)
     return math.fsum(values) / basis.m_fibers
 
 
-def _map_fibers(fn, xi_nodes, workers: int) -> list:
+def _map_fibers(fn, jobs, workers: int) -> list:
+    """``[fn(*job) for job in jobs]`` on ``workers`` threads, in job order;
+    ``job[0]`` is the fiber's ``xi``, named if its eigensolver fails."""
+
+    def run(job):
+        try:
+            return fn(*job)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"eigensolver failed on the fiber at xi={job[0]:.6f}"
+            ) from exc
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, xi_nodes))
-    return [fn(xi) for xi in xi_nodes]
+            return list(pool.map(run, jobs))
+    return [run(job) for job in jobs]
+
+
+def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
+    """Per-fiber contributions over the whole Bloch grid.
+
+    ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi`` and
+    returns a tuple: the contribution of fiber ``xi`` and, when
+    ``partnered`` (``0 < xi < pi``), that of its particle-hole partner
+    ``-xi``, derived from fiber ``xi`` without another eigensolve.  The
+    result lists one contribution per node of ``basis.xi_nodes``.
+    """
+    half = basis.half_nodes
+    jobs = [(xi, 0 < k < basis.m_fibers / 2) for k, xi in enumerate(half)]
+    return [c for part in _map_fibers(one, jobs, workers) for c in part]
 
 
 def fiber_union_spectrum(basis: FiberBasis, builder: Callable) -> np.ndarray:
@@ -461,13 +505,17 @@ def semiclassical_trace(source, psi: TorusField, a: TorusField,
         raise ValueError("a positive beta is required for this source")
     basis = _resolve_basis(source, h, m_fibers, n_max)
 
-    def builder(xi):
+    def one(xi, partnered):
+        # spec H(-xi) = -spec H(xi) and tr H_Delta = tr H_0, so with
+        # f(-z) = f(z) - z the partner's value equals this one's
         op = build_fiber(basis, xi, psi, a, w, t, mu)
-        return op.matrix, op.free_spectrum()
+        value = float(np.sum(
+            specfun.fermi_f(beta * np.linalg.eigvalsh(op.matrix))
+            - specfun.fermi_f(beta * op.free_spectrum())
+        ))
+        return (value, value) if partnered else (value,)
 
-    tr = trace_per_unit_volume(
-        basis, builder, lambda lam: specfun.fermi_f(beta * lam), workers
-    )
+    tr = math.fsum(_fold_fibers(basis, one, workers)) / basis.m_fibers
     lhs = (h / beta) * tr
 
     ips = field_inner_products(psi, a, w)
@@ -493,13 +541,19 @@ def semiclassical_trace(source, psi: TorusField, a: TorusField,
     }
 
 
-def _pair_block(matrix: np.ndarray, beta: float) -> np.ndarray:
-    """Upper-right block of ``(1 + e^{beta H})^{-1}``."""
+def _pair_block(matrix: np.ndarray, beta: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of ``matrix`` and the upper-right block of
+    ``(1 + e^{beta H})^{-1}``, formed without the rest of the state."""
     lam, vec = np.linalg.eigh(matrix)
     rho = specfun.fermi_rho(beta * lam)
-    gamma = (vec * rho) @ vec.conj().T
     n = matrix.shape[0] // 2
-    return gamma[:n, n:]
+    return lam, (vec[:n] * rho) @ vec[n:].conj().T
+
+
+def _partner_block(alpha: np.ndarray) -> np.ndarray:
+    """Pair block at ``-xi`` from the one at ``xi``: ``J alpha^T J``."""
+    return alpha[::-1, ::-1].T
 
 
 def alpha_delta_distance(source, psi: TorusField, a: TorusField,
@@ -510,7 +564,10 @@ def alpha_delta_distance(source, psi: TorusField, a: TorusField,
 
     The leading operator is ``(h/2)(psi phi(-ih d/dx) + phi(-ih d/dx)
     psi)`` with ``phi(p) = (beta/2) g0(beta (p^2 - mu)) t(p)``.  The
-    operator-H1 norm weights row momenta by ``1 + h^2 kappa^2``.
+    operator-H1 norm weights row momenta by ``1 + h^2 kappa^2``.  The
+    partner fiber ``-xi`` has ``alpha - lead`` equal to ``J (alpha -
+    lead)^T J`` at ``xi``, so its row-weighted sum is the column-weighted
+    sum at ``xi``; its L2 sums equal those at ``xi``.
 
     Returns
     -------
@@ -526,22 +583,24 @@ def alpha_delta_distance(source, psi: TorusField, a: TorusField,
     basis = _resolve_basis(source, h, m_fibers, n_max)
     modes = basis.modes
 
-    def one(xi):
+    def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
-        alpha = _pair_block(op.matrix, beta)
+        _, alpha = _pair_block(op.matrix, beta)
         kappa = op.momenta
         phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - mu)) \
             * np.asarray(t(h * kappa), dtype=float)
         lead = (h / 2.0) * _coeff_matrix(psi, modes) * (phi[:, None] + phi[None, :])
-        diff = alpha - lead
+        diff_sq = np.abs(alpha - lead) ** 2
         h1_weight = 1.0 + (h * kappa) ** 2
-        return (
-            float(np.sum(h1_weight[:, None] * np.abs(diff) ** 2)),
-            float(np.sum(np.abs(diff) ** 2)),
-            float(np.sum(np.abs(lead) ** 2)),
-        )
+        l2 = float(np.sum(diff_sq))
+        lead_sq = float(np.sum(np.abs(lead) ** 2))
+        own = (float(np.sum(h1_weight[:, None] * diff_sq)), l2, lead_sq)
+        if not partnered:
+            return (own,)
+        partner = (float(np.sum(diff_sq * h1_weight[None, :])), l2, lead_sq)
+        return own, partner
 
-    parts = _map_fibers(one, basis.xi_nodes, workers)
+    parts = _fold_fibers(basis, one, workers)
     h1_sq = math.fsum(p[0] for p in parts) / basis.m_fibers
     l2_sq = math.fsum(p[1] for p in parts) / basis.m_fibers
     lead_sq = math.fsum(p[2] for p in parts) / basis.m_fibers
@@ -614,12 +673,14 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     (i)   ``(1/2 beta) Tr_puv [f(beta H_Delta) - f(beta H_0)]`` over
           both diagonal entries,
     (ii)  ``-h^{2-d} (2 pi)^{-d} sum_p |psihat(p)|^2 integral
-          V(x) alpha0(x)^2 cos^2(h p x/2) dx`` (real-space quadrature,
-          cross-checked against the pair-symbol form),
+          V(x) alpha0(x)^2 cos^2(h p x/2) dx`` (real-space quadrature),
     (iii) ``integral V((x-y)/h) |lead(x,y) - alpha_Delta(x,y)|^2``
           with ``lead = (1/(2 sqrt(2 pi))) (psi(x)+psi(y))
           alpha0((x-y)/h)``, on an ``(x, u = (y-x)/h)`` band where the
           kernel is smooth.
+
+    The partner fiber ``-xi`` contributes the trace term of fiber
+    ``xi`` again and the band of ``J alpha^T J`` at ``-xi``.
 
     ``scaled = (sum of terms) / h^{4-d}`` approaches the GL energy
     minus its quartic offset as ``h`` decreases.
@@ -639,9 +700,9 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     Returns
     -------
     dict
-        ``f_bcs_diff``, ``scaled``, the three terms, the symbol-form
-        cross-check of term (ii), the half-resolution re-evaluation of
-        term (iii) (``term_remainder_check``), and run parameters.
+        ``f_bcs_diff``, ``scaled``, the three terms, the half-resolution
+        re-evaluation of term (iii) (``term_remainder_check``), and run
+        parameters.
         Quadrature sizes default to four points per fastest oscillation
         (``u``) and four points per field mode (``x``).
     """
@@ -654,7 +715,6 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     beta = sol.beta_c / (1.0 - h * h * D)
     basis = _resolve_basis(sol, h, m_fibers, n_max)
     modes = basis.modes
-    n_size = basis.size
 
     u_max = _potential_reach(sol.spec)
     if h * u_max >= 0.5 * m_fibers:
@@ -678,25 +738,27 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     u_weights[[0, -1]] *= 0.5
     e1x = np.exp(2j * math.pi * np.outer(x_nodes, modes))
 
-    def one(xi):
-        op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
-        lam, vec = np.linalg.eigh(op.matrix)
-        lam0 = op.free_spectrum()
-        tr = float(np.sum(
-            specfun.fermi_f(beta * lam) - specfun.fermi_f(beta * lam0)
-        ))
-        rho = specfun.fermi_rho(beta * lam)
-        gamma = (vec * rho) @ vec.conj().T
-        alpha = gamma[:n_size, n_size:]
-        # alpha_Delta(x, x + h u) = sum_{n n'} alpha[n, n's]
+    def band_of(alpha, xi):
+        # alpha_Delta(x, x + h u) = sum_{n n'} alpha[n, n']
         #   e^{2 pi i (n - n') x} e^{-i (2 pi n' + xi) h u}
         phases_u = np.exp(
             -1j * np.outer(2.0 * math.pi * modes + xi, h * u_nodes)
         )
-        band = ((e1x @ alpha) * e1x.conj()) @ phases_u
-        return tr, band
+        return ((e1x @ alpha) * e1x.conj()) @ phases_u
 
-    parts = _map_fibers(one, basis.xi_nodes, workers)
+    def one(xi, partnered):
+        op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
+        lam, alpha = _pair_block(op.matrix, beta)
+        tr = float(np.sum(
+            specfun.fermi_f(beta * lam)
+            - specfun.fermi_f(beta * op.free_spectrum())
+        ))
+        own = (tr, band_of(alpha, xi))
+        if not partnered:
+            return (own,)
+        return own, (tr, band_of(_partner_block(alpha), -xi))
+
+    parts = _fold_fibers(basis, one, workers)
     tr_sum = math.fsum(p[0] for p in parts) / basis.m_fibers
     term_i = tr_sum / (2.0 * beta)
 
@@ -705,8 +767,6 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     weights = np.abs(psi.coeffs[psi_mode_index]) ** 2
     iv = _pair_interaction_quadrature(sol, h, p_values)
     term_ii = -h / (2.0 * math.pi) * float(np.dot(weights, iv))
-    iv_symbol = _pair_interaction_symbol_form(sol, h, p_values)
-    term_ii_symbol = -h / (2.0 * math.pi) * float(np.dot(weights, iv_symbol))
 
     band = sum(p[1] for p in parts) / basis.m_fibers
     alpha0_u, _ = sol.real_space(u_nodes)
@@ -735,7 +795,6 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         "scaled": f_bcs_diff / h**3,
         "term_trace": term_i,
         "term_interaction": term_ii,
-        "term_interaction_symbol_form": term_ii_symbol,
         "term_remainder": term_iii,
         "term_remainder_check": term_iii_coarse,
         "h": h,

@@ -413,9 +413,21 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _dump_json(path: Path, payload: dict) -> None:
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then
+    ``os.replace`` it, so an interrupted write never leaves a partial
+    artifact in place of a complete one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _dump_json(path: Path, payload: dict) -> None:
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_cached(path: Path, config_hash: str) -> dict | None:
@@ -622,8 +634,7 @@ def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
     content = "\n".join(lines) + "\n"
     if path.is_file() and path.read_text() == content:
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    _write_atomic(path, content)
 
 
 def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:

@@ -306,7 +306,7 @@ def _occupation_bounds(ctx: _Context):
 def _entropy_reflection(ctx: _Context):
     basis, psi, a, w = ctx.small_fiber()
     sol = ctx.sol
-    xi = basis.xi_nodes[1]
+    xi = basis.half_nodes[1]
     s_plus = bv.fiber_entropy(
         bv.build_fiber(basis, xi, psi, a, w, sol.t, sol.mu).matrix,
         sol.beta_c)

@@ -52,9 +52,19 @@ class TestFiberBasis:
         np.testing.assert_allclose(
             basis.momenta(0.3), 2 * math.pi * basis.modes + 0.3
         )
+        # (-pi, pi]: k = -3 .. 4, symmetric about 0 apart from xi = pi
         xi = basis.xi_nodes
-        assert len(xi) == 8 and xi[0] == 0.0
-        np.testing.assert_allclose(np.diff(xi), 2 * math.pi / 8)
+        assert len(xi) == 8 and xi[3] == 0.0 and xi[-1] == math.pi
+        np.testing.assert_allclose(xi, 2 * math.pi * np.arange(-3, 5) / 8)
+        np.testing.assert_array_equal(xi[:3], -xi[4:7][::-1])
+        np.testing.assert_array_equal(basis.half_nodes, xi[3:])
+
+    def test_odd_grid_has_no_pi_node(self):
+        basis = bv.FiberBasis(0.25, 4, 5)
+        xi = basis.xi_nodes
+        np.testing.assert_allclose(xi, 2 * math.pi * np.arange(-2, 3) / 5)
+        np.testing.assert_array_equal(xi[:2], -xi[3:][::-1])
+        np.testing.assert_array_equal(basis.half_nodes, xi[2:])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="h must lie"):
@@ -252,10 +262,26 @@ class TestTracePerUnitVolume:
             basis, lambda xi: (builder(xi).matrix, builder(xi).free_matrix), g
         )
         from_values = bv.trace_per_unit_volume(
-            basis, lambda xi: (builder(xi).matrix, builder(xi).free_spectrum()),
+            basis,
+            lambda xi: (builder(xi).matrix,
+                        np.linalg.eigvalsh(builder(xi).free_matrix)),
             g,
         )
-        assert from_matrix == pytest.approx(from_values, abs=1e-13)
+        assert from_matrix == from_values
+
+    def test_free_spectrum_within_backward_error(self, gap_sol, fields):
+        # Each solver returns the exact spectrum of a matrix within
+        # n eps ||H||_2 of the input (backward error), so by Weyl the two
+        # routes differ by at most twice that, eigenvalue by eigenvalue.
+        basis = bv.FiberBasis(0.25, 8, 4)
+        builder = _op_family(gap_sol, fields, basis)
+        eps = np.finfo(float).eps
+        for xi in basis.xi_nodes:
+            op = builder(xi)
+            dense = op.free_matrix
+            bound = 2 * dense.shape[0] * eps * np.linalg.norm(dense, 2)
+            diff = np.abs(op.free_spectrum() - np.linalg.eigvalsh(dense))
+            assert diff.max() <= bound, xi
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +370,22 @@ class TestSupercellOracle:
         assert len(window) > 50
         dist = np.array([np.min(np.abs(sup - lam)) for lam in window])
         assert dist.max() < 1e-8
+
+    def test_folded_trace_matches(self, gap_sol, fields, supercell_instance):
+        # semiclassical_trace diagonalizes only xi >= 0 and folds in the
+        # partners; the supercell sees every fiber
+        basis, _, h_pair, h_free = supercell_instance
+        psi, a, w = fields
+        beta = gap_sol.beta_c
+        res = bv.semiclassical_trace(
+            gap_sol, psi, a, w, basis.h, m_fibers=basis.m_fibers,
+            n_max=basis.n_max,
+        )
+        sup_tr = (
+            np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_pair)))
+            - np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_free)))
+        ) / basis.m_fibers
+        assert res["lhs"] == pytest.approx(basis.h / beta * sup_tr, abs=1e-9)
 
     def test_trace_difference_matches(self, gap_sol, fields,
                                       supercell_instance):
@@ -470,10 +512,15 @@ class TestTrialStateEnergy:
 
     def test_interaction_term_two_routes_agree(self, gap_sol, fields):
         psi, a, w = fields
-        res = bv.trial_state_energy(gap_sol, psi, a, w, 0.125, m_fibers=16)
-        assert res["term_interaction"] == pytest.approx(
-            res["term_interaction_symbol_form"], rel=1e-8
+        h = 0.125
+        res = bv.trial_state_energy(gap_sol, psi, a, w, h, m_fibers=16)
+        index = np.nonzero(psi.coeffs)[0]
+        symbol = bv._pair_interaction_symbol_form(
+            gap_sol, h, 2 * math.pi * psi.modes[index]
         )
+        weights = np.abs(psi.coeffs[index]) ** 2
+        symbol_term = -h / (2 * math.pi) * float(np.dot(weights, symbol))
+        assert res["term_interaction"] == pytest.approx(symbol_term, rel=1e-8)
 
     def test_temperature_offset_guard(self, gap_sol, fields):
         psi, a, w = fields
@@ -495,6 +542,121 @@ class TestTrialStateEnergy:
 
 
 # ---------------------------------------------------------------------------
+# Particle-hole partner fibers
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def rich_fields():
+    """Complex psi, a two-mode a != 0 and a two-mode w."""
+    return (
+        TorusField.from_modes({0: 0.6 + 0.2j, 1: 0.2 - 0.1j, -2: 0.1j},
+                              n_max=2),
+        TorusField.cosine(0.2, 1) + TorusField.sine(0.1, 2),
+        TorusField.cosine(0.5, 1) + TorusField.sine(0.3, 2),
+    )
+
+
+def _all_nodes(basis, one, workers):
+    """Every node of the grid diagonalized on its own, no folding."""
+    return [c for xi in basis.xi_nodes for c in one(xi, False)]
+
+
+class TestPartnerFibers:
+    def test_partner_spectrum_and_pair_block(self, gap_sol, rich_fields):
+        psi, a, w = rich_fields
+        basis = bv.FiberBasis(0.25, 8, 8)
+        beta = gap_sol.beta_c
+        for xi in basis.half_nodes[1:-1]:
+            plus = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
+            minus = bv.build_fiber(basis, -xi, psi, a, w, gap_sol.t,
+                                   gap_sol.mu)
+            lam_p, alpha_p = bv._pair_block(plus.matrix, beta)
+            lam_m, alpha_m = bv._pair_block(minus.matrix, beta)
+            spec_dev = np.abs(np.sort(-lam_p) - lam_m).max()
+            assert spec_dev <= 1e-12 * np.abs(lam_p).max()
+            # alpha(-xi) = J alpha(xi)^T J
+            partner = alpha_p[::-1, ::-1].T
+            np.testing.assert_array_equal(bv._partner_block(alpha_p), partner)
+            assert np.abs(partner - alpha_m).max() \
+                <= 1e-12 * np.abs(alpha_p).max()
+
+    def test_node_counts(self, gap_sol, fields, monkeypatch):
+        psi, a, w = fields
+        seen = []
+        build = bv.build_fiber
+
+        def counting(basis, xi, *args):
+            seen.append(xi)
+            return build(basis, xi, *args)
+
+        monkeypatch.setattr(bv, "build_fiber", counting)
+        for m in (16, 5):
+            seen.clear()
+            bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=m)
+            basis = bv.FiberBasis(0.25, 8, m)
+            np.testing.assert_array_equal(seen, basis.half_nodes)
+            assert len(seen) == m // 2 + 1
+
+    def test_trace_matches_all_nodes(self, gap_sol, fields, monkeypatch):
+        psi, a, w = fields
+        folded = bv.semiclassical_trace(gap_sol, psi, a, w, 0.125)
+        monkeypatch.setattr(bv, "_fold_fibers", _all_nodes)
+        full = bv.semiclassical_trace(gap_sol, psi, a, w, 0.125)
+        # per-fiber sums of 2N Fermi weights carry ~1e-14 roundoff
+        assert folded["residual"] == pytest.approx(full["residual"],
+                                                   abs=2e-13)
+
+    def test_pair_distance_matches_all_nodes(self, gap_sol, fields,
+                                             monkeypatch):
+        psi, a, w = fields
+        folded = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125)
+        monkeypatch.setattr(bv, "_fold_fibers", _all_nodes)
+        full = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125)
+        for key in ("h1_distance", "l2_distance", "l2_leading"):
+            assert folded[key] == pytest.approx(full[key], rel=4e-12), key
+
+    def test_pair_partner_needs_column_weight(self, gap_sol, rich_fields):
+        # the row-weighted sums at xi and -xi differ, so doubling the row
+        # sum would not reproduce the partner's H1 term
+        psi, a, w = rich_fields
+        basis = bv.FiberBasis(0.0625, 40, 16)
+        xi = basis.half_nodes[3]
+        beta = gap_sol.beta_c
+
+        def weighted_sq(x):
+            op = bv.build_fiber(basis, x, psi, a, w, gap_sol.t, gap_sol.mu)
+            _, alpha = bv._pair_block(op.matrix, beta)
+            return np.abs(alpha) ** 2, 1.0 + (basis.h * op.momenta) ** 2
+
+        sq_plus, weight_plus = weighted_sq(xi)
+        sq_minus, weight_minus = weighted_sq(-xi)
+        row_plus = float(np.sum(weight_plus[:, None] * sq_plus))
+        col_plus = float(np.sum(sq_plus * weight_plus[None, :]))
+        row_minus = float(np.sum(weight_minus[:, None] * sq_minus))
+        assert col_plus == pytest.approx(row_minus, rel=1e-11)
+        assert abs(row_plus - row_minus) > 1e-8 * row_minus
+
+    @pytest.mark.parametrize("case", ["gl_minimizer", "rich_fields"])
+    def test_energy_matches_all_nodes(self, case, gap_sol, gl_min_state,
+                                      rich_fields, monkeypatch):
+        # the real, even GL minimizer makes alpha(xi) symmetric; the rich
+        # fields do not, so they pin the transpose in J alpha^T J
+        if case == "gl_minimizer":
+            psi, a, w = gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1)
+        else:
+            psi, a, w = rich_fields
+        folded = bv.trial_state_energy(gap_sol, psi, a, w, 0.125)
+        monkeypatch.setattr(bv, "_fold_fibers", _all_nodes)
+        full = bv.trial_state_energy(gap_sol, psi, a, w, 0.125)
+        # scaled = (sum of terms) / h^3 magnifies the trace term's
+        # ~1e-14 roundoff; the band term carries none of it
+        assert folded["scaled"] == pytest.approx(full["scaled"], rel=1e-8)
+        assert folded["term_remainder"] == pytest.approx(
+            full["term_remainder"], rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
 # Gibbs-state occupations and entropy
 # ---------------------------------------------------------------------------
 
@@ -503,7 +665,7 @@ class TestTrialStateEnergy:
 def pair_of_fibers(gap_sol, fields):
     psi, a, w = fields
     basis = bv.FiberBasis(0.25, 8, 8)
-    xi = basis.xi_nodes[1]
+    xi = basis.half_nodes[1]
     op_plus = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
     op_minus = bv.build_fiber(basis, -xi, psi, a, w, gap_sol.t, gap_sol.mu)
     return op_plus, op_minus

@@ -239,6 +239,43 @@ class TestSweepCommands:
         assert artifact.read_bytes() == serial
 
 
+    @pytest.mark.parametrize("command, name", [
+        ("verify-thm2", "trace_expansion"),
+        ("verify-thm3", "pair_distance"),
+        ("verify-energy", "energy_upper_bound"),
+    ])
+    def test_workers_do_not_change_folded_sweep_bytes(self, tmp_path, capsys,
+                                                      command, name):
+        # eight fibers: partnered nodes plus the unpartnered 0 and pi
+        path = write_config(
+            tmp_path,
+            grids=fast_grids(h_list=[0.25, 0.125, 0.0625], fiber_m=8))
+        artifact = tmp_path / "out" / "sweeps" / f"{name}.json"
+        run_cli(capsys, "--config", str(path), "--workers", "1", command)
+        serial = artifact.read_bytes()
+        artifact.unlink()
+        run_cli(capsys, "--config", str(path), "--workers", "2", command)
+        assert artifact.read_bytes() == serial
+
+
+class TestArtifactWrites:
+    def test_dump_json_replaces_whole_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sub" / "artifact.json"
+        cli._dump_json(path, {"value": 1})
+        assert json.loads(path.read_text()) == {"value": 1}
+        assert [p.name for p in path.parent.iterdir()] == ["artifact.json"]
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(cli.os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            cli._dump_json(path, {"value": 2})
+        # the old artifact survives whole and no temporary file is left
+        assert json.loads(path.read_text()) == {"value": 1}
+        assert [p.name for p in path.parent.iterdir()] == ["artifact.json"]
+
+
 class TestPropTests:
     def test_prop_tests_pass(self, capsys):
         code, out = run_cli(capsys, "prop-tests")
