@@ -155,11 +155,6 @@ class FiberBasis:
         return np.arange(-self.n_max, self.n_max + 1)
 
     @property
-    def p_modes(self) -> np.ndarray:
-        """Alias for :attr:`modes` (integer plane-wave frequencies)."""
-        return self.modes
-
-    @property
     def size(self) -> int:
         return 2 * self.n_max + 1
 
@@ -642,21 +637,6 @@ def _pair_interaction_quadrature(sol: GapSolution, h: float,
     for i, p in enumerate(p_modes):
         integrand = v_vals * alpha**2 * np.cos(0.5 * h * p * u) ** 2
         out[i] = 2.0 * np.trapezoid(integrand, u)
-    return out
-
-
-def _pair_interaction_symbol_form(sol: GapSolution, h: float,
-                                  p_modes: np.ndarray) -> np.ndarray:
-    """Same integrals through the pair symbol: ``-(beta_c/16) integral
-    t g0 (2t + t(q-hp) + t(q+hp)) dq``."""
-    q = sol.grid.nodes
-    g0 = specfun.g0(sol.beta_c * (q * q - sol.mu))
-    t_q = sol.t_samples
-    out = np.empty(len(p_modes))
-    for i, p in enumerate(p_modes):
-        shifted = sol.t(q - h * p) + sol.t(q + h * p)
-        integrand = t_q * g0 * (2.0 * t_q + shifted)
-        out[i] = -(sol.beta_c / 16.0) * 2.0 * np.sum(integrand) * sol.grid.dq
     return out
 
 

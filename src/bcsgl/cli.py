@@ -526,7 +526,6 @@ def _trace_sweep(cfg: RunConfig, sol: GapSolution, workers: int) -> dict:
         "match_threshold": _GATE_TRACE_MATCH,
         "match_ok": bool(match <= _GATE_TRACE_MATCH),
     }
-    gates["passed"] = gates["order_ok"] and gates["match_ok"]
     return {"report": report, "gates": gates}
 
 
@@ -558,7 +557,6 @@ def _pair_sweep(cfg: RunConfig, sol: GapSolution, workers: int) -> dict:
         "stability_threshold": _GATE_PAIR_STABILITY,
         "stability_ok": bool(drift <= _GATE_PAIR_STABILITY),
     }
-    gates["passed"] = gates["order_ok"] and gates["stability_ok"]
     return {"report": report, "gates": gates}
 
 
@@ -590,8 +588,6 @@ def _energy_sweep(cfg: RunConfig, sol: GapSolution, coef: GLCoefficients,
         "order_threshold": _GATE_ENERGY_ORDER,
         "order_ok": bool(order >= _GATE_ENERGY_ORDER),
     }
-    gates["passed"] = (gates["sign_ok"] and gates["decreasing_ok"]
-                       and gates["order_ok"])
     return {"report": report, "gates": gates}
 
 
@@ -614,11 +610,16 @@ def _run_sweep(cfg: RunConfig, name: str, compute) -> tuple[dict, bool]:
         raise
     except Exception as exc:
         raise StageError(_SWEEP_STAGES[name], "numerical", repr(exc)) from exc
+    report, gates = result["report"], result["gates"]
+    # A dropped h point is listed in the report's failures; dropping the
+    # finest one also fails the sweep, whose fit then stops short of it.
+    gates["finest_point_ok"] = cfg.h_list[-1] in report.h_values
+    gates["passed"] = all(gates[k] for k in gates if k.endswith("_ok"))
     payload = {
         "config_hash": cfg.config_hash,
-        "report": result["report"].to_dict(),
-        "gates": result["gates"],
-        "passed": result["gates"]["passed"],
+        "report": report.to_dict(),
+        "gates": gates,
+        "passed": gates["passed"],
     }
     _dump_json(path, payload)
     return payload, False
@@ -767,14 +768,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_tc(cfg: RunConfig, workers: int) -> int:
+def _cmd_tc(cfg: RunConfig) -> int:
     sol, cached = _stage_gap(cfg)
     _emit({"status": "ok", "T_c": sol.T_c, "beta_c": sol.beta_c,
            "config_hash": cfg.config_hash, "cached": cached})
     return EXIT_OK
 
 
-def _cmd_coeffs(cfg: RunConfig, workers: int) -> int:
+def _cmd_coeffs(cfg: RunConfig) -> int:
     sol, _ = _stage_gap(cfg)
     coef, cached = _stage_coeffs(cfg, sol)
     _emit({"status": "ok", "coefficients": coef.to_dict(),
@@ -836,9 +837,9 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(cfg)
         if args.command == "tc":
-            return _cmd_tc(cfg, args.workers)
+            return _cmd_tc(cfg)
         if args.command == "coeffs":
-            return _cmd_coeffs(cfg, args.workers)
+            return _cmd_coeffs(cfg)
         if args.command == "gl-min":
             return _cmd_gl_min(cfg)
         if args.command == "verify-thm2":

@@ -5,8 +5,10 @@ symmetric functions; its lowest eigenvalue is strictly increasing in the
 temperature ``T``, so the critical temperature is the unique ``T_c`` with
 ``lambda_min(T_c) = 0`` (or 0 if no pairing occurs at any temperature).
 This module discretizes the problem in the even momentum sector on a
-uniform half-line grid, locates ``T_c`` by bisection, and packages the
-ground state ``alpha0`` together with the induced pair symbol
+uniform half-line grid, locates ``T_c`` by bisection on the positive
+definiteness of ``K_T + V`` (``T < T_c`` exactly when it is not positive
+definite), decided by a Cholesky factorization, and packages the ground
+state ``alpha0`` together with the induced pair symbol
 
     t(p) = -2 (2 pi)^{-1/2} integral [Vhat(p - q) + Vhat(p + q)] alpha0_hat(q) dq
 
@@ -29,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import linalg, signal
+from scipy import linalg
 
 from . import specfun
 
@@ -325,9 +327,6 @@ class EigenPair:
     eigenvector: np.ndarray
     spectral_gap: float
 
-    def __iter__(self):
-        return iter((self.eigenvalue, self.eigenvector))
-
 
 def lowest_eigenpair(matrix: np.ndarray) -> EigenPair:
     """Smallest eigenvalue and unit ground state of a symmetric matrix.
@@ -518,6 +517,19 @@ class GapSolution:
         )
 
 
+def _positive_definite(matrix: np.ndarray) -> bool:
+    """Whether the real symmetric ``matrix`` is positive definite.
+
+    Decided by a Cholesky factorization (LAPACK ``potrf``), which fails,
+    often after a few columns, as soon as a nonpositive pivot appears.
+    Reads the lower triangle, as ``linalg.eigh`` does, and may overwrite it.
+    """
+    # The transpose of a C-ordered array is Fortran-ordered, so potrf works
+    # in place; its upper triangle is the lower triangle of ``matrix``.
+    _, info = linalg.lapack.dpotrf(matrix.T, lower=0, clean=0, overwrite_a=1)
+    return info == 0
+
+
 def find_tc(
     spec: PotentialSpec,
     grid: MomentumGrid | None = None,
@@ -527,9 +539,13 @@ def find_tc(
 ) -> GapSolution:
     """Locate ``T_c`` by bisection and return the (unnormalized) solution.
 
-    ``lambda_min(T)`` is strictly increasing, so a sign change brackets the
-    unique root.  The returned solution carries the ground state at the
-    converged temperature and the induced pair symbol.
+    ``lambda_min(T)`` is strictly increasing, so ``T < T_c`` exactly when
+    ``K_T + V`` is not positive definite.  Each bisection step asks only
+    that question, answered by a Cholesky factorization; eigenvalues are
+    computed only for the ground state at the converged temperature and
+    for the value reported by :class:`NoPairingError` or
+    :class:`BracketError`.  The returned solution carries that ground
+    state and the induced pair symbol.
 
     Parameters
     ----------
@@ -537,8 +553,8 @@ def find_tc(
     grid : MomentumGrid, optional
         Defaults to ``MomentumGrid.default_for(spec)``.
     probe_temperature : float
-        Temperature at which pairing is probed; ``lambda_min >= 0`` there
-        raises :class:`NoPairingError` (T_c = 0).
+        Temperature at which pairing is probed; ``K_T + V`` positive
+        definite there raises :class:`NoPairingError` (T_c = 0).
     rel_tolerance : float
         Relative bracket width at exit.
     bracket_hint : (float, float), optional
@@ -557,39 +573,44 @@ def find_tc(
     interaction = _interaction_matrix(spec, grid)
     diag = np.diag_indices_from(interaction)
 
-    def lam(T: float) -> float:
+    def gap_matrix(T: float) -> np.ndarray:
         mat = interaction.copy()
         mat[diag] += specfun.kt_symbol(kinetic, T)
-        vals = linalg.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)
+        return mat
+
+    def paired(T: float) -> bool:
+        """``lambda_min(T) < 0``: ``K_T + V`` is not positive definite."""
+        return not _positive_definite(gap_matrix(T))
+
+    def lam(T: float) -> float:
+        vals = linalg.eigh(gap_matrix(T), subset_by_index=[0, 0],
+                           eigvals_only=True)
         return float(vals[0])
 
-    lam_lo = lam(probe_temperature)
-    if lam_lo >= 0.0:
-        raise NoPairingError(lam_lo, probe_temperature)
+    if not paired(probe_temperature):
+        raise NoPairingError(lam(probe_temperature), probe_temperature)
 
     lo, hi = probe_temperature, 10.0 * max(abs(spec.mu), 1.0)
     if bracket_hint is not None:
         h_lo, h_hi = bracket_hint
-        if probe_temperature <= h_lo < h_hi <= hi and lam(h_lo) < 0.0 < lam(h_hi):
+        if (probe_temperature <= h_lo < h_hi <= hi and paired(h_lo)
+                and not paired(h_hi)):
             lo, hi = h_lo, h_hi
-    if lo == probe_temperature:
-        lam_hi = lam(hi)
-        if lam_hi <= 0.0:
-            raise BracketError(
-                f"lambda_min({hi:.3f}) = {lam_hi:.3e} <= 0; no sign change up to "
-                "the upper temperature bracket"
-            )
+    if lo == probe_temperature and paired(hi):
+        raise BracketError(
+            f"lambda_min({hi:.3f}) = {lam(hi):.3e} <= 0; no sign change up "
+            "to the upper temperature bracket"
+        )
 
     while (hi - lo) > rel_tolerance * lo:
         mid = 0.5 * (lo + hi)
-        if lam(mid) < 0.0:
+        if paired(mid):
             lo = mid
         else:
             hi = mid
 
     T_c = 0.5 * (lo + hi)
-    mat = interaction.copy()
-    mat[diag] += specfun.kt_symbol(kinetic, T_c)
+    mat = gap_matrix(T_c)
     pair = lowest_eigenpair(mat)
     residual = float(
         np.linalg.norm(mat @ pair.eigenvector - pair.eigenvalue * pair.eigenvector)
@@ -682,6 +703,21 @@ class DecayReport:
     fit_window: tuple[float, float]
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of a 1-D array.
+
+    A maximum is a sample, or a flat run of equal samples, higher than its
+    neighbours on both sides; a flat run counts once, at its middle sample
+    (the left one of two), and runs touching either end never count.  This
+    is the index set of ``scipy.signal.find_peaks(x)[0]``.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:] - 1, len(x) - 1)
+    run = x[starts]
+    top = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
+    return (starts[top] + ends[top]) // 2
+
+
 def decay_report(
     sol: GapSolution, x_max: float | None = None, n_x: int = 4096
 ) -> DecayReport:
@@ -715,7 +751,7 @@ def decay_report(
     abs_alpha = np.abs(alpha)
     peak = abs_alpha.max()
     lo_threshold, hi_threshold = 1e-10 * peak, 1e-3 * peak
-    peaks, _props = signal.find_peaks(abs_alpha)
+    peaks = _local_maxima(abs_alpha)
     in_window = peaks[
         (abs_alpha[peaks] >= lo_threshold) & (abs_alpha[peaks] <= hi_threshold)
     ]

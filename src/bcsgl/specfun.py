@@ -26,7 +26,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "SERIES_THRESHOLD",
@@ -42,7 +42,6 @@ __all__ = [
     "g1_over_z",
     "kt_symbol",
     "divided_difference",
-    "feynman_divided_difference",
     "entropy_inequality_margin",
 ]
 
@@ -477,51 +476,6 @@ def divided_difference(func: str, nodes: Sequence[float]) -> float:
                 new[i] = (col[i + 1] - col[i]) / (x[i + j] - x[i])
         col = new
     return float(col[0])
-
-
-def feynman_divided_difference(func: str, nodes: Sequence[float]) -> float:
-    """Divided difference via the simplex integral representation (oracle).
-
-    ``[a_1,...,a_N] = integral over the (N-1)-simplex of
-    func^{(N-1)}(sum_i c_i a_i)``, evaluated by adaptive quadrature.  Slow
-    but independent of the recursive/Hermite path; intended for testing.
-
-    Parameters
-    ----------
-    func : {"f", "rho"}
-        Which function to difference.
-    nodes : sequence of float
-        Between 1 and 4 nodes.
-
-    Returns
-    -------
-    float
-    """
-    _, derivative = _resolve_func(func)
-    arr = _validated_nodes(nodes)
-    n = len(arr)
-    if n > 4:
-        raise ValueError("oracle quadrature supported for at most 4 nodes")
-    value, _ = _resolve_func(func)
-    if n == 1:
-        return float(value(arr[0]))
-
-    def integrand(*c: float) -> float:
-        weights = np.append(np.asarray(c), 1.0 - sum(c))
-        return derivative(float(weights @ arr), n - 1)
-
-    # Simplex { c_i >= 0, sum c_i <= 1 } in n-1 variables, inner-to-outer.
-    def make_limit(k: int):
-        def limit(*outer: float) -> tuple[float, float]:
-            return 0.0, 1.0 - sum(outer)
-
-        return limit
-
-    ranges = [make_limit(k) for k in range(n - 1)]
-    result, _err = integrate.nquad(
-        integrand, ranges, opts={"epsabs": 1e-12, "epsrel": 1e-10}
-    )
-    return float(result)
 
 
 def entropy_inequality_margin(x, y):

@@ -28,6 +28,21 @@ LHS_CONSTANT = -0.03375574367838836
 ZERO = TorusField.zero(0)
 
 
+def pair_interaction_symbol_form(sol, h, p_modes):
+    """``integral V(x) alpha0(x)^2 cos^2(h p x / 2) dx`` per mode, through
+    the pair symbol: ``-(beta_c/16) integral t g0 (2t + t(q-hp) + t(q+hp)) dq``
+    (the trial-state energy takes the real-space quadrature route)."""
+    q = sol.grid.nodes
+    g0 = specfun.g0(sol.beta_c * (q * q - sol.mu))
+    t_q = sol.t_samples
+    out = np.empty(len(p_modes))
+    for i, p in enumerate(p_modes):
+        shifted = sol.t(q - h * p) + sol.t(q + h * p)
+        integrand = t_q * g0 * (2.0 * t_q + shifted)
+        out[i] = -(sol.beta_c / 16.0) * 2.0 * np.sum(integrand) * sol.grid.dq
+    return out
+
+
 @pytest.fixture(scope="module")
 def fields():
     """Reference <=2-mode field triple (psi, a, w)."""
@@ -48,7 +63,6 @@ class TestFiberBasis:
         basis = bv.FiberBasis(0.25, 4, 8)
         assert basis.size == 9
         np.testing.assert_array_equal(basis.modes, np.arange(-4, 5))
-        np.testing.assert_array_equal(basis.p_modes, basis.modes)
         np.testing.assert_allclose(
             basis.momenta(0.3), 2 * math.pi * basis.modes + 0.3
         )
@@ -515,7 +529,7 @@ class TestTrialStateEnergy:
         h = 0.125
         res = bv.trial_state_energy(gap_sol, psi, a, w, h, m_fibers=16)
         index = np.nonzero(psi.coeffs)[0]
-        symbol = bv._pair_interaction_symbol_form(
+        symbol = pair_interaction_symbol_form(
             gap_sol, h, 2 * math.pi * psi.modes[index]
         )
         weights = np.abs(psi.coeffs[index]) ** 2

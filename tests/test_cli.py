@@ -1,11 +1,14 @@
 """Tests for the command-line pipeline: config, caching, subcommands."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bcsgl import bdg_verifier as bv
 from bcsgl import cli
 
 REFERENCE_TC = 0.6716278342041448
@@ -238,6 +241,34 @@ class TestSweepCommands:
                 "verify-thm2")
         assert artifact.read_bytes() == serial
 
+    @pytest.mark.parametrize("command, name, observable", [
+        ("verify-thm2", "trace_expansion", "semiclassical_trace"),
+        ("verify-thm3", "pair_distance", "alpha_delta_distance"),
+        ("verify-energy", "energy_upper_bound", "trial_state_energy"),
+    ])
+    def test_dropped_finest_point_fails_the_sweep(self, tmp_path, capsys,
+                                                  monkeypatch, command, name,
+                                                  observable):
+        h_list = [0.25, 0.125, 0.0625, 0.03125]
+        original = getattr(bv, observable)
+
+        def failing_at_finest(sol, psi, a, w, h, **kwargs):
+            if h == h_list[-1]:
+                raise FloatingPointError("finest point lost")
+            return original(sol, psi, a, w, h, **kwargs)
+
+        monkeypatch.setattr(bv, observable, failing_at_finest)
+        path = write_config(tmp_path, grids=fast_grids(h_list=h_list))
+        code, out = run_cli(capsys, "--config", str(path), command)
+        assert code == 4
+        assert out["status"] == "regression"
+        assert out["gates"]["finest_point_ok"] is False
+        payload = json.loads(
+            (tmp_path / "out" / "sweeps" / f"{name}.json").read_text())
+        assert payload["passed"] is False
+        assert payload["report"]["h_values"] == h_list[:-1]
+        assert payload["report"]["failures"] == [
+            [h_list[-1], "FloatingPointError('finest point lost')"]]
 
     @pytest.mark.parametrize("command, name", [
         ("verify-thm2", "trace_expansion"),
@@ -351,3 +382,25 @@ class TestEntryPoint:
         for name in ("validate", "tc", "coeffs", "gl-min", "verify-thm2",
                      "verify-thm3", "verify-energy", "prop-tests", "all"):
             assert name in result.stdout
+
+    def test_pipeline_imports_only_the_scipy_it_runs(self):
+        # scipy.signal pulls in scipy.stats, scipy.integrate and
+        # scipy.interpolate: about half a second for every process
+        script = (
+            "import sys\n"
+            "import bcsgl.cli\n"
+            "from bcsgl import properties\n"
+            "assert all(r.passed for r in properties.run_suite(seed=0))\n"
+            "assert bcsgl.cli.main(['validate']) == 0\n"
+            "heavy = ('scipy.signal', 'scipy.stats', 'scipy.integrate',\n"
+            "         'scipy.interpolate')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, linalg, signal
 
 from bcsgl import gap_solver as gs
 from bcsgl import specfun as sf
@@ -15,6 +17,24 @@ from bcsgl import specfun as sf
 REFERENCE_TC = 0.671627834204
 REFERENCE_NORM_SCALE = 0.990882090348
 REFERENCE_KAPPA_C = 0.816993306904
+
+# T_c of the three potentials of the benchmark's GL scan (D = 1, default
+# grids), as the eigenvalue bisection found them; the Cholesky bisection
+# takes the same decisions, so they must come back bit for bit.
+SCAN_TC = {
+    ("gaussian", 2.0, 1.0, 1.0): 0.6716278342041448,
+    ("square", 2.0, 1.0, 1.0): 0.8348228845734245,
+    ("gaussian", 3.0, 0.7, 0.5): 0.9118789657891966,
+}
+
+
+@pytest.fixture(scope="module")
+def scan_solutions():
+    """Normalized (D = 1) solutions of the ``SCAN_TC`` potentials."""
+    return {
+        key: gs.normalize(gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:])), 1.0)
+        for key in SCAN_TC
+    }
 
 
 class TestPotentialSpec:
@@ -195,6 +215,40 @@ class TestFindTc:
         sol = gs.find_tc(ref_spec, grid)
         assert sol.validate()["t_cutoff_ratio"] < 1e-10
 
+    def test_scan_potentials_bit_identical(self, scan_solutions):
+        for key, sol in scan_solutions.items():
+            assert sol.T_c == SCAN_TC[key], key
+
+    @pytest.mark.parametrize("key", list(SCAN_TC))
+    def test_sign_test_matches_lowest_eigenvalue(self, key):
+        spec = getattr(gs.PotentialSpec, key[0])(*key[1:])
+        grid = gs.MomentumGrid.default_for(spec)
+        for k in range(1, 9):
+            for T in (SCAN_TC[key] * (1 - 10.0**-k), SCAN_TC[key] * (1 + 10.0**-k)):
+                mat = gs.build_gap_matrix(spec, grid, T)
+                lam = linalg.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0]
+                assert gs._positive_definite(mat) == (lam >= 0.0), (k, T, lam)
+                assert (lam < 0.0) == (T < SCAN_TC[key])
+
+    def test_at_most_three_eigensolves(self, ref_spec, ref_grid, gap_sol_raw,
+                                       monkeypatch):
+        calls = []
+        eigh = linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigh", counted)
+        sol = gs.find_tc(ref_spec, ref_grid)
+        assert sol.T_c == gap_sol_raw.T_c
+        assert len(calls) <= 3
+        calls.clear()
+        hint = (sol.T_c * 0.999, sol.T_c * 1.001)
+        assert gs.find_tc(ref_spec, ref_grid, bracket_hint=hint).T_c == \
+            pytest.approx(sol.T_c, rel=1e-9)
+        assert len(calls) <= 3
+
     def test_t_even_and_real(self, gap_sol):
         p = np.linspace(0.0, 8.0, 41)
         assert np.allclose(gap_sol.t(-p), gap_sol.t(p), atol=1e-14)
@@ -247,6 +301,37 @@ class TestDecayReport:
             warnings.simplefilter("always")
             gs.decay_report(gap_sol, x_max=1.0, n_x=64)
         assert any("window" in str(w.message) for w in captured)
+
+
+def _find_peaks(x):
+    return signal.find_peaks(x)[0]
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize("n_x", [64, 4096, 8192])
+    def test_matches_find_peaks_on_scan_profiles(self, scan_solutions, n_x):
+        for sol in scan_solutions.values():
+            # the real-space grid of ``decay_report``
+            x_max = min(30.0 / sol.kappa_c, 0.85 * math.pi / sol.grid.dq)
+            alpha, _ = sol.real_space(np.linspace(0.0, x_max, n_x))
+            np.testing.assert_array_equal(
+                gs._local_maxima(np.abs(alpha)), _find_peaks(np.abs(alpha))
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
+                    min_size=1, max_size=30))
+    def test_matches_find_peaks_with_plateaus(self, runs):
+        # runs of equal samples from a few levels: plateaus of every
+        # length, equal neighbours, and flat tops touching either end
+        x = np.repeat([float(v) for v, _ in runs], [n for _, n in runs])
+        np.testing.assert_array_equal(gs._local_maxima(x), _find_peaks(x))
+
+    def test_decay_report_unchanged(self, gap_sol, monkeypatch):
+        report = gs.decay_report(gap_sol)
+        monkeypatch.setattr(gs, "_local_maxima", _find_peaks)
+        assert report == gs.decay_report(gap_sol)
+        assert report.n_fit_points >= 5
 
 
 class TestSerialization:

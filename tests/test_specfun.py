@@ -4,8 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from bcsgl import specfun as sf
+
+
+def feynman_divided_difference(nodes) -> float:
+    """Divided difference of ``fermi_f`` via the simplex integral (oracle).
+
+    ``[a_1,...,a_N] = integral over the (N-1)-simplex of
+    f^{(N-1)}(sum_i c_i a_i)``, by adaptive quadrature: slow, but
+    independent of the recursive/Hermite path.
+    """
+    arr = np.asarray(nodes, dtype=float)
+    n = len(arr)
+
+    def integrand(*c: float) -> float:
+        weights = np.append(np.asarray(c), 1.0 - sum(c))
+        return sf.f_derivative(float(weights @ arr), n - 1)
+
+    # Simplex { c_i >= 0, sum c_i <= 1 } in n-1 variables, inner-to-outer.
+    def limit(*outer: float) -> tuple[float, float]:
+        return 0.0, 1.0 - sum(outer)
+
+    result, _err = integrate.nquad(
+        integrand, [limit] * (n - 1), opts={"epsabs": 1e-12, "epsrel": 1e-10}
+    )
+    return float(result)
 
 
 def identity_sample(n: int = 100, seed: int = 0) -> np.ndarray:
@@ -176,13 +201,13 @@ class TestDividedDifference:
         for _ in range(5):
             nodes = list(rng.uniform(-4, 4, 3))
             rec = sf.divided_difference("f", nodes)
-            ora = sf.feynman_divided_difference("f", nodes)
+            ora = feynman_divided_difference(nodes)
             assert abs(rec - ora) < 1e-6
 
     def test_mixed_cluster_matches_oracle(self):
         nodes = [1.2000000004, 1.2, -3.0]
         rec = sf.divided_difference("f", nodes)
-        ora = sf.feynman_divided_difference("f", nodes)
+        ora = feynman_divided_difference(nodes)
         assert abs(rec - ora) < 1e-8
 
     def test_sampled_decay(self):
