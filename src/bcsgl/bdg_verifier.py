@@ -46,11 +46,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.special import xlogy
 
 from . import specfun
 from .gap_solver import GapSolution
-from .gl_coeffs import SyntheticPairSymbol, e1_constant, e2_constants
+from .gl_coeffs import e1_constant, e2_constants
 from .gl_minimizer import TorusField
 
 __all__ = [
@@ -58,11 +57,7 @@ __all__ = [
     "FiberOperator",
     "SweepReport",
     "build_fiber",
-    "fiber_union_spectrum",
     "supercell_hamiltonian",
-    "trace_per_unit_volume",
-    "gamma_occupations",
-    "fiber_entropy",
     "field_inner_products",
     "default_mode_cutoff",
     "semiclassical_trace",
@@ -72,6 +67,7 @@ __all__ = [
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -80,39 +76,28 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def _as_symbol(source):
-    """Extract ``(t callable, mu, beta_c or None)`` from a source."""
-    if isinstance(source, GapSolution):
-        if source.spec.dim != 1:
-            raise NotImplementedError("fiber assembly is implemented for dim 1")
-        return source.t, source.mu, source.beta_c
-    if isinstance(source, SyntheticPairSymbol):
-        return source.t, source.mu, None
-    raise TypeError(
-        "expected a GapSolution or SyntheticPairSymbol, got "
-        f"{type(source).__name__}"
-    )
+    """``(t callable, mu, beta_c)`` of a gap solution."""
+    if not isinstance(source, GapSolution):
+        raise TypeError(f"expected a GapSolution, got {type(source).__name__}")
+    if source.spec.dim != 1:
+        raise NotImplementedError("fiber assembly is implemented for dim 1")
+    return source.t, source.mu, source.beta_c
 
 
-def _symbol_support(source, rel_tol: float = 1e-8) -> float:
-    """Momentum beyond which ``|t|`` falls below ``rel_tol * max |t|``."""
-    if isinstance(source, GapSolution):
-        # The support routinely sits at the solver's own cutoff (the grid
-        # is chosen that way); the guard modes added on top make the
-        # borderline-decay warning moot here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return source.momentum_support(rel_tol)
-    t, _, _ = _as_symbol(source)
-    q = np.linspace(0.0, source.cutoff, 4096)
-    mags = np.abs(t(q))
-    above = np.nonzero(mags >= rel_tol * mags.max())[0]
-    edge = int(above[-1]) if above.size else 0
-    return float(q[min(edge + 1, len(q) - 1)])
+def _symbol_support(sol: GapSolution) -> float:
+    """Momentum beyond which ``|t|`` falls below ``1e-8 * max |t|``."""
+    # The support routinely sits at the solver's own cutoff (the grid is
+    # chosen that way); the guard modes added on top make the
+    # borderline-decay warning moot here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return sol.momentum_support(1e-8)
 
 
-def default_mode_cutoff(h: float, q_support: float, guard: int = 8) -> int:
-    """Fiber mode cutoff resolving the support of ``t(h .)`` plus guard."""
-    return int(math.ceil(q_support / (2.0 * math.pi * h))) + guard
+def default_mode_cutoff(h: float, q_support: float) -> int:
+    """Fiber mode cutoff resolving the support of ``t(h .)`` plus 8 guard
+    modes."""
+    return int(math.ceil(q_support / (2.0 * math.pi * h))) + 8
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +202,6 @@ class FiberOperator:
             [self.delta_block.conj().T, self.m22_block],
         ])
 
-    @property
-    def free_matrix(self) -> np.ndarray:
-        zero = np.zeros_like(self.delta_block)
-        return np.block([[self.k_block, zero], [zero, self.m22_block]])
-
     def free_spectrum(self) -> np.ndarray:
         """Sorted spectrum of the decoupled fiber (block-diagonal)."""
         return np.sort(np.concatenate([
@@ -275,47 +255,8 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
 
 
 # ---------------------------------------------------------------------------
-# Traces, occupations, entropy
+# Maps over the Bloch grid
 # ---------------------------------------------------------------------------
-
-
-def trace_per_unit_volume(basis: FiberBasis, builder: Callable,
-                          g: Callable, workers: int = 1) -> float:
-    """``(1/M) sum_xi tr g(H^xi)`` by Hermitian eigendecomposition.
-
-    ``builder(xi)`` returns one matrix, or a pair ``(H_a, H_b)`` whose
-    spectra are subtracted fiber by fiber (ascending eigenvalues paired
-    before summation, which preserves the cancellation between the two
-    operators).  Either element of the pair may already be a 1-D array
-    of eigenvalues.
-
-    Parameters
-    ----------
-    basis : FiberBasis
-    builder : callable
-    g : callable
-        Vectorized spectral function.
-    workers : int
-        Concurrent fibers; the reduction order is fixed regardless.
-
-    Returns
-    -------
-    float
-    """
-
-    def spectrum(obj) -> np.ndarray:
-        arr = np.asarray(obj)
-        return np.sort(arr) if arr.ndim == 1 else np.linalg.eigvalsh(arr)
-
-    def one(xi: float) -> float:
-        built = builder(xi)
-        if isinstance(built, tuple):
-            first, second = built
-            return float(np.sum(g(spectrum(first)) - g(spectrum(second))))
-        return float(np.sum(g(spectrum(built))))
-
-    values = _map_fibers(one, [(xi,) for xi in basis.xi_nodes], workers)
-    return math.fsum(values) / basis.m_fibers
 
 
 def _map_fibers(fn, jobs, workers: int) -> list:
@@ -348,24 +289,6 @@ def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
     half = basis.half_nodes
     jobs = [(xi, 0 < k < basis.m_fibers / 2) for k, xi in enumerate(half)]
     return [c for part in _map_fibers(one, jobs, workers) for c in part]
-
-
-def fiber_union_spectrum(basis: FiberBasis, builder: Callable) -> np.ndarray:
-    """Sorted eigenvalues of all fibers combined."""
-    spectra = [np.linalg.eigvalsh(builder(xi)) for xi in basis.xi_nodes]
-    return np.sort(np.concatenate(spectra))
-
-
-def gamma_occupations(matrix: np.ndarray, beta: float) -> np.ndarray:
-    """Eigenvalues of the Gibbs state ``(1 + e^{beta H})^{-1}``."""
-    lam = np.linalg.eigvalsh(matrix)
-    return specfun.fermi_rho(beta * lam)
-
-
-def fiber_entropy(matrix: np.ndarray, beta: float) -> float:
-    """``-sum [lam ln lam + (1-lam) ln(1-lam)]`` over the state's spectrum."""
-    lam = gamma_occupations(matrix, beta)
-    return float(-np.sum(xlogy(lam, lam) + xlogy(1.0 - lam, 1.0 - lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +382,17 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
 
 
 def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
+    support = _symbol_support(source)
     if n_max is None:
-        n_max = default_mode_cutoff(h, _symbol_support(source))
+        n_max = default_mode_cutoff(h, support)
     basis = FiberBasis(h, n_max, m_fibers)
-    basis.check_coverage(_symbol_support(source))
+    basis.check_coverage(support)
     return basis
 
 
-def semiclassical_trace(source, psi: TorusField, a: TorusField,
-                        w: TorusField, h: float, *, beta: float | None = None,
-                        m_fibers: int = 16, n_max: int | None = None,
-                        workers: int = 1) -> dict:
+def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
+                        w: TorusField, h: float, *, m_fibers: int = 16,
+                        n_max: int | None = None, workers: int = 1) -> dict:
     """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion.
 
     ``lhs = (h^d / beta) Tr_puv [f(beta H_Delta) - f(beta H_0)]`` (both
@@ -477,13 +400,13 @@ def semiclassical_trace(source, psi: TorusField, a: TorusField,
     the coefficient blocks from :mod:`bcsgl.gl_coeffs` contracted
     against the spectral inner products of the fields.
 
+    ``beta`` is the source's critical inverse temperature.
+
     Parameters
     ----------
-    source : GapSolution or SyntheticPairSymbol
+    source : GapSolution
     psi, a, w : TorusField
     h : float
-    beta : float, optional
-        Defaults to the source's critical inverse temperature.
     m_fibers, n_max : int
         Bloch grid and mode cutoff (auto-scaled coverage by default).
 
@@ -493,11 +416,7 @@ def semiclassical_trace(source, psi: TorusField, a: TorusField,
         ``lhs``, ``e1_term``, ``e2_term``, ``residual`` and the run
         parameters.
     """
-    t, mu, beta_c = _as_symbol(source)
-    if beta is None:
-        beta = beta_c
-    if beta is None or not beta > 0:
-        raise ValueError("a positive beta is required for this source")
+    t, mu, beta = _as_symbol(source)
     basis = _resolve_basis(source, h, m_fibers, n_max)
 
     def one(xi, partnered):
@@ -551,18 +470,18 @@ def _partner_block(alpha: np.ndarray) -> np.ndarray:
     return alpha[::-1, ::-1].T
 
 
-def alpha_delta_distance(source, psi: TorusField, a: TorusField,
-                         w: TorusField, h: float, *,
-                         beta: float | None = None, m_fibers: int = 16,
+def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
+                         w: TorusField, h: float, *, m_fibers: int = 16,
                          n_max: int | None = None, workers: int = 1) -> dict:
     """Distance of the pair block from its explicit leading form.
 
     The leading operator is ``(h/2)(psi phi(-ih d/dx) + phi(-ih d/dx)
-    psi)`` with ``phi(p) = (beta/2) g0(beta (p^2 - mu)) t(p)``.  The
-    operator-H1 norm weights row momenta by ``1 + h^2 kappa^2``.  The
-    partner fiber ``-xi`` has ``alpha - lead`` equal to ``J (alpha -
-    lead)^T J`` at ``xi``, so its row-weighted sum is the column-weighted
-    sum at ``xi``; its L2 sums equal those at ``xi``.
+    psi)`` with ``phi(p) = (beta/2) g0(beta (p^2 - mu)) t(p)`` at the
+    source's critical inverse temperature ``beta``.  The operator-H1
+    norm weights row momenta by ``1 + h^2 kappa^2``.  The partner fiber
+    ``-xi`` has ``alpha - lead`` equal to ``J (alpha - lead)^T J`` at
+    ``xi``, so its row-weighted sum is the column-weighted sum at ``xi``;
+    its L2 sums equal those at ``xi``.
 
     Returns
     -------
@@ -570,11 +489,7 @@ def alpha_delta_distance(source, psi: TorusField, a: TorusField,
         ``h1_distance``, ``l2_distance``, ``l2_leading`` and run
         parameters.
     """
-    t, mu, beta_c = _as_symbol(source)
-    if beta is None:
-        beta = beta_c
-    if beta is None or not beta > 0:
-        raise ValueError("a positive beta is required for this source")
+    t, mu, beta = _as_symbol(source)
     basis = _resolve_basis(source, h, m_fibers, n_max)
     modes = basis.modes
 
@@ -615,12 +530,12 @@ def alpha_delta_distance(source, psi: TorusField, a: TorusField,
 # ---------------------------------------------------------------------------
 
 
-def _potential_reach(spec, rel_tol: float = 1e-12) -> float:
-    """Radius beyond which ``|V|`` drops below ``rel_tol * max |V|``."""
+def _potential_reach(spec) -> float:
+    """Radius beyond which ``|V|`` drops below ``1e-12 * max |V|``."""
     scale = spec.interaction_range()
     x = np.linspace(0.0, 50.0 * scale, 8192)
     mags = np.abs(spec.v(x))
-    above = np.nonzero(mags >= rel_tol * mags.max())[0]
+    above = np.nonzero(mags >= 1e-12 * mags.max())[0]
     if not above.size:
         raise ValueError("potential is identically negligible")
     return float(x[min(int(above[-1]) + 1, len(x) - 1)])
@@ -641,10 +556,8 @@ def _pair_interaction_quadrature(sol: GapSolution, h: float,
 
 
 def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
-                       w: TorusField, h: float, *, D: float | None = None,
-                       m_fibers: int = 16, n_max: int | None = None,
-                       workers: int = 1, x_points: int | None = None,
-                       u_points: int | None = None) -> dict:
+                       w: TorusField, h: float, *, m_fibers: int = 16,
+                       n_max: int | None = None, workers: int = 1) -> dict:
     """Free-energy difference of the pairing trial state at
     ``beta = beta_c / (1 - h^2 D)``.
 
@@ -673,9 +586,6 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     psi, a, w : TorusField
     h : float
         Requires ``h^2 D < 1``.
-    D : float, optional
-        Temperature-offset override; defaults to the solution's
-        normalization value.
 
     Returns
     -------
@@ -683,16 +593,14 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         ``f_bcs_diff``, ``scaled``, the three terms, the half-resolution
         re-evaluation of term (iii) (``term_remainder_check``), and run
         parameters.
-        Quadrature sizes default to four points per fastest oscillation
+        Quadrature sizes are four points per fastest oscillation
         (``u``) and four points per field mode (``x``).
     """
-    if D is None:
-        D = sol.D
-    if D is None:
+    if sol.D is None:
         raise ValueError("gap solution must be normalized (D set)")
-    if h * h * D >= 1.0:
+    if h * h * sol.D >= 1.0:
         raise ValueError("h^2 D must be below 1 to set the temperature")
-    beta = sol.beta_c / (1.0 - h * h * D)
+    beta = sol.beta_c / (1.0 - h * h * sol.D)
     basis = _resolve_basis(sol, h, m_fibers, n_max)
     modes = basis.modes
 
@@ -704,14 +612,12 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
 
     # (x, u) band for the remainder term, sized from the mode content:
     # u resolves the microscopic oscillation of the pair kernel (four
-    # points per fastest period), x the macroscopic fields.
-    if u_points is None:
-        u_points = 2 * math.ceil(2.0 * u_max * _symbol_support(sol) / math.pi) + 1
-        u_points = max(u_points, 129)
-    if x_points is None:
-        x_points = max(64, 4 * max(psi.n_max, a.n_max, w.n_max) + 1)
-    if u_points < 5 or u_points % 2 == 0:
-        raise ValueError("u_points must be odd and at least 5")
+    # points per fastest period, an odd count so every second node keeps
+    # both ends), x the macroscopic fields.
+    u_points = max(
+        2 * math.ceil(2.0 * u_max * _symbol_support(sol) / math.pi) + 1, 129
+    )
+    x_points = max(64, 4 * max(psi.n_max, a.n_max, w.n_max) + 1)
     x_nodes = (np.arange(x_points) + 0.5) / x_points
     u_nodes = np.linspace(-u_max, u_max, u_points)
     u_weights = np.full(u_points, u_nodes[1] - u_nodes[0])
@@ -806,7 +712,7 @@ class SweepReport:
     reference: float | None = None
     label: str = ""
     extras: list = field(default_factory=list)
-    floor: float = 100.0 * np.finfo(float).eps
+    floor: float = _ROUNDOFF_FLOOR
     failures: list = field(default_factory=list)
 
     def csv_rows(self) -> list[tuple]:
@@ -840,13 +746,13 @@ class SweepReport:
             reference=data.get("reference"),
             label=data.get("label", ""),
             extras=list(data.get("extras", [])),
-            floor=float(data.get("floor", 100.0 * np.finfo(float).eps)),
+            floor=float(data.get("floor", _ROUNDOFF_FLOOR)),
             failures=list(data.get("failures", [])),
         )
 
 
 def fit_order(h_values: Sequence[float], observed: Sequence[float],
-              floor: float = 100.0 * np.finfo(float).eps) -> float:
+              floor: float = _ROUNDOFF_FLOOR) -> float:
     """Log-log slope over the points above the roundoff floor."""
     h_arr = np.asarray(h_values, dtype=float)
     obs = np.abs(np.asarray(observed, dtype=float))
@@ -859,7 +765,6 @@ def fit_order(h_values: Sequence[float], observed: Sequence[float],
 
 def h_sweep(observable: Callable, h_list: Sequence[float], *,
             reference: float | None = None, label: str = "",
-            floor: float = 100.0 * np.finfo(float).eps,
             min_points: int = 3) -> SweepReport:
     """Evaluate an observable along a decreasing h-list and fit its order.
 
@@ -897,9 +802,7 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
             f"sweep '{label}' kept {len(h_ok)} of {len(h_list)} points; "
             f"failures: {failures}"
         )
-    order = fit_order(h_ok, values, floor)
     return SweepReport(
-        h_values=h_ok, observed=values, fitted_order=order,
-        reference=reference, label=label, extras=extras, floor=floor,
-        failures=failures,
+        h_values=h_ok, observed=values, fitted_order=fit_order(h_ok, values),
+        reference=reference, label=label, extras=extras, failures=failures,
     )

@@ -221,9 +221,7 @@ def _validate_raw(raw: dict) -> RunConfig:
         if family not in ("gaussian_well", "square_well"):
             errors.append({
                 "key": "potential.family",
-                "message": "must be 'gaussian_well' or 'square_well' "
-                           "(callable potentials cannot be configured "
-                           "from a file)",
+                "message": "must be 'gaussian_well' or 'square_well'",
             })
         else:
             for name in ("g", "w", "mu"):

@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy import linalg
@@ -80,11 +80,10 @@ class PotentialSpec:
     Attributes
     ----------
     family : str
-        One of ``"gaussian_well"``, ``"square_well"``, ``"custom_sampled"``.
+        ``"gaussian_well"`` or ``"square_well"``.
     parameters : mapping
-        Family-specific values.  Wells take ``g`` (depth, >= 0; 0 encodes
-        the free V = 0 problem) and ``w`` (width, > 0).  A custom family
-        supplies callables ``vhat`` and optionally ``vhat_d1``/``vhat_d2``.
+        ``g`` (depth, >= 0; 0 encodes the free V = 0 problem) and ``w``
+        (width, > 0).
     mu : float
         Chemical potential.
     dim : int
@@ -97,19 +96,16 @@ class PotentialSpec:
     dim: int = 1
 
     def __post_init__(self):
-        if self.family not in ("gaussian_well", "square_well", "custom_sampled"):
+        if self.family not in ("gaussian_well", "square_well"):
             raise ValueError(f"unknown potential family {self.family!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.family in ("gaussian_well", "square_well"):
-            g = float(self.parameters["g"])
-            w = float(self.parameters["w"])
-            if g < 0:
-                raise ValueError(f"well depth g must be >= 0, got {g}")
-            if not w > 0:
-                raise ValueError(f"well width w must be positive, got {w}")
-        elif "vhat" not in self.parameters:
-            raise ValueError("custom_sampled potential requires a 'vhat' callable")
+        g = float(self.parameters["g"])
+        w = float(self.parameters["w"])
+        if g < 0:
+            raise ValueError(f"well depth g must be >= 0, got {g}")
+        if not w > 0:
+            raise ValueError(f"well width w must be positive, got {w}")
 
     # -- constructors -------------------------------------------------------
 
@@ -124,20 +120,6 @@ class PotentialSpec:
         if dim != 1:
             raise ValueError("square_well is implemented for dim = 1")
         return cls("square_well", {"g": float(g), "w": float(w)}, float(mu), dim)
-
-    @classmethod
-    def custom(
-        cls,
-        vhat: Callable,
-        mu: float,
-        dim: int = 1,
-        vhat_d1: Callable | None = None,
-        vhat_d2: Callable | None = None,
-        v: Callable | None = None,
-    ) -> "PotentialSpec":
-        """Potential given by its (reflection-symmetric) Fourier transform."""
-        params = {"vhat": vhat, "vhat_d1": vhat_d1, "vhat_d2": vhat_d2, "v": v}
-        return cls("custom_sampled", params, float(mu), dim)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -154,12 +136,7 @@ class PotentialSpec:
         x = np.asarray(x, dtype=float)
         if self.family == "gaussian_well":
             return -self.g * np.exp(-(x * x) / self.w**2)
-        if self.family == "square_well":
-            return np.where(np.abs(x) <= self.w, -self.g, 0.0)
-        v = self.parameters.get("v")
-        if v is None:
-            raise NotImplementedError("custom potential has no real-space callable")
-        return v(x)
+        return np.where(np.abs(x) <= self.w, -self.g, 0.0)
 
     def vhat(self, k):
         """Fourier transform ``(2 pi)^{-d/2} integral V(x) e^{-ikx} dx``."""
@@ -167,46 +144,32 @@ class PotentialSpec:
         if self.family == "gaussian_well":
             pref = -self.g * (self.w / math.sqrt(2.0)) ** self.dim
             return pref * np.exp(-(k * k) * self.w**2 / 4.0)
-        if self.family == "square_well":
-            return -self.g * math.sqrt(2.0 / math.pi) * self.w * np.sinc(
-                self.w * k / math.pi
-            )
-        return self.parameters["vhat"](k)
+        return -self.g * math.sqrt(2.0 / math.pi) * self.w * np.sinc(
+            self.w * k / math.pi
+        )
 
     def vhat_d1(self, k):
-        """First derivative of ``vhat``."""
+        """First derivative of ``vhat`` (square well: central difference)."""
         k = np.asarray(k, dtype=float)
         if self.family == "gaussian_well":
             return -(k * self.w**2 / 2.0) * self.vhat(k)
-        if self.family == "custom_sampled":
-            d1 = self.parameters.get("vhat_d1")
-            if d1 is not None:
-                return d1(k)
         h = 1e-5
         return (self.vhat(k + h) - self.vhat(k - h)) / (2.0 * h)
 
     def vhat_d2(self, k):
-        """Second derivative of ``vhat``."""
+        """Second derivative of ``vhat`` (square well: central difference)."""
         k = np.asarray(k, dtype=float)
         if self.family == "gaussian_well":
             w2 = self.w**2 / 2.0
             return (-w2 + (k * w2) ** 2) * self.vhat(k)
-        if self.family == "custom_sampled":
-            d2 = self.parameters.get("vhat_d2")
-            if d2 is not None:
-                return d2(k)
         h = 1e-4
         return (self.vhat(k + h) - 2.0 * self.vhat(k) + self.vhat(k - h)) / h**2
 
     def interaction_range(self) -> float:
-        """Length scale below which ``V`` is non-negligible (wells: ``w``)."""
-        if self.family in ("gaussian_well", "square_well"):
-            return self.w
-        return 1.0
+        """Length scale below which ``V`` is non-negligible: the width ``w``."""
+        return self.w
 
     def to_dict(self) -> dict:
-        if self.family == "custom_sampled":
-            raise ValueError("custom potentials are not JSON-serializable")
         return {
             "family": self.family,
             "parameters": {k: float(v) for k, v in self.parameters.items()},
@@ -438,13 +401,6 @@ class GapSolution:
             2.0 * math.pi
         )
         return out if np.ndim(p) else float(out[0])
-
-    def alpha0_hat_at(self, p):
-        """Ground state at arbitrary momenta via ``t(p) / (2 K_{T_c}(p))``."""
-        p_arr = np.asarray(p, dtype=float)
-        return self.t(p_arr) / (
-            2.0 * specfun.kt_symbol(p_arr * p_arr - self.mu, self.T_c)
-        )
 
     def momentum_support(self, tol: float = 1e-8) -> float:
         """Smallest grid momentum beyond which ``|t| < tol * max|t|``."""

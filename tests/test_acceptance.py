@@ -242,10 +242,10 @@ class TestFiberSupercellConsistency:
                                               supercell_case):
         psi, a, w = two_mode_fields
         basis, h_pair, _ = supercell_case
-        union = bv.fiber_union_spectrum(
-            basis,
-            lambda xi: bv.build_fiber(basis, xi, psi, a, w, gap_sol.t,
-                                      gap_sol.mu).matrix)
+        union = np.sort(np.concatenate([
+            np.linalg.eigvalsh(bv.build_fiber(basis, xi, psi, a, w,
+                                              gap_sol.t, gap_sol.mu).matrix)
+            for xi in basis.xi_nodes]))
         sup = np.linalg.eigvalsh(h_pair)
         threshold = (basis.h * 2 * math.pi * (basis.n_max - 3)) ** 2 \
             - abs(gap_sol.mu) - 1.0
@@ -257,14 +257,10 @@ class TestFiberSupercellConsistency:
         psi, a, w = two_mode_fields
         basis, h_pair, h_free = supercell_case
         beta = gap_sol.beta_c
-
-        def builder(xi):
-            op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t,
-                                gap_sol.mu)
-            return op.matrix, op.free_spectrum()
-
-        fiber_tr = bv.trace_per_unit_volume(
-            basis, builder, lambda lam: sf.fermi_f(beta * lam))
+        lhs = bv.semiclassical_trace(
+            gap_sol, psi, a, w, basis.h, n_max=basis.n_max,
+            m_fibers=basis.m_fibers)["lhs"]
+        fiber_tr = lhs * beta / basis.h
         sup_tr = (np.sum(sf.fermi_f(beta * np.linalg.eigvalsh(h_pair)))
                   - np.sum(sf.fermi_f(beta * np.linalg.eigvalsh(h_free)))
                   ) / basis.m_fibers

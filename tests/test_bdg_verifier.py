@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.special import xlogy
 
 from bcsgl import bdg_verifier as bv
 from bcsgl import specfun
@@ -41,6 +43,22 @@ def pair_interaction_symbol_form(sol, h, p_modes):
         integrand = t_q * g0 * (2.0 * t_q + shifted)
         out[i] = -(sol.beta_c / 16.0) * 2.0 * np.sum(integrand) * sol.grid.dq
     return out
+
+
+def free_matrix(op):
+    """The decoupled (``Delta = 0``) fiber as a dense block-diagonal matrix."""
+    return block_diag(op.k_block, op.m22_block)
+
+
+def occupations(matrix, beta):
+    """Eigenvalues of the Gibbs state ``(1 + e^{beta H})^{-1}``."""
+    return specfun.fermi_rho(beta * np.linalg.eigvalsh(matrix))
+
+
+def entropy(matrix, beta):
+    """``-sum [lam ln lam + (1-lam) ln(1-lam)]`` over the state's spectrum."""
+    occ = occupations(matrix, beta)
+    return float(-np.sum(xlogy(occ, occ) + xlogy(1.0 - occ, 1.0 - occ)))
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +178,7 @@ class TestFiberAssembly:
         psi, a, w = fields
         basis = bv.FiberBasis(0.25, 8, 4)
         op = bv.build_fiber(basis, 1.1, psi, a, w, gap_sol.t, gap_sol.mu)
-        dense = np.linalg.eigvalsh(op.free_matrix)
+        dense = np.linalg.eigvalsh(free_matrix(op))
         np.testing.assert_allclose(op.free_spectrum(), dense, atol=1e-11)
 
     def test_decoupled_spectrum_symmetric_across_reflection(
@@ -194,94 +212,51 @@ def _op_family(gap_sol, fields, basis):
 
 
 class TestTracePerUnitVolume:
-    def test_constant_function_counts_dimension(self, gap_sol, fields):
-        basis = bv.FiberBasis(0.25, 8, 4)
-        builder = _op_family(gap_sol, fields, basis)
-        value = bv.trace_per_unit_volume(
-            basis, lambda xi: builder(xi).matrix, lambda lam: np.ones_like(lam)
-        )
-        assert value == pytest.approx(2 * basis.size, abs=1e-12)
-
-    def test_identical_pair_is_exactly_zero(self, gap_sol, fields):
-        basis = bv.FiberBasis(0.25, 8, 4)
-        builder = _op_family(gap_sol, fields, basis)
-        value = bv.trace_per_unit_volume(
-            basis,
-            lambda xi: (builder(xi).matrix, builder(xi).matrix.copy()),
-            lambda lam: specfun.fermi_f(1.3 * lam),
-        )
-        assert value == 0.0
-
-    def test_pair_equals_difference_of_singles(self, gap_sol, fields):
-        basis = bv.FiberBasis(0.25, 8, 4)
-        builder = _op_family(gap_sol, fields, basis)
-        g = lambda lam: specfun.fermi_f(gap_sol.beta_c * lam)  # noqa: E731
-        paired = bv.trace_per_unit_volume(
-            basis, lambda xi: (builder(xi).matrix, builder(xi).free_matrix), g
-        )
-        singles = bv.trace_per_unit_volume(
-            basis, lambda xi: builder(xi).matrix, g
-        ) - bv.trace_per_unit_volume(
-            basis, lambda xi: builder(xi).free_matrix, g
-        )
-        # the singles route subtracts two large totals, so it carries the
-        # cancellation roundoff the paired route avoids
-        assert paired == pytest.approx(singles, abs=1e-10)
-
     def test_difference_invariant_under_diagonal_shift(self, gap_sol, fields):
         basis = bv.FiberBasis(0.25, 8, 4)
         builder = _op_family(gap_sol, fields, basis)
-        identity = lambda lam: lam  # noqa: E731
         shift = 0.37 * np.eye(2 * basis.size)
 
-        base = bv.trace_per_unit_volume(
-            basis, lambda xi: (builder(xi).matrix, builder(xi).free_matrix),
-            identity,
-        )
-        shifted = bv.trace_per_unit_volume(
-            basis,
-            lambda xi: (builder(xi).matrix + shift,
-                        builder(xi).free_matrix + shift),
-            identity,
-        )
-        assert shifted == pytest.approx(base, abs=1e-11)
+        def trace_difference(offset):
+            return math.fsum(
+                float(np.sum(np.linalg.eigvalsh(op.matrix + offset)
+                             - np.linalg.eigvalsh(free_matrix(op) + offset)))
+                for op in map(builder, basis.xi_nodes)) / basis.m_fibers
+
+        assert trace_difference(shift) == pytest.approx(
+            trace_difference(0.0), abs=1e-11)
 
     def test_workers_reduce_identically(self, gap_sol, fields):
-        basis = bv.FiberBasis(0.25, 8, 8)
-        builder = _op_family(gap_sol, fields, basis)
-        g = lambda lam: specfun.fermi_f(1.5 * lam)  # noqa: E731
-        serial = bv.trace_per_unit_volume(
-            basis, lambda xi: (builder(xi).matrix, builder(xi).free_matrix), g,
-            workers=1,
-        )
-        threaded = bv.trace_per_unit_volume(
-            basis, lambda xi: (builder(xi).matrix, builder(xi).free_matrix), g,
-            workers=4,
-        )
-        assert serial == threaded
+        psi, a, w = fields
+        for observable in (bv.semiclassical_trace, bv.alpha_delta_distance,
+                           bv.trial_state_energy):
+            serial = observable(gap_sol, psi, a, w, 0.25, m_fibers=8)
+            threaded = observable(gap_sol, psi, a, w, 0.25, m_fibers=8,
+                                  workers=4)
+            assert serial == threaded, observable.__name__
 
-    def test_eigensolver_failure_reports_fiber(self):
-        basis = bv.FiberBasis(0.25, 2, 2)
-        bad = np.full((4, 4), np.nan)
-        with pytest.raises(RuntimeError, match="xi="):
-            bv.trace_per_unit_volume(
-                basis, lambda xi: bad, lambda lam: lam
-            )
+    def test_eigensolver_failure_reports_fiber(self, gap_sol, fields,
+                                               monkeypatch):
+        # only the fiber at xi = pi/2 fails; the error names that fiber
+        psi, a, w = fields
+        target = bv.FiberBasis(0.25, 8, 4).half_nodes[1]
+        built = []
+        build, eigvalsh = bv.build_fiber, np.linalg.eigvalsh
 
-    def test_precomputed_eigenvalues_accepted(self, gap_sol, fields):
-        basis = bv.FiberBasis(0.25, 8, 4)
-        builder = _op_family(gap_sol, fields, basis)
-        g = lambda lam: specfun.fermi_f(1.5 * lam)  # noqa: E731
-        from_matrix = bv.trace_per_unit_volume(
-            basis, lambda xi: (builder(xi).matrix, builder(xi).free_matrix), g
-        )
-        from_values = bv.trace_per_unit_volume(
-            basis,
-            lambda xi: (builder(xi).matrix,
-                        np.linalg.eigvalsh(builder(xi).free_matrix)),
-            g,
-        )
-        assert from_matrix == from_values
+        def recording(basis, xi, *args):
+            built.append(xi)
+            return build(basis, xi, *args)
+
+        def failing(matrix, *args, **kwargs):
+            if built[-1] == target:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(bv, "build_fiber", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(RuntimeError, match=f"xi={target:.6f}"):
+            bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=4)
+        assert built == [0.0, target]
 
     def test_free_spectrum_within_backward_error(self, gap_sol, fields):
         # Each solver returns the exact spectrum of a matrix within
@@ -292,7 +267,7 @@ class TestTracePerUnitVolume:
         eps = np.finfo(float).eps
         for xi in basis.xi_nodes:
             op = builder(xi)
-            dense = op.free_matrix
+            dense = free_matrix(op)
             bound = 2 * dense.shape[0] * eps * np.linalg.norm(dense, 2)
             diff = np.abs(op.free_spectrum() - np.linalg.eigvalsh(dense))
             assert diff.max() <= bound, xi
@@ -362,12 +337,12 @@ def supercell_instance(gap_sol, fields):
     psi, a, w = fields
     h, n_max, m_cells = 0.25, 8, 4
     basis = bv.FiberBasis(h, n_max, m_cells)
-    union = bv.fiber_union_spectrum(
-        basis,
-        lambda xi: bv.build_fiber(
-            basis, xi, psi, a, w, gap_sol.t, gap_sol.mu
-        ).matrix,
-    )
+    union = np.sort(np.concatenate([
+        np.linalg.eigvalsh(
+            bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu).matrix
+        )
+        for xi in basis.xi_nodes
+    ]))
     h_pair, h_free = bv.supercell_hamiltonian(
         h, m_cells, 2 * (n_max + 8) + 1, psi, a, w, gap_sol.t, gap_sol.mu
     )
@@ -403,17 +378,16 @@ class TestSupercellOracle:
 
     def test_trace_difference_matches(self, gap_sol, fields,
                                       supercell_instance):
+        # the trial-state energy's trace term takes its eigenvalues from
+        # the pair-block eigensolve, at beta_c / (1 - h^2 D)
         basis, _, h_pair, h_free = supercell_instance
         psi, a, w = fields
-        beta = gap_sol.beta_c
-
-        def builder(xi):
-            op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
-            return op.matrix, op.free_spectrum()
-
-        fiber_tr = bv.trace_per_unit_volume(
-            basis, builder, lambda lam: specfun.fermi_f(beta * lam)
+        res = bv.trial_state_energy(
+            gap_sol, psi, a, w, basis.h, m_fibers=basis.m_fibers,
+            n_max=basis.n_max,
         )
+        beta = res["beta"]
+        fiber_tr = 2.0 * beta * res["term_trace"]
         sup_tr = (
             np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_pair)))
             - np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_free)))
@@ -455,13 +429,13 @@ class TestSemiclassicalTrace:
         order = math.log2(abs(r1["residual"]) / abs(r2["residual"]))
         assert order > 4.5
 
-    def test_synthetic_source_needs_beta(self, fields):
+    def test_synthetic_source_rejected(self, fields):
+        # the fiber observables take t, mu and beta_c from a gap solution
         psi, a, w = fields
         synth = SyntheticPairSymbol(mu=1.0)
-        with pytest.raises(ValueError, match="beta"):
-            bv.semiclassical_trace(synth, psi, a, w, 0.25)
-        res = bv.semiclassical_trace(synth, psi, a, w, 0.25, beta=1.2)
-        assert np.isfinite(res["residual"])
+        for observable in (bv.semiclassical_trace, bv.alpha_delta_distance):
+            with pytest.raises(TypeError, match="GapSolution"):
+                observable(synth, psi, a, w, 0.25)
 
     def test_workers_match_serial(self, gap_sol, fields):
         psi, a, w = fields
@@ -539,7 +513,7 @@ class TestTrialStateEnergy:
     def test_temperature_offset_guard(self, gap_sol, fields):
         psi, a, w = fields
         with pytest.raises(ValueError, match="h\\^2 D"):
-            bv.trial_state_energy(gap_sol, psi, a, w, 0.125, D=70.0)
+            bv.trial_state_energy(normalize(gap_sol, 70.0), psi, a, w, 0.125)
 
     def test_zero_psi_gives_zero(self, gap_sol, fields):
         _, a, w = fields
@@ -549,7 +523,7 @@ class TestTrialStateEnergy:
     def test_explicit_offset_override(self, gap_sol, fields):
         psi, a, w = fields
         res = bv.trial_state_energy(
-            gap_sol, psi, a, w, 0.25, D=0.5, m_fibers=4
+            normalize(gap_sol, 0.5), psi, a, w, 0.25, m_fibers=4
         )
         expected_beta = gap_sol.beta_c / (1.0 - 0.25**2 * 0.5)
         assert res["beta"] == pytest.approx(expected_beta, rel=1e-14)
@@ -687,7 +661,7 @@ def pair_of_fibers(gap_sol, fields):
 
 class TestOccupationsAndEntropy:
     def test_occupations_bounded(self, gap_sol, pair_of_fibers):
-        occ = bv.gamma_occupations(pair_of_fibers[0].matrix, gap_sol.beta_c)
+        occ = occupations(pair_of_fibers[0].matrix, gap_sol.beta_c)
         assert occ.min() >= -1e-12
         assert occ.max() <= 1.0 + 1e-12
 
@@ -695,20 +669,16 @@ class TestOccupationsAndEntropy:
         self, gap_sol, pair_of_fibers
     ):
         op_plus, op_minus = pair_of_fibers
-        occ_plus = np.sort(
-            bv.gamma_occupations(op_plus.matrix, gap_sol.beta_c)
-        )
-        occ_minus = np.sort(
-            bv.gamma_occupations(op_minus.matrix, gap_sol.beta_c)
-        )
+        occ_plus = np.sort(occupations(op_plus.matrix, gap_sol.beta_c))
+        occ_minus = np.sort(occupations(op_minus.matrix, gap_sol.beta_c))
         np.testing.assert_allclose(
             occ_minus, np.sort(1.0 - occ_plus), atol=1e-10
         )
 
     def test_entropy_symmetric_and_positive(self, gap_sol, pair_of_fibers):
         op_plus, op_minus = pair_of_fibers
-        s_plus = bv.fiber_entropy(op_plus.matrix, gap_sol.beta_c)
-        s_minus = bv.fiber_entropy(op_minus.matrix, gap_sol.beta_c)
+        s_plus = entropy(op_plus.matrix, gap_sol.beta_c)
+        s_minus = entropy(op_minus.matrix, gap_sol.beta_c)
         assert s_plus > 0.0
         assert s_plus == pytest.approx(s_minus, abs=1e-10)
 

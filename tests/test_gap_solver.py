@@ -85,9 +85,6 @@ class TestPotentialSpec:
         spec = gs.reference_well()
         again = gs.PotentialSpec.from_dict(spec.to_dict())
         assert again == spec
-        custom = gs.PotentialSpec.custom(lambda k: 0.0 * k, mu=1.0)
-        with pytest.raises(ValueError):
-            custom.to_dict()
 
 
 class TestMomentumGrid:

@@ -10,6 +10,47 @@ EXPECTED_MODULES = {
     "specfun", "gap_solver", "gl_coeffs", "gl_minimizer", "bdg_verifier",
 }
 
+#: Every named check, in registry order, with the keys of its witness.
+WITNESS_KEYS = {
+    ("specfun", "divided_difference_permutation_symmetry"):
+        {"max_permutation_deviation", "tol"},
+    ("specfun", "divided_difference_closed_forms"):
+        {"balanced_quadruple_vanishes", "node", "quadruple_vs_g1_over_8",
+         "quintuple_vs_g1_over_16a", "rho_triple_antisymmetry", "tol",
+         "triple_vs_minus_g0_over_4"},
+    ("specfun", "g_chain_derivative_consistency"):
+        {"g1_over_z_consistency", "g1_vs_minus_g0_prime",
+         "g2_vs_g1_prime_plus_ratio", "tol"},
+    ("specfun", "fermi_weight_reflection_identity"):
+        {"max_identity_residual", "tol"},
+    ("specfun", "entropy_inequality_grid"): {"min_margin", "tol"},
+    ("gap_solver", "critical_eigenvalue_residual"):
+        {"lambda_min_at_tc", "tol"},
+    ("gap_solver", "normalization_balance"): {"relative_residual", "tol"},
+    ("gap_solver", "real_space_decay_rate"):
+        {"fitted_decay_rate", "kappa_c", "required_ratio"},
+    ("gl_coeffs", "critical_temperature_identities"):
+        {"c_grad_vs_2b1", "c_quartic_vs_2b3", "c_w_vs_2b2", "tol"},
+    ("gl_coeffs", "small_momentum_route_agreement"):
+        {"max_route_mismatch", "tol"},
+    ("gl_coeffs", "quartic_alternative_form"): {"relative_difference", "tol"},
+    ("gl_minimizer", "gradient_matches_finite_difference"):
+        {"analytic", "finite_difference", "relative_error", "tol"},
+    ("gl_minimizer", "gauge_invariance"): {"relative_energy_drift", "tol"},
+    ("gl_minimizer", "zero_state_energy_offset"):
+        {"deviation_from_quartic_offset", "tol"},
+    ("bdg_verifier", "fiber_hermiticity"): {"max_hermiticity_drift", "tol"},
+    ("bdg_verifier", "occupation_bounds"):
+        {"max_occupation", "min_occupation", "tol"},
+    ("bdg_verifier", "entropy_reflection_symmetry"):
+        {"difference", "entropy_at_minus_xi", "entropy_at_xi", "tol"},
+    ("bdg_verifier", "supercell_spectrum_agreement"):
+        {"max_eigenvalue_distance", "tol", "window_size"},
+    ("bdg_verifier", "diagonal_shift_invariance"):
+        {"tol", "trace_difference_shift"},
+    ("bdg_verifier", "zero_pairing_trace"): {"lhs_without_pairing", "tol"},
+}
+
 
 class TestRegistry:
     def test_twenty_named_checks(self):
@@ -59,6 +100,13 @@ class TestSuite:
         assert "fitted_decay_rate" in by_name["real_space_decay_rate"].witness
         assert "max_eigenvalue_distance" in by_name[
             "supercell_spectrum_agreement"].witness
+
+    def test_names_and_witness_keys_pinned(self, results):
+        # `prop-tests` and `all` print these names and keys; a rewritten
+        # check must keep both
+        assert {(r.module, r.name): set(r.witness) for r in results} \
+            == WITNESS_KEYS
+        assert list(WITNESS_KEYS) == properties.registry_names()
 
     def test_same_seed_reproduces_results(self):
         first = properties.run_suite(modules=["specfun"], seed=3)
