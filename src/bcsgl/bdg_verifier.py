@@ -91,7 +91,7 @@ def _symbol_support(sol: GapSolution) -> float:
     # borderline-decay warning moot here.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return sol.momentum_support(1e-8)
+        return sol.momentum_support()
 
 
 def default_mode_cutoff(h: float, q_support: float) -> int:
@@ -259,36 +259,33 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
 # ---------------------------------------------------------------------------
 
 
-def _map_fibers(fn, jobs, workers: int) -> list:
-    """``[fn(*job) for job in jobs]`` on ``workers`` threads, in job order;
-    ``job[0]`` is the fiber's ``xi``, named if its eigensolver fails."""
-
-    def run(job):
-        try:
-            return fn(*job)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"eigensolver failed on the fiber at xi={job[0]:.6f}"
-            ) from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
-
-
 def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
     """Per-fiber contributions over the whole Bloch grid.
 
-    ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi`` and
-    returns a tuple: the contribution of fiber ``xi`` and, when
-    ``partnered`` (``0 < xi < pi``), that of its particle-hole partner
-    ``-xi``, derived from fiber ``xi`` without another eigensolve.  The
-    result lists one contribution per node of ``basis.xi_nodes``.
+    ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi``, on
+    ``workers`` threads, and returns a tuple: the contribution of fiber
+    ``xi`` and, when ``partnered`` (``0 < xi < pi``), that of its
+    particle-hole partner ``-xi``, derived from fiber ``xi`` without
+    another eigensolve.  The result lists one contribution per node of
+    ``basis.xi_nodes``.  A failing eigensolver is reported with the
+    fiber's ``xi``.
     """
+
+    def run(k, xi):
+        try:
+            return one(xi, 0 < k < basis.m_fibers / 2)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"eigensolver failed on the fiber at xi={xi:.6f}"
+            ) from exc
+
     half = basis.half_nodes
-    jobs = [(xi, 0 < k < basis.m_fibers / 2) for k, xi in enumerate(half)]
-    return [c for part in _map_fibers(one, jobs, workers) for c in part]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(half)), half))
+    else:
+        parts = list(map(run, range(len(half)), half))
+    return [c for part in parts for c in part]
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ EXIT_REGRESSION = 4
 DEFAULT_H_LIST = (0.125, 0.0625, 0.03125, 0.015625)
 
 #: Fixed two-mode pair field used by the trace and distance sweeps.
-_SWEEP_PSI_MODES = {0: 0.75, 1: 0.2 + 0.1j}
+_SWEEP_PSI = TorusField.from_modes({0: 0.75, 1: 0.2 + 0.1j}, n_max=2)
 
 _GATE_TRACE_ORDER = 4.5
 _GATE_TRACE_MATCH = 0.05
@@ -102,7 +102,6 @@ class RunConfig:
     outputs: Path
     seed: int
     normalized: dict
-    summability: dict
 
     @property
     def config_hash(self) -> str:
@@ -142,6 +141,10 @@ def default_config() -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -160,8 +163,7 @@ def _check_field_list(key: str, entries, errors: list) -> list:
                            "message": "must be a [frequency, amplitude] pair"})
             continue
         freq, amp = entry
-        if not (isinstance(freq, int) and not isinstance(freq, bool)
-                and freq >= 0):
+        if not (_is_int(freq) and freq >= 0):
             errors.append({"key": where,
                            "message": "frequency must be an integer >= 0"})
             continue
@@ -181,18 +183,6 @@ def _field_from_list(entries: list) -> TorusField:
         else:
             total = total + TorusField.cosine(amp, freq)
     return total
-
-
-def _summability_record(entries: list) -> dict:
-    """The two sequence norms of a finite frequency-amplitude list.
-
-    Both are finite by construction for a finite list, so the check is
-    trivially satisfied; the values are recorded for the report.
-    """
-    level = sum(abs(a) for _, a in entries)
-    weighted = sum(abs(n) * abs(a) for n, a in entries)
-    return {"sum_abs": level, "sum_abs_weighted": weighted,
-            "satisfied": True}
 
 
 def _validate_raw(raw: dict) -> RunConfig:
@@ -223,26 +213,22 @@ def _validate_raw(raw: dict) -> RunConfig:
                 "key": "potential.family",
                 "message": "must be 'gaussian_well' or 'square_well'",
             })
-        else:
-            for name in ("g", "w", "mu"):
-                if not _is_finite_number(merged[name]):
-                    errors.append({"key": f"potential.{name}",
-                                   "message": "must be a finite number"})
-            if merged["dim"] != 1:
-                errors.append({"key": "potential.dim",
-                               "message": "the pipeline runs in dimension 1"})
-            if not any(e["key"].startswith("potential") for e in errors):
-                try:
-                    potential = PotentialSpec(
-                        family,
-                        {"g": float(merged["g"]), "w": float(merged["w"])},
-                        float(merged["mu"]), 1)
-                except ValueError as exc:
-                    key = ("potential.g" if "depth" in str(exc)
-                           else "potential.w")
-                    errors.append({"key": key, "message": str(exc)})
-        pot_norm = {"family": family, "g": merged["g"], "w": merged["w"],
-                    "mu": merged["mu"], "dim": merged["dim"]}
+        for name in ("g", "w", "mu"):
+            if not _is_finite_number(merged[name]):
+                errors.append({"key": f"potential.{name}",
+                               "message": "must be a finite number"})
+        if not (_is_int(merged["dim"]) and merged["dim"] == 1):
+            errors.append({"key": "potential.dim",
+                           "message": "the pipeline runs in dimension 1"})
+        if not any(e["key"].startswith("potential") for e in errors):
+            g, w, mu = (float(merged[k]) for k in ("g", "w", "mu"))
+            pot_norm = {"family": family, "g": g, "w": w, "mu": mu, "dim": 1}
+            try:
+                potential = PotentialSpec(family, {"g": g, "w": w}, mu, 1)
+            except ValueError as exc:
+                key = ("potential.g" if "depth" in str(exc)
+                       else "potential.w")
+                errors.append({"key": key, "message": str(exc)})
 
     # -- D -----------------------------------------------------------------
     d_value = None
@@ -284,23 +270,27 @@ def _validate_raw(raw: dict) -> RunConfig:
                 or set(gap_raw) != {"cutoff", "n_points"}):
             errors.append({"key": "grids.gap", "message": "must be null or "
                            "an object with keys 'cutoff' and 'n_points'"})
+        elif not _is_finite_number(gap_raw["cutoff"]):
+            errors.append({"key": "grids.gap.cutoff",
+                           "message": "must be a finite number"})
+        elif not _is_int(gap_raw["n_points"]):
+            errors.append({"key": "grids.gap.n_points",
+                           "message": "must be an integer"})
         else:
             try:
                 gap_grid = MomentumGrid(float(gap_raw["cutoff"]),
-                                        int(gap_raw["n_points"]))
-            except (TypeError, ValueError) as exc:
+                                        gap_raw["n_points"])
+            except ValueError as exc:
                 errors.append({"key": "grids.gap", "message": str(exc)})
     elif potential is not None:
         gap_grid = MomentumGrid.default_for(potential)
 
     n_max = merged_grids["torus_n_max"]
-    if not (isinstance(n_max, int) and not isinstance(n_max, bool)
-            and n_max >= 1):
+    if not (_is_int(n_max) and n_max >= 1):
         errors.append({"key": "grids.torus_n_max",
                        "message": "must be an integer >= 1"})
     fiber_m = merged_grids["fiber_m"]
-    if not (isinstance(fiber_m, int) and not isinstance(fiber_m, bool)
-            and fiber_m >= 1):
+    if not (_is_int(fiber_m) and fiber_m >= 1):
         errors.append({"key": "grids.fiber_m",
                        "message": "must be an integer >= 1"})
 
@@ -323,7 +313,7 @@ def _validate_raw(raw: dict) -> RunConfig:
         errors.append({"key": "outputs",
                        "message": "must be a nonempty path string"})
     seed = raw.get("seed", defaults["seed"])
-    if not (isinstance(seed, int) and not isinstance(seed, bool)):
+    if not _is_int(seed):
         errors.append({"key": "seed", "message": "must be an integer"})
 
     if errors:
@@ -343,8 +333,6 @@ def _validate_raw(raw: dict) -> RunConfig:
         "outputs": outputs,
         "seed": int(seed),
     }
-    summability = {"W": _summability_record(w_list),
-                   "A": _summability_record(a_list)}
     return RunConfig(
         potential=potential,
         D=d_value,
@@ -357,7 +345,6 @@ def _validate_raw(raw: dict) -> RunConfig:
         outputs=Path(outputs),
         seed=int(seed),
         normalized=normalized,
-        summability=summability,
     )
 
 
@@ -441,82 +428,109 @@ def _load_cached(path: Path, config_hash: str) -> dict | None:
     return payload
 
 
+def _stage(cfg: RunConfig, name: str, stage: str, compute
+           ) -> tuple[dict, bool]:
+    """Run one stage through the artifact cache; returns (payload,
+    was_cached).
+
+    The artifact ``name`` under the output directory is read back when it
+    carries ``cfg.config_hash``; otherwise ``compute()`` gives the payload,
+    which is written with that hash.  A failure becomes a
+    :class:`StageError` naming ``stage``.
+    """
+    path = cfg.outputs / name
+    cached = _load_cached(path, cfg.config_hash)
+    if cached is not None:
+        return cached, True
+    try:
+        payload = {"config_hash": cfg.config_hash, **compute()}
+    except StageError:
+        raise
+    except NoPairingError as exc:
+        raise StageError(stage, "no-pairing", str(exc)) from exc
+    except Exception as exc:
+        raise StageError(stage, "numerical", repr(exc)) from exc
+    _dump_json(path, payload)
+    return payload, False
+
+
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
 
-def _stage_gap(cfg: RunConfig) -> tuple[GapSolution, bool]:
-    path = cfg.outputs / "gap.json"
-    cached = _load_cached(path, cfg.config_hash)
-    if cached is not None:
-        return GapSolution.from_dict(cached["solution"]), True
-    try:
-        sol = normalize(find_tc(cfg.potential, cfg.gap_grid), cfg.D)
-    except NoPairingError as exc:
-        raise StageError("gap", "no-pairing", str(exc)) from exc
-    except Exception as exc:
-        raise StageError("gap", "numerical", repr(exc)) from exc
-    _dump_json(path, {"config_hash": cfg.config_hash,
-                      "solution": sol.to_dict()})
-    return sol, False
+class _Run:
+    """The stages of one command, each read back or computed at most once.
+
+    Hits and misses alike are decoded from the artifact payload.  A stage
+    runs its upstream stages only when its own artifact is missing or
+    stale; a sweep reads them before its h loop, which would otherwise
+    record their failure as dropped points.  ``cached`` records, for
+    every stage run so far, whether its artifact was read back.
+    """
+
+    def __init__(self, cfg: RunConfig, workers: int):
+        self.cfg, self.workers, self.cached = cfg, workers, {}
+
+    def _payload(self, key: str, name: str, stage: str, compute) -> dict:
+        payload, self.cached[key] = _stage(self.cfg, name, stage, compute)
+        return payload
+
+    @functools.cached_property
+    def sol(self) -> GapSolution:
+        cfg = self.cfg
+        payload = self._payload("gap", "gap.json", "gap", lambda: {
+            "solution": normalize(find_tc(cfg.potential, cfg.gap_grid),
+                                  cfg.D).to_dict()})
+        return GapSolution.from_dict(payload["solution"])
+
+    @functools.cached_property
+    def coef(self) -> GLCoefficients:
+        payload = self._payload("coeffs", "coeffs.json", "coeffs", lambda: {
+            "coefficients": compute_coefficients(self.sol).to_dict()})
+        return GLCoefficients.from_dict(payload["coefficients"])
+
+    @functools.cached_property
+    def state(self) -> GLState:
+        cfg = self.cfg
+        payload = self._payload("gl-min", "gl.json", "gl-min", lambda: {
+            "state": minimize(cfg.a_field, cfg.w_field, self.coef,
+                              n_max=cfg.torus_n_max, seed=cfg.seed).to_dict()})
+        return GLState.from_dict(payload["state"])
+
+    def sweep(self, command: str) -> dict:
+        """Payload of the artifact of the sweep ``command`` runs."""
+        name, run_sweep, _ = _SWEEPS[command]
+
+        def compute():
+            report, gates = run_sweep(self)
+            # A dropped h point is listed in the report's failures;
+            # dropping the finest one also fails the sweep, whose fit then
+            # stops short of it.
+            gates["finest_point_ok"] = self.cfg.h_list[-1] in report.h_values
+            gates["passed"] = all(gates[k] for k in gates if k.endswith("_ok"))
+            return {"report": report.to_dict(), "gates": gates,
+                    "passed": gates["passed"]}
+
+        return self._payload(name, f"sweeps/{name}.json", command, compute)
 
 
-def _stage_coeffs(cfg: RunConfig, sol: GapSolution
-                  ) -> tuple[GLCoefficients, bool]:
-    path = cfg.outputs / "coeffs.json"
-    cached = _load_cached(path, cfg.config_hash)
-    if cached is not None:
-        return GLCoefficients.from_dict(cached["coefficients"]), True
-    try:
-        coef = compute_coefficients(sol)
-    except Exception as exc:
-        raise StageError("coeffs", "numerical", repr(exc)) from exc
-    _dump_json(path, {"config_hash": cfg.config_hash,
-                      "coefficients": coef.to_dict()})
-    return coef, False
-
-
-def _stage_gl_min(cfg: RunConfig, coef: GLCoefficients
-                  ) -> tuple[GLState, bool]:
-    path = cfg.outputs / "gl.json"
-    cached = _load_cached(path, cfg.config_hash)
-    if cached is not None:
-        return GLState.from_dict(cached["state"]), True
-    try:
-        state = minimize(cfg.a_field, cfg.w_field, coef,
-                         n_max=cfg.torus_n_max, seed=cfg.seed)
-    except Exception as exc:
-        raise StageError("gl-min", "numerical", repr(exc)) from exc
-    _dump_json(path, {"config_hash": cfg.config_hash,
-                      "state": state.to_dict()})
-    return state, False
-
-
-def _sweep_psi(cfg: RunConfig) -> TorusField:
-    return TorusField.from_modes(_SWEEP_PSI_MODES, n_max=2)
-
-
-def _min_points(cfg: RunConfig) -> int:
-    return min(3, len(cfg.h_list))
-
-
-def _trace_sweep(cfg: RunConfig, sol: GapSolution, workers: int) -> dict:
-    psi = _sweep_psi(cfg)
+def _trace_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
+    cfg, sol = run.cfg, run.sol
 
     def observe(h):
         res = bv.semiclassical_trace(
-            sol, psi, cfg.a_field, cfg.w_field, h,
-            m_fibers=cfg.fiber_m, workers=workers)
+            sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
+            m_fibers=cfg.fiber_m, workers=run.workers)
         extras = {k: res[k] for k in ("lhs", "e1_term", "e2_term")}
         return res["residual"], extras
 
     report = bv.h_sweep(observe, cfg.h_list, reference=0.0,
                         label="trace_expansion",
-                        min_points=_min_points(cfg))
+                        min_points=min(3, len(cfg.h_list)))
     last = report.extras[-1]
     match = abs(report.observed[-1]) / max(abs(last["e2_term"]), 1e-300)
-    gates = {
+    return report, {
         "fitted_order": report.fitted_order,
         "order_threshold": _GATE_TRACE_ORDER,
         "order_ok": bool(report.fitted_order >= _GATE_TRACE_ORDER),
@@ -524,30 +538,29 @@ def _trace_sweep(cfg: RunConfig, sol: GapSolution, workers: int) -> dict:
         "match_threshold": _GATE_TRACE_MATCH,
         "match_ok": bool(match <= _GATE_TRACE_MATCH),
     }
-    return {"report": report, "gates": gates}
 
 
-def _pair_sweep(cfg: RunConfig, sol: GapSolution, workers: int) -> dict:
-    psi = _sweep_psi(cfg)
+def _pair_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
+    cfg, sol = run.cfg, run.sol
 
     def observe(h):
         res = bv.alpha_delta_distance(
-            sol, psi, cfg.a_field, cfg.w_field, h,
-            m_fibers=cfg.fiber_m, workers=workers)
+            sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
+            m_fibers=cfg.fiber_m, workers=run.workers)
         extras = {"l2_distance": res["l2_distance"],
                   "l2_leading": res["l2_leading"]}
         return res["h1_distance"], extras
 
     report = bv.h_sweep(observe, cfg.h_list, reference=0.0,
                         label="pair_distance",
-                        min_points=_min_points(cfg))
+                        min_points=min(3, len(cfg.h_list)))
     ratios = [e["l2_leading"] ** 2 / h
               for h, e in zip(report.h_values, report.extras)]
     if len(ratios) >= 2:
         drift = abs(ratios[-1] - ratios[-2]) / max(abs(ratios[-2]), 1e-300)
     else:
         drift = 0.0
-    gates = {
+    return report, {
         "fitted_order": report.fitted_order,
         "order_threshold": _GATE_PAIR_ORDER,
         "order_ok": bool(report.fitted_order >= _GATE_PAIR_ORDER),
@@ -555,27 +568,26 @@ def _pair_sweep(cfg: RunConfig, sol: GapSolution, workers: int) -> dict:
         "stability_threshold": _GATE_PAIR_STABILITY,
         "stability_ok": bool(drift <= _GATE_PAIR_STABILITY),
     }
-    return {"report": report, "gates": gates}
 
 
-def _energy_sweep(cfg: RunConfig, sol: GapSolution, coef: GLCoefficients,
-                  state: GLState, workers: int) -> dict:
+def _energy_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
+    cfg, sol, coef, state = run.cfg, run.sol, run.coef, run.state
     target = state.energy - coef.B3
 
     def observe(h):
         res = bv.trial_state_energy(
             sol, state.psi, cfg.a_field, cfg.w_field, h,
-            m_fibers=cfg.fiber_m, workers=workers)
+            m_fibers=cfg.fiber_m, workers=run.workers)
         return res["scaled"], {"beta": res["beta"]}
 
     report = bv.h_sweep(observe, cfg.h_list, reference=target,
                         label="energy_upper_bound",
-                        min_points=_min_points(cfg))
+                        min_points=min(3, len(cfg.h_list)))
     gaps = [obs - target for obs in report.observed]
     slack = _GATE_ENERGY_SLACK * abs(gaps[0])
     order = bv.fit_order(report.h_values, gaps, report.floor)
     magnitudes = [abs(g) for g in gaps]
-    gates = {
+    return report, {
         "gaps": gaps,
         "min_gap": min(gaps),
         "allowed_slack": -slack,
@@ -586,41 +598,17 @@ def _energy_sweep(cfg: RunConfig, sol: GapSolution, coef: GLCoefficients,
         "order_threshold": _GATE_ENERGY_ORDER,
         "order_ok": bool(order >= _GATE_ENERGY_ORDER),
     }
-    return {"report": report, "gates": gates}
 
 
-_SWEEP_STAGES = {
-    "trace_expansion": "verify-thm2",
-    "pair_distance": "verify-thm3",
-    "energy_upper_bound": "verify-energy",
+#: Sweep command -> (artifact name, sweep, help text).
+_SWEEPS = {
+    "verify-thm2": ("trace_expansion", _trace_sweep,
+                    "trace-expansion order sweep"),
+    "verify-thm3": ("pair_distance", _pair_sweep,
+                    "pair-operator distance sweep"),
+    "verify-energy": ("energy_upper_bound", _energy_sweep,
+                      "trial-state energy upper-bound sweep"),
 }
-
-
-def _run_sweep(cfg: RunConfig, name: str, compute) -> tuple[dict, bool]:
-    """Run one sweep through the cache; returns (payload, was_cached)."""
-    path = cfg.outputs / "sweeps" / f"{name}.json"
-    cached = _load_cached(path, cfg.config_hash)
-    if cached is not None:
-        return cached, True
-    try:
-        result = compute()
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(_SWEEP_STAGES[name], "numerical", repr(exc)) from exc
-    report, gates = result["report"], result["gates"]
-    # A dropped h point is listed in the report's failures; dropping the
-    # finest one also fails the sweep, whose fit then stops short of it.
-    gates["finest_point_ok"] = cfg.h_list[-1] in report.h_values
-    gates["passed"] = all(gates[k] for k in gates if k.endswith("_ok"))
-    payload = {
-        "config_hash": cfg.config_hash,
-        "report": report.to_dict(),
-        "gates": gates,
-        "passed": gates["passed"],
-    }
-    _dump_json(path, payload)
-    return payload, False
 
 
 def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
@@ -641,18 +629,11 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
 
     Returns a summary dict; raises StageError on numerical failure.
     """
-    sol, gap_cached = _stage_gap(cfg)
-    coef, coeffs_cached = _stage_coeffs(cfg, sol)
-    state, gl_cached = _stage_gl_min(cfg, coef)
-    payloads, cached_flags = {}, {}
-    jobs = {
-        "trace_expansion": lambda: _trace_sweep(cfg, sol, workers),
-        "pair_distance": lambda: _pair_sweep(cfg, sol, workers),
-        "energy_upper_bound": lambda: _energy_sweep(cfg, sol, coef, state,
-                                                    workers),
-    }
-    for name, compute in jobs.items():
-        payloads[name], cached_flags[name] = _run_sweep(cfg, name, compute)
+    run = _Run(cfg, workers)
+    # every upstream stage before any sweep, so none runs if one fails
+    sol, coef, state = run.sol, run.coef, run.state
+    payloads = {name: run.sweep(command)
+                for command, (name, _, _) in _SWEEPS.items()}
     _write_report_csv(cfg, payloads)
     return {
         "config_hash": cfg.config_hash,
@@ -662,10 +643,7 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
         "sweeps": {name: payload["gates"]
                    for name, payload in payloads.items()},
         "all_gates_passed": all(p["passed"] for p in payloads.values()),
-        "cached_stages": {
-            "gap": gap_cached, "coeffs": coeffs_cached, "gl-min": gl_cached,
-            **cached_flags,
-        },
+        "cached_stages": run.cached,
     }
 
 
@@ -731,9 +709,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("tc", "solve for the critical temperature"),
         ("coeffs", "derive the macroscopic coefficients"),
         ("gl-min", "minimize the macroscopic energy"),
-        ("verify-thm2", "trace-expansion order sweep"),
-        ("verify-thm3", "pair-operator distance sweep"),
-        ("verify-energy", "trial-state energy upper-bound sweep"),
+        *((command, entry[2]) for command, entry in _SWEEPS.items()),
         ("prop-tests", "run the named invariant checks"),
         ("all", "full pipeline plus invariant checks"),
     ]:
@@ -762,50 +738,32 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_validate(cfg: RunConfig) -> int:
     _emit({"status": "ok", "config_hash": cfg.config_hash,
-           "normalized": cfg.normalized, "summability": cfg.summability})
+           "normalized": cfg.normalized})
     return EXIT_OK
 
 
-def _cmd_tc(cfg: RunConfig) -> int:
-    sol, cached = _stage_gap(cfg)
-    _emit({"status": "ok", "T_c": sol.T_c, "beta_c": sol.beta_c,
-           "config_hash": cfg.config_hash, "cached": cached})
-    return EXIT_OK
-
-
-def _cmd_coeffs(cfg: RunConfig) -> int:
-    sol, _ = _stage_gap(cfg)
-    coef, cached = _stage_coeffs(cfg, sol)
-    _emit({"status": "ok", "coefficients": coef.to_dict(),
-           "config_hash": cfg.config_hash, "cached": cached})
-    return EXIT_OK
-
-
-def _cmd_gl_min(cfg: RunConfig) -> int:
-    sol, _ = _stage_gap(cfg)
-    coef, _ = _stage_coeffs(cfg, sol)
-    state, cached = _stage_gl_min(cfg, coef)
-    _emit({"status": "ok", "energy": state.energy,
-           "gradient_norm": state.gradient_norm,
-           "converged": state.converged,
-           "config_hash": cfg.config_hash, "cached": cached})
-    return EXIT_OK
-
-
-def _cmd_verify(cfg: RunConfig, workers: int, name: str) -> int:
-    sol, _ = _stage_gap(cfg)
-    if name == "energy_upper_bound":
-        coef, _ = _stage_coeffs(cfg, sol)
-        state, _ = _stage_gl_min(cfg, coef)
-        compute = lambda: _energy_sweep(cfg, sol, coef, state, workers)  # noqa: E731
-    elif name == "trace_expansion":
-        compute = lambda: _trace_sweep(cfg, sol, workers)  # noqa: E731
+def _cmd_stage(run: _Run, command: str) -> int:
+    """``tc``, ``coeffs`` or ``gl-min``: one stage and what it needs."""
+    if command == "tc":
+        key, body = "gap", {"T_c": run.sol.T_c, "beta_c": run.sol.beta_c}
+    elif command == "coeffs":
+        key, body = command, {"coefficients": run.coef.to_dict()}
     else:
-        compute = lambda: _pair_sweep(cfg, sol, workers)  # noqa: E731
-    payload, cached = _run_sweep(cfg, name, compute)
+        state = run.state
+        key, body = command, {"energy": state.energy,
+                              "gradient_norm": state.gradient_norm,
+                              "converged": state.converged}
+    _emit({"status": "ok", **body, "config_hash": run.cfg.config_hash,
+           "cached": run.cached[key]})
+    return EXIT_OK
+
+
+def _cmd_verify(run: _Run, command: str) -> int:
+    payload = run.sweep(command)
+    name = _SWEEPS[command][0]
     status = "ok" if payload["passed"] else "regression"
     _emit({"status": status, "sweep": name, "gates": payload["gates"],
-           "config_hash": cfg.config_hash, "cached": cached})
+           "config_hash": run.cfg.config_hash, "cached": run.cached[name]})
     return EXIT_OK if payload["passed"] else EXIT_REGRESSION
 
 
@@ -834,19 +792,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         if args.command == "validate":
             return _cmd_validate(cfg)
-        if args.command == "tc":
-            return _cmd_tc(cfg)
-        if args.command == "coeffs":
-            return _cmd_coeffs(cfg)
-        if args.command == "gl-min":
-            return _cmd_gl_min(cfg)
-        if args.command == "verify-thm2":
-            return _cmd_verify(cfg, args.workers, "trace_expansion")
-        if args.command == "verify-thm3":
-            return _cmd_verify(cfg, args.workers, "pair_distance")
-        if args.command == "verify-energy":
-            return _cmd_verify(cfg, args.workers, "energy_upper_bound")
-        return _cmd_all(cfg, args.workers)
+        if args.command == "all":
+            return _cmd_all(cfg, args.workers)
+        run = _Run(cfg, args.workers)
+        if args.command in _SWEEPS:
+            return _cmd_verify(run, args.command)
+        return _cmd_stage(run, args.command)
     except ConfigError as exc:
         return _config_error(exc)
     except StageError as exc:

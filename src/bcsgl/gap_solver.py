@@ -50,6 +50,11 @@ __all__ = [
     "decay_report",
 ]
 
+#: Temperature at which :func:`find_tc` probes for pairing, and the
+#: relative width of its final bracket.
+_PROBE_TEMPERATURE = 1e-6
+_REL_TOLERANCE = 1e-10
+
 
 class NoPairingError(RuntimeError):
     """The lowest eigenvalue is nonnegative at the probe temperature: T_c = 0."""
@@ -366,46 +371,35 @@ class GapSolution:
 
     # -- pair symbol --------------------------------------------------------
 
-    def t(self, p):
-        """Pair symbol ``t(p)``, smooth in ``p``, even, real-valued."""
+    def _kernel_sum(self, profile, p):
+        """``-2 (2 pi)^{-1/2} sum_q (profile(p - q) + profile(p + q))
+        alpha0_hat(q) dq`` over the grid nodes ``q``."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         q = self.grid.nodes
-        kernel = self.spec.vhat(p_arr[:, None] - q[None, :]) + self.spec.vhat(
+        kernel = profile(p_arr[:, None] - q[None, :]) + profile(
             p_arr[:, None] + q[None, :]
         )
         out = -2.0 * (kernel @ self.alpha0_hat) * self.grid.dq / math.sqrt(
             2.0 * math.pi
         )
         return out if np.ndim(p) else float(out[0])
+
+    def t(self, p):
+        """Pair symbol ``t(p)``, smooth in ``p``, even, real-valued."""
+        return self._kernel_sum(self.spec.vhat, p)
 
     def t_prime(self, p):
         """First derivative ``t'(p)``."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        q = self.grid.nodes
-        kernel = self.spec.vhat_d1(p_arr[:, None] - q[None, :]) + self.spec.vhat_d1(
-            p_arr[:, None] + q[None, :]
-        )
-        out = -2.0 * (kernel @ self.alpha0_hat) * self.grid.dq / math.sqrt(
-            2.0 * math.pi
-        )
-        return out if np.ndim(p) else float(out[0])
+        return self._kernel_sum(self.spec.vhat_d1, p)
 
     def t_second(self, p):
         """Second derivative ``t''(p)``."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        q = self.grid.nodes
-        kernel = self.spec.vhat_d2(p_arr[:, None] - q[None, :]) + self.spec.vhat_d2(
-            p_arr[:, None] + q[None, :]
-        )
-        out = -2.0 * (kernel @ self.alpha0_hat) * self.grid.dq / math.sqrt(
-            2.0 * math.pi
-        )
-        return out if np.ndim(p) else float(out[0])
+        return self._kernel_sum(self.spec.vhat_d2, p)
 
-    def momentum_support(self, tol: float = 1e-8) -> float:
-        """Smallest grid momentum beyond which ``|t| < tol * max|t|``."""
+    def momentum_support(self) -> float:
+        """Smallest grid momentum beyond which ``|t| < 1e-8 * max|t|``."""
         t_abs = np.abs(self.t_samples)
-        above = np.nonzero(t_abs >= tol * t_abs.max())[0]
+        above = np.nonzero(t_abs >= 1e-8 * t_abs.max())[0]
         edge = int(above[-1]) if above.size else 0
         if edge == self.grid.n_points - 1:
             warnings.warn("pair symbol not decayed below tolerance at the cutoff")
@@ -489,8 +483,6 @@ def _positive_definite(matrix: np.ndarray) -> bool:
 def find_tc(
     spec: PotentialSpec,
     grid: MomentumGrid | None = None,
-    probe_temperature: float = 1e-6,
-    rel_tolerance: float = 1e-10,
     bracket_hint: tuple[float, float] | None = None,
 ) -> GapSolution:
     """Locate ``T_c`` by bisection and return the (unnormalized) solution.
@@ -503,16 +495,15 @@ def find_tc(
     :class:`BracketError`.  The returned solution carries that ground
     state and the induced pair symbol.
 
+    Pairing is probed at ``T = 1e-6``; ``K_T + V`` positive definite
+    there raises :class:`NoPairingError` (T_c = 0).  Bisection stops at a
+    relative bracket width of 1e-10.
+
     Parameters
     ----------
     spec : PotentialSpec
     grid : MomentumGrid, optional
         Defaults to ``MomentumGrid.default_for(spec)``.
-    probe_temperature : float
-        Temperature at which pairing is probed; ``K_T + V`` positive
-        definite there raises :class:`NoPairingError` (T_c = 0).
-    rel_tolerance : float
-        Relative bracket width at exit.
     bracket_hint : (float, float), optional
         Trusted initial bracket (e.g. from a coarser run); it is verified
         and the full bracket is used if the hint does not straddle the root.
@@ -543,22 +534,22 @@ def find_tc(
                            eigvals_only=True)
         return float(vals[0])
 
-    if not paired(probe_temperature):
-        raise NoPairingError(lam(probe_temperature), probe_temperature)
+    probe = _PROBE_TEMPERATURE
+    if not paired(probe):
+        raise NoPairingError(lam(probe), probe)
 
-    lo, hi = probe_temperature, 10.0 * max(abs(spec.mu), 1.0)
+    lo, hi = probe, 10.0 * max(abs(spec.mu), 1.0)
     if bracket_hint is not None:
         h_lo, h_hi = bracket_hint
-        if (probe_temperature <= h_lo < h_hi <= hi and paired(h_lo)
-                and not paired(h_hi)):
+        if probe <= h_lo < h_hi <= hi and paired(h_lo) and not paired(h_hi):
             lo, hi = h_lo, h_hi
-    if lo == probe_temperature and paired(hi):
+    if lo == probe and paired(hi):
         raise BracketError(
             f"lambda_min({hi:.3f}) = {lam(hi):.3e} <= 0; no sign change up "
             "to the upper temperature bracket"
         )
 
-    while (hi - lo) > rel_tolerance * lo:
+    while (hi - lo) > _REL_TOLERANCE * lo:
         mid = 0.5 * (lo + hi)
         if paired(mid):
             lo = mid

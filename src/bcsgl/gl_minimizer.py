@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import optimize
@@ -43,6 +43,11 @@ __all__ = [
     "gauge_transform",
     "directional_derivative",
 ]
+
+#: l2 gradient-norm target of a converged descent, and the iteration cap
+#: of each trust-region descent.
+_GTOL = 1e-9
+_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -82,24 +87,16 @@ class TorusField:
         return f
 
     @classmethod
-    def cosine(cls, amplitude: float, frequency: int = 1,
-               n_max: int | None = None) -> "TorusField":
+    def cosine(cls, amplitude: float, frequency: int = 1) -> "TorusField":
         """``amplitude * cos(2 pi frequency x)`` as a real field."""
-        n_max = frequency if n_max is None else n_max
-        f = cls.zero(n_max)
-        f.coeffs[n_max + frequency] = amplitude / 2.0
-        f.coeffs[n_max - frequency] = amplitude / 2.0
-        return f
+        return cls.from_modes({frequency: amplitude / 2.0,
+                               -frequency: amplitude / 2.0})
 
     @classmethod
-    def sine(cls, amplitude: float, frequency: int = 1,
-             n_max: int | None = None) -> "TorusField":
+    def sine(cls, amplitude: float, frequency: int = 1) -> "TorusField":
         """``amplitude * sin(2 pi frequency x)`` as a real field."""
-        n_max = frequency if n_max is None else n_max
-        f = cls.zero(n_max)
-        f.coeffs[n_max + frequency] = amplitude / 2.0j
-        f.coeffs[n_max - frequency] = -amplitude / 2.0j
-        return f
+        return cls.from_modes({frequency: amplitude / 2.0j,
+                               -frequency: -amplitude / 2.0j})
 
     @classmethod
     def from_modes(cls, modes: Mapping[int, complex],
@@ -135,11 +132,6 @@ class TorusField:
         return bool(
             np.allclose(self.coeffs, np.conj(self.coeffs[::-1]), atol=tol)
         )
-
-    def summability(self) -> tuple[float, float]:
-        """``(sum |c_n|, sum |c_n| (1 + |n|))`` -- finite by construction."""
-        mags = np.abs(self.coeffs)
-        return float(mags.sum()), float((mags * (1.0 + np.abs(self.modes))).sum())
 
     def norm_l2(self) -> float:
         """``||f||_{L^2}`` on the unit torus (Parseval)."""
@@ -226,7 +218,7 @@ class TorusField:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_grid(psi, a, w, grid_size):
+def _resolve_grid(psi, a, w, grid_size=None):
     need = 4 * max(psi.n_max, a.n_max, w.n_max) + 1
     if grid_size is None:
         return next_fast_len(need)
@@ -334,8 +326,7 @@ def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
 
 
 def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
-                coef: GLCoefficients, grid_size: int | None = None
-                ) -> TorusField:
+                coef: GLCoefficients) -> TorusField:
     """Wirtinger gradient ``dE/d conj(psi)`` as a Fourier series.
 
     The gradient field is ``B1 D(D psi) + B2 W psi - 2 B3 (1-|psi|^2) psi``
@@ -344,7 +335,7 @@ def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
     derivative of the energy along ``eta`` is
     ``2 Re <eta, grad>`` (see :func:`directional_derivative`).
     """
-    m = _resolve_grid(psi, a, w, grid_size)
+    m = _resolve_grid(psi, a, w)
     return TorusField(_evaluate(psi, a, w, coef, m)[1], psi.n_max)
 
 
@@ -413,12 +404,11 @@ class GLState:
         )
 
 
-def _descend(start: TorusField, label: str, a, w, coef, grid_size,
-             gtol, max_iter):
+def _descend(start: TorusField, label: str, a, w, coef):
     """Trust-region Newton-CG descent from one starting field, finished
     by exact Newton steps on the gradient."""
     n_max = start.n_max
-    m = _resolve_grid(start, a, w, grid_size)
+    m = _resolve_grid(start, a, w)
     last = {}
 
     def evaluate(z):
@@ -435,7 +425,7 @@ def _descend(start: TorusField, label: str, a, w, coef, grid_size,
         lambda z: evaluate(z)[0], z, jac=lambda z: evaluate(z)[1],
         hessp=lambda z, p: evaluate(z)[2](p), method="trust-ncg",
         callback=lambda zk: energies.append(evaluate(zk)[0]),
-        options={"gtol": 0.1 * gtol, "maxiter": max_iter},
+        options={"gtol": 0.1 * _GTOL, "maxiter": _MAX_ITER},
     )
     z = res.x
     iterations = res.nit
@@ -462,7 +452,7 @@ def _descend(start: TorusField, label: str, a, w, coef, grid_size,
         psi=TorusField(_unpack(z), n_max),
         energy=energy,
         gradient_norm=grad_norm,
-        converged=grad_norm < gtol,
+        converged=grad_norm < _GTOL,
         history=[{
             "start": label,
             "energy": energy,
@@ -491,16 +481,13 @@ def _default_starts(n_max: int, seed: int) -> list[tuple[str, TorusField]]:
 
 
 def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
-             n_max: int = 32, grid_size: int | None = None,
-             starts: Sequence[tuple[str, TorusField]] | None = None,
-             seed: int = 0, gtol: float = 1e-9, max_iter: int = 2000,
-             workers: int = 1) -> GLState:
+             n_max: int = 32, seed: int = 0, workers: int = 1) -> GLState:
     """Minimize the GL energy over ``psi``; keep the best local minimum.
 
     Runs one trust-region Newton-CG descent with exact Hessian-vector
     products from each of ``psi = 1``, ``psi = 0.5`` and two random
-    smooth fields (or caller-supplied ``starts``), finishes each with at
-    most five exact Newton steps, and reduces by lowest energy.
+    smooth fields, finishes each with at most five exact Newton steps,
+    and reduces by lowest energy.
     ``psi = 0`` is always a critical point with energy exactly ``B3``;
     if no descent beats it, the zero state is returned, so the reported
     energy never exceeds ``min(B3, E(psi = 1))``.
@@ -512,13 +499,8 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     coef : GLCoefficients
     n_max : int
         Mode cutoff for the minimization space.
-    starts : sequence of (label, TorusField), optional
     seed : int
         Seed for the random starting fields.
-    gtol : float
-        l2 gradient-norm target for local convergence.
-    max_iter : int
-        Iteration cap of each trust-region descent.
     workers : int
         Ignored; the descents always run one after another.  Accepted so
         that existing callers keep working.
@@ -527,13 +509,8 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     -------
     GLState
     """
-    if starts is None:
-        starts = _default_starts(n_max, seed)
-    states = [
-        _descend(start.with_n_max(n_max), label, a, w, coef, grid_size,
-                 gtol, max_iter)
-        for label, start in starts
-    ]
+    states = [_descend(start, label, a, w, coef)
+              for label, start in _default_starts(n_max, seed)]
     history = [rec for state in states for rec in state.history]
     best = min(states, key=lambda s: s.energy)
     if coef.B3 < best.energy:
@@ -550,13 +527,13 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
 # ---------------------------------------------------------------------------
 
 
-def gauge_transform(psi: TorusField, a: TorusField, chi: TorusField,
-                    pad_modes: int = 16) -> tuple[TorusField, TorusField]:
+def gauge_transform(psi: TorusField, a: TorusField, chi: TorusField
+                    ) -> tuple[TorusField, TorusField]:
     """Apply the pair-charge-2 gauge map ``psi -> psi e^{-2 i chi}``,
     ``a -> a + chi'``.
 
     ``e^{-2 i chi}`` is not band-limited; the transformed ``psi`` keeps
-    ``psi.n_max + chi.n_max + pad_modes`` modes, which captures the
+    ``psi.n_max + chi.n_max + 16`` modes, which captures the
     exponentially decaying tail far below the energy-invariance
     tolerance for smooth ``chi``.
 
@@ -565,8 +542,6 @@ def gauge_transform(psi: TorusField, a: TorusField, chi: TorusField,
     psi, a : TorusField
     chi : TorusField
         Real-valued gauge function.
-    pad_modes : int
-        Extra modes retained beyond the naive product bandwidth.
 
     Returns
     -------
@@ -575,7 +550,7 @@ def gauge_transform(psi: TorusField, a: TorusField, chi: TorusField,
     """
     if not chi.is_real(tol=1e-10):
         raise ValueError("gauge function chi must be real-valued")
-    new_n_max = psi.n_max + chi.n_max + pad_modes
+    new_n_max = psi.n_max + chi.n_max + 16
     m = next_fast_len(2 * new_n_max + 2)
     transformed = psi.values_on_grid(m) * np.exp(-2j * chi.values_on_grid(m))
     out = TorusField(_grid_coeffs(transformed, new_n_max), new_n_max)

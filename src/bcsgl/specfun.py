@@ -353,19 +353,12 @@ _FUNC_TABLE: dict[str, tuple[Callable, Callable]] = {
     "f": (fermi_f, f_derivative),
     "rho": (fermi_rho, rho_derivative),
 }
-_FUNC_ALIASES = {
-    "f": "f",
-    "fermi_f": "f",
-    "rho": "rho",
-    "fermi_rho": "rho",
-}
 
 
 def _resolve_func(func: str) -> tuple[Callable, Callable]:
-    key = _FUNC_ALIASES.get(func)
-    if key is None:
-        raise ValueError(f"func must be one of {sorted(_FUNC_ALIASES)}, got {func!r}")
-    return _FUNC_TABLE[key]
+    if func not in _FUNC_TABLE:
+        raise ValueError(f"func must be one of {sorted(_FUNC_TABLE)}, got {func!r}")
+    return _FUNC_TABLE[func]
 
 
 def _validated_nodes(nodes: Iterable[float]) -> np.ndarray:
@@ -445,8 +438,7 @@ def divided_difference(func: str, nodes: Sequence[float]) -> float:
     Parameters
     ----------
     func : {"f", "rho"}
-        Which function to difference (aliases ``"fermi_f"``/``"fermi_rho"``
-        accepted).
+        Which function to difference.
     nodes : sequence of float
         Arguments ``a_1, ..., a_N``, ``1 <= N <= 8``, in any order.
 

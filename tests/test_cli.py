@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,7 +45,6 @@ class TestValidate:
         assert norm["fields"]["W"] == [[1, 0.5]]
         assert norm["grids"]["gap"]["cutoff"] > 0
         assert norm["grids"]["h_list"] == [0.125, 0.0625, 0.03125, 0.015625]
-        assert out["summability"]["W"]["satisfied"] is True
         assert len(out["config_hash"]) == 64
 
     def test_builtin_reference_config_is_valid(self, capsys):
@@ -108,6 +108,34 @@ class TestValidate:
         assert swept["normalized"]["grids"]["h_list"] == [0.25, 0.125]
         assert base["config_hash"] != seeded["config_hash"]
         assert base["config_hash"] != swept["config_hash"]
+
+    def test_integer_and_float_potential_share_a_hash(self, tmp_path,
+                                                      capsys):
+        as_int = write_config(tmp_path, name="int.json",
+                              potential={"g": 2, "w": 1, "mu": 1})
+        as_float = write_config(tmp_path, name="float.json",
+                                potential={"g": 2.0, "w": 1.0, "mu": 1.0})
+        _, first = run_cli(capsys, "--config", str(as_int), "validate")
+        _, second = run_cli(capsys, "--config", str(as_float), "validate")
+        assert first["normalized"]["potential"] == \
+            second["normalized"]["potential"]
+        assert first["config_hash"] == second["config_hash"]
+
+    @pytest.mark.parametrize("entries, key", [
+        ({"potential": {"dim": True}}, "potential.dim"),
+        ({"potential": {"dim": 1.0}}, "potential.dim"),
+        ({"grids": {"gap": {"cutoff": "12", "n_points": 512}}},
+         "grids.gap.cutoff"),
+        ({"grids": {"gap": {"cutoff": 12.0, "n_points": 512.9}}},
+         "grids.gap.n_points"),
+    ])
+    def test_wrongly_typed_value_is_named(self, tmp_path, capsys, entries,
+                                          key):
+        path = write_config(tmp_path, **entries)
+        code, out = run_cli(capsys, "--config", str(path), "validate")
+        assert code == 2
+        assert out["stage"] == "config"
+        assert [v["key"] for v in out["violations"]] == [key]
 
     def test_bad_h_list_flag(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -193,6 +221,44 @@ class TestStages:
         assert "no pairing" in out["message"]
         assert not (tmp_path / "out" / "gap.json").exists()
         assert not (tmp_path / "out" / "coeffs.json").exists()
+
+    @pytest.mark.parametrize("command, owner, attr, stage, artifact", [
+        ("tc", cli, "find_tc", "gap", "gap.json"),
+        ("coeffs", cli, "compute_coefficients", "coeffs", "coeffs.json"),
+        ("gl-min", cli, "minimize", "gl-min", "gl.json"),
+        ("verify-thm2", bv, "semiclassical_trace", "verify-thm2",
+         "sweeps/trace_expansion.json"),
+    ])
+    def test_failing_stage_exits_3_without_artifact(
+            self, tmp_path, capsys, monkeypatch, command, owner, attr, stage,
+            artifact):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("stage lost")
+
+        monkeypatch.setattr(owner, attr, failing)
+        path = write_config(tmp_path, grids=fast_grids())
+        code, out = run_cli(capsys, "--config", str(path), command)
+        assert code == 3
+        assert out["stage"] == stage
+        assert out["kind"] == "numerical"
+        assert "stage lost" in out["message"]
+        assert not (tmp_path / "out" / artifact).exists()
+
+    def test_sweep_after_cached_gap_matches_fresh_sweep(self, tmp_path,
+                                                        capsys):
+        # the sweep decodes gap.json on a cache hit and the freshly solved
+        # gap otherwise; both must give the same bytes
+        path = write_config(
+            tmp_path, grids=fast_grids(h_list=[0.25, 0.125, 0.0625]))
+        artifact = tmp_path / "out" / "sweeps" / "trace_expansion.json"
+        run_cli(capsys, "--config", str(path), "verify-thm2")
+        fresh = artifact.read_bytes()
+        shutil.rmtree(tmp_path / "out")
+        run_cli(capsys, "--config", str(path), "tc")
+        code, out = run_cli(capsys, "--config", str(path), "verify-thm2")
+        assert code == 0
+        assert out["cached"] is False
+        assert artifact.read_bytes() == fresh
 
     def test_gl_min_reports_energy(self, tmp_path, capsys):
         path = write_config(tmp_path, grids=fast_grids())

@@ -131,12 +131,6 @@ class TestTorusField:
         assert f.norm_l2() == pytest.approx(l2, rel=1e-12)
         assert f.norm_h1() == pytest.approx(h1, rel=1e-12)
 
-    def test_summability(self):
-        f = TorusField.from_modes({0: 1.0, 2: 0.5})
-        s0, s1 = f.summability()
-        assert s0 == pytest.approx(1.5)
-        assert s1 == pytest.approx(1.0 + 0.5 * 3.0)
-
     def test_spectral_tail(self):
         f = TorusField.from_modes({0: 1.0, 3: 0.1}, n_max=5)
         assert f.spectral_tail(2) == pytest.approx(0.1)
