@@ -34,6 +34,12 @@ only truncation knobs are the fiber mode cutoff, the number of fibers,
 and the quadratures for the interaction terms.  A dense real-space
 supercell discretization of the same operator serves as the module's
 master oracle in the tests.
+
+Each fiber block is stored real when its data are (see
+:func:`build_fiber`).  With ``A = 0`` and an even ``W`` the GL minimizer
+is real, so the trial-state energy diagonalizes real symmetric fibers
+with LAPACK's real symmetric eigensolvers, about five times faster than
+the complex ones; the trace and pair sweeps probe a complex ``psi``.
 """
 
 from __future__ import annotations
@@ -166,11 +172,14 @@ class FiberBasis:
 
 
 def _coeff_matrix(f: TorusField, modes: np.ndarray) -> np.ndarray:
-    """Matrix ``C[i, j] = f.coeff(modes[i] - modes[j])``."""
+    """Matrix ``C[i, j] = f.coeff(modes[i] - modes[j])``, stored real when
+    every coefficient of ``f`` is exactly real."""
+    coeffs = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
     span = int(modes[-1] - modes[0])
-    lookup = np.zeros(2 * span + 1, dtype=complex)
+    lookup = np.zeros(2 * span + 1, dtype=coeffs.dtype)
     keep = min(span, f.n_max)
-    lookup[span - keep: span + keep + 1] = f.with_n_max(keep).coeffs
+    lookup[span - keep: span + keep + 1] = coeffs[f.n_max - keep:
+                                                  f.n_max + keep + 1]
     nu = modes[:, None] - modes[None, :]
     return lookup[nu + span]
 
@@ -224,6 +233,10 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     ``-(i h d/dx + h a)^2 + mu - h^2 w`` (same kinetic and cross terms,
     opposite ``a^2`` and ``w`` signs).
 
+    The particle and hole blocks are real arrays when every coefficient
+    of ``a`` and ``w`` is exactly real, the pairing block when every
+    coefficient of ``psi`` is, so a stored block is never rounded.
+
     Returns
     -------
     FiberOperator
@@ -238,8 +251,8 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     a2_mat = h * h * _coeff_matrix(_field_square(a), modes)
     w_mat = h * h * _coeff_matrix(w, modes)
 
-    k_block = np.diag(kinetic.astype(complex)) + cross + a2_mat + w_mat
-    m22 = -np.diag(kinetic.astype(complex)) + cross - a2_mat - w_mat
+    k_block = np.diag(kinetic) + cross + a2_mat + w_mat
+    m22 = -np.diag(kinetic) + cross - a2_mat - w_mat
 
     tk = np.asarray(t(h * kappa), dtype=float)
     delta = -(h / 2.0) * _coeff_matrix(psi, modes) * (tk[:, None] + tk[None, :])

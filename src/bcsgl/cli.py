@@ -105,9 +105,13 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        """SHA-256 of the normalized config and of the package source."""
-        payload = json.dumps(
-            self.normalized, sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the normalized config and of the package source.
+
+        The output directory is not an input of any stage, so it is left
+        out: a copy of a finished output directory is a cache hit.
+        """
+        inputs = {k: v for k, v in self.normalized.items() if k != "outputs"}
+        payload = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(
             (_code_digest() + payload).encode()).hexdigest()
 

@@ -1,7 +1,7 @@
 """Ginzburg-Landau coefficients and trace-expansion constants by quadrature.
 
-Given the normalized pair symbol ``t`` from the gap solver (or a synthetic
-profile), this module evaluates, on the solver's momentum grid,
+Given the normalized pair symbol ``t`` from the gap solver, this module
+evaluates, on the solver's momentum grid,
 
 * the macroscopic GL coefficients ``B1`` (gradient block), ``B2``
   (external-potential coupling) and ``B3`` (quartic coefficient),
@@ -34,7 +34,6 @@ __all__ = [
     "GLCoefficients",
     "E2Constants",
     "SmallPConstants",
-    "SyntheticPairSymbol",
     "compute_coefficients",
     "b3_alternative_form",
     "e1_constant",
@@ -43,48 +42,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SyntheticPairSymbol:
-    """Analytic stand-in for a gap solution's pair symbol.
-
-    Decouples the trace-expansion machinery from the gap solver: any
-    smooth, even, decaying profile with known second derivative can be
-    pushed through the same quadratures.
-
-    Attributes
-    ----------
-    mu : float
-        Chemical potential entering ``q^2 - mu``.
-    amplitude, width : float
-        ``t(q) = amplitude * exp(-q^2 / width^2)``.
-    cutoff, n_points : float, int
-        Half-line midpoint quadrature grid, as in the gap solver.
-    """
-
-    mu: float
-    amplitude: float = 1.0
-    width: float = 1.0
-    cutoff: float = 12.0
-    n_points: int = 512
-
-    def quadrature(self) -> tuple[np.ndarray, float]:
-        dq = self.cutoff / self.n_points
-        return (np.arange(self.n_points) + 0.5) * dq, dq
-
-    def t(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.amplitude * np.exp(-(q * q) / self.width**2)
-
-    def t_prime(self, q):
-        q = np.asarray(q, dtype=float)
-        return -2.0 * q / self.width**2 * self.t(q)
-
-    def t_second(self, q):
-        q = np.asarray(q, dtype=float)
-        u = 2.0 / self.width**2
-        return (u * u * q * q - u) * self.t(q)
 
 
 @dataclass
@@ -106,17 +63,19 @@ class _Samples:
 
 
 def _extract(source) -> _Samples:
-    if isinstance(source, SyntheticPairSymbol):
-        q, dq = source.quadrature()
-        return _Samples(source.mu, q, dq, source.t(q), source)
-    if isinstance(source, GapSolution):
-        return _Samples(
-            source.mu, source.grid.nodes, source.grid.dq, source.t_samples, source
-        )
-    raise TypeError(
-        "expected a GapSolution or SyntheticPairSymbol, got "
-        f"{type(source).__name__}"
-    )
+    """Samples of the pair symbol of ``source`` on its momentum grid.
+
+    ``source`` is a :class:`GapSolution` or any object with the same
+    ``mu``, ``grid`` (``nodes``, ``dq``), ``t_samples`` and ``t``,
+    ``t_prime``, ``t_second`` members.
+    """
+    try:
+        return _Samples(source.mu, source.grid.nodes, source.grid.dq,
+                        source.t_samples, source)
+    except AttributeError:
+        raise TypeError(
+            f"expected a GapSolution, got {type(source).__name__}"
+        ) from None
 
 
 def _integrate(samples: _Samples, values: np.ndarray) -> float:
@@ -242,7 +201,7 @@ def e1_constant(source, beta: float) -> float:
 
     Parameters
     ----------
-    source : GapSolution or SyntheticPairSymbol
+    source : GapSolution
     beta : float
         Inverse temperature, > 0.
 
@@ -298,7 +257,7 @@ def e2_constants(source, beta: float) -> E2Constants:
 
     Parameters
     ----------
-    source : GapSolution or SyntheticPairSymbol
+    source : GapSolution
     beta : float
 
     Returns
@@ -405,7 +364,7 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
 
     Parameters
     ----------
-    source : GapSolution or SyntheticPairSymbol
+    source : GapSolution
     beta : float
 
     Returns

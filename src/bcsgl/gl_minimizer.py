@@ -19,6 +19,16 @@ Fourier coefficients from several starting fields, finishes each with
 exact Newton steps, and keeps the lowest local minimum; the constant
 fields ``psi = 1`` and ``psi = 0`` (always a critical point, with energy
 exactly ``B3``) bound the reported energy from above by construction.
+
+When ``A = 0`` and ``W`` is even (every coefficient of ``a`` exactly 0,
+every coefficient of ``w`` exactly real) the energy is invariant under
+``psi(x) -> conj psi(-x)``, whose fixed points are the fields with real
+Fourier coefficients, so a critical point among those is a critical
+point of the full functional.  The minimizer lies there up to one global
+phase: the energy does not increase under ``psi -> |psi|`` and is
+strictly convex in ``|psi|^2`` (Lieb-Loss, *Analysis*, Thms 6.17 and
+7.8).  The descent then runs on the real coefficients alone, and the
+returned ``psi`` has imaginary parts exactly 0.0.
 """
 
 from __future__ import annotations
@@ -252,10 +262,8 @@ def _evaluate(psi: TorusField, a: TorusField, w: TorusField,
     One transform of ``psi``, ``a`` and ``w`` to the ``m``-point grid
     serves all three.  Returns ``(energy, grad, hessp)``: ``grad`` holds
     the coefficients of ``B1 D(D psi) + B2 W psi - 2 B3 (1-|psi|^2) psi``
-    on ``psi``'s modes, and ``hessp(p)`` is the derivative of the packed
-    real gradient ``2 [Re grad, Im grad]`` along the packed direction
-    ``p = [Re eta, Im eta]``, i.e. ``2 [Re, Im]`` of the linearized
-    gradient
+    on ``psi``'s modes, and ``hessp(eta)`` maps the coefficients of a
+    direction ``eta`` to those of the linearized gradient
 
         B1 D(D eta) + B2 W eta - 2 B3 (1-|psi|^2) eta
         + 2 B3 (|psi|^2 eta + psi^2 conj(eta)).
@@ -289,13 +297,13 @@ def _evaluate(psi: TorusField, a: TorusField, w: TorusField,
     linear = coef.B2 * w_g - 2.0 * coef.B3 * (1.0 - abs2)
     grad = _grid_coeffs(coef.b1_scalar * cov(dpsi) + linear * psi_g, n_max)
 
-    def hessp(p: np.ndarray) -> np.ndarray:
-        eta_g = TorusField(_unpack(p), n_max).values_on_grid(m)
+    def hessp(eta: np.ndarray) -> np.ndarray:
+        eta_g = TorusField(eta, n_max).values_on_grid(m)
         action = (
             coef.b1_scalar * cov(cov(eta_g)) + linear * eta_g
             + 2.0 * coef.B3 * (abs2 * eta_g + psi_g ** 2 * np.conj(eta_g))
         )
-        return 2.0 * _pack(_grid_coeffs(action, n_max))
+        return _grid_coeffs(action, n_max)
 
     return float(energy.real), grad, hessp
 
@@ -406,35 +414,65 @@ class GLState:
 
 def _descend(start: TorusField, label: str, a, w, coef):
     """Trust-region Newton-CG descent from one starting field, finished
-    by exact Newton steps on the gradient."""
+    by exact Newton steps on the gradient.
+
+    The unknowns are the real coefficients when ``A = 0`` and ``W`` is
+    even (module docstring), the packed ``[Re, Im]`` ones otherwise; the
+    reported gradient norm is always that of the full gradient.
+    """
     n_max = start.n_max
     m = _resolve_grid(start, a, w)
+    if not a.coeffs.any() and not w.coeffs.imag.any():
+        to_coeffs, to_unknowns = (lambda z: z.astype(complex)), np.real
+    else:
+        to_coeffs, to_unknowns = _unpack, _pack
     last = {}
 
     def evaluate(z):
-        """``(energy, packed gradient, hessp)``, memoized on the last z."""
+        """``(energy, gradient, hessp, full gradient norm)`` in the
+        unknowns, memoized on the last z."""
         if "z" not in last or not np.array_equal(last["z"], z):
             energy, grad, hessp = _evaluate(
-                TorusField(_unpack(z), n_max), a, w, coef, m)
-            last.update(z=z.copy(), value=(energy, 2.0 * _pack(grad), hessp))
+                TorusField(to_coeffs(z), n_max), a, w, coef, m)
+            last.update(z=z.copy(), value=(
+                energy, to_unknowns(2.0 * grad),
+                lambda p: to_unknowns(2.0 * hessp(to_coeffs(p))),
+                float(np.linalg.norm(_pack(2.0 * grad))) / 2.0,
+            ))
         return last["value"]
 
-    z = _pack(start.coeffs)
+    z = to_unknowns(start.coeffs)
     energies = [evaluate(z)[0]]
+    slack = 1e-13 * max(1.0, abs(energies[0]))
+    previous = z.copy()
+
+    def callback(intermediate_result):
+        # Trust-region acceptance compares energies, which near |grad| ~
+        # 1e-9 differ only at roundoff.  A rejected step (x unchanged)
+        # whose proposal -- the last point evaluated -- is within the
+        # slack of the current energy ends this phase; the Newton steps
+        # below, which test the gradient itself, take over.
+        nonlocal previous
+        x, energy = intermediate_result.x, intermediate_result.fun
+        stalled = (np.array_equal(x, previous)
+                   and abs(last["value"][0] - energy) <= slack)
+        energies.append(energy)
+        previous = x.copy()
+        if stalled:
+            raise StopIteration
+
     res = optimize.minimize(
         lambda z: evaluate(z)[0], z, jac=lambda z: evaluate(z)[1],
         hessp=lambda z, p: evaluate(z)[2](p), method="trust-ncg",
-        callback=lambda zk: energies.append(evaluate(zk)[0]),
+        callback=callback,
         options={"gtol": 0.1 * _GTOL, "maxiter": _MAX_ITER},
     )
     z = res.x
     iterations = res.nit
-    # Trust-region acceptance compares energies, which near |grad| ~ 1e-9
-    # differ only at roundoff; Newton steps on the gradient itself finish
-    # the descent.  The Hessian is singular along the global-phase
-    # direction i psi, but the Newton system is consistent there.
-    slack = 1e-13 * max(1.0, abs(energies[0]))
-    energy, jac, hessp = evaluate(z)
+    # On the complex unknowns the Hessian is singular along the
+    # global-phase direction i psi, but the Newton system is consistent
+    # there; the real unknowns exclude that direction.
+    energy, jac, hessp, grad_norm = evaluate(z)
     for _ in range(5):
         op = sparse_linalg.LinearOperator((len(z), len(z)), matvec=hessp)
         step = sparse_linalg.minres(op, -jac)[0]
@@ -443,13 +481,12 @@ def _descend(start: TorusField, label: str, a, w, coef):
                 or trial[0] > energy + slack):
             break
         z = z + step
-        energy, jac, hessp = trial
+        energy, jac, hessp, grad_norm = trial
         energies.append(energy)
         iterations += 1
-    grad_norm = float(np.linalg.norm(jac)) / 2.0
     steps = np.diff(energies)
     return GLState(
-        psi=TorusField(_unpack(z), n_max),
+        psi=TorusField(to_coeffs(z), n_max),
         energy=energy,
         gradient_norm=grad_norm,
         converged=grad_norm < _GTOL,

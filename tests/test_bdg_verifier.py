@@ -16,8 +16,8 @@ from scipy.special import xlogy
 from bcsgl import bdg_verifier as bv
 from bcsgl import specfun
 from bcsgl.gap_solver import normalize
-from bcsgl.gl_coeffs import SyntheticPairSymbol
 from bcsgl.gl_minimizer import TorusField
+from synthetic_symbol import SyntheticPairSymbol
 
 # Frozen outputs of the reference configuration (gaussian well g=2, w=1,
 # mu=1, D=1), recomputed from scratch for regression locking.
@@ -527,6 +527,74 @@ class TestTrialStateEnergy:
         )
         expected_beta = gap_sol.beta_c / (1.0 - 0.25**2 * 0.5)
         assert res["beta"] == pytest.approx(expected_beta, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Real fibers
+# ---------------------------------------------------------------------------
+
+
+def _complex_coeff_matrix(monkeypatch):
+    """Store every fiber block complex, as if no coefficient were real."""
+    original = bv._coeff_matrix
+    monkeypatch.setattr(bv, "_coeff_matrix",
+                        lambda f, modes: original(f, modes).astype(complex))
+
+
+class TestRealFibers:
+    """The real GL minimizer (A = 0, W = 0.5 cos) gives real fibers."""
+
+    def test_blocks_take_the_dtype_of_their_data(self, gap_sol, gl_min_state,
+                                                 fields):
+        probe, a_cos, w = fields
+        basis = bv.FiberBasis(0.25, 8, 4)
+        xi = basis.half_nodes[1]
+
+        def kinds(psi, a):
+            op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
+            return [b.dtype.kind
+                    for b in (op.k_block, op.delta_block, op.m22_block)]
+
+        assert kinds(gl_min_state.psi, ZERO) == ["f", "f", "f"]
+        assert kinds(gl_min_state.psi, a_cos) == ["f", "f", "f"]
+        assert kinds(probe, ZERO) == ["f", "c", "f"]
+        assert kinds(gl_min_state.psi, TorusField.sine(0.2, 1)) == [
+            "c", "f", "c"]
+
+    def test_pair_block_matches_complex_route(self, gap_sol, gl_min_state):
+        # Measured on these fibers (2N = 282): eigenvalues differ by at
+        # most 0.018 of the backward-error bound 2 n eps ||H||_2, the
+        # pair block by at most 5.4e-13 relative (Frobenius).
+        h = 0.03125
+        beta = gap_sol.beta_c / (1.0 - h * h * gap_sol.D)
+        basis = bv._resolve_basis(gap_sol, h, 16, None)
+        eps = np.finfo(float).eps
+        for xi in basis.half_nodes:
+            matrix = bv.build_fiber(basis, xi, gl_min_state.psi, ZERO,
+                                    TorusField.cosine(0.5, 1), gap_sol.t,
+                                    gap_sol.mu).matrix
+            assert np.isrealobj(matrix)
+            lam, alpha = bv._pair_block(matrix, beta)
+            lam_c, alpha_c = bv._pair_block(matrix.astype(complex), beta)
+            bound = 2 * matrix.shape[0] * eps * np.linalg.norm(matrix, 2)
+            assert np.abs(lam - lam_c).max() <= bound, xi
+            assert np.linalg.norm(alpha - alpha_c) <= 1e-11 * np.linalg.norm(
+                alpha_c), xi
+
+    def test_energy_matches_complex_route(self, gap_sol, gl_min_state,
+                                          monkeypatch):
+        # scaled = (sum of terms) / h^3 magnifies the trace term's
+        # roundoff; measured: 2.1e-10, 8.6e-9 and 1.1e-8 relative
+        w = TorusField.cosine(0.5, 1)
+        h_list = (0.125, 0.0625, 0.03125)
+        real = [bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
+                for h in h_list]
+        _complex_coeff_matrix(monkeypatch)
+        for h, res in zip(h_list, real):
+            ref = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
+            assert res["scaled"] == pytest.approx(ref["scaled"], rel=3e-8), h
+            assert res["term_remainder"] == pytest.approx(
+                ref["term_remainder"], rel=1e-9), h
 
 
 # ---------------------------------------------------------------------------

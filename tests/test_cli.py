@@ -342,7 +342,17 @@ class TestSweepCommands:
         ("verify-energy", "energy_upper_bound"),
     ])
     def test_workers_do_not_change_folded_sweep_bytes(self, tmp_path, capsys,
-                                                      command, name):
+                                                      monkeypatch, command,
+                                                      name):
+        kinds = set()
+        original = bv.build_fiber
+
+        def recording(*args, **kwargs):
+            op = original(*args, **kwargs)
+            kinds.add(op.matrix.dtype.kind)
+            return op
+
+        monkeypatch.setattr(bv, "build_fiber", recording)
         # eight fibers: partnered nodes plus the unpartnered 0 and pi
         path = write_config(
             tmp_path,
@@ -353,6 +363,9 @@ class TestSweepCommands:
         artifact.unlink()
         run_cli(capsys, "--config", str(path), "--workers", "2", command)
         assert artifact.read_bytes() == serial
+        # A = 0 and W = 0.5 cos make the GL state real, so the energy
+        # sweep runs on real fibers; the other two probe a complex psi
+        assert kinds == ({"f"} if command == "verify-energy" else {"c"})
 
 
 class TestArtifactWrites:
@@ -423,6 +436,20 @@ class TestFullPipeline:
         cfg = cli.validate_config(None, {"outputs": str(out_dir)})
         summary = cli.run_pipeline(cfg, workers=4)
         assert all(summary["cached_stages"].values())
+        assert {p: p.read_bytes() for p in files} == before
+
+    def test_copied_output_directory_is_a_cache_hit(self, full_run, tmp_path,
+                                                    capsys):
+        # the output path is not part of the config hash
+        out_dir, _ = full_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out_dir, copy)
+        files = sorted(p for p in copy.rglob("*") if p.is_file())
+        before = {p: p.read_bytes() for p in files}
+        code, out = run_cli(capsys, "--out", str(copy), "--workers", "2",
+                            "all")
+        assert code == 0
+        assert all(out["pipeline"]["cached_stages"].values())
         assert {p: p.read_bytes() for p in files} == before
 
     def test_report_csv_schema(self, full_run):

@@ -16,13 +16,13 @@ from bcsgl.gl_coeffs import (
     E2Constants,
     GLCoefficients,
     SmallPConstants,
-    SyntheticPairSymbol,
     b3_alternative_form,
     compute_coefficients,
     e1_constant,
     e2_constants,
     semiclassical_smallp_constants,
 )
+from synthetic_symbol import SyntheticPairSymbol
 
 # Frozen from the reference well (g=2, w=1, mu=1) at D=1; independently
 # confirmed by the divided-difference route and grid doubling.
@@ -221,7 +221,7 @@ class TestSyntheticProfile:
         assert np.allclose(synthetic.t_second(q), fd2, rtol=1e-5, atol=1e-5)
 
     def test_quadrature_is_midpoint(self, synthetic):
-        q, dq = synthetic.quadrature()
+        q, dq = synthetic.grid.nodes, synthetic.grid.dq
         assert q[0] == pytest.approx(dq / 2)
         assert len(q) == synthetic.n_points
         assert q[-1] == pytest.approx(synthetic.cutoff - dq / 2)

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 import bcsgl
+from bcsgl import gl_minimizer as gm
 from bcsgl.gl_coeffs import GLCoefficients
 from bcsgl.gl_minimizer import (
+    _GTOL,
     GLState,
     TorusField,
+    _descend,
     _evaluate,
-    _pack,
     _resolve_grid,
-    _unpack,
     directional_derivative,
     gauge_transform,
     gl_energy,
@@ -46,7 +47,7 @@ def _hessian_action(psi, eta, a, w, coef):
     """Exact Hessian action along ``eta`` as complex coefficients, with
     the Wirtinger gradient at ``psi``."""
     _, grad, hessp = _evaluate(psi, a, w, coef, _resolve_grid(psi, a, w, None))
-    return _unpack(hessp(_pack(eta.coeffs))) / 2.0, grad
+    return hessp(eta.coeffs), grad
 
 
 def _assert_hessian_action(psi, eta, a, w, coef, eps=1e-5):
@@ -340,6 +341,75 @@ class TestMinimize:
         assert clone.energy == reference_state.energy
         assert np.allclose(clone.psi.coeffs, reference_state.psi.coeffs)
         assert clone.history == reference_state.history
+
+
+@pytest.fixture(scope="module")
+def g3_coef():
+    """GL coefficients of the Gaussian well g=3, w=0.7, mu=0.5 at D=1."""
+    from bcsgl import gap_solver as gs
+    from bcsgl.gl_coeffs import compute_coefficients
+    spec = gs.PotentialSpec.gaussian(3.0, 0.7, 0.5)
+    return compute_coefficients(gs.normalize(gs.find_tc(spec), 1.0))
+
+
+class TestRealDescent:
+    """A = 0 and an even W: the descent runs on the real coefficients."""
+
+    # minimize(A = 0.2 sin, W = 0.5 cos, g3_coef, n_max=16, seed=0),
+    # frozen from the complex descent that this input still takes
+    G3_A_SIN_ENERGY = -4.649599322276328e-05
+
+    def test_state_is_real_and_critical(self, reference_state, gl_coef):
+        psi = reference_state.psi
+        assert np.all(psi.coeffs.imag == 0.0)
+        assert reference_state.converged
+        # the full Wirtinger gradient, imaginary directions included
+        grad = gl_gradient(psi, ZERO, TorusField.cosine(0.5, 1), gl_coef)
+        assert grad.norm_l2() < _GTOL
+
+    def test_roundoff_stall_hands_over_to_newton(self, reference_state,
+                                                 gl_coef):
+        w = TorusField.cosine(0.5, 1)
+        record = _descend(TorusField.constant(0.5, 32), "constant-0.5",
+                          ZERO, w, gl_coef).history[0]
+        assert record["gradient_norm"] < _GTOL
+        assert record["iterations"] <= 15
+        # Without the handover the random-1 start of seeds 0 and 1 took
+        # 39 iterations (one BLAS thread, x86-64): the trust region
+        # reached |grad| ~ 3e-10 and then rejected roundoff-level steps
+        # until its radius collapsed.
+        seeded = minimize(ZERO, w, gl_coef, n_max=32, seed=1)
+        for state in (reference_state, seeded):
+            assert state.converged
+            assert all(rec["iterations"] <= 25 for rec in state.history)
+            assert all(rec["monotone"] for rec in state.history)
+
+    def test_vector_potential_keeps_complex_descent(self, g3_coef,
+                                                    monkeypatch):
+        a, w = TorusField.sine(0.2, 1), TorusField.cosine(0.5, 1)
+        state = minimize(a, w, g3_coef, n_max=16)
+        assert np.abs(state.psi.coeffs.imag).max() > 1e-3
+        assert state.converged
+        assert state.energy == pytest.approx(self.G3_A_SIN_ENERGY, rel=1e-12)
+        # no trust-region phase stalls here, so the result equals a run
+        # whose trust-region phases ignore the stall handover
+        original = gm.optimize.minimize
+
+        def uninterrupted(*args, callback, **kwargs):
+            def record(intermediate_result):
+                try:
+                    callback(intermediate_result)
+                except StopIteration:
+                    pass
+
+            return original(*args, callback=record, **kwargs)
+
+        monkeypatch.setattr(gm.optimize, "minimize", uninterrupted)
+        plain = minimize(a, w, g3_coef, n_max=16)
+        assert np.array_equal(state.psi.coeffs, plain.psi.coeffs)
+        assert state.energy == plain.energy
+        assert state.gradient_norm == plain.gradient_norm
+        assert state.history == plain.history
 
 
 class TestGaugeTransform:
