@@ -471,19 +471,24 @@ def _descend(start: TorusField, label: str, a, w, coef):
     iterations = res.nit
     # On the complex unknowns the Hessian is singular along the
     # global-phase direction i psi, but the Newton system is consistent
-    # there; the real unknowns exclude that direction.
+    # there; the real unknowns exclude that direction.  Each system is
+    # solved to rtol 1e-10, so a step that does not halve the gradient is
+    # one at its roundoff floor, and it is the last.
     energy, jac, hessp, grad_norm = evaluate(z)
     for _ in range(5):
         op = sparse_linalg.LinearOperator((len(z), len(z)), matvec=hessp)
-        step = sparse_linalg.minres(op, -jac)[0]
+        step = sparse_linalg.minres(op, -jac, rtol=1e-10)[0]
         trial = evaluate(z + step)
-        if (np.linalg.norm(trial[1]) >= np.linalg.norm(jac)
+        jac_norm = np.linalg.norm(jac)
+        if (np.linalg.norm(trial[1]) >= jac_norm
                 or trial[0] > energy + slack):
             break
         z = z + step
         energy, jac, hessp, grad_norm = trial
         energies.append(energy)
         iterations += 1
+        if np.linalg.norm(jac) > 0.5 * jac_norm:
+            break
     steps = np.diff(energies)
     return GLState(
         psi=TorusField(to_coeffs(z), n_max),

@@ -584,7 +584,10 @@ class TestRealFibers:
     def test_energy_matches_complex_route(self, gap_sol, gl_min_state,
                                           monkeypatch):
         # scaled = (sum of terms) / h^3 magnifies the trace term's
-        # roundoff; measured: 2.1e-10, 8.6e-9 and 1.1e-8 relative
+        # eigenvalue roundoff (~eps * ||H|| per large negative eigenvalue).
+        # At h = 1/32 the two routes differ by 3.2e-9 .. 4.4e-8 relative
+        # over 16 GL minimizers that agree to |grad| < 1e-12 (x86-64,
+        # OpenBLAS); the difference is roundoff, not a property of psi.
         w = TorusField.cosine(0.5, 1)
         h_list = (0.125, 0.0625, 0.03125)
         real = [bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
@@ -592,7 +595,7 @@ class TestRealFibers:
         _complex_coeff_matrix(monkeypatch)
         for h, res in zip(h_list, real):
             ref = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
-            assert res["scaled"] == pytest.approx(ref["scaled"], rel=3e-8), h
+            assert res["scaled"] == pytest.approx(ref["scaled"], rel=1e-7), h
             assert res["term_remainder"] == pytest.approx(
                 ref["term_remainder"], rel=1e-9), h
 
