@@ -391,6 +391,14 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
 # ---------------------------------------------------------------------------
 
 
+def _fiber_trace(op: FiberOperator, lam: np.ndarray, beta: float) -> float:
+    """``sum_j f(beta lam_j) - f(beta lam0_j)`` over one fiber, with ``lam``
+    the spectrum of ``op`` and ``lam0`` that of its decoupled blocks."""
+    return float(np.sum(
+        specfun.fermi_f(beta * lam) - specfun.fermi_f(beta * op.free_spectrum())
+    ))
+
+
 def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
     support = _symbol_support(source)
     if n_max is None:
@@ -433,10 +441,7 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
         # spec H(-xi) = -spec H(xi) and tr H_Delta = tr H_0, so with
         # f(-z) = f(z) - z the partner's value equals this one's
         op = build_fiber(basis, xi, psi, a, w, t, mu)
-        value = float(np.sum(
-            specfun.fermi_f(beta * np.linalg.eigvalsh(op.matrix))
-            - specfun.fermi_f(beta * op.free_spectrum())
-        ))
+        value = _fiber_trace(op, np.linalg.eigvalsh(op.matrix), beta)
         return (value, value) if partnered else (value,)
 
     tr = math.fsum(_fold_fibers(basis, one, workers)) / basis.m_fibers
@@ -446,8 +451,8 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
     e1 = e1_constant(source, beta) * ips["norm2_sq"]
     blocks = e2_constants(source, beta)
     e2 = (
-        blocks.c_grad_t[0, 0] * ips["grad_plain_sq"]
-        + blocks.c_grad_psi[0, 0] * ips["grad_covariant_sq"]
+        blocks.c_grad_t * ips["grad_plain_sq"]
+        + blocks.c_grad_psi * ips["grad_covariant_sq"]
         + blocks.c_W * ips["w_coupling"]
         + blocks.c_quartic * ips["norm4_4"]
     )
@@ -645,10 +650,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
         lam, alpha = _pair_block(op.matrix, beta)
-        tr = float(np.sum(
-            specfun.fermi_f(beta * lam)
-            - specfun.fermi_f(beta * op.free_spectrum())
-        ))
+        tr = _fiber_trace(op, lam, beta)
         own = (tr, band_of(alpha, xi))
         if not partnered:
             return (own,)

@@ -221,6 +221,11 @@ class MomentumGrid:
     def nodes(self) -> np.ndarray:
         return (np.arange(self.n_points) + 0.5) * self.dq
 
+    def integrate(self, values) -> float:
+        """Full-line integral of an even integrand from its samples at
+        the nodes: twice the half-line midpoint sum."""
+        return 2.0 * float(np.sum(values) * self.dq)
+
     def refined(self, factor: int = 2) -> "MomentumGrid":
         """Same cutoff, ``factor`` times more points (finer resolution)."""
         return MomentumGrid(self.cutoff, self.n_points * factor)
@@ -580,19 +585,18 @@ def find_tc(
 def _normalization_integrals(sol: GapSolution) -> tuple[float, float]:
     """Quadratures entering the balance condition, on the solver grid.
 
-    Returns ``(I2, I4)`` with
+    Returns the full-line integrals ``(I2, I4)`` with
     ``I2 = integral t^2 sech^2(beta_c (q^2 - mu)/2) dq`` and
     ``I4 = integral t^4 g1(beta_c (q^2 - mu)) / (q^2 - mu) dq``; the second
     integrand is evaluated as ``beta_c * g1_over_z`` so the Fermi surface
     (q^2 = mu) is regular.
     """
-    q = sol.grid.nodes
+    grid = sol.grid
+    q = grid.nodes
     e = q * q - sol.mu
     t2 = sol.t_samples**2
-    i2 = float(np.sum(t2 * _sech_squared(0.5 * sol.beta_c * e)) * sol.grid.dq)
-    i4 = float(
-        np.sum(t2 * t2 * sol.beta_c * specfun.g1_over_z(sol.beta_c * e)) * sol.grid.dq
-    )
+    i2 = grid.integrate(t2 * _sech_squared(0.5 * sol.beta_c * e))
+    i4 = grid.integrate(t2 * t2 * sol.beta_c * specfun.g1_over_z(sol.beta_c * e))
     return i2, i4
 
 

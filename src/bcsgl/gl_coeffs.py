@@ -12,10 +12,19 @@ evaluates, on the solver's momentum grid,
   quadrature and by its closed g-function form, so the two independent
   routes can be compared.
 
-Every integrand containing the removable factor ``g1(beta (q^2 - mu)) /
-(q^2 - mu)`` is evaluated through ``g1_over_z``; nothing divides by
-``q^2 - mu``.  Integrals run over the full line and are assembled as
-twice the half-line midpoint quadrature (all integrands are even).
+``B1``-``B3``, ``E1`` and three of the four ``E2`` blocks are fixed
+prefactors times one table of four moments at a given ``beta``
+(:func:`_moments`): the integrals of ``t^2 g0``, ``t^2 g1``, ``t^2 (g1 +
+2 beta q^2 g2)`` and ``t^4 g1_over_z``, all g-arguments ``beta (q^2 -
+mu)``.  Only the plain-gradient block of ``E2`` also needs ``t''``, and
+the closed small-momentum forms are fixed multiples of ``E1`` and the
+``E2`` blocks.  At ``beta = beta_c`` the ``E2`` blocks are exactly twice
+the GL coefficients, and every block is a scalar (dim 1).
+
+The removable factor ``g1(beta (q^2 - mu)) / (q^2 - mu)`` is evaluated
+through ``g1_over_z``; nothing divides by ``q^2 - mu``.  Every integral
+runs over the full line by :meth:`MomentumGrid.integrate`, the midpoint
+rule shared with the gap solver (all integrands are even).
 """
 
 from __future__ import annotations
@@ -23,12 +32,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import specfun
-from .gap_solver import GapSolution
+from .gap_solver import GapSolution, _normalization_integrals
 
 __all__ = [
     "GLCoefficients",
@@ -44,43 +53,40 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass
-class _Samples:
-    """Normal form consumed by the quadratures."""
+class _Moments(NamedTuple):
+    """Full-line integrals of the pair symbol against the g-functions."""
 
-    mu: float
-    q: np.ndarray
-    dq: float
-    t: np.ndarray
-
-    source: object = None
-
-    def t_second(self) -> np.ndarray:
-        return self.source.t_second(self.q)
-
-    def t_at(self, p) -> np.ndarray:
-        return self.source.t(p)
+    t2_g0: float
+    t2_g1: float
+    t2_gradient: float  # t^2 (g1 + 2 beta q^2 g2)
+    t4_g1_over_z: float
 
 
-def _extract(source) -> _Samples:
-    """Samples of the pair symbol of ``source`` on its momentum grid.
+def _moments(source, beta: float) -> _Moments:
+    """The moment table of ``source``'s pair symbol at inverse temperature
+    ``beta``, on its momentum grid.
 
     ``source`` is a :class:`GapSolution` or any object with the same
-    ``mu``, ``grid`` (``nodes``, ``dq``), ``t_samples`` and ``t``,
-    ``t_prime``, ``t_second`` members.
+    ``mu``, ``grid`` and ``t_samples`` members.
     """
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     try:
-        return _Samples(source.mu, source.grid.nodes, source.grid.dq,
-                        source.t_samples, source)
+        grid, t, mu = source.grid, source.t_samples, source.mu
     except AttributeError:
         raise TypeError(
             f"expected a GapSolution, got {type(source).__name__}"
         ) from None
-
-
-def _integrate(samples: _Samples, values: np.ndarray) -> float:
-    """Full-line integral of an even integrand from half-line samples."""
-    return 2.0 * float(np.sum(values) * samples.dq)
+    q = grid.nodes
+    a = beta * (q * q - mu)
+    t2 = t * t
+    g1 = specfun.g1(a)
+    return _Moments(
+        grid.integrate(t2 * specfun.g0(a)),
+        grid.integrate(t2 * g1),
+        grid.integrate(t2 * (g1 + 2.0 * beta * q * q * specfun.g2(a))),
+        grid.integrate(t2 * t2 * specfun.g1_over_z(a)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +98,11 @@ def _integrate(samples: _Samples, values: np.ndarray) -> float:
 class GLCoefficients:
     """Macroscopic GL coefficients for pair charge 2.
 
-    ``B1`` is the (d x d) gradient-coefficient matrix (1 x 1 at desk
-    scale), ``B2`` couples ``W |psi|^2``, ``B3 > 0`` multiplies the
-    quartic ``(1 - |psi|^2)^2``.
+    ``B1`` multiplies the gradient term, ``B2`` couples ``W |psi|^2``,
+    ``B3 > 0`` multiplies the quartic ``(1 - |psi|^2)^2``.  ``B1`` is the
+    paper's (d x d) gradient matrix at d = 1 and stays a 1 x 1 array:
+    ``coeffs.json`` stores it as ``[[B1]]`` and its readers index
+    ``B1[0][0]``; :attr:`b1_scalar` is the number.
     """
 
     B1: np.ndarray
@@ -156,36 +164,28 @@ def compute_coefficients(sol: GapSolution) -> GLCoefficients:
     """
     if sol.D is None:
         raise ValueError("gap solution must be normalized before computing B's")
-    s = _extract(sol)
     beta_c = sol.beta_c
-    a = beta_c * (s.q * s.q - s.mu)
-    t2 = s.t * s.t
-    g1 = specfun.g1(a)
-
-    b1 = (beta_c**2 / 16.0) * _integrate(
-        s, t2 * (g1 + 2.0 * beta_c * s.q * s.q * specfun.g2(a))
-    ) / _TWO_PI
-    b2 = (beta_c**2 / 4.0) * _integrate(s, t2 * g1) / _TWO_PI
-    b3 = (beta_c**3 / 16.0) * _integrate(s, t2 * t2 * specfun.g1_over_z(a)) / _TWO_PI
+    m = _moments(sol, beta_c)
     return GLCoefficients(
-        B1=np.array([[b1]]), B2=b2, B3=b3, D=sol.D, beta_c=beta_c
+        B1=np.array([[(beta_c**2 / 16.0) * m.t2_gradient / _TWO_PI]]),
+        B2=(beta_c**2 / 4.0) * m.t2_g1 / _TWO_PI,
+        B3=(beta_c**3 / 16.0) * m.t4_g1_over_z / _TWO_PI,
+        D=sol.D,
+        beta_c=beta_c,
     )
 
 
 def b3_alternative_form(sol: GapSolution) -> float:
     """``B3`` via the normalization identity: ``(beta_c D / 16) I2 / 2 pi``
-    with ``I2 = integral t^2 sech^2(beta_c (q^2 - mu) / 2) dq``.
+    with the gap solver's ``I2 = integral t^2 sech^2(beta_c (q^2 - mu) / 2)
+    dq``.
 
     Equals :func:`compute_coefficients`'s ``B3`` exactly when the solution
     satisfies the balance condition.
     """
     if sol.D is None:
         raise ValueError("gap solution must be normalized")
-    s = _extract(sol)
-    a = sol.beta_c * (s.q * s.q - s.mu)
-    e = np.exp(-np.abs(0.5 * a))
-    sech2 = (2.0 * e / (1.0 + e * e)) ** 2
-    i2 = _integrate(s, s.t * s.t * sech2)
+    i2, _ = _normalization_integrals(sol)
     return (sol.beta_c * sol.D / 16.0) * i2 / _TWO_PI
 
 
@@ -209,37 +209,23 @@ def e1_constant(source, beta: float) -> float:
     -------
     float
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    s = _extract(source)
-    a = beta * (s.q * s.q - s.mu)
-    return -(beta / 2.0) * _integrate(s, s.t * s.t * specfun.g0(a)) / _TWO_PI
+    return -(beta / 2.0) * _moments(source, beta).t2_g0 / _TWO_PI
 
 
 @dataclass
 class E2Constants:
-    """The four coefficient blocks of the quartic trace term.
+    """The four coefficient blocks of the quartic trace term (dim 1).
 
     ``E2(psi, A, W) = c_grad_t <d psi|d psi>
                     + c_grad_psi <(d + 2iA) psi|(d + 2iA) psi>
-                    + c_W <psi|W|psi> + c_quartic ||psi||_4^4``
-    (matrix contractions over the derivative indices in d > 1).
+                    + c_W <psi|W|psi> + c_quartic ||psi||_4^4``.
     """
 
-    c_grad_t: np.ndarray
-    c_grad_psi: np.ndarray
+    c_grad_t: float
+    c_grad_psi: float
     c_W: float
     c_quartic: float
     beta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "c_grad_t": np.atleast_2d(self.c_grad_t).tolist(),
-            "c_grad_psi": np.atleast_2d(self.c_grad_psi).tolist(),
-            "c_W": self.c_W,
-            "c_quartic": self.c_quartic,
-            "beta": self.beta,
-        }
 
 
 def e2_constants(source, beta: float) -> E2Constants:
@@ -264,44 +250,32 @@ def e2_constants(source, beta: float) -> E2Constants:
     -------
     E2Constants
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    s = _extract(source)
-    a = beta * (s.q * s.q - s.mu)
-    t2 = s.t * s.t
-    g1 = specfun.g1(a)
-    t_second = s.t_second()
-    _check_t_second(s, t_second)
-
-    c_grad_t = -(beta / 8.0) * _integrate(s, s.t * t_second * specfun.g0(a)) / _TWO_PI
-    c_grad_psi = (beta**2 / 8.0) * _integrate(
-        s, t2 * (g1 + 2.0 * beta * s.q * s.q * specfun.g2(a))
-    ) / _TWO_PI
-    c_w = (beta**2 / 2.0) * _integrate(s, t2 * g1) / _TWO_PI
-    c_quartic = (beta**3 / 8.0) * _integrate(
-        s, t2 * t2 * specfun.g1_over_z(a)
-    ) / _TWO_PI
+    m = _moments(source, beta)
+    q = source.grid.nodes
+    g0 = specfun.g0(beta * (q * q - source.mu))
+    t_t_second = source.grid.integrate(source.t_samples * source.t_second(q) * g0)
+    _check_t_second(source)
     return E2Constants(
-        c_grad_t=np.array([[c_grad_t]]),
-        c_grad_psi=np.array([[c_grad_psi]]),
-        c_W=c_w,
-        c_quartic=c_quartic,
+        c_grad_t=-(beta / 8.0) * t_t_second / _TWO_PI,
+        c_grad_psi=(beta**2 / 8.0) * m.t2_gradient / _TWO_PI,
+        c_W=(beta**2 / 2.0) * m.t2_g1 / _TWO_PI,
+        c_quartic=(beta**3 / 8.0) * m.t4_g1_over_z / _TWO_PI,
         beta=beta,
     )
 
 
-def _check_t_second(s: _Samples, t_second: np.ndarray) -> None:
+def _check_t_second(source) -> None:
     """Warn when the analytic t'' disagrees with a 4th-order difference."""
-    probe = np.linspace(0.3 * s.q[-1], 0.7 * s.q[-1], 7)
-    step = s.dq
+    q_max, step = source.grid.nodes[-1], source.grid.dq
+    probe = np.linspace(0.3 * q_max, 0.7 * q_max, 7)
     stencil = (
-        -s.t_at(probe + 2 * step)
-        + 16.0 * s.t_at(probe + step)
-        - 30.0 * s.t_at(probe)
-        + 16.0 * s.t_at(probe - step)
-        - s.t_at(probe - 2 * step)
+        -source.t(probe + 2 * step)
+        + 16.0 * source.t(probe + step)
+        - 30.0 * source.t(probe)
+        + 16.0 * source.t(probe - step)
+        - source.t(probe - 2 * step)
     ) / (12.0 * step * step)
-    analytic = s.source.t_second(probe)
+    analytic = source.t_second(probe)
     scale = np.abs(analytic).max()
     if scale > 0 and np.abs(stencil - analytic).max() > 1e-5 * scale:
         warnings.warn(
@@ -328,8 +302,8 @@ class SmallPConstants:
     f000_closed: float
     g0_dd: float
     g0_closed: float
-    hess_g0_dd: np.ndarray
-    hess_g0_closed: np.ndarray
+    hess_g0_dd: float
+    hess_g0_closed: float
     l00_dd: float
     l00_closed: float
     beta: float
@@ -338,7 +312,7 @@ class SmallPConstants:
         pairs = [
             (self.f000_dd, self.f000_closed),
             (self.g0_dd, self.g0_closed),
-            (float(np.ravel(self.hess_g0_dd)[0]), float(np.ravel(self.hess_g0_closed)[0])),
+            (self.hess_g0_dd, self.hess_g0_closed),
             (self.l00_dd, self.l00_closed),
         ]
         return max(abs(a - b) / max(abs(b), 1e-300) for a, b in pairs)
@@ -358,9 +332,10 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
       confluent-node derivative rule)
     * ``L(0,0) = beta^3 integral t^2 (2 [a,a,a,-a] + [a,a,-a,-a]) dq / 2 pi``
 
-    Closed g-function route: ``F = (beta^4/16) integral t^4 g1_over_z``;
-    ``G(0) = -(beta^2/4) integral t^2 g0``; ``G''(0)`` by the three-term
-    integration-by-parts form; ``L(0,0) = (beta^3/4) integral t^2 g1``.
+    Closed g-function route, as multiples of the trace-expansion
+    constants at the same ``beta``: ``F = (beta/2) c_quartic``,
+    ``G(0) = (beta/2) E1``, ``G''(0) = beta (c_grad_t + c_grad_psi)``
+    (the integration-by-parts form), ``L(0,0) = (beta/2) c_W``.
 
     Parameters
     ----------
@@ -371,14 +346,15 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
     -------
     SmallPConstants
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    s = _extract(source)
-    a = beta * (s.q * s.q - s.mu)
-    t = s.t
+    blocks = e2_constants(source, beta)
+    e1 = e1_constant(source, beta)
+    grid = source.grid
+    q = grid.nodes
+    a = beta * (q * q - source.mu)
+    t = source.t_samples
     t2 = t * t
-    t_prime = s.source.t_prime(s.q)
-    t_second = s.t_second()
+    t_prime = source.t_prime(q)
+    t_second = source.t_second(q)
 
     dd3 = np.array([specfun.divided_difference("f", [x, x, -x]) for x in a])
     dd4 = np.array([specfun.divided_difference("f", [x, x, x, -x]) for x in a])
@@ -386,36 +362,18 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
     dd5 = np.array([specfun.divided_difference("f", [x, x, x, -x, -x]) for x in a])
     dd5h = np.array([specfun.divided_difference("f", [x, x, x, x, -x]) for x in a])
 
-    f000_dd = beta**4 * _integrate(s, t2 * t2 * dd5) / _TWO_PI
-    g0_dd = beta**2 * _integrate(s, t2 * dd3) / _TWO_PI
-    hess_dd = beta**2 * _integrate(
-        s,
-        (0.5 * t_prime**2 + t * t_second) * dd3
-        + 8.0 * beta * s.q * t * t_prime * dd4
-        + t2 * (4.0 * beta * dd4 + 24.0 * beta**2 * s.q * s.q * dd5h),
-    ) / _TWO_PI
-    l00_dd = beta**3 * _integrate(s, t2 * (2.0 * dd4 + dd4b)) / _TWO_PI
-
-    g0a = specfun.g0(a)
-    g1a = specfun.g1(a)
-    g2a = specfun.g2(a)
-    f000_closed = (beta**4 / 16.0) * _integrate(s, t2 * t2 * specfun.g1_over_z(a)) / _TWO_PI
-    g0_closed = -(beta**2 / 4.0) * _integrate(s, t2 * g0a) / _TWO_PI
-    hess_closed = (
-        -(beta**2 / 8.0) * _integrate(s, t * t_second * g0a)
-        + (beta**4 / 4.0) * _integrate(s, s.q * s.q * t2 * g2a)
-        + (beta**3 / 8.0) * _integrate(s, t2 * g1a)
-    ) / _TWO_PI
-    l00_closed = (beta**3 / 4.0) * _integrate(s, t2 * g1a) / _TWO_PI
-
     return SmallPConstants(
-        f000_dd=f000_dd,
-        f000_closed=f000_closed,
-        g0_dd=g0_dd,
-        g0_closed=g0_closed,
-        hess_g0_dd=np.array([[hess_dd]]),
-        hess_g0_closed=np.array([[hess_closed]]),
-        l00_dd=l00_dd,
-        l00_closed=l00_closed,
+        f000_dd=beta**4 * grid.integrate(t2 * t2 * dd5) / _TWO_PI,
+        f000_closed=(beta / 2.0) * blocks.c_quartic,
+        g0_dd=beta**2 * grid.integrate(t2 * dd3) / _TWO_PI,
+        g0_closed=(beta / 2.0) * e1,
+        hess_g0_dd=beta**2 * grid.integrate(
+            (0.5 * t_prime**2 + t * t_second) * dd3
+            + 8.0 * beta * q * t * t_prime * dd4
+            + t2 * (4.0 * beta * dd4 + 24.0 * beta**2 * q * q * dd5h)
+        ) / _TWO_PI,
+        hess_g0_closed=beta * (blocks.c_grad_t + blocks.c_grad_psi),
+        l00_dd=beta**3 * grid.integrate(t2 * (2.0 * dd4 + dd4b)) / _TWO_PI,
+        l00_closed=(beta / 2.0) * blocks.c_W,
         beta=beta,
     )

@@ -147,16 +147,6 @@ class TorusField:
         """``||f||_{L^2}`` on the unit torus (Parseval)."""
         return float(np.linalg.norm(self.coeffs))
 
-    def norm_h1(self) -> float:
-        """``(||f||_2^2 + ||f'||_2^2)^{1/2}``."""
-        w = 1.0 + (2.0 * math.pi * self.modes) ** 2
-        return float(math.sqrt(np.sum(w * np.abs(self.coeffs) ** 2)))
-
-    def spectral_tail(self, n_from: int) -> float:
-        """l2 mass of the coefficients with ``|n| >= n_from``."""
-        mask = np.abs(self.modes) >= n_from
-        return float(np.linalg.norm(self.coeffs[mask]))
-
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self) -> "TorusField":

@@ -221,7 +221,7 @@ def _critical_coefficient_identities(ctx: _Context):
     devs = {
         "c_w_vs_2b2": rel(blocks.c_W, 2.0 * coef.B2),
         "c_quartic_vs_2b3": rel(blocks.c_quartic, 2.0 * coef.B3),
-        "c_grad_vs_2b1": rel(blocks.c_grad_psi[0, 0], 2.0 * coef.b1_scalar),
+        "c_grad_vs_2b1": rel(blocks.c_grad_psi, 2.0 * coef.b1_scalar),
     }
     worst = max(devs.values())
     return worst <= 1e-10, {**devs, "tol": 1e-10}

@@ -11,11 +11,9 @@ import pytest
 from scipy.integrate import quad
 
 from bcsgl import specfun
-from bcsgl.gap_solver import normalize
+from bcsgl.gap_solver import GapSolution, normalize
 from bcsgl.gl_coeffs import (
-    E2Constants,
     GLCoefficients,
-    SmallPConstants,
     b3_alternative_form,
     compute_coefficients,
     e1_constant,
@@ -91,6 +89,22 @@ class TestComputeCoefficients:
         assert abs(a.B2 - b.B2) / abs(b.B2) < 1e-5
         assert abs(a.B3 - b.B3) / b.B3 < 1e-5
 
+    def test_needs_no_derivatives_of_t(self, gap_sol, monkeypatch):
+        """The moment table reads the samples of t only: t' and t'' stay
+        with the blocks that need them."""
+        coeffs = compute_coefficients(gap_sol)
+        e1 = e1_constant(gap_sol, gap_sol.beta_c)
+
+        def forbidden(self, p):
+            raise AssertionError("derivative of t evaluated")
+
+        monkeypatch.setattr(GapSolution, "t_prime", forbidden)
+        monkeypatch.setattr(GapSolution, "t_second", forbidden)
+        again = compute_coefficients(gap_sol)
+        assert np.array_equal(again.B1, coeffs.B1)
+        assert (again.B2, again.B3) == (coeffs.B2, coeffs.B3)
+        assert e1_constant(gap_sol, gap_sol.beta_c) == e1
+
     def test_serialization_round_trip(self, gap_sol):
         coeffs = compute_coefficients(gap_sol)
         clone = GLCoefficients.from_dict(coeffs.to_dict())
@@ -115,8 +129,9 @@ class TestQuadraticConstant:
             e1_constant(synthetic, 0.0)
 
     def test_rejects_unknown_source(self):
-        with pytest.raises(TypeError, match="GapSolution"):
-            e1_constant(object(), 1.0)
+        for routine in (e1_constant, e2_constants, semiclassical_smallp_constants):
+            with pytest.raises(TypeError, match="GapSolution"):
+                routine(object(), 1.0)
 
 
 class TestQuarticConstants:
@@ -139,10 +154,8 @@ class TestQuarticConstants:
             "c_quartic": (beta**3 / 8.0)
             * _adaptive(lambda q: t(q) ** 4 * specfun.g1_over_z(arg(q))),
         }
-        assert blocks.c_grad_t[0, 0] == pytest.approx(oracles["c_grad_t"], rel=1e-10)
-        assert blocks.c_grad_psi[0, 0] == pytest.approx(
-            oracles["c_grad_psi"], rel=1e-10
-        )
+        assert blocks.c_grad_t == pytest.approx(oracles["c_grad_t"], rel=1e-10)
+        assert blocks.c_grad_psi == pytest.approx(oracles["c_grad_psi"], rel=1e-10)
         assert blocks.c_W == pytest.approx(oracles["c_W"], rel=1e-10)
         assert blocks.c_quartic == pytest.approx(oracles["c_quartic"], rel=1e-10)
 
@@ -152,9 +165,7 @@ class TestQuarticConstants:
         blocks = e2_constants(gap_sol, gap_sol.beta_c)
         assert blocks.c_W == pytest.approx(2.0 * coeffs.B2, rel=1e-12)
         assert blocks.c_quartic == pytest.approx(2.0 * coeffs.B3, rel=1e-12)
-        assert blocks.c_grad_psi[0, 0] == pytest.approx(
-            2.0 * coeffs.b1_scalar, rel=1e-12
-        )
+        assert blocks.c_grad_psi == pytest.approx(2.0 * coeffs.b1_scalar, rel=1e-12)
 
     def test_inconsistent_second_derivative_warns(self, synthetic):
         class Lying(SyntheticPairSymbol):
@@ -164,12 +175,6 @@ class TestQuarticConstants:
         liar = Lying(mu=1.0)
         with pytest.warns(UserWarning, match="second derivative"):
             e2_constants(liar, 2.0)
-
-    def test_serialization(self, synthetic):
-        blocks = e2_constants(synthetic, 2.0)
-        data = blocks.to_dict()
-        assert data["c_W"] == blocks.c_W
-        assert data["c_grad_psi"][0][0] == blocks.c_grad_psi[0, 0]
 
 
 class TestSmallMomentumConstants:
@@ -190,8 +195,8 @@ class TestSmallMomentumConstants:
             (beta / 2.0) * blocks.c_quartic, rel=1e-12
         )
         assert sp.l00_closed == pytest.approx((beta / 2.0) * blocks.c_W, rel=1e-12)
-        assert sp.hess_g0_closed[0, 0] == pytest.approx(
-            beta * (blocks.c_grad_t[0, 0] + blocks.c_grad_psi[0, 0]), rel=1e-12
+        assert sp.hess_g0_closed == pytest.approx(
+            beta * (blocks.c_grad_t + blocks.c_grad_psi), rel=1e-12
         )
         assert sp.g0_closed == pytest.approx(
             (beta / 2.0) * e1_constant(synthetic, beta), rel=1e-12
@@ -202,8 +207,7 @@ class TestSmallMomentumConstants:
         for name in ("f000_dd", "g0_dd", "l00_dd"):
             a, b = getattr(smallp_constants, name), getattr(fine, name)
             assert abs(a - b) / abs(b) < 1e-5
-        a = smallp_constants.hess_g0_dd[0, 0]
-        b = fine.hess_g0_dd[0, 0]
+        a, b = smallp_constants.hess_g0_dd, fine.hess_g0_dd
         assert abs(a - b) / abs(b) < 1e-5
 
     def test_rejects_nonpositive_beta(self, synthetic):

@@ -126,16 +126,8 @@ class TestTorusField:
         rng = np.random.default_rng(4)
         f = _random_field(6, rng)
         vals = f.values_on_grid(64)
-        dvals = f.derivative().values_on_grid(64)
         l2 = np.sqrt(np.mean(np.abs(vals) ** 2))
-        h1 = np.sqrt(np.mean(np.abs(vals) ** 2 + np.abs(dvals) ** 2))
         assert f.norm_l2() == pytest.approx(l2, rel=1e-12)
-        assert f.norm_h1() == pytest.approx(h1, rel=1e-12)
-
-    def test_spectral_tail(self):
-        f = TorusField.from_modes({0: 1.0, 3: 0.1}, n_max=5)
-        assert f.spectral_tail(2) == pytest.approx(0.1)
-        assert f.spectral_tail(4) == 0.0
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(5)
