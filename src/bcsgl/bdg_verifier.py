@@ -56,7 +56,8 @@ from scipy.fft import next_fast_len
 from . import specfun
 from .gap_solver import GapSolution
 from .gl_coeffs import e1_constant, e2_constants
-from .gl_minimizer import TorusField
+from .gl_minimizer import (TorusField, _coeff_matrix, _covariant_square,
+                           _field_square)
 
 __all__ = [
     "FiberBasis",
@@ -169,23 +170,6 @@ class FiberBasis:
                 f"fiber momenta reach {reach:.2f} but the pair symbol "
                 f"extends to {q_support:.2f}; increase n_max"
             )
-
-
-def _coeff_matrix(f: TorusField, modes: np.ndarray) -> np.ndarray:
-    """Matrix ``C[i, j] = f.coeff(modes[i] - modes[j])``, stored real when
-    every coefficient of ``f`` is exactly real."""
-    coeffs = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
-    span = int(modes[-1] - modes[0])
-    lookup = np.zeros(2 * span + 1, dtype=coeffs.dtype)
-    keep = min(span, f.n_max)
-    lookup[span - keep: span + keep + 1] = coeffs[f.n_max - keep:
-                                                  f.n_max + keep + 1]
-    nu = modes[:, None] - modes[None, :]
-    return lookup[nu + span]
-
-
-def _field_square(a: TorusField) -> TorusField:
-    return TorusField(np.convolve(a.coeffs, a.coeffs), 2 * a.n_max)
 
 
 @dataclass
@@ -366,22 +350,22 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
 
     Returns ``norm2_sq`` = ||psi||_2^2, ``grad_plain_sq`` = ||psi'||_2^2,
     ``grad_covariant_sq`` = ||(-i d/dx + 2a) psi||_2^2, ``w_coupling`` =
-    <psi| w |psi>, ``norm4_4`` = ||psi||_4^4, all on the unit torus,
-    evaluated on a collocation grid large enough to be exact.
+    <psi| w |psi>, ``norm4_4`` = ||psi||_4^4, all on the unit torus.  The
+    first four are forms of psi's coefficients with the operator matrices
+    of the GL energy, and ``norm4_4`` is a mean over a collocation grid
+    of at least ``4 N + 1`` points, so every value is exact.
     """
-    n = max(psi.n_max, a.n_max, w.n_max)
-    m = next_fast_len(4 * n + 1)
-    psi_g = psi.values_on_grid(m)
-    a_g = a.values_on_grid(m)
-    w_g = w.values_on_grid(m)
-    mult = 2j * math.pi * np.fft.fftfreq(m, d=1.0 / m)
-    dpsi = np.fft.ifft(mult * np.fft.fft(psi_g))
-    cov = -1j * dpsi + 2.0 * a_g * psi_g
+    c = psi.coeffs
+
+    def form(matrix):
+        return float(np.vdot(c, matrix @ c).real)
+
+    psi_g = psi.values_on_grid(next_fast_len(4 * psi.n_max + 1))
     return {
-        "norm2_sq": float(np.mean(np.abs(psi_g) ** 2)),
-        "grad_plain_sq": float(np.mean(np.abs(dpsi) ** 2)),
-        "grad_covariant_sq": float(np.mean(np.abs(cov) ** 2)),
-        "w_coupling": float(np.real(np.mean(w_g * np.abs(psi_g) ** 2))),
+        "norm2_sq": float(np.vdot(c, c).real),
+        "grad_plain_sq": form(_covariant_square(TorusField.zero(0), psi.n_max)),
+        "grad_covariant_sq": form(_covariant_square(a, psi.n_max)),
+        "w_coupling": form(_coeff_matrix(w, psi.modes)),
         "norm4_4": float(np.mean(np.abs(psi_g) ** 4)),
     }
 
@@ -776,14 +760,13 @@ def fit_order(h_values: Sequence[float], observed: Sequence[float],
 
 
 def h_sweep(observable: Callable, h_list: Sequence[float], *,
-            reference: float | None = None, label: str = "",
-            min_points: int = 3) -> SweepReport:
+            reference: float | None = None, label: str = "") -> SweepReport:
     """Evaluate an observable along a decreasing h-list and fit its order.
 
     ``observable(h)`` returns a float or a ``(float, dict)`` pair whose
     dict is carried along as per-point extras.  Per-h failures are
-    collected; the sweep aborts only when fewer than ``min_points``
-    values survive.
+    collected; the sweep aborts only when fewer than three values survive
+    (all of them, for a list of fewer than three).
 
     Returns
     -------
@@ -809,7 +792,7 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
         h_ok.append(h)
         values.append(float(value))
         extras.append(extra)
-    if len(h_ok) < min_points:
+    if len(h_ok) < min(3, len(h_list)):
         raise RuntimeError(
             f"sweep '{label}' kept {len(h_ok)} of {len(h_list)} points; "
             f"failures: {failures}"

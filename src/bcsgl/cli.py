@@ -530,8 +530,7 @@ def _trace_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
         return res["residual"], extras
 
     report = bv.h_sweep(observe, cfg.h_list, reference=0.0,
-                        label="trace_expansion",
-                        min_points=min(3, len(cfg.h_list)))
+                        label="trace_expansion")
     last = report.extras[-1]
     match = abs(report.observed[-1]) / max(abs(last["e2_term"]), 1e-300)
     return report, {
@@ -556,8 +555,7 @@ def _pair_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
         return res["h1_distance"], extras
 
     report = bv.h_sweep(observe, cfg.h_list, reference=0.0,
-                        label="pair_distance",
-                        min_points=min(3, len(cfg.h_list)))
+                        label="pair_distance")
     ratios = [e["l2_leading"] ** 2 / h
               for h, e in zip(report.h_values, report.extras)]
     if len(ratios) >= 2:
@@ -585,8 +583,7 @@ def _energy_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
         return res["scaled"], {"beta": res["beta"]}
 
     report = bv.h_sweep(observe, cfg.h_list, reference=target,
-                        label="energy_upper_bound",
-                        min_points=min(3, len(cfg.h_list)))
+                        label="energy_upper_bound")
     gaps = [obs - target for obs in report.observed]
     slack = _GATE_ENERGY_SLACK * abs(gaps[0])
     order = bv.fit_order(report.h_values, gaps, report.floor)

@@ -5,20 +5,22 @@ Fields are truncated Fourier series (`TorusField`).  The energy
     E(psi) = integral [ conj(D psi) B1 (D psi) + B2 W |psi|^2
                         + B3 (1 - |psi|^2)^2 ] dx,
 
-with covariant derivative ``D = -i d/dx + 2 A`` (pair charge 2), is
-evaluated pseudospectrally on a collocation grid large enough that the
-quartic term is integrated exactly: with ``N`` the largest mode index of
-any field, products carry frequencies up to ``4 N``, so any grid with at
-least ``4 N + 1`` points makes the discrete mean of every term exact --
-there is no dealiasing error at all, not merely a reduced one.
+with covariant derivative ``D = -i d/dx + 2 A`` (pair charge 2), has a
+quadratic part ``psihat^H Q psihat``, with ``Q`` the Hermitian matrix of
+``B1 D^2 + B2 W`` on psi's plane-wave modes (built once per descent),
+and a quartic term averaged over a grid that depends on psi alone: with
+``N = psi.n_max`` the quartic term carries frequencies up to ``4 N``, so
+``4 N + 1`` points integrate it exactly.  Neither part has any
+quadrature or dealiasing error.
 
 One routine evaluates the energy, its Wirtinger gradient and its exact
-Hessian action from a single grid transform.  Minimization runs a
-trust-region Newton-CG descent on the real/imaginary parts of the
-Fourier coefficients from several starting fields, finishes each with
-exact Newton steps, and keeps the lowest local minimum; the constant
-fields ``psi = 1`` and ``psi = 0`` (always a critical point, with energy
-exactly ``B3``) bound the reported energy from above by construction.
+Hessian action; a Hessian product costs one product with ``Q`` and two
+FFTs.  Minimization runs a trust-region Newton-CG descent on the
+real/imaginary parts of the Fourier coefficients from several starting
+fields, finishes each with exact Newton steps, and keeps the lowest
+local minimum; the constant fields ``psi = 1`` and ``psi = 0`` (always a
+critical point, with energy exactly ``B3``) bound the reported energy
+from above by construction.
 
 When ``A = 0`` and ``W`` is even (every coefficient of ``a`` exactly 0,
 every coefficient of ``w`` exactly real) the energy is invariant under
@@ -140,7 +142,8 @@ class TorusField:
     def is_real(self, tol: float = 1e-12) -> bool:
         """Whether the coefficients are conjugate-symmetric."""
         return bool(
-            np.allclose(self.coeffs, np.conj(self.coeffs[::-1]), atol=tol)
+            np.allclose(self.coeffs, np.conj(self.coeffs[::-1]),
+                        rtol=0.0, atol=tol)
         )
 
     def norm_l2(self) -> float:
@@ -214,20 +217,53 @@ class TorusField:
 
 
 # ---------------------------------------------------------------------------
-# Energy, gradient and Hessian action
+# Operator matrices on plane-wave modes
 # ---------------------------------------------------------------------------
 
 
-def _resolve_grid(psi, a, w, grid_size=None):
-    need = 4 * max(psi.n_max, a.n_max, w.n_max) + 1
-    if grid_size is None:
-        return next_fast_len(need)
-    if grid_size < need:
-        raise ValueError(
-            f"grid of {grid_size} points aliases the quartic term; "
-            f"need at least {need}"
-        )
-    return grid_size
+def _coeff_matrix(f: TorusField, modes: np.ndarray) -> np.ndarray:
+    """Matrix of multiplication by ``f`` on the plane waves ``modes``:
+    ``C[i, j] = f.coeff(modes[i] - modes[j])``, stored real when every
+    coefficient of ``f`` is exactly real."""
+    coeffs = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
+    span = int(modes[-1] - modes[0])
+    lookup = np.zeros(2 * span + 1, dtype=coeffs.dtype)
+    keep = min(span, f.n_max)
+    lookup[span - keep: span + keep + 1] = coeffs[f.n_max - keep:
+                                                  f.n_max + keep + 1]
+    nu = modes[:, None] - modes[None, :]
+    return lookup[nu + span]
+
+
+def _field_square(a: TorusField) -> TorusField:
+    return TorusField(np.convolve(a.coeffs, a.coeffs), 2 * a.n_max)
+
+
+def _covariant_square(a: TorusField, n_max: int) -> np.ndarray:
+    """Matrix of ``D^2 = p^2 + 2 (p a + a p) + 4 a^2``, ``D = -i d/dx +
+    2 a``, on the modes ``-n_max .. n_max`` (``p`` is diagonal ``2 pi n``).
+    ``a^2`` is squared before it is restricted, so for real ``a`` the form
+    ``c^H M c`` is exactly ``||D f||^2`` of the field with coefficients
+    ``c``."""
+    modes = np.arange(-n_max, n_max + 1)
+    k = 2.0 * math.pi * modes
+    return (
+        np.diag(k * k)
+        + 2.0 * (k[:, None] + k[None, :]) * _coeff_matrix(a, modes)
+        + 4.0 * _coeff_matrix(_field_square(a), modes)
+    )
+
+
+def _quadratic_part(a: TorusField, w: TorusField, coef: GLCoefficients,
+                    n_max: int) -> np.ndarray:
+    """Matrix ``Q`` of ``B1 D^2 + B2 W`` on the modes ``-n_max .. n_max``."""
+    return (coef.b1_scalar * _covariant_square(a, n_max)
+            + coef.B2 * _coeff_matrix(w, np.arange(-n_max, n_max + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Energy, gradient and Hessian action
+# ---------------------------------------------------------------------------
 
 
 def _pack(coeffs: np.ndarray) -> np.ndarray:
@@ -245,82 +281,63 @@ def _grid_coeffs(values: np.ndarray, n_max: int) -> np.ndarray:
     return (np.fft.fft(values) / m)[np.arange(-n_max, n_max + 1) % m]
 
 
-def _evaluate(psi: TorusField, a: TorusField, w: TorusField,
-              coef: GLCoefficients, m: int):
+def _evaluate(psi: TorusField, quad: np.ndarray, coef: GLCoefficients,
+              m: int | None = None):
     """Energy, Wirtinger gradient and exact Hessian action at ``psi``.
 
-    One transform of ``psi``, ``a`` and ``w`` to the ``m``-point grid
-    serves all three.  Returns ``(energy, grad, hessp)``: ``grad`` holds
-    the coefficients of ``B1 D(D psi) + B2 W psi - 2 B3 (1-|psi|^2) psi``
-    on ``psi``'s modes, and ``hessp(eta)`` maps the coefficients of a
-    direction ``eta`` to those of the linearized gradient
-
-        B1 D(D eta) + B2 W eta - 2 B3 (1-|psi|^2) eta
-        + 2 B3 (|psi|^2 eta + psi^2 conj(eta)).
+    ``quad`` is :func:`_quadratic_part` on ``psi``'s modes; the quartic
+    term is averaged over ``m`` grid points (default: the smallest fast
+    size ``>= 4 N + 1``).  Returns ``(energy, grad, hessp)``: ``grad``
+    holds the coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``, and
+    ``hessp(eta)`` maps the coefficients of a direction ``eta`` to those
+    of ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``.
     """
     n_max = psi.n_max
-    mult = 2j * math.pi * np.fft.fftfreq(m, d=1.0 / m)
-    a_g = a.values_on_grid(m)
-    w_g = w.values_on_grid(m)
+    m = m or next_fast_len(4 * n_max + 1)
+    q_psi = quad @ psi.coeffs
     psi_g = psi.values_on_grid(m)
     abs2 = np.abs(psi_g) ** 2
-
-    def cov(f_g):
-        """``D f = -i f' + 2 a f`` on the grid."""
-        return -1j * np.fft.ifft(mult * np.fft.fft(f_g)) + 2.0 * a_g * f_g
-
-    dpsi = cov(psi_g)
-    # each coefficient multiplies the *mean* of its term, not the grid
-    # values, so a term whose mean is exact (e.g. the quartic at psi = 0)
-    # contributes without reduction roundoff
-    energy = (
-        coef.b1_scalar * np.mean(np.abs(dpsi) ** 2)
-        + coef.B2 * np.mean(w_g * abs2)
-        + coef.B3 * np.mean((1.0 - abs2) ** 2)
-    )
+    # B3 multiplies the *mean* of the quartic term, not the grid values,
+    # so a mean that is exact (e.g. at psi = 0) contributes without
+    # reduction roundoff
+    energy = np.vdot(psi.coeffs, q_psi) + coef.B3 * np.mean((1.0 - abs2) ** 2)
     scale = max(1.0, abs(energy))
     if abs(energy.imag) > 1e-12 * scale:
         raise FloatingPointError(
             f"energy has imaginary residue {energy.imag:.3e}; "
             "are the external fields real?"
         )
-    linear = coef.B2 * w_g - 2.0 * coef.B3 * (1.0 - abs2)
-    grad = _grid_coeffs(coef.b1_scalar * cov(dpsi) + linear * psi_g, n_max)
+    grad = q_psi + _grid_coeffs(-2.0 * coef.B3 * (1.0 - abs2) * psi_g, n_max)
 
     def hessp(eta: np.ndarray) -> np.ndarray:
         eta_g = TorusField(eta, n_max).values_on_grid(m)
-        action = (
-            coef.b1_scalar * cov(cov(eta_g)) + linear * eta_g
-            + 2.0 * coef.B3 * (abs2 * eta_g + psi_g ** 2 * np.conj(eta_g))
-        )
-        return _grid_coeffs(action, n_max)
+        return quad @ eta + _grid_coeffs(2.0 * coef.B3 * (
+            (2.0 * abs2 - 1.0) * eta_g + psi_g ** 2 * np.conj(eta_g)), n_max)
 
     return float(energy.real), grad, hessp
 
 
 def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
-              coef: GLCoefficients, grid_size: int | None = None) -> float:
+              coef: GLCoefficients) -> float:
     """GL energy of ``psi`` in external fields ``a`` (vector potential
     component) and ``w`` (electric potential).
 
-    Computed pseudospectrally; the collocation grid (at least ``4 N + 1``
-    points) integrates every term exactly, and the imaginary residue of
-    the discrete mean is checked against 1e-12 before being discarded.
+    The quadratic part is a matrix form on ``psi``'s modes and the
+    quartic term a mean over a collocation grid of at least ``4 N + 1``
+    points, so every term is integrated exactly; the imaginary residue
+    is checked against 1e-12 before being discarded.
 
     Parameters
     ----------
     psi, a, w : TorusField
         ``a`` and ``w`` must be real-valued fields.
     coef : GLCoefficients
-    grid_size : int, optional
-        Override the collocation size (rejected when too small).
 
     Returns
     -------
     float
     """
-    m = _resolve_grid(psi, a, w, grid_size)
-    return _evaluate(psi, a, w, coef, m)[0]
+    return _evaluate(psi, _quadratic_part(a, w, coef, psi.n_max), coef)[0]
 
 
 def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
@@ -333,8 +350,8 @@ def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
     derivative of the energy along ``eta`` is
     ``2 Re <eta, grad>`` (see :func:`directional_derivative`).
     """
-    m = _resolve_grid(psi, a, w)
-    return TorusField(_evaluate(psi, a, w, coef, m)[1], psi.n_max)
+    quad = _quadratic_part(a, w, coef, psi.n_max)
+    return TorusField(_evaluate(psi, quad, coef)[1], psi.n_max)
 
 
 def directional_derivative(grad: TorusField, eta: TorusField) -> float:
@@ -411,7 +428,7 @@ def _descend(start: TorusField, label: str, a, w, coef):
     reported gradient norm is always that of the full gradient.
     """
     n_max = start.n_max
-    m = _resolve_grid(start, a, w)
+    quad = _quadratic_part(a, w, coef, n_max)
     if not a.coeffs.any() and not w.coeffs.imag.any():
         to_coeffs, to_unknowns = (lambda z: z.astype(complex)), np.real
     else:
@@ -423,7 +440,7 @@ def _descend(start: TorusField, label: str, a, w, coef):
         unknowns, memoized on the last z."""
         if "z" not in last or not np.array_equal(last["z"], z):
             energy, grad, hessp = _evaluate(
-                TorusField(to_coeffs(z), n_max), a, w, coef, m)
+                TorusField(to_coeffs(z), n_max), quad, coef)
             last.update(z=z.copy(), value=(
                 energy, to_unknowns(2.0 * grad),
                 lambda p: to_unknowns(2.0 * hessp(to_coeffs(p))),

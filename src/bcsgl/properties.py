@@ -278,7 +278,7 @@ def _gl_gauge_invariance(ctx: _Context):
     coef = ctx.coef
     before = gm.gl_energy(psi, a, w, coef)
     psi_g, a_g = gm.gauge_transform(psi, a, chi)
-    after = gm.gl_energy(psi_g, a_g, w, coef, grid_size=512)
+    after = gm.gl_energy(psi_g, a_g, w, coef)
     drift = abs(after - before) / max(abs(before), 1e-300)
     return drift <= 1e-10, {
         "relative_energy_drift": float(drift), "tol": 1e-10

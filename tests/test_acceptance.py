@@ -144,7 +144,7 @@ class TestEnergyMinimizer:
         chi = TorusField.sine(0.2, 1)
         before = gl_energy(psi, a, w, gl_coef)
         psi_g, a_g = gauge_transform(psi, a, chi)
-        after = gl_energy(psi_g, a_g, w, gl_coef, grid_size=512)
+        after = gl_energy(psi_g, a_g, w, gl_coef)
         assert abs(after - before) / abs(before) < 1e-10
 
     def test_zero_field_energy_is_quartic_offset(self, gl_coef):

@@ -134,11 +134,17 @@ class TestFiberAssembly:
         assert np.abs(full - full.conj().T).max() <= 1e-12
 
     def test_complex_external_field_rejected(self, gap_sol, fields):
-        psi, _, w = fields
-        bad = TorusField.from_modes({1: 0.3j}, n_max=1)
+        psi, a, w = fields
         basis = bv.FiberBasis(0.25, 8, 4)
-        with pytest.raises(ValueError, match="real"):
-            bv.build_fiber(basis, 0.0, psi, bad, w, gap_sol.t, gap_sol.mu)
+        # off conjugate symmetry by 4e-6 on an O(1) coefficient
+        near = TorusField.from_modes({1: 0.5, -1: 0.5 + 4e-6j})
+        for bad in (TorusField.from_modes({1: 0.3j}, n_max=1), near):
+            for fa, fw in ((bad, w), (a, bad)):
+                with pytest.raises(ValueError, match="real"):
+                    bv.build_fiber(basis, 0.0, psi, fa, fw, gap_sol.t,
+                                   gap_sol.mu)
+        bv.build_fiber(basis, 0.0, psi, TorusField.sine(0.2, 1),
+                       TorusField.cosine(0.5, 2), gap_sol.t, gap_sol.mu)
 
     def test_hole_block_is_reflected_conjugate(self, gap_sol, fields):
         psi, a, w = fields
@@ -820,20 +826,28 @@ class TestSweep:
         assert report.fitted_order == pytest.approx(3.0, abs=1e-9)
 
     def test_failures_aggregate(self):
-        def observable(h):
-            if h < 0.06:
-                raise RuntimeError("too small")
-            return h**2
+        def failing_below(cut):
+            def observable(h):
+                if h < cut:
+                    raise RuntimeError("too small")
+                return h**2
+            return observable
 
-        report = bv.h_sweep(observable, self.H_LIST, min_points=2)
-        assert len(report.h_values) == 2
-        dropped = [h for h in self.H_LIST if h < 0.06]
-        assert [h for h, _ in report.failures] == dropped
+        # three of four points survive: kept, with the failure recorded
+        report = bv.h_sweep(failing_below(0.02), self.H_LIST)
+        assert len(report.h_values) == 3
+        assert [h for h, _ in report.failures] == [0.015625]
         assert all("too small" in msg for _, msg in report.failures)
         clone = bv.SweepReport.from_dict(report.to_dict())
         assert clone.failures == report.failures
+        # two of four survive: aborted
         with pytest.raises(RuntimeError, match="too small"):
-            bv.h_sweep(observable, self.H_LIST, min_points=3)
+            bv.h_sweep(failing_below(0.06), self.H_LIST)
+        # a two-point list needs both points
+        assert len(bv.h_sweep(failing_below(0.02), self.H_LIST[:2])
+                   .h_values) == 2
+        with pytest.raises(RuntimeError, match="kept 1 of 2"):
+            bv.h_sweep(failing_below(0.1), self.H_LIST[:2])
 
     def test_h_list_validation(self):
         with pytest.raises(ValueError, match="decreasing"):

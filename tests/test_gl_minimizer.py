@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import bcsgl
 from bcsgl import gl_minimizer as gm
@@ -19,7 +20,7 @@ from bcsgl.gl_minimizer import (
     TorusField,
     _descend,
     _evaluate,
-    _resolve_grid,
+    _quadratic_part,
     directional_derivative,
     gauge_transform,
     gl_energy,
@@ -46,8 +47,41 @@ def _random_field(n_max, rng, scale=0.4, offset=1.0):
 def _hessian_action(psi, eta, a, w, coef):
     """Exact Hessian action along ``eta`` as complex coefficients, with
     the Wirtinger gradient at ``psi``."""
-    _, grad, hessp = _evaluate(psi, a, w, coef, _resolve_grid(psi, a, w, None))
+    _, grad, hessp = _evaluate(psi, _quadratic_part(a, w, coef, psi.n_max),
+                               coef)
     return hessp(eta.coeffs), grad
+
+
+def _grid_route(psi, a, w, coef):
+    """Energy, gradient and Hessian action with the covariant derivative
+    applied on the collocation grid, the route the matrix form replaced:
+    an independent oracle for :func:`_evaluate`."""
+    n_max = psi.n_max
+    m = next_fast_len(4 * max(psi.n_max, a.n_max, w.n_max) + 1)
+    mult = 2j * np.pi * np.fft.fftfreq(m, d=1.0 / m)
+    a_g, w_g, psi_g = (f.values_on_grid(m) for f in (a, w, psi))
+    abs2 = np.abs(psi_g) ** 2
+
+    def cov(f_g):
+        return -1j * np.fft.ifft(mult * np.fft.fft(f_g)) + 2.0 * a_g * f_g
+
+    def coeffs(values):
+        return (np.fft.fft(values) / m)[np.arange(-n_max, n_max + 1) % m]
+
+    dpsi = cov(psi_g)
+    energy = (coef.b1_scalar * np.mean(np.abs(dpsi) ** 2)
+              + coef.B2 * np.mean(w_g * abs2)
+              + coef.B3 * np.mean((1.0 - abs2) ** 2)).real
+    linear = coef.B2 * w_g - 2.0 * coef.B3 * (1.0 - abs2)
+    grad = coeffs(coef.b1_scalar * cov(dpsi) + linear * psi_g)
+
+    def hessp(eta):
+        eta_g = TorusField(eta, n_max).values_on_grid(m)
+        return coeffs(
+            coef.b1_scalar * cov(cov(eta_g)) + linear * eta_g
+            + 2.0 * coef.B3 * (abs2 * eta_g + psi_g ** 2 * np.conj(eta_g)))
+
+    return energy, grad, hessp
 
 
 def _assert_hessian_action(psi, eta, a, w, coef, eps=1e-5):
@@ -82,6 +116,14 @@ class TestTorusField:
         x = np.linspace(0, 1, 7, endpoint=False)
         assert np.allclose(f.evaluate(x), 0.3 * np.sin(2 * np.pi * x))
         assert f.is_real()
+
+    def test_is_real_tolerance_is_absolute(self):
+        """An O(1) coefficient 4e-6 off conjugate symmetry is not real at
+        tol 1e-10; exact cosines and sines are real at tol 0."""
+        near = TorusField.from_modes({1: 0.5, -1: 0.5 + 4e-6j})
+        assert not near.is_real(tol=1e-10)
+        assert TorusField.cosine(3.0, 2).is_real(tol=0.0)
+        assert TorusField.sine(3.0, 2).is_real(tol=0.0)
 
     def test_from_modes(self):
         f = TorusField.from_modes({0: 1.0, 2: 0.5j})
@@ -144,11 +186,6 @@ class TestEnergy:
             value = gl_energy(TorusField.constant(c, 4), ZERO, ZERO, gl_coef)
             assert value == pytest.approx(expected, abs=1e-14)
 
-    def test_grid_override_too_small_rejected(self, gl_coef):
-        psi = TorusField.zero(8)
-        with pytest.raises(ValueError, match="alias"):
-            gl_energy(psi, ZERO, ZERO, gl_coef, grid_size=20)
-
     def test_complex_external_field_rejected(self, gl_coef):
         w = TorusField.from_modes({1: 0.5j})  # not conjugate-symmetric
         psi = TorusField.from_modes({0: 1.0, 1: 0.5})
@@ -162,7 +199,8 @@ class TestEnergy:
         a = TorusField.cosine(0.2, 1)
         w = TorusField.cosine(0.5, 1)
         coarse = gl_energy(psi, a, w, gl_coef)
-        fine = gl_energy(psi, a, w, gl_coef, grid_size=512)
+        quad = _quadratic_part(a, w, gl_coef, psi.n_max)
+        fine = _evaluate(psi, quad, gl_coef, m=512)[0]
         assert coarse == pytest.approx(fine, rel=1e-14)
 
     def test_global_phase_invariance(self, gl_coef):
@@ -173,6 +211,44 @@ class TestEnergy:
         base = gl_energy(psi, a, w, gl_coef)
         rotated = gl_energy(np.exp(0.77j) * psi, a, w, gl_coef)
         assert abs(rotated - base) <= 1e-12 * max(1.0, abs(base))
+
+
+class TestGridOracle:
+    """The matrix form against the covariant derivative on the grid."""
+
+    @pytest.mark.parametrize("case", ["complex", "real"])
+    def test_matches_grid_route(self, gl_coef, case):
+        rng = np.random.default_rng(12)
+        if case == "complex":
+            psi = _random_field(7, rng)
+            a = TorusField.cosine(0.2, 1) + TorusField.sine(0.1, 3)
+            w = TorusField.cosine(0.5, 1) + TorusField.sine(0.3, 2)
+        else:
+            psi = TorusField(_random_field(7, rng).coeffs.real, 7)
+            a, w = ZERO, TorusField.cosine(0.5, 1)
+        eta = _random_field(7, rng, scale=0.5, offset=0.0)
+        energy, grad, hessp = _evaluate(
+            psi, _quadratic_part(a, w, gl_coef, psi.n_max), gl_coef)
+        energy_g, grad_g, hessp_g = _grid_route(psi, a, w, gl_coef)
+        assert energy == pytest.approx(energy_g, rel=1e-12)
+        for got, want in ((grad, grad_g),
+                          (hessp(eta.coeffs), hessp_g(eta.coeffs))):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_hessian_product_makes_two_ffts(self, gl_coef, monkeypatch):
+        rng = np.random.default_rng(13)
+        psi = _random_field(6, rng)
+        a, w = TorusField.cosine(0.2, 1), TorusField.cosine(0.5, 1)
+        _, _, hessp = _evaluate(
+            psi, _quadratic_part(a, w, gl_coef, psi.n_max), gl_coef)
+        calls = {"fft": 0, "ifft": 0}
+        for name, original in ((n, getattr(np.fft, n)) for n in calls):
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        hessp(_random_field(6, rng, offset=0.0).coeffs)
+        assert calls == {"fft": 1, "ifft": 1}
 
 
 class TestGradient:
@@ -434,6 +510,7 @@ class TestGaugeTransform:
         assert (a2 - a).mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_complex_gauge_rejected(self):
-        chi = TorusField.from_modes({1: 0.5})
-        with pytest.raises(ValueError, match="real"):
-            gauge_transform(TorusField.constant(1.0, 1), ZERO, chi)
+        for chi in (TorusField.from_modes({1: 0.5}),
+                    TorusField.from_modes({1: 0.5, -1: 0.5 + 4e-6j})):
+            with pytest.raises(ValueError, match="real"):
+                gauge_transform(TorusField.constant(1.0, 1), ZERO, chi)
