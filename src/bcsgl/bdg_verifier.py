@@ -355,16 +355,16 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
     of the GL energy, and ``norm4_4`` is a mean over a collocation grid
     of at least ``4 N + 1`` points, so every value is exact.
     """
-    c = psi.coeffs
+    c, n = psi.coeffs, psi.n_max
 
     def form(matrix):
         return float(np.vdot(c, matrix @ c).real)
 
-    psi_g = psi.values_on_grid(next_fast_len(4 * psi.n_max + 1))
+    psi_g = psi.values_on_grid(next_fast_len(4 * n + 1))
     return {
         "norm2_sq": float(np.vdot(c, c).real),
-        "grad_plain_sq": form(_covariant_square(TorusField.zero(0), psi.n_max)),
-        "grad_covariant_sq": form(_covariant_square(a, psi.n_max)),
+        "grad_plain_sq": form(_covariant_square(TorusField.zero(0), n)),
+        "grad_covariant_sq": form(_covariant_square(a, n)),
         "w_coupling": form(_coeff_matrix(w, psi.modes)),
         "norm4_4": float(np.mean(np.abs(psi_g) ** 4)),
     }
