@@ -35,11 +35,18 @@ and the quadratures for the interaction terms.  A dense real-space
 supercell discretization of the same operator serves as the module's
 master oracle in the tests.
 
-Each fiber block is stored real when its data are (see
-:func:`build_fiber`).  With ``A = 0`` and an even ``W`` the GL minimizer
-is real, so the trial-state energy diagonalizes real symmetric fibers
-with LAPACK's real symmetric eigensolvers, about five times faster than
-the complex ones; the trace and pair sweeps probe a complex ``psi``.
+Each fiber is built once and diagonalized once per observable call, by
+one ``eigh`` whose eigenvalues give the trace term and whose
+eigenvectors give the pair block: :func:`alpha_delta_distance` returns
+the trace expansion and the pair-block distance from one pass (and
+:func:`semiclassical_trace` is its trace-key view), and
+:func:`trial_state_energy` takes its trace term and its band from the
+same eigensolve.  Each fiber block is stored real when its data are
+(see :func:`build_fiber`).  With ``A = 0`` and an even ``W`` the GL
+minimizer is real, so the trial-state energy diagonalizes real
+symmetric fibers with LAPACK's real symmetric eigensolvers, about five
+times faster than the complex ones; the trace and pair sweeps probe a
+complex ``psi``.
 """
 
 from __future__ import annotations
@@ -392,68 +399,6 @@ def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
     return basis
 
 
-def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
-                        w: TorusField, h: float, *, m_fibers: int = 16,
-                        n_max: int | None = None, workers: int = 1) -> dict:
-    """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion.
-
-    ``lhs = (h^d / beta) Tr_puv [f(beta H_Delta) - f(beta H_0)]`` (both
-    diagonal entries), ``e1_term = h^2 E1``, ``e2_term = h^4 E2`` with
-    the coefficient blocks from :mod:`bcsgl.gl_coeffs` contracted
-    against the spectral inner products of the fields.
-
-    ``beta`` is the source's critical inverse temperature.
-
-    Parameters
-    ----------
-    source : GapSolution
-    psi, a, w : TorusField
-    h : float
-    m_fibers, n_max : int
-        Bloch grid and mode cutoff (auto-scaled coverage by default).
-
-    Returns
-    -------
-    dict
-        ``lhs``, ``e1_term``, ``e2_term``, ``residual`` and the run
-        parameters.
-    """
-    t, mu, beta = _as_symbol(source)
-    basis = _resolve_basis(source, h, m_fibers, n_max)
-
-    def one(xi, partnered):
-        # spec H(-xi) = -spec H(xi) and tr H_Delta = tr H_0, so with
-        # f(-z) = f(z) - z the partner's value equals this one's
-        op = build_fiber(basis, xi, psi, a, w, t, mu)
-        value = _fiber_trace(op, np.linalg.eigvalsh(op.matrix), beta)
-        return (value, value) if partnered else (value,)
-
-    tr = math.fsum(_fold_fibers(basis, one, workers)) / basis.m_fibers
-    lhs = (h / beta) * tr
-
-    ips = field_inner_products(psi, a, w)
-    e1 = e1_constant(source, beta) * ips["norm2_sq"]
-    blocks = e2_constants(source, beta)
-    e2 = (
-        blocks.c_grad_t * ips["grad_plain_sq"]
-        + blocks.c_grad_psi * ips["grad_covariant_sq"]
-        + blocks.c_W * ips["w_coupling"]
-        + blocks.c_quartic * ips["norm4_4"]
-    )
-    e1_term = h * h * e1
-    e2_term = h**4 * e2
-    return {
-        "lhs": lhs,
-        "e1_term": e1_term,
-        "e2_term": e2_term,
-        "residual": lhs - e1_term - e2_term,
-        "h": h,
-        "beta": beta,
-        "n_max": basis.n_max,
-        "m_fibers": m_fibers,
-    }
-
-
 def _pair_block(matrix: np.ndarray, beta: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of ``matrix`` and the upper-right block of
@@ -472,21 +417,41 @@ def _partner_block(alpha: np.ndarray) -> np.ndarray:
 def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
                          w: TorusField, h: float, *, m_fibers: int = 16,
                          n_max: int | None = None, workers: int = 1) -> dict:
-    """Distance of the pair block from its explicit leading form.
+    """Trace expansion and pair-block distance from one pass over the fibers.
 
-    The leading operator is ``(h/2)(psi phi(-ih d/dx) + phi(-ih d/dx)
-    psi)`` with ``phi(p) = (beta/2) g0(beta (p^2 - mu)) t(p)`` at the
-    source's critical inverse temperature ``beta``.  The operator-H1
-    norm weights row momenta by ``1 + h^2 kappa^2``.  The partner fiber
-    ``-xi`` has ``alpha - lead`` equal to ``J (alpha - lead)^T J`` at
-    ``xi``, so its row-weighted sum is the column-weighted sum at ``xi``;
-    its L2 sums equal those at ``xi``.
+    Each fiber is built once and diagonalized once (:func:`_pair_block`);
+    its eigenvalues give the trace and its eigenvectors the pair block.
+
+    Trace: ``lhs = (h^d / beta) Tr_puv [f(beta H_Delta) - f(beta H_0)]``
+    (both diagonal entries), ``e1_term = h^2 E1``, ``e2_term = h^4 E2``
+    with the coefficient blocks from :mod:`bcsgl.gl_coeffs` contracted
+    against the spectral inner products of the fields, and ``residual =
+    lhs - e1_term - e2_term``.  ``spec H(-xi) = -spec H(xi)`` and
+    ``tr H_Delta = tr H_0``, so with ``f(-z) = f(z) - z`` the partner
+    fiber ``-xi`` contributes the value of fiber ``xi`` again.
+
+    Pair block: the leading operator is ``(h/2)(psi phi(-ih d/dx) +
+    phi(-ih d/dx) psi)`` with ``phi(p) = (beta/2) g0(beta (p^2 - mu))
+    t(p)``.  The operator-H1 norm weights row momenta by ``1 + h^2
+    kappa^2``.  The partner fiber ``-xi`` has ``alpha - lead`` equal to
+    ``J (alpha - lead)^T J`` at ``xi``, so its row-weighted sum is the
+    column-weighted sum at ``xi``; its L2 sums equal those at ``xi``.
+
+    ``beta`` is the source's critical inverse temperature.
+
+    Parameters
+    ----------
+    source : GapSolution
+    psi, a, w : TorusField
+    h : float
+    m_fibers, n_max : int
+        Bloch grid and mode cutoff (auto-scaled coverage by default).
 
     Returns
     -------
     dict
-        ``h1_distance``, ``l2_distance``, ``l2_leading`` and run
-        parameters.
+        ``lhs``, ``e1_term``, ``e2_term``, ``residual``, ``h1_distance``,
+        ``l2_distance``, ``l2_leading`` and the run parameters.
     """
     t, mu, beta = _as_symbol(source)
     basis = _resolve_basis(source, h, m_fibers, n_max)
@@ -494,7 +459,8 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
 
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
-        _, alpha = _pair_block(op.matrix, beta)
+        lam, alpha = _pair_block(op.matrix, beta)
+        tr = _fiber_trace(op, lam, beta)
         kappa = op.momenta
         phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - mu)) \
             * np.asarray(t(h * kappa), dtype=float)
@@ -503,17 +469,34 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         h1_weight = 1.0 + (h * kappa) ** 2
         l2 = float(np.sum(diff_sq))
         lead_sq = float(np.sum(np.abs(lead) ** 2))
-        own = (float(np.sum(h1_weight[:, None] * diff_sq)), l2, lead_sq)
+        own = (tr, float(np.sum(h1_weight[:, None] * diff_sq)), l2, lead_sq)
         if not partnered:
             return (own,)
-        partner = (float(np.sum(diff_sq * h1_weight[None, :])), l2, lead_sq)
+        partner = (tr, float(np.sum(diff_sq * h1_weight[None, :])), l2,
+                   lead_sq)
         return own, partner
 
     parts = _fold_fibers(basis, one, workers)
-    h1_sq = math.fsum(p[0] for p in parts) / basis.m_fibers
-    l2_sq = math.fsum(p[1] for p in parts) / basis.m_fibers
-    lead_sq = math.fsum(p[2] for p in parts) / basis.m_fibers
+    tr, h1_sq, l2_sq, lead_sq = (
+        math.fsum(p[i] for p in parts) / basis.m_fibers for i in range(4))
+    lhs = (h / beta) * tr
+
+    ips = field_inner_products(psi, a, w)
+    e1 = e1_constant(source, beta) * ips["norm2_sq"]
+    blocks = e2_constants(source, beta)
+    e2 = (
+        blocks.c_grad_t * ips["grad_plain_sq"]
+        + blocks.c_grad_psi * ips["grad_covariant_sq"]
+        + blocks.c_W * ips["w_coupling"]
+        + blocks.c_quartic * ips["norm4_4"]
+    )
+    e1_term = h * h * e1
+    e2_term = h**4 * e2
     return {
+        "lhs": lhs,
+        "e1_term": e1_term,
+        "e2_term": e2_term,
+        "residual": lhs - e1_term - e2_term,
         "h1_distance": math.sqrt(h1_sq),
         "l2_distance": math.sqrt(l2_sq),
         "l2_leading": math.sqrt(lead_sq),
@@ -522,6 +505,27 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         "n_max": basis.n_max,
         "m_fibers": m_fibers,
     }
+
+
+_TRACE_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h", "beta", "n_max",
+               "m_fibers")
+
+
+def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
+                        w: TorusField, h: float, *, m_fibers: int = 16,
+                        n_max: int | None = None, workers: int = 1) -> dict:
+    """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion: the
+    trace keys of :func:`alpha_delta_distance`, which computes them.
+
+    Returns
+    -------
+    dict
+        ``lhs``, ``e1_term``, ``e2_term``, ``residual`` and the run
+        parameters.
+    """
+    res = alpha_delta_distance(source, psi, a, w, h, m_fibers=m_fibers,
+                               n_max=n_max, workers=workers)
+    return {k: res[k] for k in _TRACE_KEYS}
 
 
 # ---------------------------------------------------------------------------

@@ -356,11 +356,12 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
     t_prime = source.t_prime(q)
     t_second = source.t_second(q)
 
-    dd3 = np.array([specfun.divided_difference("f", [x, x, -x]) for x in a])
-    dd4 = np.array([specfun.divided_difference("f", [x, x, x, -x]) for x in a])
-    dd4b = np.array([specfun.divided_difference("f", [x, x, -x, -x]) for x in a])
-    dd5 = np.array([specfun.divided_difference("f", [x, x, x, -x, -x]) for x in a])
-    dd5h = np.array([specfun.divided_difference("f", [x, x, x, x, -x]) for x in a])
+    def dd(plus, minus):
+        # [a,..,a,-a,..,-a]_f at every grid node, one node set per row
+        return specfun.divided_difference(
+            "f", np.stack([a] * plus + [-a] * minus, axis=1))
+
+    dd3, dd4, dd4b, dd5, dd5h = dd(2, 1), dd(3, 1), dd(2, 2), dd(3, 2), dd(4, 1)
 
     return SmallPConstants(
         f000_dd=beta**4 * grid.integrate(t2 * t2 * dd5) / _TWO_PI,

@@ -23,7 +23,7 @@ argument so nothing overflows for ``|z|`` up to several hundred.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -361,69 +361,88 @@ def _resolve_func(func: str) -> tuple[Callable, Callable]:
     return _FUNC_TABLE[func]
 
 
-def _validated_nodes(nodes: Iterable[float]) -> np.ndarray:
+def _validated_nodes(nodes) -> np.ndarray:
     arr = np.asarray(list(nodes), dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("nodes must be a non-empty 1-D sequence")
-    if arr.size > MAX_NODES:
-        raise ValueError(f"at most {MAX_NODES} nodes supported, got {arr.size}")
+    if arr.ndim not in (1, 2) or arr.size < 1:
+        raise ValueError("nodes must be a non-empty sequence or an (m, N) "
+                         "array of node sets")
+    if arr.shape[-1] > MAX_NODES:
+        raise ValueError(
+            f"at most {MAX_NODES} nodes supported, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("nodes must be finite")
     return arr
 
 
 def _snap_clusters(sorted_nodes: np.ndarray) -> np.ndarray:
-    """Replace near-coincident sorted nodes by their cluster mean.
+    """Replace near-coincident nodes of each sorted row by their cluster
+    mean.
 
     Consecutive nodes closer than ``CLUSTER_TOLERANCE`` are merged, so the
     Hermite table sees exactly equal floats inside a cluster and
     well-separated values across clusters.
     """
-    snapped = sorted_nodes.copy()
-    start = 0
-    for i in range(1, len(sorted_nodes) + 1):
-        boundary = i == len(sorted_nodes) or (
-            sorted_nodes[i] - sorted_nodes[i - 1] > CLUSTER_TOLERANCE
-        )
-        if boundary:
-            snapped[start:i] = sorted_nodes[start:i].mean()
-            start = i
-    return snapped
+    m, n = sorted_nodes.shape
+    boundary = np.diff(sorted_nodes, axis=1) > CLUSTER_TOLERANCE
+    if boundary.all():
+        return sorted_nodes
+    label = np.zeros((m, n), dtype=int)
+    label[:, 1:] = np.cumsum(boundary, axis=1)
+    rows = np.arange(m)[:, None]
+    sums, counts = np.zeros((m, n)), np.zeros((m, n))
+    np.add.at(sums, (rows, label), sorted_nodes)
+    np.add.at(counts, (rows, label), 1.0)
+    return sums[rows, label] / counts[rows, label]
 
 
 def _taylor_divided_difference(
     derivative: Callable, x: np.ndarray
-) -> float:
-    """Division-free divided difference for a tightly clustered node set.
+) -> np.ndarray:
+    """Division-free divided differences for tightly clustered node sets.
 
-    Expanding the function around the node mean ``c``, the divided
-    difference of the monomial ``(z - c)^k`` over ``N`` nodes is the
-    complete homogeneous symmetric polynomial ``h_{k-N+1}`` of the shifted
-    nodes (zero for ``k < N - 1``), so::
+    Expanding the function around the node mean ``c`` of a row, the
+    divided difference of the monomial ``(z - c)^k`` over ``N`` nodes is
+    the complete homogeneous symmetric polynomial ``h_{k-N+1}`` of the
+    shifted nodes (zero for ``k < N - 1``), so::
 
         [x_1,...,x_N] = sum_{m>=0} f^{(N-1+m)}(c)/(N-1+m)! * h_m(x - c).
 
     With spread <= 0.1 and 12 correction orders the truncation error is far
     below 1e-12, and no differences of nearly equal values ever form.
     """
-    n = len(x)
-    c = float(x.mean())
-    y = x - c
+    n = x.shape[1]
+    c = x.mean(axis=1)
+    y = x - c[:, None]
 
     # h_m via the power-sum recurrence m*h_m = sum_{k=1}^{m} p_k h_{m-k}.
-    p = [float(np.sum(y**k)) for k in range(_TAYLOR_EXTRA_ORDERS + 1)]
-    h = [1.0]
+    p = [np.sum(y**k, axis=1) for k in range(_TAYLOR_EXTRA_ORDERS + 1)]
+    h = [np.ones(len(x))]
     for m in range(1, _TAYLOR_EXTRA_ORDERS + 1):
         h.append(sum(p[k] * h[m - k] for k in range(1, m + 1)) / m)
 
-    total = 0.0
+    total = np.zeros(len(x))
     for m in range(_TAYLOR_EXTRA_ORDERS, -1, -1):  # small terms first
         k = n - 1 + m
         total += derivative(c, k) / math.factorial(k) * h[m]
     return total
 
 
-def divided_difference(func: str, nodes: Sequence[float]) -> float:
+def _hermite_divided_difference(
+    value: Callable, derivative: Callable, x: np.ndarray
+) -> np.ndarray:
+    """Hermite table of each row: column ``j`` holds ``[x_i, ..., x_{i+j}]``
+    for ``i = 0..N-1-j``; a confluent entry takes the analytic derivative."""
+    col = value(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, x.shape[1]):
+            lo, hi = x[:, :-j], x[:, j:]
+            quotient = (col[:, 1:] - col[:, :-1]) / (hi - lo)
+            col = np.where(hi == lo, derivative(lo, j) / math.factorial(j),
+                           quotient)
+    return col[:, 0]
+
+
+def divided_difference(func: str, nodes):
     """Confluent divided difference ``[a_1, ..., a_N]`` of ``f`` or ``rho``.
 
     Repeated (or nearly repeated, within ``CLUSTER_TOLERANCE`` absolute)
@@ -435,39 +454,37 @@ def divided_difference(func: str, nodes: Sequence[float]) -> float:
     amplification of the recursion.  Nodes are sorted first, which makes
     permutation invariance exact.
 
+    An ``(m, N)`` array is ``m`` node sets, one per row, each evaluated by
+    the same rules; a single node set is evaluated as a batch of one, so
+    a row of a batch gives the same float as the set passed alone.
+
     Parameters
     ----------
     func : {"f", "rho"}
         Which function to difference.
-    nodes : sequence of float
+    nodes : sequence of float, or (m, N) array_like
         Arguments ``a_1, ..., a_N``, ``1 <= N <= 8``, in any order.
 
     Returns
     -------
-    float
-        ``[a_1, ..., a_N]_func``, symmetric in the nodes.
+    float or ndarray
+        ``[a_1, ..., a_N]_func``, symmetric in the nodes; an ``(m,)``
+        array for an ``(m, N)`` batch.
     """
     value, derivative = _resolve_func(func)
     arr = _validated_nodes(nodes)
-    x = _snap_clusters(np.sort(arr))
-    n = len(x)
-    if n == 1:
-        return float(value(x[0]))
-    if x[-1] - x[0] <= _TAYLOR_SPREAD:
-        return float(_taylor_divided_difference(derivative, x))
-
-    # Hermite table in a flat 1-D buffer: column j of the triangular table
-    # holds [x_i, ..., x_{i+j}] for i = 0..n-1-j.
-    col = np.array([value(xi) for xi in x])
-    for j in range(1, n):
-        new = np.empty(n - j)
-        for i in range(n - j):
-            if x[i + j] == x[i]:
-                new[i] = derivative(x[i], j) / math.factorial(j)
-            else:
-                new[i] = (col[i + 1] - col[i]) / (x[i + j] - x[i])
-        col = new
-    return float(col[0])
+    x = _snap_clusters(np.sort(np.atleast_2d(arr), axis=1))
+    if x.shape[1] == 1:
+        out = value(x[:, 0])
+    else:
+        out = np.empty(len(x))
+        taylor = x[:, -1] - x[:, 0] <= _TAYLOR_SPREAD
+        if taylor.any():
+            out[taylor] = _taylor_divided_difference(derivative, x[taylor])
+        if not taylor.all():
+            out[~taylor] = _hermite_divided_difference(value, derivative,
+                                                       x[~taylor])
+    return out if arr.ndim == 2 else float(out[0])
 
 
 def entropy_inequality_margin(x, y):

@@ -154,12 +154,19 @@ class TestEnergyMinimizer:
 
 
 @pytest.fixture(scope="module")
-def trace_sweep(gap_sol, two_mode_fields):
+def fiber_pass(gap_sol, two_mode_fields):
+    """One pass over the fibers per h gives the trace and the pair
+    sweep, as in the command line."""
     psi, a, w = two_mode_fields
+    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h, m_fibers=16,
+                                       workers=WORKERS)
+            for h in H_LIST}
 
+
+@pytest.fixture(scope="module")
+def trace_sweep(fiber_pass):
     def observe(h):
-        res = bv.semiclassical_trace(gap_sol, psi, a, w, h,
-                                     m_fibers=16, workers=WORKERS)
+        res = fiber_pass[h]
         return res["residual"], {"e2_term": res["e2_term"]}
 
     return bv.h_sweep(observe, H_LIST, label="trace_expansion")
@@ -176,12 +183,9 @@ class TestTraceExpansionOrder:
 
 
 @pytest.fixture(scope="module")
-def pair_distance_sweep(gap_sol, two_mode_fields):
-    psi, a, w = two_mode_fields
-
+def pair_distance_sweep(fiber_pass):
     def observe(h):
-        res = bv.alpha_delta_distance(gap_sol, psi, a, w, h,
-                                      m_fibers=16, workers=WORKERS)
+        res = fiber_pass[h]
         return res["h1_distance"], {"l2_leading": res["l2_leading"]}
 
     return bv.h_sweep(observe, H_LIST, label="pair_distance")

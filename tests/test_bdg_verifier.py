@@ -71,6 +71,15 @@ def fields():
     )
 
 
+@pytest.fixture(scope="module")
+def shared_pass(gap_sol, fields):
+    """``alpha_delta_distance`` on 16 fibers at h = 1/8, 1/16 and 1/32:
+    the trace and pair values of one fiber pass per h."""
+    psi, a, w = fields
+    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h, m_fibers=16)
+            for h in (0.125, 0.0625, 0.03125)}
+
+
 # ---------------------------------------------------------------------------
 # Basis
 # ---------------------------------------------------------------------------
@@ -247,7 +256,7 @@ class TestTracePerUnitVolume:
         psi, a, w = fields
         target = bv.FiberBasis(0.25, 8, 4).half_nodes[1]
         built = []
-        build, eigvalsh = bv.build_fiber, np.linalg.eigvalsh
+        build, eigh = bv.build_fiber, np.linalg.eigh
 
         def recording(basis, xi, *args):
             built.append(xi)
@@ -256,10 +265,10 @@ class TestTracePerUnitVolume:
         def failing(matrix, *args, **kwargs):
             if built[-1] == target:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvalsh(matrix, *args, **kwargs)
+            return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(bv, "build_fiber", recording)
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(RuntimeError, match=f"xi={target:.6f}"):
             bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=4)
         assert built == [0.0, target]
@@ -413,25 +422,20 @@ class TestSemiclassicalTrace:
         assert abs(res["lhs"]) < 1e-12
         assert abs(res["residual"]) < 1e-12
 
-    def test_residual_regression(self, gap_sol, fields):
-        psi, a, w = fields
-        res = bv.semiclassical_trace(gap_sol, psi, a, w, 0.125, m_fibers=16)
+    def test_residual_regression(self, shared_pass):
+        res = shared_pass[0.125]
         assert res["residual"] == pytest.approx(RESIDUAL_H8, rel=1e-6)
 
-    def test_fiber_count_doubling_stable(self, gap_sol, fields):
+    def test_fiber_count_doubling_stable(self, gap_sol, fields, shared_pass):
         psi, a, w = fields
         lhs8 = bv.semiclassical_trace(
             gap_sol, psi, a, w, 0.125, m_fibers=8
         )["lhs"]
-        lhs16 = bv.semiclassical_trace(
-            gap_sol, psi, a, w, 0.125, m_fibers=16
-        )["lhs"]
+        lhs16 = shared_pass[0.125]["lhs"]
         assert lhs8 == pytest.approx(lhs16, rel=1e-9)
 
-    def test_two_point_order_above_fourth(self, gap_sol, fields):
-        psi, a, w = fields
-        r1 = bv.semiclassical_trace(gap_sol, psi, a, w, 0.125, m_fibers=16)
-        r2 = bv.semiclassical_trace(gap_sol, psi, a, w, 0.0625, m_fibers=16)
+    def test_two_point_order_above_fourth(self, shared_pass):
+        r1, r2 = shared_pass[0.125], shared_pass[0.0625]
         order = math.log2(abs(r1["residual"]) / abs(r2["residual"]))
         assert order > 4.5
 
@@ -442,6 +446,38 @@ class TestSemiclassicalTrace:
         for observable in (bv.semiclassical_trace, bv.alpha_delta_distance):
             with pytest.raises(TypeError, match="GapSolution"):
                 observable(synth, psi, a, w, 0.25)
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    def test_lhs_matches_eigvalsh_oracle(self, gap_sol, fields, shared_pass,
+                                         h):
+        # The oracle diagonalizes every fiber of the grid with eigvalsh;
+        # the shared pass takes the eigenvalues of the pair block's eigh
+        # and folds in the partners.  Measured |lhs - oracle|: 4.1e-14 at
+        # h = 1/8 and 3.9e-16 at h = 1/16 with one BLAS thread, 3.5e-14
+        # and 1.8e-14 with two.  The bound is 5e-13, three times the
+        # largest eigh/eigvalsh shift seen on any sweep (1.65e-13 at
+        # h = 1/8 on the built-in config's fields).
+        psi, a, w = fields
+        res = shared_pass[h]
+        beta = gap_sol.beta_c
+        basis = bv.FiberBasis(h, res["n_max"], 16)
+        values = []
+        for xi in basis.xi_nodes:
+            op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
+            values.append(float(np.sum(
+                specfun.fermi_f(beta * np.linalg.eigvalsh(op.matrix))
+                - specfun.fermi_f(beta * op.free_spectrum()))))
+        oracle = h / beta * math.fsum(values) / basis.m_fibers
+        assert abs(res["lhs"] - oracle) <= 5e-13
+
+    def test_trace_is_a_view_of_the_shared_pass(self, gap_sol, fields):
+        psi, a, w = fields
+        trace = bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=4)
+        shared = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.25,
+                                         m_fibers=4)
+        assert trace == {k: shared[k] for k in trace}
+        assert {"lhs", "e1_term", "e2_term", "residual"} <= set(trace)
+        assert "h1_distance" not in trace
 
     def test_workers_match_serial(self, gap_sol, fields):
         psi, a, w = fields
@@ -458,24 +494,19 @@ class TestSemiclassicalTrace:
 
 
 class TestAlphaDistance:
-    def test_regression(self, gap_sol, fields):
-        psi, a, w = fields
-        d = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125, m_fibers=16)
+    def test_regression(self, shared_pass):
+        d = shared_pass[0.125]
         assert d["h1_distance"] == pytest.approx(H1_DISTANCE_H8, rel=1e-6)
         assert d["l2_leading"] == pytest.approx(L2_LEADING_H8, rel=1e-6)
 
-    def test_leading_norm_scales_linearly_in_h(self, gap_sol, fields):
-        psi, a, w = fields
-        d1 = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125, m_fibers=16)
-        d2 = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.0625, m_fibers=16)
+    def test_leading_norm_scales_linearly_in_h(self, shared_pass):
+        d1, d2 = shared_pass[0.125], shared_pass[0.0625]
         ratio1 = d1["l2_leading"] ** 2 / 0.125
         ratio2 = d2["l2_leading"] ** 2 / 0.0625
         assert ratio1 == pytest.approx(ratio2, rel=1e-2)
 
-    def test_two_point_order_near_five_halves(self, gap_sol, fields):
-        psi, a, w = fields
-        d1 = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.0625, m_fibers=16)
-        d2 = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.03125, m_fibers=16)
+    def test_two_point_order_near_five_halves(self, shared_pass):
+        d1, d2 = shared_pass[0.0625], shared_pass[0.03125]
         order = math.log2(d1["h1_distance"] / d2["h1_distance"])
         assert 2.0 < order < 3.0
 

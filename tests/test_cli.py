@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bcsgl import bdg_verifier as bv
@@ -226,7 +227,7 @@ class TestStages:
         ("tc", cli, "find_tc", "gap", "gap.json"),
         ("coeffs", cli, "compute_coefficients", "coeffs", "coeffs.json"),
         ("gl-min", cli, "minimize", "gl-min", "gl.json"),
-        ("verify-thm2", bv, "semiclassical_trace", "verify-thm2",
+        ("verify-thm2", bv, "alpha_delta_distance", "verify-thm2",
          "sweeps/trace_expansion.json"),
     ])
     def test_failing_stage_exits_3_without_artifact(
@@ -296,19 +297,22 @@ class TestSweepCommands:
         assert payload["passed"] is False
 
     def test_workers_do_not_change_sweep_bytes(self, tmp_path, capsys):
+        # one fiber pass writes both the trace and the pair artifact
         path = write_config(
             tmp_path, grids=fast_grids(h_list=[0.25, 0.125, 0.0625]))
+        artifacts = [tmp_path / "out" / "sweeps" / f"{name}.json"
+                     for name in ("trace_expansion", "pair_distance")]
         run_cli(capsys, "--config", str(path), "--workers", "1",
                 "verify-thm2")
-        artifact = tmp_path / "out" / "sweeps" / "trace_expansion.json"
-        serial = artifact.read_bytes()
-        artifact.unlink()
+        serial = [artifact.read_bytes() for artifact in artifacts]
+        for artifact in artifacts:
+            artifact.unlink()
         run_cli(capsys, "--config", str(path), "--workers", "4",
                 "verify-thm2")
-        assert artifact.read_bytes() == serial
+        assert [artifact.read_bytes() for artifact in artifacts] == serial
 
     @pytest.mark.parametrize("command, name, observable", [
-        ("verify-thm2", "trace_expansion", "semiclassical_trace"),
+        ("verify-thm2", "trace_expansion", "alpha_delta_distance"),
         ("verify-thm3", "pair_distance", "alpha_delta_distance"),
         ("verify-energy", "energy_upper_bound", "trial_state_energy"),
     ])
@@ -366,6 +370,63 @@ class TestSweepCommands:
         # A = 0 and W = 0.5 cos make the GL state real, so the energy
         # sweep runs on real fibers; the other two probe a complex psi
         assert kinds == ({"f"} if command == "verify-energy" else {"c"})
+
+
+class TestSharedFiberPass:
+    """verify-thm2 and verify-thm3 come from one fiber pass per h."""
+
+    H_LIST = [0.25, 0.125, 0.0625]
+
+    def test_one_build_and_one_eigh_per_fiber(self, tmp_path, capsys,
+                                              monkeypatch):
+        built, solves = [], []
+        build, eigh, eigvalsh = (bv.build_fiber, np.linalg.eigh,
+                                 np.linalg.eigvalsh)
+
+        def recording_build(basis, xi, *args):
+            op = build(basis, xi, *args)
+            built.append((basis.h, xi, op.matrix.shape[0]))
+            return op
+
+        def recording(kind, solver):
+            def solve(matrix, *args, **kwargs):
+                solves.append((kind, matrix.shape[0]))
+                return solver(matrix, *args, **kwargs)
+            return solve
+
+        monkeypatch.setattr(bv, "build_fiber", recording_build)
+        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            recording("eigvalsh", eigvalsh))
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        code, first = run_cli(capsys, "--config", str(path), "--workers",
+                              "1", "verify-thm2")
+        assert code == 0 and first["cached"] is False
+        # each half-grid fiber built once per h
+        half_nodes = bv.FiberBasis(0.5, 1, 4).half_nodes
+        expected = [(h, xi) for h in self.H_LIST for xi in half_nodes]
+        assert [(h, xi) for h, xi, _ in built] == expected
+        # one eigh of each 2N fiber and no eigvalsh of one
+        full = [n for _, _, n in built]
+        assert sorted(n for kind, n in solves
+                      if kind == "eigh" and n in full) == sorted(full)
+        assert not [n for kind, n in solves
+                    if kind == "eigvalsh" and n in full]
+        assert (tmp_path / "out" / "sweeps" / "pair_distance.json").is_file()
+
+        built.clear()
+        # (exit 4: three coarse points miss the pair-order gate)
+        _, second = run_cli(capsys, "--config", str(path), "verify-thm3")
+        assert second["sweep"] == "pair_distance"
+        assert second["cached"] is True
+        assert built == []
+
+    def test_cold_all_reports_both_sweeps_uncached(self, full_run):
+        # the second sweep comes from memory, not from disk
+        _, summary = full_run
+        cached = summary["cached_stages"]
+        assert cached["trace_expansion"] is False
+        assert cached["pair_distance"] is False
 
 
 class TestArtifactWrites:

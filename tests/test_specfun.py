@@ -218,9 +218,40 @@ class TestDividedDifference:
             ]
             assert all(s <= 1.5 * scaled[0] for s in scaled)
 
+    @pytest.mark.parametrize("plus, minus",
+                             [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
+    def test_batch_equals_scalar_on_reference_grid(self, gap_sol, plus,
+                                                   minus):
+        # the node patterns of the small-momentum constants, one set per
+        # momentum node of the reference gap grid
+        a = gap_sol.beta_c * (gap_sol.grid.nodes ** 2 - gap_sol.mu)
+        nodes = np.stack([a] * plus + [-a] * minus, axis=1)
+        batched = sf.divided_difference("f", nodes)
+        assert batched.shape == (len(a),)
+        scalar = [sf.divided_difference("f", row) for row in nodes]
+        assert batched.tolist() == scalar
+
+    def test_batch_mixing_every_route_equals_scalar(self):
+        # rows on the Taylor, Hermite and cluster-snapping routes, with
+        # exact repeats, in one batch of each node count
+        rng = np.random.default_rng(3)
+        for n in range(1, sf.MAX_NODES + 1):
+            spread = np.repeat([1e-12, 1e-3, 0.05, 1.0, 30.0], 8)[:, None]
+            nodes = rng.normal(size=(40, 1)) * 5 \
+                + rng.normal(size=(40, n)) * spread
+            nodes[::3, -1] = nodes[::3, 0]
+            for func in ("f", "rho"):
+                batched = sf.divided_difference(func, nodes)
+                assert batched.tolist() == [sf.divided_difference(func, row)
+                                            for row in nodes]
+
     def test_node_validation(self):
         with pytest.raises(ValueError):
             sf.divided_difference("f", [])
+        with pytest.raises(ValueError):
+            sf.divided_difference("f", np.zeros((3, sf.MAX_NODES + 1)))
+        with pytest.raises(ValueError):
+            sf.divided_difference("f", np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             sf.divided_difference("f", [0.0] * (sf.MAX_NODES + 1))
         with pytest.raises(ValueError):
