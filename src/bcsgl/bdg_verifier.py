@@ -47,6 +47,18 @@ minimizer is real, so the trial-state energy diagonalizes real
 symmetric fibers with LAPACK's real symmetric eigensolvers, about five
 times faster than the complex ones; the trace and pair sweeps probe a
 complex ``psi``.
+
+The Bloch average is the trapezoid rule for a smooth ``2 pi``-periodic
+function of ``xi``, so its error falls exponentially in ``M``.
+:func:`alpha_delta_distance` therefore doubles its grid, ``M = c0, 2 c0,
+4 c0, ...`` up to the cap ``m_fibers`` (``c0`` the cap's odd part): the
+``M``-node grid is the even-index subset of the ``2M``-node grid, float
+for float, so each rung diagonalizes only its new nodes.  It stops at
+the first ``M`` whose change ``|Q_M - Q_{M/2}|`` is within the floor of
+every observable: a summation bound on the Fermi weights for ``lhs``,
+a relative ``1e-9`` for the pair-block norms.  A point that reaches the
+cap unconverged is recorded and warned about.  :func:`trial_state_energy`
+still averages over all ``m_fibers`` nodes.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -76,12 +88,23 @@ __all__ = [
     "default_mode_cutoff",
     "semiclassical_trace",
     "alpha_delta_distance",
+    "LADDER_KEYS",
     "trial_state_energy",
     "h_sweep",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
+#: Roundoff unit of the ``lhs`` floor that stops the Bloch ladder.
+_LHS_FLOOR_UNIT = float(np.finfo(float).eps)
+#: Relative change at which the ladder's pair-block norms have settled;
+#: their roundoff changes are below ``4e-11`` relative.
+_PAIR_REL_TOL = 1e-9
+#: The pair-block norms of :func:`alpha_delta_distance`.
+_PAIR_NORMS = ("h1_distance", "l2_distance", "l2_leading")
+#: Bloch-ladder record of each :func:`alpha_delta_distance` result.
+LADDER_KEYS = ("m_fibers", "capped", "lhs_floor", "delta_lhs",
+               *(f"delta_{k}" for k in _PAIR_NORMS))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +159,11 @@ class FiberBasis:
         symmetric about 0 (``xi = pi`` aside, for even ``M``), so each
         node ``0 < xi < pi`` has its particle-hole partner ``-xi`` on the
         grid and the observables diagonalize only the last
-        ``floor(M/2) + 1`` nodes (:attr:`half_nodes`).
+        ``floor(M/2) + 1`` nodes (:attr:`half_nodes`).  The grids nest:
+        the ``M``-node grid is the even-``k`` subset of the ``2M``-node
+        grid with the same floats (``2 pi 2k / 2M`` rounds like ``2 pi k /
+        M``), which the quadrature ladder of :func:`alpha_delta_distance`
+        relies on; there ``m_fibers`` is the ladder's cap.
     """
 
     h: float
@@ -183,24 +210,21 @@ class FiberBasis:
 class FiberOperator:
     """One assembled fiber of the pairing Hamiltonian.
 
-    ``matrix`` is the Hermitian ``2N x 2N`` fiber; ``k_block`` its
-    particle block, ``delta_block`` the pairing block, ``m22_block``
-    the hole block (equal to the negated conjugate of the particle
-    block of the reflected fiber).
+    ``matrix`` is the Hermitian ``2N x 2N`` fiber, assembled once;
+    ``k_block`` its particle block, ``delta_block`` the pairing block,
+    ``m22_block`` the hole block (equal to the negated conjugate of the
+    particle block of the reflected fiber), each in the dtype of its own
+    data.  ``t_values`` holds the pair symbol ``t(h kappa_n)`` at the
+    fiber momenta.
     """
 
     xi: float
     momenta: np.ndarray
+    t_values: np.ndarray
     k_block: np.ndarray
     delta_block: np.ndarray
     m22_block: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([
-            [self.k_block, self.delta_block],
-            [self.delta_block.conj().T, self.m22_block],
-        ])
+    matrix: np.ndarray
 
     def free_spectrum(self) -> np.ndarray:
         """Sorted spectrum of the decoupled fiber (block-diagonal)."""
@@ -248,14 +272,19 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     tk = np.asarray(t(h * kappa), dtype=float)
     delta = -(h / 2.0) * _coeff_matrix(psi, modes) * (tk[:, None] + tk[None, :])
 
-    op = FiberOperator(xi, kappa, k_block, delta, m22)
-    full = op.matrix
-    drift = np.abs(full - full.conj().T).max()
-    if drift > 1e-12 * max(1.0, np.abs(full).max()):
+    n = basis.size
+    full = np.empty((2 * n, 2 * n), dtype=np.result_type(k_block, delta, m22))
+    full[:n, :n], full[:n, n:] = k_block, delta
+    full[n:, :n], full[n:, n:] = delta.conj().T, m22
+    # the off-diagonal blocks are adjoints by construction, so the
+    # diagonal blocks carry all of the matrix's drift
+    drift = max(np.abs(b - b.conj().T).max() for b in (k_block, m22))
+    scale = max(1.0, *(np.abs(b).max() for b in (k_block, delta, m22)))
+    if drift > 1e-12 * scale:
         raise FloatingPointError(
             f"fiber at xi={xi:.6f} lost Hermiticity by {drift:.3e}"
         )
-    return op
+    return FiberOperator(xi, kappa, tk, k_block, delta, m22, full)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +319,45 @@ def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
     else:
         parts = list(map(run, range(len(half)), half))
     return [c for part in parts for c in part]
+
+
+def _bloch_ladder(basis: FiberBasis, one: Callable, workers: int,
+                  quadrature: Callable, settled: Callable):
+    """Nested doubling of the Bloch grid up to ``basis.m_fibers``.
+
+    ``M`` runs over ``c0, 2 c0, 4 c0, ...`` with ``c0`` the odd part of
+    the cap; the first batch folds the ``2 c0`` grid, which holds the
+    ``c0`` grid, so it gives two rungs at once.  Every node is folded
+    once (:func:`_fold_fibers` with ``one``), and ``quadrature(parts, M)``
+    turns the contributions of the ``M``-node grid into its values
+    ``Q_M``.  The ladder stops at the first ``M`` with ``settled(Q_M,
+    Q_{M/2})``, or at the cap.
+
+    Returns
+    -------
+    (int, Q, Q or None, bool)
+        ``M`` used, ``Q_M``, ``Q_{M/2}`` (``None`` for a one-rung ladder)
+        and whether ``Q_M`` settled before the cap.
+    """
+    done = {}
+
+    def once(xi, partnered):
+        if xi not in done:
+            done[xi] = one(xi, partnered)
+        return done[xi]
+
+    cap = basis.m_fibers
+    m = cap // (cap & -cap)
+    if 2 * m <= cap:
+        _fold_fibers(replace(basis, m_fibers=2 * m), once, workers)
+    coarse = None
+    while True:
+        fine = quadrature(
+            _fold_fibers(replace(basis, m_fibers=m), once, workers), m)
+        converged = coarse is not None and settled(fine, coarse)
+        if converged or m == cap:
+            return m, fine, coarse, converged
+        coarse, m = fine, 2 * m
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +450,16 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
 # ---------------------------------------------------------------------------
 
 
-def _fiber_trace(op: FiberOperator, lam: np.ndarray, beta: float) -> float:
+def _fiber_trace(op: FiberOperator, lam: np.ndarray, beta: float
+                 ) -> tuple[float, float]:
     """``sum_j f(beta lam_j) - f(beta lam0_j)`` over one fiber, with ``lam``
-    the spectrum of ``op`` and ``lam0`` that of its decoupled blocks."""
-    return float(np.sum(
-        specfun.fermi_f(beta * lam) - specfun.fermi_f(beta * op.free_spectrum())
-    ))
+    the spectrum of ``op`` and ``lam0`` that of its decoupled blocks, and
+    the mass ``sum_j |f(beta lam_j)| + |f(beta lam0_j)|`` that bounds its
+    summation roundoff (in units of ``eps``)."""
+    f = specfun.fermi_f(beta * lam)
+    f0 = specfun.fermi_f(beta * op.free_spectrum())
+    return (float(np.sum(f - f0)),
+            float(np.sum(np.abs(f)) + np.sum(np.abs(f0))))
 
 
 def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
@@ -437,6 +509,16 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     ``J (alpha - lead)^T J`` at ``xi``, so its row-weighted sum is the
     column-weighted sum at ``xi``; its L2 sums equal those at ``xi``.
 
+    Bloch quadrature: the nested ladder of :func:`_bloch_ladder`, capped
+    at ``m_fibers``.  It stops at the first ``M`` where ``|lhs_M -
+    lhs_{M/2}|`` is within ``lhs_floor = (h/beta) eps (1/M) sum_fibers
+    sum_j (|f(beta lam_j)| + |f(beta lam0_j)|)``, the summation bound of
+    the fiber traces, and each pair-block norm moved by at most
+    ``1e-9`` of itself.  Every node's contribution is kept and each
+    ``Q_M`` is one ``math.fsum``, so the values at ``M`` are bit-identical
+    to a fixed ``M``-node pass.  A point that reaches the cap unconverged
+    emits a ``UserWarning``.
+
     ``beta`` is the source's critical inverse temperature.
 
     Parameters
@@ -444,14 +526,20 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     source : GapSolution
     psi, a, w : TorusField
     h : float
-    m_fibers, n_max : int
-        Bloch grid and mode cutoff (auto-scaled coverage by default).
+    m_fibers : int
+        Cap of the Bloch ladder.
+    n_max : int
+        Mode cutoff (auto-scaled coverage by default).
 
     Returns
     -------
     dict
         ``lhs``, ``e1_term``, ``e2_term``, ``residual``, ``h1_distance``,
-        ``l2_distance``, ``l2_leading`` and the run parameters.
+        ``l2_distance``, ``l2_leading``, the run parameters, and the
+        ladder's record (:data:`LADDER_KEYS`): ``m_fibers`` (the ``M``
+        used), ``capped`` (cap reached unconverged), ``lhs_floor`` and the
+        last change ``delta_<key>`` of each observable (``None`` when the
+        cap is odd, a one-rung ladder).
     """
     t, mu, beta = _as_symbol(source)
     basis = _resolve_basis(source, h, m_fibers, n_max)
@@ -460,26 +548,49 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
         lam, alpha = _pair_block(op.matrix, beta)
-        tr = _fiber_trace(op, lam, beta)
+        tr, mass = _fiber_trace(op, lam, beta)
         kappa = op.momenta
         phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - mu)) \
-            * np.asarray(t(h * kappa), dtype=float)
+            * op.t_values
         lead = (h / 2.0) * _coeff_matrix(psi, modes) * (phi[:, None] + phi[None, :])
         diff_sq = np.abs(alpha - lead) ** 2
         h1_weight = 1.0 + (h * kappa) ** 2
         l2 = float(np.sum(diff_sq))
         lead_sq = float(np.sum(np.abs(lead) ** 2))
-        own = (tr, float(np.sum(h1_weight[:, None] * diff_sq)), l2, lead_sq)
+        own = (tr, mass, float(np.sum(h1_weight[:, None] * diff_sq)), l2,
+               lead_sq)
         if not partnered:
             return (own,)
-        partner = (tr, float(np.sum(diff_sq * h1_weight[None, :])), l2,
+        partner = (tr, mass, float(np.sum(diff_sq * h1_weight[None, :])), l2,
                    lead_sq)
         return own, partner
 
-    parts = _fold_fibers(basis, one, workers)
-    tr, h1_sq, l2_sq, lead_sq = (
-        math.fsum(p[i] for p in parts) / basis.m_fibers for i in range(4))
-    lhs = (h / beta) * tr
+    def quadrature(parts, m):
+        tr, mass, h1_sq, l2_sq, lead_sq = (
+            math.fsum(p[i] for p in parts) / m for i in range(5))
+        return {
+            "lhs": (h / beta) * tr,
+            "lhs_floor": (h / beta) * _LHS_FLOOR_UNIT * mass,
+            "h1_distance": math.sqrt(h1_sq),
+            "l2_distance": math.sqrt(l2_sq),
+            "l2_leading": math.sqrt(lead_sq),
+        }
+
+    def settled(fine, coarse):
+        return abs(fine["lhs"] - coarse["lhs"]) <= fine["lhs_floor"] and all(
+            abs(fine[k] - coarse[k]) <= _PAIR_REL_TOL * fine[k]
+            for k in _PAIR_NORMS)
+
+    m_used, q, coarse, converged = _bloch_ladder(basis, one, workers,
+                                                 quadrature, settled)
+    deltas = {f"delta_{k}": None if coarse is None else abs(q[k] - coarse[k])
+              for k in ("lhs", *_PAIR_NORMS)}
+    if not converged:
+        warnings.warn(
+            f"Bloch quadrature at h={h!r} reached the cap m_fibers="
+            f"{m_fibers} unconverged: " + ", ".join(
+                f"{k}={v:.3e}" for k, v in deltas.items() if v is not None)
+            + f", lhs_floor={q['lhs_floor']:.3e}", UserWarning)
 
     ips = field_inner_products(psi, a, w)
     e1 = e1_constant(source, beta) * ips["norm2_sq"]
@@ -493,22 +604,25 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     e1_term = h * h * e1
     e2_term = h**4 * e2
     return {
-        "lhs": lhs,
+        "lhs": q["lhs"],
         "e1_term": e1_term,
         "e2_term": e2_term,
-        "residual": lhs - e1_term - e2_term,
-        "h1_distance": math.sqrt(h1_sq),
-        "l2_distance": math.sqrt(l2_sq),
-        "l2_leading": math.sqrt(lead_sq),
+        "residual": q["lhs"] - e1_term - e2_term,
+        "h1_distance": q["h1_distance"],
+        "l2_distance": q["l2_distance"],
+        "l2_leading": q["l2_leading"],
         "h": h,
         "beta": beta,
         "n_max": basis.n_max,
-        "m_fibers": m_fibers,
+        "m_fibers": m_used,
+        "capped": not converged,
+        "lhs_floor": q["lhs_floor"],
+        **deltas,
     }
 
 
 _TRACE_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h", "beta", "n_max",
-               "m_fibers")
+               "m_fibers", "capped", "lhs_floor", "delta_lhs")
 
 
 def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
@@ -638,7 +752,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
         lam, alpha = _pair_block(op.matrix, beta)
-        tr = _fiber_trace(op, lam, beta)
+        tr, _ = _fiber_trace(op, lam, beta)
         own = (tr, band_of(alpha, xi))
         if not partnered:
             return (own,)

@@ -514,6 +514,9 @@ class _Run:
             res = bv.alpha_delta_distance(
                 sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
                 m_fibers=cfg.fiber_m, workers=self.workers)
+            # how far the residual sits above the roundoff of its lhs
+            res["residual_over_floor"] = (abs(res["residual"])
+                                          / res["lhs_floor"])
             return res["residual"], res
 
         shared = bv.h_sweep(observe, cfg.h_list,
@@ -525,13 +528,14 @@ class _Run:
                 h_values=shared.h_values, observed=observed,
                 fitted_order=bv.fit_order(shared.h_values, observed),
                 reference=0.0, label=label,
-                extras=[{k: res[k] for k in extra_keys}
+                extras=[{k: res[k] for k in (*extra_keys, *bv.LADDER_KEYS)}
                         for res in shared.extras],
                 failures=shared.failures)
 
         return {
-            "trace_expansion": report("trace_expansion", "residual",
-                                      ("lhs", "e1_term", "e2_term")),
+            "trace_expansion": report(
+                "trace_expansion", "residual",
+                ("lhs", "e1_term", "e2_term", "residual_over_floor")),
             "pair_distance": report("pair_distance", "h1_distance",
                                     ("l2_distance", "l2_leading")),
         }
@@ -630,11 +634,13 @@ _SWEEPS = {
     "verify-thm2": ("trace_expansion", _trace_sweep,
                     "trace-expansion order sweep; one fiber pass per h "
                     "writes both the verify-thm2 and verify-thm3 "
-                    "artifacts"),
+                    "artifacts, doubling its Bloch momenta up to "
+                    "fiber_m until lhs and the pair norms stop moving"),
     "verify-thm3": ("pair_distance", _pair_sweep,
                     "pair-operator distance sweep; one fiber pass per h "
                     "writes both the verify-thm2 and verify-thm3 "
-                    "artifacts"),
+                    "artifacts, doubling its Bloch momenta up to "
+                    "fiber_m until lhs and the pair norms stop moving"),
     "verify-energy": ("energy_upper_bound", _energy_sweep,
                       "trial-state energy upper-bound sweep"),
 }
@@ -731,9 +737,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "work only; GL descents always run serially "
                              "(default: hardware parallelism).  Workers "
                              "multiply with BLAS threads: the finest pair "
-                             "point (h = 1/128, 2 cores) took 3.12 s with "
-                             "2 BLAS threads x 2 workers, 2.53 s with 2 x 1 "
-                             "and 1.85 s with 1 x 2, so run with "
+                             "point (h = 1/128, 2 cores) took 2.87 s with "
+                             "2 BLAS threads x 2 workers, 1.84 s with 2 x 1 "
+                             "and 1.47 s with 1 x 2, so run with "
                              "OPENBLAS_NUM_THREADS=1")
     parser.add_argument("--seed", metavar="K", type=int, default=None,
                         help="override the configured random seed")

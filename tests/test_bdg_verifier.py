@@ -107,6 +107,15 @@ class TestFiberBasis:
         np.testing.assert_array_equal(xi[:2], -xi[3:][::-1])
         np.testing.assert_array_equal(basis.half_nodes, xi[2:])
 
+    def test_grids_nest(self):
+        # the M-node grid is the even-k subset of the 2M-node grid, float
+        # for float, so a doubled grid reuses every node it had
+        for m in range(1, 17):
+            coarse = bv.FiberBasis(0.25, 4, m).xi_nodes
+            fine = bv.FiberBasis(0.25, 4, 2 * m).xi_nodes
+            k = np.arange(1 - m, m + 1)
+            np.testing.assert_array_equal(fine[k % 2 == 0], coarse, str(m))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="h must lie"):
             bv.FiberBasis(1.5, 4, 8)
@@ -141,6 +150,27 @@ class TestFiberAssembly:
         op = bv.build_fiber(basis, 0.7, psi, a, w, gap_sol.t, gap_sol.mu)
         full = op.matrix
         assert np.abs(full - full.conj().T).max() <= 1e-12
+
+    def test_matrix_is_the_block_assembly(self, gap_sol, fields):
+        psi, a, w = fields
+        basis = bv.FiberBasis(0.25, 8, 4)
+        op = bv.build_fiber(basis, 0.7, psi, a, w, gap_sol.t, gap_sol.mu)
+        np.testing.assert_array_equal(op.matrix, np.block([
+            [op.k_block, op.delta_block],
+            [op.delta_block.conj().T, op.m22_block]]))
+        np.testing.assert_array_equal(op.t_values,
+                                      gap_sol.t(basis.h * op.momenta))
+
+    def test_non_hermitian_diagonal_block_raises(self, gap_sol, fields,
+                                                 monkeypatch):
+        # a complex w that gets past the reality guard makes the particle
+        # and hole blocks non-Hermitian; the check on those blocks sees it
+        psi, a, _ = fields
+        monkeypatch.setattr(TorusField, "is_real", lambda self, tol=0: True)
+        bad = TorusField.from_modes({1: 0.3j}, n_max=1)
+        with pytest.raises(FloatingPointError, match="lost Hermiticity"):
+            bv.build_fiber(bv.FiberBasis(0.25, 8, 4), 0.7, psi, a, bad,
+                           gap_sol.t, gap_sol.mu)
 
     def test_complex_external_field_rejected(self, gap_sol, fields):
         psi, a, w = fields
@@ -252,7 +282,9 @@ class TestTracePerUnitVolume:
 
     def test_eigensolver_failure_reports_fiber(self, gap_sol, fields,
                                                monkeypatch):
-        # only the fiber at xi = pi/2 fails; the error names that fiber
+        # only the fiber at xi = pi/2 fails; the error names that fiber.
+        # The Bloch ladder folds xi = 0 and pi first and reaches pi/2 on
+        # its M = 4 rung.
         psi, a, w = fields
         target = bv.FiberBasis(0.25, 8, 4).half_nodes[1]
         built = []
@@ -271,7 +303,7 @@ class TestTracePerUnitVolume:
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(RuntimeError, match=f"xi={target:.6f}"):
             bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=4)
-        assert built == [0.0, target]
+        assert built == [0.0, math.pi, target]
 
     def test_free_spectrum_within_backward_error(self, gap_sol, fields):
         # Each solver returns the exact spectrum of a matrix within
@@ -390,6 +422,45 @@ class TestSupercellOracle:
             - np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_free)))
         ) / basis.m_fibers
         assert res["lhs"] == pytest.approx(basis.h / beta * sup_tr, abs=1e-9)
+
+    def test_ladder_trace_matches(self, gap_sol, fields):
+        # the ladder stops below its cap of 16 at h = 1/8 (at M = 8); the
+        # supercell of as many cells as the M it used is the same
+        # quadrature.  Measured |difference| 6.2e-15 (one BLAS thread).
+        psi, a, w = fields
+        h, n_max = 0.125, 16
+        beta = gap_sol.beta_c
+        res = bv.semiclassical_trace(gap_sol, psi, a, w, h, n_max=n_max)
+        m = res["m_fibers"]
+        assert not res["capped"] and m < 16
+        h_pair, h_free = bv.supercell_hamiltonian(
+            h, m, 2 * (n_max + 8) + 1, psi, a, w, gap_sol.t, gap_sol.mu)
+        sup_tr = (
+            np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_pair)))
+            - np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_free)))
+        ) / m
+        assert res["lhs"] == pytest.approx(h / beta * sup_tr, abs=1e-12)
+
+    def test_pair_block_matches(self, gap_sol, fields, supercell_instance):
+        # The supercell's Gibbs-state pair block, taken to plane waves
+        # e^{i kappa_m x} (kappa_m = 2 pi m / M) by a DFT, splits into the
+        # fibers xi_k = 2 pi k / M on the modes m = n M + k.  The fiber
+        # keeps |n| <= 8, the supercell 16.  Measured max |difference|
+        # 1.2e-13 (at the window's edge, xi = pi; 1.3e-14 inside it)
+        # against entries up to 0.15.
+        basis, _, h_pair, _ = supercell_instance
+        psi, a, w = fields
+        beta = gap_sol.beta_c
+        n_g = h_pair.shape[0] // 2
+        _, alpha_grid = bv._pair_block(h_pair, beta)
+        alpha_pw = np.fft.fft(np.fft.ifft(alpha_grid, axis=1), axis=0)
+        m_cells = basis.m_fibers
+        for k, xi in zip(range(1 - (m_cells + 1) // 2, m_cells // 2 + 1),
+                         basis.xi_nodes):
+            idx = (basis.modes * m_cells + k) % n_g
+            op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
+            _, alpha = bv._pair_block(op.matrix, beta)
+            assert np.abs(alpha_pw[np.ix_(idx, idx)] - alpha).max() <= 1e-12
 
     def test_trace_difference_matches(self, gap_sol, fields,
                                       supercell_instance):
@@ -678,6 +749,8 @@ class TestPartnerFibers:
                 <= 1e-12 * np.abs(alpha_p).max()
 
     def test_node_counts(self, gap_sol, fields, monkeypatch):
+        # the Bloch ladder builds each node at most once, and the nodes
+        # it built are the half grid of the M it recorded
         psi, a, w = fields
         seen = []
         build = bv.build_fiber
@@ -687,12 +760,20 @@ class TestPartnerFibers:
             return build(basis, xi, *args)
 
         monkeypatch.setattr(bv, "build_fiber", counting)
-        for m in (16, 5):
+        used = {}
+        for h, cap in ((0.25, 16), (0.25, 5), (0.0625, 16)):
             seen.clear()
-            bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=m)
-            basis = bv.FiberBasis(0.25, 8, m)
-            np.testing.assert_array_equal(seen, basis.half_nodes)
-            assert len(seen) == m // 2 + 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                m = bv.semiclassical_trace(gap_sol, psi, a, w, h,
+                                           m_fibers=cap)["m_fibers"]
+            assert len(seen) == len(set(seen)), (h, cap)
+            half = bv.FiberBasis(h, 8, m).half_nodes
+            np.testing.assert_array_equal(sorted(seen), half)
+            used[h, cap] = m
+        # an odd cap is a one-rung ladder; a fine h stops below the cap
+        assert used[0.25, 5] == 5
+        assert used[0.0625, 16] < 16
 
     def test_trace_matches_all_nodes(self, gap_sol, fields, monkeypatch):
         psi, a, w = fields
@@ -750,6 +831,116 @@ class TestPartnerFibers:
         assert folded["scaled"] == pytest.approx(full["scaled"], rel=1e-8)
         assert folded["term_remainder"] == pytest.approx(
             full["term_remainder"], rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# Nested Bloch quadrature
+# ---------------------------------------------------------------------------
+
+
+def _fixed_grid(basis, one, workers, quadrature, settled):
+    """The fixed M-node pass in place of the ladder: every node of the cap
+    grid folded at once, one ``quadrature`` over all of them."""
+    m = basis.m_fibers
+    return m, quadrature(bv._fold_fibers(basis, one, workers), m), None, True
+
+
+_PASS_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h1_distance",
+              "l2_distance", "l2_leading", "h", "beta", "n_max", "m_fibers")
+
+
+class TestBlochLadder:
+    def test_rungs_of_a_cap_of_twelve(self):
+        # odd part 3: rungs M = 3, 6, 12, the first two from one batch;
+        # each rung's contributions are those of its own full grid
+        basis = bv.FiberBasis(0.25, 4, 12)
+        built, rungs = [], []
+
+        def one(xi, partnered):
+            built.append(xi)
+            return ((xi,), (-xi,)) if partnered else ((xi,),)
+
+        def quadrature(parts, m):
+            rungs.append(m)
+            np.testing.assert_array_equal(
+                sorted(p[0] for p in parts),
+                bv.FiberBasis(0.25, 4, m).xi_nodes)
+            return m
+
+        m, fine, coarse, converged = bv._bloch_ladder(
+            basis, one, 1, quadrature, lambda fine, coarse: False)
+        assert rungs == [3, 6, 12]
+        assert (m, fine, coarse, converged) == (12, 12, 6, False)
+        assert len(built) == len(set(built))
+        np.testing.assert_array_equal(sorted(built), basis.half_nodes)
+
+    def test_zero_thresholds_run_to_the_cap(self, gap_sol, fields,
+                                            monkeypatch):
+        # with nothing allowed to move, the ladder climbs to the cap and
+        # equals the fixed 16-node pass key for key
+        psi, a, w = fields
+        monkeypatch.setattr(bv, "_LHS_FLOOR_UNIT", 0.0)
+        monkeypatch.setattr(bv, "_PAIR_REL_TOL", 0.0)
+        with pytest.warns(UserWarning, match="reached the cap"):
+            ladder = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125)
+        assert ladder["capped"] and ladder["m_fibers"] == 16
+        monkeypatch.setattr(bv, "_bloch_ladder", _fixed_grid)
+        fixed = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125)
+        for key in _PASS_KEYS:
+            assert ladder[key] == fixed[key], key
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625, 0.03125])
+    def test_values_within_the_floor_of_the_full_grid(
+            self, gap_sol, fields, shared_pass, monkeypatch, h):
+        psi, a, w = fields
+        res = shared_pass[h]
+        assert not res["capped"] and res["m_fibers"] < 16
+        assert res["delta_lhs"] <= res["lhs_floor"]
+        monkeypatch.setattr(bv, "_bloch_ladder", _fixed_grid)
+        full = bv.alpha_delta_distance(gap_sol, psi, a, w, h)
+        assert abs(res["lhs"] - full["lhs"]) <= res["lhs_floor"]
+        for key in ("h1_distance", "l2_distance", "l2_leading"):
+            assert res[key] == pytest.approx(full[key], rel=1e-9), key
+
+    def test_capped_point_is_recorded_and_warned(self, gap_sol, fields):
+        # at h = 1/8 two fibers are not enough: lhs moves by about 3e-5
+        # from M = 1 to M = 2
+        psi, a, w = fields
+        with pytest.warns(UserWarning, match="reached the cap m_fibers=2"):
+            res = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125,
+                                          m_fibers=2)
+        assert res["capped"] is True and res["m_fibers"] == 2
+        assert res["delta_lhs"] > res["lhs_floor"]
+
+    def test_converged_point_is_silent(self, gap_sol, fields):
+        psi, a, w = fields
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.0625)
+        assert res["capped"] is False
+        assert res["m_fibers"] == 4
+        assert set(bv.LADDER_KEYS) <= set(res)
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    def test_floor_covers_permuted_roundoff(self, gap_sol, fields,
+                                            shared_pass, h):
+        # Diagonalizing every fiber after one fixed symmetric permutation
+        # moves lhs by roundoff alone.  Measured over seven permutations:
+        # up to 1.2e-13 at h = 1/8 (floor 3.3e-13) and 6.0e-14 at
+        # h = 1/16 (floor 1.7e-13), one BLAS thread.
+        psi, a, w = fields
+        res = shared_pass[h]
+        beta = gap_sol.beta_c
+        basis = bv.FiberBasis(h, res["n_max"], res["m_fibers"])
+        perm = np.random.default_rng(4).permutation(2 * basis.size)
+        values = []
+        for k, xi in enumerate(basis.half_nodes):
+            op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
+            lam, _ = np.linalg.eigh(op.matrix[np.ix_(perm, perm)])
+            tr, _ = bv._fiber_trace(op, lam, beta)
+            values += [tr] * (2 if 0 < k < basis.m_fibers / 2 else 1)
+        permuted = h / beta * math.fsum(values) / basis.m_fibers
+        assert abs(permuted - res["lhs"]) <= res["lhs_floor"]
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,25 @@ class TestSweepCommands:
                 "verify-thm2")
         assert [artifact.read_bytes() for artifact in artifacts] == serial
 
+    def test_workers_do_not_change_ladder_bytes(self, tmp_path, capsys):
+        # with a cap of 16 the Bloch ladder stops below it at every h
+        path = write_config(
+            tmp_path,
+            grids=fast_grids(h_list=[0.125, 0.0625, 0.03125], fiber_m=16))
+        sweeps = tmp_path / "out" / "sweeps"
+        run_cli(capsys, "--config", str(path), "--workers", "1",
+                "verify-thm2")
+        serial = {p.name: p.read_bytes() for p in sweeps.glob("*.json")}
+        assert set(serial) == {"trace_expansion.json", "pair_distance.json"}
+        used = [e["m_fibers"] for e in json.loads(
+            serial["trace_expansion.json"])["report"]["extras"]]
+        assert max(used) < 16
+        shutil.rmtree(sweeps)
+        run_cli(capsys, "--config", str(path), "--workers", "4",
+                "verify-thm2")
+        assert {p.name: p.read_bytes()
+                for p in sweeps.glob("*.json")} == serial
+
     @pytest.mark.parametrize("command, name, observable", [
         ("verify-thm2", "trace_expansion", "alpha_delta_distance"),
         ("verify-thm3", "pair_distance", "alpha_delta_distance"),
@@ -402,10 +421,18 @@ class TestSharedFiberPass:
         code, first = run_cli(capsys, "--config", str(path), "--workers",
                               "1", "verify-thm2")
         assert code == 0 and first["cached"] is False
-        # each half-grid fiber built once per h
-        half_nodes = bv.FiberBasis(0.5, 1, 4).half_nodes
-        expected = [(h, xi) for h in self.H_LIST for xi in half_nodes]
-        assert [(h, xi) for h, xi, _ in built] == expected
+        # each Bloch-ladder node built at most once per h, and the nodes
+        # built at h are the half grid of the M recorded for h
+        extras = json.loads(
+            (tmp_path / "out" / "sweeps" / "trace_expansion.json")
+            .read_text())["report"]["extras"]
+        assert len(extras) == len(self.H_LIST)
+        for h, extra in zip(self.H_LIST, extras):
+            nodes = [xi for h_built, xi, _ in built if h_built == h]
+            assert len(nodes) == len(set(nodes)), h
+            np.testing.assert_array_equal(
+                sorted(nodes),
+                bv.FiberBasis(0.5, 1, extra["m_fibers"]).half_nodes)
         # one eigh of each 2N fiber and no eigvalsh of one
         full = [n for _, _, n in built]
         assert sorted(n for kind, n in solves

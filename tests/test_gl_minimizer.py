@@ -459,25 +459,45 @@ class TestRealDescent:
         assert np.abs(state.psi.coeffs.imag).max() > 1e-3
         assert state.converged
         assert state.energy == pytest.approx(self.G3_A_SIN_ENERGY, rel=1e-12)
-        # no trust-region phase stalls here, so the result equals a run
-        # whose trust-region phases ignore the stall handover
+        # The stall handover does not change a converged run.  Whether a
+        # trust-region phase stalls at roundoff here depends on rounding,
+        # so compare with runs whose phases never hand over and whose
+        # phases are cut off at |grad| < 1e-6, far above roundoff, which
+        # makes the Newton finish do real work.  Measured (one BLAS
+        # thread, cut-offs 1e-5 .. 1e-8): energies within 4.2e-14
+        # relative, phase-aligned coefficients within 1.1e-16.
         original = gm.optimize.minimize
+        cuts = []
 
-        def uninterrupted(*args, callback, **kwargs):
-            def record(intermediate_result):
-                try:
-                    callback(intermediate_result)
-                except StopIteration:
-                    pass
+        def phases(cut):
+            def run(*args, callback, **kwargs):
+                def record(intermediate_result):
+                    try:
+                        callback(intermediate_result)
+                    except StopIteration:
+                        pass
+                    grad = kwargs["jac"](intermediate_result.x)
+                    if np.linalg.norm(grad) < cut:
+                        cuts.append(cut)
+                        raise StopIteration
 
-            return original(*args, callback=record, **kwargs)
+                return original(*args, callback=record, **kwargs)
 
-        monkeypatch.setattr(gm.optimize, "minimize", uninterrupted)
-        plain = minimize(a, w, g3_coef, n_max=16)
-        assert np.array_equal(state.psi.coeffs, plain.psi.coeffs)
-        assert state.energy == plain.energy
-        assert state.gradient_norm == plain.gradient_norm
-        assert state.history == plain.history
+            return run
+
+        def aligned(psi, ref):
+            overlap = np.vdot(psi.coeffs, ref.coeffs)
+            return psi.coeffs * (overlap / abs(overlap))
+
+        for cut in (0.0, 1e-6):
+            monkeypatch.setattr(gm.optimize, "minimize", phases(cut))
+            other = minimize(a, w, g3_coef, n_max=16)
+            assert other.converged, cut
+            assert other.energy == pytest.approx(state.energy, rel=1e-12)
+            np.testing.assert_allclose(aligned(other.psi, state.psi),
+                                       state.psi.coeffs, rtol=0, atol=1e-10)
+        # every descent of the cut run handed over early
+        assert cuts == [1e-6] * len(state.history)
 
 
 class TestGaugeTransform:
