@@ -49,16 +49,17 @@ times faster than the complex ones; the trace and pair sweeps probe a
 complex ``psi``.
 
 The Bloch average is the trapezoid rule for a smooth ``2 pi``-periodic
-function of ``xi``, so its error falls exponentially in ``M``.
-:func:`alpha_delta_distance` therefore doubles its grid, ``M = c0, 2 c0,
-4 c0, ...`` up to the cap ``m_fibers`` (``c0`` the cap's odd part): the
-``M``-node grid is the even-index subset of the ``2M``-node grid, float
-for float, so each rung diagonalizes only its new nodes.  It stops at
-the first ``M`` whose change ``|Q_M - Q_{M/2}|`` is within the floor of
-every observable: a summation bound on the Fermi weights for ``lhs``,
-a relative ``1e-9`` for the pair-block norms.  A point that reaches the
-cap unconverged is recorded and warned about.  :func:`trial_state_energy`
-still averages over all ``m_fibers`` nodes.
+function of ``xi``, so its error falls exponentially in ``M``.  Both
+passes, :func:`alpha_delta_distance` and :func:`trial_state_energy`,
+therefore take it from one ladder (:func:`_bloch_ladder`) that doubles
+the grid, ``M = c0, 2 c0, 4 c0, ...`` up to the cap ``m_fibers`` (``c0``
+the cap's odd part): the ``M``-node grid is the even-index subset of the
+``2M``-node grid, float for float, so each rung diagonalizes only its
+new nodes.  It stops at the first ``M`` whose change ``|Q_M - Q_{M/2}|``
+is within the floor of every observable: a summation bound on the Fermi
+weights for ``lhs`` and ``f_bcs_diff``, a relative ``1e-9`` for the
+pair-block norms.  A point that reaches the cap unconverged is recorded
+and warned about.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ __all__ = [
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
-#: Roundoff unit of the ``lhs`` floor that stops the Bloch ladder.
-_LHS_FLOOR_UNIT = float(np.finfo(float).eps)
+#: Roundoff unit of the fiber-trace floors that stop the Bloch ladder.
+_TRACE_FLOOR_UNIT = float(np.finfo(float).eps)
 #: Relative change at which the ladder's pair-block norms have settled;
 #: their roundoff changes are below ``4e-11`` relative.
 _PAIR_REL_TOL = 1e-9
@@ -162,8 +163,8 @@ class FiberBasis:
         ``floor(M/2) + 1`` nodes (:attr:`half_nodes`).  The grids nest:
         the ``M``-node grid is the even-``k`` subset of the ``2M``-node
         grid with the same floats (``2 pi 2k / 2M`` rounds like ``2 pi k /
-        M``), which the quadrature ladder of :func:`alpha_delta_distance`
-        relies on; there ``m_fibers`` is the ladder's cap.
+        M``), which the quadrature ladder (:func:`_bloch_ladder`) relies
+        on; there ``m_fibers`` is the ladder's cap.
     """
 
     h: float
@@ -322,22 +323,30 @@ def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
 
 
 def _bloch_ladder(basis: FiberBasis, one: Callable, workers: int,
-                  quadrature: Callable, settled: Callable):
-    """Nested doubling of the Bloch grid up to ``basis.m_fibers``.
+                  quadrature: Callable, above: float = 0.0
+                  ) -> tuple[dict, dict]:
+    """The Bloch quadrature of every sweep: nested doubling of the grid up
+    to the cap ``basis.m_fibers``.
 
     ``M`` runs over ``c0, 2 c0, 4 c0, ...`` with ``c0`` the odd part of
-    the cap; the first batch folds the ``2 c0`` grid, which holds the
-    ``c0`` grid, so it gives two rungs at once.  Every node is folded
-    once (:func:`_fold_fibers` with ``one``), and ``quadrature(parts, M)``
-    turns the contributions of the ``M``-node grid into its values
-    ``Q_M``.  The ladder stops at the first ``M`` with ``settled(Q_M,
-    Q_{M/2})``, or at the cap.
+    the cap, from the first ``M > above``; the first batch folds the
+    ``2 M`` grid, which holds the ``M`` grid, so it gives two rungs at
+    once.  Every node is folded once (:func:`_fold_fibers` with ``one``),
+    and ``quadrature(parts, M)`` turns the contributions of the
+    ``M``-node grid into its values ``Q_M`` (bit-identical to a fixed
+    ``M``-node pass) and the floor of each value the ladder compares.
+    The ladder stops at the first ``M`` where every compared value moved
+    by at most its floor against ``Q_{M/2}``, or at the cap.  A point
+    that reaches the cap unconverged, or whose ladder has one rung, emits
+    a ``UserWarning``.
 
     Returns
     -------
-    (int, Q, Q or None, bool)
-        ``M`` used, ``Q_M``, ``Q_{M/2}`` (``None`` for a one-rung ladder)
-        and whether ``Q_M`` settled before the cap.
+    (dict, dict)
+        ``Q_M`` and the ladder's record: ``m_fibers`` (the ``M`` used),
+        ``capped`` (cap reached unconverged) and ``delta_<key>``, the
+        last change of each compared value (``None`` for a one-rung
+        ladder).
     """
     done = {}
 
@@ -348,16 +357,30 @@ def _bloch_ladder(basis: FiberBasis, one: Callable, workers: int,
 
     cap = basis.m_fibers
     m = cap // (cap & -cap)
+    while m <= above and 2 * m <= cap:
+        m *= 2
     if 2 * m <= cap:
         _fold_fibers(replace(basis, m_fibers=2 * m), once, workers)
     coarse = None
     while True:
-        fine = quadrature(
+        fine, floors = quadrature(
             _fold_fibers(replace(basis, m_fibers=m), once, workers), m)
-        converged = coarse is not None and settled(fine, coarse)
+        deltas = {k: None if coarse is None else abs(fine[k] - coarse[k])
+                  for k in floors}
+        converged = coarse is not None and all(
+            deltas[k] <= floors[k] for k in floors)
         if converged or m == cap:
-            return m, fine, coarse, converged
+            break
         coarse, m = fine, 2 * m
+    if not converged:
+        warnings.warn(
+            f"Bloch quadrature at h={basis.h!r} reached the cap m_fibers="
+            f"{cap} unconverged: " + (", ".join(
+                f"delta_{k}={deltas[k]:.3e} (floor {floors[k]:.3e})"
+                for k in floors) if coarse is not None
+                else "one rung, no estimate"), UserWarning)
+    return fine, {"m_fibers": m, "capped": not converged,
+                  **{f"delta_{k}": v for k, v in deltas.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +532,11 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     ``J (alpha - lead)^T J`` at ``xi``, so its row-weighted sum is the
     column-weighted sum at ``xi``; its L2 sums equal those at ``xi``.
 
-    Bloch quadrature: the nested ladder of :func:`_bloch_ladder`, capped
-    at ``m_fibers``.  It stops at the first ``M`` where ``|lhs_M -
-    lhs_{M/2}|`` is within ``lhs_floor = (h/beta) eps (1/M) sum_fibers
-    sum_j (|f(beta lam_j)| + |f(beta lam0_j)|)``, the summation bound of
-    the fiber traces, and each pair-block norm moved by at most
-    ``1e-9`` of itself.  Every node's contribution is kept and each
-    ``Q_M`` is one ``math.fsum``, so the values at ``M`` are bit-identical
-    to a fixed ``M``-node pass.  A point that reaches the cap unconverged
-    emits a ``UserWarning``.
+    Bloch quadrature: :func:`_bloch_ladder`, capped at ``m_fibers``.  It
+    stops once ``lhs`` moved by at most ``lhs_floor = (h/beta) eps (1/M)
+    sum_fibers sum_j (|f(beta lam_j)| + |f(beta lam0_j)|)``, the summation
+    bound of the fiber traces, and each pair-block norm by at most
+    ``1e-9`` of itself.
 
     ``beta`` is the source's critical inverse temperature.
 
@@ -568,29 +587,17 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     def quadrature(parts, m):
         tr, mass, h1_sq, l2_sq, lead_sq = (
             math.fsum(p[i] for p in parts) / m for i in range(5))
-        return {
+        q = {
             "lhs": (h / beta) * tr,
-            "lhs_floor": (h / beta) * _LHS_FLOOR_UNIT * mass,
+            "lhs_floor": (h / beta) * _TRACE_FLOOR_UNIT * mass,
             "h1_distance": math.sqrt(h1_sq),
             "l2_distance": math.sqrt(l2_sq),
             "l2_leading": math.sqrt(lead_sq),
         }
+        return q, {"lhs": q["lhs_floor"],
+                   **{k: _PAIR_REL_TOL * q[k] for k in _PAIR_NORMS}}
 
-    def settled(fine, coarse):
-        return abs(fine["lhs"] - coarse["lhs"]) <= fine["lhs_floor"] and all(
-            abs(fine[k] - coarse[k]) <= _PAIR_REL_TOL * fine[k]
-            for k in _PAIR_NORMS)
-
-    m_used, q, coarse, converged = _bloch_ladder(basis, one, workers,
-                                                 quadrature, settled)
-    deltas = {f"delta_{k}": None if coarse is None else abs(q[k] - coarse[k])
-              for k in ("lhs", *_PAIR_NORMS)}
-    if not converged:
-        warnings.warn(
-            f"Bloch quadrature at h={h!r} reached the cap m_fibers="
-            f"{m_fibers} unconverged: " + ", ".join(
-                f"{k}={v:.3e}" for k, v in deltas.items() if v is not None)
-            + f", lhs_floor={q['lhs_floor']:.3e}", UserWarning)
+    q, ladder = _bloch_ladder(basis, one, workers, quadrature)
 
     ips = field_inner_products(psi, a, w)
     e1 = e1_constant(source, beta) * ips["norm2_sq"]
@@ -614,10 +621,8 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         "h": h,
         "beta": beta,
         "n_max": basis.n_max,
-        "m_fibers": m_used,
-        "capped": not converged,
         "lhs_floor": q["lhs_floor"],
-        **deltas,
+        **ladder,
     }
 
 
@@ -695,6 +700,13 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     ``scaled = (sum of terms) / h^{4-d}`` approaches the GL energy
     minus its quartic offset as ``h`` decreases.
 
+    Bloch quadrature: :func:`_bloch_ladder`, capped at ``m_fibers``, from
+    the first ``M > 2 h u_max`` (``u_max`` the reach of ``V``): the
+    ``M``-node grid is a supercell of ``M`` cells, half of which must hold
+    the interaction range.  It stops once ``f_bcs_diff`` moved by at most
+    ``f_bcs_diff_floor``, the summation bound of term (i), ``eps (1/M)
+    sum_fibers sum_j (|f(beta lam_j)| + |f(beta lam0_j)|) / (2 beta)``.
+
     Parameters
     ----------
     sol : GapSolution
@@ -703,13 +715,18 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     psi, a, w : TorusField
     h : float
         Requires ``h^2 D < 1``.
+    m_fibers : int
+        Cap of the Bloch ladder; ``2 h u_max < m_fibers`` is required.
 
     Returns
     -------
     dict
         ``f_bcs_diff``, ``scaled``, the three terms, the half-resolution
-        re-evaluation of term (iii) (``term_remainder_check``), and run
-        parameters.
+        re-evaluation of term (iii) (``term_remainder_check``), the run
+        parameters, and the ladder's record: ``m_fibers`` (the ``M``
+        used), ``capped`` (cap reached unconverged), ``f_bcs_diff_floor``
+        and ``delta_f_bcs_diff``, the last change of ``f_bcs_diff``
+        (``None`` for a one-rung ladder).
         Quadrature sizes are four points per fastest oscillation
         (``u``) and four points per field mode (``x``).
     """
@@ -724,7 +741,8 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     u_max = _potential_reach(sol.spec)
     if h * u_max >= 0.5 * m_fibers:
         raise ValueError(
-            "interaction range exceeds half the supercell; increase m_fibers"
+            "interaction range exceeds half the supercell; increase "
+            "m_fibers (config key grids.fiber_m)"
         )
 
     # (x, u) band for the remainder term, sized from the mode content:
@@ -739,6 +757,8 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     u_nodes = np.linspace(-u_max, u_max, u_points)
     u_weights = np.full(u_points, u_nodes[1] - u_nodes[0])
     u_weights[[0, -1]] *= 0.5
+    coarse_w = np.full((u_points + 1) // 2, 2.0 * (u_nodes[1] - u_nodes[0]))
+    coarse_w[[0, -1]] *= 0.5
     e1x = np.exp(2j * math.pi * np.outer(x_nodes, modes))
 
     def band_of(alpha, xi):
@@ -752,15 +772,11 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
         lam, alpha = _pair_block(op.matrix, beta)
-        tr, _ = _fiber_trace(op, lam, beta)
-        own = (tr, band_of(alpha, xi))
+        tr, mass = _fiber_trace(op, lam, beta)
+        own = (tr, mass, band_of(alpha, xi))
         if not partnered:
             return (own,)
-        return own, (tr, band_of(_partner_block(alpha), -xi))
-
-    parts = _fold_fibers(basis, one, workers)
-    tr_sum = math.fsum(p[0] for p in parts) / basis.m_fibers
-    term_i = tr_sum / (2.0 * beta)
+        return own, (tr, mass, band_of(_partner_block(alpha), -xi))
 
     psi_mode_index = np.nonzero(psi.coeffs)[0]
     p_values = 2.0 * math.pi * psi.modes[psi_mode_index]
@@ -768,7 +784,6 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     iv = _pair_interaction_quadrature(sol, h, p_values)
     term_ii = -h / (2.0 * math.pi) * float(np.dot(weights, iv))
 
-    band = sum(p[1] for p in parts) / basis.m_fibers
     alpha0_u, _ = sol.real_space(u_nodes)
     psi_x = psi.evaluate(x_nodes)
     psi_xu = psi.evaluate(
@@ -776,32 +791,36 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     ).reshape(x_points, u_points)
     lead = (psi_x[:, None] + psi_xu) * alpha0_u[None, :] / (2.0 * _SQRT_TWO_PI)
     v_u = sol.spec.v(np.abs(u_nodes))
-    density = v_u[None, :] * np.abs(lead - band) ** 2
-    term_iii = h * float(np.mean(density @ u_weights))
 
-    # Built-in refinement check: re-evaluate on every second (x, u) node.
-    coarse_w = np.full((u_points + 1) // 2, 2.0 * (u_nodes[1] - u_nodes[0]))
-    coarse_w[[0, -1]] *= 0.5
-    term_iii_coarse = h * float(np.mean(density[::2, ::2] @ coarse_w))
+    def quadrature(parts, m):
+        tr, mass = (math.fsum(p[i] for p in parts) / m for i in range(2))
+        band = sum(p[2] for p in parts) / m
+        density = v_u[None, :] * np.abs(lead - band) ** 2
+        term_i = tr / (2.0 * beta)
+        term_iii = h * float(np.mean(density @ u_weights))
+        q = {
+            "f_bcs_diff": term_i + term_ii + term_iii,
+            "f_bcs_diff_floor": _TRACE_FLOOR_UNIT * mass / (2.0 * beta),
+            "term_trace": term_i,
+            "term_remainder": term_iii,
+            # built-in refinement check: every second (x, u) node
+            "term_remainder_check":
+                h * float(np.mean(density[::2, ::2] @ coarse_w)),
+        }
+        return q, {"f_bcs_diff": q["f_bcs_diff_floor"]}
+
+    q, ladder = _bloch_ladder(basis, one, workers, quadrature,
+                              above=2.0 * h * u_max)
+    term_iii, term_iii_coarse = q["term_remainder"], q["term_remainder_check"]
     if abs(term_iii - term_iii_coarse) > max(1e-12, 0.1 * abs(term_iii)):
         warnings.warn(
             "remainder-term quadrature not converged: "
             f"{term_iii:.3e} vs {term_iii_coarse:.3e} at half resolution"
         )
 
-    f_bcs_diff = term_i + term_ii + term_iii
-    return {
-        "f_bcs_diff": f_bcs_diff,
-        "scaled": f_bcs_diff / h**3,
-        "term_trace": term_i,
-        "term_interaction": term_ii,
-        "term_remainder": term_iii,
-        "term_remainder_check": term_iii_coarse,
-        "h": h,
-        "beta": beta,
-        "n_max": basis.n_max,
-        "m_fibers": m_fibers,
-    }
+    return {**q, "scaled": q["f_bcs_diff"] / h**3,
+            "term_interaction": term_ii, "h": h, "beta": beta,
+            "n_max": basis.n_max, **ladder}
 
 
 # ---------------------------------------------------------------------------

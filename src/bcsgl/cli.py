@@ -608,7 +608,9 @@ def _energy_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
         res = bv.trial_state_energy(
             sol, state.psi, cfg.a_field, cfg.w_field, h,
             m_fibers=cfg.fiber_m, workers=run.workers)
-        return res["scaled"], {"beta": res["beta"]}
+        return res["scaled"], {k: res[k] for k in (
+            "beta", "m_fibers", "capped", "f_bcs_diff_floor",
+            "delta_f_bcs_diff")}
 
     report = bv.h_sweep(observe, cfg.h_list, reference=target,
                         label="energy_upper_bound")
@@ -642,7 +644,10 @@ _SWEEPS = {
                     "artifacts, doubling its Bloch momenta up to "
                     "fiber_m until lhs and the pair norms stop moving"),
     "verify-energy": ("energy_upper_bound", _energy_sweep,
-                      "trial-state energy upper-bound sweep"),
+                      "trial-state energy upper-bound sweep, doubling "
+                      "its Bloch momenta from the first M above 2 h u_max "
+                      "(u_max the reach of V) up to fiber_m until the "
+                      "free-energy difference stops moving"),
 }
 
 

@@ -226,14 +226,6 @@ class MomentumGrid:
         the nodes: twice the half-line midpoint sum."""
         return 2.0 * float(np.sum(values) * self.dq)
 
-    def refined(self, factor: int = 2) -> "MomentumGrid":
-        """Same cutoff, ``factor`` times more points (finer resolution)."""
-        return MomentumGrid(self.cutoff, self.n_points * factor)
-
-    def widened(self, factor: int = 2) -> "MomentumGrid":
-        """Same spacing, ``factor`` times larger cutoff (wider domain)."""
-        return MomentumGrid(self.cutoff * factor, self.n_points * factor)
-
     @classmethod
     def default_for(cls, spec: PotentialSpec) -> "MomentumGrid":
         """Desk-scale default resolving the Fermi surface and the well."""
@@ -488,7 +480,6 @@ def _positive_definite(matrix: np.ndarray) -> bool:
 def find_tc(
     spec: PotentialSpec,
     grid: MomentumGrid | None = None,
-    bracket_hint: tuple[float, float] | None = None,
 ) -> GapSolution:
     """Locate ``T_c`` by bisection and return the (unnormalized) solution.
 
@@ -509,9 +500,6 @@ def find_tc(
     spec : PotentialSpec
     grid : MomentumGrid, optional
         Defaults to ``MomentumGrid.default_for(spec)``.
-    bracket_hint : (float, float), optional
-        Trusted initial bracket (e.g. from a coarser run); it is verified
-        and the full bracket is used if the hint does not straddle the root.
 
     Returns
     -------
@@ -544,11 +532,7 @@ def find_tc(
         raise NoPairingError(lam(probe), probe)
 
     lo, hi = probe, 10.0 * max(abs(spec.mu), 1.0)
-    if bracket_hint is not None:
-        h_lo, h_hi = bracket_hint
-        if probe <= h_lo < h_hi <= hi and paired(h_lo) and not paired(h_hi):
-            lo, hi = h_lo, h_hi
-    if lo == probe and paired(hi):
+    if paired(hi):
         raise BracketError(
             f"lambda_min({hi:.3f}) = {lam(hi):.3e} <= 0; no sign change up "
             "to the upper temperature bracket"

@@ -28,12 +28,10 @@ def gap_sol(gap_sol_raw) -> gs.GapSolution:
 
 
 @pytest.fixture(scope="session")
-def gap_sol_fine(ref_spec, ref_grid, gap_sol_raw) -> gs.GapSolution:
-    """Same problem at doubled resolution (bracketed near the coarse T_c)."""
-    hint = (gap_sol_raw.T_c * 0.999, gap_sol_raw.T_c * 1.001)
-    return gs.normalize(
-        gs.find_tc(ref_spec, ref_grid.refined(2), bracket_hint=hint), 1.0
-    )
+def gap_sol_fine(ref_spec, ref_grid) -> gs.GapSolution:
+    """Same problem at doubled resolution."""
+    fine = gs.MomentumGrid(ref_grid.cutoff, 2 * ref_grid.n_points)
+    return gs.normalize(gs.find_tc(ref_spec, fine), 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def fiber_pass(gap_sol, two_mode_fields):
     """One pass over the fibers per h gives the trace and the pair
     sweep, as in the command line."""
     psi, a, w = two_mode_fields
-    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h, m_fibers=16,
+    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h,
                                        workers=WORKERS)
             for h in H_LIST}
 
@@ -210,7 +210,7 @@ def energy_gap_sweep(gap_sol, gl_coef, gl_min_state):
     def observe(h):
         res = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO,
                                     TorusField.cosine(0.5, 1), h,
-                                    m_fibers=16, workers=WORKERS)
+                                    workers=WORKERS)
         return res["scaled"] - target, {}
 
     return bv.h_sweep(observe, H_LIST, label="energy_upper_bound")
@@ -273,7 +273,7 @@ class TestFiberSupercellConsistency:
     def test_translation_invariant_quadrature_oracle(self, gap_sol):
         c, h = 0.75, 0.25
         res = bv.semiclassical_trace(gap_sol, TorusField.constant(c),
-                                     ZERO, ZERO, h, m_fibers=16)
+                                     ZERO, ZERO, h)
         beta = gap_sol.beta_c
         q = np.linspace(0.0, 24.0, 100001)
         t_vals = np.concatenate(

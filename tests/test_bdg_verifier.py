@@ -73,10 +73,11 @@ def fields():
 
 @pytest.fixture(scope="module")
 def shared_pass(gap_sol, fields):
-    """``alpha_delta_distance`` on 16 fibers at h = 1/8, 1/16 and 1/32:
-    the trace and pair values of one fiber pass per h."""
+    """``alpha_delta_distance`` with its default cap of 16 fibers at
+    h = 1/8, 1/16 and 1/32: the trace and pair values of one fiber pass
+    per h."""
     psi, a, w = fields
-    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h, m_fibers=16)
+    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h)
             for h in (0.125, 0.0625, 0.03125)}
 
 
@@ -329,7 +330,7 @@ class TestTranslationInvariantOracle:
     def test_lhs_matches_quadrature(self, gap_sol):
         c, h = 0.75, 0.25
         res = bv.semiclassical_trace(
-            gap_sol, TorusField.constant(c), ZERO, ZERO, h, m_fibers=16
+            gap_sol, TorusField.constant(c), ZERO, ZERO, h
         )
         beta = gap_sol.beta_c
         q = np.linspace(0.0, 24.0, 100001)
@@ -348,7 +349,7 @@ class TestTranslationInvariantOracle:
 
     def test_lhs_regression(self, gap_sol):
         res = bv.semiclassical_trace(
-            gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25, m_fibers=16
+            gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25
         )
         assert res["lhs"] == pytest.approx(LHS_CONSTANT, rel=1e-9)
 
@@ -591,7 +592,7 @@ class TestTrialStateEnergy:
     def test_scaled_regression(self, gap_sol, gl_min_state):
         w = TorusField.cosine(0.5, 1)
         res = bv.trial_state_energy(
-            gap_sol, gl_min_state.psi, ZERO, w, 0.125, m_fibers=16
+            gap_sol, gl_min_state.psi, ZERO, w, 0.125
         )
         assert res["scaled"] == pytest.approx(SCALED_ENERGY_H8, rel=1e-6)
 
@@ -599,7 +600,7 @@ class TestTrialStateEnergy:
         psi, a, w = fields
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = bv.trial_state_energy(gap_sol, psi, a, w, 0.125, m_fibers=16)
+            res = bv.trial_state_energy(gap_sol, psi, a, w, 0.125)
         # attractive potential: V <= 0 makes the remainder term nonpositive
         assert res["term_remainder"] <= 0.0
         assert abs(res["term_remainder"] - res["term_remainder_check"]) <= max(
@@ -609,7 +610,7 @@ class TestTrialStateEnergy:
     def test_interaction_term_two_routes_agree(self, gap_sol, fields):
         psi, a, w = fields
         h = 0.125
-        res = bv.trial_state_energy(gap_sol, psi, a, w, h, m_fibers=16)
+        res = bv.trial_state_energy(gap_sol, psi, a, w, h)
         index = np.nonzero(psi.coeffs)[0]
         symbol = pair_interaction_symbol_form(
             gap_sol, h, 2 * math.pi * psi.modes[index]
@@ -838,11 +839,12 @@ class TestPartnerFibers:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_grid(basis, one, workers, quadrature, settled):
+def _fixed_grid(basis, one, workers, quadrature, above=0.0):
     """The fixed M-node pass in place of the ladder: every node of the cap
     grid folded at once, one ``quadrature`` over all of them."""
     m = basis.m_fibers
-    return m, quadrature(bv._fold_fibers(basis, one, workers), m), None, True
+    q, _ = quadrature(bv._fold_fibers(basis, one, workers), m)
+    return q, {"m_fibers": m, "capped": False}
 
 
 _PASS_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h1_distance",
@@ -865,21 +867,39 @@ class TestBlochLadder:
             np.testing.assert_array_equal(
                 sorted(p[0] for p in parts),
                 bv.FiberBasis(0.25, 4, m).xi_nodes)
-            return m
+            # a negative floor never settles
+            return {"M": m}, {"M": -1.0}
 
-        m, fine, coarse, converged = bv._bloch_ladder(
-            basis, one, 1, quadrature, lambda fine, coarse: False)
+        with pytest.warns(UserWarning, match="reached the cap m_fibers=12"):
+            q, record = bv._bloch_ladder(basis, one, 1, quadrature)
         assert rungs == [3, 6, 12]
-        assert (m, fine, coarse, converged) == (12, 12, 6, False)
+        assert q == {"M": 12}
+        assert record == {"m_fibers": 12, "capped": True, "delta_M": 6}
         assert len(built) == len(set(built))
         np.testing.assert_array_equal(sorted(built), basis.half_nodes)
+
+    @pytest.mark.parametrize("above, rungs", [(3.0, [6, 12]), (11.5, [12])])
+    def test_rungs_start_above_the_lower_bound(self, above, rungs):
+        basis = bv.FiberBasis(0.25, 4, 12)
+        seen = []
+
+        def quadrature(parts, m):
+            seen.append(m)
+            return {"M": m}, {"M": -1.0}
+
+        with pytest.warns(UserWarning, match="reached the cap"):
+            _, record = bv._bloch_ladder(
+                basis, lambda xi, partnered: ((xi,),) * (1 + partnered), 1,
+                quadrature, above=above)
+        assert seen == rungs
+        assert record["delta_M"] == (None if len(rungs) == 1 else 6)
 
     def test_zero_thresholds_run_to_the_cap(self, gap_sol, fields,
                                             monkeypatch):
         # with nothing allowed to move, the ladder climbs to the cap and
         # equals the fixed 16-node pass key for key
         psi, a, w = fields
-        monkeypatch.setattr(bv, "_LHS_FLOOR_UNIT", 0.0)
+        monkeypatch.setattr(bv, "_TRACE_FLOOR_UNIT", 0.0)
         monkeypatch.setattr(bv, "_PAIR_REL_TOL", 0.0)
         with pytest.warns(UserWarning, match="reached the cap"):
             ladder = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.125)
@@ -941,6 +961,117 @@ class TestBlochLadder:
             values += [tr] * (2 if 0 < k < basis.m_fibers / 2 else 1)
         permuted = h / beta * math.fsum(values) / basis.m_fibers
         assert abs(permuted - res["lhs"]) <= res["lhs_floor"]
+
+
+_ENERGY_KEYS = ("f_bcs_diff", "scaled", "term_trace", "term_interaction",
+                "term_remainder", "term_remainder_check", "h", "beta",
+                "n_max", "m_fibers", "f_bcs_diff_floor")
+
+
+@pytest.fixture(scope="module")
+def energy_pass(gap_sol, gl_min_state):
+    """``trial_state_energy`` of the real GL minimizer (A = 0, W = 0.5 cos)
+    with its default cap of 16 fibers at h = 1/8 ... 1/64."""
+    w = TorusField.cosine(0.5, 1)
+    return {h: bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
+            for h in (0.125, 0.0625, 0.03125, 0.015625)}
+
+
+class TestEnergyLadder:
+    """The trial-state energy takes its Bloch quadrature from the ladder."""
+
+    def test_zero_threshold_runs_to_the_cap(self, gap_sol, gl_min_state,
+                                            monkeypatch):
+        # with nothing allowed to move, the ladder climbs to the cap and
+        # equals the fixed 16-node fold key for key
+        w = TorusField.cosine(0.5, 1)
+        monkeypatch.setattr(bv, "_TRACE_FLOOR_UNIT", 0.0)
+        with pytest.warns(UserWarning, match="reached the cap m_fibers=16"):
+            ladder = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO,
+                                           w, 0.125)
+        assert ladder["capped"] and ladder["m_fibers"] == 16
+        monkeypatch.setattr(bv, "_bloch_ladder", _fixed_grid)
+        fixed = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w,
+                                      0.125)
+        for key in _ENERGY_KEYS:
+            assert ladder[key] == fixed[key], key
+
+    def test_first_rung_above_the_supercell_bound(self, gap_sol,
+                                                  gl_min_state, monkeypatch):
+        # the M-node grid is a supercell of M cells, and half of it must
+        # hold the interaction range: M > 2 h u_max
+        h = 0.125
+        bound = 2.0 * h * bv._potential_reach(gap_sol.spec)
+        folded = []
+        fold = bv._fold_fibers
+
+        def recording(basis, one, workers):
+            folded.append(basis.m_fibers)
+            return fold(basis, one, workers)
+
+        monkeypatch.setattr(bv, "_fold_fibers", recording)
+        res = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO,
+                                    TorusField.cosine(0.5, 1), h)
+        first = min(folded)
+        assert first / 2 <= bound < first == 2
+        assert first < res["m_fibers"] <= 16 and not res["capped"]
+
+    def test_cap_below_the_supercell_bound_raises(self, gap_sol, fields):
+        psi, a, w = fields
+        with pytest.raises(ValueError, match="grids.fiber_m"):
+            bv.trial_state_energy(gap_sol, psi, a, w, 0.125, m_fibers=1)
+
+    def test_capped_point_is_recorded_and_warned(self, gap_sol, gl_min_state):
+        # at h = 1/8, scaled moves by about 7e-4 relative from M = 2 to 4
+        with pytest.warns(UserWarning, match="reached the cap m_fibers=4"):
+            res = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO,
+                                        TorusField.cosine(0.5, 1), 0.125,
+                                        m_fibers=4)
+        assert res["capped"] is True and res["m_fibers"] == 4
+        assert res["delta_f_bcs_diff"] > res["f_bcs_diff_floor"]
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625, 0.03125, 0.015625])
+    def test_values_within_the_floor_of_the_full_grid(
+            self, gap_sol, gl_min_state, energy_pass, monkeypatch, h):
+        # measured moves of scaled = f_bcs_diff / h^3: 6.4e-11 .. 4.5e-8
+        # against floors / h^3 of 6.8e-10 .. 8.4e-7 (h = 1/8 .. 1/64,
+        # one BLAS thread)
+        res = energy_pass[h]
+        assert not res["capped"] and res["m_fibers"] < 16
+        assert res["delta_f_bcs_diff"] <= res["f_bcs_diff_floor"]
+        monkeypatch.setattr(bv, "_bloch_ladder", _fixed_grid)
+        full = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO,
+                                     TorusField.cosine(0.5, 1), h)
+        assert abs(res["f_bcs_diff"] - full["f_bcs_diff"]) \
+            <= res["f_bcs_diff_floor"]
+
+    @pytest.mark.parametrize("h", [0.03125, 0.015625])
+    def test_floor_covers_permuted_roundoff(self, gap_sol, gl_min_state,
+                                            energy_pass, monkeypatch, h):
+        # Diagonalizing every fiber after one fixed symmetric permutation
+        # moves scaled by roundoff alone.  Measured over seven
+        # permutations: up to 1.7e-8 at h = 1/32 (floor 6.5e-8) and
+        # 1.8e-7 at h = 1/64 (floor 8.4e-7), one BLAS thread.
+        res = energy_pass[h]
+        perm = np.random.default_rng(4).permutation(
+            2 * (2 * res["n_max"] + 1))
+        back = np.argsort(perm)
+
+        def permuted(matrix, beta):
+            lam, vec = np.linalg.eigh(matrix[np.ix_(perm, perm)])
+            vec = vec[back]
+            n = matrix.shape[0] // 2
+            rho = specfun.fermi_rho(beta * lam)
+            return lam, (vec[:n] * rho) @ vec[n:].conj().T
+
+        monkeypatch.setattr(bv, "_pair_block", permuted)
+        monkeypatch.setattr(bv, "_bloch_ladder", _fixed_grid)
+        shifted = bv.trial_state_energy(
+            gap_sol, gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1), h,
+            m_fibers=res["m_fibers"])
+        assert shifted["scaled"] != res["scaled"]
+        assert abs(shifted["scaled"] - res["scaled"]) \
+            <= res["f_bcs_diff_floor"] / h**3
 
 
 # ---------------------------------------------------------------------------

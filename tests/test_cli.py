@@ -330,6 +330,26 @@ class TestSweepCommands:
         assert {p.name: p.read_bytes()
                 for p in sweeps.glob("*.json")} == serial
 
+    def test_workers_do_not_change_energy_ladder_bytes(self, tmp_path,
+                                                       capsys):
+        # with a cap of 16 the energy sweep's ladder stops below it at
+        # every h, and each point records it
+        path = write_config(
+            tmp_path,
+            grids=fast_grids(h_list=[0.125, 0.0625, 0.03125], fiber_m=16))
+        artifact = tmp_path / "out" / "sweeps" / "energy_upper_bound.json"
+        run_cli(capsys, "--config", str(path), "--workers", "1",
+                "verify-energy")
+        serial = artifact.read_bytes()
+        extras = json.loads(serial)["report"]["extras"]
+        assert all(e["m_fibers"] < 16 and e["capped"] is False
+                   and e["delta_f_bcs_diff"] <= e["f_bcs_diff_floor"]
+                   for e in extras)
+        artifact.unlink()
+        run_cli(capsys, "--config", str(path), "--workers", "4",
+                "verify-energy")
+        assert artifact.read_bytes() == serial
+
     @pytest.mark.parametrize("command, name, observable", [
         ("verify-thm2", "trace_expansion", "alpha_delta_distance"),
         ("verify-thm3", "pair_distance", "alpha_delta_distance"),
