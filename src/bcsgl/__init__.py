@@ -26,12 +26,21 @@ dimension, the semiclassical statements that connect the two descriptions:
     Command-line pipeline driver writing JSON/CSV artifacts.
 """
 
-from importlib.metadata import PackageNotFoundError, version
 
-try:  # pragma: no cover - metadata present after installation
-    __version__ = version("bcsgl")
-except PackageNotFoundError:  # pragma: no cover - running from a checkout
-    __version__ = "0.0.0"
+def __getattr__(name: str):
+    # ``__version__`` is looked up on first use: reading the installed
+    # metadata would cost every fresh process about 20 ms.
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:  # pragma: no cover - metadata present after installation
+        value = version("bcsgl")
+    except PackageNotFoundError:  # pragma: no cover - running from a checkout
+        value = "0.0.0"
+    globals()["__version__"] = value
+    return value
+
 
 __all__ = [
     "specfun",

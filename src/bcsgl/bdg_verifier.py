@@ -71,7 +71,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import specfun
 from .gap_solver import GapSolution
@@ -458,7 +457,7 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
     def form(matrix):
         return float(np.vdot(c, matrix @ c).real)
 
-    psi_g = psi.values_on_grid(next_fast_len(4 * n + 1))
+    psi_g = psi.values_on_grid(specfun.next_fast_len(4 * n + 1))
     return {
         "norm2_sq": float(np.vdot(c, c).real),
         "grad_plain_sq": form(_covariant_square(TorusField.zero(0), n)),
@@ -652,27 +651,13 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
 # ---------------------------------------------------------------------------
 
 
-def _potential_reach(spec) -> float:
-    """Radius beyond which ``|V|`` drops below ``1e-12 * max |V|``."""
-    scale = spec.interaction_range()
-    x = np.linspace(0.0, 50.0 * scale, 8192)
-    mags = np.abs(spec.v(x))
-    above = np.nonzero(mags >= 1e-12 * mags.max())[0]
-    if not above.size:
-        raise ValueError("potential is identically negligible")
-    return float(x[min(int(above[-1]) + 1, len(x) - 1)])
-
-
 def _pair_interaction_quadrature(sol: GapSolution, h: float,
                                  p_modes: np.ndarray) -> np.ndarray:
     """``integral V(x) alpha0(x)^2 cos^2(h p x / 2) dx`` per mode."""
-    u_max = _potential_reach(sol.spec)
-    u = np.linspace(0.0, u_max, 2048)
-    v_vals = sol.spec.v(u)
-    alpha, _ = sol.real_space(u)
+    u, density = sol.interaction_density
     out = np.empty(len(p_modes))
     for i, p in enumerate(p_modes):
-        integrand = v_vals * alpha**2 * np.cos(0.5 * h * p * u) ** 2
+        integrand = density * np.cos(0.5 * h * p * u) ** 2
         out[i] = 2.0 * np.trapezoid(integrand, u)
     return out
 
@@ -738,7 +723,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     basis = _resolve_basis(sol, h, m_fibers, n_max)
     modes = basis.modes
 
-    u_max = _potential_reach(sol.spec)
+    u_max = sol.spec.reach()
     if h * u_max >= 0.5 * m_fibers:
         raise ValueError(
             "interaction range exceeds half the supercell; increase "
@@ -784,7 +769,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     iv = _pair_interaction_quadrature(sol, h, p_values)
     term_ii = -h / (2.0 * math.pi) * float(np.dot(weights, iv))
 
-    alpha0_u, _ = sol.real_space(u_nodes)
+    alpha0_u = sol.alpha0(u_nodes)
     psi_x = psi.evaluate(x_nodes)
     psi_xu = psi.evaluate(
         (x_nodes[:, None] + h * u_nodes[None, :]).ravel()

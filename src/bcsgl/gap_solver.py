@@ -20,6 +20,12 @@ temperature-offset coefficient ``D``.
 
 Only ``dim = 1`` is wired to the solver; the potential types carry the
 general dimension for completeness.
+
+The Cholesky test and the ground state use SciPy's LAPACK, imported
+inside the functions that call it, so importing this module loads no
+SciPy.  NumPy's routines would be slower here: ``np.linalg.cholesky``
+does not stop at the first nonpositive pivot, and ``np.linalg.eigh``
+computes every eigenpair where one or two are needed.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy import linalg
 
 from . import specfun
 
@@ -174,6 +179,15 @@ class PotentialSpec:
         """Length scale below which ``V`` is non-negligible: the width ``w``."""
         return self.w
 
+    def reach(self) -> float:
+        """Radius beyond which ``|V|`` drops below ``1e-12 * max |V|``."""
+        x = np.linspace(0.0, 50.0 * self.interaction_range(), 8192)
+        mags = np.abs(self.v(x))
+        above = np.nonzero(mags >= 1e-12 * mags.max())[0]
+        if not above.size:
+            raise ValueError("potential is identically negligible")
+        return float(x[min(int(above[-1]) + 1, len(x) - 1)])
+
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -314,6 +328,8 @@ def lowest_eigenpair(matrix: np.ndarray) -> EigenPair:
         raise ValueError("matrix must be square")
     if not np.allclose(matrix, matrix.T, atol=1e-12 * max(1.0, np.abs(matrix).max())):
         raise ValueError("matrix must be symmetric")
+    from scipy import linalg
+
     upper = min(1, matrix.shape[0] - 1)
     vals, vecs = linalg.eigh(matrix, subset_by_index=[0, upper])
     vec = vecs[:, 0]
@@ -404,15 +420,32 @@ class GapSolution:
 
     # -- real space ---------------------------------------------------------
 
+    def alpha0(self, x) -> np.ndarray:
+        """``alpha0(x)`` by the even-sector inverse transform."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        weight = math.sqrt(2.0 / math.pi) * self.grid.dq
+        return weight * (np.cos(self.grid.nodes[None, :] * x[:, None])
+                         @ self.alpha0_hat)
+
     def real_space(self, x) -> tuple[np.ndarray, np.ndarray]:
         """``alpha0(x)`` and ``alpha0'(x)`` by the even-sector inverse transform."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         q = self.grid.nodes
-        phase = q[None, :] * x[:, None]
         weight = math.sqrt(2.0 / math.pi) * self.grid.dq
-        alpha = weight * (np.cos(phase) @ self.alpha0_hat)
-        alpha_prime = -weight * (np.sin(phase) @ (q * self.alpha0_hat))
-        return alpha, alpha_prime
+        alpha_prime = -weight * (np.sin(q[None, :] * x[:, None])
+                                 @ (q * self.alpha0_hat))
+        return self.alpha0(x), alpha_prime
+
+    @cached_property
+    def interaction_density(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes ``u``, 2048 on ``[0, spec.reach()]``, and ``V(u) alpha0(u)^2``.
+
+        The integrand of the pair-interaction term of the trial-state
+        energy apart from its ``h``-dependent factor, so every ``h`` of a
+        sweep shares it.
+        """
+        u = np.linspace(0.0, self.spec.reach(), 2048)
+        return u, self.spec.v(u) * self.alpha0(u) ** 2
 
     # -- validation and serialization ---------------------------------------
 
@@ -471,6 +504,8 @@ def _positive_definite(matrix: np.ndarray) -> bool:
     often after a few columns, as soon as a nonpositive pivot appears.
     Reads the lower triangle, as ``linalg.eigh`` does, and may overwrite it.
     """
+    from scipy import linalg
+
     # The transpose of a C-ordered array is Fortran-ordered, so potrf works
     # in place; its upper triangle is the lower triangle of ``matrix``.
     _, info = linalg.lapack.dpotrf(matrix.T, lower=0, clean=0, overwrite_a=1)
@@ -523,6 +558,8 @@ def find_tc(
         return not _positive_definite(gap_matrix(T))
 
     def lam(T: float) -> float:
+        from scipy import linalg
+
         vals = linalg.eigh(gap_matrix(T), subset_by_index=[0, 0],
                            eigvals_only=True)
         return float(vals[0])

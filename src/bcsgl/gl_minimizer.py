@@ -40,11 +40,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
-from scipy.fft import next_fast_len
-from scipy.sparse import linalg as sparse_linalg
 
 from .gl_coeffs import GLCoefficients
+from .specfun import next_fast_len
 
 __all__ = [
     "TorusField",
@@ -427,6 +425,12 @@ def _descend(start: TorusField, label: str, a, w, coef):
     even (module docstring), the packed ``[Re, Im]`` ones otherwise; the
     reported gradient norm is always that of the full gradient.
     """
+    # Imported here, not at module level: only the descent needs them,
+    # and they add about 0.25 s to a fresh process that already holds
+    # scipy.linalg.
+    from scipy import optimize
+    from scipy.sparse import linalg as sparse_linalg
+
     n_max = start.n_max
     quad = _quadratic_part(a, w, coef, n_max)
     if not a.coeffs.any() and not w.coeffs.imag.any():

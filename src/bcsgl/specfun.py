@@ -18,6 +18,8 @@ scalar functions of the dimensionless energy ``z = beta * (p^2 - mu)``:
 All functions switch to Taylor series below ``SERIES_THRESHOLD = 1e-2`` so
 removable singularities are exact, and to asymptotic forms at large
 argument so nothing overflows for ``|z|`` up to several hundred.
+
+``next_fast_len`` picks the FFT grid sizes of the torus fields.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "SERIES_THRESHOLD",
@@ -43,6 +44,7 @@ __all__ = [
     "kt_symbol",
     "divided_difference",
     "entropy_inequality_margin",
+    "next_fast_len",
 ]
 
 #: Switch to Taylor series for |z| at or below this value (documented contract).
@@ -77,6 +79,19 @@ def _as_float_array(z) -> tuple[np.ndarray, bool]:
 
 def _maybe_scalar(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
+
+
+def _occupation(arr: np.ndarray) -> np.ndarray:
+    """``1/(1 + e^z)``: the logistic function of ``-z`` in one branch.
+
+    ``e^z`` overflows to ``inf`` above ``z`` = 709.78, where the quotient
+    is 0 as it should be, so the overflow flag is ignored.  Within 2 eps
+    relative of ``scipy.special.expit(-z)``, which evaluates the same
+    form with another library's ``exp``: the denominators may round one
+    ulp apart.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(arr))
 
 
 def fermi_f(z):
@@ -115,7 +130,7 @@ def fermi_rho(z):
         ``-z`` so large ``|z|`` neither overflows nor loses precision.
     """
     arr, scalar = _as_float_array(z)
-    return _maybe_scalar(special.expit(-arr), scalar)
+    return _maybe_scalar(_occupation(arr), scalar)
 
 
 def _rho_polynomials(max_order: int) -> list[np.ndarray]:
@@ -158,7 +173,7 @@ def rho_derivative(z, order: int):
             f"order must be in [0, {MAX_DERIVATIVE_ORDER - 1}], got {order}"
         )
     arr, scalar = _as_float_array(z)
-    rho = special.expit(-arr)
+    rho = _occupation(arr)
     out = np.polynomial.polynomial.polyval(rho, _RHO_POLYS[order])
     return _maybe_scalar(out, scalar)
 
@@ -530,3 +545,31 @@ def entropy_inequality_margin(x, y):
     ) ** 2
     out = lhs - rhs
     return _maybe_scalar(out, xs and ys)
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest ``m >= n`` whose prime factors are all at most 11.
+
+    NumPy's pocketfft transforms such lengths fastest; the result equals
+    ``scipy.fft.next_fast_len(n)`` for complex transforms.
+
+    Parameters
+    ----------
+    n : int
+        Requested length, at least 1.
+
+    Returns
+    -------
+    int
+    """
+    if n < 1:
+        raise ValueError(f"length must be at least 1, got {n}")
+    m = int(n)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1

@@ -1001,7 +1001,7 @@ class TestEnergyLadder:
         # the M-node grid is a supercell of M cells, and half of it must
         # hold the interaction range: M > 2 h u_max
         h = 0.125
-        bound = 2.0 * h * bv._potential_reach(gap_sol.spec)
+        bound = 2.0 * h * gap_sol.spec.reach()
         folded = []
         fold = bv._fold_fibers
 

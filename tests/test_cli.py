@@ -584,24 +584,71 @@ class TestEntryPoint:
                      "verify-thm3", "verify-energy", "prop-tests", "all"):
             assert name in result.stdout
 
-    def test_pipeline_imports_only_the_scipy_it_runs(self):
-        # scipy.signal pulls in scipy.stats, scipy.integrate and
-        # scipy.interpolate: about half a second for every process
-        script = (
-            "import sys\n"
-            "import bcsgl.cli\n"
-            "from bcsgl import properties\n"
-            "assert all(r.passed for r in properties.run_suite(seed=0))\n"
-            "assert bcsgl.cli.main(['validate']) == 0\n"
-            "heavy = ('scipy.signal', 'scipy.stats', 'scipy.integrate',\n"
-            "         'scipy.interpolate')\n"
-            "print([m for m in heavy if m in sys.modules])\n"
-        )
+    def test_version_is_a_string(self):
+        import bcsgl
+        assert isinstance(bcsgl.__version__, str) and bcsgl.__version__
+        with pytest.raises(AttributeError):
+            bcsgl.no_such_attribute
+
+    def test_pipeline_imports_only_the_scipy_it_runs(self, tmp_path):
+        # Each command runs in a fresh interpreter, which then lists the
+        # SciPy modules it holds.  Only the gap solve needs SciPy (its
+        # LAPACK), and only the GL descent scipy.optimize and
+        # scipy.sparse.linalg; importing scipy.optimize itself loads
+        # scipy.fft and scipy.special, so a cold `all` may hold what that
+        # import holds, and no more.
+        listing = ("print(json.dumps([code, sorted(m for m in sys.modules "
+                   "if m.split('.')[0] == 'scipy')]))")
+        script = ("import json, sys\nimport bcsgl.cli\n"
+                  "code = bcsgl.cli.main(sys.argv[1:])\n" + listing)
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, check=False)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().splitlines()[-1] == "[]"
+        config = str(write_config(tmp_path, grids=fast_grids()))
+
+        def start(*argv, code=script):
+            return subprocess.Popen(
+                [sys.executable, "-c", code, "--config", config, *argv],
+                env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True)
+
+        def modules(process, codes=(cli.EXIT_OK,)):
+            out, err = process.communicate(timeout=300)
+            assert process.returncode == 0, err
+            code, names = json.loads(out.strip().splitlines()[-1])
+            assert code in codes, out
+            return names
+
+        def subpackages(names):
+            """``scipy.linalg`` for ``scipy.linalg._basic``."""
+            tops = {name.split(".")[1] for name in names if "." in name}
+            return {f"scipy.{top}" for top in tops
+                    if not top.startswith("_")} - {"scipy.version"}
+
+        # the coarse grids fail sweep gates (exit 4) after every stage ran
+        swept = (cli.EXIT_OK, cli.EXIT_REGRESSION)
+        runs = {
+            "validate": (start("validate"),),
+            "tc": (start("--out", "tc", "tc"),),
+            "verify-thm2": (start("--out", "fiber", "verify-thm2"), swept),
+            "prop-tests": (start("prop-tests"),),
+            "all": (start("--out", "all", "all"), swept),
+            "descent": (start(code="import json, sys, scipy.linalg, "
+                              "scipy.optimize, scipy.sparse.linalg\n"
+                              "code = 0\n" + listing),),
+        }
+        loaded = {command: modules(*run) for command, run in runs.items()}
+        # a cache hit of the second fiber sweep solves nothing
+        loaded["verify-thm3"] = modules(
+            start("--out", "fiber", "verify-thm3"), swept)
+
+        assert loaded["validate"] == loaded["verify-thm3"] == []
+        for command in ("tc", "verify-thm2", "prop-tests"):
+            assert subpackages(loaded[command]) == {"scipy.linalg"}, command
+        assert subpackages(loaded["all"]) == subpackages(loaded["descent"])
+        assert {"scipy.optimize", "scipy.sparse"} <= subpackages(
+            loaded["all"])
+        never = {"scipy.signal", "scipy.stats", "scipy.integrate",
+                 "scipy.interpolate"}
+        assert not subpackages(loaded["all"]) & never

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.fft import next_fast_len
 
 import bcsgl
@@ -466,7 +467,7 @@ class TestRealDescent:
         # makes the Newton finish do real work.  Measured (one BLAS
         # thread, cut-offs 1e-5 .. 1e-8): energies within 4.2e-14
         # relative, phase-aligned coefficients within 1.1e-16.
-        original = gm.optimize.minimize
+        original = scipy.optimize.minimize
         cuts = []
 
         def phases(cut):
@@ -490,7 +491,7 @@ class TestRealDescent:
             return psi.coeffs * (overlap / abs(overlap))
 
         for cut in (0.0, 1e-6):
-            monkeypatch.setattr(gm.optimize, "minimize", phases(cut))
+            monkeypatch.setattr(scipy.optimize, "minimize", phases(cut))
             other = minimize(a, w, g3_coef, n_max=16)
             assert other.converged, cut
             assert other.energy == pytest.approx(state.energy, rel=1e-12)

@@ -1,8 +1,12 @@
 """Tests for the named invariant checks (registry, witnesses, mutation)."""
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.special import xlogy
 
 from bcsgl import properties, specfun
 
@@ -112,6 +116,28 @@ class TestSuite:
         first = properties.run_suite(modules=["specfun"], seed=3)
         second = properties.run_suite(modules=["specfun"], seed=3)
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+
+
+class TestScipyEquivalence:
+    def test_xlogx_matches_xlogy(self):
+        p = np.concatenate([[0.0, 5e-324, 1e-300, 1.0],
+                            np.random.default_rng(0).uniform(0.0, 1.0, 1000)])
+        # np.log and the C library's log are each correctly rounded to
+        # within one ulp, so the products may differ by 2 eps relative
+        np.testing.assert_allclose(properties._xlogx(p), xlogy(p, p),
+                                   rtol=2 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("dtypes", [(float, float), (float, complex),
+                                        (complex, complex)])
+    def test_block_diagonal_matches_block_diag(self, dtypes):
+        rng = np.random.default_rng(1)
+        k, m22 = (rng.normal(size=(n, n)).astype(dtype)
+                  for n, dtype in zip((3, 4), dtypes))
+        got = properties._block_diagonal(SimpleNamespace(k_block=k,
+                                                         m22_block=m22))
+        ref = block_diag(k, m22)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestMutationSensitivity:

@@ -1,10 +1,11 @@
 """Unit tests for the stable special functions and divided differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import fft, integrate, special
 
 from bcsgl import specfun as sf
 
@@ -80,6 +81,60 @@ class TestFermiWeights:
             sf.f_derivative(0.0, sf.MAX_DERIVATIVE_ORDER + 1)
         with pytest.raises(ValueError):
             sf.rho_derivative(0.0, -1)
+
+
+class TestScipyEquivalence:
+    """The NumPy forms that keep SciPy off the import path, against SciPy."""
+
+    #: 1.2M points across the range where e^z is finite, and the limits
+    Z = np.concatenate([np.linspace(-745.0, 745.0, 1_200_001),
+                        [-np.inf, -0.0, np.inf]])
+
+    #: Both compute 1/(1 + e^z), with exponentials of different libraries
+    #: that may round 1 + e^z one ulp apart; with the rounding of the
+    #: quotient that moves rho by at most 2 eps relative, or by the
+    #: smallest subnormal where rho underflows.  Measured: 1.93 eps.
+    REL, ABS = 2.0 * np.finfo(float).eps, np.spacing(0.0)
+
+    @staticmethod
+    def quiet(func, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return func(*args)
+
+    def test_rho_matches_expit(self):
+        ref = special.expit(-self.Z)
+        for rho in (self.quiet(sf.fermi_rho, self.Z),
+                    self.quiet(sf.rho_derivative, self.Z, 0)):
+            assert np.all(np.abs(rho - ref) <= self.REL * ref + self.ABS)
+
+    @pytest.mark.parametrize("z", [-np.inf, -745.0, -3.5, 0.0, 3.5, 745.0,
+                                   np.inf])
+    def test_zero_dimensional_input(self, z):
+        ref = float(special.expit(-z))
+        for rho in (self.quiet(sf.fermi_rho, np.asarray(z)),
+                    self.quiet(sf.rho_derivative, np.float64(z), 0)):
+            assert isinstance(rho, float)
+            assert abs(rho - ref) <= self.REL * ref + self.ABS
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_derivatives_move_with_rho(self, order):
+        # with P the order-th rho polynomial, rho moved by REL relative
+        # moves P(rho) by at most REL sum_k k |c_k| rho^k
+        poly = np.polynomial.polynomial
+        coeffs = sf._RHO_POLYS[order]
+        rho = special.expit(-self.Z)
+        ref = poly.polyval(rho, coeffs)
+        bound = self.REL * poly.polyval(
+            rho, np.arange(len(coeffs)) * np.abs(coeffs)) + self.ABS
+        got = self.quiet(sf.rho_derivative, self.Z, order)
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_next_fast_len_matches_scipy(self):
+        assert ([sf.next_fast_len(n) for n in range(1, 10_001)]
+                == [fft.next_fast_len(n) for n in range(1, 10_001)])
+        with pytest.raises(ValueError):
+            sf.next_fast_len(0)
 
 
 class TestGFamily:
