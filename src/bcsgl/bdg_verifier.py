@@ -817,8 +817,9 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
 class SweepReport:
     """Observable values along a decreasing h-list with a power-law fit.
 
-    ``fitted_order`` is the least-squares slope of ``ln |observable|``
-    against ``ln h``, computed only over points whose magnitude exceeds
+    ``fitted_order`` is the least-squares slope of ``ln |observable -
+    reference|`` (of ``ln |observable|`` without a reference) against
+    ``ln h``, computed only over points whose magnitude exceeds
     ``floor`` (default 100x unit roundoff), so sub-roundoff values
     never pollute the fit.  ``failures`` holds ``[h, repr(exc)]`` for
     every h point whose observable raised and was dropped.
@@ -886,9 +887,10 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
     """Evaluate an observable along a decreasing h-list and fit its order.
 
     ``observable(h)`` returns a float or a ``(float, dict)`` pair whose
-    dict is carried along as per-point extras.  Per-h failures are
-    collected; the sweep aborts only when fewer than three values survive
-    (all of them, for a list of fewer than three).
+    dict is carried along as per-point extras.  With a ``reference`` the
+    fitted order is that of the gaps ``observable - reference``.  Per-h
+    failures are collected; the sweep aborts only when fewer than three
+    values survive (all of them, for a list of fewer than three).
 
     Returns
     -------
@@ -919,7 +921,8 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
             f"sweep '{label}' kept {len(h_ok)} of {len(h_list)} points; "
             f"failures: {failures}"
         )
+    gaps = values if reference is None else [v - reference for v in values]
     return SweepReport(
-        h_values=h_ok, observed=values, fitted_order=fit_order(h_ok, values),
+        h_values=h_ok, observed=values, fitted_order=fit_order(h_ok, gaps),
         reference=reference, label=label, extras=extras, failures=failures,
     )

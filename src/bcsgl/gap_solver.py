@@ -60,6 +60,11 @@ __all__ = [
 _PROBE_TEMPERATURE = 1e-6
 _REL_TOLERANCE = 1e-10
 
+#: :func:`decay_report` warns when its fitted rate falls below this
+#: fraction of ``kappa_c``: the fit then sits on a truncation floor of
+#: the profile, not on its decay.
+MIN_DECAY_RATIO = 0.9
+
 
 class NoPairingError(RuntimeError):
     """The lowest eigenvalue is nonnegative at the probe temperature: T_c = 0."""
@@ -697,8 +702,10 @@ def decay_report(
 
     Fits ``ln |alpha0|`` at its local maxima (envelope peaks) over the
     window where ``|alpha0|`` lies in ``[1e-10, 1e-3] * max``; the fitted
-    rate should approach ``kappa_c`` from below.  Also reports the moments
-    ``integral (1 + x^2) |alpha0|^2 dx`` and the same with ``alpha0'``.
+    rate should approach ``kappa_c`` from below, and a ``UserWarning``
+    flags a rate below ``MIN_DECAY_RATIO * kappa_c``.  Also reports the
+    moments ``integral (1 + x^2) |alpha0|^2 dx`` and the same with
+    ``alpha0'``.
 
     Parameters
     ----------
@@ -738,6 +745,12 @@ def decay_report(
         else:
             fit_x, fit_y = x[mask], np.log(abs_alpha[mask])
     slope = float(np.polyfit(fit_x, fit_y, 1)[0])
+    if -slope < MIN_DECAY_RATIO * kappa:
+        warnings.warn(
+            f"fitted decay rate {-slope:.4g} is below {MIN_DECAY_RATIO} "
+            f"kappa_c = {MIN_DECAY_RATIO * kappa:.4g}: the fit window "
+            "sits on a truncation floor of the profile; refine the "
+            "momentum grid")
 
     dx = x[1] - x[0]
     weight = 1.0 + x * x

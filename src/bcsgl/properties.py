@@ -204,11 +204,11 @@ def _normalization_balance(ctx: _Context):
 
 def _real_space_decay(ctx: _Context):
     report = gs.decay_report(ctx.sol)
-    ok = report.fitted_decay_rate >= 0.9 * report.kappa_c
+    ok = report.fitted_decay_rate >= gs.MIN_DECAY_RATIO * report.kappa_c
     return ok, {
         "fitted_decay_rate": float(report.fitted_decay_rate),
         "kappa_c": float(report.kappa_c),
-        "required_ratio": 0.9,
+        "required_ratio": gs.MIN_DECAY_RATIO,
     }
 
 
@@ -345,7 +345,7 @@ def _supercell_agreement(ctx: _Context):
         - abs(sol.mu) - 1.0
     window = union[np.abs(union) <= threshold]
     worst = float(max(np.min(np.abs(sup - lam)) for lam in window))
-    return worst <= 1e-8, {
+    return worst <= 1e-8 and len(window) > 50, {
         "max_eigenvalue_distance": worst,
         "window_size": int(len(window)),
         "tol": 1e-8,

@@ -202,6 +202,30 @@ def f_derivative(z, order: int):
     return rho_derivative(z, order - 1)
 
 
+def _piecewise(z, series: Callable, closed: Callable,
+               asymptote: Callable | None = None):
+    """Evaluate a function of ``z`` from its three branches.
+
+    ``series`` covers ``|z| <= SERIES_THRESHOLD``, ``asymptote`` covers
+    ``|z| > _LARGE_Z`` and ``closed`` the rest (everything above the
+    series branch when ``asymptote`` is None).  Each branch sees only its
+    own entries of ``z``, so no branch is evaluated where it over- or
+    underflows.
+    """
+    arr, scalar = _as_float_array(z)
+    out = np.empty_like(arr)
+    absz = np.abs(arr)
+    small = absz <= SERIES_THRESHOLD
+    out[small] = series(arr[small])
+    mid = ~small
+    if asymptote is not None:
+        large = absz > _LARGE_Z
+        mid &= ~large
+        out[large] = asymptote(arr[large])
+    out[mid] = closed(arr[mid])
+    return _maybe_scalar(out, scalar)
+
+
 def g0(z):
     """``g0(z) = tanh(z/2) / z`` with the removable singularity ``g0(0) = 1/2``.
 
@@ -217,15 +241,12 @@ def g0(z):
     float or ndarray
         ``g0(z) > 0``, even in ``z``.
     """
-    arr, scalar = _as_float_array(z)
-    out = np.empty_like(arr)
-    small = np.abs(arr) <= SERIES_THRESHOLD
-    zs = arr[small]
-    z2 = zs * zs
-    out[small] = 0.5 - z2 / 24.0 + z2 * z2 / 240.0 - 17.0 * z2 * z2 * z2 / 40320.0
-    zm = arr[~small]
-    out[~small] = np.tanh(0.5 * zm) / zm
-    return _maybe_scalar(out, scalar)
+    def series(z):
+        z2 = z * z
+        return (0.5 - z2 / 24.0 + z2 * z2 / 240.0
+                - 17.0 * z2 * z2 * z2 / 40320.0)
+
+    return _piecewise(z, series, lambda z: np.tanh(0.5 * z) / z)
 
 
 def g1(z):
@@ -243,21 +264,14 @@ def g1(z):
     -------
     float or ndarray
     """
-    arr, scalar = _as_float_array(z)
-    out = np.empty_like(arr)
-    absz = np.abs(arr)
-    small = absz <= SERIES_THRESHOLD
-    large = absz > _LARGE_Z
-    mid = ~small & ~large
+    def series(z):
+        z2 = z * z
+        return z / 12.0 - z * z2 / 60.0 + 17.0 * z * z2 * z2 / 6720.0
 
-    zs = arr[small]
-    z2 = zs * zs
-    out[small] = zs / 12.0 - zs * z2 / 60.0 + 17.0 * zs * z2 * z2 / 6720.0
-    zm = arr[mid]
-    out[mid] = (np.sinh(zm) - zm) / (zm * zm * (1.0 + np.cosh(zm)))
-    zl = arr[large]
-    out[large] = np.tanh(zl) / (zl * zl)
-    return _maybe_scalar(out, scalar)
+    return _piecewise(
+        z, series,
+        lambda z: (np.sinh(z) - z) / (z * z * (1.0 + np.cosh(z))),
+        lambda z: np.tanh(z) / (z * z))
 
 
 def g2(z):
@@ -275,22 +289,19 @@ def g2(z):
     -------
     float or ndarray
     """
-    arr, scalar = _as_float_array(z)
-    out = np.empty_like(arr)
-    absz = np.abs(arr)
-    small = absz <= SERIES_THRESHOLD
-    large = absz > _LARGE_Z
-    mid = ~small & ~large
+    def series(z):
+        z2 = z * z
+        return 0.25 - z2 / 12.0 + 17.0 * z2 * z2 / 960.0
 
-    zs = arr[small]
-    z2 = zs * zs
-    out[small] = 0.25 - z2 / 12.0 + 17.0 * z2 * z2 / 960.0
-    zm = arr[mid]
-    ch = np.cosh(0.5 * zm)
-    out[mid] = np.sinh(0.5 * zm) / (2.0 * zm * ch * ch * ch)
-    zl = absz[large]
-    out[large] = 2.0 * np.exp(-zl) / zl
-    return _maybe_scalar(out, scalar)
+    def closed(z):
+        ch = np.cosh(0.5 * z)
+        return np.sinh(0.5 * z) / (2.0 * z * ch * ch * ch)
+
+    def asymptote(z):
+        absz = np.abs(z)
+        return 2.0 * np.exp(-absz) / absz
+
+    return _piecewise(z, series, closed, asymptote)
 
 
 def g1_over_z(z):
@@ -306,21 +317,18 @@ def g1_over_z(z):
     -------
     float or ndarray
     """
-    arr, scalar = _as_float_array(z)
-    out = np.empty_like(arr)
-    absz = np.abs(arr)
-    small = absz <= SERIES_THRESHOLD
-    large = absz > _LARGE_Z
-    mid = ~small & ~large
+    def series(z):
+        z2 = z * z
+        return 1.0 / 12.0 - z2 / 60.0 + 17.0 * z2 * z2 / 6720.0
 
-    zs = arr[small]
-    z2 = zs * zs
-    out[small] = 1.0 / 12.0 - z2 / 60.0 + 17.0 * z2 * z2 / 6720.0
-    zm = arr[mid]
-    out[mid] = (np.sinh(zm) - zm) / (zm * zm * zm * (1.0 + np.cosh(zm)))
-    zl = absz[large]
-    out[large] = np.tanh(zl) / (zl * zl * zl)
-    return _maybe_scalar(out, scalar)
+    def asymptote(z):
+        absz = np.abs(z)
+        return np.tanh(absz) / (absz * absz * absz)
+
+    return _piecewise(
+        z, series,
+        lambda z: (np.sinh(z) - z) / (z * z * z * (1.0 + np.cosh(z))),
+        asymptote)
 
 
 def kt_symbol(x, T: float):
@@ -342,22 +350,14 @@ def kt_symbol(x, T: float):
     """
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
-    arr, scalar = _as_float_array(x)
-    w = arr / (2.0 * T)
-    out = np.empty_like(arr)
-    absw = np.abs(w)
-    small = absw <= SERIES_THRESHOLD
-    large = absw > _LARGE_Z
-    mid = ~small & ~large
 
-    ws = w[small]
-    w2 = ws * ws
-    # w / tanh(w) = 1 + w^2/3 - w^4/45 + 2 w^6/945
-    out[small] = 1.0 + w2 / 3.0 - w2 * w2 / 45.0 + 2.0 * w2 * w2 * w2 / 945.0
-    wm = w[mid]
-    out[mid] = wm / np.tanh(wm)
-    out[large] = absw[large]
-    return _maybe_scalar(2.0 * T * out, scalar)
+    def series(w):
+        w2 = w * w
+        # w / tanh(w) = 1 + w^2/3 - w^4/45 + 2 w^6/945
+        return 1.0 + w2 / 3.0 - w2 * w2 / 45.0 + 2.0 * w2 * w2 * w2 / 945.0
+
+    w = np.asarray(x, dtype=float) / (2.0 * T)
+    return 2.0 * T * _piecewise(w, series, lambda w: w / np.tanh(w), np.abs)
 
 
 # ---------------------------------------------------------------------------

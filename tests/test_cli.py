@@ -537,6 +537,17 @@ class TestFullPipeline:
         assert summary["sweeps"]["pair_distance"]["fitted_order"] > 2.3
         assert summary["sweeps"]["energy_upper_bound"]["fitted_order"] > 0.8
 
+    def test_energy_artifact_names_one_order(self, full_run):
+        # the report and the gate both carry the order of the gaps to the
+        # GL value, not that of the scaled energies themselves
+        out_dir, _ = full_run
+        payload = json.loads(
+            (out_dir / "sweeps" / "energy_upper_bound.json").read_text())
+        report, gates = payload["report"], payload["gates"]
+        assert report["fitted_order"] == gates["fitted_order"]
+        assert gates["fitted_order"] == bv.fit_order(report["h_values"],
+                                                     gates["gaps"])
+
     def test_rerun_is_byte_identical(self, full_run):
         out_dir, _ = full_run
         files = sorted(p for p in out_dir.rglob("*") if p.is_file())

@@ -168,7 +168,7 @@ class TestFindTc:
 
     def test_no_pairing_for_free_problem(self, ref_grid):
         spec = gs.PotentialSpec.gaussian(0.0, 1.0, 1.0)
-        with pytest.raises(gs.NoPairingError) as err:
+        with pytest.raises(gs.NoPairingError, match="no pairing") as err:
             gs.find_tc(spec, ref_grid)
         assert err.value.lambda_min >= 0.0
 
@@ -280,6 +280,19 @@ class TestDecayReport:
         plus, _ = gap_sol.real_space(x)
         minus, _ = gap_sol.real_space(-x)
         assert np.abs(plus - minus).max() < 1e-10
+
+    def test_truncation_floor_warns(self, gap_sol, scan_solutions):
+        # the square well's pair symbol is not resolved at the default
+        # cutoff, so its profile levels off and the fit finds that floor
+        square = scan_solutions[("square", 2.0, 1.0, 1.0)]
+        with pytest.warns(UserWarning, match="truncation floor") as record:
+            rep = gs.decay_report(square)
+        assert rep.fitted_decay_rate < gs.MIN_DECAY_RATIO * rep.kappa_c
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = gs.decay_report(gap_sol)
+        assert rep.fitted_decay_rate >= gs.MIN_DECAY_RATIO * rep.kappa_c
 
     def test_empty_window_warns(self, gap_sol):
         with warnings.catch_warnings(record=True) as captured:

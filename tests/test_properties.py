@@ -80,9 +80,12 @@ def results():
 
 
 class TestSuite:
-    def test_fresh_run_all_pass(self, results):
-        failures = [(r.name, r.witness) for r in results if not r.passed]
-        assert not failures, failures
+    @pytest.mark.parametrize(
+        "module, name", properties.registry_names(),
+        ids=[name for _, name in properties.registry_names()])
+    def test_named_check_passes(self, results, module, name):
+        result = {(r.module, r.name): r for r in results}[module, name]
+        assert result.passed, f"{module}.{name}: {result.witness}"
 
     def test_order_matches_registry(self, results):
         assert [(r.module, r.name) for r in results] \

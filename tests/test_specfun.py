@@ -174,7 +174,7 @@ class TestGFamily:
         assert sf.g1_over_z(z) == pytest.approx(closed_g1 / z, rel=1e-8)
 
     def test_g1_is_minus_g0_prime(self):
-        z = np.linspace(-10.0, 10.0, 801)
+        z = np.linspace(-10.0, 10.0, 2001)
         z = z[np.abs(z) >= 0.05]
         h = 1e-5
         fd = (sf.g0(z + h) - sf.g0(z - h)) / (2 * h)
@@ -182,7 +182,7 @@ class TestGFamily:
         assert np.max(rel) < 1e-6
 
     def test_g2_is_g1_prime_plus_2_g1_over_z(self):
-        z = np.linspace(-10.0, 10.0, 801)
+        z = np.linspace(-10.0, 10.0, 2001)
         z = z[np.abs(z) >= 0.05]
         h = 1e-5
         fd = (sf.g1(z + h) - sf.g1(z - h)) / (2 * h)
@@ -210,6 +210,82 @@ class TestKtSymbol:
             sf.kt_symbol(1.0, 0.0)
         with pytest.raises(ValueError):
             sf.kt_symbol(1.0, -2.0)
+
+
+def _branches(series, closed, asymptote=None):
+    """The function with the given branches, filled by ``np.piecewise``."""
+    def evaluate(z):
+        z = np.asarray(z, dtype=float)
+        small = np.abs(z) <= sf.SERIES_THRESHOLD
+        if asymptote is None:
+            return np.piecewise(z, [small], [series, closed])
+        large = np.abs(z) > sf._LARGE_Z
+        return np.piecewise(z, [small, large], [series, asymptote, closed])
+    return evaluate
+
+
+class TestPiecewiseBranches:
+    """Each g-function and K_T is its series, closed form and asymptote,
+    each evaluated only on its own arguments."""
+
+    REFERENCE = {
+        "g0": _branches(
+            lambda z: 0.5 - (z * z) / 24.0 + (z * z) * (z * z) / 240.0
+            - 17.0 * (z * z) * (z * z) * (z * z) / 40320.0,
+            lambda z: np.tanh(0.5 * z) / z),
+        "g1": _branches(
+            lambda z: z / 12.0 - z * (z * z) / 60.0
+            + 17.0 * z * (z * z) * (z * z) / 6720.0,
+            lambda z: (np.sinh(z) - z) / (z * z * (1.0 + np.cosh(z))),
+            lambda z: np.tanh(z) / (z * z)),
+        "g2": _branches(
+            lambda z: 0.25 - (z * z) / 12.0 + 17.0 * (z * z) * (z * z) / 960.0,
+            lambda z: np.sinh(0.5 * z)
+            / (2.0 * z * np.cosh(0.5 * z) * np.cosh(0.5 * z)
+               * np.cosh(0.5 * z)),
+            lambda z: 2.0 * np.exp(-np.abs(z)) / np.abs(z)),
+        "g1_over_z": _branches(
+            lambda z: 1.0 / 12.0 - (z * z) / 60.0
+            + 17.0 * (z * z) * (z * z) / 6720.0,
+            lambda z: (np.sinh(z) - z) / (z * z * z * (1.0 + np.cosh(z))),
+            lambda z: np.tanh(np.abs(z))
+            / (np.abs(z) * np.abs(z) * np.abs(z))),
+    }
+
+    #: The branch edges, their neighbouring floats and 2e5 samples spread
+    #: over eight decades of |z|
+    EDGES = np.array([0.0, 1e-300, 1e-2, 300.0, 710.0])
+    EDGES = np.concatenate([EDGES, np.nextafter(EDGES, np.inf),
+                            np.nextafter(EDGES, -np.inf)])
+    EDGES = np.concatenate([EDGES, -EDGES])
+    Z = np.concatenate([
+        EDGES, np.random.default_rng(0).uniform(-1.0, 1.0, 200_000)
+        * 10.0 ** np.linspace(-5.0, 3.0, 200_000)])
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_equal_to_branches(self, name):
+        func, ref = getattr(sf, name), self.REFERENCE[name]
+        with np.errstate(over="ignore"):
+            got, want = func(self.Z), ref(self.Z)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            for z in self.EDGES:
+                value = func(z)
+                assert isinstance(value, float)
+                assert value == float(ref(z))
+
+    @pytest.mark.parametrize("T", [0.3, 1.0, 2.7])
+    def test_kt_symbol_equal_to_branches(self, T):
+        ref = _branches(
+            lambda w: 1.0 + (w * w) / 3.0 - (w * w) * (w * w) / 45.0
+            + 2.0 * (w * w) * (w * w) * (w * w) / 945.0,
+            lambda w: w / np.tanh(w), np.abs)
+        assert np.array_equal(sf.kt_symbol(self.Z, T),
+                              2.0 * T * ref(self.Z / (2.0 * T)))
+        for x in self.EDGES:
+            value = sf.kt_symbol(x, T)
+            assert isinstance(value, float)
+            assert value == 2.0 * T * float(ref(x / (2.0 * T)))
 
 
 class TestDividedDifference:
