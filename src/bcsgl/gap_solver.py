@@ -703,9 +703,10 @@ def decay_report(
     Fits ``ln |alpha0|`` at its local maxima (envelope peaks) over the
     window where ``|alpha0|`` lies in ``[1e-10, 1e-3] * max``; the fitted
     rate should approach ``kappa_c`` from below, and a ``UserWarning``
-    flags a rate below ``MIN_DECAY_RATIO * kappa_c``.  Also reports the
-    moments ``integral (1 + x^2) |alpha0|^2 dx`` and the same with
-    ``alpha0'``.
+    flags a rate below ``MIN_DECAY_RATIO * kappa_c``.  With no sample in
+    the window it warns and reports a NaN rate and window and no fit
+    points.  Also reports the moments ``integral (1 + x^2) |alpha0|^2 dx``
+    and the same with ``alpha0'``.
 
     Parameters
     ----------
@@ -738,19 +739,19 @@ def decay_report(
         fit_x, fit_y = x[in_window], np.log(abs_alpha[in_window])
     else:
         mask = (abs_alpha >= lo_threshold) & (abs_alpha <= hi_threshold)
-        if not np.any(mask):
-            warnings.warn("empty decay-fit window; grid too coarse for the fit")
-            fit_x = np.array([0.0, 1.0])
-            fit_y = np.array([0.0, 0.0])
-        else:
-            fit_x, fit_y = x[mask], np.log(abs_alpha[mask])
-    slope = float(np.polyfit(fit_x, fit_y, 1)[0])
-    if -slope < MIN_DECAY_RATIO * kappa:
-        warnings.warn(
-            f"fitted decay rate {-slope:.4g} is below {MIN_DECAY_RATIO} "
-            f"kappa_c = {MIN_DECAY_RATIO * kappa:.4g}: the fit window "
-            "sits on a truncation floor of the profile; refine the "
-            "momentum grid")
+        fit_x, fit_y = x[mask], np.log(abs_alpha[mask])
+    if fit_x.size == 0:
+        warnings.warn("empty decay-fit window; grid too coarse for the fit")
+        rate, fit_window = math.nan, (math.nan, math.nan)
+    else:
+        rate = -float(np.polyfit(fit_x, fit_y, 1)[0])
+        fit_window = (float(fit_x[0]), float(fit_x[-1]))
+        if rate < MIN_DECAY_RATIO * kappa:
+            warnings.warn(
+                f"fitted decay rate {rate:.4g} is below {MIN_DECAY_RATIO} "
+                f"kappa_c = {MIN_DECAY_RATIO * kappa:.4g}: the fit window "
+                "sits on a truncation floor of the profile; refine the "
+                "momentum grid")
 
     dx = x[1] - x[0]
     weight = 1.0 + x * x
@@ -762,7 +763,7 @@ def decay_report(
     m_h1 = 2.0 * float(np.sum(trap * weight * alpha_prime * alpha_prime) * dx)
 
     return DecayReport(
-        fitted_decay_rate=-slope,
+        fitted_decay_rate=rate,
         kappa_c=kappa,
         moment_table={
             "weighted_l2": m_l2,
@@ -770,5 +771,5 @@ def decay_report(
             "total": m_l2 + m_h1,
         },
         n_fit_points=int(len(fit_x)),
-        fit_window=(float(fit_x[0]), float(fit_x[-1])),
+        fit_window=fit_window,
     )

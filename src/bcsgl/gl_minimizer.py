@@ -387,16 +387,6 @@ class GLState:
     converged: bool = True
     history: list = field(default_factory=list)
 
-    def validate(self, a: TorusField, w: TorusField,
-                 coef: GLCoefficients) -> dict:
-        """Recompute energy and gradient norm; return the deviations."""
-        energy = gl_energy(self.psi, a, w, coef)
-        grad = gl_gradient(self.psi, a, w, coef)
-        return {
-            "energy_residual": abs(energy - self.energy),
-            "gradient_norm_residual": abs(grad.norm_l2() - self.gradient_norm),
-        }
-
     def to_dict(self) -> dict:
         return {
             "psi": self.psi.to_dict(),

@@ -167,10 +167,12 @@ class TestFindTc:
         assert gap_sol_raw.eig_residual < 1e-8
 
     def test_no_pairing_for_free_problem(self, ref_grid):
+        # ``None`` solves on the free problem's own default grid
         spec = gs.PotentialSpec.gaussian(0.0, 1.0, 1.0)
-        with pytest.raises(gs.NoPairingError, match="no pairing") as err:
-            gs.find_tc(spec, ref_grid)
-        assert err.value.lambda_min >= 0.0
+        for grid in (ref_grid, None):
+            with pytest.raises(gs.NoPairingError, match="no pairing") as err:
+                gs.find_tc(spec, grid)
+            assert err.value.lambda_min >= 0.0
 
     def test_bracket_failure_for_immense_depth(self):
         spec = gs.PotentialSpec.gaussian(40.0, 1.0, 1.0)
@@ -241,9 +243,6 @@ class TestFindTc:
 
 
 class TestNormalize:
-    def test_residual(self, gap_sol):
-        assert gs.normalization_residual(gap_sol) < 1e-8
-
     def test_scale_regression(self, gap_sol):
         assert gap_sol.norm_scale == pytest.approx(REFERENCE_NORM_SCALE, rel=1e-7)
 
@@ -264,10 +263,6 @@ class TestNormalize:
 
 
 class TestDecayReport:
-    def test_rate_close_to_kappa_c(self, gap_sol):
-        rep = gs.decay_report(gap_sol)
-        assert rep.fitted_decay_rate >= 0.9 * rep.kappa_c
-
     def test_moments_finite_and_grid_stable(self, gap_sol):
         rep = gs.decay_report(gap_sol)
         fine = gs.decay_report(gap_sol, n_x=8192)
@@ -295,10 +290,16 @@ class TestDecayReport:
         assert rep.fitted_decay_rate >= gs.MIN_DECAY_RATIO * rep.kappa_c
 
     def test_empty_window_warns(self, gap_sol):
+        # no sample of this short profile lies in the fit window, so no
+        # rate is fitted and the truncation-floor warning stays silent
         with warnings.catch_warnings(record=True) as captured:
             warnings.simplefilter("always")
-            gs.decay_report(gap_sol, x_max=1.0, n_x=64)
-        assert any("window" in str(w.message) for w in captured)
+            rep = gs.decay_report(gap_sol, x_max=1.0, n_x=64)
+        assert [str(w.message) for w in captured] == [
+            "empty decay-fit window; grid too coarse for the fit"]
+        assert math.isnan(rep.fitted_decay_rate)
+        assert rep.n_fit_points == 0
+        assert all(math.isnan(end) for end in rep.fit_window)
 
 
 def _find_peaks(x):

@@ -14,7 +14,6 @@ from bcsgl import specfun
 from bcsgl.gap_solver import GapSolution, normalize
 from bcsgl.gl_coeffs import (
     GLCoefficients,
-    b3_alternative_form,
     compute_coefficients,
     e1_constant,
     e2_constants,
@@ -69,11 +68,6 @@ class TestComputeCoefficients:
             GLCoefficients(np.array([[-1.0]]), 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="B3"):
             GLCoefficients(np.array([[1.0]]), 0.0, -1.0, 1.0, 1.0)
-
-    def test_alternative_quartic_form(self, gap_sol):
-        coeffs = compute_coefficients(gap_sol)
-        alt = b3_alternative_form(gap_sol)
-        assert abs(alt - coeffs.B3) / coeffs.B3 < 1e-8
 
     def test_quartic_ratio_linear_in_density(self, gap_sol_raw):
         ratios = []
@@ -178,9 +172,6 @@ class TestQuarticConstants:
 
 
 class TestSmallMomentumConstants:
-    def test_routes_agree_on_gap_solution(self, smallp_constants):
-        assert smallp_constants.max_relative_mismatch() < 1e-7
-
     def test_routes_agree_on_synthetic(self, synthetic):
         sp = semiclassical_smallp_constants(synthetic, 2.0)
         assert sp.max_relative_mismatch() < 1e-7

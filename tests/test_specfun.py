@@ -53,10 +53,6 @@ class TestFermiWeights:
         assert np.all(np.isfinite(vals))
         assert vals[0] == pytest.approx(-700.0)
 
-    def test_f_reflection_identity(self):
-        z = 3.7
-        assert sf.fermi_f(z) - sf.fermi_f(-z) - z == pytest.approx(0.0, abs=1e-12)
-
     def test_rho_basics(self):
         assert sf.fermi_rho(0.0) == pytest.approx(0.5, abs=1e-15)
         z = 2.3
