@@ -8,13 +8,17 @@ sweep's gates run on that reference run in ``test_cli.py``.
 
 The twenty named invariant checks of ``bcsgl.properties`` run by name in
 ``test_properties.py``.  The one kept restatement below asserts exact
-equality where its named check allows 1e-13.
+equality where its named check allows 1e-13.  The free-problem and
+free-minimum gates stay here: they alone solve on ``find_tc``'s default
+grid and sample the free minimum at 256 points.
 """
 
+import numpy as np
 import pytest
 
 from bcsgl import bdg_verifier as bv
-from bcsgl.gl_minimizer import TorusField, gl_energy
+from bcsgl import gap_solver as gs
+from bcsgl.gl_minimizer import TorusField, gl_energy, minimize
 
 pytestmark = pytest.mark.acceptance
 
@@ -32,7 +36,20 @@ def two_mode_fields():
     return psi, a, w
 
 
+class TestGapSolver:
+    def test_free_problem_reports_no_pairing(self):
+        spec = gs.PotentialSpec.gaussian(g=0.0, w=1.0, mu=1.0)
+        with pytest.raises(gs.NoPairingError, match="no pairing"):
+            gs.find_tc(spec)
+
+
 class TestEnergyMinimizer:
+    def test_free_minimum_is_unimodular(self, gl_coef):
+        state = minimize(ZERO, ZERO, gl_coef, n_max=16)
+        assert state.energy < 1e-10
+        values = np.abs(state.psi.values_on_grid(256))
+        assert np.max(np.abs(values - 1.0)) < 1e-5
+
     def test_zero_field_energy_is_quartic_offset(self, gl_coef):
         energy = gl_energy(TorusField.zero(4), ZERO,
                            TorusField.cosine(0.5, 1), gl_coef)

@@ -167,12 +167,10 @@ class TestFindTc:
         assert gap_sol_raw.eig_residual < 1e-8
 
     def test_no_pairing_for_free_problem(self, ref_grid):
-        # ``None`` solves on the free problem's own default grid
         spec = gs.PotentialSpec.gaussian(0.0, 1.0, 1.0)
-        for grid in (ref_grid, None):
-            with pytest.raises(gs.NoPairingError, match="no pairing") as err:
-                gs.find_tc(spec, grid)
-            assert err.value.lambda_min >= 0.0
+        with pytest.raises(gs.NoPairingError, match="no pairing") as err:
+            gs.find_tc(spec, ref_grid)
+        assert err.value.lambda_min >= 0.0
 
     def test_bracket_failure_for_immense_depth(self):
         spec = gs.PotentialSpec.gaussian(40.0, 1.0, 1.0)

@@ -322,7 +322,7 @@ class TestMinimize:
         state = minimize(ZERO, ZERO, gl_coef, n_max=16)
         assert state.energy < 1e-10
         assert state.gradient_norm < 1e-8
-        x = np.linspace(0, 1, 256, endpoint=False)
+        x = np.linspace(0, 1, 128, endpoint=False)
         assert np.abs(np.abs(state.psi.evaluate(x)) - 1.0).max() < 1e-5
 
     def test_reference_configuration_regression(self, reference_state):
