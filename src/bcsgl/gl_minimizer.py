@@ -14,10 +14,11 @@ and a quartic term averaged over a grid that depends on psi alone: with
 quadrature or dealiasing error.
 
 One routine evaluates the energy, its Wirtinger gradient and its exact
-Hessian action; a Hessian product costs one product with ``Q`` and two
-FFTs.  Minimization runs a trust-region Newton-CG descent on the
-real/imaginary parts of the Fourier coefficients from several starting
-fields, finishes each with exact Newton steps, and keeps the lowest
+Hessian, assembled as ``Q`` plus two convolution matrices of the grid
+coefficients of ``|psi|^2`` and ``psi^2``.  The unknowns are few (the
+real and imaginary parts of ``2 N + 1`` coefficients), so minimization
+runs a dense trust-region Newton descent, one eigendecomposition of the
+Hessian per step, from several starting fields and keeps the lowest
 local minimum; the constant fields ``psi = 1`` and ``psi = 0`` (always a
 critical point, with energy exactly ``B3``) bound the reported energy
 from above by construction.
@@ -54,10 +55,10 @@ __all__ = [
     "directional_derivative",
 ]
 
-#: l2 gradient-norm target of a converged descent, and the iteration cap
-#: of each trust-region descent.
+#: l2 gradient-norm target of a converged descent, and the step cap of
+#: each descent.
 _GTOL = 1e-9
-_MAX_ITER = 2000
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def _quadratic_part(a: TorusField, w: TorusField, coef: GLCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# Energy, gradient and Hessian action
+# Energy, gradient and Hessian
 # ---------------------------------------------------------------------------
 
 
@@ -281,14 +282,15 @@ def _grid_coeffs(values: np.ndarray, n_max: int) -> np.ndarray:
 
 def _evaluate(psi: TorusField, quad: np.ndarray, coef: GLCoefficients,
               m: int | None = None):
-    """Energy, Wirtinger gradient and exact Hessian action at ``psi``.
+    """Energy, Wirtinger gradient and exact Hessian at ``psi``.
 
     ``quad`` is :func:`_quadratic_part` on ``psi``'s modes; the quartic
     term is averaged over ``m`` grid points (default: the smallest fast
-    size ``>= 4 N + 1``).  Returns ``(energy, grad, hessp)``: ``grad``
-    holds the coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``, and
-    ``hessp(eta)`` maps the coefficients of a direction ``eta`` to those
-    of ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``.
+    size ``>= 4 N + 1``).  Returns ``(energy, grad, (lin, conj))``:
+    ``grad`` holds the coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``,
+    and ``lin @ eta + conj @ conj(eta)`` those of
+    ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``, whose
+    multipliers (frequencies up to ``2 N``) the grid resolves.
     """
     n_max = psi.n_max
     m = m or next_fast_len(4 * n_max + 1)
@@ -307,33 +309,26 @@ def _evaluate(psi: TorusField, quad: np.ndarray, coef: GLCoefficients,
         )
     grad = q_psi + _grid_coeffs(-2.0 * coef.B3 * (1.0 - abs2) * psi_g, n_max)
 
-    def hessp(eta: np.ndarray) -> np.ndarray:
-        eta_g = TorusField(eta, n_max).values_on_grid(m)
-        return quad @ eta + _grid_coeffs(2.0 * coef.B3 * (
-            (2.0 * abs2 - 1.0) * eta_g + psi_g ** 2 * np.conj(eta_g)), n_max)
+    def multiplier(values):
+        f = TorusField(_grid_coeffs(values, 2 * n_max), 2 * n_max)
+        return 2.0 * coef.B3 * _coeff_matrix(f, psi.modes)
 
-    return float(energy.real), grad, hessp
+    # conj(eta) has coefficient conj(eta_{-n}) at mode n, hence the
+    # reversed columns
+    hess = (quad + multiplier(2.0 * abs2 - 1.0),
+            multiplier(psi_g ** 2)[:, ::-1])
+    return float(energy.real), grad, hess
 
 
 def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
               coef: GLCoefficients) -> float:
-    """GL energy of ``psi`` in external fields ``a`` (vector potential
-    component) and ``w`` (electric potential).
+    """GL energy of ``psi`` in the real-valued external fields ``a``
+    (vector potential component) and ``w`` (electric potential).
 
     The quadratic part is a matrix form on ``psi``'s modes and the
     quartic term a mean over a collocation grid of at least ``4 N + 1``
     points, so every term is integrated exactly; the imaginary residue
     is checked against 1e-12 before being discarded.
-
-    Parameters
-    ----------
-    psi, a, w : TorusField
-        ``a`` and ``w`` must be real-valued fields.
-    coef : GLCoefficients
-
-    Returns
-    -------
-    float
     """
     return _evaluate(psi, _quadratic_part(a, w, coef, psi.n_max), coef)[0]
 
@@ -407,103 +402,104 @@ class GLState:
         )
 
 
+def _in_unknowns(grad: np.ndarray, hess, real: bool):
+    """:func:`_evaluate`'s gradient and Hessian in the real unknowns: the
+    real coefficients (``real``) or the packed ``[Re, Im]`` ones."""
+    lin, conj = hess
+    if real:
+        return 2.0 * grad.real, 2.0 * (lin + conj).real
+    return 2.0 * _pack(grad), 2.0 * np.block(
+        [[(lin + conj).real, (conj - lin).imag],
+         [(lin + conj).imag, (lin - conj).real]])
+
+
+def _trust_step(hess: np.ndarray, jac: np.ndarray,
+                radius: float) -> np.ndarray:
+    """Minimizer of ``jac.p + p.hess.p / 2`` over ``|p| <= radius`` from
+    one ``eigh`` (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)
+    553): ``p = -(hess + s)^+ jac`` for the least shift
+    ``s >= max(0, -lambda_min)`` that fits.  Eigenvalues within roundoff
+    of ``-s`` are left out: at ``s = 0`` the zero modes, such as the
+    global phase; on an indefinite ``hess`` the lowest, whose eigenvector
+    makes up the length, signed to descend, in the hard case.
+    """
+    lam, vecs = np.linalg.eigh(hess)
+    c = vecs.T @ jac
+    tol = 1e-12 * np.abs(lam).max()
+
+    def weights(shift):
+        keep = lam + shift > tol
+        return np.where(keep, c, 0.0) / np.where(keep, lam + shift, 1.0)
+
+    low = max(0.0, -lam[0])
+    y = weights(low)
+    norm = np.linalg.norm(y)
+    if norm > radius:
+        # |p(s)| decreases in s and is below radius at s = low + |jac|/radius
+        high = low + np.linalg.norm(c) / radius
+        for _ in range(60):
+            mid = 0.5 * (low + high)
+            if np.linalg.norm(weights(mid)) > radius:
+                low = mid
+            else:
+                high = mid
+        y = weights(high)
+    elif lam[0] < -tol:
+        y[0] = math.copysign(math.sqrt(radius ** 2 - norm ** 2), c[0])
+    return -vecs @ y
+
+
 def _descend(start: TorusField, label: str, a, w, coef):
-    """Trust-region Newton-CG descent from one starting field, finished
-    by exact Newton steps on the gradient.
+    """Trust-region Newton descent on the exact Hessian from one start.
 
     The unknowns are the real coefficients when ``A = 0`` and ``W`` is
     even (module docstring), the packed ``[Re, Im]`` ones otherwise; the
-    reported gradient norm is always that of the full gradient.
+    reported gradient norm is that of the full gradient.  A step is
+    accepted when the energy falls by a quarter of the model's
+    prediction or, at roundoff, stays within a 1e-13 relative slack
+    while the gradient falls; the descent ends once the gradient is
+    below ``_GTOL / 10`` and a step no longer halves it.
     """
-    # Imported here, not at module level: only the descent needs them,
-    # and they add about 0.25 s to a fresh process that already holds
-    # scipy.linalg.
-    from scipy import optimize
-    from scipy.sparse import linalg as sparse_linalg
-
     n_max = start.n_max
     quad = _quadratic_part(a, w, coef, n_max)
-    if not a.coeffs.any() and not w.coeffs.imag.any():
-        to_coeffs, to_unknowns = (lambda z: z.astype(complex)), np.real
-    else:
-        to_coeffs, to_unknowns = _unpack, _pack
-    last = {}
+    real = not a.coeffs.any() and not w.coeffs.imag.any()
+
+    def to_coeffs(z):
+        return z.astype(complex) if real else _unpack(z)
 
     def evaluate(z):
-        """``(energy, gradient, hessp, full gradient norm)`` in the
-        unknowns, memoized on the last z."""
-        if "z" not in last or not np.array_equal(last["z"], z):
-            energy, grad, hessp = _evaluate(
-                TorusField(to_coeffs(z), n_max), quad, coef)
-            last.update(z=z.copy(), value=(
-                energy, to_unknowns(2.0 * grad),
-                lambda p: to_unknowns(2.0 * hessp(to_coeffs(p))),
-                float(np.linalg.norm(_pack(2.0 * grad))) / 2.0,
-            ))
-        return last["value"]
+        """Energy, gradient, Hessian, full gradient norm."""
+        energy, grad, hess = _evaluate(
+            TorusField(to_coeffs(z), n_max), quad, coef)
+        return (energy, *_in_unknowns(grad, hess, real),
+                float(np.linalg.norm(grad)))
 
-    z = to_unknowns(start.coeffs)
-    energies = [evaluate(z)[0]]
-    slack = 1e-13 * max(1.0, abs(energies[0]))
-    previous = z.copy()
-
-    def callback(intermediate_result):
-        # Trust-region acceptance compares energies, which near |grad| ~
-        # 1e-9 differ only at roundoff.  A rejected step (x unchanged)
-        # whose proposal -- the last point evaluated -- is within the
-        # slack of the current energy ends this phase; the Newton steps
-        # below, which test the gradient itself, take over.
-        nonlocal previous
-        x, energy = intermediate_result.x, intermediate_result.fun
-        stalled = (np.array_equal(x, previous)
-                   and abs(last["value"][0] - energy) <= slack)
-        energies.append(energy)
-        previous = x.copy()
-        if stalled:
-            raise StopIteration
-
-    res = optimize.minimize(
-        lambda z: evaluate(z)[0], z, jac=lambda z: evaluate(z)[1],
-        hessp=lambda z, p: evaluate(z)[2](p), method="trust-ncg",
-        callback=callback,
-        options={"gtol": 0.1 * _GTOL, "maxiter": _MAX_ITER},
-    )
-    z = res.x
-    iterations = res.nit
-    # On the complex unknowns the Hessian is singular along the
-    # global-phase direction i psi, but the Newton system is consistent
-    # there; the real unknowns exclude that direction.  Each system is
-    # solved to rtol 1e-10, so a step that does not halve the gradient is
-    # one at its roundoff floor, and it is the last.
-    energy, jac, hessp, grad_norm = evaluate(z)
-    for _ in range(5):
-        op = sparse_linalg.LinearOperator((len(z), len(z)), matvec=hessp)
-        step = sparse_linalg.minres(op, -jac, rtol=1e-10)[0]
-        trial = evaluate(z + step)
-        jac_norm = np.linalg.norm(jac)
-        if (np.linalg.norm(trial[1]) >= jac_norm
-                or trial[0] > energy + slack):
-            break
-        z = z + step
-        energy, jac, hessp, grad_norm = trial
-        energies.append(energy)
+    z = start.coeffs.real if real else _pack(start.coeffs)
+    energy, jac, hess, grad_norm = evaluate(z)
+    energies = [energy]
+    slack = 1e-13 * max(1.0, abs(energy))
+    radius, halved, iterations = 1.0, True, 0
+    while iterations < _MAX_STEPS and (grad_norm >= 0.1 * _GTOL or halved):
         iterations += 1
-        if np.linalg.norm(jac) > 0.5 * jac_norm:
-            break
-    steps = np.diff(energies)
-    return GLState(
-        psi=TorusField(to_coeffs(z), n_max),
-        energy=energy,
-        gradient_norm=grad_norm,
-        converged=grad_norm < _GTOL,
-        history=[{
-            "start": label,
-            "energy": energy,
-            "gradient_norm": grad_norm,
-            "iterations": iterations,
-            "monotone": bool(np.all(steps <= slack)),
-        }],
-    )
+        step = _trust_step(hess, jac, radius)
+        trial = evaluate(z + step)
+        predicted = -(jac @ step + 0.5 * step @ hess @ step)
+        rho = (energy - trial[0]) / predicted if predicted > 0 else -math.inf
+        halved = trial[3] <= 0.5 * grad_norm
+        if rho < 0.25 and not (trial[0] <= energy + slack
+                               and trial[3] < grad_norm):
+            radius, halved = 0.25 * np.linalg.norm(step), False
+            continue
+        if rho > 0.75 and np.linalg.norm(step) >= 0.99 * radius:
+            radius *= 2.0
+        z = z + step
+        energy, jac, hess, grad_norm = trial
+        energies.append(energy)
+    record = {"start": label, "energy": energy, "gradient_norm": grad_norm,
+              "iterations": iterations,
+              "monotone": bool(np.all(np.diff(energies) <= slack))}
+    return GLState(TorusField(to_coeffs(z), n_max), energy, grad_norm,
+                   converged=grad_norm < _GTOL, history=[record])
 
 
 def _default_starts(n_max: int, seed: int) -> list[tuple[str, TorusField]]:
@@ -527,10 +523,9 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
              n_max: int = 32, seed: int = 0, workers: int = 1) -> GLState:
     """Minimize the GL energy over ``psi``; keep the best local minimum.
 
-    Runs one trust-region Newton-CG descent with exact Hessian-vector
-    products from each of ``psi = 1``, ``psi = 0.5`` and two random
-    smooth fields, finishes each with at most five exact Newton steps,
-    and reduces by lowest energy.
+    Runs one trust-region Newton descent on the exact Hessian from each
+    of ``psi = 1``, ``psi = 0.5`` and two random smooth fields, each to
+    the gradient's roundoff floor, and reduces by lowest energy.
     ``psi = 0`` is always a critical point with energy exactly ``B3``;
     if no descent beats it, the zero state is returned, so the reported
     energy never exceeds ``min(B3, E(psi = 1))``.

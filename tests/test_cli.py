@@ -604,10 +604,7 @@ class TestEntryPoint:
     def test_pipeline_imports_only_the_scipy_it_runs(self, tmp_path):
         # Each command runs in a fresh interpreter, which then lists the
         # SciPy modules it holds.  Only the gap solve needs SciPy (its
-        # LAPACK), and only the GL descent scipy.optimize and
-        # scipy.sparse.linalg; importing scipy.optimize itself loads
-        # scipy.fft and scipy.special, so a cold `all` may hold what that
-        # import holds, and no more.
+        # LAPACK), so every command holds scipy.linalg at most.
         listing = ("print(json.dumps([code, sorted(m for m in sys.modules "
                    "if m.split('.')[0] == 'scipy')]))")
         script = ("import json, sys\nimport bcsgl.cli\n"
@@ -645,9 +642,6 @@ class TestEntryPoint:
             "verify-thm2": (start("--out", "fiber", "verify-thm2"), swept),
             "prop-tests": (start("prop-tests"),),
             "all": (start("--out", "all", "all"), swept),
-            "descent": (start(code="import json, sys, scipy.linalg, "
-                              "scipy.optimize, scipy.sparse.linalg\n"
-                              "code = 0\n" + listing),),
         }
         loaded = {command: modules(*run) for command, run in runs.items()}
         # a cache hit of the second fiber sweep solves nothing
@@ -655,11 +649,5 @@ class TestEntryPoint:
             start("--out", "fiber", "verify-thm3"), swept)
 
         assert loaded["validate"] == loaded["verify-thm3"] == []
-        for command in ("tc", "verify-thm2", "prop-tests"):
+        for command in ("tc", "verify-thm2", "prop-tests", "all"):
             assert subpackages(loaded[command]) == {"scipy.linalg"}, command
-        assert subpackages(loaded["all"]) == subpackages(loaded["descent"])
-        assert {"scipy.optimize", "scipy.sparse"} <= subpackages(
-            loaded["all"])
-        never = {"scipy.signal", "scipy.stats", "scipy.integrate",
-                 "scipy.interpolate"}
-        assert not subpackages(loaded["all"]) & never
