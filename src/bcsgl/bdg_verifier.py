@@ -67,8 +67,8 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,7 +81,6 @@ from .gl_minimizer import (TorusField, _coeff_matrix, _covariant_square,
 __all__ = [
     "FiberBasis",
     "FiberOperator",
-    "SweepReport",
     "build_fiber",
     "supercell_hamiltonian",
     "field_inner_products",
@@ -218,7 +217,6 @@ class FiberOperator:
     fiber momenta.
     """
 
-    xi: float
     momenta: np.ndarray
     t_values: np.ndarray
     k_block: np.ndarray
@@ -284,7 +282,7 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
         raise FloatingPointError(
             f"fiber at xi={xi:.6f} lost Hermiticity by {drift:.3e}"
         )
-    return FiberOperator(xi, kappa, tk, k_block, delta, m22, full)
+    return FiberOperator(kappa, tk, k_block, delta, m22, full)
 
 
 # ---------------------------------------------------------------------------
@@ -813,69 +811,13 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepReport:
-    """Observable values along a decreasing h-list with a power-law fit.
-
-    ``fitted_order`` is the least-squares slope of ``ln |observable -
-    reference|`` (of ``ln |observable|`` without a reference) against
-    ``ln h``, computed only over points whose magnitude exceeds
-    ``floor`` (default 100x unit roundoff), so sub-roundoff values
-    never pollute the fit.  ``failures`` holds ``[h, repr(exc)]`` for
-    every h point whose observable raised and was dropped.
-    """
-
-    h_values: list
-    observed: list
-    fitted_order: float
-    reference: float | None = None
-    label: str = ""
-    extras: list = field(default_factory=list)
-    floor: float = _ROUNDOFF_FLOOR
-    failures: list = field(default_factory=list)
-
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for h, obs in zip(self.h_values, self.observed):
-            target = self.reference if self.reference is not None else ""
-            residual = (
-                obs - self.reference if self.reference is not None else ""
-            )
-            rows.append((h, obs, target, residual))
-        return rows
-
-    def to_dict(self) -> dict:
-        return {
-            "h_values": list(self.h_values),
-            "observed": list(self.observed),
-            "fitted_order": self.fitted_order,
-            "reference": self.reference,
-            "label": self.label,
-            "extras": self.extras,
-            "floor": self.floor,
-            "failures": self.failures,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepReport":
-        return cls(
-            h_values=list(data["h_values"]),
-            observed=list(data["observed"]),
-            fitted_order=float(data["fitted_order"]),
-            reference=data.get("reference"),
-            label=data.get("label", ""),
-            extras=list(data.get("extras", [])),
-            floor=float(data.get("floor", _ROUNDOFF_FLOOR)),
-            failures=list(data.get("failures", [])),
-        )
-
-
-def fit_order(h_values: Sequence[float], observed: Sequence[float],
-              floor: float = _ROUNDOFF_FLOOR) -> float:
-    """Log-log slope over the points above the roundoff floor."""
+def fit_order(h_values: Sequence[float], observed: Sequence[float]) -> float:
+    """Log-log slope over the points above the roundoff floor
+    ``_ROUNDOFF_FLOOR`` (100x unit roundoff), so sub-roundoff values
+    never pollute the fit."""
     h_arr = np.asarray(h_values, dtype=float)
     obs = np.abs(np.asarray(observed, dtype=float))
-    keep = obs > floor
+    keep = obs > _ROUNDOFF_FLOOR
     if keep.sum() < 2:
         return float("nan")
     slope = np.polyfit(np.log(h_arr[keep]), np.log(obs[keep]), 1)[0]
@@ -883,18 +825,20 @@ def fit_order(h_values: Sequence[float], observed: Sequence[float],
 
 
 def h_sweep(observable: Callable, h_list: Sequence[float], *,
-            reference: float | None = None, label: str = "") -> SweepReport:
+            reference: float | None = None, label: str = "") -> dict:
     """Evaluate an observable along a decreasing h-list and fit its order.
 
     ``observable(h)`` returns a float or a ``(float, dict)`` pair whose
-    dict is carried along as per-point extras.  With a ``reference`` the
-    fitted order is that of the gaps ``observable - reference``.  Per-h
-    failures are collected; the sweep aborts only when fewer than three
-    values survive (all of them, for a list of fewer than three).
+    dict is carried along as per-point extras.  Per-h failures are
+    collected; the sweep aborts only when fewer than three values survive
+    (all of them, for a list of fewer than three).
 
-    Returns
-    -------
-    SweepReport
+    Returns the sweep record, the ``"report"`` of a sweep artifact:
+    ``h_values`` and ``observed`` of the kept points, their ``extras``,
+    ``failures`` (``[h, repr(exc)]`` per dropped point), ``reference``,
+    ``label``, the roundoff ``floor`` of the fit and ``fitted_order``,
+    the :func:`fit_order` of ``observed - reference`` (of ``observed``
+    without a reference).
     """
     h_list = list(h_list)
     if any(not 0.0 < h < 1.0 for h in h_list):
@@ -922,7 +866,7 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
             f"failures: {failures}"
         )
     gaps = values if reference is None else [v - reference for v in values]
-    return SweepReport(
-        h_values=h_ok, observed=values, fitted_order=fit_order(h_ok, gaps),
-        reference=reference, label=label, extras=extras, failures=failures,
-    )
+    return {"h_values": h_ok, "observed": values,
+            "fitted_order": fit_order(h_ok, gaps), "reference": reference,
+            "label": label, "extras": extras, "floor": _ROUNDOFF_FLOOR,
+            "failures": failures}

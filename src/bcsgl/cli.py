@@ -519,25 +519,24 @@ class _Run:
                                           / res["lhs_floor"])
             return res["residual"], res
 
-        shared = bv.h_sweep(observe, cfg.h_list,
+        # a reference of 0.0 leaves the residuals as they are, so the fit
+        # of the shared sweep is the trace record's
+        shared = bv.h_sweep(observe, cfg.h_list, reference=0.0,
                             label="trace_expansion and pair_distance")
 
-        def report(label, key, extra_keys):
-            observed = [float(res[key]) for res in shared.extras]
-            return bv.SweepReport(
-                h_values=shared.h_values, observed=observed,
-                fitted_order=bv.fit_order(shared.h_values, observed),
-                reference=0.0, label=label,
-                extras=[{k: res[k] for k in (*extra_keys, *bv.LADDER_KEYS)}
-                        for res in shared.extras],
-                failures=shared.failures)
+        def record(label, extra_keys, **fields):
+            return {**shared, "label": label, **fields, "extras": [
+                {k: res[k] for k in (*extra_keys, *bv.LADDER_KEYS)}
+                for res in shared["extras"]]}
 
+        h1 = [float(res["h1_distance"]) for res in shared["extras"]]
         return {
-            "trace_expansion": report(
-                "trace_expansion", "residual",
+            "trace_expansion": record(
+                "trace_expansion",
                 ("lhs", "e1_term", "e2_term", "residual_over_floor")),
-            "pair_distance": report("pair_distance", "h1_distance",
-                                    ("l2_distance", "l2_leading")),
+            "pair_distance": record(
+                "pair_distance", ("l2_distance", "l2_leading"), observed=h1,
+                fitted_order=bv.fit_order(shared["h_values"], h1)),
         }
 
     def sweep(self, command: str) -> dict:
@@ -555,9 +554,9 @@ class _Run:
             # A dropped h point is listed in the report's failures;
             # dropping the finest one also fails the sweep, whose fit then
             # stops short of it.
-            gates["finest_point_ok"] = self.cfg.h_list[-1] in report.h_values
+            gates["finest_point_ok"] = self.cfg.h_list[-1] in report["h_values"]
             gates["passed"] = all(gates[k] for k in gates if k.endswith("_ok"))
-            return {"report": report.to_dict(), "gates": gates,
+            return {"report": report, "gates": gates,
                     "passed": gates["passed"]}
 
         self._sweeps[name] = self._payload(name, f"sweeps/{name}.json",
@@ -568,39 +567,39 @@ class _Run:
         return self._sweeps[name]
 
 
-def _trace_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
+def _trace_sweep(run: _Run) -> tuple[dict, dict]:
     report = run.fiber_reports["trace_expansion"]
-    last = report.extras[-1]
-    match = abs(report.observed[-1]) / max(abs(last["e2_term"]), 1e-300)
+    last = report["extras"][-1]
+    match = abs(report["observed"][-1]) / max(abs(last["e2_term"]), 1e-300)
     return report, {
-        "fitted_order": report.fitted_order,
+        "fitted_order": report["fitted_order"],
         "order_threshold": _GATE_TRACE_ORDER,
-        "order_ok": bool(report.fitted_order >= _GATE_TRACE_ORDER),
+        "order_ok": bool(report["fitted_order"] >= _GATE_TRACE_ORDER),
         "quartic_term_relative_mismatch": match,
         "match_threshold": _GATE_TRACE_MATCH,
         "match_ok": bool(match <= _GATE_TRACE_MATCH),
     }
 
 
-def _pair_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
+def _pair_sweep(run: _Run) -> tuple[dict, dict]:
     report = run.fiber_reports["pair_distance"]
     ratios = [e["l2_leading"] ** 2 / h
-              for h, e in zip(report.h_values, report.extras)]
+              for h, e in zip(report["h_values"], report["extras"])]
     if len(ratios) >= 2:
         drift = abs(ratios[-1] - ratios[-2]) / max(abs(ratios[-2]), 1e-300)
     else:
         drift = 0.0
     return report, {
-        "fitted_order": report.fitted_order,
+        "fitted_order": report["fitted_order"],
         "order_threshold": _GATE_PAIR_ORDER,
-        "order_ok": bool(report.fitted_order >= _GATE_PAIR_ORDER),
+        "order_ok": bool(report["fitted_order"] >= _GATE_PAIR_ORDER),
         "leading_norm_ratio_drift": drift,
         "stability_threshold": _GATE_PAIR_STABILITY,
         "stability_ok": bool(drift <= _GATE_PAIR_STABILITY),
     }
 
 
-def _energy_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
+def _energy_sweep(run: _Run) -> tuple[dict, dict]:
     cfg, sol, coef, state = run.cfg, run.sol, run.coef, run.state
     target = state.energy - coef.B3
 
@@ -614,7 +613,7 @@ def _energy_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
 
     report = bv.h_sweep(observe, cfg.h_list, reference=target,
                         label="energy_upper_bound")
-    gaps = [obs - target for obs in report.observed]
+    gaps = [obs - target for obs in report["observed"]]
     slack = _GATE_ENERGY_SLACK * abs(gaps[0])
     magnitudes = [abs(g) for g in gaps]
     return report, {
@@ -624,9 +623,9 @@ def _energy_sweep(run: _Run) -> tuple[bv.SweepReport, dict]:
         "sign_ok": bool(all(g >= -slack for g in gaps)),
         "decreasing_ok": bool(all(b < a for a, b in
                                   zip(magnitudes, magnitudes[1:]))),
-        "fitted_order": report.fitted_order,
+        "fitted_order": report["fitted_order"],
         "order_threshold": _GATE_ENERGY_ORDER,
-        "order_ok": bool(report.fitted_order >= _GATE_ENERGY_ORDER),
+        "order_ok": bool(report["fitted_order"] >= _GATE_ENERGY_ORDER),
     }
 
 
@@ -656,9 +655,10 @@ _FIBER_SWEEPS = ("verify-thm2", "verify-thm3")
 def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
     lines = ["sweep,h,observable,target,residual"]
     for name, payload in payloads.items():
-        report = bv.SweepReport.from_dict(payload["report"])
-        for h, obs, target, residual in report.csv_rows():
-            lines.append(f"{name},{h!r},{obs!r},{target!r},{residual!r}")
+        report = payload["report"]
+        ref = report["reference"]
+        for h, obs in zip(report["h_values"], report["observed"]):
+            lines.append(f"{name},{h!r},{obs!r},{ref!r},{obs - ref!r}")
     path = cfg.outputs / "report.csv"
     content = "\n".join(lines) + "\n"
     if path.is_file() and path.read_text() == content:

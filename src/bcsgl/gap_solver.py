@@ -432,15 +432,6 @@ class GapSolution:
         return weight * (np.cos(self.grid.nodes[None, :] * x[:, None])
                          @ self.alpha0_hat)
 
-    def real_space(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """``alpha0(x)`` and ``alpha0'(x)`` by the even-sector inverse transform."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        q = self.grid.nodes
-        weight = math.sqrt(2.0 / math.pi) * self.grid.dq
-        alpha_prime = -weight * (np.sin(q[None, :] * x[:, None])
-                                 @ (q * self.alpha0_hat))
-        return self.alpha0(x), alpha_prime
-
     @cached_property
     def interaction_density(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``u``, 2048 on ``[0, spec.reach()]``, and ``V(u) alpha0(u)^2``.
@@ -452,23 +443,7 @@ class GapSolution:
         u = np.linspace(0.0, self.spec.reach(), 2048)
         return u, self.spec.v(u) * self.alpha0(u) ** 2
 
-    # -- validation and serialization ---------------------------------------
-
-    def validate(self) -> dict:
-        """Recheck the solution invariants; returns the residuals."""
-        q = self.grid.nodes
-        pointwise = self.t_samples - 2.0 * specfun.kt_symbol(
-            q * q - self.mu, self.T_c
-        ) * self.alpha0_hat
-        scale = np.abs(self.t_samples).max()
-        report = {
-            "eig_residual": self.eig_residual,
-            "t_pointwise_residual": float(np.abs(pointwise).max() / scale),
-            "t_cutoff_ratio": float(np.abs(self.t_samples[-1]) / scale),
-        }
-        if self.norm_scale is not None:
-            report["normalization_residual"] = normalization_residual(self)
-        return report
+    # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
@@ -671,11 +646,10 @@ def normalize(sol: GapSolution, D: float) -> GapSolution:
 
 @dataclass
 class DecayReport:
-    """Exponential decay fit and weighted moments of the real-space profile."""
+    """Exponential decay fit of the real-space profile."""
 
     fitted_decay_rate: float
     kappa_c: float
-    moment_table: dict
     n_fit_points: int
     fit_window: tuple[float, float]
 
@@ -698,15 +672,14 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 def decay_report(
     sol: GapSolution, x_max: float | None = None, n_x: int = 4096
 ) -> DecayReport:
-    """Real-space decay rate and weighted moments of the ground state.
+    """Real-space decay rate of the ground state.
 
     Fits ``ln |alpha0|`` at its local maxima (envelope peaks) over the
     window where ``|alpha0|`` lies in ``[1e-10, 1e-3] * max``; the fitted
     rate should approach ``kappa_c`` from below, and a ``UserWarning``
     flags a rate below ``MIN_DECAY_RATIO * kappa_c``.  With no sample in
     the window it warns and reports a NaN rate and window and no fit
-    points.  Also reports the moments ``integral (1 + x^2) |alpha0|^2 dx``
-    and the same with ``alpha0'``.
+    points.
 
     Parameters
     ----------
@@ -726,9 +699,7 @@ def decay_report(
     if x_max is None:
         x_max = min(30.0 / kappa, 0.85 * alias_limit)
     x = np.linspace(0.0, x_max, n_x)
-    alpha, alpha_prime = sol.real_space(x)
-
-    abs_alpha = np.abs(alpha)
+    abs_alpha = np.abs(sol.alpha0(x))
     peak = abs_alpha.max()
     lo_threshold, hi_threshold = 1e-10 * peak, 1e-3 * peak
     peaks = _local_maxima(abs_alpha)
@@ -753,23 +724,9 @@ def decay_report(
                 "sits on a truncation floor of the profile; refine the "
                 "momentum grid")
 
-    dx = x[1] - x[0]
-    weight = 1.0 + x * x
-    # Even profile: integrals over the line are twice the half-line values;
-    # trapezoid with the x = 0 endpoint halved.
-    trap = np.ones_like(x)
-    trap[0] = trap[-1] = 0.5
-    m_l2 = 2.0 * float(np.sum(trap * weight * alpha * alpha) * dx)
-    m_h1 = 2.0 * float(np.sum(trap * weight * alpha_prime * alpha_prime) * dx)
-
     return DecayReport(
         fitted_decay_rate=rate,
         kappa_c=kappa,
-        moment_table={
-            "weighted_l2": m_l2,
-            "weighted_grad_l2": m_h1,
-            "total": m_l2 + m_h1,
-        },
         n_fit_points=int(len(fit_x)),
         fit_window=fit_window,
     )

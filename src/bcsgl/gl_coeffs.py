@@ -225,7 +225,6 @@ class E2Constants:
     c_grad_psi: float
     c_W: float
     c_quartic: float
-    beta: float
 
 
 def e2_constants(source, beta: float) -> E2Constants:
@@ -260,7 +259,6 @@ def e2_constants(source, beta: float) -> E2Constants:
         c_grad_psi=(beta**2 / 8.0) * m.t2_gradient / _TWO_PI,
         c_W=(beta**2 / 2.0) * m.t2_g1 / _TWO_PI,
         c_quartic=(beta**3 / 8.0) * m.t4_g1_over_z / _TWO_PI,
-        beta=beta,
     )
 
 
@@ -306,7 +304,6 @@ class SmallPConstants:
     hess_g0_closed: float
     l00_dd: float
     l00_closed: float
-    beta: float
 
     def max_relative_mismatch(self) -> float:
         pairs = [
@@ -376,5 +373,4 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
         hess_g0_closed=beta * (blocks.c_grad_t + blocks.c_grad_psi),
         l00_dd=beta**3 * grid.integrate(t2 * (2.0 * dd4 + dd4b)) / _TWO_PI,
         l00_closed=(beta / 2.0) * blocks.c_W,
-        beta=beta,
     )

@@ -77,11 +77,11 @@ def trace_sweep(fiber_pass):
 
 class TestTraceExpansionOrder:
     def test_residual_order_exceeds_four_and_a_half(self, trace_sweep):
-        assert trace_sweep.fitted_order >= 4.5
+        assert trace_sweep["fitted_order"] >= 4.5
 
     def test_quartic_term_matches_at_finest_h(self, trace_sweep):
-        residual = trace_sweep.observed[-1]
-        e2_term = trace_sweep.extras[-1]["e2_term"]
+        residual = trace_sweep["observed"][-1]
+        e2_term = trace_sweep["extras"][-1]["e2_term"]
         assert abs(residual) / abs(e2_term) < 0.05
 
 
@@ -96,11 +96,11 @@ def pair_distance_sweep(fiber_pass):
 
 class TestPairDistanceOrder:
     def test_sobolev_distance_order(self, pair_distance_sweep):
-        assert pair_distance_sweep.fitted_order >= 2.3
+        assert pair_distance_sweep["fitted_order"] >= 2.3
 
     def test_leading_norm_ratio_stabilizes(self, pair_distance_sweep):
         ratios = [e["l2_leading"] ** 2 / h
-                  for h, e in zip(pair_distance_sweep.h_values,
-                                  pair_distance_sweep.extras)]
+                  for h, e in zip(pair_distance_sweep["h_values"],
+                                  pair_distance_sweep["extras"])]
         drift = abs(ratios[-1] - ratios[-2]) / ratios[-2]
         assert drift < 0.05

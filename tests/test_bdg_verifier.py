@@ -1130,17 +1130,17 @@ class TestSweep:
 
     def test_synthetic_cubic_order(self):
         report = bv.h_sweep(lambda h: 2.5 * h**3, self.H_LIST)
-        assert report.fitted_order == pytest.approx(3.0, abs=1e-6)
+        assert report["fitted_order"] == pytest.approx(3.0, abs=1e-6)
 
     def test_constant_observable_has_zero_order(self):
         report = bv.h_sweep(lambda h: 0.7, self.H_LIST)
-        assert abs(report.fitted_order) < 1e-9
+        assert abs(report["fitted_order"]) < 1e-9
 
     def test_roundoff_floor_excluded_from_fit(self):
         values = {0.125: 2.5 * 0.125**3, 0.0625: 2.5 * 0.0625**3,
                   0.03125: 1e-18}
         report = bv.h_sweep(lambda h: values[h], list(values))
-        assert report.fitted_order == pytest.approx(3.0, abs=1e-9)
+        assert report["fitted_order"] == pytest.approx(3.0, abs=1e-9)
 
     def test_failures_aggregate(self):
         def failing_below(cut):
@@ -1152,17 +1152,15 @@ class TestSweep:
 
         # three of four points survive: kept, with the failure recorded
         report = bv.h_sweep(failing_below(0.02), self.H_LIST)
-        assert len(report.h_values) == 3
-        assert [h for h, _ in report.failures] == [0.015625]
-        assert all("too small" in msg for _, msg in report.failures)
-        clone = bv.SweepReport.from_dict(report.to_dict())
-        assert clone.failures == report.failures
+        assert len(report["h_values"]) == 3
+        assert [h for h, _ in report["failures"]] == [0.015625]
+        assert all("too small" in msg for _, msg in report["failures"])
         # two of four survive: aborted
         with pytest.raises(RuntimeError, match="too small"):
             bv.h_sweep(failing_below(0.06), self.H_LIST)
         # a two-point list needs both points
         assert len(bv.h_sweep(failing_below(0.02), self.H_LIST[:2])
-                   .h_values) == 2
+                   ["h_values"]) == 2
         with pytest.raises(RuntimeError, match="kept 1 of 2"):
             bv.h_sweep(failing_below(0.1), self.H_LIST[:2])
 
@@ -1179,12 +1177,10 @@ class TestSweep:
             reference=0.001,
             label="demo",
         )
-        assert report.extras[0]["n_max"] == 8
-        rows = report.csv_rows()
-        assert len(rows) == 4
-        assert rows[1][2] == 0.001
-        assert rows[1][3] == pytest.approx(0.0625**2 - 0.001)
-        clone = bv.SweepReport.from_dict(report.to_dict())
-        assert clone.h_values == report.h_values
-        assert clone.fitted_order == report.fitted_order
-        assert clone.label == "demo"
+        # the record is the "report" of a sweep artifact
+        assert set(report) == {"h_values", "observed", "fitted_order",
+                               "reference", "label", "extras", "floor",
+                               "failures"}
+        assert report["extras"][0]["n_max"] == 8
+        assert report["reference"] == 0.001
+        assert report["label"] == "demo"

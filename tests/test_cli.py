@@ -572,17 +572,22 @@ class TestFullPipeline:
         assert {p: p.read_bytes() for p in files} == before
 
     def test_report_csv_schema(self, full_run):
+        # one row per kept point of each sweep artifact, in artifact order
         out_dir, _ = full_run
         lines = (out_dir / "report.csv").read_text().strip().splitlines()
         assert lines[0] == "sweep,h,observable,target,residual"
-        sweeps = set()
-        for line in lines[1:]:
-            name, h, obs, target, residual = line.split(",")
-            sweeps.add(name)
-            assert 0.0 < float(h) < 1.0
-            float(obs), float(target), float(residual)
-        assert sweeps == {"trace_expansion", "pair_distance",
-                          "energy_upper_bound"}
+        expected = []
+        for name in ("trace_expansion", "pair_distance",
+                     "energy_upper_bound"):
+            report = json.loads(
+                (out_dir / "sweeps" / f"{name}.json").read_text())["report"]
+            # the artifact holds the record h_sweep returns
+            assert set(report) == set(bv.h_sweep(lambda h: h, [0.5, 0.25]))
+            ref = report["reference"]
+            expected += [f"{name},{h!r},{obs!r},{ref!r},{obs - ref!r}"
+                         for h, obs in zip(report["h_values"],
+                                           report["observed"])]
+        assert lines[1:] == expected
 
 
 class TestEntryPoint:

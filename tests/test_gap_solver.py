@@ -197,13 +197,18 @@ class TestFindTc:
         assert wide.T_c == pytest.approx(gap_sol_raw.T_c, rel=1e-4)
 
     def test_pointwise_t_relation(self, gap_sol_raw):
-        report = gap_sol_raw.validate()
-        assert report["t_pointwise_residual"] < 1e-8
+        # t = 2 K_T(q^2 - mu) alpha0_hat at every node, at T = T_c
+        sol = gap_sol_raw
+        q = sol.grid.nodes
+        pointwise = sol.t_samples - 2.0 * sf.kt_symbol(
+            q * q - sol.mu, sol.T_c) * sol.alpha0_hat
+        scale = np.abs(sol.t_samples).max()
+        assert np.abs(pointwise).max() / scale < 1e-8
 
     def test_deep_tail_on_wide_grid(self, ref_spec):
         grid = gs.MomentumGrid(16.0, 768)
-        sol = gs.find_tc(ref_spec, grid)
-        assert sol.validate()["t_cutoff_ratio"] < 1e-10
+        t = gs.find_tc(ref_spec, grid).t_samples
+        assert abs(t[-1]) / np.abs(t).max() < 1e-10
 
     def test_scan_potentials_bit_identical(self, scan_solutions):
         for key, sol in scan_solutions.items():
@@ -261,17 +266,10 @@ class TestNormalize:
 
 
 class TestDecayReport:
-    def test_moments_finite_and_grid_stable(self, gap_sol):
-        rep = gs.decay_report(gap_sol)
-        fine = gs.decay_report(gap_sol, n_x=8192)
-        for key, value in rep.moment_table.items():
-            assert math.isfinite(value) and value > 0.0
-            assert abs(fine.moment_table[key] - value) / value < 0.01
-
     def test_profile_even(self, gap_sol):
         x = np.linspace(0.0, 20.0, 101)
-        plus, _ = gap_sol.real_space(x)
-        minus, _ = gap_sol.real_space(-x)
+        plus = gap_sol.alpha0(x)
+        minus = gap_sol.alpha0(-x)
         assert np.abs(plus - minus).max() < 1e-10
 
     def test_truncation_floor_warns(self, gap_sol, scan_solutions):
@@ -310,7 +308,7 @@ class TestLocalMaxima:
         for sol in scan_solutions.values():
             # the real-space grid of ``decay_report``
             x_max = min(30.0 / sol.kappa_c, 0.85 * math.pi / sol.grid.dq)
-            alpha, _ = sol.real_space(np.linspace(0.0, x_max, n_x))
+            alpha = sol.alpha0(np.linspace(0.0, x_max, n_x))
             np.testing.assert_array_equal(
                 gs._local_maxima(np.abs(alpha)), _find_peaks(np.abs(alpha))
             )
