@@ -824,6 +824,16 @@ def fit_order(h_values: Sequence[float], observed: Sequence[float]) -> float:
     return float(slope)
 
 
+def local_orders(h_values: Sequence[float], observed: Sequence[float]
+                 ) -> list:
+    """Log-log slope of each pair of successive points, ``None`` where
+    either ``|observed|`` is at or below the fit's roundoff floor."""
+    obs = [abs(float(v)) for v in observed]
+    return [math.log(a / b) / math.log(h_a / h_b)
+            if min(a, b) > _ROUNDOFF_FLOOR else None
+            for h_a, h_b, a, b in zip(h_values, h_values[1:], obs, obs[1:])]
+
+
 def h_sweep(observable: Callable, h_list: Sequence[float], *,
             reference: float | None = None, label: str = "") -> dict:
     """Evaluate an observable along a decreasing h-list and fit its order.
@@ -836,9 +846,9 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
     Returns the sweep record, the ``"report"`` of a sweep artifact:
     ``h_values`` and ``observed`` of the kept points, their ``extras``,
     ``failures`` (``[h, repr(exc)]`` per dropped point), ``reference``,
-    ``label``, the roundoff ``floor`` of the fit and ``fitted_order``,
-    the :func:`fit_order` of ``observed - reference`` (of ``observed``
-    without a reference).
+    ``label``, the roundoff ``floor`` of the fit, and ``fitted_order``
+    and ``local_orders``, the :func:`fit_order` and :func:`local_orders`
+    of ``observed - reference`` (of ``observed`` without a reference).
     """
     h_list = list(h_list)
     if any(not 0.0 < h < 1.0 for h in h_list):
@@ -867,6 +877,7 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
         )
     gaps = values if reference is None else [v - reference for v in values]
     return {"h_values": h_ok, "observed": values,
-            "fitted_order": fit_order(h_ok, gaps), "reference": reference,
+            "fitted_order": fit_order(h_ok, gaps),
+            "local_orders": local_orders(h_ok, gaps), "reference": reference,
             "label": label, "extras": extras, "floor": _ROUNDOFF_FLOOR,
             "failures": failures}

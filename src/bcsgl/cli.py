@@ -7,11 +7,20 @@ stage chain
     -> semiclassical sweeps
 
 and writes machine-readable artifacts (``gap.json``, ``coeffs.json``,
-``gl.json``, ``sweeps/*.json``, ``report.csv``) into the configured
-output directory.  Every artifact embeds the content hash of the
-normalized configuration and of the package source; a re-run with an
-unchanged configuration and code leaves the files untouched, and a
-change to either recomputes every affected stage.
+``gl.json``, ``sweeps/*.json``, ``report.csv``, and under ``all`` the
+property suite's ``properties.json``) into the configured output
+directory.  Every artifact carries the ``key`` of its own inputs and of
+the package source: the gap solve keys on the potential, the gap grid
+and D; the coefficients on the gap key; the GL minimum on that key, the
+fields, ``torus_n_max`` and the seed; a sweep on its upstream key and
+the h-list; the property suite on the seed alone.  A sweep whose
+artifact is stale is refitted from its h points, each read back or
+computed as ``points/<key>.json``: a fiber point (shared by the trace
+and pair sweeps) keys on the gap key, the fields, ``fiber_m`` and h, an
+energy point on the GL key, ``fiber_m`` and h.  ``points/`` is never
+pruned; it holds one small file per distinct (key, h).  A re-run leaves
+every file byte-identical, and an edited run recomputes only what its
+edit touches and writes the bytes of a cold run of the edited config.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
@@ -105,15 +114,9 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        """SHA-256 of the normalized config and of the package source.
-
-        The output directory is not an input of any stage, so it is left
-        out: a copy of a finished output directory is a cache hit.
-        """
-        inputs = {k: v for k, v in self.normalized.items() if k != "outputs"}
-        payload = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(
-            (_code_digest() + payload).encode()).hexdigest()
+        """:func:`_key` of the normalized config without ``outputs``."""
+        return _key({k: v for k, v in self.normalized.items()
+                     if k != "outputs"})
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,6 +127,16 @@ def _code_digest() -> str:
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def _key(*inputs) -> str:
+    """SHA-256 of the package digest and of ``inputs`` as canonical JSON.
+
+    No key covers the output directory, which is not an input of any
+    stage: a copy of a finished output directory is a cache hit.
+    """
+    payload = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256((_code_digest() + payload).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +432,34 @@ def _dump_json(path: Path, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_cached(path: Path, config_hash: str) -> dict | None:
-    """Artifact content if it exists and was produced by this config."""
-    if not path.is_file():
-        return None
+def _load_cached(path: Path, key: str) -> dict | None:
+    """Artifact content if it is a JSON object carrying ``key``.
+
+    A missing, unreadable or undecodable file is a miss, and so is a
+    sweep that dropped an h point, so that the point is retried.
+    """
     try:
         payload = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
+    except (OSError, ValueError):
         return None
-    if payload.get("config_hash") != config_hash:
+    if (not isinstance(payload, dict) or payload.get("key") != key
+            or payload.get("report", {}).get("failures")):
         return None
     return payload
 
 
-def _stage(cfg: RunConfig, name: str, stage: str, compute
-           ) -> tuple[dict, bool]:
-    """Run one stage through the artifact cache; returns (payload,
+def _stage(path: Path, key: str, compute) -> tuple[dict, bool]:
+    """Read back or compute one cached result; returns (payload,
     was_cached).
 
-    The artifact ``name`` under the output directory is read back when it
-    carries ``cfg.config_hash``; otherwise ``compute()`` gives the payload,
-    which is written with that hash.  A failure becomes a
-    :class:`StageError` naming ``stage``.
+    The artifact at ``path`` is read back when it carries ``key``;
+    otherwise ``compute()`` gives the payload, which is written with that
+    key.  An exception of ``compute`` propagates and writes nothing.
     """
-    path = cfg.outputs / name
-    cached = _load_cached(path, cfg.config_hash)
+    cached = _load_cached(path, key)
     if cached is not None:
         return cached, True
-    try:
-        payload = {"config_hash": cfg.config_hash, **compute()}
-    except StageError:
-        raise
-    except NoPairingError as exc:
-        raise StageError(stage, "no-pairing", str(exc)) from exc
-    except Exception as exc:
-        raise StageError(stage, "numerical", repr(exc)) from exc
+    payload = {"key": key, **compute()}
     _dump_json(path, payload)
     return payload, False
 
@@ -476,10 +482,46 @@ class _Run:
     def __init__(self, cfg: RunConfig, workers: int):
         self.cfg, self.workers = cfg, workers
         self.cached, self._sweeps = {}, {}
+        norm, grids = cfg.normalized, cfg.normalized["grids"]
+        gap = _key("gap", norm["potential"], grids["gap"], norm["D"])
+        coeffs = _key("coeffs", gap)
+        gl_min = _key("gl-min", coeffs, norm["fields"], grids["torus_n_max"],
+                      norm["seed"])
+        fiber = _key("fiber", gap, norm["fields"], grids["fiber_m"])
+        energy = _key("energy", gl_min, grids["fiber_m"])
+        #: Stage or sweep artifact name -> key; ``fiber`` and ``energy``
+        #: are what the h points of those sweeps read (:meth:`_point`).
+        self.keys = {
+            "gap": gap, "coeffs": coeffs, "gl-min": gl_min,
+            "fiber": fiber, "energy": energy,
+            **{name: _key(name, fiber if command in _FIBER_SWEEPS else energy,
+                          cfg.h_list)
+               for command, (name, _, _) in _SWEEPS.items()},
+        }
 
-    def _payload(self, key: str, name: str, stage: str, compute) -> dict:
-        payload, self.cached[key] = _stage(self.cfg, name, stage, compute)
+    def _payload(self, name: str, file: str, stage: str, compute) -> dict:
+        """The artifact ``file`` of stage ``name``, whose failure becomes
+        a :class:`StageError` naming ``stage``."""
+        def guarded():
+            try:
+                return compute()
+            except StageError:
+                raise
+            except NoPairingError as exc:
+                raise StageError(stage, "no-pairing", str(exc)) from exc
+            except Exception as exc:
+                raise StageError(stage, "numerical", repr(exc)) from exc
+
+        payload, self.cached[name] = _stage(self.cfg.outputs / file,
+                                            self.keys[name], guarded)
         return payload
+
+    def _point(self, kind: str, h: float, compute) -> dict:
+        """One h point of the ``fiber`` or ``energy`` sweeps.  A failure
+        propagates as it is, so the sweep lists it and never caches it."""
+        key = _key(self.keys[kind], h)
+        return _stage(self.cfg.outputs / "points" / f"{key}.json", key,
+                      compute)[0]
 
     @functools.cached_property
     def sol(self) -> GapSolution:
@@ -506,17 +548,21 @@ class _Run:
     @functools.cached_property
     def fiber_reports(self) -> dict:
         """Trace-expansion and pair-distance reports, keyed by artifact
-        name, from one ``alpha_delta_distance`` per h, so both share their
-        kept and dropped points."""
+        name, from one ``alpha_delta_distance`` per h (one fiber point),
+        so both share their kept and dropped points."""
         cfg, sol = self.cfg, self.sol
 
-        def observe(h):
+        def compute(h):
             res = bv.alpha_delta_distance(
                 sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
                 m_fibers=cfg.fiber_m, workers=self.workers)
             # how far the residual sits above the roundoff of its lhs
             res["residual_over_floor"] = (abs(res["residual"])
                                           / res["lhs_floor"])
+            return res
+
+        def observe(h):
+            res = self._point("fiber", h, lambda: compute(h))
             return res["residual"], res
 
         # a reference of 0.0 leaves the residuals as they are, so the fit
@@ -529,6 +575,7 @@ class _Run:
                 {k: res[k] for k in (*extra_keys, *bv.LADDER_KEYS)}
                 for res in shared["extras"]]}
 
+        h_values = shared["h_values"]
         h1 = [float(res["h1_distance"]) for res in shared["extras"]]
         return {
             "trace_expansion": record(
@@ -536,7 +583,8 @@ class _Run:
                 ("lhs", "e1_term", "e2_term", "residual_over_floor")),
             "pair_distance": record(
                 "pair_distance", ("l2_distance", "l2_leading"), observed=h1,
-                fitted_order=bv.fit_order(shared["h_values"], h1)),
+                fitted_order=bv.fit_order(h_values, h1),
+                local_orders=bv.local_orders(h_values, h1)),
         }
 
     def sweep(self, command: str) -> dict:
@@ -604,9 +652,9 @@ def _energy_sweep(run: _Run) -> tuple[dict, dict]:
     target = state.energy - coef.B3
 
     def observe(h):
-        res = bv.trial_state_energy(
+        res = run._point("energy", h, lambda: bv.trial_state_energy(
             sol, state.psi, cfg.a_field, cfg.w_field, h,
-            m_fibers=cfg.fiber_m, workers=run.workers)
+            m_fibers=cfg.fiber_m, workers=run.workers))
         return res["scaled"], {k: res[k] for k in (
             "beta", "m_fibers", "capped", "f_bcs_diff_floor",
             "delta_f_bcs_diff")}
@@ -823,7 +871,11 @@ def _cmd_prop_tests(seed: int) -> int:
 
 def _cmd_all(cfg: RunConfig, workers: int) -> int:
     pipeline = run_pipeline(cfg, workers)
-    props = prop_test_suite(seed=cfg.seed)
+    # the suite reads no config, so its result keys on the seed alone
+    props, pipeline["cached_stages"]["properties"] = _stage(
+        cfg.outputs / "properties.json", _key("properties", cfg.seed),
+        lambda: prop_test_suite(seed=cfg.seed))
+    props = {k: v for k, v in props.items() if k != "key"}
     ok = pipeline["all_gates_passed"] and props["all_passed"]
     _emit({"status": "ok" if ok else "regression",
            "pipeline": pipeline, "properties": props})

@@ -1179,8 +1179,21 @@ class TestSweep:
         )
         # the record is the "report" of a sweep artifact
         assert set(report) == {"h_values", "observed", "fitted_order",
-                               "reference", "label", "extras", "floor",
-                               "failures"}
+                               "local_orders", "reference", "label",
+                               "extras", "floor", "failures"}
         assert report["extras"][0]["n_max"] == 8
         assert report["reference"] == 0.001
         assert report["label"] == "demo"
+
+    def test_local_orders_of_successive_gaps(self):
+        # one slope per pair of kept points, of the gaps to the reference;
+        # a pair with a gap at or below the roundoff floor has none
+        values = {0.125: 1.0 + 2.5 * 0.125**3, 0.0625: 1.0 + 2.5 * 0.0625**2,
+                  0.03125: 1.0}
+        report = bv.h_sweep(lambda h: values[h], list(values), reference=1.0)
+        assert len(report["local_orders"]) == 2
+        assert report["local_orders"][0] == pytest.approx(
+            math.log(2.5 * 0.125**3 / (2.5 * 0.0625**2)) / math.log(2.0),
+            rel=1e-9)
+        assert report["local_orders"][1] is None
+        assert bv.h_sweep(lambda h: h**2, [0.5])["local_orders"] == []

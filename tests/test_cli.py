@@ -1,5 +1,7 @@
 """Tests for the command-line pipeline: config, caching, subcommands."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -178,7 +180,7 @@ class TestStages:
         assert out["T_c"] == pytest.approx(REFERENCE_TC, rel=1e-9)
         assert out["cached"] is False
         gap = json.loads((tmp_path / "out" / "gap.json").read_text())
-        assert gap["config_hash"] == out["config_hash"]
+        assert gap["key"] == cli._Run(cli.validate_config(path), 1).keys["gap"]
 
     def test_cache_hit_preserves_bytes(self, tmp_path, capsys):
         path = write_config(tmp_path, grids=fast_grids())
@@ -307,6 +309,7 @@ class TestSweepCommands:
         serial = [artifact.read_bytes() for artifact in artifacts]
         for artifact in artifacts:
             artifact.unlink()
+        shutil.rmtree(tmp_path / "out" / "points")
         run_cli(capsys, "--config", str(path), "--workers", "4",
                 "verify-thm2")
         assert [artifact.read_bytes() for artifact in artifacts] == serial
@@ -325,6 +328,7 @@ class TestSweepCommands:
             serial["trace_expansion.json"])["report"]["extras"]]
         assert max(used) < 16
         shutil.rmtree(sweeps)
+        shutil.rmtree(tmp_path / "out" / "points")
         run_cli(capsys, "--config", str(path), "--workers", "4",
                 "verify-thm2")
         assert {p.name: p.read_bytes()
@@ -346,6 +350,7 @@ class TestSweepCommands:
                    and e["delta_f_bcs_diff"] <= e["f_bcs_diff_floor"]
                    for e in extras)
         artifact.unlink()
+        shutil.rmtree(tmp_path / "out" / "points")
         run_cli(capsys, "--config", str(path), "--workers", "4",
                 "verify-energy")
         assert artifact.read_bytes() == serial
@@ -404,6 +409,7 @@ class TestSweepCommands:
         run_cli(capsys, "--config", str(path), "--workers", "1", command)
         serial = artifact.read_bytes()
         artifact.unlink()
+        shutil.rmtree(tmp_path / "out" / "points")
         run_cli(capsys, "--config", str(path), "--workers", "2", command)
         assert artifact.read_bytes() == serial
         # A = 0 and W = 0.5 cos make the GL state real, so the energy
@@ -494,6 +500,137 @@ class TestArtifactWrites:
         assert [p.name for p in path.parent.iterdir()] == ["artifact.json"]
 
 
+class TestCacheContracts:
+    """Each stage, h point and the property suite key on their own
+    inputs, so an edit recomputes only what depends on it."""
+
+    H_LIST = [0.25, 0.125, 0.0625]
+    ARTIFACTS = ("gap.json", "coeffs.json", "gl.json", "report.csv",
+                 "properties.json", "sweeps/trace_expansion.json",
+                 "sweeps/pair_distance.json", "sweeps/energy_upper_bound.json")
+
+    @staticmethod
+    def pipeline(path, **overrides):
+        """``run_pipeline`` with one worker; returns ``cached_stages``."""
+        cfg = cli.validate_config(path, overrides)
+        return cli.run_pipeline(cfg, workers=1)["cached_stages"]
+
+    @staticmethod
+    def points(out):
+        return {p.name for p in (out / "points").glob("*.json")}
+
+    @pytest.mark.parametrize("content", [b"[]", b"\x80\xff not utf-8"])
+    def test_corrupt_artifact_is_recomputed(self, tmp_path, capsys,
+                                            content):
+        path = write_config(tmp_path, grids=fast_grids())
+        _, first = run_cli(capsys, "--config", str(path), "tc")
+        gap_file = tmp_path / "out" / "gap.json"
+        fresh = gap_file.read_bytes()
+        gap_file.write_bytes(content)
+        code, out = run_cli(capsys, "--config", str(path), "tc")
+        assert code == 0
+        assert out["cached"] is False
+        assert out["T_c"] == first["T_c"]
+        assert gap_file.read_bytes() == fresh
+
+    def test_edited_h_list_writes_the_bytes_of_a_cold_run(
+            self, tmp_path, capsys, monkeypatch):
+        # the edited list is a subset of the first one, so every point it
+        # needs is cached and no fiber is built
+        full = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        edited = ["--h-list", "0.25,0.125"]
+        run_cli(capsys, "--config", str(full), "all")
+
+        def no_fiber(*args, **kwargs):
+            raise AssertionError("an h point was recomputed")
+
+        monkeypatch.setattr(bv, "alpha_delta_distance", no_fiber)
+        monkeypatch.setattr(bv, "trial_state_energy", no_fiber)
+        _, warm = run_cli(capsys, "--config", str(full), *edited, "all")
+        monkeypatch.undo()
+        cached = warm["pipeline"]["cached_stages"]
+        assert {k for k, hit in cached.items() if not hit} == {
+            "trace_expansion", "pair_distance", "energy_upper_bound"}
+
+        cold_dir = tmp_path / "cold"
+        _, cold = run_cli(capsys, "--config", str(full), "--out",
+                          str(cold_dir), *edited, "all")
+        assert not any(cold["pipeline"]["cached_stages"].values())
+        for name in self.ARTIFACTS:
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (cold_dir / name).read_bytes(), name
+        assert self.points(cold_dir) < self.points(tmp_path / "out")
+        for summary in (warm, cold):
+            summary["pipeline"].pop("cached_stages")
+        assert warm == cold
+
+    def test_seed_change_keeps_the_gap_and_the_fiber_sweeps(
+            self, tmp_path, capsys, monkeypatch):
+        from bcsgl import properties
+        seeds = []
+        monkeypatch.setattr(properties, "run_suite",
+                            lambda seed: seeds.append(seed) or [])
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        run_cli(capsys, "--config", str(path), "all")
+        before = self.points(tmp_path / "out")
+        _, out = run_cli(capsys, "--config", str(path), "--seed", "3", "all")
+        cached = out["pipeline"]["cached_stages"]
+        assert {k for k, hit in cached.items() if not hit} == {
+            "gl-min", "energy_upper_bound", "properties"}
+        assert seeds == [0, 3]
+        # three new energy points, no new fiber point
+        assert len(self.points(tmp_path / "out") - before) == 3
+
+    @pytest.mark.parametrize("overrides, recomputed", [
+        ({"D": 2.0}, {"gap", "coeffs", "gl-min", "trace_expansion",
+                      "pair_distance", "energy_upper_bound"}),
+        ({"fields": {"A": [[1, 0.2]]}}, {"gl-min", "trace_expansion",
+                                         "pair_distance",
+                                         "energy_upper_bound"}),
+        ({"grids": fast_grids(fiber_m=8)}, {"trace_expansion",
+                                            "pair_distance",
+                                            "energy_upper_bound"}),
+    ])
+    def test_input_change_invalidates_its_dependents(self, tmp_path,
+                                                     overrides, recomputed):
+        path = write_config(tmp_path, grids=fast_grids())
+        assert not any(self.pipeline(path).values())
+        before = self.points(tmp_path / "out")
+        changed = write_config(tmp_path, name="changed.json",
+                               **{"grids": fast_grids(), **overrides})
+        cached = self.pipeline(changed)
+        assert {k for k, hit in cached.items() if not hit} == recomputed
+        # every fiber and energy point of the h-list is new
+        assert len(self.points(tmp_path / "out") - before) == 4
+        assert all(self.pipeline(changed).values())
+
+    def test_dropped_point_is_retried(self, tmp_path, capsys, monkeypatch):
+        h_list = [*self.H_LIST, 0.03125]
+        original, calls, lost = bv.alpha_delta_distance, [], [h_list[-1]]
+
+        def failing(sol, psi, a, w, h, **kwargs):
+            calls.append(h)
+            if h in lost:
+                raise FloatingPointError("finest point lost")
+            return original(sol, psi, a, w, h, **kwargs)
+
+        monkeypatch.setattr(bv, "alpha_delta_distance", failing)
+        path = write_config(tmp_path, grids=fast_grids(h_list=h_list))
+        code, _ = run_cli(capsys, "--config", str(path), "verify-thm2")
+        assert code == 4
+        lost.clear()
+        calls.clear()
+        code, out = run_cli(capsys, "--config", str(path), "verify-thm2")
+        assert out["cached"] is False
+        assert out["gates"]["finest_point_ok"] is True
+        # the kept points are read back; only the dropped one is computed
+        assert calls == [h_list[-1]]
+        report = json.loads((tmp_path / "out" / "sweeps" / "pair_distance.json")
+                            .read_text())["report"]
+        assert report["h_values"] == h_list
+        assert report["failures"] == []
+
+
 class TestPropTests:
     def test_prop_tests_pass(self, capsys):
         code, out = run_cli(capsys, "prop-tests")
@@ -501,6 +638,18 @@ class TestPropTests:
         assert out["total"] == 20
         assert out["passed"] == 20
         assert out["failures"] == []
+
+    def test_prop_tests_never_reads_the_cached_suite(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from bcsgl import properties
+        out_dir = tmp_path / "out"
+        cli._dump_json(out_dir / "properties.json", {
+            "key": cli._key("properties", 0), "total": 99, "passed": 99,
+            "failures": [], "all_passed": True})
+        monkeypatch.setattr(properties, "run_suite", lambda seed: [])
+        code, out = run_cli(capsys, "--out", str(out_dir), "prop-tests")
+        assert code == 0
+        assert out["total"] == 0
 
     def test_prop_failures_enumerated(self, capsys, monkeypatch):
         from bcsgl import specfun
@@ -515,16 +664,21 @@ class TestPropTests:
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
+    """``bcsgl all`` on the built-in config: its output directory and the
+    pipeline summary."""
     out_dir = tmp_path_factory.mktemp("pipeline")
-    cfg = cli.validate_config(None, {"outputs": str(out_dir)})
-    summary = cli.run_pipeline(cfg, workers=4)
-    return out_dir, summary
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["--out", str(out_dir), "--workers", "4", "all"])
+    assert code == cli.EXIT_OK
+    return out_dir, json.loads(stdout.getvalue())["pipeline"]
 
 
 class TestFullPipeline:
     def test_acceptance_artifacts_present(self, full_run):
         out_dir, _ = full_run
         for name in ("gap.json", "coeffs.json", "gl.json", "report.csv",
+                     "properties.json",
                      "sweeps/trace_expansion.json",
                      "sweeps/pair_distance.json",
                      "sweeps/energy_upper_bound.json"):
