@@ -655,9 +655,11 @@ def _energy_sweep(run: _Run) -> tuple[dict, dict]:
         res = run._point("energy", h, lambda: bv.trial_state_energy(
             sol, state.psi, cfg.a_field, cfg.w_field, h,
             m_fibers=cfg.fiber_m, workers=run.workers))
+        # the remainder term and its half-resolution check show, also
+        # for a point read back, whether that quadrature converged
         return res["scaled"], {k: res[k] for k in (
             "beta", "m_fibers", "capped", "f_bcs_diff_floor",
-            "delta_f_bcs_diff")}
+            "delta_f_bcs_diff", "term_remainder", "term_remainder_check")}
 
     report = bv.h_sweep(observe, cfg.h_list, reference=target,
                         label="energy_upper_bound")

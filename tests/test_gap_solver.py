@@ -1,5 +1,6 @@
 """Unit tests for the gap-equation solver."""
 
+import collections
 import math
 import warnings
 
@@ -227,17 +228,49 @@ class TestFindTc:
 
     def test_at_most_three_eigensolves(self, ref_spec, ref_grid, gap_sol_raw,
                                        monkeypatch):
-        calls = []
-        eigh = linalg.eigh
+        # every factorization is NumPy's: one eigensolve at T_c; sign tests
+        # at both ends of the bracket, two certifying the Newton estimate
+        # and those inside the certified bracket; an LU solve per Newton
+        # step and one for the ground state
+        calls = collections.Counter()
+        for name in ("eigh", "eigvalsh", "cholesky", "solve"):
+            def counted(*args, _name=name, _call=getattr(np.linalg, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "eigh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         sol = gs.find_tc(ref_spec, ref_grid)
         assert sol.T_c == gap_sol_raw.T_c
-        assert len(calls) <= 3
+        search = sol.tc_search
+        assert calls["eigh"] + calls["eigvalsh"] == 1
+        assert search["certificate_tests"] == 2
+        assert calls["cholesky"] == 4 + search["replay_tests"]
+        assert calls["solve"] == search["newton_steps"] + 1
+        assert search["newton_steps"] <= 10
+        assert search["bracket_rel_width"] <= 4.01e-13
+
+    @pytest.mark.parametrize("sabotage", ["zero slope", "top", "probe", "off"])
+    def test_poor_estimate_keeps_tc_bit_identical(self, sabotage, monkeypatch):
+        # the Newton estimate only says where to test: a poor one (no slope,
+        # the bracket's ends, ten final bracket widths off) leaves more
+        # midpoints to test, and they decide as before
+        newton = gs._newton_estimate
+
+        def poor(gap_matrix, kinetic, lo, hi):
+            estimate, vec, steps = newton(gap_matrix, kinetic, lo, hi)
+            return {"top": hi, "probe": lo,
+                    "off": estimate * (1.0 + 1e-9)}[sabotage], vec, steps
+
+        if sabotage == "zero slope":
+            monkeypatch.setattr(gs, "_kt_slope", lambda x, T: 0.0 * x)
+        else:
+            monkeypatch.setattr(gs, "_newton_estimate", poor)
+        for key, T_c in SCAN_TC.items():
+            sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
+            assert sol.T_c == T_c, key
+            assert sol.tc_search["replay_tests"] > 0, key
+            assert sol.eig_residual < 1e-8, key
 
     def test_t_even_and_real(self, gap_sol):
         p = np.linspace(0.0, 8.0, 41)
