@@ -26,6 +26,50 @@ dimension, the semiclassical statements that connect the two descriptions:
     Command-line pipeline driver writing JSON/CSV artifacts.
 """
 
+import os
+
+#: The BLAS and OpenMP thread variables the console entry sets.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _worker_count(args) -> int:
+    """The ``--workers`` value in ``args``, the CLI's default when it is
+    absent, and 1 when it is no integer (the CLI's parser reports it)."""
+    value = None
+    for i, arg in enumerate(args):
+        if arg == "--workers" and i + 1 < len(args):
+            value = args[i + 1]
+        elif arg.startswith("--workers="):
+            value = arg.partition("=")[2]
+    if value is None:
+        return os.cpu_count() or 1
+    try:
+        return int(value)
+    except ValueError:
+        return 1
+
+
+def main(argv=None) -> int:
+    """The ``bcsgl`` console script: the thread policy, then the CLI.
+
+    Each of the ``--workers`` threads calls BLAS, and a multithreaded
+    BLAS under several workers oversubscribes the cores.  So with more
+    than one worker this sets each of :data:`THREAD_VARIABLES` that is
+    unset to 1, before NumPy loads with ``bcsgl.cli``.  Importing the
+    package changes no variable, and ``python -m bcsgl.cli`` runs the
+    CLI with the environment as it is.
+    """
+    import sys
+
+    args = sys.argv[1:] if argv is None else list(argv)
+    if _worker_count(args) > 1:
+        for name in THREAD_VARIABLES:
+            os.environ.setdefault(name, "1")
+    from .cli import main as cli_main
+
+    return cli_main(args)
+
 
 def __getattr__(name: str):
     # ``__version__`` is looked up on first use: reading the installed

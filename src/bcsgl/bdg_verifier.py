@@ -60,13 +60,21 @@ is within the floor of every observable: a summation bound on the Fermi
 weights for ``lhs`` and ``f_bcs_diff``, a relative ``1e-9`` for the
 pair-block norms.  A point that reaches the cap unconverged is recorded
 and warned about.
+
+Every observable takes ``workers``: a thread count, or the executor of a
+command that also runs the h points of its sweeps, so that the points
+and their fibers share one pool.  The fibers of a point go to that
+executor, and the thread that asked for them runs every fiber no other
+thread has started (:func:`_fold_fibers`); so at most ``workers``
+threads compute, and the contributions, summed in node order, do not
+depend on which thread computed them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -118,16 +126,6 @@ def _as_symbol(source):
     if source.spec.dim != 1:
         raise NotImplementedError("fiber assembly is implemented for dim 1")
     return source.t, source.mu, source.beta_c
-
-
-def _symbol_support(sol: GapSolution) -> float:
-    """Momentum beyond which ``|t|`` falls below ``1e-8 * max |t|``."""
-    # The support routinely sits at the solver's own cutoff (the grid is
-    # chosen that way); the guard modes added on top make the
-    # borderline-decay warning moot here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return sol.momentum_support()
 
 
 def default_mode_cutoff(h: float, q_support: float) -> int:
@@ -290,16 +288,25 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
 # ---------------------------------------------------------------------------
 
 
-def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
+def _fold_fibers(basis: FiberBasis, one: Callable,
+                 workers: int | Executor) -> list:
     """Per-fiber contributions over the whole Bloch grid.
 
-    ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi``, on
-    ``workers`` threads, and returns a tuple: the contribution of fiber
-    ``xi`` and, when ``partnered`` (``0 < xi < pi``), that of its
-    particle-hole partner ``-xi``, derived from fiber ``xi`` without
-    another eigensolve.  The result lists one contribution per node of
-    ``basis.xi_nodes``.  A failing eigensolver is reported with the
-    fiber's ``xi``.
+    ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi`` and
+    returns a tuple: the contribution of fiber ``xi`` and, when
+    ``partnered`` (``0 < xi < pi``), that of its particle-hole partner
+    ``-xi``, derived from fiber ``xi`` without another eigensolve.  The
+    result lists one contribution per node of ``basis.xi_nodes``.  A
+    failing eigensolver is reported with the fiber's ``xi``.
+
+    ``workers`` is an executor, all of whose threads compute (a
+    command's pool, shared with the h points that call this), or a
+    thread count, for which a temporary executor of ``workers - 1``
+    threads serves this fold.  Each fiber is submitted to the executor;
+    the calling thread then runs, in node order, every fiber no thread
+    has started (its future's ``cancel`` succeeds) and only then waits
+    for the others.  So a fold on one of the executor's own threads
+    never waits on queued work, and at most ``workers`` threads compute.
     """
 
     def run(k, xi):
@@ -310,12 +317,21 @@ def _fold_fibers(basis: FiberBasis, one: Callable, workers: int) -> list:
                 f"eigensolver failed on the fiber at xi={xi:.6f}"
             ) from exc
 
-    half = basis.half_nodes
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(half)), half))
-    else:
-        parts = list(map(run, range(len(half)), half))
+    nodes = list(enumerate(basis.half_nodes))
+    if isinstance(workers, int):
+        if workers <= 1:
+            return [c for k, xi in nodes for c in run(k, xi)]
+        with ThreadPoolExecutor(workers - 1) as pool:
+            return _fold_fibers(basis, one, pool)
+    futures = [workers.submit(run, k, xi) for k, xi in nodes]
+    try:
+        inline = {k: run(k, xi) for (k, xi), fut in zip(nodes, futures)
+                  if fut.cancel()}
+        parts = [inline[k] if k in inline else fut.result()
+                 for k, fut in enumerate(futures)]
+    finally:
+        for fut in futures:
+            fut.cancel()
     return [c for part in parts for c in part]
 
 
@@ -483,7 +499,7 @@ def _fiber_trace(op: FiberOperator, lam: np.ndarray, beta: float
 
 
 def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
-    support = _symbol_support(source)
+    support = source.momentum_support()
     if n_max is None:
         n_max = default_mode_cutoff(h, support)
     basis = FiberBasis(h, n_max, m_fibers)
@@ -508,7 +524,8 @@ def _partner_block(alpha: np.ndarray) -> np.ndarray:
 
 def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
                          w: TorusField, h: float, *, m_fibers: int = 16,
-                         n_max: int | None = None, workers: int = 1) -> dict:
+                         n_max: int | None = None,
+                         workers: int | Executor = 1) -> dict:
     """Trace expansion and pair-block distance from one pass over the fibers.
 
     Each fiber is built once and diagonalized once (:func:`_pair_block`);
@@ -546,6 +563,9 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         Cap of the Bloch ladder.
     n_max : int
         Mode cutoff (auto-scaled coverage by default).
+    workers : int or Executor
+        Threads for the fibers, or the executor to share
+        (:func:`_fold_fibers`).
 
     Returns
     -------
@@ -629,7 +649,8 @@ _TRACE_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h", "beta", "n_max",
 
 def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
                         w: TorusField, h: float, *, m_fibers: int = 16,
-                        n_max: int | None = None, workers: int = 1) -> dict:
+                        n_max: int | None = None,
+                        workers: int | Executor = 1) -> dict:
     """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion: the
     trace keys of :func:`alpha_delta_distance`, which computes them.
 
@@ -662,7 +683,8 @@ def _pair_interaction_quadrature(sol: GapSolution, h: float,
 
 def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
                        w: TorusField, h: float, *, m_fibers: int = 16,
-                       n_max: int | None = None, workers: int = 1) -> dict:
+                       n_max: int | None = None,
+                       workers: int | Executor = 1) -> dict:
     """Free-energy difference of the pairing trial state at
     ``beta = beta_c / (1 - h^2 D)``.
 
@@ -733,7 +755,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     # points per fastest period, an odd count so every second node keeps
     # both ends), x the macroscopic fields.
     u_points = max(
-        2 * math.ceil(2.0 * u_max * _symbol_support(sol) / math.pi) + 1, 129
+        2 * math.ceil(2.0 * u_max * sol.momentum_support() / math.pi) + 1, 129
     )
     x_points = max(64, 4 * max(psi.n_max, a.n_max, w.n_max) + 1)
     x_nodes = (np.arange(x_points) + 0.5) / x_points
@@ -768,10 +790,12 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     term_ii = -h / (2.0 * math.pi) * float(np.dot(weights, iv))
 
     alpha0_u = sol.alpha0(u_nodes)
-    psi_x = psi.evaluate(x_nodes)
-    psi_xu = psi.evaluate(
-        (x_nodes[:, None] + h * u_nodes[None, :]).ravel()
-    ).reshape(x_points, u_points)
+    # psi(x + h u) = sum_n c_n e^{2 pi i n x} e^{2 pi i n h u}: the x table
+    # of psi(x) times a u table, not one phase per (x, u) node
+    psi_x_table = np.exp(2j * math.pi * np.outer(x_nodes, psi.modes))
+    psi_x = psi_x_table @ psi.coeffs
+    psi_xu = (psi_x_table * psi.coeffs) @ np.exp(
+        2j * math.pi * np.outer(psi.modes, h * u_nodes))
     lead = (psi_x[:, None] + psi_xu) * alpha0_u[None, :] / (2.0 * _SQRT_TWO_PI)
     v_u = sol.spec.v(np.abs(u_nodes))
 

@@ -22,6 +22,12 @@ pruned; it holds one small file per distinct (key, h).  A re-run leaves
 every file byte-identical, and an edited run recomputes only what its
 edit touches and writes the bytes of a cold run of the edited config.
 
+A command computes on one pool of ``--workers`` threads.  The h points
+of its sweeps run side by side on it, finest h first (the finest alone,
+so that its fibers have the whole pool), and so do their fibers and,
+under ``all``, the property suite; so at most ``--workers`` threads
+compute at once.  No artifact depends on that count.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
 """
@@ -35,6 +41,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -474,14 +481,21 @@ class _Run:
 
     Hits and misses alike are decoded from the artifact payload.  A stage
     runs its upstream stages only when its own artifact is missing or
-    stale; a sweep reads them before its h loop, which would otherwise
+    stale; a sweep reads them before its h points, which would otherwise
     record their failure as dropped points.  ``cached`` records, for
     every stage run so far, whether its artifact was read back.
+
+    The run owns the command's executor, ``pool``, of ``workers``
+    threads, and is a context manager that shuts it down.  The h points
+    of a sweep are tasks on it (:meth:`submit`), whose fibers go to the
+    same pool (:func:`bdg_verifier._fold_fibers`); a sweep only collects
+    their futures.
     """
 
     def __init__(self, cfg: RunConfig, workers: int):
-        self.cfg, self.workers = cfg, workers
-        self.cached, self._sweeps = {}, {}
+        self.cfg = cfg
+        self.pool = ThreadPoolExecutor(max(1, workers))
+        self.cached, self._sweeps, self._points = {}, {}, {}
         norm, grids = cfg.normalized, cfg.normalized["grids"]
         gap = _key("gap", norm["potential"], grids["gap"], norm["D"])
         coeffs = _key("coeffs", gap)
@@ -498,6 +512,13 @@ class _Run:
                           cfg.h_list)
                for command, (name, _, _) in _SWEEPS.items()},
         }
+
+    def __enter__(self) -> "_Run":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # a failed stage leaves queued points unstarted
+        self.pool.shutdown(cancel_futures=True)
 
     def _payload(self, name: str, file: str, stage: str, compute) -> dict:
         """The artifact ``file`` of stage ``name``, whose failure becomes
@@ -516,12 +537,59 @@ class _Run:
                                             self.keys[name], guarded)
         return payload
 
-    def _point(self, kind: str, h: float, compute) -> dict:
+    def _point(self, kind: str, h: float) -> dict:
         """One h point of the ``fiber`` or ``energy`` sweeps.  A failure
         propagates as it is, so the sweep lists it and never caches it."""
+        cfg = self.cfg
+        if kind == "fiber":
+            def compute():
+                res = bv.alpha_delta_distance(
+                    self.sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
+                    m_fibers=cfg.fiber_m, workers=self.pool)
+                # how far the residual sits above the roundoff of its lhs
+                res["residual_over_floor"] = (abs(res["residual"])
+                                              / res["lhs_floor"])
+                return res
+        else:
+            def compute():
+                return bv.trial_state_energy(
+                    self.sol, self.state.psi, cfg.a_field, cfg.w_field, h,
+                    m_fibers=cfg.fiber_m, workers=self.pool)
         key = _key(self.keys[kind], h)
-        return _stage(self.cfg.outputs / "points" / f"{key}.json", key,
+        return _stage(cfg.outputs / "points" / f"{key}.json", key,
                       compute)[0]
+
+    def submit(self, *kinds: str) -> None:
+        """Put the h points of ``kinds`` (``fiber``, ``energy``) not yet
+        submitted on the pool, finest h first across all of them.
+
+        Their upstream stages run here first, so that no point computes
+        a stage and a failed stage starts no point.  The first point, the
+        costliest, runs before the others are queued, so that its fibers
+        have the whole pool: a thread that took a coarser point first
+        would come to them only after that point.
+        """
+        new = [kind for kind in kinds if kind not in self._points]
+        for kind in new:
+            getattr(self, "sol" if kind == "fiber" else "state")
+            self._points[kind] = {}
+        order = [(kind, h) for h in reversed(self.cfg.h_list) for kind in new]
+        for i, (kind, h) in enumerate(order):
+            point = self._points[kind][h] = self.pool.submit(self._point,
+                                                             kind, h)
+            if i == 0:
+                wait([point])
+
+    def points(self, kind: str) -> dict[float, Future]:
+        """h -> future of each h point of ``kind`` (:meth:`submit`)."""
+        self.submit(kind)
+        return self._points[kind]
+
+    def stale(self, command: str) -> bool:
+        """Whether the artifact of the sweep ``command`` must be rebuilt."""
+        name = _SWEEPS[command][0]
+        return _load_cached(self.cfg.outputs / "sweeps" / f"{name}.json",
+                            self.keys[name]) is None
 
     @functools.cached_property
     def sol(self) -> GapSolution:
@@ -550,24 +618,15 @@ class _Run:
         """Trace-expansion and pair-distance reports, keyed by artifact
         name, from one ``alpha_delta_distance`` per h (one fiber point),
         so both share their kept and dropped points."""
-        cfg, sol = self.cfg, self.sol
-
-        def compute(h):
-            res = bv.alpha_delta_distance(
-                sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
-                m_fibers=cfg.fiber_m, workers=self.workers)
-            # how far the residual sits above the roundoff of its lhs
-            res["residual_over_floor"] = (abs(res["residual"])
-                                          / res["lhs_floor"])
-            return res
+        points = self.points("fiber")
 
         def observe(h):
-            res = self._point("fiber", h, lambda: compute(h))
+            res = points[h].result()
             return res["residual"], res
 
         # a reference of 0.0 leaves the residuals as they are, so the fit
         # of the shared sweep is the trace record's
-        shared = bv.h_sweep(observe, cfg.h_list, reference=0.0,
+        shared = bv.h_sweep(observe, self.cfg.h_list, reference=0.0,
                             label="trace_expansion and pair_distance")
 
         def record(label, extra_keys, **fields):
@@ -648,20 +707,18 @@ def _pair_sweep(run: _Run) -> tuple[dict, dict]:
 
 
 def _energy_sweep(run: _Run) -> tuple[dict, dict]:
-    cfg, sol, coef, state = run.cfg, run.sol, run.coef, run.state
-    target = state.energy - coef.B3
+    points = run.points("energy")
+    target = run.state.energy - run.coef.B3
 
     def observe(h):
-        res = run._point("energy", h, lambda: bv.trial_state_energy(
-            sol, state.psi, cfg.a_field, cfg.w_field, h,
-            m_fibers=cfg.fiber_m, workers=run.workers))
+        res = points[h].result()
         # the remainder term and its half-resolution check show, also
         # for a point read back, whether that quadrature converged
         return res["scaled"], {k: res[k] for k in (
             "beta", "m_fibers", "capped", "f_bcs_diff_floor",
             "delta_f_bcs_diff", "term_remainder", "term_remainder_check")}
 
-    report = bv.h_sweep(observe, cfg.h_list, reference=target,
+    report = bv.h_sweep(observe, run.cfg.h_list, reference=target,
                         label="energy_upper_bound")
     gaps = [obs - target for obs in report["observed"]]
     slack = _GATE_ENERGY_SLACK * abs(gaps[0])
@@ -716,27 +773,48 @@ def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
     _write_atomic(path, content)
 
 
-def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
-    """Execute every stage, honoring the artifact cache.
+def run_pipeline(cfg: RunConfig, workers: int = 1, *,
+                 suite: bool = False) -> dict:
+    """Execute every stage, honoring the artifact cache, on ``workers``
+    threads.
+
+    With ``suite`` the property suite runs beside the stages, and the
+    summary carries its result under ``properties``.
 
     Returns a summary dict; raises StageError on numerical failure.
     """
-    run = _Run(cfg, workers)
-    # every upstream stage before any sweep, so none runs if one fails
-    sol, coef, state = run.sol, run.coef, run.state
-    payloads = {name: run.sweep(command)
-                for command, (name, _, _) in _SWEEPS.items()}
-    _write_report_csv(cfg, payloads)
-    return {
-        "config_hash": cfg.config_hash,
-        "T_c": sol.T_c,
-        "coefficients": coef.to_dict(),
-        "gl_energy": state.energy,
-        "sweeps": {name: payload["gates"]
-                   for name, payload in payloads.items()},
-        "all_gates_passed": all(p["passed"] for p in payloads.values()),
-        "cached_stages": run.cached,
-    }
+    with _Run(cfg, workers) as run:
+        if suite:
+            # the suite reads no config, so its result keys on the seed alone
+            props = run.pool.submit(
+                _stage, cfg.outputs / "properties.json",
+                _key("properties", cfg.seed),
+                lambda: prop_test_suite(seed=cfg.seed))
+        # every upstream stage before any sweep, so none runs if one
+        # fails; on the pool, so no more than ``workers`` threads compute
+        sol, coef, state = run.pool.submit(
+            lambda: (run.sol, run.coef, run.state)).result()
+        run.submit(*dict.fromkeys(
+            "fiber" if command in _FIBER_SWEEPS else "energy"
+            for command in _SWEEPS if run.stale(command)))
+        payloads = {name: run.sweep(command)
+                    for command, (name, _, _) in _SWEEPS.items()}
+        _write_report_csv(cfg, payloads)
+        summary = {
+            "config_hash": cfg.config_hash,
+            "T_c": sol.T_c,
+            "coefficients": coef.to_dict(),
+            "gl_energy": state.energy,
+            "sweeps": {name: payload["gates"]
+                       for name, payload in payloads.items()},
+            "all_gates_passed": all(p["passed"] for p in payloads.values()),
+            "cached_stages": run.cached,
+        }
+        if suite:
+            checks, run.cached["properties"] = props.result()
+            summary["properties"] = {k: v for k, v in checks.items()
+                                     if k != "key"}
+    return summary
 
 
 def prop_test_suite(seed: int = 0) -> dict:
@@ -786,14 +864,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the output directory")
     parser.add_argument("--workers", metavar="N", type=int,
                         default=os.cpu_count() or 1,
-                        help="worker threads for the per-fiber sweep "
-                             "work only; GL descents always run serially "
-                             "(default: hardware parallelism).  Workers "
-                             "multiply with BLAS threads: the finest pair "
-                             "point (h = 1/128, 2 cores) took 2.87 s with "
-                             "2 BLAS threads x 2 workers, 1.84 s with 2 x 1 "
-                             "and 1.47 s with 1 x 2, so run with "
-                             "OPENBLAS_NUM_THREADS=1")
+                        help="threads of the command's one pool: the h "
+                             "points of every sweep, their fibers and, "
+                             "under 'all', the property suite run on it, "
+                             "at most N computing at once; GL descents run "
+                             "serially (default: hardware parallelism).  "
+                             "Each thread calls BLAS, so the 'bcsgl' "
+                             "script sets OPENBLAS_NUM_THREADS, "
+                             "OMP_NUM_THREADS and MKL_NUM_THREADS to 1 "
+                             "where unset when N > 1")
     parser.add_argument("--seed", metavar="K", type=int, default=None,
                         help="override the configured random seed")
     parser.add_argument("--h-list", metavar="a,b,c", default=None,
@@ -872,12 +951,8 @@ def _cmd_prop_tests(seed: int) -> int:
 
 
 def _cmd_all(cfg: RunConfig, workers: int) -> int:
-    pipeline = run_pipeline(cfg, workers)
-    # the suite reads no config, so its result keys on the seed alone
-    props, pipeline["cached_stages"]["properties"] = _stage(
-        cfg.outputs / "properties.json", _key("properties", cfg.seed),
-        lambda: prop_test_suite(seed=cfg.seed))
-    props = {k: v for k, v in props.items() if k != "key"}
+    pipeline = run_pipeline(cfg, workers, suite=True)
+    props = pipeline.pop("properties")
     ok = pipeline["all_gates_passed"] and props["all_passed"]
     _emit({"status": "ok" if ok else "regression",
            "pipeline": pipeline, "properties": props})
@@ -895,10 +970,10 @@ def main(argv=None) -> int:
             return _cmd_validate(cfg)
         if args.command == "all":
             return _cmd_all(cfg, args.workers)
-        run = _Run(cfg, args.workers)
-        if args.command in _SWEEPS:
-            return _cmd_verify(run, args.command)
-        return _cmd_stage(run, args.command)
+        with _Run(cfg, args.workers) as run:
+            if args.command in _SWEEPS:
+                return _cmd_verify(run, args.command)
+            return _cmd_stage(run, args.command)
     except ConfigError as exc:
         return _config_error(exc)
     except StageError as exc:

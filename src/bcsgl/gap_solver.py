@@ -434,12 +434,18 @@ class GapSolution:
         return self._kernel_sum(self.spec.vhat_d2, p)
 
     def momentum_support(self) -> float:
-        """Smallest grid momentum beyond which ``|t| < 1e-8 * max|t|``."""
+        """Smallest grid momentum beyond which ``|t| < 1e-8 * max|t|``, or
+        the grid's cutoff.
+
+        The support routinely sits at the cutoff (the grid is chosen
+        that way), and the fibers add guard modes on top of it
+        (:func:`bcsgl.bdg_verifier.default_mode_cutoff`), so reaching the
+        cutoff is not a warning; it also touches no warnings state, so
+        the h points of a sweep may call it on several threads at once.
+        """
         t_abs = np.abs(self.t_samples)
         above = np.nonzero(t_abs >= 1e-8 * t_abs.max())[0]
         edge = int(above[-1]) if above.size else 0
-        if edge == self.grid.n_points - 1:
-            warnings.warn("pair symbol not decayed below tolerance at the cutoff")
         return float(self.grid.nodes[min(edge + 1, self.grid.n_points - 1)])
 
     # -- real space ---------------------------------------------------------
@@ -585,7 +591,9 @@ def find_tc(
     there raises :class:`NoPairingError` (T_c = 0), and not positive
     definite at the top of the bracket :class:`BracketError`; both
     report the lowest eigenvalue there.  The ground state at ``T_c`` is
-    one inverse-iteration step from the estimate's vector.
+    one inverse-iteration step from the estimate's vector, and a second
+    one from that step's result when the bisection had to test inside
+    the certified bracket (the estimate missed ``T_c``).
 
     The solution's ``tc_search`` records the work: ``newton_steps`` (an
     LU solve each), ``certificate_tests`` and ``replay_tests`` (the sign
@@ -665,6 +673,10 @@ def find_tc(
     T_c = 0.5 * (lo + hi)
     mat = gap_matrix(T_c)
     pair = lowest_eigenpair(mat, start=vec)
+    if tests["replay_tests"]:
+        # the estimate missed T_c, so its vector may be far from the
+        # ground state there: one more step from the first one's result
+        pair = lowest_eigenpair(mat, start=pair.eigenvector)
     residual = float(
         np.linalg.norm(mat @ pair.eigenvector - pair.eigenvalue * pair.eigenvector)
     )

@@ -7,6 +7,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +665,164 @@ class TestCacheContracts:
             assert extra["term_remainder_check"] == 2.0 * extra["term_remainder"]
 
 
+class TestWorkerPool:
+    """One pool of ``--workers`` threads runs the h points of every sweep,
+    their fibers and the property suite."""
+
+    H_LIST = [0.25, 0.125, 0.0625]
+
+    def test_at_most_workers_fibers_in_flight(self, tmp_path, monkeypatch):
+        lock, running, peak, threads = threading.Lock(), [0], [0], set()
+        build = bv.build_fiber
+
+        def counted(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                threads.add(threading.get_ident())
+            try:
+                # long enough for every computing thread to overlap
+                time.sleep(0.002)
+                return build(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(bv, "build_fiber", counted)
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cli.run_pipeline(cli.validate_config(path), workers=2)
+        assert 1 <= peak[0] <= 2
+        # the main thread only waits: every fiber ran on the pool
+        assert threading.get_ident() not in threads
+
+    def test_more_workers_than_cores_write_the_serial_bytes(self, tmp_path):
+        # a stress run: eight threads on few cores, switching every
+        # microsecond, write every file a one-worker run writes
+        def files(out):
+            return {p.relative_to(out): p.read_bytes()
+                    for p in out.rglob("*") if p.is_file()}
+
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cli.run_pipeline(cli.validate_config(path, {"outputs": str(serial)}),
+                             workers=1, suite=True)
+            thread = threading.Thread(
+                target=cli.run_pipeline, daemon=True,
+                args=(cli.validate_config(path, {"outputs": str(pooled)}),),
+                kwargs={"workers": 8, "suite": True})
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                thread.start()
+                thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "the pooled run did not return"
+        assert files(pooled) == files(serial)
+
+    def test_pool_leaves_the_warning_filters_and_reports_warnings(
+            self, tmp_path, monkeypatch):
+        # the coarse grids cap the Bloch ladder on pool threads; the
+        # warning still reaches the caller, and no thread edits the
+        # process-wide filter list
+        on_pool = []
+        ladder = bv._bloch_ladder
+
+        def recording(*args, **kwargs):
+            on_pool.append(threading.current_thread()
+                           is not threading.main_thread())
+            return ladder(*args, **kwargs)
+
+        # every edit of the filter list (catch_warnings, simplefilter)
+        # reports itself to the warnings module; none may come from a pool
+        # thread, where it could race another and leave a filter behind
+        edited_on = []
+        mutated = warnings._filters_mutated
+
+        def reporting():
+            edited_on.append(threading.current_thread())
+            mutated()
+
+        monkeypatch.setattr(bv, "_bloch_ladder", recording)
+        monkeypatch.setattr(warnings, "_filters_mutated", reporting)
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        before = list(warnings.filters)
+        with pytest.warns(UserWarning, match="reached the cap m_fibers=4"):
+            cli.run_pipeline(cli.validate_config(path), workers=2)
+        assert warnings.filters == before
+        assert on_pool and all(on_pool)
+        assert all(t is threading.main_thread() for t in edited_on)
+
+    def test_failing_point_is_listed_and_not_cached(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # three of four points survive, so the sweep keeps them
+        h_list, lost = [*self.H_LIST, 0.03125], self.H_LIST[1]
+        original, failed_on = bv.alpha_delta_distance, []
+
+        def failing(sol, psi, a, w, h, **kwargs):
+            if h == lost:
+                failed_on.append(threading.current_thread())
+                raise FloatingPointError("point lost")
+            return original(sol, psi, a, w, h, **kwargs)
+
+        monkeypatch.setattr(bv, "alpha_delta_distance", failing)
+        path = write_config(tmp_path, grids=fast_grids(h_list=h_list))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code, out = run_cli(capsys, "--config", str(path), "--workers",
+                                "2", "verify-thm2")
+        assert code in (cli.EXIT_OK, cli.EXIT_REGRESSION)
+        assert failed_on and failed_on[0] is not threading.main_thread()
+        kept = [h for h in h_list if h != lost]
+        report = json.loads((tmp_path / "out" / "sweeps"
+                             / "trace_expansion.json").read_text())["report"]
+        assert report["h_values"] == kept
+        assert report["failures"] == [[lost, "FloatingPointError('point lost')"]]
+        fiber = cli._Run(cli.validate_config(path), 1).keys["fiber"]
+        assert {p.name for p in (tmp_path / "out" / "points").glob("*")} == {
+            f"{cli._key(fiber, h)}.json" for h in kept}
+
+    @pytest.mark.parametrize("attr, stage", [("find_tc", "gap"),
+                                             ("minimize", "gl-min")])
+    def test_failed_stage_starts_no_point(self, tmp_path, monkeypatch, attr,
+                                          stage):
+        from bcsgl import properties
+        started = []
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("stage lost")
+
+        def point(*args, **kwargs):
+            started.append(args[4])
+            raise AssertionError("a sweep point started")
+
+        monkeypatch.setattr(cli, attr, failing)
+        monkeypatch.setattr(bv, "alpha_delta_distance", point)
+        monkeypatch.setattr(bv, "trial_state_energy", point)
+        monkeypatch.setattr(properties, "run_suite", lambda seed: [])
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        result, stdout = {}, io.StringIO()
+
+        def run():
+            with contextlib.redirect_stdout(stdout):
+                result["code"] = cli.main(["--config", str(path),
+                                           "--workers", "2", "all"])
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "all did not return"
+        assert result["code"] == cli.EXIT_NUMERICAL
+        out = json.loads(stdout.getvalue())
+        assert out["stage"] == stage and "stage lost" in out["message"]
+        assert started == []
+        assert not (tmp_path / "out" / "points").exists()
+
+
 class TestPropTests:
     def test_prop_tests_pass(self, capsys):
         code, out = run_cli(capsys, "prop-tests")
@@ -790,6 +951,67 @@ class TestEntryPoint:
         assert isinstance(bcsgl.__version__, str) and bcsgl.__version__
         with pytest.raises(AttributeError):
             bcsgl.no_such_attribute
+
+    def test_console_entry_owns_the_thread_policy(self, monkeypatch):
+        # the 'bcsgl' script sets each unset BLAS/OpenMP thread variable to
+        # 1 when more than one worker runs, and leaves a set one alone
+        import bcsgl
+        names = bcsgl.THREAD_VARIABLES
+        monkeypatch.setattr(cli, "main", lambda args: cli.EXIT_OK)
+
+        def entry(*argv, **env):
+            for name in names:
+                monkeypatch.setenv(name, "unset")
+                monkeypatch.delenv(name)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            assert bcsgl.main([*argv, "validate"]) == cli.EXIT_OK
+            return {name: os.environ.get(name) for name in names}
+
+        one = dict.fromkeys(names, "1")
+        assert entry("--workers", "2") == one
+        assert entry("--workers=3") == one
+        assert entry("--workers", "2", OPENBLAS_NUM_THREADS="4") == {
+            **one, "OPENBLAS_NUM_THREADS": "4"}
+        assert entry("--workers", "1") == dict.fromkeys(names)
+        assert entry() == (one if (os.cpu_count() or 1) > 1
+                           else dict.fromkeys(names))
+
+    def test_console_entry_sets_the_policy_before_numpy(self, tmp_path):
+        # fresh interpreters: the package loads no NumPy, the entry sets
+        # the variables before NumPy loads, and importing the CLI as a
+        # library sets none
+        import bcsgl
+        names = list(bcsgl.THREAD_VARIABLES)
+        entry = ("import json, os, sys\nimport bcsgl\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "seen = []\n"
+                 "class Probe:\n"
+                 "    def find_spec(self, name, path=None, target=None):\n"
+                 "        if name == 'numpy':\n"
+                 f"            seen.append([os.environ.get(v) for v in {names}])\n"
+                 "sys.meta_path.insert(0, Probe())\n"
+                 "code = bcsgl.main(sys.argv[1:])\n"
+                 "print(json.dumps([code, seen[0]]))")
+        library = ("import json, os\nimport bcsgl.cli\n"
+                   f"print(json.dumps([0, [os.environ.get(v) for v in {names}]]))")
+        src = str(Path(cli.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def variables(code):
+            result = subprocess.run(
+                [sys.executable, "-c", code, "--workers", "2", "validate"],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+                check=False)
+            assert result.returncode == 0, result.stderr
+            status, seen = json.loads(result.stdout.strip().splitlines()[-1])
+            assert status == cli.EXIT_OK
+            return seen
+
+        assert variables(entry) == ["1"] * len(names)
+        assert variables(library) == [None] * len(names)
 
     def test_pipeline_imports_only_the_scipy_it_runs(self, tmp_path):
         # Each command runs in a fresh interpreter, which then lists the

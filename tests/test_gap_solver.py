@@ -251,10 +251,13 @@ class TestFindTc:
         assert search["bracket_rel_width"] <= 4.01e-13
 
     @pytest.mark.parametrize("sabotage", ["zero slope", "top", "probe", "off"])
-    def test_poor_estimate_keeps_tc_bit_identical(self, sabotage, monkeypatch):
+    def test_poor_estimate_keeps_tc_bit_identical(self, sabotage, monkeypatch,
+                                                  scan_solutions):
         # the Newton estimate only says where to test: a poor one (no slope,
         # the bracket's ends, ten final bracket widths off) leaves more
-        # midpoints to test, and they decide as before
+        # midpoints to test, and they decide as before; a second
+        # inverse-iteration step then gives the ground state of a normal
+        # solve (with one step, no slope left 4e-10 to 1.8e-9)
         newton = gs._newton_estimate
 
         def poor(gap_matrix, kinetic, lo, hi):
@@ -271,6 +274,7 @@ class TestFindTc:
             assert sol.T_c == T_c, key
             assert sol.tc_search["replay_tests"] > 0, key
             assert sol.eig_residual < 1e-8, key
+            assert sol.eig_residual <= 1.5 * scan_solutions[key].eig_residual, key
 
     def test_t_even_and_real(self, gap_sol):
         p = np.linspace(0.0, 8.0, 41)
