@@ -34,14 +34,22 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def _worker_count(args) -> int:
-    """The ``--workers`` value in ``args``, the CLI's default when it is
-    absent, and 1 when it is no integer (the CLI's parser reports it)."""
+    """The ``--workers`` value in ``args`` as the CLI's parser reads it,
+    the CLI's default when it is absent, and 1 when it is no integer (the
+    parser reports it).
+
+    Like the parser, this takes the last one given, as ``--workers N`` or
+    ``--workers=N`` or under any prefix down to ``--w`` (no other option
+    starts with ``--w``).
+    """
     value = None
     for i, arg in enumerate(args):
-        if arg == "--workers" and i + 1 < len(args):
-            value = args[i + 1]
-        elif arg.startswith("--workers="):
-            value = arg.partition("=")[2]
+        if arg == "--":
+            break
+        name, eq, rest = arg.partition("=")
+        if len(name) >= 3 and "--workers".startswith(name):
+            value = rest if eq else (args[i + 1] if i + 1 < len(args)
+                                     else None)
     if value is None:
         return os.cpu_count() or 1
     try:

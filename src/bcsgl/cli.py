@@ -23,10 +23,9 @@ every file byte-identical, and an edited run recomputes only what its
 edit touches and writes the bytes of a cold run of the edited config.
 
 A command computes on one pool of ``--workers`` threads.  The h points
-of its sweeps run side by side on it, finest h first (the finest alone,
-so that its fibers have the whole pool), and so do their fibers and,
-under ``all``, the property suite; so at most ``--workers`` threads
-compute at once.  No artifact depends on that count.
+of its sweeps run side by side on it, finest h first, and so do their
+fibers and, under ``all``, the property suite; so at most ``--workers``
+threads compute at once.  No artifact depends on that count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
@@ -41,7 +40,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -564,21 +563,15 @@ class _Run:
         submitted on the pool, finest h first across all of them.
 
         Their upstream stages run here first, so that no point computes
-        a stage and a failed stage starts no point.  The first point, the
-        costliest, runs before the others are queued, so that its fibers
-        have the whole pool: a thread that took a coarser point first
-        would come to them only after that point.
+        a stage and a failed stage starts no point.
         """
         new = [kind for kind in kinds if kind not in self._points]
         for kind in new:
             getattr(self, "sol" if kind == "fiber" else "state")
             self._points[kind] = {}
         order = [(kind, h) for h in reversed(self.cfg.h_list) for kind in new]
-        for i, (kind, h) in enumerate(order):
-            point = self._points[kind][h] = self.pool.submit(self._point,
-                                                             kind, h)
-            if i == 0:
-                wait([point])
+        for kind, h in order:
+            self._points[kind][h] = self.pool.submit(self._point, kind, h)
 
     def points(self, kind: str) -> dict[float, Future]:
         """h -> future of each h point of ``kind`` (:meth:`submit`)."""
@@ -773,23 +766,19 @@ def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
     _write_atomic(path, content)
 
 
-def run_pipeline(cfg: RunConfig, workers: int = 1, *,
-                 suite: bool = False) -> dict:
-    """Execute every stage, honoring the artifact cache, on ``workers``
-    threads.
+def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
+    """Execute every stage and the property suite, honoring the artifact
+    cache, on ``workers`` threads.
 
-    With ``suite`` the property suite runs beside the stages, and the
-    summary carries its result under ``properties``.
-
-    Returns a summary dict; raises StageError on numerical failure.
+    Returns a summary dict, with the suite's result under ``properties``;
+    raises StageError on numerical failure.
     """
     with _Run(cfg, workers) as run:
-        if suite:
-            # the suite reads no config, so its result keys on the seed alone
-            props = run.pool.submit(
-                _stage, cfg.outputs / "properties.json",
-                _key("properties", cfg.seed),
-                lambda: prop_test_suite(seed=cfg.seed))
+        # the suite reads no config, so its result keys on the seed alone
+        props = run.pool.submit(
+            _stage, cfg.outputs / "properties.json",
+            _key("properties", cfg.seed),
+            lambda: prop_test_suite(seed=cfg.seed))
         # every upstream stage before any sweep, so none runs if one
         # fails; on the pool, so no more than ``workers`` threads compute
         sol, coef, state = run.pool.submit(
@@ -810,10 +799,9 @@ def run_pipeline(cfg: RunConfig, workers: int = 1, *,
             "all_gates_passed": all(p["passed"] for p in payloads.values()),
             "cached_stages": run.cached,
         }
-        if suite:
-            checks, run.cached["properties"] = props.result()
-            summary["properties"] = {k: v for k, v in checks.items()
-                                     if k != "key"}
+        checks, run.cached["properties"] = props.result()
+        summary["properties"] = {k: v for k, v in checks.items()
+                                 if k != "key"}
     return summary
 
 
@@ -951,7 +939,7 @@ def _cmd_prop_tests(seed: int) -> int:
 
 
 def _cmd_all(cfg: RunConfig, workers: int) -> int:
-    pipeline = run_pipeline(cfg, workers, suite=True)
+    pipeline = run_pipeline(cfg, workers)
     props = pipeline.pop("properties")
     ok = pipeline["all_gates_passed"] and props["all_passed"]
     _emit({"status": "ok" if ok else "regression",

@@ -595,7 +595,11 @@ class TestCacheContracts:
                                             "energy_upper_bound"}),
     ])
     def test_input_change_invalidates_its_dependents(self, tmp_path,
-                                                     overrides, recomputed):
+                                                     monkeypatch, overrides,
+                                                     recomputed):
+        from bcsgl import properties
+        # the suite keys on the seed alone, which no case changes
+        monkeypatch.setattr(properties, "run_suite", lambda seed: [])
         path = write_config(tmp_path, grids=fast_grids())
         assert not any(self.pipeline(path).values())
         before = self.points(tmp_path / "out")
@@ -709,11 +713,11 @@ class TestWorkerPool:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             cli.run_pipeline(cli.validate_config(path, {"outputs": str(serial)}),
-                             workers=1, suite=True)
+                             workers=1)
             thread = threading.Thread(
                 target=cli.run_pipeline, daemon=True,
                 args=(cli.validate_config(path, {"outputs": str(pooled)}),),
-                kwargs={"workers": 8, "suite": True})
+                kwargs={"workers": 8})
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -976,6 +980,17 @@ class TestEntryPoint:
         assert entry("--workers", "1") == dict.fromkeys(names)
         assert entry() == (one if (os.cpu_count() or 1) > 1
                            else dict.fromkeys(names))
+        # abbreviated and repeated options count as the CLI's parser reads
+        # them, so a one-worker run sets no variable
+        assert entry("--worker", "1") == dict.fromkeys(names)
+        assert entry("--work=1") == dict.fromkeys(names)
+        assert entry("--w", "2") == one
+        assert entry("--workers", "2", "--wo", "1") == dict.fromkeys(names)
+        for argv in (["--workers", "2"], ["--workers=3"], ["--worker", "1"],
+                     ["--work=1"], ["--w", "5"], ["--w=1"],
+                     ["--workers", "2", "--wo", "1"], ["--seed", "2"], []):
+            parsed = cli._build_parser().parse_args([*argv, "validate"])
+            assert bcsgl._worker_count(argv) == parsed.workers, argv
 
     def test_console_entry_sets_the_policy_before_numpy(self, tmp_path):
         # fresh interpreters: the package loads no NumPy, the entry sets
