@@ -26,7 +26,12 @@ Cholesky sign tests, but a Newton estimate of ``T_c`` certifies a
 bracket of relative width ``4e-13`` with two of them, and the bisection
 then tests only the midpoints inside that bracket: about 4 factorizations
 per solve instead of about 39, with the same decisions and so the same
-``T_c`` to the bit.
+``T_c`` to the bit.  The estimate needs no ``n x n`` factorization: with
+``-V = B B^T`` (``B`` of rank about 30), ``K_T + V`` is positive definite
+exactly when the top eigenvalue of the ``r x r`` Birman-Schwinger matrix
+``B^T K_T^{-1} B`` is below 1 (Hainzl, Hamza, Seiringer, Solovej,
+Commun. Math. Phys. 281 (2008) 349), and Newton's method runs on that
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -67,6 +72,12 @@ _REL_TOLERANCE = 1e-10
 _NEWTON_STEPS = 30
 _NEWTON_TOLERANCE = 1e-10
 _CERTIFICATE_OFFSET = 2e-13
+
+#: The factor ``B`` of ``-V = B B^T`` behind the Newton estimate stops at
+#: the first pivot at or below this fraction of the largest diagonal of
+#: ``-V``.  At 1e-16 the updated diagonals never fall below the stop and
+#: the factor runs to full rank.
+_FACTOR_TOLERANCE = 1e-15
 
 #: :func:`decay_report` warns when its fitted rate falls below this
 #: fraction of ``kappa_c``: the fit then sits on a truncation floor of
@@ -278,11 +289,18 @@ def _validate_coverage(spec: PotentialSpec, grid: MomentumGrid) -> None:
 
 
 def _interaction_matrix(spec: PotentialSpec, grid: MomentumGrid) -> np.ndarray:
-    """Even-sector interaction kernel ``(2 pi)^{-1/2} (Vhat(q-q') + Vhat(q+q')) dq``."""
-    q = grid.nodes
-    diff = q[:, None] - q[None, :]
-    total = q[:, None] + q[None, :]
-    return (spec.vhat(diff) + spec.vhat(total)) * grid.dq / math.sqrt(2.0 * math.pi)
+    """Even-sector interaction kernel ``(2 pi)^{-1/2} (Vhat(q-q') + Vhat(q+q')) dq``.
+
+    On the midpoint grid ``q_i - q_j = (i - j) dq`` and ``q_i + q_j =
+    (i + j + 1) dq``, so the kernel is a Toeplitz plus a Hankel matrix of
+    the ``2n`` samples ``Vhat(m dq)``, and exactly symmetric.
+    """
+    n = grid.n_points
+    samples = spec.vhat(np.arange(2 * n) * grid.dq)
+    window = np.lib.stride_tricks.sliding_window_view
+    toeplitz = window(np.concatenate((samples[n - 1:0:-1], samples[:n])), n)[::-1]
+    hankel = window(samples[1:], n)
+    return (toeplitz + hankel) * grid.dq / math.sqrt(2.0 * math.pi)
 
 
 def build_gap_matrix(spec: PotentialSpec, grid: MomentumGrid, T: float) -> np.ndarray:
@@ -330,7 +348,8 @@ def lowest_eigenpair(matrix: np.ndarray,
     Parameters
     ----------
     matrix : ndarray
-        Real symmetric matrix.
+        Real symmetric matrix: no entry of ``matrix - matrix.T`` may
+        exceed ``1e-12 max(1, max |matrix|)`` in magnitude.
     start : ndarray, optional
         A vector close to the ground state.  The eigenvector is then one
         inverse-iteration step ``matrix^{-1} start``, which is accurate
@@ -346,7 +365,8 @@ def lowest_eigenpair(matrix: np.ndarray,
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(matrix, matrix.T, atol=1e-12 * max(1.0, np.abs(matrix).max())):
+    tolerance = 1e-12 * max(1.0, float(np.abs(matrix).max()))
+    if not float(np.abs(matrix - matrix.T).max()) <= tolerance:
         raise ValueError("matrix must be symmetric")
     if start is None:
         vals, vecs = np.linalg.eigh(matrix)
@@ -368,8 +388,8 @@ class GapSolution:
 
     The pair symbol ``t`` and its derivatives are evaluated through the
     eigen-equation (a smooth sum of shifted ``Vhat`` profiles weighted by
-    the ground state), so values at arbitrary momenta are consistent with
-    the stored grid samples to the eigen-residual.
+    the ground state), so values at arbitrary momenta agree with the
+    stored grid samples, the same sum at the nodes, to roundoff.
     """
 
     spec: PotentialSpec
@@ -379,17 +399,16 @@ class GapSolution:
     lambda_min: float
     eig_residual: float
     spectral_gap: float
+    #: ``t`` at the grid nodes.
+    t_samples: np.ndarray = field(repr=False)
     norm_scale: float | None = None
     D: float | None = None
     #: The work of the ``T_c`` search (:func:`find_tc`).
     tc_search: dict | None = None
-    t_samples: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.T_c > 0:
             raise ValueError("GapSolution requires T_c > 0")
-        if self.t_samples is None:
-            self.t_samples = self.t(self.grid.nodes)
 
     # -- scalars ------------------------------------------------------------
 
@@ -528,43 +547,70 @@ def _kt_slope(x, T: float):
     return 2.0 * ratio * ratio
 
 
-def _newton_estimate(gap_matrix, kinetic: np.ndarray, lo: float, hi: float):
+def _attraction_factor(interaction: np.ndarray) -> np.ndarray:
+    """``B`` (``n x r``) with ``-V = B B^T``, ``V`` the ``interaction`` matrix.
+
+    Diagonally pivoted Cholesky of ``-V``, which is positive semidefinite
+    for a well (``V <= 0`` pointwise), stopping once every remaining
+    diagonal is at most ``_FACTOR_TOLERANCE`` of the largest diagonal of
+    ``-V``; ``r`` is the numerical rank, about 30 for the built-in wells.
+    """
+    residual = -np.diag(interaction)
+    stop = _FACTOR_TOLERANCE * residual.max()
+    columns = np.empty_like(interaction)  # row k holds column k of B
+    rank = 0
+    while rank < len(residual):
+        pivot = int(np.argmax(residual))
+        if not residual[pivot] > stop:
+            break
+        column = -interaction[pivot] - columns[:rank, pivot] @ columns[:rank]
+        column /= math.sqrt(residual[pivot])
+        columns[rank] = column
+        residual -= column * column
+        rank += 1
+    return columns[:rank].T
+
+
+def _newton_estimate(factor: np.ndarray, kinetic: np.ndarray, lo: float,
+                     hi: float):
     """Estimate of ``T_c`` in ``[lo, hi]`` and an approximate ground state.
 
-    Newton's method on ``lambda_min = 0`` in ``log T``, from ``hi``.  Each
-    step takes one shift-0 inverse-iteration step ``v <- (K_T + V)^{-1} v``
-    (one LU solve), the Rayleigh quotient ``lambda = v.(K_T + V) v`` and
-    the Hellmann-Feynman slope ``v.(d K_T / dT) v``.  A step that would
-    leave the interval between the highest ``log T`` with ``lambda < 0``
-    and the lowest with ``lambda >= 0`` seen so far bisects that interval
-    instead.  The iteration stops after a step below ``_NEWTON_TOLERANCE``
-    or after ``_NEWTON_STEPS`` steps.
+    With ``-V = B B^T`` (``factor``, ``n x r``), ``K_T + V`` is positive
+    definite exactly when the top eigenvalue ``mu`` of the Birman-Schwinger
+    matrix ``B^T K_T^{-1} B`` is below 1.  Newton's method on ``mu = 1`` in
+    ``log T``, from ``hi``: each step takes one ``r x r`` ``eigh`` for
+    ``mu`` and its unit eigenvector ``u``, and the Hellmann-Feynman slope
+    ``d mu / dT = -(y * y).(d K_T / dT)`` with ``y = K_T^{-1} B u``.  A step
+    that would leave the interval between the highest ``log T`` with
+    ``mu > 1`` and the lowest with ``mu <= 1`` seen so far bisects that
+    interval instead.  The iteration stops after a step below
+    ``_NEWTON_TOLERANCE`` or after ``_NEWTON_STEPS`` steps.
 
-    Returns ``(estimate, vector, steps)``.  The estimate decides no sign:
-    a poor one only leaves :func:`find_tc` more sign tests to make.
+    Returns ``(estimate, vector, steps)``, ``vector`` being ``y / |y|``,
+    which at ``mu = 1`` spans the kernel of ``K_T + V``.  The estimate
+    decides no sign: a poor one, or a poor factor, only leaves
+    :func:`find_tc` more sign tests to make.
     """
     lo, hi = math.log(lo), math.log(hi)
-    t, vec = hi, np.ones(len(kinetic))
+    t = hi
     for steps in range(1, _NEWTON_STEPS + 1):
         T = math.exp(t)
-        mat = gap_matrix(T)
-        try:
-            vec = np.linalg.solve(mat, vec)
-        except np.linalg.LinAlgError:  # exactly singular: T is the root
-            break
-        vec /= np.linalg.norm(vec)
-        lam = float(vec @ mat @ vec)
-        slope = T * float((vec * vec) @ _kt_slope(kinetic, T))
-        step = -lam / slope if slope > 0.0 else math.inf
+        inverse = 1.0 / specfun.kt_symbol(kinetic, T)
+        scaled = factor * np.sqrt(inverse)[:, None]
+        values, vectors = np.linalg.eigh(scaled.T @ scaled)
+        mu = float(values[-1])
+        y = inverse * (factor @ vectors[:, -1])
+        slope = T * float((y * y) @ _kt_slope(kinetic, T))
+        step = (mu - 1.0) / slope if slope > 0.0 else math.inf
         if abs(step) <= _NEWTON_TOLERANCE:
             t += step
             break
-        if lam < 0.0:
+        if mu > 1.0:
             lo = t
         else:
             hi = t
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-    return math.exp(t), vec, steps
+    return math.exp(t), y / np.linalg.norm(y), steps
 
 
 def find_tc(
@@ -595,11 +641,15 @@ def find_tc(
     one from that step's result when the bisection had to test inside
     the certified bracket (the estimate missed ``T_c``).
 
-    The solution's ``tc_search`` records the work: ``newton_steps`` (an
-    LU solve each), ``certificate_tests`` and ``replay_tests`` (the sign
-    tests at the estimate and inside the bracket; two more test the ends
-    of the initial bracket) and ``bracket_rel_width``, ``(b - a) / T_c``
-    of the certified bracket.
+    The solution's ``tc_search`` records the work: ``attraction_rank``,
+    the rank ``r`` of the factor ``B`` of ``-V = B B^T``,
+    ``newton_steps`` (an ``r x r`` Birman-Schwinger eigensolve each, no
+    ``n x n`` factorization), ``certificate_tests`` and ``replay_tests``
+    (the sign tests at the estimate and inside the bracket; two more test
+    the ends of the initial bracket) and ``bracket_rel_width``,
+    ``(b - a) / T_c`` of the certified bracket.  The grid samples of the
+    pair symbol are ``-2 V alpha0_hat``, the interaction matrix applied to
+    the ground state.
 
     Parameters
     ----------
@@ -642,7 +692,8 @@ def find_tc(
             "to the upper temperature bracket"
         )
 
-    estimate, vec, steps = _newton_estimate(gap_matrix, kinetic, lo, hi)
+    factor = _attraction_factor(interaction)
+    estimate, vec, steps = _newton_estimate(factor, kinetic, lo, hi)
     # a is known paired and b not; every sign test narrows [a, b]
     a, b = lo, hi
     tests = {"certificate_tests": 0, "replay_tests": 0}
@@ -684,16 +735,18 @@ def find_tc(
     # itself is within the bracket tolerance of zero.
     eig_residual = abs(pair.eigenvalue) + residual
 
+    alpha0_hat = pair.eigenvector / math.sqrt(grid.dq)
     return GapSolution(
         spec=spec,
         grid=grid,
         T_c=T_c,
-        alpha0_hat=pair.eigenvector / math.sqrt(grid.dq),
+        alpha0_hat=alpha0_hat,
         lambda_min=pair.eigenvalue,
         eig_residual=eig_residual,
         spectral_gap=pair.spectral_gap,
-        tc_search={"newton_steps": steps, **tests,
-                   "bracket_rel_width": certified_width / T_c},
+        tc_search={"attraction_rank": factor.shape[1], "newton_steps": steps,
+                   **tests, "bracket_rel_width": certified_width / T_c},
+        t_samples=-2.0 * (interaction @ alpha0_hat),
     )
 
 

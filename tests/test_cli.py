@@ -185,6 +185,19 @@ class TestStages:
         gap = json.loads((tmp_path / "out" / "gap.json").read_text())
         assert gap["key"] == cli._Run(cli.validate_config(path), 1).keys["gap"]
 
+    def test_gap_artifact_records_the_search(self, tmp_path, capsys):
+        # the rank of -V = B B^T behind the Newton estimate is part of the
+        # record, and as deterministic as the rest of it
+        path = write_config(tmp_path, grids=fast_grids())
+        run_cli(capsys, "--config", str(path), "tc")
+        gap = json.loads((tmp_path / "out" / "gap.json").read_text())
+        search = gap["solution"]["tc_search"]
+        assert set(search) == {"attraction_rank", "newton_steps",
+                               "certificate_tests", "replay_tests",
+                               "bracket_rel_width"}
+        assert isinstance(search["attraction_rank"], int)
+        assert 0 < search["attraction_rank"] <= 64
+
     def test_cache_hit_preserves_bytes(self, tmp_path, capsys):
         path = write_config(tmp_path, grids=fast_grids())
         run_cli(capsys, "--config", str(path), "coeffs")

@@ -29,6 +29,23 @@ SCAN_TC = {
 }
 
 
+# T_c (as float.hex) of further wells and grids, as the LU-step Newton
+# estimate and the Cholesky bisection found them; the Birman-Schwinger
+# estimate must leave every decision, and so every bit, as it was.
+# Keys: (family, g, w, mu, grid), grid None for the default one.
+ESTIMATE_TC = {
+    ("gaussian", 2.0, 1.0, 1.0, None): "0x1.57df9a7dfaf00p-1",
+    ("square", 2.0, 1.0, 1.0, None): "0x1.ab6de7b663f6ap-1",
+    ("gaussian", 3.0, 0.7, 0.5, None): "0x1.d2e1ccbff3266p-1",
+    ("gaussian", 0.4, 1.0, 1.0, None): "0x1.618bc622fdfecp-8",
+    ("gaussian", 8.0, 1.0, 1.0, None): "0x1.b2890b4404592p+1",
+    ("gaussian", 2.0, 1.0, -0.5, None): "0x1.0bb3135377660p-1",
+    ("gaussian", 2.0, 1.0, 3.0, None): "0x1.6aa8e0a0a2464p-2",
+    ("square", 3.0, 0.5, 0.5, None): "0x1.c80df9fe9d7fap-1",
+    ("gaussian", 2.0, 1.0, 1.0, (24.0, 1024)): "0x1.57df9a7dfaf00p-1",
+}
+
+
 @pytest.fixture(scope="module")
 def scan_solutions():
     """Normalized (D = 1) solutions of the ``SCAN_TC`` potentials."""
@@ -125,6 +142,20 @@ class TestBuildGapMatrix:
         mat = gs.build_gap_matrix(ref_spec, ref_grid, 0.3)
         assert np.abs(mat - mat.T).max() <= 1e-12
 
+    @pytest.mark.parametrize("spec", [gs.reference_well(),
+                                      gs.PotentialSpec.square(2.0, 1.0, 1.0)])
+    def test_interaction_matrix_symmetric_elementwise(self, spec):
+        # a Toeplitz plus a Hankel matrix of one set of Vhat samples
+        for grid in (gs.MomentumGrid.default_for(spec), gs.MomentumGrid(24.0, 1024)):
+            mat = gs.build_gap_matrix(spec, grid, 0.3)
+            assert np.array_equal(mat, mat.T)
+            q = grid.nodes
+            direct = (spec.vhat(q[:, None] - q[None, :])
+                      + spec.vhat(q[:, None] + q[None, :])) * grid.dq / math.sqrt(
+                          2.0 * math.pi)
+            inter = gs._interaction_matrix(spec, grid)
+            assert np.abs(inter - direct).max() <= 1e-15 * np.abs(direct).max()
+
     def test_reference_low_temperature_has_negative_eigenvalue(self, ref_spec):
         for n in (512, 1024):
             grid = gs.MomentumGrid(12.0, n)
@@ -157,6 +188,14 @@ class TestLowestEigenpair:
             gs.lowest_eigenpair(np.ones((2, 3)))
         with pytest.raises(ValueError):
             gs.lowest_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_asymmetry_above_the_absolute_tolerance_rejected(self):
+        # 5e-6 is far above 1e-12 of the largest entry, though within a
+        # relative tolerance of 1e-5
+        with pytest.raises(ValueError, match="symmetric"):
+            gs.lowest_eigenpair(np.array([[2.0, 1.0 + 5e-6], [1.0, 3.0]]))
+        pair = gs.lowest_eigenpair(np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]]))
+        assert pair.eigenvalue == pytest.approx(2.5 - math.sqrt(1.25))
 
 
 class TestFindTc:
@@ -228,25 +267,32 @@ class TestFindTc:
 
     def test_at_most_three_eigensolves(self, ref_spec, ref_grid, gap_sol_raw,
                                        monkeypatch):
-        # every factorization is NumPy's: one eigensolve at T_c; sign tests
-        # at both ends of the bracket, two certifying the Newton estimate
-        # and those inside the certified bracket; an LU solve per Newton
-        # step and one for the ground state
+        # every factorization is NumPy's: one n x n eigensolve at T_c; sign
+        # tests at both ends of the bracket, two certifying the Newton
+        # estimate and those inside the certified bracket; an r x r
+        # Birman-Schwinger eigh per Newton step; one inverse-iteration
+        # solve for the ground state, two after a replay
         calls = collections.Counter()
+        eigh_sizes = collections.Counter()
         for name in ("eigh", "eigvalsh", "cholesky", "solve"):
-            def counted(*args, _name=name, _call=getattr(np.linalg, name),
+            def counted(matrix, *args, _name=name, _call=getattr(np.linalg, name),
                         **kwargs):
                 calls[_name] += 1
-                return _call(*args, **kwargs)
+                if _name == "eigh":
+                    eigh_sizes[matrix.shape] += 1
+                return _call(matrix, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         sol = gs.find_tc(ref_spec, ref_grid)
         assert sol.T_c == gap_sol_raw.T_c
         search = sol.tc_search
-        assert calls["eigh"] + calls["eigvalsh"] == 1
+        rank = search["attraction_rank"]
+        assert 0 < rank <= 64
+        assert calls["eigvalsh"] == 1
+        assert eigh_sizes == {(rank, rank): search["newton_steps"]}
         assert search["certificate_tests"] == 2
         assert calls["cholesky"] == 4 + search["replay_tests"]
-        assert calls["solve"] == search["newton_steps"] + 1
+        assert calls["solve"] == 1 + (search["replay_tests"] > 0)
         assert search["newton_steps"] <= 10
         assert search["bracket_rel_width"] <= 4.01e-13
 
@@ -276,10 +322,55 @@ class TestFindTc:
             assert sol.eig_residual < 1e-8, key
             assert sol.eig_residual <= 1.5 * scan_solutions[key].eig_residual, key
 
+    def test_t_samples_match_the_pair_symbol(self, gap_sol_raw):
+        # the samples are V alpha0_hat through the interaction matrix; t()
+        # sums the same kernel at arbitrary momenta
+        sol = gap_sol_raw
+        scale = np.abs(sol.t_samples).max()
+        assert np.abs(sol.t(sol.grid.nodes) - sol.t_samples).max() <= 1e-14 * scale
+
     def test_t_even_and_real(self, gap_sol):
         p = np.linspace(0.0, 8.0, 41)
         assert np.allclose(gap_sol.t(-p), gap_sol.t(p), atol=1e-14)
         assert gap_sol.t_samples.dtype == np.float64
+
+
+class TestBirmanSchwingerEstimate:
+    """The Newton estimate runs on the top eigenvalue of ``B^T K_T^{-1} B``
+    with ``-V = B B^T``; it decides no sign, so ``T_c`` stays as pinned."""
+
+    @staticmethod
+    def solve(key, scan_solutions):
+        family, g, w, mu, grid = key
+        if grid is None and key[:4] in SCAN_TC:
+            return scan_solutions[key[:4]]
+        spec = getattr(gs.PotentialSpec, family)(g, w, mu)
+        return gs.find_tc(spec, None if grid is None else gs.MomentumGrid(*grid))
+
+    @pytest.mark.parametrize("key", list(ESTIMATE_TC))
+    def test_tc_bit_identical_from_certificates_alone(self, key, scan_solutions):
+        sol = self.solve(key, scan_solutions)
+        assert sol.T_c.hex() == ESTIMATE_TC[key]
+        assert sol.tc_search["certificate_tests"] == 2
+        assert sol.tc_search["replay_tests"] == 0
+        interaction = gs._interaction_matrix(sol.spec, sol.grid)
+        factor = gs._attraction_factor(interaction)
+        assert factor.shape[1] == sol.tc_search["attraction_rank"]
+        scale = np.abs(interaction).max()
+        assert np.abs(-interaction - factor @ factor.T).max() <= 1e-14 * scale
+
+    def test_rank_one_factor_keeps_tc_bit_identical(self, monkeypatch):
+        # a factor cut to rank 1 puts the estimate far below T_c; the
+        # bisection then tests the midpoints above it, and decides as before
+        full = gs._attraction_factor
+        monkeypatch.setattr(gs, "_attraction_factor",
+                            lambda interaction: full(interaction)[:, :1])
+        for key, T_c in SCAN_TC.items():
+            sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
+            assert sol.T_c == T_c, key
+            assert sol.tc_search["attraction_rank"] == 1, key
+            assert sol.tc_search["replay_tests"] > 0, key
+            assert sol.eig_residual < 1e-8, key
 
 
 class TestNormalize:
