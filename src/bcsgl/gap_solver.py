@@ -21,17 +21,13 @@ temperature-offset coefficient ``D``.
 Only ``dim = 1`` is wired to the solver; the potential types carry the
 general dimension for completeness.
 
-Every factorization is NumPy's LAPACK.  The bisection's decisions are
-Cholesky sign tests, but a Newton estimate of ``T_c`` certifies a
-bracket of relative width ``4e-13`` with two of them, and the bisection
-then tests only the midpoints inside that bracket: about 4 factorizations
-per solve instead of about 39, with the same decisions and so the same
-``T_c`` to the bit.  The estimate needs no ``n x n`` factorization: with
-``-V = B B^T`` (``B`` of rank about 30), ``K_T + V`` is positive definite
-exactly when the top eigenvalue of the ``r x r`` Birman-Schwinger matrix
-``B^T K_T^{-1} B`` is below 1 (Hainzl, Hamza, Seiringer, Solovej,
-Commun. Math. Phys. 281 (2008) 349), and Newton's method runs on that
-eigenvalue.
+Every factorization is NumPy's LAPACK, and a normal solve factors no
+matrix larger than ``r x r``: with ``-V = B B^T`` (``B`` of rank ``r``
+about 30), ``K_T + V`` is positive definite exactly when the top
+eigenvalue of the ``r x r`` Birman-Schwinger matrix ``B^T K_T^{-1} B`` is
+below 1 (Hainzl, Hamza, Seiringer, Solovej, Commun. Math. Phys. 281
+(2008) 349).  :func:`find_tc` takes its sign tests, its Newton estimate
+of ``T_c``, the ground state and the spectral gap from such matrices.
 """
 
 from __future__ import annotations
@@ -78,6 +74,16 @@ _CERTIFICATE_OFFSET = 2e-13
 #: ``-V``.  At 1e-16 the updated diagonals never fall below the stop and
 #: the factor runs to full rank.
 _FACTOR_TOLERANCE = 1e-15
+
+#: The ground state at ``T_c`` (:func:`_ground_state`): Newton's method
+#: stops once a step is below this fraction of ``min K_T``, and the
+#: vector goes to a dense inverse-iteration step when the residual
+#: ``|(K_T + V) v - lambda v|`` of the unit vector exceeds
+#: ``_GROUND_STATE_RESIDUAL``.  The search for the second eigenvalue
+#: (:func:`_second_eigenvalue`) stops at relative width ``_GAP_TOLERANCE``.
+_GROUND_STATE_TOLERANCE = 1e-15
+_GROUND_STATE_RESIDUAL = 1e-12
+_GAP_TOLERANCE = 1e-13
 
 #: :func:`decay_report` warns when its fitted rate falls below this
 #: fraction of ``kappa_c``: the fit then sits on a truncation floor of
@@ -338,6 +344,13 @@ class EigenPair:
     spectral_gap: float
 
 
+def _anchored(vec: np.ndarray) -> np.ndarray:
+    """``vec`` or ``-vec``, whichever has a nonnegative first entry (the
+    entry of largest magnitude decides when the first is 0)."""
+    anchor = vec[np.argmax(np.abs(vec))] if vec[0] == 0.0 else vec[0]
+    return -vec if anchor < 0 else vec
+
+
 def lowest_eigenpair(matrix: np.ndarray,
                      start: np.ndarray | None = None) -> EigenPair:
     """Smallest eigenvalue and unit ground state of a symmetric matrix.
@@ -375,9 +388,7 @@ def lowest_eigenpair(matrix: np.ndarray,
         vals = np.linalg.eigvalsh(matrix)
         vec = np.linalg.solve(matrix, start)
         vec /= np.linalg.norm(vec)
-    anchor = vec[np.argmax(np.abs(vec))] if vec[0] == 0.0 else vec[0]
-    if anchor < 0:
-        vec = -vec
+    vec = _anchored(vec)
     gap = float(vals[1] - vals[0]) if len(vals) > 1 else math.inf
     return EigenPair(float(vals[0]), vec, gap)
 
@@ -528,8 +539,7 @@ def _positive_definite(matrix: np.ndarray) -> bool:
 
     Decided by a Cholesky factorization (``np.linalg.cholesky``, LAPACK
     ``potrf`` on the lower triangle), which fails as soon as a
-    nonpositive pivot appears.  This sign test is the only decision
-    :func:`find_tc` takes.
+    nonpositive pivot appears.
     """
     try:
         np.linalg.cholesky(matrix)
@@ -547,13 +557,17 @@ def _kt_slope(x, T: float):
     return 2.0 * ratio * ratio
 
 
-def _attraction_factor(interaction: np.ndarray) -> np.ndarray:
-    """``B`` (``n x r``) with ``-V = B B^T``, ``V`` the ``interaction`` matrix.
+def _attraction_factor(interaction: np.ndarray) -> tuple[np.ndarray, float]:
+    """``B`` (``n x r``) with ``-V = B B^T + E``, ``V`` the ``interaction``
+    matrix, and ``s = tr E``.
 
     Diagonally pivoted Cholesky of ``-V``, which is positive semidefinite
     for a well (``V <= 0`` pointwise), stopping once every remaining
     diagonal is at most ``_FACTOR_TOLERANCE`` of the largest diagonal of
     ``-V``; ``r`` is the numerical rank, about 30 for the built-in wells.
+    The truncation residual ``E`` is the Schur complement of the pivots,
+    positive semidefinite, so ``0 <= E <= s``; ``s``, the sum of the
+    remaining diagonals (negative roundoff counted as 0), is about 1e-15.
     """
     residual = -np.diag(interaction)
     stop = _FACTOR_TOLERANCE * residual.max()
@@ -568,12 +582,19 @@ def _attraction_factor(interaction: np.ndarray) -> np.ndarray:
         columns[rank] = column
         residual -= column * column
         rank += 1
-    return columns[:rank].T
+    return columns[:rank].T, float(np.maximum(residual, 0.0).sum())
+
+
+def _birman_schwinger(factor: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``B^T diag(inverse) B`` (``r x r``) for a positive ``inverse``,
+    exactly symmetric."""
+    scaled = factor * np.sqrt(inverse)[:, None]
+    return scaled.T @ scaled
 
 
 def _newton_estimate(factor: np.ndarray, kinetic: np.ndarray, lo: float,
-                     hi: float):
-    """Estimate of ``T_c`` in ``[lo, hi]`` and an approximate ground state.
+                     hi: float) -> tuple[float, int]:
+    """Estimate of ``T_c`` in ``[lo, hi]`` and the number of Newton steps.
 
     With ``-V = B B^T`` (``factor``, ``n x r``), ``K_T + V`` is positive
     definite exactly when the top eigenvalue ``mu`` of the Birman-Schwinger
@@ -586,18 +607,15 @@ def _newton_estimate(factor: np.ndarray, kinetic: np.ndarray, lo: float,
     interval instead.  The iteration stops after a step below
     ``_NEWTON_TOLERANCE`` or after ``_NEWTON_STEPS`` steps.
 
-    Returns ``(estimate, vector, steps)``, ``vector`` being ``y / |y|``,
-    which at ``mu = 1`` spans the kernel of ``K_T + V``.  The estimate
-    decides no sign: a poor one, or a poor factor, only leaves
-    :func:`find_tc` more sign tests to make.
+    The estimate decides no sign: a poor one, or a poor factor, only
+    leaves :func:`find_tc` more sign tests to make.
     """
     lo, hi = math.log(lo), math.log(hi)
     t = hi
     for steps in range(1, _NEWTON_STEPS + 1):
         T = math.exp(t)
         inverse = 1.0 / specfun.kt_symbol(kinetic, T)
-        scaled = factor * np.sqrt(inverse)[:, None]
-        values, vectors = np.linalg.eigh(scaled.T @ scaled)
+        values, vectors = np.linalg.eigh(_birman_schwinger(factor, inverse))
         mu = float(values[-1])
         y = inverse * (factor @ vectors[:, -1])
         slope = T * float((y * y) @ _kt_slope(kinetic, T))
@@ -610,7 +628,77 @@ def _newton_estimate(factor: np.ndarray, kinetic: np.ndarray, lo: float,
         else:
             hi = t
         t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-    return math.exp(t), y / np.linalg.norm(y), steps
+    return math.exp(t), steps
+
+
+def _ground_state(factor: np.ndarray, kt: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of ``K - B B^T``, ``K =
+    diag(kt)``, when that eigenvalue lies below ``min kt`` (as near 0 at
+    ``T_c``, where ``kt >= 2 T_c``).
+
+    For ``lam < min kt``, ``lam`` is an eigenvalue exactly when the top
+    eigenvalue ``mu(lam)`` of ``B^T (K - lam)^{-1} B`` is 1.  ``mu`` is
+    increasing and convex in ``lam``, with slope ``|y|^2`` for ``y = (K -
+    lam)^{-1} B u``, ``u`` the top eigenvector; so Newton's method from
+    ``lam = 0`` converges monotonically after at most one step past the
+    root, each step one ``r x r`` ``eigh``.  A step at or above ``min kt``
+    (no root below it) halves the distance to ``min kt`` instead.  The
+    eigenvector is ``y / |y|``.
+    """
+    ceiling = float(kt.min())
+    lam = 0.0
+    for _ in range(_NEWTON_STEPS):
+        inverse = 1.0 / (kt - lam)
+        values, vectors = np.linalg.eigh(_birman_schwinger(factor, inverse))
+        y = inverse * (factor @ vectors[:, -1])
+        norm2 = float(y @ y)
+        step = (float(values[-1]) - 1.0) / norm2
+        lam = min(lam - step, 0.5 * (lam + ceiling))
+        if abs(step) <= _GROUND_STATE_TOLERANCE * ceiling:
+            break
+    return lam, y / math.sqrt(norm2)
+
+
+def _second_eigenvalue(factor: np.ndarray, kt: np.ndarray, lowest: float) -> float:
+    """Second eigenvalue of ``K - B B^T``, ``K = diag(kt)``, above its
+    lowest eigenvalue ``lowest``.
+
+    It lies between ``lowest`` and the second smallest ``kt`` (Weyl), and
+    that bracket narrows by inertia counts: by Haynsworth's inertia
+    additivity, for ``x`` off the spectrum of ``K`` the number of
+    eigenvalues below ``x`` is ``p = #{kt < x}`` (0 or 1 here) plus the
+    number of eigenvalues of ``B^T (K - x)^{-1} B`` above 1, one ``r x r``
+    ``eigh``.  Every eigenvalue of that matrix increases with ``x``, and
+    the ``(2 - p)``-th largest reaches 1 at the second eigenvalue, so the
+    next ``x`` is a Newton step on it (slope ``|y|^2`` as in
+    :func:`_ground_state`), or the midpoint of the bracket when the step
+    leaves it or the matrix has fewer than ``2 - p`` eigenvalues.  The
+    first ``x`` is the midpoint of the two smallest ``kt``, between which
+    the second eigenvalue usually lies.  The iteration stops after a step
+    below ``_GAP_TOLERANCE`` of ``|x|`` or at that relative bracket width.
+    """
+    first, second = np.partition(kt, 1)[:2]
+    lo, hi = lowest, float(second)
+    x = 0.5 * (first + hi) if first < hi else 0.5 * (lo + hi)
+    while hi - lo > _GAP_TOLERANCE * abs(hi):
+        inverse = 1.0 / (kt - x)
+        values, vectors = np.linalg.eigh((factor * inverse[:, None]).T @ factor)
+        poles = int(np.count_nonzero(inverse < 0.0))
+        if poles + int(np.count_nonzero(values > 1.0)) >= 2:
+            hi = x
+        else:
+            lo = x
+        crossing = poles - 2
+        if -crossing <= len(values):
+            y = inverse * (factor @ vectors[:, crossing])
+            step = (float(values[crossing]) - 1.0) / float(y @ y)
+            if abs(step) <= _GAP_TOLERANCE * abs(x):
+                return x - step
+            if lo < x - step < hi:
+                x -= step
+                continue
+        x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 def find_tc(
@@ -620,10 +708,18 @@ def find_tc(
     """Locate ``T_c`` and return the (unnormalized) solution.
 
     ``lambda_min(T)`` is strictly increasing, so ``T < T_c`` exactly when
-    ``K_T + V`` is not positive definite, which a Cholesky sign test
-    (:func:`_positive_definite`) decides.  ``T_c`` is the midpoint of the
+    ``K_T + V`` is not positive definite.  ``T_c`` is the midpoint of the
     bracket that bisection of ``[1e-6, 10 max(|mu|, 1)]`` leaves at a
-    relative width of 1e-10, each step deciding one such test.
+    relative width of 1e-10, each step deciding one such sign test.
+
+    ``-V = B B^T + E`` with ``0 <= E <= s`` (:func:`_attraction_factor`),
+    so ``K_T - B B^T - s <= K_T + V <= K_T - B B^T``.  A sign test
+    therefore first factors ``r x r`` Birman-Schwinger matrices: "paired"
+    when ``I - B^T K_T^{-1} B`` fails a Cholesky factorization, "not
+    paired" when ``I - B^T (K_T - s)^{-1} B`` passes one.  Only inside
+    that band does the ``n x n`` Cholesky of ``K_T + V``
+    (:func:`_positive_definite`) decide, so the decisions never depend on
+    the factor, only their cost does.
 
     Sign tests at ``T* (1 -+ 2e-13)`` around a Newton estimate ``T*``
     (:func:`_newton_estimate`) certify a bracket ``[a, b]``, ``a`` paired
@@ -636,20 +732,27 @@ def find_tc(
     Pairing is probed at ``T = 1e-6``; ``K_T + V`` positive definite
     there raises :class:`NoPairingError` (T_c = 0), and not positive
     definite at the top of the bracket :class:`BracketError`; both
-    report the lowest eigenvalue there.  The ground state at ``T_c`` is
-    one inverse-iteration step from the estimate's vector, and a second
-    one from that step's result when the bisection had to test inside
-    the certified bracket (the estimate missed ``T_c``).
+    report the lowest eigenvalue there, from a dense ``eigvalsh``.
+
+    At ``T_c`` the ground state and ``lambda_min`` are those of ``K_T -
+    B B^T`` (:func:`_ground_state`), checked by the residual of ``K_T +
+    V`` on the vector, one ``n x n`` product; the spectral gap is that of
+    ``K_T - B B^T`` from inertia counts (:func:`_second_eigenvalue`).  A
+    residual above ``_GROUND_STATE_RESIDUAL`` (a poor factor) hands the
+    vector to one inverse-iteration step on ``K_T + V``
+    (:func:`lowest_eigenpair`), which then gives all three.
 
     The solution's ``tc_search`` records the work: ``attraction_rank``,
-    the rank ``r`` of the factor ``B`` of ``-V = B B^T``,
-    ``newton_steps`` (an ``r x r`` Birman-Schwinger eigensolve each, no
-    ``n x n`` factorization), ``certificate_tests`` and ``replay_tests``
-    (the sign tests at the estimate and inside the bracket; two more test
-    the ends of the initial bracket) and ``bracket_rel_width``,
-    ``(b - a) / T_c`` of the certified bracket.  The grid samples of the
-    pair symbol are ``-2 V alpha0_hat``, the interaction matrix applied to
-    the ground state.
+    the rank ``r`` of ``B``; ``newton_steps`` (an ``r x r``
+    Birman-Schwinger eigensolve each); ``certificate_tests`` and
+    ``replay_tests`` (the sign tests at the estimate and inside the
+    bracket; two more test the ends of the initial bracket);
+    ``bracket_rel_width``, ``(b - a) / T_c`` of the certified bracket;
+    ``dense_tests``, the ``n x n`` factorizations taken, one per sign
+    test inside the band and two (``eigvalsh`` and an LU solve) for the
+    inverse-iteration step, 0 in a normal solve; and ``factor_residual``,
+    ``s``.  The grid samples of the pair symbol are ``-2 V alpha0_hat``,
+    the interaction matrix applied to the ground state.
 
     Parameters
     ----------
@@ -667,15 +770,25 @@ def find_tc(
     q = grid.nodes
     kinetic = q * q - spec.mu
     interaction = _interaction_matrix(spec, grid)
-    diag = np.diag_indices_from(interaction)
+    factor, band = _attraction_factor(interaction)
+    identity = np.eye(factor.shape[1])
+    dense_tests = 0
 
     def gap_matrix(T: float) -> np.ndarray:
         mat = interaction.copy()
-        mat[diag] += specfun.kt_symbol(kinetic, T)
+        mat[np.diag_indices_from(mat)] += specfun.kt_symbol(kinetic, T)
         return mat
 
     def paired(T: float) -> bool:
         """``lambda_min(T) < 0``: ``K_T + V`` is not positive definite."""
+        nonlocal dense_tests
+        kt = specfun.kt_symbol(kinetic, T)
+        if not _positive_definite(identity - _birman_schwinger(factor, 1.0 / kt)):
+            return True
+        if kt.min() > band and _positive_definite(
+                identity - _birman_schwinger(factor, 1.0 / (kt - band))):
+            return False
+        dense_tests += 1
         return not _positive_definite(gap_matrix(T))
 
     def lam(T: float) -> float:
@@ -692,8 +805,7 @@ def find_tc(
             "to the upper temperature bracket"
         )
 
-    factor = _attraction_factor(interaction)
-    estimate, vec, steps = _newton_estimate(factor, kinetic, lo, hi)
+    estimate, steps = _newton_estimate(factor, kinetic, lo, hi)
     # a is known paired and b not; every sign test narrows [a, b]
     a, b = lo, hi
     tests = {"certificate_tests": 0, "replay_tests": 0}
@@ -722,31 +834,41 @@ def find_tc(
             hi = mid
 
     T_c = 0.5 * (lo + hi)
-    mat = gap_matrix(T_c)
-    pair = lowest_eigenpair(mat, start=vec)
-    if tests["replay_tests"]:
-        # the estimate missed T_c, so its vector may be far from the
-        # ground state there: one more step from the first one's result
-        pair = lowest_eigenpair(mat, start=pair.eigenvector)
-    residual = float(
-        np.linalg.norm(mat @ pair.eigenvector - pair.eigenvalue * pair.eigenvector)
-    )
+    kt = specfun.kt_symbol(kinetic, T_c)
+
+    def residual(value: float, vector: np.ndarray) -> tuple[float, np.ndarray]:
+        """``|(K_T + V) vector - value vector|`` and ``V vector``."""
+        pulled = interaction @ vector
+        return float(np.linalg.norm(pulled + (kt - value) * vector)), pulled
+
+    lambda_min, vec = _ground_state(factor, kt)
+    vec = _anchored(vec)
+    eig_norm, pulled = residual(lambda_min, vec)
+    if eig_norm <= _GROUND_STATE_RESIDUAL:
+        spectral_gap = _second_eigenvalue(factor, kt, lambda_min) - lambda_min
+    else:
+        dense_tests += 2
+        pair = lowest_eigenpair(gap_matrix(T_c), start=vec)
+        lambda_min, vec, spectral_gap = (pair.eigenvalue, pair.eigenvector,
+                                         pair.spectral_gap)
+        eig_norm, pulled = residual(lambda_min, vec)
     # ||(K + V) alpha0|| / ||alpha0|| at solver resolution: the eigenvalue
     # itself is within the bracket tolerance of zero.
-    eig_residual = abs(pair.eigenvalue) + residual
+    eig_residual = abs(lambda_min) + eig_norm
 
-    alpha0_hat = pair.eigenvector / math.sqrt(grid.dq)
+    scale = 1.0 / math.sqrt(grid.dq)
     return GapSolution(
         spec=spec,
         grid=grid,
         T_c=T_c,
-        alpha0_hat=alpha0_hat,
-        lambda_min=pair.eigenvalue,
+        alpha0_hat=scale * vec,
+        lambda_min=lambda_min,
         eig_residual=eig_residual,
-        spectral_gap=pair.spectral_gap,
+        spectral_gap=spectral_gap,
         tc_search={"attraction_rank": factor.shape[1], "newton_steps": steps,
-                   **tests, "bracket_rel_width": certified_width / T_c},
-        t_samples=-2.0 * (interaction @ alpha0_hat),
+                   **tests, "bracket_rel_width": certified_width / T_c,
+                   "dense_tests": dense_tests, "factor_residual": band},
+        t_samples=-2.0 * scale * pulled,
     )
 
 

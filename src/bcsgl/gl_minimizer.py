@@ -135,19 +135,12 @@ class TorusField:
             return 0.0 + 0.0j
         return complex(self.coeffs[self.n_max + n])
 
-    def mean(self) -> complex:
-        return self.coeff(0)
-
     def is_real(self, tol: float = 1e-12) -> bool:
         """Whether the coefficients are conjugate-symmetric."""
         return bool(
             np.allclose(self.coeffs, np.conj(self.coeffs[::-1]),
                         rtol=0.0, atol=tol)
         )
-
-    def norm_l2(self) -> float:
-        """``||f||_{L^2}`` on the unit torus (Parseval)."""
-        return float(np.linalg.norm(self.coeffs))
 
     # -- calculus and evaluation ------------------------------------------
 

@@ -28,7 +28,7 @@ from . import gl_coeffs as gc
 from . import gl_minimizer as gm
 from . import specfun
 
-__all__ = ["PropertyResult", "registry_names", "run_suite"]
+__all__ = ["PropertyResult", "run_suite"]
 
 
 @dataclass
@@ -191,6 +191,8 @@ def _klein_inequality_grid(ctx: _Context):
 
 
 def _gap_eigenvalue_residual(ctx: _Context):
+    # a dense eigvalsh of K_T + V on purpose: find_tc takes lambda_min from
+    # r x r Birman-Schwinger matrices, and this is its independent check
     sol = ctx.sol
     matrix = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
     lam = np.linalg.eigvalsh(matrix)[0]
@@ -415,11 +417,6 @@ _REGISTRY: list[tuple[str, str, Callable]] = [
      _diagonal_shift_invariance),
     ("bdg_verifier", "zero_pairing_trace", _zero_pairing_trace),
 ]
-
-
-def registry_names() -> list[tuple[str, str]]:
-    """(module, property) pairs in execution order."""
-    return [(module, name) for module, name, _ in _REGISTRY]
 
 
 def run_suite(seed: int = 0, modules: list[str] | None = None

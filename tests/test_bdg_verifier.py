@@ -259,11 +259,12 @@ def _op_family(gap_sol, fields, basis):
 
 class TestTracePerUnitVolume:
     def test_workers_reduce_identically(self, gap_sol, fields):
+        # at h = 1/4 every ladder converges by M = 16
         psi, a, w = fields
         for observable in (bv.semiclassical_trace, bv.alpha_delta_distance,
                            bv.trial_state_energy):
-            serial = observable(gap_sol, psi, a, w, 0.25, m_fibers=8)
-            threaded = observable(gap_sol, psi, a, w, 0.25, m_fibers=8,
+            serial = observable(gap_sol, psi, a, w, 0.25, m_fibers=16)
+            threaded = observable(gap_sol, psi, a, w, 0.25, m_fibers=16,
                                   workers=4)
             assert serial == threaded, observable.__name__
 
@@ -314,9 +315,11 @@ class TestTracePerUnitVolume:
 
 class TestTranslationInvariantOracle:
     def test_lhs_matches_quadrature(self, gap_sol):
+        # the ladder converges at M = 32 (at the default cap of 16 the
+        # pair distance's change of 1.3e-11 is above its floor)
         c, h = 0.75, 0.25
         res = bv.semiclassical_trace(
-            gap_sol, TorusField.constant(c), ZERO, ZERO, h
+            gap_sol, TorusField.constant(c), ZERO, ZERO, h, m_fibers=32
         )
         beta = gap_sol.beta_c
         q = np.linspace(0.0, 24.0, 100001)
@@ -335,7 +338,7 @@ class TestTranslationInvariantOracle:
 
     def test_lhs_regression(self, gap_sol):
         res = bv.semiclassical_trace(
-            gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25
+            gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25, m_fibers=32
         )
         assert res["lhs"] == pytest.approx(LHS_CONSTANT, rel=1e-9)
 
@@ -380,14 +383,16 @@ def supercell_instance(gap_sol, fields):
 class TestSupercellOracle:
     def test_folded_trace_matches(self, gap_sol, fields, supercell_instance):
         # semiclassical_trace diagonalizes only xi >= 0 and folds in the
-        # partners; the supercell sees every fiber
+        # partners; the supercell sees every fiber.  Its 4 cells are the
+        # ladder's cap, which h = 1/4 does not converge at
         basis, h_pair, h_free = supercell_instance
         psi, a, w = fields
         beta = gap_sol.beta_c
-        res = bv.semiclassical_trace(
-            gap_sol, psi, a, w, basis.h, m_fibers=basis.m_fibers,
-            n_max=basis.n_max,
-        )
+        with pytest.warns(UserWarning, match="reached the cap m_fibers=4 unconverged"):
+            res = bv.semiclassical_trace(
+                gap_sol, psi, a, w, basis.h, m_fibers=basis.m_fibers,
+                n_max=basis.n_max,
+            )
         sup_tr = (
             np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_pair)))
             - np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_free)))
@@ -436,13 +441,15 @@ class TestSupercellOracle:
     def test_trace_difference_matches(self, gap_sol, fields,
                                       supercell_instance):
         # the trial-state energy's trace term takes its eigenvalues from
-        # the pair-block eigensolve, at beta_c / (1 - h^2 D)
+        # the pair-block eigensolve, at beta_c / (1 - h^2 D); the energy
+        # ladder capped at the supercell's 4 cells has a single rung
         basis, h_pair, h_free = supercell_instance
         psi, a, w = fields
-        res = bv.trial_state_energy(
-            gap_sol, psi, a, w, basis.h, m_fibers=basis.m_fibers,
-            n_max=basis.n_max,
-        )
+        with pytest.warns(UserWarning, match="m_fibers=4 unconverged: one rung"):
+            res = bv.trial_state_energy(
+                gap_sol, psi, a, w, basis.h, m_fibers=basis.m_fibers,
+                n_max=basis.n_max,
+            )
         beta = res["beta"]
         fiber_tr = 2.0 * beta * res["term_trace"]
         sup_tr = (
@@ -508,9 +515,9 @@ class TestSemiclassicalTrace:
 
     def test_trace_is_a_view_of_the_shared_pass(self, gap_sol, fields):
         psi, a, w = fields
-        trace = bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=4)
+        trace = bv.semiclassical_trace(gap_sol, psi, a, w, 0.25, m_fibers=16)
         shared = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.25,
-                                         m_fibers=4)
+                                         m_fibers=16)
         assert trace == {k: shared[k] for k in trace}
         assert {"lhs", "e1_term", "e2_term", "residual"} <= set(trace)
         assert "h1_distance" not in trace
@@ -590,13 +597,13 @@ class TestTrialStateEnergy:
 
     def test_zero_psi_gives_zero(self, gap_sol, fields):
         _, a, w = fields
-        res = bv.trial_state_energy(gap_sol, ZERO, a, w, 0.25, m_fibers=4)
+        res = bv.trial_state_energy(gap_sol, ZERO, a, w, 0.25, m_fibers=8)
         assert abs(res["f_bcs_diff"]) < 1e-12
 
     def test_explicit_offset_override(self, gap_sol, fields):
         psi, a, w = fields
         res = bv.trial_state_energy(
-            normalize(gap_sol, 0.5), psi, a, w, 0.25, m_fibers=4
+            normalize(gap_sol, 0.5), psi, a, w, 0.25, m_fibers=16
         )
         expected_beta = gap_sol.beta_c / (1.0 - 0.25**2 * 0.5)
         assert res["beta"] == pytest.approx(expected_beta, rel=1e-14)

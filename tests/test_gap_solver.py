@@ -211,6 +211,11 @@ class TestFindTc:
         with pytest.raises(gs.NoPairingError, match="no pairing") as err:
             gs.find_tc(spec, ref_grid)
         assert err.value.lambda_min >= 0.0
+        # V = 0 has rank 0, and the lowest eigenvalue is that of K_T alone
+        interaction = gs._interaction_matrix(spec, ref_grid)
+        assert gs._attraction_factor(interaction)[0].shape[1] == 0
+        kt = sf.kt_symbol(ref_grid.nodes**2 - spec.mu, err.value.probe_temperature)
+        assert err.value.lambda_min == pytest.approx(kt.min(), rel=1e-12)
 
     def test_bracket_failure_for_immense_depth(self):
         spec = gs.PotentialSpec.gaussian(40.0, 1.0, 1.0)
@@ -265,21 +270,19 @@ class TestFindTc:
                 assert gs._positive_definite(mat) == (lam >= 0.0), (k, T, lam)
                 assert (lam < 0.0) == (T < SCAN_TC[key])
 
-    def test_at_most_three_eigensolves(self, ref_spec, ref_grid, gap_sol_raw,
-                                       monkeypatch):
-        # every factorization is NumPy's: one n x n eigensolve at T_c; sign
-        # tests at both ends of the bracket, two certifying the Newton
-        # estimate and those inside the certified bracket; an r x r
-        # Birman-Schwinger eigh per Newton step; one inverse-iteration
-        # solve for the ground state, two after a replay
+    def test_no_dense_factorization(self, ref_spec, ref_grid, gap_sol_raw,
+                                    monkeypatch):
+        # every factorization is NumPy's, and in a normal solve every one
+        # is r x r: the Birman-Schwinger sign tests (one or two Cholesky
+        # each), the Newton estimate, the ground state and the spectral
+        # gap; no LU solve and no n x n factorization
         calls = collections.Counter()
-        eigh_sizes = collections.Counter()
+        sizes = collections.Counter()
         for name in ("eigh", "eigvalsh", "cholesky", "solve"):
             def counted(matrix, *args, _name=name, _call=getattr(np.linalg, name),
                         **kwargs):
                 calls[_name] += 1
-                if _name == "eigh":
-                    eigh_sizes[matrix.shape] += 1
+                sizes[matrix.shape] += 1
                 return _call(matrix, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -288,11 +291,14 @@ class TestFindTc:
         search = sol.tc_search
         rank = search["attraction_rank"]
         assert 0 < rank <= 64
-        assert calls["eigvalsh"] == 1
-        assert eigh_sizes == {(rank, rank): search["newton_steps"]}
+        assert set(sizes) == {(rank, rank)}
+        assert calls["solve"] == 0
+        assert search["dense_tests"] == 0
+        assert 0.0 < search["factor_residual"] <= 1e-13
         assert search["certificate_tests"] == 2
-        assert calls["cholesky"] == 4 + search["replay_tests"]
-        assert calls["solve"] == 1 + (search["replay_tests"] > 0)
+        tests = 4 + search["replay_tests"]
+        assert tests <= calls["cholesky"] <= 2 * tests
+        assert calls["eigh"] > search["newton_steps"]
         assert search["newton_steps"] <= 10
         assert search["bracket_rel_width"] <= 4.01e-13
 
@@ -301,15 +307,14 @@ class TestFindTc:
                                                   scan_solutions):
         # the Newton estimate only says where to test: a poor one (no slope,
         # the bracket's ends, ten final bracket widths off) leaves more
-        # midpoints to test, and they decide as before; a second
-        # inverse-iteration step then gives the ground state of a normal
-        # solve (with one step, no slope left 4e-10 to 1.8e-9)
+        # midpoints to test, and they decide as before; the ground state
+        # does not depend on the estimate
         newton = gs._newton_estimate
 
         def poor(gap_matrix, kinetic, lo, hi):
-            estimate, vec, steps = newton(gap_matrix, kinetic, lo, hi)
+            estimate, steps = newton(gap_matrix, kinetic, lo, hi)
             return {"top": hi, "probe": lo,
-                    "off": estimate * (1.0 + 1e-9)}[sabotage], vec, steps
+                    "off": estimate * (1.0 + 1e-9)}[sabotage], steps
 
         if sabotage == "zero slope":
             monkeypatch.setattr(gs, "_kt_slope", lambda x, T: 0.0 * x)
@@ -321,6 +326,7 @@ class TestFindTc:
             assert sol.tc_search["replay_tests"] > 0, key
             assert sol.eig_residual < 1e-8, key
             assert sol.eig_residual <= 1.5 * scan_solutions[key].eig_residual, key
+            assert sol.tc_search["dense_tests"] == 0, key
 
     def test_t_samples_match_the_pair_symbol(self, gap_sol_raw):
         # the samples are V alpha0_hat through the interaction matrix; t()
@@ -353,24 +359,70 @@ class TestBirmanSchwingerEstimate:
         assert sol.T_c.hex() == ESTIMATE_TC[key]
         assert sol.tc_search["certificate_tests"] == 2
         assert sol.tc_search["replay_tests"] == 0
+        assert sol.tc_search["dense_tests"] == 0
         interaction = gs._interaction_matrix(sol.spec, sol.grid)
-        factor = gs._attraction_factor(interaction)
+        factor, band = gs._attraction_factor(interaction)
         assert factor.shape[1] == sol.tc_search["attraction_rank"]
+        assert band == sol.tc_search["factor_residual"]
         scale = np.abs(interaction).max()
         assert np.abs(-interaction - factor @ factor.T).max() <= 1e-14 * scale
+        # s = tr E bounds the truncation residual E = -V - B B^T; each of
+        # its n remaining diagonals is at most the factor's stop
+        assert 0.0 < band <= gs._FACTOR_TOLERANCE * scale * sol.grid.n_points
+
+    @pytest.mark.parametrize("key", list(ESTIMATE_TC))
+    def test_ground_state_and_gap_match_dense_eigh(self, key, scan_solutions):
+        # lambda_min, the spectral gap and the ground state come from r x r
+        # matrices; the dense eigh of K_T + V at T_c is their oracle.  Its
+        # backward error is a few eps max|K_T + V|, so eigenvalues agree to
+        # that and the unit eigenvector to that over the gap (measured:
+        # at most 0.06, 0.46 and 0.23 of eps max|K_T + V| respectively)
+        sol = self.solve(key, scan_solutions)
+        mat = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
+        values, vectors = np.linalg.eigh(mat)
+        tol = 2.0 * np.finfo(float).eps * np.abs(mat).max()
+        assert abs(sol.lambda_min - values[0]) <= tol
+        gap = values[1] - values[0]
+        assert abs(sol.spectral_gap - gap) <= 2.0 * tol
+        oracle = vectors[:, 0] * np.sign(vectors[0, 0])
+        unit = sol.alpha0_hat / np.linalg.norm(sol.alpha0_hat)
+        assert np.abs(unit - oracle).max() <= tol / gap
+        assert sol.eig_residual - abs(sol.lambda_min) <= tol
 
     def test_rank_one_factor_keeps_tc_bit_identical(self, monkeypatch):
         # a factor cut to rank 1 puts the estimate far below T_c; the
         # bisection then tests the midpoints above it, and decides as before
         full = gs._attraction_factor
-        monkeypatch.setattr(gs, "_attraction_factor",
-                            lambda interaction: full(interaction)[:, :1])
+
+        def rank_one(interaction):
+            factor = full(interaction)[0][:, :1]
+            return factor, float(np.trace(-interaction) - np.sum(factor * factor))
+
+        monkeypatch.setattr(gs, "_attraction_factor", rank_one)
         for key, T_c in SCAN_TC.items():
             sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
             assert sol.T_c == T_c, key
             assert sol.tc_search["attraction_rank"] == 1, key
             assert sol.tc_search["replay_tests"] > 0, key
             assert sol.eig_residual < 1e-8, key
+            # the wide band leaves the decisions near T_c to n x n tests,
+            # and the residual of the factor's ground state to inverse
+            # iteration
+            assert sol.tc_search["dense_tests"] > 2, key
+
+    def test_inflated_band_keeps_tc_bit_identical(self, monkeypatch, scan_solutions):
+        # a larger s is still a bound on the truncation residual: the sign
+        # tests inside the wider band go to n x n Cholesky tests, which
+        # decide as the r x r ones would
+        full = gs._attraction_factor
+        monkeypatch.setattr(gs, "_attraction_factor",
+                            lambda interaction: (full(interaction)[0], 1e-9))
+        for key, T_c in SCAN_TC.items():
+            sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
+            assert sol.T_c == T_c, key
+            assert sol.tc_search["factor_residual"] == 1e-9
+            assert sol.tc_search["dense_tests"] > 0, key
+            assert sol.eig_residual == scan_solutions[key].eig_residual, key
 
 
 class TestNormalize:

@@ -46,6 +46,11 @@ def _random_field(n_max, rng, scale=0.4, offset=1.0):
     return TorusField(coeffs, n_max)
 
 
+def _norm_l2(f):
+    """``||f||_{L^2}`` on the unit torus (Parseval)."""
+    return float(np.linalg.norm(f.coeffs))
+
+
 def _hessian_action(psi, eta, a, w, coef):
     """Exact Hessian action along ``eta`` as complex coefficients, with
     the Wirtinger gradient at ``psi``."""
@@ -171,7 +176,7 @@ class TestTorusField:
         f = _random_field(6, rng)
         vals = f.values_on_grid(64)
         l2 = np.sqrt(np.mean(np.abs(vals) ** 2))
-        assert f.norm_l2() == pytest.approx(l2, rel=1e-12)
+        assert _norm_l2(f) == pytest.approx(l2, rel=1e-12)
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(5)
@@ -293,14 +298,14 @@ class TestGradient:
     def test_uniform_state_is_stationary_without_fields(self, gl_coef):
         psi = TorusField.constant(1.0, 6)
         grad = gl_gradient(psi, ZERO, ZERO, gl_coef)
-        assert grad.norm_l2() < 1e-12
+        assert _norm_l2(grad) < 1e-12
         phase, _ = _hessian_action(psi, 1j * psi, ZERO, ZERO, gl_coef)
         assert np.linalg.norm(phase) < 1e-12
 
     def test_zero_state_is_stationary(self, gl_coef):
         w = TorusField.cosine(0.5, 1)
         grad = gl_gradient(TorusField.constant(0.0, 6), ZERO, w, gl_coef)
-        assert grad.norm_l2() < 1e-12
+        assert _norm_l2(grad) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +402,7 @@ class TestMinimize:
         energy = gl_energy(reference_state.psi, ZERO, w, gl_coef)
         grad = gl_gradient(reference_state.psi, ZERO, w, gl_coef)
         assert abs(energy - reference_state.energy) < 1e-14
-        assert abs(grad.norm_l2() - reference_state.gradient_norm) < 1e-12
+        assert abs(_norm_l2(grad) - reference_state.gradient_norm) < 1e-12
         clone = GLState.from_dict(reference_state.to_dict())
         assert clone.energy == reference_state.energy
         assert np.allclose(clone.psi.coeffs, reference_state.psi.coeffs)
@@ -426,7 +431,7 @@ class TestRealDescent:
         assert reference_state.converged
         # the full Wirtinger gradient, imaginary directions included
         grad = gl_gradient(psi, ZERO, TorusField.cosine(0.5, 1), gl_coef)
-        assert grad.norm_l2() < _GTOL
+        assert _norm_l2(grad) < _GTOL
 
     def test_every_seeded_start_reaches_roundoff_floor(self, reference_state,
                                                        gl_coef):
@@ -538,7 +543,7 @@ class TestGaugeTransform:
         a = TorusField.cosine(0.2, 1)
         chi = TorusField.sine(0.5, 2)
         _, a2 = gauge_transform(TorusField.constant(1.0, 2), a, chi)
-        assert (a2 - a).mean() == pytest.approx(0.0, abs=1e-15)
+        assert (a2 - a).coeff(0) == pytest.approx(0.0, abs=1e-15)
 
     def test_complex_gauge_rejected(self):
         for chi in (TorusField.from_modes({1: 0.5}),
