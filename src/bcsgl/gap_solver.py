@@ -26,8 +26,8 @@ matrix larger than ``r x r``: with ``-V = B B^T`` (``B`` of rank ``r``
 about 30), ``K_T + V`` is positive definite exactly when the top
 eigenvalue of the ``r x r`` Birman-Schwinger matrix ``B^T K_T^{-1} B`` is
 below 1 (Hainzl, Hamza, Seiringer, Solovej, Commun. Math. Phys. 281
-(2008) 349).  :func:`find_tc` takes its sign tests, its Newton estimate
-of ``T_c``, the ground state and the spectral gap from such matrices.
+(2008) 349).  :func:`find_tc` takes every sign test of its bisection,
+the ground state and the spectral gap from such matrices.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "DecayReport",
     "reference_well",
     "build_gap_matrix",
-    "lowest_eigenpair",
     "find_tc",
     "normalize",
     "decay_report",
@@ -62,25 +61,20 @@ __all__ = [
 _PROBE_TEMPERATURE = 1e-6
 _REL_TOLERANCE = 1e-10
 
-#: Newton estimate of ``T_c``: at most this many steps, stopping once a
-#: step in ``log T`` is below the tolerance; the sign tests that certify
-#: the bracket sit this relative distance on either side of the estimate.
-_NEWTON_STEPS = 30
-_NEWTON_TOLERANCE = 1e-10
-_CERTIFICATE_OFFSET = 2e-13
-
-#: The factor ``B`` of ``-V = B B^T`` behind the Newton estimate stops at
-#: the first pivot at or below this fraction of the largest diagonal of
+#: The factor ``B`` of ``-V = B B^T`` behind the sign tests stops at the
+#: first pivot at or below this fraction of the largest diagonal of
 #: ``-V``.  At 1e-16 the updated diagonals never fall below the stop and
 #: the factor runs to full rank.
 _FACTOR_TOLERANCE = 1e-15
 
 #: The ground state at ``T_c`` (:func:`_ground_state`): Newton's method
-#: stops once a step is below this fraction of ``min K_T``, and the
-#: vector goes to a dense inverse-iteration step when the residual
-#: ``|(K_T + V) v - lambda v|`` of the unit vector exceeds
-#: ``_GROUND_STATE_RESIDUAL``.  The search for the second eigenvalue
-#: (:func:`_second_eigenvalue`) stops at relative width ``_GAP_TOLERANCE``.
+#: takes at most ``_GROUND_STATE_STEPS`` steps and stops once a step is
+#: below ``_GROUND_STATE_TOLERANCE`` of ``min K_T``; a residual
+#: ``|(K_T + V) v - lambda v|`` of the unit vector above
+#: ``_GROUND_STATE_RESIDUAL`` hands the solve to a dense ``eigh``.  The
+#: search for the second eigenvalue (:func:`_second_eigenvalue`) stops at
+#: relative width ``_GAP_TOLERANCE``.
+_GROUND_STATE_STEPS = 30
 _GROUND_STATE_TOLERANCE = 1e-15
 _GROUND_STATE_RESIDUAL = 1e-12
 _GAP_TOLERANCE = 1e-13
@@ -285,7 +279,9 @@ class MomentumGrid:
         return cls(float(data["cutoff"]), int(data["n_points"]))
 
 
-def _validate_coverage(spec: PotentialSpec, grid: MomentumGrid) -> None:
+def _validate(spec: PotentialSpec, grid: MomentumGrid) -> None:
+    if spec.dim != 1:
+        raise NotImplementedError("the discretized solver runs in dim = 1")
     minimum = math.sqrt(max(2.0 * spec.mu, 0.0)) + 5.0 / spec.interaction_range()
     if grid.cutoff < minimum:
         raise ValueError(
@@ -326,22 +322,11 @@ def build_gap_matrix(spec: PotentialSpec, grid: MomentumGrid, T: float) -> np.nd
         Symmetric ``(n, n)`` matrix: diagonal ``kt_symbol(q^2 - mu, T)``
         plus the quadrature-weighted even-sector kernel of ``V``.
     """
-    if spec.dim != 1:
-        raise NotImplementedError("the discretized solver runs in dim = 1")
-    _validate_coverage(spec, grid)
+    _validate(spec, grid)
     q = grid.nodes
     mat = _interaction_matrix(spec, grid)
     mat[np.diag_indices_from(mat)] += specfun.kt_symbol(q * q - spec.mu, T)
     return mat
-
-
-@dataclass
-class EigenPair:
-    """Lowest eigenvalue/vector of a symmetric matrix plus the spectral gap."""
-
-    eigenvalue: float
-    eigenvector: np.ndarray
-    spectral_gap: float
 
 
 def _anchored(vec: np.ndarray) -> np.ndarray:
@@ -349,48 +334,6 @@ def _anchored(vec: np.ndarray) -> np.ndarray:
     entry of largest magnitude decides when the first is 0)."""
     anchor = vec[np.argmax(np.abs(vec))] if vec[0] == 0.0 else vec[0]
     return -vec if anchor < 0 else vec
-
-
-def lowest_eigenpair(matrix: np.ndarray,
-                     start: np.ndarray | None = None) -> EigenPair:
-    """Smallest eigenvalue and unit ground state of a symmetric matrix.
-
-    The eigenvector sign is fixed so its entry at the smallest momentum
-    node (the first component) is nonnegative.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Real symmetric matrix: no entry of ``matrix - matrix.T`` may
-        exceed ``1e-12 max(1, max |matrix|)`` in magnitude.
-    start : ndarray, optional
-        A vector close to the ground state.  The eigenvector is then one
-        inverse-iteration step ``matrix^{-1} start``, which is accurate
-        when the lowest eigenvalue lies much closer to zero than the
-        second (as at ``T_c``), and ``eigvalsh`` gives the eigenvalues;
-        without it ``eigh`` gives both.
-
-    Returns
-    -------
-    EigenPair
-        ``eigenvalue``, unit ``eigenvector``, and the gap to the second
-        eigenvalue.
-    """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    tolerance = 1e-12 * max(1.0, float(np.abs(matrix).max()))
-    if not float(np.abs(matrix - matrix.T).max()) <= tolerance:
-        raise ValueError("matrix must be symmetric")
-    if start is None:
-        vals, vecs = np.linalg.eigh(matrix)
-        vec = vecs[:, 0]
-    else:
-        vals = np.linalg.eigvalsh(matrix)
-        vec = np.linalg.solve(matrix, start)
-        vec /= np.linalg.norm(vec)
-    vec = _anchored(vec)
-    gap = float(vals[1] - vals[0]) if len(vals) > 1 else math.inf
-    return EigenPair(float(vals[0]), vec, gap)
 
 
 @dataclass
@@ -548,15 +491,6 @@ def _positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
-def _kt_slope(x, T: float):
-    """``d K_T(x) / dT = 2 w^2 / sinh^2 w`` with ``w = x / 2T`` (2 at w = 0)."""
-    w = np.abs(np.asarray(x, dtype=float)) / (2.0 * T)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(w > 0.0, 2.0 * w * np.exp(-w) / -np.expm1(-2.0 * w),
-                         1.0)
-    return 2.0 * ratio * ratio
-
-
 def _attraction_factor(interaction: np.ndarray) -> tuple[np.ndarray, float]:
     """``B`` (``n x r``) with ``-V = B B^T + E``, ``V`` the ``interaction``
     matrix, and ``s = tr E``.
@@ -592,45 +526,6 @@ def _birman_schwinger(factor: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return scaled.T @ scaled
 
 
-def _newton_estimate(factor: np.ndarray, kinetic: np.ndarray, lo: float,
-                     hi: float) -> tuple[float, int]:
-    """Estimate of ``T_c`` in ``[lo, hi]`` and the number of Newton steps.
-
-    With ``-V = B B^T`` (``factor``, ``n x r``), ``K_T + V`` is positive
-    definite exactly when the top eigenvalue ``mu`` of the Birman-Schwinger
-    matrix ``B^T K_T^{-1} B`` is below 1.  Newton's method on ``mu = 1`` in
-    ``log T``, from ``hi``: each step takes one ``r x r`` ``eigh`` for
-    ``mu`` and its unit eigenvector ``u``, and the Hellmann-Feynman slope
-    ``d mu / dT = -(y * y).(d K_T / dT)`` with ``y = K_T^{-1} B u``.  A step
-    that would leave the interval between the highest ``log T`` with
-    ``mu > 1`` and the lowest with ``mu <= 1`` seen so far bisects that
-    interval instead.  The iteration stops after a step below
-    ``_NEWTON_TOLERANCE`` or after ``_NEWTON_STEPS`` steps.
-
-    The estimate decides no sign: a poor one, or a poor factor, only
-    leaves :func:`find_tc` more sign tests to make.
-    """
-    lo, hi = math.log(lo), math.log(hi)
-    t = hi
-    for steps in range(1, _NEWTON_STEPS + 1):
-        T = math.exp(t)
-        inverse = 1.0 / specfun.kt_symbol(kinetic, T)
-        values, vectors = np.linalg.eigh(_birman_schwinger(factor, inverse))
-        mu = float(values[-1])
-        y = inverse * (factor @ vectors[:, -1])
-        slope = T * float((y * y) @ _kt_slope(kinetic, T))
-        step = (mu - 1.0) / slope if slope > 0.0 else math.inf
-        if abs(step) <= _NEWTON_TOLERANCE:
-            t += step
-            break
-        if mu > 1.0:
-            lo = t
-        else:
-            hi = t
-        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-    return math.exp(t), steps
-
-
 def _ground_state(factor: np.ndarray, kt: np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue and unit eigenvector of ``K - B B^T``, ``K =
     diag(kt)``, when that eigenvalue lies below ``min kt`` (as near 0 at
@@ -647,7 +542,7 @@ def _ground_state(factor: np.ndarray, kt: np.ndarray) -> tuple[float, np.ndarray
     """
     ceiling = float(kt.min())
     lam = 0.0
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_GROUND_STATE_STEPS):
         inverse = 1.0 / (kt - lam)
         values, vectors = np.linalg.eigh(_birman_schwinger(factor, inverse))
         y = inverse * (factor @ vectors[:, -1])
@@ -710,7 +605,7 @@ def find_tc(
     ``lambda_min(T)`` is strictly increasing, so ``T < T_c`` exactly when
     ``K_T + V`` is not positive definite.  ``T_c`` is the midpoint of the
     bracket that bisection of ``[1e-6, 10 max(|mu|, 1)]`` leaves at a
-    relative width of 1e-10, each step deciding one such sign test.
+    relative width of 1e-10, each midpoint decided by one such sign test.
 
     ``-V = B B^T + E`` with ``0 <= E <= s`` (:func:`_attraction_factor`),
     so ``K_T - B B^T - s <= K_T + V <= K_T - B B^T``.  A sign test
@@ -721,14 +616,6 @@ def find_tc(
     (:func:`_positive_definite`) decide, so the decisions never depend on
     the factor, only their cost does.
 
-    Sign tests at ``T* (1 -+ 2e-13)`` around a Newton estimate ``T*``
-    (:func:`_newton_estimate`) certify a bracket ``[a, b]``, ``a`` paired
-    and ``b`` not.  The bisection then takes a midpoint at or below ``a``
-    as paired and one at or above ``b`` as not, and tests only those
-    inside ``(a, b)``, each narrowing the bracket.  The decisions, and so
-    ``T_c``, are those of testing every midpoint; a poor estimate only
-    leaves more midpoints to test.
-
     Pairing is probed at ``T = 1e-6``; ``K_T + V`` positive definite
     there raises :class:`NoPairingError` (T_c = 0), and not positive
     definite at the top of the bracket :class:`BracketError`; both
@@ -738,19 +625,14 @@ def find_tc(
     B B^T`` (:func:`_ground_state`), checked by the residual of ``K_T +
     V`` on the vector, one ``n x n`` product; the spectral gap is that of
     ``K_T - B B^T`` from inertia counts (:func:`_second_eigenvalue`).  A
-    residual above ``_GROUND_STATE_RESIDUAL`` (a poor factor) hands the
-    vector to one inverse-iteration step on ``K_T + V``
-    (:func:`lowest_eigenpair`), which then gives all three.
+    residual above ``_GROUND_STATE_RESIDUAL`` (a poor factor) takes all
+    three from a dense ``eigh`` of ``K_T + V`` instead.
 
     The solution's ``tc_search`` records the work: ``attraction_rank``,
-    the rank ``r`` of ``B``; ``newton_steps`` (an ``r x r``
-    Birman-Schwinger eigensolve each); ``certificate_tests`` and
-    ``replay_tests`` (the sign tests at the estimate and inside the
-    bracket; two more test the ends of the initial bracket);
-    ``bracket_rel_width``, ``(b - a) / T_c`` of the certified bracket;
-    ``dense_tests``, the ``n x n`` factorizations taken, one per sign
-    test inside the band and two (``eigvalsh`` and an LU solve) for the
-    inverse-iteration step, 0 in a normal solve; and ``factor_residual``,
+    the rank ``r`` of ``B``; ``sign_tests``, the ends of the initial
+    bracket and every midpoint; ``dense_tests``, the ``n x n``
+    factorizations taken, one per sign test inside the band and one for
+    the dense ``eigh``, 0 in a normal solve; and ``factor_residual``,
     ``s``.  The grid samples of the pair symbol are ``-2 V alpha0_hat``,
     the interaction matrix applied to the ground state.
 
@@ -766,33 +648,28 @@ def find_tc(
     """
     if grid is None:
         grid = MomentumGrid.default_for(spec)
-    _validate_coverage(spec, grid)
+    _validate(spec, grid)
     q = grid.nodes
     kinetic = q * q - spec.mu
     interaction = _interaction_matrix(spec, grid)
     factor, band = _attraction_factor(interaction)
     identity = np.eye(factor.shape[1])
-    dense_tests = 0
-
-    def gap_matrix(T: float) -> np.ndarray:
-        mat = interaction.copy()
-        mat[np.diag_indices_from(mat)] += specfun.kt_symbol(kinetic, T)
-        return mat
+    tests = {"sign_tests": 0, "dense_tests": 0}
 
     def paired(T: float) -> bool:
         """``lambda_min(T) < 0``: ``K_T + V`` is not positive definite."""
-        nonlocal dense_tests
+        tests["sign_tests"] += 1
         kt = specfun.kt_symbol(kinetic, T)
         if not _positive_definite(identity - _birman_schwinger(factor, 1.0 / kt)):
             return True
         if kt.min() > band and _positive_definite(
                 identity - _birman_schwinger(factor, 1.0 / (kt - band))):
             return False
-        dense_tests += 1
-        return not _positive_definite(gap_matrix(T))
+        tests["dense_tests"] += 1
+        return not _positive_definite(build_gap_matrix(spec, grid, T))
 
     def lam(T: float) -> float:
-        return float(np.linalg.eigvalsh(gap_matrix(T))[0])
+        return float(np.linalg.eigvalsh(build_gap_matrix(spec, grid, T))[0])
 
     probe = _PROBE_TEMPERATURE
     if not paired(probe):
@@ -805,30 +682,9 @@ def find_tc(
             "to the upper temperature bracket"
         )
 
-    estimate, steps = _newton_estimate(factor, kinetic, lo, hi)
-    # a is known paired and b not; every sign test narrows [a, b]
-    a, b = lo, hi
-    tests = {"certificate_tests": 0, "replay_tests": 0}
-
-    def narrow(T: float, kind: str) -> None:
-        nonlocal a, b
-        tests[kind] += 1
-        if paired(T):
-            a = T
-        else:
-            b = T
-
-    for T in (estimate * (1.0 - _CERTIFICATE_OFFSET),
-              estimate * (1.0 + _CERTIFICATE_OFFSET)):
-        if a < T < b:
-            narrow(T, "certificate_tests")
-    certified_width = b - a
-
     while (hi - lo) > _REL_TOLERANCE * lo:
         mid = 0.5 * (lo + hi)
-        if a < mid < b:
-            narrow(mid, "replay_tests")
-        if mid <= a:
+        if paired(mid):
             lo = mid
         else:
             hi = mid
@@ -847,10 +703,10 @@ def find_tc(
     if eig_norm <= _GROUND_STATE_RESIDUAL:
         spectral_gap = _second_eigenvalue(factor, kt, lambda_min) - lambda_min
     else:
-        dense_tests += 2
-        pair = lowest_eigenpair(gap_matrix(T_c), start=vec)
-        lambda_min, vec, spectral_gap = (pair.eigenvalue, pair.eigenvector,
-                                         pair.spectral_gap)
+        tests["dense_tests"] += 1
+        values, vectors = np.linalg.eigh(build_gap_matrix(spec, grid, T_c))
+        lambda_min, spectral_gap = float(values[0]), float(values[1] - values[0])
+        vec = _anchored(vectors[:, 0])
         eig_norm, pulled = residual(lambda_min, vec)
     # ||(K + V) alpha0|| / ||alpha0|| at solver resolution: the eigenvalue
     # itself is within the bracket tolerance of zero.
@@ -865,9 +721,8 @@ def find_tc(
         lambda_min=lambda_min,
         eig_residual=eig_residual,
         spectral_gap=spectral_gap,
-        tc_search={"attraction_rank": factor.shape[1], "newton_steps": steps,
-                   **tests, "bracket_rel_width": certified_width / T_c,
-                   "dense_tests": dense_tests, "factor_residual": band},
+        tc_search={"attraction_rank": factor.shape[1], **tests,
+                   "factor_residual": band},
         t_samples=-2.0 * scale * pulled,
     )
 

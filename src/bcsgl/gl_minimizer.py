@@ -13,8 +13,9 @@ and a quartic term averaged over a grid that depends on psi alone: with
 ``4 N + 1`` points integrate it exactly.  Neither part has any
 quadrature or dealiasing error.
 
-One routine evaluates the energy, its Wirtinger gradient and its exact
-Hessian, assembled as ``Q`` plus two convolution matrices of the grid
+One routine evaluates the energy and its Wirtinger gradient on the
+grid; the descent assembles the exact Hessian from the same grid
+samples, as ``Q`` plus two convolution matrices of the grid
 coefficients of ``|psi|^2`` and ``psi^2``.  The unknowns are few (the
 real and imaginary parts of ``2 N + 1`` coefficients), so minimization
 runs a dense trust-region Newton descent, one eigendecomposition of the
@@ -275,15 +276,14 @@ def _grid_coeffs(values: np.ndarray, n_max: int) -> np.ndarray:
 
 def _evaluate(psi: TorusField, quad: np.ndarray, coef: GLCoefficients,
               m: int | None = None):
-    """Energy, Wirtinger gradient and exact Hessian at ``psi``.
+    """Energy and Wirtinger gradient at ``psi``.
 
     ``quad`` is :func:`_quadratic_part` on ``psi``'s modes; the quartic
     term is averaged over ``m`` grid points (default: the smallest fast
-    size ``>= 4 N + 1``).  Returns ``(energy, grad, (lin, conj))``:
-    ``grad`` holds the coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``,
-    and ``lin @ eta + conj @ conj(eta)`` those of
-    ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``, whose
-    multipliers (frequencies up to ``2 N``) the grid resolves.
+    size ``>= 4 N + 1``).  Returns ``(energy, grad, psi_g)``: ``grad``
+    holds the coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``, and
+    ``psi_g`` the samples of ``psi`` on the grid, from which
+    :func:`_hessian` assembles the Hessian.
     """
     n_max = psi.n_max
     m = m or next_fast_len(4 * n_max + 1)
@@ -301,16 +301,27 @@ def _evaluate(psi: TorusField, quad: np.ndarray, coef: GLCoefficients,
             "are the external fields real?"
         )
     grad = q_psi + _grid_coeffs(-2.0 * coef.B3 * (1.0 - abs2) * psi_g, n_max)
+    return float(energy.real), grad, psi_g
+
+
+def _hessian(quad: np.ndarray, coef: GLCoefficients, psi_g: np.ndarray,
+             n_max: int):
+    """Exact Hessian ``(lin, conj)`` at the field with grid samples
+    ``psi_g`` (from :func:`_evaluate`) and modes ``-n_max .. n_max``:
+    ``lin @ eta + conj @ conj(eta)`` holds the coefficients of
+    ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``, whose
+    multipliers (frequencies up to ``2 N``) the grid resolves.
+    """
+    modes = np.arange(-n_max, n_max + 1)
 
     def multiplier(values):
         f = TorusField(_grid_coeffs(values, 2 * n_max), 2 * n_max)
-        return 2.0 * coef.B3 * _coeff_matrix(f, psi.modes)
+        return 2.0 * coef.B3 * _coeff_matrix(f, modes)
 
     # conj(eta) has coefficient conj(eta_{-n}) at mode n, hence the
     # reversed columns
-    hess = (quad + multiplier(2.0 * abs2 - 1.0),
+    return (quad + multiplier(2.0 * np.abs(psi_g) ** 2 - 1.0),
             multiplier(psi_g ** 2)[:, ::-1])
-    return float(energy.real), grad, hess
 
 
 def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
@@ -396,8 +407,9 @@ class GLState:
 
 
 def _in_unknowns(grad: np.ndarray, hess, real: bool):
-    """:func:`_evaluate`'s gradient and Hessian in the real unknowns: the
-    real coefficients (``real``) or the packed ``[Re, Im]`` ones."""
+    """:func:`_evaluate`'s gradient and :func:`_hessian` in the real
+    unknowns: the real coefficients (``real``) or the packed ``[Re, Im]``
+    ones."""
     lin, conj = hess
     if real:
         return 2.0 * grad.real, 2.0 * (lin + conj).real
@@ -462,8 +474,9 @@ def _descend(start: TorusField, label: str, a, w, coef):
 
     def evaluate(z):
         """Energy, gradient, Hessian, full gradient norm."""
-        energy, grad, hess = _evaluate(
+        energy, grad, psi_g = _evaluate(
             TorusField(to_coeffs(z), n_max), quad, coef)
+        hess = _hessian(quad, coef, psi_g, n_max)
         return (energy, *_in_unknowns(grad, hess, real),
                 float(np.linalg.norm(grad)))
 

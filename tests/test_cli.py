@@ -196,19 +196,18 @@ class TestStages:
         assert gap["key"] == cli._Run(cli.validate_config(path), 1).keys["gap"]
 
     def test_gap_artifact_records_the_search(self, tmp_path, capsys):
-        # the rank of -V = B B^T behind the Newton estimate, the n x n
-        # factorizations taken and the width of the sign tests' band are
-        # part of the record, and as deterministic as the rest of it
+        # the rank of -V = B B^T behind the sign tests, their number, the
+        # n x n factorizations taken and the width of the sign tests' band
+        # are part of the record, and as deterministic as the rest of it
         path = write_config(tmp_path, grids=fast_grids())
         run_cli(capsys, "--config", str(path), "tc")
         gap = json.loads((tmp_path / "out" / "gap.json").read_text())
         search = gap["solution"]["tc_search"]
-        assert set(search) == {"attraction_rank", "newton_steps",
-                               "certificate_tests", "replay_tests",
-                               "bracket_rel_width", "dense_tests",
+        assert set(search) == {"attraction_rank", "sign_tests", "dense_tests",
                                "factor_residual"}
         assert isinstance(search["attraction_rank"], int)
         assert 0 < search["attraction_rank"] <= 64
+        assert search["sign_tests"] == 40
         assert search["dense_tests"] == 0
         assert 0.0 < search["factor_residual"] <= 1e-13
 

@@ -29,9 +29,9 @@ SCAN_TC = {
 }
 
 
-# T_c (as float.hex) of further wells and grids, as the LU-step Newton
-# estimate and the Cholesky bisection found them; the Birman-Schwinger
-# estimate must leave every decision, and so every bit, as it was.
+# T_c (as float.hex) of further wells and grids, as the n x n Cholesky
+# bisection found them; the r x r Birman-Schwinger sign tests must leave
+# every decision, and so every bit, as it was.
 # Keys: (family, g, w, mu, grid), grid None for the default one.
 ESTIMATE_TC = {
     ("gaussian", 2.0, 1.0, 1.0, None): "0x1.57df9a7dfaf00p-1",
@@ -164,40 +164,6 @@ class TestBuildGapMatrix:
             assert lam < 0.0
 
 
-class TestLowestEigenpair:
-    def test_identity_matrix(self):
-        pair = gs.lowest_eigenpair(np.eye(5))
-        assert pair.eigenvalue == pytest.approx(1.0)
-        assert np.linalg.norm(pair.eigenvector) == pytest.approx(1.0)
-
-    def test_free_problem_minimizing_node(self):
-        spec = gs.PotentialSpec.gaussian(0.0, 1.0, 1.0)
-        grid = gs.MomentumGrid(12.0, 64)
-        T = 0.2
-        mat = gs.build_gap_matrix(spec, grid, T)
-        pair = gs.lowest_eigenpair(mat)
-        kt = sf.kt_symbol(grid.nodes**2 - spec.mu, T)
-        assert pair.eigenvalue == pytest.approx(kt.min(), rel=1e-12)
-        assert np.argmax(np.abs(pair.eigenvector)) == np.argmin(kt)
-
-    def test_sign_convention(self, gap_sol):
-        assert gap_sol.alpha0_hat[0] >= 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gs.lowest_eigenpair(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            gs.lowest_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_asymmetry_above_the_absolute_tolerance_rejected(self):
-        # 5e-6 is far above 1e-12 of the largest entry, though within a
-        # relative tolerance of 1e-5
-        with pytest.raises(ValueError, match="symmetric"):
-            gs.lowest_eigenpair(np.array([[2.0, 1.0 + 5e-6], [1.0, 3.0]]))
-        pair = gs.lowest_eigenpair(np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]]))
-        assert pair.eigenvalue == pytest.approx(2.5 - math.sqrt(1.25))
-
-
 class TestFindTc:
     def test_reference_regression(self, gap_sol_raw):
         assert gap_sol_raw.T_c == pytest.approx(REFERENCE_TC, rel=1e-7)
@@ -205,6 +171,9 @@ class TestFindTc:
 
     def test_eigen_residual(self, gap_sol_raw):
         assert gap_sol_raw.eig_residual < 1e-8
+
+    def test_sign_convention(self, gap_sol):
+        assert gap_sol.alpha0_hat[0] >= 0.0
 
     def test_no_pairing_for_free_problem(self, ref_grid):
         spec = gs.PotentialSpec.gaussian(0.0, 1.0, 1.0)
@@ -216,6 +185,13 @@ class TestFindTc:
         assert gs._attraction_factor(interaction)[0].shape[1] == 0
         kt = sf.kt_symbol(ref_grid.nodes**2 - spec.mu, err.value.probe_temperature)
         assert err.value.lambda_min == pytest.approx(kt.min(), rel=1e-12)
+
+    def test_dimension_other_than_one_rejected(self):
+        # the solver's grid is 1-D; a 2-D well is refused before any sign
+        # test, as build_gap_matrix refuses it
+        spec = gs.PotentialSpec.gaussian(2.0, 1.0, 1.0, dim=2)
+        with pytest.raises(NotImplementedError, match="dim = 1"):
+            gs.find_tc(spec, gs.MomentumGrid(12.0, 256))
 
     def test_bracket_failure_for_immense_depth(self):
         spec = gs.PotentialSpec.gaussian(40.0, 1.0, 1.0)
@@ -274,8 +250,8 @@ class TestFindTc:
                                     monkeypatch):
         # every factorization is NumPy's, and in a normal solve every one
         # is r x r: the Birman-Schwinger sign tests (one or two Cholesky
-        # each), the Newton estimate, the ground state and the spectral
-        # gap; no LU solve and no n x n factorization
+        # each), the ground state and the spectral gap; no LU solve and no
+        # n x n factorization
         calls = collections.Counter()
         sizes = collections.Counter()
         for name in ("eigh", "eigvalsh", "cholesky", "solve"):
@@ -295,38 +271,9 @@ class TestFindTc:
         assert calls["solve"] == 0
         assert search["dense_tests"] == 0
         assert 0.0 < search["factor_residual"] <= 1e-13
-        assert search["certificate_tests"] == 2
-        tests = 4 + search["replay_tests"]
-        assert tests <= calls["cholesky"] <= 2 * tests
-        assert calls["eigh"] > search["newton_steps"]
-        assert search["newton_steps"] <= 10
-        assert search["bracket_rel_width"] <= 4.01e-13
-
-    @pytest.mark.parametrize("sabotage", ["zero slope", "top", "probe", "off"])
-    def test_poor_estimate_keeps_tc_bit_identical(self, sabotage, monkeypatch,
-                                                  scan_solutions):
-        # the Newton estimate only says where to test: a poor one (no slope,
-        # the bracket's ends, ten final bracket widths off) leaves more
-        # midpoints to test, and they decide as before; the ground state
-        # does not depend on the estimate
-        newton = gs._newton_estimate
-
-        def poor(gap_matrix, kinetic, lo, hi):
-            estimate, steps = newton(gap_matrix, kinetic, lo, hi)
-            return {"top": hi, "probe": lo,
-                    "off": estimate * (1.0 + 1e-9)}[sabotage], steps
-
-        if sabotage == "zero slope":
-            monkeypatch.setattr(gs, "_kt_slope", lambda x, T: 0.0 * x)
-        else:
-            monkeypatch.setattr(gs, "_newton_estimate", poor)
-        for key, T_c in SCAN_TC.items():
-            sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
-            assert sol.T_c == T_c, key
-            assert sol.tc_search["replay_tests"] > 0, key
-            assert sol.eig_residual < 1e-8, key
-            assert sol.eig_residual <= 1.5 * scan_solutions[key].eig_residual, key
-            assert sol.tc_search["dense_tests"] == 0, key
+        # the two ends of [1e-6, 10] and 38 midpoints
+        assert search["sign_tests"] == 40
+        assert search["sign_tests"] <= calls["cholesky"] <= 2 * search["sign_tests"]
 
     def test_t_samples_match_the_pair_symbol(self, gap_sol_raw):
         # the samples are V alpha0_hat through the interaction matrix; t()
@@ -342,8 +289,10 @@ class TestFindTc:
 
 
 class TestBirmanSchwingerEstimate:
-    """The Newton estimate runs on the top eigenvalue of ``B^T K_T^{-1} B``
-    with ``-V = B B^T``; it decides no sign, so ``T_c`` stays as pinned."""
+    """With ``-V = B B^T``, the sign tests, ``lambda_min``, the spectral gap
+    and the ground state are estimated from ``r x r`` matrices such as
+    ``B^T K_T^{-1} B``; every sign decision, and so ``T_c``, stays as
+    pinned, and the rest matches a dense ``eigh`` of ``K_T + V``."""
 
     @staticmethod
     def solve(key, scan_solutions):
@@ -354,11 +303,9 @@ class TestBirmanSchwingerEstimate:
         return gs.find_tc(spec, None if grid is None else gs.MomentumGrid(*grid))
 
     @pytest.mark.parametrize("key", list(ESTIMATE_TC))
-    def test_tc_bit_identical_from_certificates_alone(self, key, scan_solutions):
+    def test_tc_bit_identical_without_dense_tests(self, key, scan_solutions):
         sol = self.solve(key, scan_solutions)
         assert sol.T_c.hex() == ESTIMATE_TC[key]
-        assert sol.tc_search["certificate_tests"] == 2
-        assert sol.tc_search["replay_tests"] == 0
         assert sol.tc_search["dense_tests"] == 0
         interaction = gs._interaction_matrix(sol.spec, sol.grid)
         factor, band = gs._attraction_factor(interaction)
@@ -390,8 +337,11 @@ class TestBirmanSchwingerEstimate:
         assert sol.eig_residual - abs(sol.lambda_min) <= tol
 
     def test_rank_one_factor_keeps_tc_bit_identical(self, monkeypatch):
-        # a factor cut to rank 1 puts the estimate far below T_c; the
-        # bisection then tests the midpoints above it, and decides as before
+        # the wide band leaves the decisions near T_c to n x n Cholesky
+        # tests, which decide as the r x r ones would; the ground state of
+        # the poor factor fails the residual check, so lambda_min, the gap
+        # and the vector come from the dense eigh, checked with the
+        # tolerances of test_ground_state_and_gap_match_dense_eigh
         full = gs._attraction_factor
 
         def rank_one(interaction):
@@ -403,12 +353,18 @@ class TestBirmanSchwingerEstimate:
             sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
             assert sol.T_c == T_c, key
             assert sol.tc_search["attraction_rank"] == 1, key
-            assert sol.tc_search["replay_tests"] > 0, key
             assert sol.eig_residual < 1e-8, key
-            # the wide band leaves the decisions near T_c to n x n tests,
-            # and the residual of the factor's ground state to inverse
-            # iteration
             assert sol.tc_search["dense_tests"] > 2, key
+            mat = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
+            values, vectors = np.linalg.eigh(mat)
+            tol = 2.0 * np.finfo(float).eps * np.abs(mat).max()
+            assert abs(sol.lambda_min - values[0]) <= tol, key
+            gap = values[1] - values[0]
+            assert abs(sol.spectral_gap - gap) <= 2.0 * tol, key
+            oracle = vectors[:, 0] * np.sign(vectors[0, 0])
+            unit = sol.alpha0_hat / np.linalg.norm(sol.alpha0_hat)
+            assert np.abs(unit - oracle).max() <= tol / gap, key
+            assert sol.eig_residual - abs(sol.lambda_min) <= tol, key
 
     def test_inflated_band_keeps_tc_bit_identical(self, monkeypatch, scan_solutions):
         # a larger s is still a bound on the truncation residual: the sign

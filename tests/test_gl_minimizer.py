@@ -20,6 +20,7 @@ from bcsgl.gl_minimizer import (
     TorusField,
     _descend,
     _evaluate,
+    _hessian,
     _in_unknowns,
     _quadratic_part,
     _trust_step,
@@ -54,8 +55,9 @@ def _norm_l2(f):
 def _hessian_action(psi, eta, a, w, coef):
     """Exact Hessian action along ``eta`` as complex coefficients, with
     the Wirtinger gradient at ``psi``."""
-    _, grad, (lin, conj) = _evaluate(
-        psi, _quadratic_part(a, w, coef, psi.n_max), coef)
+    quad = _quadratic_part(a, w, coef, psi.n_max)
+    _, grad, psi_g = _evaluate(psi, quad, coef)
+    lin, conj = _hessian(quad, coef, psi_g, psi.n_max)
     return lin @ eta.coeffs + conj @ np.conj(eta.coeffs), grad
 
 
@@ -476,8 +478,9 @@ class TestTrustRegion:
         descent must pass the psi = 0 saddle (energy B3) to the minimum."""
         w = TorusField.cosine(0.5, 1)
         start = TorusField.constant(0.5, 8)
-        _, grad, hess = _evaluate(
-            start, _quadratic_part(ZERO, w, square_coef, 8), square_coef)
+        quad = _quadratic_part(ZERO, w, square_coef, 8)
+        _, grad, psi_g = _evaluate(start, quad, square_coef)
+        hess = _hessian(quad, square_coef, psi_g, 8)
         assert np.linalg.eigvalsh(_in_unknowns(grad, hess, True)[1])[0] < 0
         record = _descend(start, "constant-0.5", ZERO, w,
                           square_coef).history[0]
@@ -492,7 +495,8 @@ class TestTrustRegion:
         psi = g3_sin_state.psi
         quad = _quadratic_part(TorusField.sine(0.2, 1),
                                TorusField.cosine(0.5, 1), g3_coef, psi.n_max)
-        _, grad, hess = _evaluate(psi, quad, g3_coef)
+        _, grad, psi_g = _evaluate(psi, quad, g3_coef)
+        hess = _hessian(quad, g3_coef, psi_g, psi.n_max)
         jac, packed = _in_unknowns(grad, hess, False)
         lam = np.linalg.eigvalsh(packed)
         assert np.abs(lam).min() <= 1e-12 * np.abs(lam).max()
