@@ -34,27 +34,16 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def _worker_count(args) -> int:
-    """The ``--workers`` value in ``args`` as the CLI's parser reads it,
-    the CLI's default when it is absent, and 1 when it is no integer (the
-    parser reports it).
+    """The ``--workers`` value in ``args`` as the CLI's parser reads it
+    (no other option starts with ``--w``), its default when absent, and 1
+    when malformed, which that parser then reports."""
+    import argparse
 
-    Like the parser, this takes the last one given, as ``--workers N`` or
-    ``--workers=N`` or under any prefix down to ``--w`` (no other option
-    starts with ``--w``).
-    """
-    value = None
-    for i, arg in enumerate(args):
-        if arg == "--":
-            break
-        name, eq, rest = arg.partition("=")
-        if len(name) >= 3 and "--workers".startswith(name):
-            value = rest if eq else (args[i + 1] if i + 1 < len(args)
-                                     else None)
-    if value is None:
-        return os.cpu_count() or 1
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     try:
-        return int(value)
-    except ValueError:
+        return parser.parse_known_args(args)[0].workers
+    except argparse.ArgumentError:
         return 1
 
 

@@ -123,8 +123,6 @@ def _as_symbol(source):
     """``(t callable, mu, beta_c)`` of a gap solution."""
     if not isinstance(source, GapSolution):
         raise TypeError(f"expected a GapSolution, got {type(source).__name__}")
-    if source.spec.dim != 1:
-        raise NotImplementedError("fiber assembly is implemented for dim 1")
     return source.t, source.mu, source.beta_c
 
 
@@ -653,6 +651,10 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
                         workers: int | Executor = 1) -> dict:
     """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion: the
     trace keys of :func:`alpha_delta_distance`, which computes them.
+
+    That pass's Bloch ladder (:func:`_bloch_ladder`) also waits for the
+    pair norms to converge, so this view may need a larger ``m_fibers``
+    than the trace alone.
 
     Returns
     -------

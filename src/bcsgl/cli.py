@@ -247,7 +247,7 @@ def _validate_raw(raw: dict) -> RunConfig:
             g, w, mu = (float(merged[k]) for k in ("g", "w", "mu"))
             pot_norm = {"family": family, "g": g, "w": w, "mu": mu, "dim": 1}
             try:
-                potential = PotentialSpec(family, {"g": g, "w": w}, mu, 1)
+                potential = PotentialSpec(family, {"g": g, "w": w}, mu)
             except ValueError as exc:
                 key = ("potential.g" if "depth" in str(exc)
                        else "potential.w")

@@ -18,16 +18,14 @@ consistent with the grid samples.  A normalization step rescales the
 profile so the quartic/quadratic balance condition holds for a prescribed
 temperature-offset coefficient ``D``.
 
-Only ``dim = 1`` is wired to the solver; the potential types carry the
-general dimension for completeness.
-
 Every factorization is NumPy's LAPACK, and a normal solve factors no
 matrix larger than ``r x r``: with ``-V = B B^T`` (``B`` of rank ``r``
 about 30), ``K_T + V`` is positive definite exactly when the top
 eigenvalue of the ``r x r`` Birman-Schwinger matrix ``B^T K_T^{-1} B`` is
 below 1 (Hainzl, Hamza, Seiringer, Solovej, Commun. Math. Phys. 281
-(2008) 349).  :func:`find_tc` takes every sign test of its bisection,
-the ground state and the spectral gap from such matrices.
+(2008) 349).  :func:`find_tc` takes every sign test of its bisection
+from such matrices, and one eigensolver counting their eigenvalues above
+1 gives the ground state and the spectral gap.
 """
 
 from __future__ import annotations
@@ -67,17 +65,12 @@ _REL_TOLERANCE = 1e-10
 #: the factor runs to full rank.
 _FACTOR_TOLERANCE = 1e-15
 
-#: The ground state at ``T_c`` (:func:`_ground_state`): Newton's method
-#: takes at most ``_GROUND_STATE_STEPS`` steps and stops once a step is
-#: below ``_GROUND_STATE_TOLERANCE`` of ``min K_T``; a residual
-#: ``|(K_T + V) v - lambda v|`` of the unit vector above
-#: ``_GROUND_STATE_RESIDUAL`` hands the solve to a dense ``eigh``.  The
-#: search for the second eigenvalue (:func:`_second_eigenvalue`) stops at
-#: relative width ``_GAP_TOLERANCE``.
-_GROUND_STATE_STEPS = 30
-_GROUND_STATE_TOLERANCE = 1e-15
+#: :func:`_eigenpair` stops at a step below ``_EIGEN_TOLERANCE`` of its
+#: bracket's scale; a residual ``|(K_T + V) v - lambda v|`` of the unit
+#: ground state above ``_GROUND_STATE_RESIDUAL`` hands the solve to a
+#: dense ``eigh``.
+_EIGEN_TOLERANCE = 1e-15
 _GROUND_STATE_RESIDUAL = 1e-12
-_GAP_TOLERANCE = 1e-13
 
 #: :func:`decay_report` warns when its fitted rate falls below this
 #: fraction of ``kappa_c``: the fit then sits on a truncation floor of
@@ -120,20 +113,15 @@ class PotentialSpec:
         (width, > 0).
     mu : float
         Chemical potential.
-    dim : int
-        Spatial dimension in {1, 2, 3}; the solver itself runs in 1.
     """
 
     family: str
     parameters: Mapping[str, object]
     mu: float
-    dim: int = 1
 
     def __post_init__(self):
         if self.family not in ("gaussian_well", "square_well"):
             raise ValueError(f"unknown potential family {self.family!r}")
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         g = float(self.parameters["g"])
         w = float(self.parameters["w"])
         if g < 0:
@@ -144,16 +132,14 @@ class PotentialSpec:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def gaussian(cls, g: float, w: float, mu: float, dim: int = 1) -> "PotentialSpec":
+    def gaussian(cls, g: float, w: float, mu: float) -> "PotentialSpec":
         """Gaussian well ``V(x) = -g exp(-x^2 / w^2)``."""
-        return cls("gaussian_well", {"g": float(g), "w": float(w)}, float(mu), dim)
+        return cls("gaussian_well", {"g": float(g), "w": float(w)}, float(mu))
 
     @classmethod
-    def square(cls, g: float, w: float, mu: float, dim: int = 1) -> "PotentialSpec":
-        """Square well ``V(x) = -g`` for ``|x| <= w``, else 0 (dim 1 only)."""
-        if dim != 1:
-            raise ValueError("square_well is implemented for dim = 1")
-        return cls("square_well", {"g": float(g), "w": float(w)}, float(mu), dim)
+    def square(cls, g: float, w: float, mu: float) -> "PotentialSpec":
+        """Square well ``V(x) = -g`` for ``|x| <= w``, else 0."""
+        return cls("square_well", {"g": float(g), "w": float(w)}, float(mu))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -173,10 +159,10 @@ class PotentialSpec:
         return np.where(np.abs(x) <= self.w, -self.g, 0.0)
 
     def vhat(self, k):
-        """Fourier transform ``(2 pi)^{-d/2} integral V(x) e^{-ikx} dx``."""
+        """Fourier transform ``(2 pi)^{-1/2} integral V(x) e^{-ikx} dx``."""
         k = np.asarray(k, dtype=float)
         if self.family == "gaussian_well":
-            pref = -self.g * (self.w / math.sqrt(2.0)) ** self.dim
+            pref = -self.g * (self.w / math.sqrt(2.0))
             return pref * np.exp(-(k * k) * self.w**2 / 4.0)
         return -self.g * math.sqrt(2.0 / math.pi) * self.w * np.sinc(
             self.w * k / math.pi
@@ -217,20 +203,16 @@ class PotentialSpec:
             "family": self.family,
             "parameters": {k: float(v) for k, v in self.parameters.items()},
             "mu": self.mu,
-            "dim": self.dim,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PotentialSpec":
-        return cls(
-            data["family"], dict(data["parameters"]), float(data["mu"]),
-            int(data.get("dim", 1)),
-        )
+        return cls(data["family"], dict(data["parameters"]), float(data["mu"]))
 
 
 def reference_well() -> PotentialSpec:
     """The reference configuration used throughout the examples and tests."""
-    return PotentialSpec.gaussian(g=2.0, w=1.0, mu=1.0, dim=1)
+    return PotentialSpec.gaussian(g=2.0, w=1.0, mu=1.0)
 
 
 @dataclass(frozen=True)
@@ -280,8 +262,6 @@ class MomentumGrid:
 
 
 def _validate(spec: PotentialSpec, grid: MomentumGrid) -> None:
-    if spec.dim != 1:
-        raise NotImplementedError("the discretized solver runs in dim = 1")
     minimum = math.sqrt(max(2.0 * spec.mu, 0.0)) + 5.0 / spec.interaction_range()
     if grid.cutoff < minimum:
         raise ValueError(
@@ -526,74 +506,51 @@ def _birman_schwinger(factor: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return scaled.T @ scaled
 
 
-def _ground_state(factor: np.ndarray, kt: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and unit eigenvector of ``K - B B^T``, ``K =
-    diag(kt)``, when that eigenvalue lies below ``min kt`` (as near 0 at
-    ``T_c``, where ``kt >= 2 T_c``).
+def _eigenpair(factor: np.ndarray, kt: np.ndarray, k: int, lo: float,
+               x: float) -> tuple[float, np.ndarray | None]:
+    """The ``k``-th smallest eigenvalue of ``K - B B^T``, ``K = diag(kt)``,
+    in ``[lo, kt_(k)]`` (``kt_(k)`` the ``k``-th smallest ``kt``), and its
+    unit eigenvector, searched from ``x`` (from the bracket's midpoint
+    when ``x`` lies outside).
 
-    For ``lam < min kt``, ``lam`` is an eigenvalue exactly when the top
-    eigenvalue ``mu(lam)`` of ``B^T (K - lam)^{-1} B`` is 1.  ``mu`` is
-    increasing and convex in ``lam``, with slope ``|y|^2`` for ``y = (K -
-    lam)^{-1} B u``, ``u`` the top eigenvector; so Newton's method from
-    ``lam = 0`` converges monotonically after at most one step past the
-    root, each step one ``r x r`` ``eigh``.  A step at or above ``min kt``
-    (no root below it) halves the distance to ``min kt`` instead.  The
-    eigenvector is ``y / |y|``.
+    By Haynsworth's inertia additivity, ``p = #{kt < x}`` plus the number
+    of eigenvalues of ``B^T (K - x)^{-1} B`` above 1 counts the
+    eigenvalues below ``x``, which narrows the bracket.  The ``(k -
+    p)``-th largest of those increases to 1 at the root, so the next
+    ``x`` is a Newton step on it, slope ``|y|^2`` for ``y = (K - x)^{-1}
+    B u``, ``u`` its eigenvector; the bracket's midpoint replaces a step
+    that leaves it, or is missing (``k - p`` above the rank ``r``).  The
+    search returns ``x`` past the first step below ``_EIGEN_TOLERANCE``
+    of the initial bracket's scale, and ``y / |y|``; or, once the bracket
+    is that narrow, its midpoint and the last such vector (None if no
+    step was taken).
     """
-    ceiling = float(kt.min())
-    lam = 0.0
-    for _ in range(_GROUND_STATE_STEPS):
-        inverse = 1.0 / (kt - lam)
-        values, vectors = np.linalg.eigh(_birman_schwinger(factor, inverse))
-        y = inverse * (factor @ vectors[:, -1])
-        norm2 = float(y @ y)
-        step = (float(values[-1]) - 1.0) / norm2
-        lam = min(lam - step, 0.5 * (lam + ceiling))
-        if abs(step) <= _GROUND_STATE_TOLERANCE * ceiling:
-            break
-    return lam, y / math.sqrt(norm2)
-
-
-def _second_eigenvalue(factor: np.ndarray, kt: np.ndarray, lowest: float) -> float:
-    """Second eigenvalue of ``K - B B^T``, ``K = diag(kt)``, above its
-    lowest eigenvalue ``lowest``.
-
-    It lies between ``lowest`` and the second smallest ``kt`` (Weyl), and
-    that bracket narrows by inertia counts: by Haynsworth's inertia
-    additivity, for ``x`` off the spectrum of ``K`` the number of
-    eigenvalues below ``x`` is ``p = #{kt < x}`` (0 or 1 here) plus the
-    number of eigenvalues of ``B^T (K - x)^{-1} B`` above 1, one ``r x r``
-    ``eigh``.  Every eigenvalue of that matrix increases with ``x``, and
-    the ``(2 - p)``-th largest reaches 1 at the second eigenvalue, so the
-    next ``x`` is a Newton step on it (slope ``|y|^2`` as in
-    :func:`_ground_state`), or the midpoint of the bracket when the step
-    leaves it or the matrix has fewer than ``2 - p`` eigenvalues.  The
-    first ``x`` is the midpoint of the two smallest ``kt``, between which
-    the second eigenvalue usually lies.  The iteration stops after a step
-    below ``_GAP_TOLERANCE`` of ``|x|`` or at that relative bracket width.
-    """
-    first, second = np.partition(kt, 1)[:2]
-    lo, hi = lowest, float(second)
-    x = 0.5 * (first + hi) if first < hi else 0.5 * (lo + hi)
-    while hi - lo > _GAP_TOLERANCE * abs(hi):
+    hi = float(np.partition(kt, k - 1)[k - 1])
+    tolerance = _EIGEN_TOLERANCE * max(abs(lo), abs(hi))
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    unit = None
+    while hi - lo > tolerance:
         inverse = 1.0 / (kt - x)
         values, vectors = np.linalg.eigh((factor * inverse[:, None]).T @ factor)
         poles = int(np.count_nonzero(inverse < 0.0))
-        if poles + int(np.count_nonzero(values > 1.0)) >= 2:
+        if poles + int(np.count_nonzero(values > 1.0)) >= k:
             hi = x
         else:
             lo = x
-        crossing = poles - 2
+        crossing = poles - k
         if -crossing <= len(values):
             y = inverse * (factor @ vectors[:, crossing])
-            step = (float(values[crossing]) - 1.0) / float(y @ y)
-            if abs(step) <= _GAP_TOLERANCE * abs(x):
-                return x - step
+            norm2 = float(y @ y)
+            unit = y / math.sqrt(norm2)
+            step = (float(values[crossing]) - 1.0) / norm2
+            if abs(step) <= tolerance:
+                return x - step, unit
             if lo < x - step < hi:
                 x -= step
                 continue
         x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), unit
 
 
 def find_tc(
@@ -621,12 +578,12 @@ def find_tc(
     definite at the top of the bracket :class:`BracketError`; both
     report the lowest eigenvalue there, from a dense ``eigvalsh``.
 
-    At ``T_c`` the ground state and ``lambda_min`` are those of ``K_T -
-    B B^T`` (:func:`_ground_state`), checked by the residual of ``K_T +
-    V`` on the vector, one ``n x n`` product; the spectral gap is that of
-    ``K_T - B B^T`` from inertia counts (:func:`_second_eigenvalue`).  A
-    residual above ``_GROUND_STATE_RESIDUAL`` (a poor factor) takes all
-    three from a dense ``eigh`` of ``K_T + V`` instead.
+    At ``T_c`` :func:`_eigenpair` gives ``lambda_min`` and the ground
+    state of ``K_T - B B^T`` from 0, and the second eigenvalue, and so the
+    spectral gap, from the midpoint of the two smallest ``K_T``.  A
+    residual of ``K_T + V`` on the ground state above
+    ``_GROUND_STATE_RESIDUAL`` (a poor factor) takes all three from a
+    dense ``eigh`` of ``K_T + V`` instead.
 
     The solution's ``tc_search`` records the work: ``attraction_rank``,
     the rank ``r`` of ``B``; ``sign_tests``, the ends of the initial
@@ -697,11 +654,14 @@ def find_tc(
         pulled = interaction @ vector
         return float(np.linalg.norm(pulled + (kt - value) * vector)), pulled
 
-    lambda_min, vec = _ground_state(factor, kt)
+    weyl = float(kt.min() - np.sum(factor * factor))
+    lambda_min, vec = _eigenpair(factor, kt, 1, weyl, 0.0)
     vec = _anchored(vec)
     eig_norm, pulled = residual(lambda_min, vec)
     if eig_norm <= _GROUND_STATE_RESIDUAL:
-        spectral_gap = _second_eigenvalue(factor, kt, lambda_min) - lambda_min
+        first, second = np.partition(kt, 1)[:2]
+        spectral_gap = _eigenpair(factor, kt, 2, lambda_min,
+                                  0.5 * (first + second))[0] - lambda_min
     else:
         tests["dense_tests"] += 1
         values, vectors = np.linalg.eigh(build_gap_matrix(spec, grid, T_c))

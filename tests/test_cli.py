@@ -1029,6 +1029,14 @@ class TestEntryPoint:
                      ["--workers", "2", "--wo", "1"], ["--seed", "2"], []):
             parsed = cli._build_parser().parse_args([*argv, "validate"])
             assert bcsgl._worker_count(argv) == parsed.workers, argv
+        # a dangling or malformed option counts as one worker and is left
+        # to the CLI's parser to report
+        for argv in (["--workers"], ["--workers=two"], ["--w", "validate"]):
+            assert bcsgl._worker_count(argv) == 1, argv
+            with pytest.raises(SystemExit), contextlib.redirect_stderr(
+                    io.StringIO()) as err:
+                cli._build_parser().parse_args(argv)
+            assert "--workers" in err.getvalue(), argv
 
     def test_console_entry_sets_the_policy_before_numpy(self, tmp_path):
         # fresh interpreters: the package loads no NumPy, the entry sets

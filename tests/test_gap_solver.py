@@ -96,8 +96,6 @@ class TestPotentialSpec:
             gs.PotentialSpec.gaussian(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             gs.PotentialSpec("weird_well", {}, 0.0)
-        with pytest.raises(ValueError):
-            gs.PotentialSpec.gaussian(1.0, 1.0, 0.0, dim=4)
 
     def test_serialization_round_trip(self):
         spec = gs.reference_well()
@@ -185,13 +183,6 @@ class TestFindTc:
         assert gs._attraction_factor(interaction)[0].shape[1] == 0
         kt = sf.kt_symbol(ref_grid.nodes**2 - spec.mu, err.value.probe_temperature)
         assert err.value.lambda_min == pytest.approx(kt.min(), rel=1e-12)
-
-    def test_dimension_other_than_one_rejected(self):
-        # the solver's grid is 1-D; a 2-D well is refused before any sign
-        # test, as build_gap_matrix refuses it
-        spec = gs.PotentialSpec.gaussian(2.0, 1.0, 1.0, dim=2)
-        with pytest.raises(NotImplementedError, match="dim = 1"):
-            gs.find_tc(spec, gs.MomentumGrid(12.0, 256))
 
     def test_bracket_failure_for_immense_depth(self):
         spec = gs.PotentialSpec.gaussian(40.0, 1.0, 1.0)
@@ -379,6 +370,53 @@ class TestBirmanSchwingerEstimate:
             assert sol.tc_search["factor_residual"] == 1e-9
             assert sol.tc_search["dense_tests"] > 0, key
             assert sol.eig_residual == scan_solutions[key].eig_residual, key
+
+
+class TestEigenpair:
+    """``_eigenpair`` on a synthetic ``diag(kt) - B B^T`` against a dense
+    ``eigh``, called as ``find_tc`` calls it: ``k = 1`` from 0 above the
+    Weyl bound, ``k = 2`` from the midpoint of the two smallest ``kt``
+    above the first eigenvalue."""
+
+    # (name, kt, rank of B, scale of B): the second eigenvalue lies below
+    # every kt (no pole in its bracket), between the two smallest (one
+    # pole), below a tie of the two smallest (the start is the bracket's
+    # end), and at that tie (rank 1: B misses one direction of it)
+    CASES = [
+        ("no pole", np.linspace(0.5, 20.0, 40), 4, 3.0),
+        ("one pole", np.linspace(0.5, 20.0, 40), 4, 0.8),
+        ("tie", np.r_[0.5, 0.5, np.linspace(1.0, 20.0, 38)], 4, 1.5),
+        ("tie, rank 1", np.r_[0.5, 0.5, np.linspace(1.0, 20.0, 38)], 1, 1.5),
+    ]
+
+    @pytest.mark.parametrize("name, kt, rank, scale", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_matches_dense_eigh(self, name, kt, rank, scale):
+        kt = np.random.default_rng(1).permutation(kt)
+        factor = scale * np.random.default_rng(2).standard_normal(
+            (len(kt), rank)) / math.sqrt(len(kt))
+        mat = np.diag(kt) - factor @ factor.T
+        values, vectors = np.linalg.eigh(mat)
+        first, second = np.partition(kt, 1)[:2]
+        assert (first < values[1]) == (name == "one pole")
+        tol = 2.0 * np.finfo(float).eps * np.abs(mat).max()
+
+        weyl = kt.min() - np.sum(factor * factor)
+        lowest, unit = gs._eigenpair(factor, kt, 1, weyl, 0.0)
+        assert abs(lowest - values[0]) <= tol
+        oracle = vectors[:, 0] * np.sign(vectors[:, 0] @ unit)
+        assert np.abs(unit - oracle).max() <= tol / (values[1] - values[0])
+
+        value, unit = gs._eigenpair(factor, kt, 2, lowest, 0.5 * (first + second))
+        assert abs(value - values[1]) <= tol
+        if name == "tie, rank 1":
+            # the eigenvalue sits on the pole, where no Newton step lands:
+            # the bracket closes on it
+            assert unit is None
+            return
+        oracle = vectors[:, 1] * np.sign(vectors[:, 1] @ unit)
+        gap = min(values[1] - values[0], values[2] - values[1])
+        assert np.abs(unit - oracle).max() <= tol / gap
 
 
 class TestNormalize:
