@@ -333,9 +333,9 @@ def _fold_fibers(basis: FiberBasis, one: Callable,
     return [c for part in parts for c in part]
 
 
-def _bloch_ladder(basis: FiberBasis, one: Callable, workers: int,
-                  quadrature: Callable, above: float = 0.0
-                  ) -> tuple[dict, dict]:
+def _bloch_ladder(basis: FiberBasis, one: Callable,
+                  workers: int | Executor, quadrature: Callable,
+                  above: float = 0.0) -> tuple[dict, dict]:
     """The Bloch quadrature of every sweep: nested doubling of the grid up
     to the cap ``basis.m_fibers``.
 

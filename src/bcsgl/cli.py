@@ -13,14 +13,16 @@ directory.  Every artifact carries the ``key`` of its own inputs and of
 the package source: the gap solve keys on the potential, the gap grid
 and D; the coefficients on the gap key; the GL minimum on that key, the
 fields, ``torus_n_max`` and the seed; a sweep on its upstream key and
-the h-list; the property suite on the seed alone.  A sweep whose
-artifact is stale is refitted from its h points, each read back or
-computed as ``points/<key>.json``: a fiber point (shared by the trace
-and pair sweeps) keys on the gap key, the fields, ``fiber_m`` and h, an
-energy point on the GL key, ``fiber_m`` and h.  ``points/`` is never
-pruned; it holds one small file per distinct (key, h).  A re-run leaves
-every file byte-identical, and an edited run recomputes only what its
-edit touches and writes the bytes of a cold run of the edited config.
+the h-list; the property suite on the seed alone.  Each sweep is one
+row of the table ``_SWEEPS``: one fit over the h points of its kind,
+plus its gates.  A sweep whose artifact is stale is refitted from those
+points, each read back or computed as ``points/<key>.json``: a fiber
+point (shared by the trace and pair sweeps) keys on the gap key, the
+fields, ``fiber_m`` and h, an energy point on the GL key, ``fiber_m``
+and h.  ``points/`` is never pruned; it holds one small file per
+distinct (key, h).  A re-run leaves every file byte-identical, and an
+edited run recomputes only what its edit touches and writes the bytes
+of a cold run of the edited config.
 
 A command computes on one pool of ``--workers`` threads.  The h points
 of its sweeps run side by side on it, finest h first, and so do their
@@ -40,7 +42,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,11 +79,8 @@ DEFAULT_H_LIST = (0.125, 0.0625, 0.03125, 0.015625)
 #: Fixed two-mode pair field used by the trace and distance sweeps.
 _SWEEP_PSI = TorusField.from_modes({0: 0.75, 1: 0.2 + 0.1j}, n_max=2)
 
-_GATE_TRACE_ORDER = 4.5
 _GATE_TRACE_MATCH = 0.05
-_GATE_PAIR_ORDER = 2.3
 _GATE_PAIR_STABILITY = 0.05
-_GATE_ENERGY_ORDER = 0.8
 _GATE_ENERGY_SLACK = 0.1
 
 
@@ -240,18 +240,20 @@ def _validate_raw(raw: dict) -> RunConfig:
             if not _is_finite_number(merged[name]):
                 errors.append({"key": f"potential.{name}",
                                "message": "must be a finite number"})
+        g, w = merged["g"], merged["w"]
+        if _is_finite_number(g) and g < 0:
+            errors.append({"key": "potential.g", "message":
+                           f"well depth g must be >= 0, got {float(g)}"})
+        if _is_finite_number(w) and not w > 0:
+            errors.append({"key": "potential.w", "message":
+                           f"well width w must be positive, got {float(w)}"})
         if not (_is_int(merged["dim"]) and merged["dim"] == 1):
             errors.append({"key": "potential.dim",
                            "message": "the pipeline runs in dimension 1"})
         if not any(e["key"].startswith("potential") for e in errors):
             g, w, mu = (float(merged[k]) for k in ("g", "w", "mu"))
             pot_norm = {"family": family, "g": g, "w": w, "mu": mu, "dim": 1}
-            try:
-                potential = PotentialSpec(family, {"g": g, "w": w}, mu)
-            except ValueError as exc:
-                key = ("potential.g" if "depth" in str(exc)
-                       else "potential.w")
-                errors.append({"key": key, "message": str(exc)})
+            potential = PotentialSpec(family, {"g": g, "w": w}, mu)
 
     # -- D -----------------------------------------------------------------
     d_value = None
@@ -487,8 +489,9 @@ class _Run:
     The run owns the command's executor, ``pool``, of ``workers``
     threads, and is a context manager that shuts it down.  The h points
     of a sweep are tasks on it (:meth:`submit`), whose fibers go to the
-    same pool (:func:`bdg_verifier._fold_fibers`); a sweep only collects
-    their futures.
+    same pool (:func:`bdg_verifier._fold_fibers`); a sweep
+    (:meth:`sweep`, from its row of :data:`_SWEEPS`) only collects their
+    futures.
     """
 
     def __init__(self, cfg: RunConfig, workers: int):
@@ -504,13 +507,10 @@ class _Run:
         energy = _key("energy", gl_min, grids["fiber_m"])
         #: Stage or sweep artifact name -> key; ``fiber`` and ``energy``
         #: are what the h points of those sweeps read (:meth:`_point`).
-        self.keys = {
-            "gap": gap, "coeffs": coeffs, "gl-min": gl_min,
-            "fiber": fiber, "energy": energy,
-            **{name: _key(name, fiber if command in _FIBER_SWEEPS else energy,
-                          cfg.h_list)
-               for command, (name, _, _) in _SWEEPS.items()},
-        }
+        self.keys = {"gap": gap, "coeffs": coeffs, "gl-min": gl_min,
+                     "fiber": fiber, "energy": energy}
+        self.keys |= {row.name: _key(row.name, self.keys[row.kind],
+                                     cfg.h_list) for row in _SWEEPS.values()}
 
     def __enter__(self) -> "_Run":
         return self
@@ -573,14 +573,9 @@ class _Run:
         for kind, h in order:
             self._points[kind][h] = self.pool.submit(self._point, kind, h)
 
-    def points(self, kind: str) -> dict[float, Future]:
-        """h -> future of each h point of ``kind`` (:meth:`submit`)."""
-        self.submit(kind)
-        return self._points[kind]
-
     def stale(self, command: str) -> bool:
         """Whether the artifact of the sweep ``command`` must be rebuilt."""
-        name = _SWEEPS[command][0]
+        name = _SWEEPS[command].name
         return _load_cached(self.cfg.outputs / "sweeps" / f"{name}.json",
                             self.keys[name]) is None
 
@@ -606,51 +601,35 @@ class _Run:
                               n_max=cfg.torus_n_max, seed=cfg.seed).to_dict()})
         return GLState.from_dict(payload["state"])
 
-    @functools.cached_property
-    def fiber_reports(self) -> dict:
-        """Trace-expansion and pair-distance reports, keyed by artifact
-        name, from one ``alpha_delta_distance`` per h (one fiber point),
-        so both share their kept and dropped points."""
-        points = self.points("fiber")
-
-        def observe(h):
-            res = points[h].result()
-            return res["residual"], res
-
-        # a reference of 0.0 leaves the residuals as they are, so the fit
-        # of the shared sweep is the trace record's
-        shared = bv.h_sweep(observe, self.cfg.h_list, reference=0.0,
-                            label="trace_expansion and pair_distance")
-
-        def record(label, extra_keys, **fields):
-            return {**shared, "label": label, **fields, "extras": [
-                {k: res[k] for k in (*extra_keys, *bv.LADDER_KEYS)}
-                for res in shared["extras"]]}
-
-        h_values = shared["h_values"]
-        h1 = [float(res["h1_distance"]) for res in shared["extras"]]
-        return {
-            "trace_expansion": record(
-                "trace_expansion",
-                ("lhs", "e1_term", "e2_term", "residual_over_floor")),
-            "pair_distance": record(
-                "pair_distance", ("l2_distance", "l2_leading"), observed=h1,
-                fitted_order=bv.fit_order(h_values, h1),
-                local_orders=bv.local_orders(h_values, h1)),
-        }
-
     def sweep(self, command: str) -> dict:
         """Payload of the artifact of the sweep ``command`` runs.
 
-        The trace and pair sweeps come from one fiber pass, so the one
-        that computes it writes the other's artifact too.
+        Every sweep is one :func:`bdg_verifier.h_sweep` over the h points
+        of its kind (:data:`_SWEEPS`), plus its gates.  The sweeps of one
+        kind share their points, so the one that computes them writes
+        the artifacts of the others too.
         """
-        name, run_sweep, _ = _SWEEPS[command]
-        if name in self._sweeps:
-            return self._sweeps[name]
+        row = _SWEEPS[command]
+        if row.name in self._sweeps:
+            return self._sweeps[row.name]
 
         def compute():
-            report, gates = run_sweep(self)
+            self.submit(row.kind)
+            points = self._points[row.kind]
+            # a reference of 0.0 leaves a fiber observable as it is
+            reference = (0.0 if row.kind == "fiber"
+                         else self.state.energy - self.coef.B3)
+
+            def observe(h):
+                res = points[h].result()
+                return res[row.observed], {k: res[k] for k in row.extras}
+
+            report = bv.h_sweep(observe, self.cfg.h_list,
+                                reference=reference, label=row.name)
+            order = report["fitted_order"]
+            gates = {**row.gates(report), "fitted_order": order,
+                     "order_threshold": row.order,
+                     "order_ok": bool(order >= row.order)}
             # A dropped h point is listed in the report's failures;
             # dropping the finest one also fails the sweep, whose fit then
             # stops short of it.
@@ -659,73 +638,54 @@ class _Run:
             return {"report": report, "gates": gates,
                     "passed": gates["passed"]}
 
-        self._sweeps[name] = self._payload(name, f"sweeps/{name}.json",
-                                           command, compute)
-        if command in _FIBER_SWEEPS and not self.cached[name]:
-            for other in _FIBER_SWEEPS:
-                self.sweep(other)
-        return self._sweeps[name]
+        self._sweeps[row.name] = self._payload(
+            row.name, f"sweeps/{row.name}.json", command, compute)
+        if not self.cached[row.name]:
+            for other, other_row in _SWEEPS.items():
+                if other_row.kind == row.kind:
+                    self.sweep(other)
+        return self._sweeps[row.name]
 
 
-def _trace_sweep(run: _Run) -> tuple[dict, dict]:
-    report = run.fiber_reports["trace_expansion"]
+#: One row of :data:`_SWEEPS`.
+_Sweep = namedtuple("_Sweep", "name kind observed extras order gates help")
+
+
+def _trace_gates(report: dict) -> dict:
     last = report["extras"][-1]
     match = abs(report["observed"][-1]) / max(abs(last["e2_term"]), 1e-300)
-    return report, {
-        "fitted_order": report["fitted_order"],
-        "order_threshold": _GATE_TRACE_ORDER,
-        "order_ok": bool(report["fitted_order"] >= _GATE_TRACE_ORDER),
+    return {
         "quartic_term_relative_mismatch": match,
         "match_threshold": _GATE_TRACE_MATCH,
         "match_ok": bool(match <= _GATE_TRACE_MATCH),
     }
 
 
-def _pair_sweep(run: _Run) -> tuple[dict, dict]:
-    report = run.fiber_reports["pair_distance"]
+def _pair_gates(report: dict) -> dict:
     ratios = [e["l2_leading"] ** 2 / h
               for h, e in zip(report["h_values"], report["extras"])]
     if len(ratios) >= 2:
         drift = abs(ratios[-1] - ratios[-2]) / max(abs(ratios[-2]), 1e-300)
     else:
         drift = 0.0
-    return report, {
-        "fitted_order": report["fitted_order"],
-        "order_threshold": _GATE_PAIR_ORDER,
-        "order_ok": bool(report["fitted_order"] >= _GATE_PAIR_ORDER),
+    return {
         "leading_norm_ratio_drift": drift,
         "stability_threshold": _GATE_PAIR_STABILITY,
         "stability_ok": bool(drift <= _GATE_PAIR_STABILITY),
     }
 
 
-def _energy_sweep(run: _Run) -> tuple[dict, dict]:
-    points = run.points("energy")
-    target = run.state.energy - run.coef.B3
-
-    def observe(h):
-        res = points[h].result()
-        # the remainder term and its half-resolution check show, also
-        # for a point read back, whether that quadrature converged
-        return res["scaled"], {k: res[k] for k in (
-            "beta", "m_fibers", "capped", "f_bcs_diff_floor",
-            "delta_f_bcs_diff", "term_remainder", "term_remainder_check")}
-
-    report = bv.h_sweep(observe, run.cfg.h_list, reference=target,
-                        label="energy_upper_bound")
-    gaps = [obs - target for obs in report["observed"]]
+def _energy_gates(report: dict) -> dict:
+    gaps = [obs - report["reference"] for obs in report["observed"]]
     slack = _GATE_ENERGY_SLACK * abs(gaps[0])
     magnitudes = [abs(g) for g in gaps]
-    return report, {
+    return {
         "gaps": gaps,
         "min_gap": min(gaps),
         "allowed_slack": -slack,
         "sign_ok": bool(all(g >= -slack for g in gaps)),
         "decreasing_ok": bool(all(b < a for a, b in
                                   zip(magnitudes, magnitudes[1:]))),
-        "fitted_order": report["fitted_order"],
-        "order_threshold": _GATE_ENERGY_ORDER,
-        "order_ok": bool(report["fitted_order"] >= _GATE_ENERGY_ORDER),
     }
 
 
@@ -734,22 +694,32 @@ _FIBER_PASS_HELP = ("one fiber pass per h writes both the verify-thm2 and "
                     "verify-thm3 artifacts, doubling its Bloch momenta up "
                     "to fiber_m until lhs and the pair norms stop moving")
 
-#: Sweep command -> (artifact name, sweep, help text).
+#: Sweep command -> (artifact name ``sweeps/<name>.json``, kind of its h
+#: points, the point key it fits, the point keys kept per h, least fitted
+#: order that passes, its own gates from its record, help text).
 _SWEEPS = {
-    "verify-thm2": ("trace_expansion", _trace_sweep,
-                    "trace-expansion order sweep; " + _FIBER_PASS_HELP),
-    "verify-thm3": ("pair_distance", _pair_sweep,
-                    "pair-operator distance sweep; " + _FIBER_PASS_HELP),
-    "verify-energy": ("energy_upper_bound", _energy_sweep,
-                      "trial-state energy upper-bound sweep, doubling "
-                      "its Bloch momenta from the first M above 2 h u_max "
-                      "(u_max the reach of V) up to fiber_m until the "
-                      "free-energy difference stops moving"),
+    "verify-thm2": _Sweep(
+        "trace_expansion", "fiber", "residual",
+        ("lhs", "e1_term", "e2_term", "residual_over_floor",
+         *bv.LADDER_KEYS),
+        4.5, _trace_gates,
+        "trace-expansion order sweep; " + _FIBER_PASS_HELP),
+    "verify-thm3": _Sweep(
+        "pair_distance", "fiber", "h1_distance",
+        ("l2_distance", "l2_leading", *bv.LADDER_KEYS),
+        2.3, _pair_gates,
+        "pair-operator distance sweep; " + _FIBER_PASS_HELP),
+    # the remainder term and its half-resolution check show, also for a
+    # point read back, whether that quadrature converged
+    "verify-energy": _Sweep(
+        "energy_upper_bound", "energy", "scaled",
+        ("beta", "m_fibers", "capped", "f_bcs_diff_floor",
+         "delta_f_bcs_diff", "term_remainder", "term_remainder_check"),
+        0.8, _energy_gates,
+        "trial-state energy upper-bound sweep, doubling its Bloch momenta "
+        "from the first M above 2 h u_max (u_max the reach of V) up to "
+        "fiber_m until the free-energy difference stops moving"),
 }
-
-
-#: The sweeps that share one fiber pass (:attr:`_Run.fiber_reports`).
-_FIBER_SWEEPS = ("verify-thm2", "verify-thm3")
 
 
 def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
@@ -783,11 +753,10 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
         # fails; on the pool, so no more than ``workers`` threads compute
         sol, coef, state = run.pool.submit(
             lambda: (run.sol, run.coef, run.state)).result()
-        run.submit(*dict.fromkeys(
-            "fiber" if command in _FIBER_SWEEPS else "energy"
-            for command in _SWEEPS if run.stale(command)))
-        payloads = {name: run.sweep(command)
-                    for command, (name, _, _) in _SWEEPS.items()}
+        run.submit(*dict.fromkeys(row.kind for command, row in
+                                  _SWEEPS.items() if run.stale(command)))
+        payloads = {row.name: run.sweep(command)
+                    for command, row in _SWEEPS.items()}
         _write_report_csv(cfg, payloads)
         summary = {
             "config_hash": cfg.config_hash,
@@ -873,7 +842,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("tc", "solve for the critical temperature"),
         ("coeffs", "derive the macroscopic coefficients"),
         ("gl-min", "minimize the macroscopic energy"),
-        *((command, entry[2]) for command, entry in _SWEEPS.items()),
+        *((command, row.help) for command, row in _SWEEPS.items()),
         ("prop-tests", "run the named invariant checks"),
         ("all", "full pipeline plus invariant checks"),
     ]:
@@ -924,7 +893,7 @@ def _cmd_stage(run: _Run, command: str) -> int:
 
 def _cmd_verify(run: _Run, command: str) -> int:
     payload = run.sweep(command)
-    name = _SWEEPS[command][0]
+    name = _SWEEPS[command].name
     status = "ok" if payload["passed"] else "regression"
     _emit({"status": status, "sweep": name, "gates": payload["gates"],
            "config_hash": run.cfg.config_hash, "cached": run.cached[name]})

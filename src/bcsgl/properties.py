@@ -16,6 +16,7 @@ lazily once per suite run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -68,22 +69,16 @@ class _Context:
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self._sol = None
-        self._coef = None
 
-    @property
+    @functools.cached_property
     def sol(self) -> gs.GapSolution:
-        if self._sol is None:
-            spec = gs.reference_well()
-            grid = gs.MomentumGrid.default_for(spec)
-            self._sol = gs.normalize(gs.find_tc(spec, grid), 1.0)
-        return self._sol
+        spec = gs.reference_well()
+        grid = gs.MomentumGrid.default_for(spec)
+        return gs.normalize(gs.find_tc(spec, grid), 1.0)
 
-    @property
+    @functools.cached_property
     def coef(self) -> gc.GLCoefficients:
-        if self._coef is None:
-            self._coef = gc.compute_coefficients(self.sol)
-        return self._coef
+        return gc.compute_coefficients(self.sol)
 
     def small_fiber(self):
         basis = bv.FiberBasis(0.25, 8, 4)

@@ -85,6 +85,7 @@ class TestValidate:
     def test_every_violation_listed(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
+            "potential": {"g": -1, "w": 0},
             "grids": {"h_list": [0.125, 0.25]},
             "seed": "zero",
             "mystery": 1,
@@ -92,7 +93,8 @@ class TestValidate:
         code, out = run_cli(capsys, "--config", str(path), "validate")
         assert code == 2
         keys = {v["key"] for v in out["violations"]}
-        assert {"D", "grids.h_list", "seed", "mystery"} <= keys
+        assert {"D", "potential.g", "potential.w", "grids.h_list", "seed",
+                "mystery"} <= keys
 
     def test_h_list_outside_unit_interval(self, tmp_path, capsys):
         path = write_config(tmp_path, grids={"h_list": [2.0, 1.5]})
@@ -508,6 +510,37 @@ class TestSharedFiberPass:
         _, second = run_cli(capsys, "--config", str(path), "verify-thm3")
         assert second["sweep"] == "pair_distance"
         assert second["cached"] is True
+        assert built == []
+
+    @coarse_ladder
+    @pytest.mark.parametrize("command, names, others", [
+        ("verify-thm2", {"trace_expansion", "pair_distance"},
+         ["verify-thm3"]),
+        ("verify-thm3", {"trace_expansion", "pair_distance"},
+         ["verify-thm2"]),
+        ("verify-energy", {"energy_upper_bound"}, []),
+    ])
+    def test_a_sweep_command_writes_the_artifacts_of_its_kind(
+            self, tmp_path, capsys, monkeypatch, command, names, others):
+        # a sweep command writes the artifacts of every sweep that shares
+        # its h points, and no other; those sweeps then read theirs back
+        built = []
+        build = bv.build_fiber
+
+        def recording_build(basis, xi, *args):
+            built.append((basis.h, xi))
+            return build(basis, xi, *args)
+
+        monkeypatch.setattr(bv, "build_fiber", recording_build)
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        _, first = run_cli(capsys, "--config", str(path), command)
+        assert first["cached"] is False
+        sweeps = tmp_path / "out" / "sweeps"
+        assert {p.stem for p in sweeps.glob("*.json")} == names
+        built.clear()
+        for other in others:
+            _, second = run_cli(capsys, "--config", str(path), other)
+            assert second["cached"] is True
         assert built == []
 
     def test_cold_all_reports_both_sweeps_uncached(self, full_run):
