@@ -26,11 +26,23 @@ dimension, the semiclassical statements that connect the two descriptions:
     Command-line pipeline driver writing JSON/CSV artifacts.
 """
 
+import math
 import os
 
 #: The BLAS and OpenMP thread variables the console entry sets.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
+
+
+def default_gap_grid(mu: float, width: float) -> tuple[float, int]:
+    """``(cutoff, n_points)`` of the desk-scale default momentum grid of
+    the gap solve for chemical potential ``mu`` and interaction range
+    ``width``, resolving the Fermi surface and the well.
+
+    :meth:`gap_solver.MomentumGrid.default_for` builds its grid from it,
+    and so does the CLI's config validation, which loads no NumPy.
+    """
+    return max(6.0 * math.sqrt(1.0 + abs(mu)), 12.0 / width), 512
 
 
 def _worker_count(args) -> int:
@@ -53,9 +65,9 @@ def main(argv=None) -> int:
     Each of the ``--workers`` threads calls BLAS, and a multithreaded
     BLAS under several workers oversubscribes the cores.  So with more
     than one worker this sets each of :data:`THREAD_VARIABLES` that is
-    unset to 1, before NumPy loads with ``bcsgl.cli``.  Importing the
-    package changes no variable, and ``python -m bcsgl.cli`` runs the
-    CLI with the environment as it is.
+    unset to 1, before the CLI runs and a stage that computes loads
+    NumPy.  Importing the package changes no variable, and ``python -m
+    bcsgl.cli`` runs the CLI with the environment as it is.
     """
     import sys
 

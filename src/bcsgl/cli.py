@@ -24,6 +24,15 @@ distinct (key, h).  A re-run leaves every file byte-identical, and an
 edited run recomputes only what its edit touches and writes the bytes
 of a cold run of the edited config.
 
+The module imports the standard library alone; NumPy and the numerical
+modules load in the first stage, sweep or property suite that computes.
+So ``validate`` and every command whose artifacts are all read back (a
+warm ``all``, a cached ``tc`` or sweep) run without them, while
+``prop-tests`` and a command that computes (``tc`` on a fresh output
+directory, a cold ``all``) load them.  A cached result is reported from
+its artifact payload; objects are decoded from it only for a stage that
+computes on them.
+
 A command computes on one pool of ``--workers`` threads.  The h points
 of its sweeps run side by side on it, finest h first, and so do their
 fibers and, under ``all``, the property suite; so at most ``--workers``
@@ -47,18 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bdg_verifier as bv
-from . import properties
-from .gap_solver import (
-    GapSolution,
-    MomentumGrid,
-    NoPairingError,
-    PotentialSpec,
-    find_tc,
-    normalize,
-)
-from .gl_coeffs import GLCoefficients, compute_coefficients
-from .gl_minimizer import GLState, TorusField, minimize
+from . import default_gap_grid
 
 __all__ = [
     "ConfigError",
@@ -76,8 +74,8 @@ EXIT_REGRESSION = 4
 
 DEFAULT_H_LIST = (0.125, 0.0625, 0.03125, 0.015625)
 
-#: Fixed two-mode pair field used by the trace and distance sweeps.
-_SWEEP_PSI = TorusField.from_modes({0: 0.75, 1: 0.2 + 0.1j}, n_max=2)
+#: Modes of the fixed pair field used by the trace and distance sweeps.
+_SWEEP_PSI_MODES = {0: 0.75, 1: 0.2 + 0.1j}
 
 _GATE_TRACE_MATCH = 0.05
 _GATE_PAIR_STABILITY = 0.05
@@ -104,19 +102,46 @@ class StageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, normalized run configuration."""
+    """Validated, normalized run configuration.
 
-    potential: PotentialSpec
+    The fields are plain data.  The objects a stage computes on, the
+    potential, the gap grid and the two external fields, are built from
+    ``normalized`` on first use.
+    """
+
     D: float
-    w_field: TorusField
-    a_field: TorusField
-    gap_grid: MomentumGrid
     torus_n_max: int
     fiber_m: int
     h_list: tuple
     outputs: Path
     seed: int
     normalized: dict
+
+    @functools.cached_property
+    def potential(self):
+        """The :class:`gap_solver.PotentialSpec`."""
+        from .gap_solver import PotentialSpec
+
+        pot = self.normalized["potential"]
+        return PotentialSpec(pot["family"], {"g": pot["g"], "w": pot["w"]},
+                             pot["mu"])
+
+    @functools.cached_property
+    def gap_grid(self):
+        """The :class:`gap_solver.MomentumGrid` of the gap solve."""
+        from .gap_solver import MomentumGrid
+
+        return MomentumGrid.from_dict(self.normalized["grids"]["gap"])
+
+    @functools.cached_property
+    def w_field(self):
+        """The external potential ``W``, a :class:`gl_minimizer.TorusField`."""
+        return _field_from_list(self.normalized["fields"]["W"])
+
+    @functools.cached_property
+    def a_field(self):
+        """The vector potential ``A``, a :class:`gl_minimizer.TorusField`."""
+        return _field_from_list(self.normalized["fields"]["A"])
 
     @property
     def config_hash(self) -> str:
@@ -198,7 +223,9 @@ def _check_field_list(key: str, entries, errors: list) -> list:
     return normalized
 
 
-def _field_from_list(entries: list) -> TorusField:
+def _field_from_list(entries: list):
+    from .gl_minimizer import TorusField
+
     total = TorusField.zero(0)
     for freq, amp in entries:
         if freq == 0:
@@ -221,7 +248,7 @@ def _validate_raw(raw: dict) -> RunConfig:
 
     # -- potential ---------------------------------------------------------
     pot_raw = raw.get("potential", defaults["potential"])
-    potential = None
+    pot_norm = None
     if not isinstance(pot_raw, dict):
         errors.append({"key": "potential", "message": "must be an object"})
     else:
@@ -253,7 +280,6 @@ def _validate_raw(raw: dict) -> RunConfig:
         if not any(e["key"].startswith("potential") for e in errors):
             g, w, mu = (float(merged[k]) for k in ("g", "w", "mu"))
             pot_norm = {"family": family, "g": g, "w": w, "mu": mu, "dim": 1}
-            potential = PotentialSpec(family, {"g": g, "w": w}, mu)
 
     # -- D -----------------------------------------------------------------
     d_value = None
@@ -288,7 +314,7 @@ def _validate_raw(raw: dict) -> RunConfig:
             errors.append({"key": f"grids.{key}", "message": "unknown key"})
     merged_grids = {**defaults["grids"], **grids_raw}
 
-    gap_grid = None
+    gap_norm = None
     gap_raw = merged_grids["gap"]
     if gap_raw is not None:
         if (not isinstance(gap_raw, dict)
@@ -301,14 +327,18 @@ def _validate_raw(raw: dict) -> RunConfig:
         elif not _is_int(gap_raw["n_points"]):
             errors.append({"key": "grids.gap.n_points",
                            "message": "must be an integer"})
+        elif not gap_raw["cutoff"] > 0:
+            errors.append({"key": "grids.gap",
+                           "message": "cutoff must be positive"})
+        elif gap_raw["n_points"] < 8:
+            errors.append({"key": "grids.gap",
+                           "message": "n_points must be at least 8"})
         else:
-            try:
-                gap_grid = MomentumGrid(float(gap_raw["cutoff"]),
-                                        gap_raw["n_points"])
-            except ValueError as exc:
-                errors.append({"key": "grids.gap", "message": str(exc)})
-    elif potential is not None:
-        gap_grid = MomentumGrid.default_for(potential)
+            gap_norm = {"cutoff": float(gap_raw["cutoff"]),
+                        "n_points": gap_raw["n_points"]}
+    elif pot_norm is not None:
+        cutoff, n_points = default_gap_grid(pot_norm["mu"], pot_norm["w"])
+        gap_norm = {"cutoff": cutoff, "n_points": n_points}
 
     n_max = merged_grids["torus_n_max"]
     if not (_is_int(n_max) and n_max >= 1):
@@ -349,8 +379,7 @@ def _validate_raw(raw: dict) -> RunConfig:
         "D": d_value,
         "fields": {"W": w_list, "A": a_list},
         "grids": {
-            "gap": {"cutoff": gap_grid.cutoff,
-                    "n_points": gap_grid.n_points},
+            "gap": gap_norm,
             "torus_n_max": int(n_max),
             "fiber_m": int(fiber_m),
             "h_list": [float(h) for h in h_list],
@@ -359,11 +388,7 @@ def _validate_raw(raw: dict) -> RunConfig:
         "seed": int(seed),
     }
     return RunConfig(
-        potential=potential,
         D=d_value,
-        w_field=_field_from_list(w_list),
-        a_field=_field_from_list(a_list),
-        gap_grid=gap_grid,
         torus_n_max=int(n_max),
         fiber_m=int(fiber_m),
         h_list=tuple(float(h) for h in h_list),
@@ -480,7 +505,11 @@ def _stage(path: Path, key: str, compute) -> tuple[dict, bool]:
 class _Run:
     """The stages of one command, each read back or computed at most once.
 
-    Hits and misses alike are decoded from the artifact payload.  A stage
+    A stage's artifact payload is the attribute named after its file
+    (:attr:`gap`, :attr:`coeffs`, :attr:`gl`).  Only a stage or h point
+    that computes on a payload decodes objects from it, which loads the
+    numerical modules; hits and misses alike are decoded from the
+    payload, and :attr:`sol` is the decoded gap solution.  A stage
     runs its upstream stages only when its own artifact is missing or
     stale; a sweep reads them before its h points, which would otherwise
     record their failure as dropped points.  ``cached`` records, for
@@ -527,8 +556,6 @@ class _Run:
                 return compute()
             except StageError:
                 raise
-            except NoPairingError as exc:
-                raise StageError(stage, "no-pairing", str(exc)) from exc
             except Exception as exc:
                 raise StageError(stage, "numerical", repr(exc)) from exc
 
@@ -536,15 +563,17 @@ class _Run:
                                             self.keys[name], guarded)
         return payload
 
-    def _point(self, kind: str, h: float) -> dict:
-        """One h point of the ``fiber`` or ``energy`` sweeps.  A failure
+    def _point(self, kind: str, h: float, inputs: tuple) -> dict:
+        """One h point of the ``fiber`` or ``energy`` sweeps, on
+        ``inputs`` (gap solution, pair field, A, W).  A failure
         propagates as it is, so the sweep lists it and never caches it."""
+        from . import bdg_verifier as bv
+
         cfg = self.cfg
         if kind == "fiber":
             def compute():
                 res = bv.alpha_delta_distance(
-                    self.sol, _SWEEP_PSI, cfg.a_field, cfg.w_field, h,
-                    m_fibers=cfg.fiber_m, workers=self.pool)
+                    *inputs, h, m_fibers=cfg.fiber_m, workers=self.pool)
                 # how far the residual sits above the roundoff of its lhs
                 res["residual_over_floor"] = (abs(res["residual"])
                                               / res["lhs_floor"])
@@ -552,8 +581,7 @@ class _Run:
         else:
             def compute():
                 return bv.trial_state_energy(
-                    self.sol, self.state.psi, cfg.a_field, cfg.w_field, h,
-                    m_fibers=cfg.fiber_m, workers=self.pool)
+                    *inputs, h, m_fibers=cfg.fiber_m, workers=self.pool)
         key = _key(self.keys[kind], h)
         return _stage(cfg.outputs / "points" / f"{key}.json", key,
                       compute)[0]
@@ -562,16 +590,27 @@ class _Run:
         """Put the h points of ``kinds`` (``fiber``, ``energy``) not yet
         submitted on the pool, finest h first across all of them.
 
-        Their upstream stages run here first, so that no point computes
-        a stage and a failed stage starts no point.
+        Their upstream stages run and their inputs are built here first,
+        so that no point computes a stage, a failed stage starts no
+        point, and no pool thread is the first to load a module.
         """
         new = [kind for kind in kinds if kind not in self._points]
+        if not new:
+            return
+        from . import bdg_verifier  # noqa: F401  (what the points run)
+        from .gl_minimizer import TorusField
+
+        cfg, inputs = self.cfg, {}
         for kind in new:
-            getattr(self, "sol" if kind == "fiber" else "state")
+            psi = (TorusField.from_modes(_SWEEP_PSI_MODES, n_max=2)
+                   if kind == "fiber"
+                   else TorusField.from_dict(self.gl["state"]["psi"]))
+            inputs[kind] = (self.sol, psi, cfg.a_field, cfg.w_field)
             self._points[kind] = {}
-        order = [(kind, h) for h in reversed(self.cfg.h_list) for kind in new]
+        order = [(kind, h) for h in reversed(cfg.h_list) for kind in new]
         for kind, h in order:
-            self._points[kind][h] = self.pool.submit(self._point, kind, h)
+            self._points[kind][h] = self.pool.submit(self._point, kind, h,
+                                                     inputs[kind])
 
     def stale(self, command: str) -> bool:
         """Whether the artifact of the sweep ``command`` must be rebuilt."""
@@ -580,26 +619,54 @@ class _Run:
                             self.keys[name]) is None
 
     @functools.cached_property
-    def sol(self) -> GapSolution:
+    def gap(self) -> dict:
+        """Payload of ``gap.json``."""
         cfg = self.cfg
-        payload = self._payload("gap", "gap.json", "gap", lambda: {
-            "solution": normalize(find_tc(cfg.potential, cfg.gap_grid),
-                                  cfg.D).to_dict()})
-        return GapSolution.from_dict(payload["solution"])
+
+        def compute():
+            from . import gap_solver as gs
+
+            try:
+                sol = gs.find_tc(cfg.potential, cfg.gap_grid)
+            except gs.NoPairingError as exc:
+                raise StageError("gap", "no-pairing", str(exc)) from exc
+            return {"solution": gs.normalize(sol, cfg.D).to_dict()}
+
+        return self._payload("gap", "gap.json", "gap", compute)
 
     @functools.cached_property
-    def coef(self) -> GLCoefficients:
-        payload = self._payload("coeffs", "coeffs.json", "coeffs", lambda: {
-            "coefficients": compute_coefficients(self.sol).to_dict()})
-        return GLCoefficients.from_dict(payload["coefficients"])
+    def sol(self):
+        """The :class:`gap_solver.GapSolution` of :attr:`gap`."""
+        from .gap_solver import GapSolution
+
+        return GapSolution.from_dict(self.gap["solution"])
 
     @functools.cached_property
-    def state(self) -> GLState:
+    def coeffs(self) -> dict:
+        """Payload of ``coeffs.json``."""
+        def compute():
+            from . import gl_coeffs
+
+            coef = gl_coeffs.compute_coefficients(self.sol)
+            return {"coefficients": coef.to_dict()}
+
+        return self._payload("coeffs", "coeffs.json", "coeffs", compute)
+
+    @functools.cached_property
+    def gl(self) -> dict:
+        """Payload of ``gl.json``."""
         cfg = self.cfg
-        payload = self._payload("gl-min", "gl.json", "gl-min", lambda: {
-            "state": minimize(cfg.a_field, cfg.w_field, self.coef,
-                              n_max=cfg.torus_n_max, seed=cfg.seed).to_dict()})
-        return GLState.from_dict(payload["state"])
+
+        def compute():
+            from .gl_coeffs import GLCoefficients
+            from .gl_minimizer import minimize
+
+            coef = GLCoefficients.from_dict(self.coeffs["coefficients"])
+            state = minimize(cfg.a_field, cfg.w_field, coef,
+                             n_max=cfg.torus_n_max, seed=cfg.seed)
+            return {"state": state.to_dict()}
+
+        return self._payload("gl-min", "gl.json", "gl-min", compute)
 
     def sweep(self, command: str) -> dict:
         """Payload of the artifact of the sweep ``command`` runs.
@@ -614,15 +681,22 @@ class _Run:
             return self._sweeps[row.name]
 
         def compute():
+            from . import bdg_verifier as bv
+
             self.submit(row.kind)
             points = self._points[row.kind]
-            # a reference of 0.0 leaves a fiber observable as it is
-            reference = (0.0 if row.kind == "fiber"
-                         else self.state.energy - self.coef.B3)
+            # a fiber point also keeps its Bloch-ladder record; a
+            # reference of 0.0 leaves a fiber observable as it is
+            if row.kind == "fiber":
+                extras, reference = row.extras + bv.LADDER_KEYS, 0.0
+            else:
+                extras = row.extras
+                reference = (self.gl["state"]["energy"]
+                             - self.coeffs["coefficients"]["B3"])
 
             def observe(h):
                 res = points[h].result()
-                return res[row.observed], {k: res[k] for k in row.extras}
+                return res[row.observed], {k: res[k] for k in extras}
 
             report = bv.h_sweep(observe, self.cfg.h_list,
                                 reference=reference, label=row.name)
@@ -695,18 +769,18 @@ _FIBER_PASS_HELP = ("one fiber pass per h writes both the verify-thm2 and "
                     "to fiber_m until lhs and the pair norms stop moving")
 
 #: Sweep command -> (artifact name ``sweeps/<name>.json``, kind of its h
-#: points, the point key it fits, the point keys kept per h, least fitted
-#: order that passes, its own gates from its record, help text).
+#: points, the point key it fits, the point keys kept per h besides a
+#: fiber point's :data:`bdg_verifier.LADDER_KEYS`, least fitted order
+#: that passes, its own gates from its record, help text).
 _SWEEPS = {
     "verify-thm2": _Sweep(
         "trace_expansion", "fiber", "residual",
-        ("lhs", "e1_term", "e2_term", "residual_over_floor",
-         *bv.LADDER_KEYS),
+        ("lhs", "e1_term", "e2_term", "residual_over_floor"),
         4.5, _trace_gates,
         "trace-expansion order sweep; " + _FIBER_PASS_HELP),
     "verify-thm3": _Sweep(
         "pair_distance", "fiber", "h1_distance",
-        ("l2_distance", "l2_leading", *bv.LADDER_KEYS),
+        ("l2_distance", "l2_leading"),
         2.3, _pair_gates,
         "pair-operator distance sweep; " + _FIBER_PASS_HELP),
     # the remainder term and its half-resolution check show, also for a
@@ -745,14 +819,19 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
     """
     with _Run(cfg, workers) as run:
         # the suite reads no config, so its result keys on the seed alone
-        props = run.pool.submit(
-            _stage, cfg.outputs / "properties.json",
-            _key("properties", cfg.seed),
-            lambda: prop_test_suite(seed=cfg.seed))
+        props_file = cfg.outputs / "properties.json"
+        props_key = _key("properties", cfg.seed)
+        if _load_cached(props_file, props_key) is None:
+            # a suite to compute loads every numerical module here,
+            # before the pool computes, so no module is first imported
+            # on two threads at once
+            from . import properties  # noqa: F401
+        props = run.pool.submit(_stage, props_file, props_key,
+                                lambda: prop_test_suite(seed=cfg.seed))
         # every upstream stage before any sweep, so none runs if one
         # fails; on the pool, so no more than ``workers`` threads compute
-        sol, coef, state = run.pool.submit(
-            lambda: (run.sol, run.coef, run.state)).result()
+        gap, coeffs, gl = run.pool.submit(
+            lambda: (run.gap, run.coeffs, run.gl)).result()
         run.submit(*dict.fromkeys(row.kind for command, row in
                                   _SWEEPS.items() if run.stale(command)))
         payloads = {row.name: run.sweep(command)
@@ -760,9 +839,9 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
         _write_report_csv(cfg, payloads)
         summary = {
             "config_hash": cfg.config_hash,
-            "T_c": sol.T_c,
-            "coefficients": coef.to_dict(),
-            "gl_energy": state.energy,
+            "T_c": gap["solution"]["T_c"],
+            "coefficients": coeffs["coefficients"],
+            "gl_energy": gl["state"]["energy"],
             "sweeps": {name: payload["gates"]
                        for name, payload in payloads.items()},
             "all_gates_passed": all(p["passed"] for p in payloads.values()),
@@ -776,6 +855,8 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
 
 def prop_test_suite(seed: int = 0) -> dict:
     """Run the named invariant checks; summarize failures with witnesses."""
+    from . import properties
+
     results = properties.run_suite(seed=seed)
     failures = [r.to_dict() for r in results if not r.passed]
     return {
@@ -878,14 +959,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
 def _cmd_stage(run: _Run, command: str) -> int:
     """``tc``, ``coeffs`` or ``gl-min``: one stage and what it needs."""
     if command == "tc":
-        key, body = "gap", {"T_c": run.sol.T_c, "beta_c": run.sol.beta_c}
+        sol = run.gap["solution"]
+        key, body = "gap", {"T_c": sol["T_c"], "beta_c": sol["beta_c"]}
     elif command == "coeffs":
-        key, body = command, {"coefficients": run.coef.to_dict()}
+        key, body = command, {"coefficients": run.coeffs["coefficients"]}
     else:
-        state = run.state
-        key, body = command, {"energy": state.energy,
-                              "gradient_norm": state.gradient_norm,
-                              "converged": state.converged}
+        state = run.gl["state"]
+        key, body = command, {k: state[k] for k in
+                              ("energy", "gradient_norm", "converged")}
     _emit({"status": "ok", **body, "config_hash": run.cfg.config_hash,
            "cached": run.cached[key]})
     return EXIT_OK

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import specfun
+from . import default_gap_grid, specfun
 
 __all__ = [
     "NoPairingError",
@@ -249,9 +249,7 @@ class MomentumGrid:
     @classmethod
     def default_for(cls, spec: PotentialSpec) -> "MomentumGrid":
         """Desk-scale default resolving the Fermi surface and the well."""
-        w = spec.interaction_range()
-        cutoff = max(6.0 * math.sqrt(1.0 + abs(spec.mu)), 12.0 / w)
-        return cls(cutoff, 512)
+        return cls(*default_gap_grid(spec.mu, spec.interaction_range()))
 
     def to_dict(self) -> dict:
         return {"cutoff": self.cutoff, "n_points": self.n_points}

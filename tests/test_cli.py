@@ -17,6 +17,9 @@ import pytest
 
 from bcsgl import bdg_verifier as bv
 from bcsgl import cli
+from bcsgl import gap_solver as gs
+from bcsgl import gl_coeffs as gc
+from bcsgl import gl_minimizer as gm
 
 REFERENCE_TC = 0.6716278342041448
 
@@ -155,6 +158,22 @@ class TestValidate:
         assert out["stage"] == "config"
         assert [v["key"] for v in out["violations"]] == [key]
 
+    @pytest.mark.parametrize("gap, message", [
+        ({"cutoff": 0, "n_points": 512}, "cutoff must be positive"),
+        ({"cutoff": 12, "n_points": 4}, "n_points must be at least 8"),
+    ])
+    def test_gap_grid_out_of_range_is_named(self, tmp_path, capsys, gap,
+                                            message):
+        # validation checks the grid itself, in the words of MomentumGrid
+        path = write_config(tmp_path, grids={"gap": gap})
+        code, out = run_cli(capsys, "--config", str(path), "validate")
+        assert code == 2
+        assert out == {"status": "error", "stage": "config",
+                       "violations": [{"key": "grids.gap",
+                                       "message": message}]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gs.MomentumGrid(**gap)
+
     def test_bad_h_list_flag(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code, out = run_cli(capsys, "--config", str(path), "--h-list",
@@ -257,9 +276,9 @@ class TestStages:
         assert not (tmp_path / "out" / "coeffs.json").exists()
 
     @pytest.mark.parametrize("command, owner, attr, stage, artifact", [
-        ("tc", cli, "find_tc", "gap", "gap.json"),
-        ("coeffs", cli, "compute_coefficients", "coeffs", "coeffs.json"),
-        ("gl-min", cli, "minimize", "gl-min", "gl.json"),
+        ("tc", gs, "find_tc", "gap", "gap.json"),
+        ("coeffs", gc, "compute_coefficients", "coeffs", "coeffs.json"),
+        ("gl-min", gm, "minimize", "gl-min", "gl.json"),
         ("verify-thm2", bv, "alpha_delta_distance", "verify-thm2",
          "sweeps/trace_expansion.json"),
     ])
@@ -588,6 +607,34 @@ class TestCacheContracts:
     def points(out):
         return {p.name for p in (out / "points").glob("*.json")}
 
+    @coarse_ladder
+    def test_summary_reports_the_stage_artifacts(self, tmp_path, capsys):
+        # a cold and a warm all report T_c, the coefficients and the GL
+        # energy from the payloads of gap.json, coeffs.json and gl.json
+        path = write_config(tmp_path, grids=fast_grids())
+        out = tmp_path / "out"
+
+        def files():
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        code, cold = run_cli(capsys, "--config", str(path), "all")
+        written = files()
+        gap, coeffs, gl = (json.loads(written[out / name]) for name in
+                           ("gap.json", "coeffs.json", "gl.json"))
+        summary = cold["pipeline"]
+        # as JSON text, which holds the repr of each float: bit for bit
+        reported = [summary[k] for k in ("T_c", "coefficients", "gl_energy")]
+        stored = [gap["solution"]["T_c"], coeffs["coefficients"],
+                  gl["state"]["energy"]]
+        assert json.dumps(reported, sort_keys=True) == json.dumps(
+            stored, sort_keys=True)
+        warm_code, warm = run_cli(capsys, "--config", str(path), "all")
+        assert warm_code == code
+        assert not any(summary.pop("cached_stages").values())
+        assert all(warm["pipeline"].pop("cached_stages").values())
+        assert warm == cold
+        assert files() == written
+
     @pytest.mark.parametrize("content", [b"[]", b"\x80\xff not utf-8"])
     def test_corrupt_artifact_is_recomputed(self, tmp_path, capsys,
                                             content):
@@ -875,7 +922,9 @@ class TestWorkerPool:
             started.append(args[4])
             raise AssertionError("a sweep point started")
 
-        monkeypatch.setattr(cli, attr, failing)
+        # the CLI looks each stage function up on its defining module
+        owner = {"find_tc": gs, "minimize": gm}[attr]
+        monkeypatch.setattr(owner, attr, failing)
         monkeypatch.setattr(bv, "alpha_delta_distance", point)
         monkeypatch.setattr(bv, "trial_state_energy", point)
         monkeypatch.setattr(properties, "run_suite", lambda seed: [])
@@ -1073,8 +1122,8 @@ class TestEntryPoint:
 
     def test_console_entry_sets_the_policy_before_numpy(self, tmp_path):
         # fresh interpreters: the package loads no NumPy, the entry sets
-        # the variables before NumPy loads, and importing the CLI as a
-        # library sets none
+        # the variables before NumPy loads (in the gap stage of 'tc'),
+        # and importing the CLI as a library sets none
         import bcsgl
         names = list(bcsgl.THREAD_VARIABLES)
         entry = ("import json, os, sys\nimport bcsgl\n"
@@ -1093,10 +1142,12 @@ class TestEntryPoint:
         env = {k: v for k, v in os.environ.items() if k not in names}
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
+        config = str(write_config(tmp_path, grids=fast_grids()))
 
         def variables(code):
             result = subprocess.run(
-                [sys.executable, "-c", code, "--workers", "2", "validate"],
+                [sys.executable, "-c", code, "--config", config,
+                 "--workers", "2", "tc"],
                 env=env, cwd=tmp_path, capture_output=True, text=True,
                 check=False)
             assert result.returncode == 0, result.stderr
@@ -1109,10 +1160,14 @@ class TestEntryPoint:
 
     def test_pipeline_imports_only_the_scipy_it_runs(self, tmp_path):
         # Each command runs in a fresh interpreter, which then lists the
-        # SciPy modules it holds.  The package runs on NumPy alone, so
-        # every command holds none.
+        # SciPy modules it holds and NumPy and the numerical modules of
+        # the package.  The package runs on NumPy alone, so every command
+        # holds no SciPy; the CLI imports the standard library alone, so
+        # a command holds NumPy and the numerical modules only when one
+        # of its stages computes.
         listing = ("print(json.dumps([code, sorted(m for m in sys.modules "
-                   "if m.split('.')[0] == 'scipy')]))")
+                   "if m.split('.')[0] == 'scipy' or m == 'numpy' "
+                   "or m.startswith('bcsgl.') and m != 'bcsgl.cli')]))")
         script = ("import json, sys\nimport bcsgl.cli\n"
                   "code = bcsgl.cli.main(sys.argv[1:])\n" + listing)
         src = str(Path(cli.__file__).parents[1])
@@ -1132,7 +1187,7 @@ class TestEntryPoint:
             assert process.returncode == 0, err
             code, names = json.loads(out.strip().splitlines()[-1])
             assert code in codes, out
-            return names
+            return set(names)
 
         # the coarse grids fail sweep gates (exit 4) after every stage ran
         swept = (cli.EXIT_OK, cli.EXIT_REGRESSION)
@@ -1144,9 +1199,21 @@ class TestEntryPoint:
             "all": (start("--out", "all", "all"), swept),
         }
         loaded = {command: modules(*run) for command, run in runs.items()}
-        # the second fiber sweep reads back what verify-thm2 wrote
+        # the second fiber sweep reads back what verify-thm2 wrote, and a
+        # second all on the same directory reads back every artifact
         loaded["verify-thm3"] = modules(
             start("--out", "fiber", "verify-thm3"), swept)
+        loaded["all, warm"] = modules(start("--out", "all", "all"), swept)
 
-        for command, names in loaded.items():
-            assert names == [], command
+        numerical = {"numpy", *(f"bcsgl.{name}" for name in (
+            "specfun", "gap_solver", "gl_coeffs", "gl_minimizer",
+            "bdg_verifier", "properties"))}
+        assert loaded == {
+            "validate": set(),
+            "tc": {"numpy", "bcsgl.specfun", "bcsgl.gap_solver"},
+            "verify-thm2": numerical - {"bcsgl.properties"},
+            "prop-tests": numerical,
+            "all": numerical,
+            "verify-thm3": set(),
+            "all, warm": set(),
+        }
