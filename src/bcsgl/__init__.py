@@ -24,10 +24,26 @@ dimension, the semiclassical statements that connect the two descriptions:
     Registry of named cross-module invariant checks with witness values.
 ``cli``
     Command-line pipeline driver writing JSON/CSV artifacts.
+
+The package module itself holds what the CLI needs before, or without,
+any numerical stage, and so imports the standard library alone: the
+default gap grid, the thread pool every command computes on
+(:class:`Pool`), and the order fits of the h-sweeps (:func:`h_sweep`),
+which :mod:`bcsgl.bdg_verifier` re-exports.
 """
 
+from __future__ import annotations
+
+import heapq
+import itertools
 import math
 import os
+import sys
+import threading
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:  # loaded with the first task: a pool is not always used
+    from concurrent.futures import Future
 
 #: The BLAS and OpenMP thread variables the console entry sets.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -43,6 +59,202 @@ def default_gap_grid(mu: float, width: float) -> tuple[float, int]:
     and so does the CLI's config validation, which loads no NumPy.
     """
     return max(6.0 * math.sqrt(1.0 + abs(mu)), 12.0 / width), 512
+
+
+class Pool:
+    """A pool of ``threads`` threads that runs the most urgent task first,
+    and whose waiting callers run tasks too.
+
+    A task's urgency is the ``size`` it was submitted with: the largest
+    first, and tasks of one size in the order submitted.  Fibers are
+    submitted with their matrix size and every other task with 0, so the
+    biggest pending fiber starts first and the rest wait behind every
+    pending fiber.  :meth:`work_until_done` is how a task waits on the
+    tasks it submitted: its thread runs the most urgent pending task,
+    of any kind, until they are done.  Only the fibers' fold waits that
+    way, and fibers never wait, so helping cannot deadlock.  The threads
+    start with the first task; a pool of 0 threads runs its tasks on the
+    threads that wait for them.
+
+    It is a context manager that shuts it down (:meth:`shutdown`).
+    """
+
+    def __init__(self, threads: int):
+        self._cond = threading.Condition()
+        self._queue = []   # heap of (-size, order, future, fn, args)
+        self._order = itertools.count()
+        self._closed = False
+        self._size, self._threads = threads, []
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
+
+    def submit(self, fn: Callable, *args, size: int = 0) -> Future:
+        """Queue ``fn(*args)`` with urgency ``size``; returns its future."""
+        from concurrent.futures import Future
+
+        future = Future()
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("cannot submit to a pool shut down")
+            heapq.heappush(self._queue,
+                           (-size, next(self._order), future, fn, args))
+            self._cond.notify_all()
+            # the threads start with the first task
+            while len(self._threads) < self._size:
+                self._threads.append(threading.Thread(target=self._serve,
+                                                      daemon=True))
+                self._threads[-1].start()
+        return future
+
+    def work_until_done(self, futures: Sequence[Future]) -> None:
+        """Run the most urgent pending task on the calling thread until
+        every one of ``futures`` is done; block, until a task is queued
+        or one of them finishes, only while nothing is pending."""
+        undone = list(futures)
+        while True:
+            with self._cond:
+                while True:
+                    undone = [f for f in undone if not f.done()]
+                    if not undone:
+                        return
+                    if self._queue:
+                        break
+                    self._cond.wait()
+                task = heapq.heappop(self._queue)
+            self._run(task)
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        """Stop taking tasks, cancel the queued ones when
+        ``cancel_futures``, and wait until the threads have run the rest."""
+        with self._cond:
+            self._closed = True
+            if cancel_futures:
+                for task in self._queue:
+                    task[2].cancel()
+                self._queue.clear()
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while not self._queue:
+                    if self._closed:
+                        return
+                    self._cond.wait()
+                task = heapq.heappop(self._queue)
+            self._run(task)
+
+    def _run(self, task) -> None:
+        _, _, future, fn, args = task
+        if future.set_running_or_notify_cancel():
+            try:
+                result = fn(*args)
+            except BaseException as exc:  # noqa: BLE001
+                # raised again by ``future.result()`` in the task's
+                # owner, not on the thread that happened to run it
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+        with self._cond:   # wake the waiters of this future
+            self._cond.notify_all()
+
+
+# ---------------------------------------------------------------------------
+# h-sweeps: the order fits, on the standard library alone
+# ---------------------------------------------------------------------------
+
+#: Values at or below 100 units of roundoff are left out of the order fits.
+_ROUNDOFF_FLOOR = 100.0 * sys.float_info.epsilon
+#: The pair-block norms of :func:`bdg_verifier.alpha_delta_distance`.
+PAIR_NORMS = ("h1_distance", "l2_distance", "l2_leading")
+#: Bloch-ladder record of each :func:`bdg_verifier.alpha_delta_distance`
+#: result.
+LADDER_KEYS = ("m_fibers", "capped", "lhs_floor", "delta_lhs",
+               *(f"delta_{k}" for k in PAIR_NORMS))
+
+
+def fit_order(h_values: Sequence[float], observed: Sequence[float]) -> float:
+    """Log-log least-squares slope over the points above the roundoff
+    floor ``_ROUNDOFF_FLOOR`` (100x unit roundoff), so sub-roundoff values
+    never pollute the fit; NaN with fewer than two such points.
+
+    The slope is the closed form ``sum dx dy / sum dx^2`` about the means,
+    every sum a :func:`math.fsum`.
+    """
+    kept = [(math.log(h), math.log(abs(float(v))))
+            for h, v in zip(h_values, observed)
+            if abs(float(v)) > _ROUNDOFF_FLOOR]
+    if len(kept) < 2:
+        return float("nan")
+    x_mean = math.fsum(x for x, _ in kept) / len(kept)
+    y_mean = math.fsum(y for _, y in kept) / len(kept)
+    return (math.fsum((x - x_mean) * (y - y_mean) for x, y in kept)
+            / math.fsum((x - x_mean) ** 2 for x, _ in kept))
+
+
+def local_orders(h_values: Sequence[float], observed: Sequence[float]
+                 ) -> list:
+    """Log-log slope of each pair of successive points, ``None`` where
+    either ``|observed|`` is at or below the fit's roundoff floor."""
+    obs = [abs(float(v)) for v in observed]
+    return [math.log(a / b) / math.log(h_a / h_b)
+            if min(a, b) > _ROUNDOFF_FLOOR else None
+            for h_a, h_b, a, b in zip(h_values, h_values[1:], obs, obs[1:])]
+
+
+def h_sweep(observable: Callable, h_list: Sequence[float], *,
+            reference: float | None = None, label: str = "") -> dict:
+    """Evaluate an observable along a decreasing h-list and fit its order.
+
+    ``observable(h)`` returns a float or a ``(float, dict)`` pair whose
+    dict is carried along as per-point extras.  Per-h failures are
+    collected; the sweep aborts only when fewer than three values survive
+    (all of them, for a list of fewer than three).
+
+    Returns the sweep record, the ``"report"`` of a sweep artifact:
+    ``h_values`` and ``observed`` of the kept points, their ``extras``,
+    ``failures`` (``[h, repr(exc)]`` per dropped point), ``reference``,
+    ``label``, the roundoff ``floor`` of the fit, and ``fitted_order``
+    and ``local_orders``, the :func:`fit_order` and :func:`local_orders`
+    of ``observed - reference`` (of ``observed`` without a reference).
+    """
+    h_list = list(h_list)
+    if any(not 0.0 < h < 1.0 for h in h_list):
+        raise ValueError("h values must lie in (0, 1)")
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError("h_list must be strictly decreasing")
+
+    h_ok, values, extras, failures = [], [], [], []
+    for h in h_list:
+        try:
+            result = observable(h)
+        except Exception as exc:   # noqa: BLE001 -- aggregated below
+            failures.append([h, repr(exc)])
+            continue
+        if isinstance(result, tuple):
+            value, extra = result
+        else:
+            value, extra = result, {}
+        h_ok.append(h)
+        values.append(float(value))
+        extras.append(extra)
+    if len(h_ok) < min(3, len(h_list)):
+        raise RuntimeError(
+            f"sweep '{label}' kept {len(h_ok)} of {len(h_list)} points; "
+            f"failures: {failures}"
+        )
+    gaps = values if reference is None else [v - reference for v in values]
+    return {"h_values": h_ok, "observed": values,
+            "fitted_order": fit_order(h_ok, gaps),
+            "local_orders": local_orders(h_ok, gaps), "reference": reference,
+            "label": label, "extras": extras, "floor": _ROUNDOFF_FLOOR,
+            "failures": failures}
 
 
 def _worker_count(args) -> int:

@@ -61,26 +61,33 @@ weights for ``lhs`` and ``f_bcs_diff``, a relative ``1e-9`` for the
 pair-block norms.  A point that reaches the cap unconverged is recorded
 and warned about.
 
-Every observable takes ``workers``: a thread count, or the executor of a
-command that also runs the h points of its sweeps, so that the points
-and their fibers share one pool.  The fibers of a point go to that
-executor, and the thread that asked for them runs every fiber no other
-thread has started (:func:`_fold_fibers`); so at most ``workers``
-threads compute, and the contributions, summed in node order, do not
-depend on which thread computed them.
+Every observable takes ``workers``: a thread count, or the
+:class:`bcsgl.Pool` of a command that also runs the h points of its
+sweeps, so that the points and their fibers share one pool.  The fibers
+of a point go to that pool, urgent by their matrix size, so the finest
+point's fibers start first; the thread that asked for them runs pending
+tasks of the pool until they are done (:func:`_fold_fibers`).  A thread
+count ``n`` makes a pool of ``n - 1`` threads plus the calling thread.
+So at most ``workers`` threads compute, and the contributions, summed in
+node order, do not depend on which thread computed them.
+
+The order fits of the sweeps (:func:`h_sweep`, :func:`fit_order`,
+:func:`local_orders`) and :data:`LADDER_KEYS` live in :mod:`bcsgl`, on
+the standard library alone, so that the CLI refits a sweep from points
+on disk without NumPy; this module re-exports them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from . import specfun
+from . import (LADDER_KEYS, PAIR_NORMS, Pool, fit_order, h_sweep,
+               local_orders, specfun)
 from .gap_solver import GapSolution
 from .gl_coeffs import e1_constant, e2_constants
 from .gl_minimizer import (TorusField, _coeff_matrix, _covariant_square,
@@ -98,20 +105,16 @@ __all__ = [
     "LADDER_KEYS",
     "trial_state_energy",
     "h_sweep",
+    "fit_order",
+    "local_orders",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_ROUNDOFF_FLOOR = 100.0 * np.finfo(float).eps
 #: Roundoff unit of the fiber-trace floors that stop the Bloch ladder.
 _TRACE_FLOOR_UNIT = float(np.finfo(float).eps)
 #: Relative change at which the ladder's pair-block norms have settled;
 #: their roundoff changes are below ``4e-11`` relative.
 _PAIR_REL_TOL = 1e-9
-#: The pair-block norms of :func:`alpha_delta_distance`.
-_PAIR_NORMS = ("h1_distance", "l2_distance", "l2_leading")
-#: Bloch-ladder record of each :func:`alpha_delta_distance` result.
-LADDER_KEYS = ("m_fibers", "capped", "lhs_floor", "delta_lhs",
-               *(f"delta_{k}" for k in _PAIR_NORMS))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
 
 
 def _fold_fibers(basis: FiberBasis, one: Callable,
-                 workers: int | Executor) -> list:
+                 workers: int | Pool) -> list:
     """Per-fiber contributions over the whole Bloch grid.
 
     ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi`` and
@@ -297,14 +300,15 @@ def _fold_fibers(basis: FiberBasis, one: Callable,
     result lists one contribution per node of ``basis.xi_nodes``.  A
     failing eigensolver is reported with the fiber's ``xi``.
 
-    ``workers`` is an executor, all of whose threads compute (a
-    command's pool, shared with the h points that call this), or a
-    thread count, for which a temporary executor of ``workers - 1``
-    threads serves this fold.  Each fiber is submitted to the executor;
-    the calling thread then runs, in node order, every fiber no thread
-    has started (its future's ``cancel`` succeeds) and only then waits
-    for the others.  So a fold on one of the executor's own threads
-    never waits on queued work, and at most ``workers`` threads compute.
+    ``workers`` is a :class:`bcsgl.Pool`, all of whose threads compute
+    (a command's pool, shared with the h points that call this), or a
+    thread count ``n``, for which a pool of ``n - 1`` threads serves
+    this fold.  Each fiber is submitted to the pool with its matrix size
+    as its urgency, and the calling thread runs the pool's most urgent
+    pending tasks, its own fibers or any other, until every fiber is
+    done (:meth:`bcsgl.Pool.work_until_done`).  So a fold on one of the
+    pool's own threads never idles while work is queued, and at most
+    ``workers`` threads compute.
     """
 
     def run(k, xi):
@@ -315,26 +319,17 @@ def _fold_fibers(basis: FiberBasis, one: Callable,
                 f"eigensolver failed on the fiber at xi={xi:.6f}"
             ) from exc
 
-    nodes = list(enumerate(basis.half_nodes))
     if isinstance(workers, int):
-        if workers <= 1:
-            return [c for k, xi in nodes for c in run(k, xi)]
-        with ThreadPoolExecutor(workers - 1) as pool:
+        with Pool(max(0, workers - 1)) as pool:
             return _fold_fibers(basis, one, pool)
-    futures = [workers.submit(run, k, xi) for k, xi in nodes]
-    try:
-        inline = {k: run(k, xi) for (k, xi), fut in zip(nodes, futures)
-                  if fut.cancel()}
-        parts = [inline[k] if k in inline else fut.result()
-                 for k, fut in enumerate(futures)]
-    finally:
-        for fut in futures:
-            fut.cancel()
-    return [c for part in parts for c in part]
+    futures = [workers.submit(run, k, xi, size=2 * basis.size)
+               for k, xi in enumerate(basis.half_nodes)]
+    workers.work_until_done(futures)
+    return [c for fut in futures for c in fut.result()]
 
 
 def _bloch_ladder(basis: FiberBasis, one: Callable,
-                  workers: int | Executor, quadrature: Callable,
+                  workers: int | Pool, quadrature: Callable,
                   above: float = 0.0) -> tuple[dict, dict]:
     """The Bloch quadrature of every sweep: nested doubling of the grid up
     to the cap ``basis.m_fibers``.
@@ -520,10 +515,25 @@ def _partner_block(alpha: np.ndarray) -> np.ndarray:
     return alpha[::-1, ::-1].T
 
 
+def _expansion_constants(source: GapSolution, beta: float) -> tuple:
+    """``E1`` per ``||psi||_2^2`` and the ``E2`` blocks of ``source`` at
+    ``beta`` (:func:`gl_coeffs.e1_constant`, :func:`gl_coeffs.e2_constants`).
+
+    Every h point of a sweep contracts the same constants, so they are
+    computed once per solution and ``beta`` and kept in the solution's
+    instance dictionary, which lives as long as it does; no dataclass
+    field holds them, so neither ``replace`` nor ``to_dict`` carries them.
+    """
+    memo = vars(source).setdefault("_expansion_constants", {})
+    if beta not in memo:
+        memo[beta] = e1_constant(source, beta), e2_constants(source, beta)
+    return memo[beta]
+
+
 def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
                          w: TorusField, h: float, *, m_fibers: int = 16,
                          n_max: int | None = None,
-                         workers: int | Executor = 1) -> dict:
+                         workers: int | Pool = 1) -> dict:
     """Trace expansion and pair-block distance from one pass over the fibers.
 
     Each fiber is built once and diagonalized once (:func:`_pair_block`);
@@ -561,8 +571,8 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         Cap of the Bloch ladder.
     n_max : int
         Mode cutoff (auto-scaled coverage by default).
-    workers : int or Executor
-        Threads for the fibers, or the executor to share
+    workers : int or Pool
+        Threads for the fibers, or the pool to share
         (:func:`_fold_fibers`).
 
     Returns
@@ -610,13 +620,13 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
             "l2_leading": math.sqrt(lead_sq),
         }
         return q, {"lhs": q["lhs_floor"],
-                   **{k: _PAIR_REL_TOL * q[k] for k in _PAIR_NORMS}}
+                   **{k: _PAIR_REL_TOL * q[k] for k in PAIR_NORMS}}
 
     q, ladder = _bloch_ladder(basis, one, workers, quadrature)
 
     ips = field_inner_products(psi, a, w)
-    e1 = e1_constant(source, beta) * ips["norm2_sq"]
-    blocks = e2_constants(source, beta)
+    e1_per_norm, blocks = _expansion_constants(source, beta)
+    e1 = e1_per_norm * ips["norm2_sq"]
     e2 = (
         blocks.c_grad_t * ips["grad_plain_sq"]
         + blocks.c_grad_psi * ips["grad_covariant_sq"]
@@ -648,7 +658,7 @@ _TRACE_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h", "beta", "n_max",
 def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
                         w: TorusField, h: float, *, m_fibers: int = 16,
                         n_max: int | None = None,
-                        workers: int | Executor = 1) -> dict:
+                        workers: int | Pool = 1) -> dict:
     """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion: the
     trace keys of :func:`alpha_delta_distance`, which computes them.
 
@@ -686,7 +696,7 @@ def _pair_interaction_quadrature(sol: GapSolution, h: float,
 def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
                        w: TorusField, h: float, *, m_fibers: int = 16,
                        n_max: int | None = None,
-                       workers: int | Executor = 1) -> dict:
+                       workers: int | Pool = 1) -> dict:
     """Free-energy difference of the pairing trial state at
     ``beta = beta_c / (1 - h^2 D)``.
 
@@ -830,80 +840,3 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     return {**q, "scaled": q["f_bcs_diff"] / h**3,
             "term_interaction": term_ii, "h": h, "beta": beta,
             "n_max": basis.n_max, **ladder}
-
-
-# ---------------------------------------------------------------------------
-# h-sweeps
-# ---------------------------------------------------------------------------
-
-
-def fit_order(h_values: Sequence[float], observed: Sequence[float]) -> float:
-    """Log-log slope over the points above the roundoff floor
-    ``_ROUNDOFF_FLOOR`` (100x unit roundoff), so sub-roundoff values
-    never pollute the fit."""
-    h_arr = np.asarray(h_values, dtype=float)
-    obs = np.abs(np.asarray(observed, dtype=float))
-    keep = obs > _ROUNDOFF_FLOOR
-    if keep.sum() < 2:
-        return float("nan")
-    slope = np.polyfit(np.log(h_arr[keep]), np.log(obs[keep]), 1)[0]
-    return float(slope)
-
-
-def local_orders(h_values: Sequence[float], observed: Sequence[float]
-                 ) -> list:
-    """Log-log slope of each pair of successive points, ``None`` where
-    either ``|observed|`` is at or below the fit's roundoff floor."""
-    obs = [abs(float(v)) for v in observed]
-    return [math.log(a / b) / math.log(h_a / h_b)
-            if min(a, b) > _ROUNDOFF_FLOOR else None
-            for h_a, h_b, a, b in zip(h_values, h_values[1:], obs, obs[1:])]
-
-
-def h_sweep(observable: Callable, h_list: Sequence[float], *,
-            reference: float | None = None, label: str = "") -> dict:
-    """Evaluate an observable along a decreasing h-list and fit its order.
-
-    ``observable(h)`` returns a float or a ``(float, dict)`` pair whose
-    dict is carried along as per-point extras.  Per-h failures are
-    collected; the sweep aborts only when fewer than three values survive
-    (all of them, for a list of fewer than three).
-
-    Returns the sweep record, the ``"report"`` of a sweep artifact:
-    ``h_values`` and ``observed`` of the kept points, their ``extras``,
-    ``failures`` (``[h, repr(exc)]`` per dropped point), ``reference``,
-    ``label``, the roundoff ``floor`` of the fit, and ``fitted_order``
-    and ``local_orders``, the :func:`fit_order` and :func:`local_orders`
-    of ``observed - reference`` (of ``observed`` without a reference).
-    """
-    h_list = list(h_list)
-    if any(not 0.0 < h < 1.0 for h in h_list):
-        raise ValueError("h values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be strictly decreasing")
-
-    h_ok, values, extras, failures = [], [], [], []
-    for h in h_list:
-        try:
-            result = observable(h)
-        except Exception as exc:   # noqa: BLE001 -- aggregated below
-            failures.append([h, repr(exc)])
-            continue
-        if isinstance(result, tuple):
-            value, extra = result
-        else:
-            value, extra = result, {}
-        h_ok.append(h)
-        values.append(float(value))
-        extras.append(extra)
-    if len(h_ok) < min(3, len(h_list)):
-        raise RuntimeError(
-            f"sweep '{label}' kept {len(h_ok)} of {len(h_list)} points; "
-            f"failures: {failures}"
-        )
-    gaps = values if reference is None else [v - reference for v in values]
-    return {"h_values": h_ok, "observed": values,
-            "fitted_order": fit_order(h_ok, gaps),
-            "local_orders": local_orders(h_ok, gaps), "reference": reference,
-            "label": label, "extras": extras, "floor": _ROUNDOFF_FLOOR,
-            "failures": failures}

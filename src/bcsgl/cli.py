@@ -25,18 +25,22 @@ edited run recomputes only what its edit touches and writes the bytes
 of a cold run of the edited config.
 
 The module imports the standard library alone; NumPy and the numerical
-modules load in the first stage, sweep or property suite that computes.
-So ``validate`` and every command whose artifacts are all read back (a
-warm ``all``, a cached ``tc`` or sweep) run without them, while
+modules load in the first stage, h point or property suite that
+computes.  So ``validate`` and every command whose artifacts or h points
+are all read back (a warm ``all``, a cached ``tc`` or sweep, an ``all``
+whose edited h-list holds only points on disk) run without them, while
 ``prop-tests`` and a command that computes (``tc`` on a fresh output
 directory, a cold ``all``) load them.  A cached result is reported from
 its artifact payload; objects are decoded from it only for a stage that
-computes on them.
+computes on them, and a sweep is refitted from its points' payloads.
 
-A command computes on one pool of ``--workers`` threads.  The h points
-of its sweeps run side by side on it, finest h first, and so do their
-fibers and, under ``all``, the property suite; so at most ``--workers``
-threads compute at once.  No artifact depends on that count.
+A command computes on one :class:`bcsgl.Pool` of ``--workers`` threads.
+The h points of its sweeps are queued on it finest h first, behind the
+stage chain and, under ``all``, the property suite; a point's fibers
+are queued ahead of every other task, the largest first, and the thread
+of a point that waits for its fibers runs pending tasks meanwhile.  So
+at most ``--workers`` threads compute at once, and no artifact depends
+on that count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
@@ -52,11 +56,11 @@ import math
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import default_gap_grid
+from . import LADDER_KEYS, Pool, default_gap_grid, h_sweep
 
 __all__ = [
     "ConfigError",
@@ -511,21 +515,23 @@ class _Run:
     numerical modules; hits and misses alike are decoded from the
     payload, and :attr:`sol` is the decoded gap solution.  A stage
     runs its upstream stages only when its own artifact is missing or
-    stale; a sweep reads them before its h points, which would otherwise
-    record their failure as dropped points.  ``cached`` records, for
-    every stage run so far, whether its artifact was read back.
+    stale; a sweep reads them before the h points it computes, which
+    would otherwise record their failure as dropped points.  ``cached``
+    records, for every stage run so far, whether its artifact was read
+    back.
 
-    The run owns the command's executor, ``pool``, of ``workers``
-    threads, and is a context manager that shuts it down.  The h points
-    of a sweep are tasks on it (:meth:`submit`), whose fibers go to the
-    same pool (:func:`bdg_verifier._fold_fibers`); a sweep
-    (:meth:`sweep`, from its row of :data:`_SWEEPS`) only collects their
-    futures.
+    The run owns the command's :class:`bcsgl.Pool`, ``pool``, of
+    ``workers`` threads, and is a context manager that shuts it down,
+    cancelling what is still queued.  The h points of a sweep that are
+    not on disk are tasks on it (:meth:`submit`), whose fibers go to the
+    same pool, ahead of every other task and the largest first
+    (:func:`bdg_verifier._fold_fibers`); a sweep (:meth:`sweep`, from
+    its row of :data:`_SWEEPS`) only collects their futures.
     """
 
     def __init__(self, cfg: RunConfig, workers: int):
         self.cfg = cfg
-        self.pool = ThreadPoolExecutor(max(1, workers))
+        self.pool = Pool(max(1, workers))
         self.cached, self._sweeps, self._points = {}, {}, {}
         norm, grids = cfg.normalized, cfg.normalized["grids"]
         gap = _key("gap", norm["potential"], grids["gap"], norm["D"])
@@ -545,7 +551,7 @@ class _Run:
         return self
 
     def __exit__(self, *exc) -> None:
-        # a failed stage leaves queued points unstarted
+        # a failed stage leaves queued tasks unstarted
         self.pool.shutdown(cancel_futures=True)
 
     def _payload(self, name: str, file: str, stage: str, compute) -> dict:
@@ -563,10 +569,11 @@ class _Run:
                                             self.keys[name], guarded)
         return payload
 
-    def _point(self, kind: str, h: float, inputs: tuple) -> dict:
-        """One h point of the ``fiber`` or ``energy`` sweeps, on
-        ``inputs`` (gap solution, pair field, A, W).  A failure
-        propagates as it is, so the sweep lists it and never caches it."""
+    def _point(self, kind: str, h: float, key: str, inputs: tuple) -> dict:
+        """Compute one h point of the ``fiber`` or ``energy`` sweeps on
+        ``inputs`` (gap solution, pair field, A, W) and write it as
+        ``points/<key>.json``.  A failure propagates as it is, so the
+        sweep lists it and never caches it."""
         from . import bdg_verifier as bv
 
         cfg = self.cfg
@@ -582,35 +589,50 @@ class _Run:
             def compute():
                 return bv.trial_state_energy(
                     *inputs, h, m_fibers=cfg.fiber_m, workers=self.pool)
-        key = _key(self.keys[kind], h)
         return _stage(cfg.outputs / "points" / f"{key}.json", key,
                       compute)[0]
 
     def submit(self, *kinds: str) -> None:
-        """Put the h points of ``kinds`` (``fiber``, ``energy``) not yet
-        submitted on the pool, finest h first across all of them.
+        """Read back, or else put on the pool, the h points of ``kinds``
+        (``fiber``, ``energy``) not yet submitted, finest h first across
+        all of them; a point read back is a done future.
 
-        Their upstream stages run and their inputs are built here first,
-        so that no point computes a stage, a failed stage starts no
-        point, and no pool thread is the first to load a module.
+        For the points to compute, their upstream stages run and their
+        inputs are built here first, so that no point computes a stage,
+        a failed stage starts no point, and no pool thread is the first
+        to load a module.  When every point is on disk, none of that
+        happens and nothing numerical loads.
         """
         new = [kind for kind in kinds if kind not in self._points]
         if not new:
             return
+        cfg, missing = self.cfg, []
+        for kind in new:
+            self._points[kind] = {}
+        for h in reversed(cfg.h_list):
+            for kind in new:
+                key = _key(self.keys[kind], h)
+                payload = _load_cached(cfg.outputs / "points" / f"{key}.json",
+                                       key)
+                if payload is None:
+                    missing.append((kind, h, key))
+                else:
+                    self._points[kind][h] = Future()
+                    self._points[kind][h].set_result(payload)
+        if not missing:
+            return
         from . import bdg_verifier  # noqa: F401  (what the points run)
         from .gl_minimizer import TorusField
 
-        cfg, inputs = self.cfg, {}
-        for kind in new:
+        inputs = {}
+        for kind in dict.fromkeys(kind for kind, _, _ in missing):
             psi = (TorusField.from_modes(_SWEEP_PSI_MODES, n_max=2)
                    if kind == "fiber"
                    else TorusField.from_dict(self.gl["state"]["psi"]))
             inputs[kind] = (self.sol, psi, cfg.a_field, cfg.w_field)
-            self._points[kind] = {}
-        order = [(kind, h) for h in reversed(cfg.h_list) for kind in new]
-        for kind, h in order:
+        for kind, h, key in missing:
             self._points[kind][h] = self.pool.submit(self._point, kind, h,
-                                                     inputs[kind])
+                                                     key, inputs[kind])
 
     def stale(self, command: str) -> bool:
         """Whether the artifact of the sweep ``command`` must be rebuilt."""
@@ -671,7 +693,7 @@ class _Run:
     def sweep(self, command: str) -> dict:
         """Payload of the artifact of the sweep ``command`` runs.
 
-        Every sweep is one :func:`bdg_verifier.h_sweep` over the h points
+        Every sweep is one :func:`bcsgl.h_sweep` over the h points
         of its kind (:data:`_SWEEPS`), plus its gates.  The sweeps of one
         kind share their points, so the one that computes them writes
         the artifacts of the others too.
@@ -681,14 +703,12 @@ class _Run:
             return self._sweeps[row.name]
 
         def compute():
-            from . import bdg_verifier as bv
-
             self.submit(row.kind)
             points = self._points[row.kind]
             # a fiber point also keeps its Bloch-ladder record; a
             # reference of 0.0 leaves a fiber observable as it is
             if row.kind == "fiber":
-                extras, reference = row.extras + bv.LADDER_KEYS, 0.0
+                extras, reference = row.extras + LADDER_KEYS, 0.0
             else:
                 extras = row.extras
                 reference = (self.gl["state"]["energy"]
@@ -698,8 +718,8 @@ class _Run:
                 res = points[h].result()
                 return res[row.observed], {k: res[k] for k in extras}
 
-            report = bv.h_sweep(observe, self.cfg.h_list,
-                                reference=reference, label=row.name)
+            report = h_sweep(observe, self.cfg.h_list,
+                             reference=reference, label=row.name)
             order = report["fitted_order"]
             gates = {**row.gates(report), "fitted_order": order,
                      "order_threshold": row.order,
@@ -770,7 +790,7 @@ _FIBER_PASS_HELP = ("one fiber pass per h writes both the verify-thm2 and "
 
 #: Sweep command -> (artifact name ``sweeps/<name>.json``, kind of its h
 #: points, the point key it fits, the point keys kept per h besides a
-#: fiber point's :data:`bdg_verifier.LADDER_KEYS`, least fitted order
+#: fiber point's :data:`bcsgl.LADDER_KEYS`, least fitted order
 #: that passes, its own gates from its record, help text).
 _SWEEPS = {
     "verify-thm2": _Sweep(

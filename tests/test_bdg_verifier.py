@@ -7,6 +7,7 @@ values for the composite observables.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ class TestTracePerUnitVolume:
             threaded = observable(gap_sol, psi, a, w, 0.25, m_fibers=16,
                                   workers=4)
             assert serial == threaded, observable.__name__
+
+    def test_expansion_constants_once_per_solution(self, gap_sol, fields,
+                                                   monkeypatch):
+        # every h point contracts the same E1 and E2 blocks: a solution
+        # computes them once, with the bits of a solution computing anew
+        psi, a, w = fields
+        calls, e2_constants = [], bv.e2_constants
+
+        def counting(source, beta):
+            calls.append(beta)
+            return e2_constants(source, beta)
+
+        monkeypatch.setattr(bv, "e2_constants", counting)
+        sol = replace(gap_sol)
+        swept = [bv.alpha_delta_distance(sol, psi, a, w, h, m_fibers=16)
+                 for h in (0.25, 0.125)]
+        assert calls == [sol.beta_c]
+        fresh = bv.alpha_delta_distance(replace(gap_sol), psi, a, w, 0.125,
+                                        m_fibers=16)
+        assert len(calls) == 2
+        assert fresh == swept[1]
 
     def test_eigensolver_failure_reports_fiber(self, gap_sol, fields,
                                                monkeypatch):
@@ -1138,6 +1160,21 @@ class TestSweep:
     def test_synthetic_cubic_order(self):
         report = bv.h_sweep(lambda h: 2.5 * h**3, self.H_LIST)
         assert report["fitted_order"] == pytest.approx(3.0, abs=1e-6)
+
+    def test_fit_order_matches_polyfit(self):
+        # the closed-form slope reorders the arithmetic of the least-
+        # squares fit, so NumPy's fit is its reference, within 1e-12
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4, 5, 8):
+            h = 0.25 * 2.0 ** -np.arange(n)
+            for order in (0.5, 2.3, 6.0):
+                obs = 0.7 * h ** order * rng.uniform(0.5, 2.0, n)
+                # the fit leaves out what sits at the roundoff floor
+                keep = obs > 100.0 * np.finfo(float).eps
+                expected = np.polyfit(np.log(h[keep]), np.log(obs[keep]),
+                                      1)[0]
+                assert bv.fit_order(list(h), list(obs)) == pytest.approx(
+                    expected, rel=0, abs=1e-12)
 
     def test_constant_observable_has_zero_order(self):
         report = bv.h_sweep(lambda h: 0.7, self.H_LIST)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bcsgl import Pool
 from bcsgl import bdg_verifier as bv
 from bcsgl import cli
 from bcsgl import gap_solver as gs
@@ -946,6 +948,128 @@ class TestWorkerPool:
         assert started == []
         assert not (tmp_path / "out" / "points").exists()
 
+    @staticmethod
+    def _occupied(pool):
+        """Keep the pool's one thread busy until the returned event is set."""
+        started, release = threading.Event(), threading.Event()
+
+        def block():
+            started.set()
+            assert release.wait(timeout=30)
+
+        blocker = pool.submit(block)
+        assert started.wait(timeout=30)
+        return release, blocker
+
+    def test_largest_fiber_first_then_other_tasks_in_order(self):
+        ran = []
+        with Pool(1) as pool:
+            release, _ = self._occupied(pool)
+            for name, size in (("point 1", 0), ("fiber 10", 10),
+                               ("fiber 30", 30), ("point 2", 0),
+                               ("fiber 20", 20), ("fiber 30 later", 30)):
+                pool.submit(ran.append, name, size=size)
+            release.set()
+        assert ran == ["fiber 30", "fiber 30 later", "fiber 20", "fiber 10",
+                       "point 1", "point 2"]
+
+    def test_waiting_fold_runs_another_points_task(self):
+        # fiber 0 frees the pool's thread, which takes fiber 1, the most
+        # urgent task left; fiber 1 waits for the other point's task, so
+        # the fold's thread, done with fiber 0, must run that task
+        # instead of blocking on fiber 1
+        fiber_1_started, other_ran = threading.Event(), threading.Event()
+        other_ran_on = []
+
+        def other_point():
+            other_ran_on.append(threading.current_thread())
+            other_ran.set()
+
+        with Pool(1) as pool:
+            release, _ = self._occupied(pool)
+            other = pool.submit(other_point)
+
+            def one(xi, partnered):
+                if xi == 0.0:
+                    release.set()
+                    assert fiber_1_started.wait(timeout=30)
+                else:
+                    fiber_1_started.set()
+                    assert other_ran.wait(timeout=30), "the fold idled"
+                return (xi,)
+
+            parts = bv._fold_fibers(bv.FiberBasis(0.25, 4, 2), one, pool)
+        assert other.done()
+        assert other_ran_on == [threading.current_thread()]
+        assert parts == [0.0, math.pi]
+
+    def test_shutdown_cancels_queued_tasks(self):
+        ran = []
+        pool = Pool(1)
+        release, blocker = self._occupied(pool)
+        queued = [pool.submit(ran.append, k, size=k) for k in (0, 5)]
+        closing = threading.Thread(
+            target=pool.shutdown, kwargs={"cancel_futures": True}, daemon=True)
+        closing.start()
+        deadline = time.monotonic() + 30
+        while not all(f.cancelled() for f in queued):
+            assert time.monotonic() < deadline, "queued tasks not cancelled"
+            time.sleep(0.001)
+        release.set()
+        closing.join(timeout=30)
+        assert not closing.is_alive(), "shutdown did not return"
+        assert blocker.done() and blocker.exception() is None
+        assert ran == []
+        with pytest.raises(RuntimeError, match="shut down"):
+            pool.submit(ran.append, 1)
+
+    def test_helped_task_exception_lands_on_its_own_future(self):
+        def failing():
+            raise FloatingPointError("helped task lost")
+
+        raised = []
+
+        def wait(futures):
+            try:
+                pool.work_until_done(futures)
+            except BaseException as exc:  # noqa: BLE001 -- asserted below
+                raised.append(exc)
+
+        with Pool(0) as pool:
+            failed = pool.submit(failing)
+            own = pool.submit(lambda: "fiber", size=10)
+            # the waiting thread runs the failing task too, after its own
+            waiting = threading.Thread(target=wait, args=([own, failed],),
+                                       daemon=True)
+            waiting.start()
+            waiting.join(timeout=30)
+        assert not waiting.is_alive(), "the waiting thread did not return"
+        assert raised == []
+        assert own.result() == "fiber"
+        assert isinstance(failed.exception(), FloatingPointError)
+
+    def test_fold_is_bit_identical_on_any_pool(self, tmp_path):
+        cfg = cli.validate_config(write_config(tmp_path, grids=fast_grids()))
+        with cli._Run(cfg, 1) as run:
+            sol = run.sol
+        psi = gm.TorusField.from_modes(cli._SWEEP_PSI_MODES, n_max=2)
+        basis = bv.FiberBasis(0.125, 12, 8)
+
+        def one(xi, partnered):
+            op = bv.build_fiber(basis, xi, psi, cfg.a_field, cfg.w_field,
+                                sol.t, sol.mu)
+            lam, alpha = bv._pair_block(op.matrix, sol.beta_c)
+            own = (float(np.sum(lam * lam)), alpha.tobytes())
+            return (own, own) if partnered else (own,)
+
+        folds = [bv._fold_fibers(basis, one, workers) for workers in (1, 3)]
+        for threads in (1, 2, 3):
+            with Pool(threads) as pool:
+                folds.append(bv._fold_fibers(basis, one, pool))
+        assert len(folds[0]) == 8
+        assert all(fold == folds[0] for fold in folds)
+
+
 
 class TestPropTests:
     def test_prop_tests_pass(self, capsys):
@@ -1199,11 +1323,15 @@ class TestEntryPoint:
             "all": (start("--out", "all", "all"), swept),
         }
         loaded = {command: modules(*run) for command, run in runs.items()}
-        # the second fiber sweep reads back what verify-thm2 wrote, and a
-        # second all on the same directory reads back every artifact
+        # the second fiber sweep reads back what verify-thm2 wrote, a
+        # second all on the same directory reads back every artifact, and
+        # a third with an edited h-list refits its sweeps from points on
+        # disk
         loaded["verify-thm3"] = modules(
             start("--out", "fiber", "verify-thm3"), swept)
         loaded["all, warm"] = modules(start("--out", "all", "all"), swept)
+        loaded["all, edited"] = modules(
+            start("--out", "all", "--h-list", "0.25", "all"), swept)
 
         numerical = {"numpy", *(f"bcsgl.{name}" for name in (
             "specfun", "gap_solver", "gl_coeffs", "gl_minimizer",
@@ -1216,4 +1344,5 @@ class TestEntryPoint:
             "all": numerical,
             "verify-thm3": set(),
             "all, warm": set(),
+            "all, edited": set(),
         }
