@@ -27,9 +27,9 @@ dimension, the semiclassical statements that connect the two descriptions:
 
 The package module itself holds what the CLI needs before, or without,
 any numerical stage, and so imports the standard library alone: the
-default gap grid, the thread pool every command computes on
-(:class:`Pool`), and the order fits of the h-sweeps (:func:`h_sweep`),
-which :mod:`bcsgl.bdg_verifier` re-exports.
+default gap grid and its coverage rule, the thread pool every command
+computes on (:class:`Pool`), and the order fits of the h-sweeps
+(:func:`h_sweep`), which :mod:`bcsgl.bdg_verifier` re-exports.
 """
 
 from __future__ import annotations
@@ -59,6 +59,21 @@ def default_gap_grid(mu: float, width: float) -> tuple[float, int]:
     and so does the CLI's config validation, which loads no NumPy.
     """
     return max(6.0 * math.sqrt(1.0 + abs(mu)), 12.0 / width), 512
+
+
+def gap_grid_coverage_error(cutoff: float, mu: float, width: float
+                            ) -> str | None:
+    """Why a gap grid of momentum ``cutoff`` cannot cover the Fermi
+    momentum and the well of range ``width`` at chemical potential ``mu``
+    (the cutoff must reach ``sqrt(2 mu) + 5/width``), or ``None``.
+
+    The gap solve raises it, and the CLI's config validation reports it.
+    """
+    minimum = math.sqrt(max(2.0 * mu, 0.0)) + 5.0 / width
+    if cutoff < minimum:
+        return (f"momentum cutoff {cutoff:.3f} below kinematic coverage "
+                f"threshold {minimum:.3f} (sqrt(2 mu) + 5/w)")
+    return None
 
 
 class Pool:
@@ -257,20 +272,6 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
             "failures": failures}
 
 
-def _worker_count(args) -> int:
-    """The ``--workers`` value in ``args`` as the CLI's parser reads it
-    (no other option starts with ``--w``), its default when absent, and 1
-    when malformed, which that parser then reports."""
-    import argparse
-
-    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    try:
-        return parser.parse_known_args(args)[0].workers
-    except argparse.ArgumentError:
-        return 1
-
-
 def main(argv=None) -> int:
     """The ``bcsgl`` console script: the thread policy, then the CLI.
 
@@ -278,18 +279,18 @@ def main(argv=None) -> int:
     BLAS under several workers oversubscribes the cores.  So with more
     than one worker this sets each of :data:`THREAD_VARIABLES` that is
     unset to 1, before the CLI runs and a stage that computes loads
-    NumPy.  Importing the package changes no variable, and ``python -m
+    NumPy.  The CLI's own parser reads the worker count, so a malformed
+    command line stops there, with its usage error, and sets no variable.
+    Importing the package changes no variable, and ``python -m
     bcsgl.cli`` runs the CLI with the environment as it is.
     """
-    import sys
+    from . import cli
 
     args = sys.argv[1:] if argv is None else list(argv)
-    if _worker_count(args) > 1:
+    if cli._build_parser().parse_args(args).workers > 1:
         for name in THREAD_VARIABLES:
             os.environ.setdefault(name, "1")
-    from .cli import main as cli_main
-
-    return cli_main(args)
+    return cli.main(args)
 
 
 def __getattr__(name: str):

@@ -585,6 +585,17 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         last change ``delta_<key>`` of each observable (``None`` when the
         cap is odd, a one-rung ladder).
     """
+    return _trace_and_pair(source, psi, a, w, h, m_fibers, n_max, workers,
+                           ("lhs", *PAIR_NORMS))
+
+
+def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
+                    w: TorusField, h: float, m_fibers: int,
+                    n_max: int | None, workers: int | Pool,
+                    compared: tuple) -> dict:
+    """The pass of :func:`alpha_delta_distance`, whose Bloch ladder
+    compares the values named in ``compared`` (``"lhs"`` and those of
+    :data:`PAIR_NORMS`) and records their ``delta_<key>``."""
     t, mu, beta = _as_symbol(source)
     basis = _resolve_basis(source, h, m_fibers, n_max)
     modes = basis.modes
@@ -619,8 +630,9 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
             "l2_distance": math.sqrt(l2_sq),
             "l2_leading": math.sqrt(lead_sq),
         }
-        return q, {"lhs": q["lhs_floor"],
-                   **{k: _PAIR_REL_TOL * q[k] for k in PAIR_NORMS}}
+        floors = {"lhs": q["lhs_floor"],
+                  **{k: _PAIR_REL_TOL * q[k] for k in PAIR_NORMS}}
+        return q, {k: floors[k] for k in compared}
 
     q, ladder = _bloch_ladder(basis, one, workers, quadrature)
 
@@ -660,11 +672,8 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
                         n_max: int | None = None,
                         workers: int | Pool = 1) -> dict:
     """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion: the
-    trace keys of :func:`alpha_delta_distance`, which computes them.
-
-    That pass's Bloch ladder (:func:`_bloch_ladder`) also waits for the
-    pair norms to converge, so this view may need a larger ``m_fibers``
-    than the trace alone.
+    trace keys of the pass of :func:`alpha_delta_distance`, whose Bloch
+    ladder (:func:`_bloch_ladder`) here waits for ``lhs`` alone.
 
     Returns
     -------
@@ -672,8 +681,8 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
         ``lhs``, ``e1_term``, ``e2_term``, ``residual`` and the run
         parameters.
     """
-    res = alpha_delta_distance(source, psi, a, w, h, m_fibers=m_fibers,
-                               n_max=n_max, workers=workers)
+    res = _trace_and_pair(source, psi, a, w, h, m_fibers, n_max, workers,
+                          ("lhs",))
     return {k: res[k] for k in _TRACE_KEYS}
 
 
@@ -686,11 +695,8 @@ def _pair_interaction_quadrature(sol: GapSolution, h: float,
                                  p_modes: np.ndarray) -> np.ndarray:
     """``integral V(x) alpha0(x)^2 cos^2(h p x / 2) dx`` per mode."""
     u, density = sol.interaction_density
-    out = np.empty(len(p_modes))
-    for i, p in enumerate(p_modes):
-        integrand = density * np.cos(0.5 * h * p * u) ** 2
-        out[i] = 2.0 * np.trapezoid(integrand, u)
-    return out
+    return 2.0 * np.trapezoid(
+        density * np.cos((0.5 * h * p_modes)[:, None] * u) ** 2, u, axis=1)
 
 
 def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,

@@ -60,7 +60,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import LADDER_KEYS, Pool, default_gap_grid, h_sweep
+from . import (LADDER_KEYS, Pool, default_gap_grid, gap_grid_coverage_error,
+               h_sweep)
 
 __all__ = [
     "ConfigError",
@@ -340,6 +341,10 @@ def _validate_raw(raw: dict) -> RunConfig:
         else:
             gap_norm = {"cutoff": float(gap_raw["cutoff"]),
                         "n_points": gap_raw["n_points"]}
+            coverage = pot_norm and gap_grid_coverage_error(
+                gap_norm["cutoff"], pot_norm["mu"], pot_norm["w"])
+            if coverage:
+                errors.append({"key": "grids.gap", "message": coverage})
     elif pot_norm is not None:
         cutoff, n_points = default_gap_grid(pot_norm["mu"], pot_norm["w"])
         gap_norm = {"cutoff": cutoff, "n_points": n_points}

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import default_gap_grid, specfun
+from . import default_gap_grid, gap_grid_coverage_error, specfun
 
 __all__ = [
     "NoPairingError",
@@ -260,12 +260,10 @@ class MomentumGrid:
 
 
 def _validate(spec: PotentialSpec, grid: MomentumGrid) -> None:
-    minimum = math.sqrt(max(2.0 * spec.mu, 0.0)) + 5.0 / spec.interaction_range()
-    if grid.cutoff < minimum:
-        raise ValueError(
-            f"momentum cutoff {grid.cutoff:.3f} below kinematic coverage "
-            f"threshold {minimum:.3f} (sqrt(2 mu) + 5/w)"
-        )
+    error = gap_grid_coverage_error(grid.cutoff, spec.mu,
+                                    spec.interaction_range())
+    if error is not None:
+        raise ValueError(error)
 
 
 def _interaction_matrix(spec: PotentialSpec, grid: MomentumGrid) -> np.ndarray:

@@ -337,12 +337,9 @@ class TestTracePerUnitVolume:
 
 class TestTranslationInvariantOracle:
     def test_lhs_matches_quadrature(self, gap_sol):
-        # the ladder converges at M = 32 (at the default cap of 16 the
-        # pair distance's change of 1.3e-11 is above its floor)
         c, h = 0.75, 0.25
-        res = bv.semiclassical_trace(
-            gap_sol, TorusField.constant(c), ZERO, ZERO, h, m_fibers=32
-        )
+        res = bv.semiclassical_trace(gap_sol, TorusField.constant(c), ZERO,
+                                     ZERO, h)
         beta = gap_sol.beta_c
         q = np.linspace(0.0, 24.0, 100001)
         t_vals = np.concatenate(
@@ -360,9 +357,22 @@ class TestTranslationInvariantOracle:
 
     def test_lhs_regression(self, gap_sol):
         res = bv.semiclassical_trace(
-            gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25, m_fibers=32
+            gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25
         )
         assert res["lhs"] == pytest.approx(LHS_CONSTANT, rel=1e-9)
+
+    def test_trace_view_converges_on_the_trace(self, gap_sol):
+        # the view's ladder waits for lhs alone: at the default cap it
+        # converges without a warning, where the shared pass also waits
+        # for the pair norms (its H1 change of 1.3e-11 is above its floor)
+        args = (gap_sol, TorusField.constant(0.75), ZERO, ZERO, 0.25)
+        res = bv.semiclassical_trace(*args)
+        assert res["capped"] is False
+        assert res["delta_lhs"] <= res["lhs_floor"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            shared = bv.alpha_delta_distance(*args)
+        assert abs(res["lhs"] - shared["lhs"]) <= res["lhs_floor"]
 
     def test_pair_block_closed_form(self, gap_sol):
         c, h = 0.75, 0.25

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -163,18 +164,23 @@ class TestValidate:
     @pytest.mark.parametrize("gap, message", [
         ({"cutoff": 0, "n_points": 512}, "cutoff must be positive"),
         ({"cutoff": 12, "n_points": 4}, "n_points must be at least 8"),
+        ({"cutoff": 3.0, "n_points": 64}, "momentum cutoff 3.000 below "
+         "kinematic coverage threshold 6.414 (sqrt(2 mu) + 5/w)"),
     ])
     def test_gap_grid_out_of_range_is_named(self, tmp_path, capsys, gap,
                                             message):
-        # validation checks the grid itself, in the words of MomentumGrid
+        # validation checks the grid itself, in the words of the gap solve,
+        # so 'tc' stops at the config as 'validate' does
         path = write_config(tmp_path, grids={"gap": gap})
-        code, out = run_cli(capsys, "--config", str(path), "validate")
-        assert code == 2
-        assert out == {"status": "error", "stage": "config",
-                       "violations": [{"key": "grids.gap",
-                                       "message": message}]}
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            gs.MomentumGrid(**gap)
+        for command in ("validate", "tc"):
+            code, out = run_cli(capsys, "--config", str(path), command)
+            assert code == 2
+            assert out == {"status": "error", "stage": "config",
+                           "violations": [{"key": "grids.gap",
+                                           "message": message}]}
+        spec = cli.validate_config(write_config(tmp_path, "ok.json")).potential
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gs._validate(spec, gs.MomentumGrid(**gap))
 
     def test_bad_h_list_flag(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -1230,19 +1236,18 @@ class TestEntryPoint:
         assert entry("--work=1") == dict.fromkeys(names)
         assert entry("--w", "2") == one
         assert entry("--workers", "2", "--wo", "1") == dict.fromkeys(names)
-        for argv in (["--workers", "2"], ["--workers=3"], ["--worker", "1"],
-                     ["--work=1"], ["--w", "5"], ["--w=1"],
-                     ["--workers", "2", "--wo", "1"], ["--seed", "2"], []):
-            parsed = cli._build_parser().parse_args([*argv, "validate"])
-            assert bcsgl._worker_count(argv) == parsed.workers, argv
-        # a dangling or malformed option counts as one worker and is left
-        # to the CLI's parser to report
+        # a dangling or malformed option stops in the CLI's parser with its
+        # usage error, before any variable is set
         for argv in (["--workers"], ["--workers=two"], ["--w", "validate"]):
-            assert bcsgl._worker_count(argv) == 1, argv
-            with pytest.raises(SystemExit), contextlib.redirect_stderr(
-                    io.StringIO()) as err:
-                cli._build_parser().parse_args(argv)
+            for name in names:
+                monkeypatch.delenv(name, raising=False)
+            with pytest.raises(SystemExit) as exit_, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                bcsgl.main(argv)
+            assert exit_.value.code == 2, argv
             assert "--workers" in err.getvalue(), argv
+            assert {name: os.environ.get(name) for name in names} == \
+                dict.fromkeys(names), argv
 
     def test_console_entry_sets_the_policy_before_numpy(self, tmp_path):
         # fresh interpreters: the package loads no NumPy, the entry sets
