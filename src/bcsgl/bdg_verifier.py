@@ -35,18 +35,34 @@ and the quadratures for the interaction terms.  A dense real-space
 supercell discretization of the same operator serves as the module's
 master oracle in the tests.
 
-Each fiber is built once and diagonalized once per observable call, by
-one ``eigh`` whose eigenvalues give the trace term and whose
-eigenvectors give the pair block: :func:`alpha_delta_distance` returns
-the trace expansion and the pair-block distance from one pass (and
+Each fiber is built once per observable call and goes through one
+windowed spectral pass (:func:`_fiber_pass`) that gives both the trace
+term and the pair block: :func:`alpha_delta_distance` returns the trace
+expansion and the pair-block distance from one pass (and
 :func:`semiclassical_trace` is its trace-key view), and
 :func:`trial_state_energy` takes its trace term and its band from the
-same eigensolve.  Each fiber block is stored real when its data are
-(see :func:`build_fiber`).  With ``A = 0`` and an even ``W`` the GL
-minimizer is real, so the trial-state energy diagonalizes real
-symmetric fibers with LAPACK's real symmetric eigensolvers, about five
-times faster than the complex ones; the trace and pair sweeps probe a
-complex ``psi``.
+same pass.  A fiber's couplings and its Gibbs state fall off fast in
+mode distance, so the pass cuts the modes into cores of about
+``_WINDOW_CORE`` modes, pads each with buffer modes, and diagonalizes
+each window's particle-hole matrix and its two free blocks with dense
+``eigh`` calls.  A core's trace difference is the Daleckii-Krein sum of
+its window (:func:`_window`), exact for the window and free of the
+kinetic scale ``||H||`` that limits plain sums of Fermi weights; the pair
+block keeps each window's core rows.  The buffer starts at
+``_WINDOW_BUFFER`` modes and doubles while the partition's leak exceeds
+``_WINDOW_LEAK_BOUND``, up to one window on the whole fiber, which is
+the dense solve (:func:`_window_spans`).  The leak is the larger of the
+pair block's weight on the outermost buffer columns and ``beta`` times
+the couplings a core has beyond its buffer (a field mode farther than
+the buffer), both relative to ``max |alpha|``; every point records its
+``window`` (core, buffer and worst leak).  The couplings the windows
+drop are below that bound; for the GL state of the built-in config
+they are its Fourier coefficients ``|psi_n| <= 1e-20`` at ``|n| >= 9``,
+far below every floor.  Each fiber block is stored real when its data are (see
+:func:`build_fiber`).  With ``A = 0`` and an even ``W`` the GL minimizer
+is real, so the trial-state energy diagonalizes real symmetric windows
+with LAPACK's real symmetric eigensolvers, several times faster than the
+complex ones; the trace and pair sweeps probe a complex ``psi``.
 
 The Bloch average is the trapezoid rule for a smooth ``2 pi``-periodic
 function of ``xi``, so its error falls exponentially in ``M``.  Both
@@ -56,8 +72,8 @@ the grid, ``M = c0, 2 c0, 4 c0, ...`` up to the cap ``m_fibers`` (``c0``
 the cap's odd part): the ``M``-node grid is the even-index subset of the
 ``2M``-node grid, float for float, so each rung diagonalizes only its
 new nodes.  It stops at the first ``M`` whose change ``|Q_M - Q_{M/2}|``
-is within the floor of every observable: a summation bound on the Fermi
-weights for ``lhs`` and ``f_bcs_diff``, a relative ``1e-9`` for the
+is within the floor of every observable: ``eps`` times the mass of the
+Fermi weights for ``lhs`` and ``f_bcs_diff``, a relative ``1e-9`` for the
 pair-block norms.  A point that reaches the cap unconverged is recorded
 and warned about.
 
@@ -79,10 +95,11 @@ on disk without NumPy; this module re-exports them.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,6 +132,12 @@ _TRACE_FLOOR_UNIT = float(np.finfo(float).eps)
 #: Relative change at which the ladder's pair-block norms have settled;
 #: their roundoff changes are below ``4e-11`` relative.
 _PAIR_REL_TOL = 1e-9
+#: Modes per core of the windowed fiber pass (:func:`_fiber_pass`).
+_WINDOW_CORE = 32
+#: Buffer modes on each side of a core in a fiber's first partition.
+_WINDOW_BUFFER = 8
+#: Largest window leak a fiber pass keeps (:func:`_fiber_pass`).
+_WINDOW_LEAK_BOUND = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +231,16 @@ class FiberBasis:
 class FiberOperator:
     """One assembled fiber of the pairing Hamiltonian.
 
-    ``matrix`` is the Hermitian ``2N x 2N`` fiber, assembled once;
-    ``k_block`` its particle block, ``delta_block`` the pairing block,
+    ``k_block`` is its particle block, ``delta_block`` the pairing block,
     ``m22_block`` the hole block (equal to the negated conjugate of the
     particle block of the reflected fiber), each in the dtype of its own
     data.  ``t_values`` holds the pair symbol ``t(h kappa_n)`` at the
-    fiber momenta.
+    fiber momenta.  ``coupling[d]`` bounds the blocks' entries between
+    modes ``d`` apart, from the fields' Fourier coefficients; the fiber
+    pass weighs the couplings its windows drop with it.  The Hermitian
+    ``2N x 2N`` fiber :attr:`matrix` is
+    assembled from the blocks on first use: the fiber pass
+    (:func:`_fiber_pass`) reads windows of the blocks, never the matrix.
     """
 
     momenta: np.ndarray
@@ -221,14 +248,22 @@ class FiberOperator:
     k_block: np.ndarray
     delta_block: np.ndarray
     m22_block: np.ndarray
-    matrix: np.ndarray
+    coupling: np.ndarray
 
-    def free_spectrum(self) -> np.ndarray:
-        """Sorted spectrum of the decoupled fiber (block-diagonal)."""
-        return np.sort(np.concatenate([
-            np.linalg.eigvalsh(self.k_block),
-            np.linalg.eigvalsh(self.m22_block),
-        ]))
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The fiber ``[[K, Delta], [Delta^*, M22]]``."""
+        return _bdg_matrix(self.k_block, self.delta_block, self.m22_block)
+
+
+def _bdg_matrix(k_block: np.ndarray, delta: np.ndarray,
+                m22: np.ndarray) -> np.ndarray:
+    """``[[K, Delta], [Delta^*, M22]]`` in the dtype of its blocks."""
+    n = len(k_block)
+    full = np.empty((2 * n, 2 * n), dtype=np.result_type(k_block, delta, m22))
+    full[:n, :n], full[:n, n:] = k_block, delta
+    full[n:, :n], full[n:, n:] = delta.conj().T, m22
+    return full
 
 
 def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
@@ -248,6 +283,9 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     The particle and hole blocks are real arrays when every coefficient
     of ``a`` and ``w`` is exactly real, the pairing block when every
     coefficient of ``psi`` is, so a stored block is never rounded.
+    ``coupling[d]`` is the larger of the bounds ``h^2 (2 max|kappa|
+    |a_d| + |(a^2)_d| + |w_d|)`` on the particle and hole entries and
+    ``h max t |psi_d|`` on the pairing entries ``d`` modes apart.
 
     Returns
     -------
@@ -260,7 +298,8 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     kappa = basis.momenta(xi)
     kinetic = h * h * kappa * kappa - mu
     cross = h * h * (kappa[:, None] + kappa[None, :]) * _coeff_matrix(a, modes)
-    a2_mat = h * h * _coeff_matrix(_field_square(a), modes)
+    a2 = _field_square(a)
+    a2_mat = h * h * _coeff_matrix(a2, modes)
     w_mat = h * h * _coeff_matrix(w, modes)
 
     k_block = np.diag(kinetic) + cross + a2_mat + w_mat
@@ -268,20 +307,30 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
 
     tk = np.asarray(t(h * kappa), dtype=float)
     delta = -(h / 2.0) * _coeff_matrix(psi, modes) * (tk[:, None] + tk[None, :])
+    coupling = np.maximum(
+        h * h * (2.0 * np.abs(kappa).max() * _mode_profile(a, basis.size)
+                 + _mode_profile(a2, basis.size) + _mode_profile(w, basis.size)),
+        h * np.abs(tk).max() * _mode_profile(psi, basis.size))
 
-    n = basis.size
-    full = np.empty((2 * n, 2 * n), dtype=np.result_type(k_block, delta, m22))
-    full[:n, :n], full[:n, n:] = k_block, delta
-    full[n:, :n], full[n:, n:] = delta.conj().T, m22
     # the off-diagonal blocks are adjoints by construction, so the
-    # diagonal blocks carry all of the matrix's drift
+    # diagonal blocks carry all of the fiber's drift
     drift = max(np.abs(b - b.conj().T).max() for b in (k_block, m22))
     scale = max(1.0, *(np.abs(b).max() for b in (k_block, delta, m22)))
     if drift > 1e-12 * scale:
         raise FloatingPointError(
             f"fiber at xi={xi:.6f} lost Hermiticity by {drift:.3e}"
         )
-    return FiberOperator(kappa, tk, k_block, delta, m22, full)
+    return FiberOperator(kappa, tk, k_block, delta, m22, coupling)
+
+
+def _mode_profile(f: TorusField, n: int) -> np.ndarray:
+    """``max(|f_d|, |f_-d|)`` for the mode distances ``d = 0 .. n - 1``."""
+    c = np.abs(f.coeffs)
+    keep = min(f.n_max, n - 1) + 1
+    profile = np.zeros(n)
+    profile[:keep] = np.maximum(c[f.n_max:f.n_max + keep],
+                                c[f.n_max::-1][:keep])
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +394,12 @@ def _bloch_ladder(basis: FiberBasis, one: Callable,
     by at most its floor against ``Q_{M/2}``, or at the cap.  A point
     that reaches the cap unconverged, or whose ladder has one rung, emits
     a ``UserWarning``.
+
+    The trace floors of the sweeps are ``eps`` times the mass of their
+    Fermi weights, the summation bound of plain eigenvalue sums.  The
+    windowed Daleckii-Krein sums (:func:`_window`) are exact far below
+    it, but the stop keeps it as a stated tolerance: a floor at their own
+    error would make the ladder climb toward its cap.
 
     Returns
     -------
@@ -479,18 +534,6 @@ def field_inner_products(psi: TorusField, a: TorusField, w: TorusField
 # ---------------------------------------------------------------------------
 
 
-def _fiber_trace(op: FiberOperator, lam: np.ndarray, beta: float
-                 ) -> tuple[float, float]:
-    """``sum_j f(beta lam_j) - f(beta lam0_j)`` over one fiber, with ``lam``
-    the spectrum of ``op`` and ``lam0`` that of its decoupled blocks, and
-    the mass ``sum_j |f(beta lam_j)| + |f(beta lam0_j)|`` that bounds its
-    summation roundoff (in units of ``eps``)."""
-    f = specfun.fermi_f(beta * lam)
-    f0 = specfun.fermi_f(beta * op.free_spectrum())
-    return (float(np.sum(f - f0)),
-            float(np.sum(np.abs(f)) + np.sum(np.abs(f0))))
-
-
 def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
     support = source.momentum_support()
     if n_max is None:
@@ -500,14 +543,121 @@ def _resolve_basis(source, h, m_fibers, n_max) -> FiberBasis:
     return basis
 
 
-def _pair_block(matrix: np.ndarray, beta: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of ``matrix`` and the upper-right block of
-    ``(1 + e^{beta H})^{-1}``, formed without the rest of the state."""
-    lam, vec = np.linalg.eigh(matrix)
-    rho = specfun.fermi_rho(beta * lam)
-    n = matrix.shape[0] // 2
-    return lam, (vec[:n] * rho) @ vec[n:].conj().T
+class _FiberPass(NamedTuple):
+    """What one fiber gives every observable (:func:`_fiber_pass`)."""
+
+    #: ``sum_j f(beta lam_j) - f(beta lam0_j)`` over the fiber.
+    trace: float
+    #: ``sum_j |f(beta lam_j)| + |f(beta lam0_j)|``, the summation mass.
+    mass: float
+    #: The pair block: the upper-right block of ``(1 + e^{beta H})^{-1}``.
+    alpha: np.ndarray
+    #: ``(core, buffer, leak)`` of the window partition used.
+    window: tuple
+
+
+def _window_spans(n: int, buffer: int) -> list:
+    """``(lo, hi, a, b)`` per window of an ``n``-mode fiber: modes
+    ``lo:hi``, the core ``a:b`` padded by ``buffer`` modes on each side.
+    The ``ceil(n / _WINDOW_CORE)`` cores split the modes evenly.  When one
+    window covers the fiber, or the windows' eigensolves would cost more
+    than the whole fiber's (``sum w^3 >= n^3``), the one window on the
+    whole fiber is the partition."""
+    cores = -(-n // _WINDOW_CORE)
+    edges = [k * n // cores for k in range(cores + 1)]
+    spans = [(max(0, a - buffer), min(n, b + buffer), a, b)
+             for a, b in zip(edges, edges[1:])]
+    if sum((hi - lo) ** 3 for lo, hi, _, _ in spans) >= n ** 3:
+        return [(0, n, 0, n)]
+    return spans
+
+
+def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
+            b: int) -> tuple[float, float, np.ndarray]:
+    """Trace, mass and pair-block rows of the core ``a:b`` of the window
+    on the modes ``lo:hi``.
+
+    With ``H_w = H0_w + Gamma`` (``Gamma`` the window's pairing blocks),
+    eigenpairs ``(lam, U)`` of ``H_w`` and ``(mu, V)`` of its two free
+    blocks, ``U^* (f(beta H_w) - f(beta H0_w)) V = F o (U^* Gamma V)`` with
+    ``F_jk = beta f[beta lam_j, beta mu_k]`` (Daleckii-Krein), so the core
+    diagonal sums to ``sum_jk F_jk G_jk O_jk``, ``G = U^* Gamma V`` and
+    ``O = U_c^T conj(V_c)`` over the core rows.  No term carries the
+    kinetic scale ``||H||``.  The mass is the core diagonal of
+    ``|f(beta H_w)| + |f(beta H0_w)|``.
+    """
+    k = op.k_block[lo:hi, lo:hi]
+    delta = op.delta_block[lo:hi, lo:hi]
+    m22 = op.m22_block[lo:hi, lo:hi]
+    w, core = hi - lo, slice(a - lo, b - lo)
+    lam, u = np.linalg.eigh(_bdg_matrix(k, delta, m22))
+    mu_p, v_p = np.linalg.eigh(k)
+    mu_h, v_h = np.linalg.eigh(m22)
+    up, uh = u[:w], u[w:]
+    g = np.concatenate([uh.conj().T @ (delta.conj().T @ v_p),
+                        up.conj().T @ (delta @ v_h)], axis=1)
+    o = np.concatenate([up[core].T @ v_p[core].conj(),
+                        uh[core].T @ v_h[core].conj()], axis=1)
+    z, z0 = beta * lam, beta * np.concatenate([mu_p, mu_h])
+    f_dd = specfun.fermi_f_divided_difference(z[:, None], z0[None, :])
+    trace = beta * float(np.sum(f_dd * (g * o).real))
+    in_core = np.sum(np.abs(up[core]) ** 2 + np.abs(uh[core]) ** 2, axis=0)
+    in_core0 = np.concatenate([np.sum(np.abs(v[core]) ** 2, axis=0)
+                               for v in (v_p, v_h)])
+    mass = -float(np.dot(specfun.fermi_f(z), in_core)
+                  + np.dot(specfun.fermi_f(z0), in_core0))
+    rows = (up[core] * specfun.fermi_rho(z)) @ uh.conj().T
+    return trace, mass, rows
+
+
+def _fiber_pass(op: FiberOperator, beta: float) -> _FiberPass:
+    """Trace difference, its mass and the pair block of one fiber from
+    windowed eigensolves (:func:`_window`).
+
+    The windows start with ``_WINDOW_BUFFER`` buffer modes.  Their leak,
+    relative to ``max |alpha|``, is the larger of two measures:
+    ``max |alpha|`` on the outermost buffer columns of each window (those
+    that cut the fiber), and ``beta`` times ``2 sum_{d > buffer}
+    coupling[d]``, a norm bound of the couplings that the core rows have
+    beyond their window: dropping them moves the Gibbs state by about
+    that much times the Fermi function's slope, at most ``1/4``.  While the
+    leak exceeds ``_WINDOW_LEAK_BOUND``, the buffer doubles, up to one
+    window on the whole fiber, which is the dense solve; so a field mode
+    farther than the buffer never goes unseen.  The pair block keeps the
+    core rows of each window and is 0 beyond its window.
+    """
+    n = len(op.k_block)
+    alpha = np.zeros((n, n), np.result_type(op.k_block, op.delta_block,
+                                            op.m22_block))
+    buffer = _WINDOW_BUFFER
+    while True:
+        spans = _window_spans(n, buffer)
+        traces, masses, edge = [], [], 0.0
+        for lo, hi, a, b in spans:
+            trace, mass, rows = _window(op, beta, lo, hi, a, b)
+            traces.append(trace)
+            masses.append(mass)
+            alpha[a:b, lo:hi] = rows
+            cut = [j for j, inner in ((0, lo > 0), (-1, hi < n)) if inner]
+            if cut:
+                edge = max(edge, float(np.abs(rows[:, cut]).max()))
+        if len(spans) > 1:
+            edge = max(edge, 2.0 * beta * float(op.coupling[buffer + 1:].sum()))
+        scale = float(np.abs(alpha).max())
+        leak = edge / scale if scale > 0.0 else 0.0
+        if leak <= _WINDOW_LEAK_BOUND or len(spans) == 1:
+            break
+        buffer *= 2
+    window = (max(b - a for _, _, a, b in spans),
+              0 if len(spans) == 1 else buffer, leak)
+    return _FiberPass(math.fsum(traces), math.fsum(masses), alpha, window)
+
+
+def _window_record(windows) -> dict:
+    """The ``window`` record of a point from the ``(core, buffer, leak)``
+    of its fibers: the largest core and buffer and the worst leak."""
+    cores, buffers, leaks = zip(*windows)
+    return {"core": max(cores), "buffer": max(buffers), "leak": max(leaks)}
 
 
 def _partner_block(alpha: np.ndarray) -> np.ndarray:
@@ -536,8 +686,9 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
                          workers: int | Pool = 1) -> dict:
     """Trace expansion and pair-block distance from one pass over the fibers.
 
-    Each fiber is built once and diagonalized once (:func:`_pair_block`);
-    its eigenvalues give the trace and its eigenvectors the pair block.
+    Each fiber is built once and goes through one windowed spectral pass
+    (:func:`_fiber_pass`), which gives its trace difference, the mass of
+    its Fermi weights and its pair block.
 
     Trace: ``lhs = (h^d / beta) Tr_puv [f(beta H_Delta) - f(beta H_0)]``
     (both diagonal entries), ``e1_term = h^2 E1``, ``e2_term = h^4 E2``
@@ -557,8 +708,9 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     Bloch quadrature: :func:`_bloch_ladder`, capped at ``m_fibers``.  It
     stops once ``lhs`` moved by at most ``lhs_floor = (h/beta) eps (1/M)
     sum_fibers sum_j (|f(beta lam_j)| + |f(beta lam0_j)|)``, the summation
-    bound of the fiber traces, and each pair-block norm by at most
-    ``1e-9`` of itself.
+    bound of plain sums of the fibers' Fermi weights (kept as the stop's
+    tolerance; the windowed sums are exact far below it), and each
+    pair-block norm by at most ``1e-9`` of itself.
 
     ``beta`` is the source's critical inverse temperature.
 
@@ -583,7 +735,9 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         ladder's record (:data:`LADDER_KEYS`): ``m_fibers`` (the ``M``
         used), ``capped`` (cap reached unconverged), ``lhs_floor`` and the
         last change ``delta_<key>`` of each observable (``None`` when the
-        cap is odd, a one-rung ladder).
+        cap is odd, a one-rung ladder); and ``window``, the fibers' window
+        partition: the largest ``core`` and ``buffer`` in modes and the
+        worst ``leak`` (:func:`_fiber_pass`).
     """
     return _trace_and_pair(source, psi, a, w, h, m_fibers, n_max, workers,
                            ("lhs", *PAIR_NORMS))
@@ -602,8 +756,7 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
 
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
-        lam, alpha = _pair_block(op.matrix, beta)
-        tr, mass = _fiber_trace(op, lam, beta)
+        tr, mass, alpha, window = _fiber_pass(op, beta)
         kappa = op.momenta
         phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - mu)) \
             * op.t_values
@@ -613,11 +766,11 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
         l2 = float(np.sum(diff_sq))
         lead_sq = float(np.sum(np.abs(lead) ** 2))
         own = (tr, mass, float(np.sum(h1_weight[:, None] * diff_sq)), l2,
-               lead_sq)
+               lead_sq, window)
         if not partnered:
             return (own,)
         partner = (tr, mass, float(np.sum(diff_sq * h1_weight[None, :])), l2,
-                   lead_sq)
+                   lead_sq, window)
         return own, partner
 
     def quadrature(parts, m):
@@ -629,6 +782,7 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
             "h1_distance": math.sqrt(h1_sq),
             "l2_distance": math.sqrt(l2_sq),
             "l2_leading": math.sqrt(lead_sq),
+            "window": _window_record(p[5] for p in parts),
         }
         floors = {"lhs": q["lhs_floor"],
                   **{k: _PAIR_REL_TOL * q[k] for k in PAIR_NORMS}}
@@ -660,11 +814,12 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
         "n_max": basis.n_max,
         "lhs_floor": q["lhs_floor"],
         **ladder,
+        "window": q["window"],
     }
 
 
 _TRACE_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h", "beta", "n_max",
-               "m_fibers", "capped", "lhs_floor", "delta_lhs")
+               "m_fibers", "capped", "lhs_floor", "delta_lhs", "window")
 
 
 def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
@@ -717,8 +872,11 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
           alpha0((x-y)/h)``, on an ``(x, u = (y-x)/h)`` band where the
           kernel is smooth.
 
-    The partner fiber ``-xi`` contributes the trace term of fiber
-    ``xi`` again and the band of ``J alpha^T J`` at ``-xi``.
+    Each fiber goes through one windowed spectral pass
+    (:func:`_fiber_pass`): term (i) is its Daleckii-Krein trace
+    difference and term (iii) its pair block.  The partner fiber ``-xi``
+    contributes the trace term of fiber ``xi`` again and the band of
+    ``J alpha^T J`` at ``-xi``.
 
     ``scaled = (sum of terms) / h^{4-d}`` approaches the GL energy
     minus its quartic offset as ``h`` decreases.
@@ -727,8 +885,9 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     the first ``M > 2 h u_max`` (``u_max`` the reach of ``V``): the
     ``M``-node grid is a supercell of ``M`` cells, half of which must hold
     the interaction range.  It stops once ``f_bcs_diff`` moved by at most
-    ``f_bcs_diff_floor``, the summation bound of term (i), ``eps (1/M)
-    sum_fibers sum_j (|f(beta lam_j)| + |f(beta lam0_j)|) / (2 beta)``.
+    ``f_bcs_diff_floor``, the summation bound of plain sums for term (i),
+    ``eps (1/M) sum_fibers sum_j (|f(beta lam_j)| + |f(beta lam0_j)|) /
+    (2 beta)``, kept as the stop's tolerance.
 
     Parameters
     ----------
@@ -749,7 +908,8 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         parameters, and the ladder's record: ``m_fibers`` (the ``M``
         used), ``capped`` (cap reached unconverged), ``f_bcs_diff_floor``
         and ``delta_f_bcs_diff``, the last change of ``f_bcs_diff``
-        (``None`` for a one-rung ladder).
+        (``None`` for a one-rung ladder); and ``window``, the fibers'
+        window partition (as in :func:`alpha_delta_distance`).
         Quadrature sizes are four points per fastest oscillation
         (``u``) and four points per field mode (``x``).
     """
@@ -794,12 +954,11 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
 
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
-        lam, alpha = _pair_block(op.matrix, beta)
-        tr, mass = _fiber_trace(op, lam, beta)
-        own = (tr, mass, band_of(alpha, xi))
+        tr, mass, alpha, window = _fiber_pass(op, beta)
+        own = (tr, mass, band_of(alpha, xi), window)
         if not partnered:
             return (own,)
-        return own, (tr, mass, band_of(_partner_block(alpha), -xi))
+        return own, (tr, mass, band_of(_partner_block(alpha), -xi), window)
 
     psi_mode_index = np.nonzero(psi.coeffs)[0]
     p_values = 2.0 * math.pi * psi.modes[psi_mode_index]
@@ -831,6 +990,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
             # built-in refinement check: every second (x, u) node
             "term_remainder_check":
                 h * float(np.mean(density[::2, ::2] @ coarse_w)),
+            "window": _window_record(p[3] for p in parts),
         }
         return q, {"f_bcs_diff": q["f_bcs_diff_floor"]}
 

@@ -800,12 +800,12 @@ _FIBER_PASS_HELP = ("one fiber pass per h writes both the verify-thm2 and "
 _SWEEPS = {
     "verify-thm2": _Sweep(
         "trace_expansion", "fiber", "residual",
-        ("lhs", "e1_term", "e2_term", "residual_over_floor"),
+        ("lhs", "e1_term", "e2_term", "residual_over_floor", "window"),
         4.5, _trace_gates,
         "trace-expansion order sweep; " + _FIBER_PASS_HELP),
     "verify-thm3": _Sweep(
         "pair_distance", "fiber", "h1_distance",
-        ("l2_distance", "l2_leading"),
+        ("l2_distance", "l2_leading", "window"),
         2.3, _pair_gates,
         "pair-operator distance sweep; " + _FIBER_PASS_HELP),
     # the remainder term and its half-resolution check show, also for a
@@ -813,7 +813,8 @@ _SWEEPS = {
     "verify-energy": _Sweep(
         "energy_upper_bound", "energy", "scaled",
         ("beta", "m_fibers", "capped", "f_bcs_diff_floor",
-         "delta_f_bcs_diff", "term_remainder", "term_remainder_check"),
+         "delta_f_bcs_diff", "term_remainder", "term_remainder_check",
+         "window"),
         0.8, _energy_gates,
         "trial-state energy upper-bound sweep, doubling its Bloch momenta "
         "from the first M above 2 h u_max (u_max the reach of V) up to "

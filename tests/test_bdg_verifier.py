@@ -51,6 +51,41 @@ def free_matrix(op):
     return block_diag(op.k_block, op.m22_block)
 
 
+# The dense fiber route, the oracle of the windowed pass: one eigh of the
+# whole 2N x 2N fiber, the spectrum of its decoupled blocks, and the plain
+# sums of Fermi weights.
+
+def free_spectrum(op):
+    """Sorted spectrum of the decoupled fiber (block-diagonal)."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(op.k_block),
+                                   np.linalg.eigvalsh(op.m22_block)]))
+
+
+def pair_block(matrix, beta):
+    """Eigenvalues of ``matrix`` and the upper-right block of
+    ``(1 + e^{beta H})^{-1}``, from one dense eigh."""
+    lam, vec = np.linalg.eigh(matrix)
+    rho = specfun.fermi_rho(beta * lam)
+    n = matrix.shape[0] // 2
+    return lam, (vec[:n] * rho) @ vec[n:].conj().T
+
+
+def fiber_trace(op, lam, beta):
+    """``sum_j f(beta lam_j) - f(beta lam0_j)`` with ``lam`` the spectrum of
+    ``op`` and ``lam0`` that of its decoupled blocks, and its mass
+    ``sum_j |f(beta lam_j)| + |f(beta lam0_j)|``."""
+    f = specfun.fermi_f(beta * lam)
+    f0 = specfun.fermi_f(beta * free_spectrum(op))
+    return (float(np.sum(f - f0)),
+            float(np.sum(np.abs(f)) + np.sum(np.abs(f0))))
+
+
+def dense_pass(op, beta):
+    """``(trace, mass, alpha)`` of one fiber by the dense route."""
+    lam, alpha = pair_block(op.matrix, beta)
+    return (*fiber_trace(op, lam, beta), alpha)
+
+
 def occupations(matrix, beta):
     """Eigenvalues of the Gibbs state ``(1 + e^{beta H})^{-1}``."""
     return specfun.fermi_rho(beta * np.linalg.eigvalsh(matrix))
@@ -226,7 +261,7 @@ class TestFiberAssembly:
         basis = bv.FiberBasis(0.25, 8, 4)
         op = bv.build_fiber(basis, 1.1, psi, a, w, gap_sol.t, gap_sol.mu)
         dense = np.linalg.eigvalsh(free_matrix(op))
-        np.testing.assert_allclose(op.free_spectrum(), dense, atol=1e-11)
+        np.testing.assert_allclose(free_spectrum(op), dense, atol=1e-11)
 
     def test_decoupled_spectrum_symmetric_across_reflection(
         self, gap_sol, fields
@@ -235,10 +270,10 @@ class TestFiberAssembly:
         basis = bv.FiberBasis(0.25, 8, 4)
         xi = 0.9
         both = np.concatenate([
-            bv.build_fiber(basis, xi, ZERO, a, w, gap_sol.t,
-                           gap_sol.mu).free_spectrum(),
-            bv.build_fiber(basis, -xi, ZERO, a, w, gap_sol.t,
-                           gap_sol.mu).free_spectrum(),
+            free_spectrum(bv.build_fiber(basis, xi, ZERO, a, w, gap_sol.t,
+                                         gap_sol.mu)),
+            free_spectrum(bv.build_fiber(basis, -xi, ZERO, a, w, gap_sol.t,
+                                         gap_sol.mu)),
         ])
         both = np.sort(both)
         np.testing.assert_allclose(both, -both[::-1], atol=1e-11)
@@ -326,7 +361,7 @@ class TestTracePerUnitVolume:
             op = builder(xi)
             dense = free_matrix(op)
             bound = 2 * dense.shape[0] * eps * np.linalg.norm(dense, 2)
-            diff = np.abs(op.free_spectrum() - np.linalg.eigvalsh(dense))
+            diff = np.abs(free_spectrum(op) - np.linalg.eigvalsh(dense))
             assert diff.max() <= bound, xi
 
 
@@ -397,6 +432,181 @@ class TestTranslationInvariantOracle:
 
 
 # ---------------------------------------------------------------------------
+# Windowed fiber pass
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def windowed_fibers(gap_sol, fields, gl_min_state, rich_fields):
+    """Fibers of many windows at h = 1/64 (2N = 526): the sweep probe
+    (complex), the real GL state (A = 0, W = 0.5 cos) and the rich fields
+    (A != 0)."""
+    basis = bv._resolve_basis(gap_sol, 0.015625, 16, None)
+    xi = basis.half_nodes[3]
+    cases = {"probe": fields,
+             "gl_state": (gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1)),
+             "rich_fields": rich_fields}
+    return {name: bv.build_fiber(basis, xi, *f, gap_sol.t, gap_sol.mu)
+            for name, f in cases.items()}
+
+
+WINDOW_CASES = ["probe", "gl_state", "rich_fields"]
+
+
+class TestWindowedPass:
+    """The windowed pass against the dense route (one eigh of the whole
+    fiber, plain sums of Fermi weights) and against itself on other
+    window partitions."""
+
+    def test_window_spans(self):
+        # even cores of at most 32 modes, buffers clipped at the ends
+        assert bv._window_spans(100, 8) == [
+            (0, 33, 0, 25), (17, 58, 25, 50), (42, 83, 50, 75),
+            (67, 100, 75, 100)]
+        assert bv._window_spans(32, 8) == [(0, 32, 0, 32)]
+        # with 24 buffer modes the four windows (49, 73, 73 and 49 modes)
+        # would cost more eigensolve work than the whole fiber
+        assert len(bv._window_spans(100, 16)) == 4
+        assert bv._window_spans(100, 24) == [(0, 100, 0, 100)]
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_matches_the_dense_route(self, gap_sol, windowed_fibers, case):
+        # measured: traces within 0.59 eps * mass (the dense route's own
+        # roundoff), masses within 3.4e-16 relative, pair blocks within
+        # 8.2e-13 of max |alpha|
+        op = windowed_fibers[case]
+        beta = gap_sol.beta_c
+        fp = bv._fiber_pass(op, beta)
+        assert len(bv._window_spans(len(op.k_block), fp.window[1])) > 1
+        trace, mass, alpha = dense_pass(op, beta)
+        eps = np.finfo(float).eps
+        assert abs(fp.trace - trace) <= eps * mass
+        assert fp.mass == pytest.approx(mass, rel=1e-14)
+        assert np.abs(fp.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_partitions_agree(self, gap_sol, windowed_fibers, monkeypatch,
+                              case):
+        # the Daleckii-Krein trace of a partition is exact up to the
+        # couplings it drops; measured 1.5e-6 .. 7.5e-6 eps * mass apart
+        op = windowed_fibers[case]
+        beta = gap_sol.beta_c
+        base = bv._fiber_pass(op, beta)
+        monkeypatch.setattr(bv, "_WINDOW_CORE", 48)
+        monkeypatch.setattr(bv, "_WINDOW_BUFFER", 12)
+        other = bv._fiber_pass(op, beta)
+        assert other.window[:2] != base.window[:2]
+        eps = np.finfo(float).eps
+        assert abs(other.trace - base.trace) <= 1e-2 * eps * base.mass
+        assert np.abs(other.alpha - base.alpha).max() \
+            <= 1e-11 * np.abs(base.alpha).max()
+
+    def test_a_tiny_buffer_doubles(self, gap_sol, windowed_fibers,
+                                   monkeypatch):
+        # one buffer mode leaks 0.3 of max |alpha|: the buffer doubles
+        # until the leak is below the bound, and the values are those of
+        # the default partition
+        op = windowed_fibers["rich_fields"]
+        beta = gap_sol.beta_c
+        base = bv._fiber_pass(op, beta)
+        buffers, spans = [], bv._window_spans
+
+        def recording(n, buffer):
+            buffers.append(buffer)
+            return spans(n, buffer)
+
+        monkeypatch.setattr(bv, "_window_spans", recording)
+        monkeypatch.setattr(bv, "_WINDOW_BUFFER", 1)
+        doubled = bv._fiber_pass(op, beta)
+        assert buffers == [2 ** k for k in range(len(buffers))]
+        assert len(buffers) > 2 and doubled.window[1] == buffers[-1]
+        eps = np.finfo(float).eps
+        assert abs(doubled.trace - base.trace) <= 1e-2 * eps * base.mass
+        assert np.abs(doubled.alpha - base.alpha).max() \
+            <= 1e-11 * np.abs(base.alpha).max()
+
+    def test_a_leak_above_the_bound_grows_to_the_whole_fiber(
+            self, gap_sol, windowed_fibers, monkeypatch):
+        # no partition meets a bound of 0: the windows grow to one window
+        # on the whole fiber, the dense solve, and record no buffer
+        op = windowed_fibers["gl_state"]
+        beta = gap_sol.beta_c
+        monkeypatch.setattr(bv, "_WINDOW_LEAK_BOUND", 0.0)
+        fp = bv._fiber_pass(op, beta)
+        n = len(op.k_block)
+        assert fp.window == (n, 0, 0.0)
+        trace, mass, alpha = dense_pass(op, beta)
+        assert abs(fp.trace - trace) <= np.finfo(float).eps * mass
+        assert np.abs(fp.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+    @pytest.mark.parametrize("a, w, windows", [
+        (ZERO, TorusField.cosine(0.5, 12), "several"),
+        (ZERO, TorusField.cosine(0.5, 48), "one"),
+        (TorusField.cosine(0.2, 24), ZERO, "one"),
+    ], ids=["W at 12", "W at 48", "A at 24"])
+    def test_a_far_field_mode_widens_the_windows(self, gap_sol, fields, a, w,
+                                                 windows):
+        # a coupling farther than the buffer is no leak the pair block
+        # shows at the buffer's edge (W at 48 with buffer 8 left alpha off
+        # by 4.2e-6 of its max); its weight in the leak widens the buffer
+        # past it (W at 12: buffer 32) or to the whole fiber.  Measured:
+        # traces within 0.53 eps * mass, pair blocks within 9.5e-13
+        basis = bv._resolve_basis(gap_sol, 0.015625, 16, None)
+        op = bv.build_fiber(basis, basis.half_nodes[3], fields[0], a, w,
+                            gap_sol.t, gap_sol.mu)
+        beta = gap_sol.beta_c
+        fp = bv._fiber_pass(op, beta)
+        reach = int(np.nonzero(op.coupling)[0].max())
+        core, buffer, _ = fp.window
+        if windows == "several":
+            assert core < len(op.k_block) and buffer >= reach
+        else:
+            assert fp.window == (len(op.k_block), 0, 0.0)
+        trace, mass, alpha = dense_pass(op, beta)
+        assert abs(fp.trace - trace) <= np.finfo(float).eps * mass
+        assert np.abs(fp.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
+
+    def test_coupling_bounds_the_blocks(self, gap_sol, rich_fields):
+        # every entry d modes off the diagonal is within coupling[d]
+        basis = bv.FiberBasis(0.0625, 40, 4)
+        op = bv.build_fiber(basis, 0.3, *rich_fields, gap_sol.t, gap_sol.mu)
+        n = len(op.k_block)
+        d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        for block in (op.k_block, op.delta_block, op.m22_block):
+            off = d > 0
+            assert np.all(np.abs(block[off]) <= op.coupling[d[off]])
+        assert np.nonzero(op.coupling[1:])[0].max() + 1 == 4
+
+    def test_matrix_is_assembled_only_when_asked(self, gap_sol, fields):
+        psi, a, w = fields
+        op = bv.build_fiber(bv.FiberBasis(0.0625, 40, 4), 0.3, psi, a, w,
+                            gap_sol.t, gap_sol.mu)
+        bv._fiber_pass(op, gap_sol.beta_c)
+        assert "matrix" not in vars(op)
+        assert op.matrix is op.matrix
+
+    @pytest.mark.parametrize("xi0, delta", [(0.3, 0.2 + 0.1j),
+                                            (-2.5, 0.05j), (40.0, 1e-3)])
+    def test_single_mode_fiber_is_two_by_two(self, xi0, delta):
+        # one mode: eigenvalues +-sqrt(xi0^2 + |Delta|^2) against +-xi0,
+        # and alpha = -Delta tanh(beta E / 2) / (2 E)
+        beta = 5.0
+        op = bv.FiberOperator(np.zeros(1), np.zeros(1), np.array([[xi0]]),
+                              np.array([[delta]]), np.array([[-xi0]]),
+                              np.zeros(1))
+        fp = bv._fiber_pass(op, beta)
+        energy = math.hypot(xi0, abs(delta))
+        f = specfun.fermi_f
+        expected = (f(beta * energy) + f(-beta * energy)
+                    - f(beta * xi0) - f(-beta * xi0))
+        assert fp.trace == pytest.approx(expected, rel=1e-13)
+        assert fp.alpha[0, 0] == pytest.approx(
+            -delta * math.tanh(beta * energy / 2.0) / (2.0 * energy),
+            rel=1e-13)
+        assert fp.window == (1, 0, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Supercell oracle
 # ---------------------------------------------------------------------------
 
@@ -434,7 +644,9 @@ class TestSupercellOracle:
     def test_ladder_trace_matches(self, gap_sol, fields):
         # the ladder stops below its cap of 16 at h = 1/8 (at M = 8); the
         # supercell of as many cells as the M it used is the same
-        # quadrature.  Measured |difference| 6.2e-15 (one BLAS thread).
+        # quadrature.  Measured |difference| 1.4e-13 with one BLAS thread
+        # and 1.7e-13 with two: the supercell's plain sums of Fermi
+        # weights carry their own roundoff.
         psi, a, w = fields
         h, n_max = 0.125, 16
         beta = gap_sol.beta_c
@@ -453,21 +665,22 @@ class TestSupercellOracle:
         # The supercell's Gibbs-state pair block, taken to plane waves
         # e^{i kappa_m x} (kappa_m = 2 pi m / M) by a DFT, splits into the
         # fibers xi_k = 2 pi k / M on the modes m = n M + k.  The fiber
-        # keeps |n| <= 8, the supercell 16.  Measured max |difference|
-        # 1.2e-13 (at the window's edge, xi = pi; 1.3e-14 inside it)
+        # keeps |n| <= 8, the supercell 16.  The fiber's pair block comes
+        # from the library's pass (one window at this size).  Measured
+        # max |difference| 1.2e-13 at xi = pi, 4.8e-14 at the other nodes,
         # against entries up to 0.15.
         basis, h_pair, _ = supercell_instance
         psi, a, w = fields
         beta = gap_sol.beta_c
         n_g = h_pair.shape[0] // 2
-        _, alpha_grid = bv._pair_block(h_pair, beta)
+        _, alpha_grid = pair_block(h_pair, beta)
         alpha_pw = np.fft.fft(np.fft.ifft(alpha_grid, axis=1), axis=0)
         m_cells = basis.m_fibers
         for k, xi in zip(range(1 - (m_cells + 1) // 2, m_cells // 2 + 1),
                          basis.xi_nodes):
             idx = (basis.modes * m_cells + k) % n_g
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
-            _, alpha = bv._pair_block(op.matrix, beta)
+            alpha = bv._fiber_pass(op, beta).alpha
             assert np.abs(alpha_pw[np.ix_(idx, idx)] - alpha).max() <= 1e-12
 
     def test_trace_difference_matches(self, gap_sol, fields,
@@ -525,13 +738,13 @@ class TestSemiclassicalTrace:
     @pytest.mark.parametrize("h", [0.125, 0.0625])
     def test_lhs_matches_eigvalsh_oracle(self, gap_sol, fields, shared_pass,
                                          h):
-        # The oracle diagonalizes every fiber of the grid with eigvalsh;
-        # the shared pass takes the eigenvalues of the pair block's eigh
-        # and folds in the partners.  Measured |lhs - oracle|: 4.1e-14 at
-        # h = 1/8 and 3.9e-16 at h = 1/16 with one BLAS thread, 3.5e-14
-        # and 1.8e-14 with two.  The bound is 5e-13, three times the
-        # largest eigh/eigvalsh shift seen on any sweep (1.65e-13 at
-        # h = 1/8 on the built-in config's fields).
+        # The oracle diagonalizes every fiber of the grid with eigvalsh and
+        # sums Fermi weights; the shared pass takes windowed Daleckii-Krein
+        # sums and folds in the partners.  Measured |lhs - oracle|: 2.9e-14
+        # at h = 1/8 and 7.2e-14 at h = 1/16, with one BLAS thread and
+        # with two.  The bound is 5e-13, three times the largest
+        # eigh/eigvalsh shift seen on any sweep (1.65e-13 at h = 1/8 on
+        # the built-in config's fields).
         psi, a, w = fields
         res = shared_pass[h]
         beta = gap_sol.beta_c
@@ -541,7 +754,7 @@ class TestSemiclassicalTrace:
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
             values.append(float(np.sum(
                 specfun.fermi_f(beta * np.linalg.eigvalsh(op.matrix))
-                - specfun.fermi_f(beta * op.free_spectrum()))))
+                - specfun.fermi_f(beta * free_spectrum(op)))))
         oracle = h / beta * math.fsum(values) / basis.m_fibers
         assert abs(res["lhs"] - oracle) <= 5e-13
 
@@ -674,32 +887,37 @@ class TestRealFibers:
             "c", "f", "c"]
 
     def test_pair_block_matches_complex_route(self, gap_sol, gl_min_state):
-        # Measured on these fibers (2N = 282): eigenvalues differ by at
-        # most 0.018 of the backward-error bound 2 n eps ||H||_2, the
-        # pair block by at most 5.4e-13 relative (Frobenius).
+        # The windowed pass on these real fibers (2N = 282) and on the same
+        # blocks stored complex.  Measured: traces within 3.8e-5 eps * mass,
+        # pair blocks within 1.2e-13 relative (Frobenius).
         h = 0.03125
         beta = gap_sol.beta_c / (1.0 - h * h * gap_sol.D)
         basis = bv._resolve_basis(gap_sol, h, 16, None)
         eps = np.finfo(float).eps
         for xi in basis.half_nodes:
-            matrix = bv.build_fiber(basis, xi, gl_min_state.psi, ZERO,
-                                    TorusField.cosine(0.5, 1), gap_sol.t,
-                                    gap_sol.mu).matrix
-            assert np.isrealobj(matrix)
-            lam, alpha = bv._pair_block(matrix, beta)
-            lam_c, alpha_c = bv._pair_block(matrix.astype(complex), beta)
-            bound = 2 * matrix.shape[0] * eps * np.linalg.norm(matrix, 2)
-            assert np.abs(lam - lam_c).max() <= bound, xi
-            assert np.linalg.norm(alpha - alpha_c) <= 1e-11 * np.linalg.norm(
-                alpha_c), xi
+            op = bv.build_fiber(basis, xi, gl_min_state.psi, ZERO,
+                                TorusField.cosine(0.5, 1), gap_sol.t,
+                                gap_sol.mu)
+            blocks = (op.k_block, op.delta_block, op.m22_block)
+            assert all(np.isrealobj(b) for b in blocks)
+            real = bv._fiber_pass(op, beta)
+            cplx = bv._fiber_pass(replace(
+                op, **{name: b.astype(complex) for name, b in zip(
+                    ("k_block", "delta_block", "m22_block"), blocks)}), beta)
+            assert np.isrealobj(real.alpha)
+            assert abs(real.trace - cplx.trace) <= eps * real.mass, xi
+            assert np.linalg.norm(real.alpha - cplx.alpha) <= 1e-11 * \
+                np.linalg.norm(cplx.alpha), xi
 
     def test_energy_matches_complex_route(self, gap_sol, gl_min_state,
                                           monkeypatch):
         # scaled = (sum of terms) / h^3 magnifies the trace term's
-        # eigenvalue roundoff (~eps * ||H|| per large negative eigenvalue).
-        # At h = 1/32 the two routes differ by 3.2e-9 .. 4.4e-8 relative
-        # over 16 GL minimizers that agree to |grad| < 1e-12 (x86-64,
-        # OpenBLAS); the difference is roundoff, not a property of psi.
+        # roundoff.  Plain sums of Fermi weights carried ~eps * ||H|| per
+        # large negative eigenvalue, and the routes differed by 3.2e-9 ..
+        # 4.4e-8 relative at h = 1/32 over 16 GL minimizers.  The
+        # windowed Daleckii-Krein sums carry no such term: measured 5.0e-13,
+        # 2.5e-12 and 3.1e-12 relative at h = 1/8, 1/16 and 1/32 (x86-64,
+        # OpenBLAS, one thread).
         w = TorusField.cosine(0.5, 1)
         h_list = (0.125, 0.0625, 0.03125)
         real = [bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
@@ -708,6 +926,7 @@ class TestRealFibers:
         for h, res in zip(h_list, real):
             ref = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO, w, h)
             assert res["scaled"] == pytest.approx(ref["scaled"], rel=1e-7), h
+            assert res["scaled"] == pytest.approx(ref["scaled"], rel=1e-9), h
             assert res["term_remainder"] == pytest.approx(
                 ref["term_remainder"], rel=1e-9), h
 
@@ -742,8 +961,8 @@ class TestPartnerFibers:
             plus = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
             minus = bv.build_fiber(basis, -xi, psi, a, w, gap_sol.t,
                                    gap_sol.mu)
-            lam_p, alpha_p = bv._pair_block(plus.matrix, beta)
-            lam_m, alpha_m = bv._pair_block(minus.matrix, beta)
+            lam_p, alpha_p = pair_block(plus.matrix, beta)
+            lam_m, alpha_m = pair_block(minus.matrix, beta)
             spec_dev = np.abs(np.sort(-lam_p) - lam_m).max()
             assert spec_dev <= 1e-12 * np.abs(lam_p).max()
             # alpha(-xi) = J alpha(xi)^T J
@@ -807,7 +1026,7 @@ class TestPartnerFibers:
 
         def weighted_sq(x):
             op = bv.build_fiber(basis, x, psi, a, w, gap_sol.t, gap_sol.mu)
-            _, alpha = bv._pair_block(op.matrix, beta)
+            _, alpha = pair_block(op.matrix, beta)
             return np.abs(alpha) ** 2, 1.0 + (basis.h * op.momenta) ** 2
 
         sq_plus, weight_plus = weighted_sq(xi)
@@ -943,14 +1162,17 @@ class TestBlochLadder:
         assert res["capped"] is False
         assert res["m_fibers"] == 4
         assert set(bv.LADDER_KEYS) <= set(res)
+        window = res["window"]
+        assert set(window) == {"core", "buffer", "leak"}
 
     @pytest.mark.parametrize("h", [0.125, 0.0625])
     def test_floor_covers_permuted_roundoff(self, gap_sol, fields,
                                             shared_pass, h):
-        # Diagonalizing every fiber after one fixed symmetric permutation
-        # moves lhs by roundoff alone.  Measured over seven permutations:
-        # up to 1.2e-13 at h = 1/8 (floor 3.3e-13) and 6.0e-14 at
-        # h = 1/16 (floor 1.7e-13), one BLAS thread.
+        # The dense route (plain sums of Fermi weights) on every fiber
+        # after one fixed symmetric permutation lies within the floor of
+        # the windowed pass.  Measured over seven permutations: up to
+        # 1.5e-13 at h = 1/8 (floor 3.3e-13) and 7.9e-14 at h = 1/16
+        # (floor 1.7e-13), one BLAS thread.
         psi, a, w = fields
         res = shared_pass[h]
         beta = gap_sol.beta_c
@@ -960,7 +1182,7 @@ class TestBlochLadder:
         for k, xi in enumerate(basis.half_nodes):
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
             lam, _ = np.linalg.eigh(op.matrix[np.ix_(perm, perm)])
-            tr, _ = bv._fiber_trace(op, lam, beta)
+            tr, _ = fiber_trace(op, lam, beta)
             values += [tr] * (2 if 0 < k < basis.m_fibers / 2 else 1)
         permuted = h / beta * math.fsum(values) / basis.m_fibers
         assert abs(permuted - res["lhs"]) <= res["lhs_floor"]
@@ -1036,7 +1258,7 @@ class TestEnergyLadder:
     @pytest.mark.parametrize("h", [0.125, 0.0625, 0.03125, 0.015625])
     def test_values_within_the_floor_of_the_full_grid(
             self, gap_sol, gl_min_state, energy_pass, monkeypatch, h):
-        # measured moves of scaled = f_bcs_diff / h^3: 6.4e-11 .. 4.5e-8
+        # measured moves of scaled = f_bcs_diff / h^3: 0 .. 1.2e-11
         # against floors / h^3 of 6.8e-10 .. 8.4e-7 (h = 1/8 .. 1/64,
         # one BLAS thread)
         res = energy_pass[h]
@@ -1051,23 +1273,21 @@ class TestEnergyLadder:
     @pytest.mark.parametrize("h", [0.03125, 0.015625])
     def test_floor_covers_permuted_roundoff(self, gap_sol, gl_min_state,
                                             energy_pass, monkeypatch, h):
-        # Diagonalizing every fiber after one fixed symmetric permutation
-        # moves scaled by roundoff alone.  Measured over seven
-        # permutations: up to 1.7e-8 at h = 1/32 (floor 6.5e-8) and
-        # 1.8e-7 at h = 1/64 (floor 8.4e-7), one BLAS thread.
+        # Diagonalizing every window and free block after a fixed symmetric
+        # permutation moves scaled by roundoff alone.  Measured over seven
+        # permutations: up to 3.9e-12 at h = 1/32 (6e-5 of its floor of
+        # 6.5e-8) and 1.8e-11 at h = 1/64 (2e-5 of 8.4e-7), one BLAS
+        # thread.  The dense route's plain sums moved it by up to 0.26 of
+        # the floor; the Daleckii-Krein sums carry no eps * ||H|| term.
         res = energy_pass[h]
-        perm = np.random.default_rng(4).permutation(
-            2 * (2 * res["n_max"] + 1))
-        back = np.argsort(perm)
+        eigh = np.linalg.eigh
 
-        def permuted(matrix, beta):
-            lam, vec = np.linalg.eigh(matrix[np.ix_(perm, perm)])
-            vec = vec[back]
-            n = matrix.shape[0] // 2
-            rho = specfun.fermi_rho(beta * lam)
-            return lam, (vec[:n] * rho) @ vec[n:].conj().T
+        def permuted(matrix):
+            perm = np.random.default_rng(4).permutation(len(matrix))
+            lam, vec = eigh(matrix[np.ix_(perm, perm)])
+            return lam, vec[np.argsort(perm)]
 
-        monkeypatch.setattr(bv, "_pair_block", permuted)
+        monkeypatch.setattr(np.linalg, "eigh", permuted)
         monkeypatch.setattr(bv, "_bloch_ladder", _fixed_grid)
         shifted = bv.trial_state_energy(
             gap_sol, gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1), h,

@@ -487,16 +487,25 @@ class TestSharedFiberPass:
     H_LIST = [0.25, 0.125, 0.0625]
 
     @coarse_ladder
-    def test_one_build_and_one_eigh_per_fiber(self, tmp_path, capsys,
-                                              monkeypatch):
-        built, solves = [], []
-        build, eigh, eigvalsh = (bv.build_fiber, np.linalg.eigh,
-                                 np.linalg.eigvalsh)
+    def test_one_build_and_one_eigh_per_window(self, tmp_path, capsys,
+                                               monkeypatch):
+        built, passes, solves = [], [], []
+        build, fiber_pass, eigh, eigvalsh = (
+            bv.build_fiber, bv._fiber_pass, np.linalg.eigh,
+            np.linalg.eigvalsh)
 
         def recording_build(basis, xi, *args):
             op = build(basis, xi, *args)
-            built.append((basis.h, xi, op.matrix.shape[0]))
+            built.append((basis.h, xi, op))
             return op
+
+        def recording_pass(op, beta):
+            # one worker: the eigensolves between entry and exit are the
+            # pass's own
+            solves.clear()
+            fp = fiber_pass(op, beta)
+            passes.append((op, list(solves), fp.window))
+            return fp
 
         def recording(kind, solver):
             def solve(matrix, *args, **kwargs):
@@ -505,6 +514,7 @@ class TestSharedFiberPass:
             return solve
 
         monkeypatch.setattr(bv, "build_fiber", recording_build)
+        monkeypatch.setattr(bv, "_fiber_pass", recording_pass)
         monkeypatch.setattr(np.linalg, "eigh", recording("eigh", eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             recording("eigvalsh", eigvalsh))
@@ -524,12 +534,18 @@ class TestSharedFiberPass:
             np.testing.assert_array_equal(
                 sorted(nodes),
                 bv.FiberBasis(0.5, 1, extra["m_fibers"]).half_nodes)
-        # one eigh of each 2N fiber and no eigvalsh of one
-        full = [n for _, _, n in built]
-        assert sorted(n for kind, n in solves
-                      if kind == "eigh" and n in full) == sorted(full)
-        assert not [n for kind, n in solves
-                    if kind == "eigvalsh" and n in full]
+        # one pass per fiber: an eigh of each window's 2w x 2w matrix and
+        # of its two w x w free blocks, no eigvalsh, and no 2N x 2N fiber
+        # assembled
+        assert ([id(op) for _, _, op in built]
+                == [id(op) for op, _, _ in passes])
+        for op, fiber_solves, (_, buffer, _) in passes:
+            spans = bv._window_spans(len(op.k_block), buffer)
+            assert len(spans) > 1
+            assert sorted(fiber_solves) == sorted(
+                ("eigh", size) for lo, hi, _, _ in spans
+                for size in (2 * (hi - lo), hi - lo, hi - lo))
+            assert "matrix" not in vars(op)
         assert (tmp_path / "out" / "sweeps" / "pair_distance.json").is_file()
 
         built.clear()
@@ -1064,8 +1080,8 @@ class TestWorkerPool:
         def one(xi, partnered):
             op = bv.build_fiber(basis, xi, psi, cfg.a_field, cfg.w_field,
                                 sol.t, sol.mu)
-            lam, alpha = bv._pair_block(op.matrix, sol.beta_c)
-            own = (float(np.sum(lam * lam)), alpha.tobytes())
+            fp = bv._fiber_pass(op, sol.beta_c)
+            own = (fp.trace, fp.alpha.tobytes())
             return (own, own) if partnered else (own,)
 
         folds = [bv._fold_fibers(basis, one, workers) for workers in (1, 3)]

