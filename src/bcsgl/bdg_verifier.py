@@ -47,22 +47,32 @@ mode distance, so the pass cuts the modes into cores of about
 each window's particle-hole matrix and its two free blocks with dense
 ``eigh`` calls.  A core's trace difference is the Daleckii-Krein sum of
 its window (:func:`_window`), exact for the window and free of the
-kinetic scale ``||H||`` that limits plain sums of Fermi weights; the pair
-block keeps each window's core rows.  The buffer starts at
-``_WINDOW_BUFFER`` modes and doubles while the partition's leak exceeds
-``_WINDOW_LEAK_BOUND``, up to one window on the whole fiber, which is
-the dense solve (:func:`_window_spans`).  The leak is the larger of the
-pair block's weight on the outermost buffer columns and ``beta`` times
-the couplings a core has beyond its buffer (a field mode farther than
-the buffer), both relative to ``max |alpha|``; every point records its
-``window`` (core, buffer and worst leak).  The couplings the windows
-drop are below that bound; for the GL state of the built-in config
-they are its Fourier coefficients ``|psi_n| <= 1e-20`` at ``|n| >= 9``,
-far below every floor.  Each fiber block is stored real when its data are (see
-:func:`build_fiber`).  With ``A = 0`` and an even ``W`` the GL minimizer
-is real, so the trial-state energy diagonalizes real symmetric windows
-with LAPACK's real symmetric eigensolvers, several times faster than the
-complex ones; the trace and pair sweeps probe a complex ``psi``.
+kinetic scale ``||H||`` that limits plain sums of Fermi weights.  The
+buffer starts at ``_WINDOW_BUFFER`` modes and doubles while the
+partition's leak exceeds ``_WINDOW_LEAK_BOUND``, up to one window on the
+whole fiber, which is the dense solve (:func:`_window_spans`).  The leak
+is the larger of the pair block's weight on the outermost buffer columns
+and ``beta`` times the couplings a core has beyond its buffer (a field
+mode farther than the buffer), both relative to ``max |alpha|``; a
+doubling whose coupling part is already over the bound is skipped.
+Every point records its ``window`` (core, buffer and worst leak).  The
+couplings the windows drop are below that bound; for the GL state of the
+built-in config they are its Fourier coefficients ``|psi_n| <= 1e-20``
+at ``|n| >= 9``, far below every floor.
+
+No ``N x N`` array is built on the way.  A fiber (:class:`FiberOperator`)
+keeps its momenta, the pair symbol there and the fields, and assembles the
+blocks of each window from the fields' Fourier coefficients
+(:meth:`FiberOperator.blocks`); the pair block is kept as each window's
+core rows, and the pair-block norms (:func:`_pair_sums`) and the
+trial-state band (:func:`_pair_band`) are summed one row block at a time.
+The full blocks and the ``2N x 2N`` matrix are assembled only when read,
+by the named checks and the tests.  Each block is stored real when its
+data are (see :func:`build_fiber`).  With ``A = 0`` and an even ``W`` the
+GL minimizer is real, so the trial-state energy diagonalizes real
+symmetric windows with LAPACK's real symmetric eigensolvers, several
+times faster than the complex ones; the trace and pair sweeps probe a
+complex ``psi``.
 
 The Bloch average is the trapezoid rule for a smooth ``2 pi``-periodic
 function of ``xi``, so its error falls exponentially in ``M``.  Both
@@ -229,31 +239,111 @@ class FiberBasis:
 
 @dataclass
 class FiberOperator:
-    """One assembled fiber of the pairing Hamiltonian.
+    """One fiber of the pairing Hamiltonian, kept as the data of its blocks.
 
-    ``k_block`` is its particle block, ``delta_block`` the pairing block,
-    ``m22_block`` the hole block (equal to the negated conjugate of the
-    particle block of the reflected fiber), each in the dtype of its own
-    data.  ``t_values`` holds the pair symbol ``t(h kappa_n)`` at the
-    fiber momenta.  ``coupling[d]`` bounds the blocks' entries between
+    ``momenta`` are the fiber momenta ``kappa_n``, ``t_values`` the pair
+    symbol ``t(h kappa_n)`` at them, ``psi``, ``a`` and ``w`` the fields
+    and ``h`` and ``mu`` the scale and the chemical potential.
+    :meth:`blocks` assembles the particle, pairing and hole blocks of any
+    mode range from them (see :func:`build_fiber`).  The fiber pass
+    (:func:`_fiber_pass`) asks only for its windows, so a sweep builds no
+    ``N x N`` array.  ``coupling[d]`` bounds the blocks' entries between
     modes ``d`` apart, from the fields' Fourier coefficients; the fiber
-    pass weighs the couplings its windows drop with it.  The Hermitian
-    ``2N x 2N`` fiber :attr:`matrix` is
-    assembled from the blocks on first use: the fiber pass
-    (:func:`_fiber_pass`) reads windows of the blocks, never the matrix.
+    pass weighs the couplings its windows drop with it.
+
+    The full blocks ``k_block``, ``delta_block`` and ``m22_block``
+    (:meth:`blocks` on every mode) and the Hermitian ``2N x 2N`` fiber
+    :attr:`matrix` are assembled on first read; the named checks and the
+    tests read them, the sweeps do not.
     """
 
     momenta: np.ndarray
     t_values: np.ndarray
-    k_block: np.ndarray
-    delta_block: np.ndarray
-    m22_block: np.ndarray
-    coupling: np.ndarray
+    psi: TorusField
+    a: TorusField
+    w: TorusField
+    h: float
+    mu: float
+
+    @functools.cached_property
+    def a2(self) -> TorusField:
+        """The field ``a^2``, by exact convolution."""
+        return _field_square(self.a)
+
+    @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        """``coupling[d]``, ``d = 0 .. N - 1``: the larger of the bounds
+        ``h^2 (2 max|kappa| |a_d| + |(a^2)_d| + |w_d|)`` on the particle
+        and hole entries and ``h max t |psi_d|`` on the pairing entries
+        ``d`` modes apart."""
+        h, n = self.h, len(self.momenta)
+        reach = 2.0 * np.abs(self.momenta).max()
+        return np.maximum(
+            h * h * (reach * _mode_profile(self.a, n)
+                     + _mode_profile(self.a2, n) + _mode_profile(self.w, n)),
+            h * np.abs(self.t_values).max() * _mode_profile(self.psi, n))
+
+    @property
+    def xi(self) -> float:
+        """The Bloch momentum: the momentum of mode 0, the middle one."""
+        return float(self.momenta[len(self.momenta) // 2])
+
+    def blocks(self, lo: int, hi: int) -> tuple:
+        """``(K, Delta, M22)`` on the modes ``lo:hi``, each in the dtype of
+        its data; bit for bit the ``lo:hi`` slice of the full blocks.
+
+        Raises ``FloatingPointError`` when ``K`` or ``M22`` drifts from
+        Hermitian by more than ``1e-12`` of the largest entry (at least 1).
+        """
+        h, kappa = self.h, self.momenta[lo:hi]
+        # the tables depend on mode differences alone
+        modes = np.arange(lo, hi)
+        kinetic = h * h * kappa * kappa - self.mu
+        cross = h * h * (kappa[:, None] + kappa[None, :]) \
+            * _coeff_matrix(self.a, modes)
+        a2_mat = h * h * _coeff_matrix(self.a2, modes)
+        w_mat = h * h * _coeff_matrix(self.w, modes)
+        k_block = np.diag(kinetic) + cross + a2_mat + w_mat
+        m22 = -np.diag(kinetic) + cross - a2_mat - w_mat
+        tk = self.t_values[lo:hi]
+        delta = -(h / 2.0) * _coeff_matrix(self.psi, modes) \
+            * (tk[:, None] + tk[None, :])
+
+        # the off-diagonal blocks are adjoints by construction, so the
+        # diagonal blocks carry all of the fiber's drift
+        drift = max(np.abs(b - b.conj().T).max() for b in (k_block, m22))
+        scale = max(1.0, *(np.abs(b).max() for b in (k_block, delta, m22)))
+        if drift > 1e-12 * scale:
+            raise FloatingPointError(
+                f"fiber at xi={self.xi:.6f} lost Hermiticity by {drift:.3e}"
+            )
+        return k_block, delta, m22
+
+    @functools.cached_property
+    def full_blocks(self) -> tuple:
+        """``(K, Delta, M22)`` on every mode: :meth:`blocks` of ``(0, N)``."""
+        return self.blocks(0, len(self.momenta))
+
+    @property
+    def k_block(self) -> np.ndarray:
+        """The particle block."""
+        return self.full_blocks[0]
+
+    @property
+    def delta_block(self) -> np.ndarray:
+        """The pairing block."""
+        return self.full_blocks[1]
+
+    @property
+    def m22_block(self) -> np.ndarray:
+        """The hole block, the negated conjugate of the particle block of
+        the reflected fiber."""
+        return self.full_blocks[2]
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """The fiber ``[[K, Delta], [Delta^*, M22]]``."""
-        return _bdg_matrix(self.k_block, self.delta_block, self.m22_block)
+        return _bdg_matrix(*self.full_blocks)
 
 
 def _bdg_matrix(k_block: np.ndarray, delta: np.ndarray,
@@ -269,7 +359,9 @@ def _bdg_matrix(k_block: np.ndarray, delta: np.ndarray,
 def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
                 a: TorusField, w: TorusField, t: Callable, mu: float
                 ) -> FiberOperator:
-    """Assemble the fiber matrix at Bloch momentum ``xi``.
+    """The fiber at Bloch momentum ``xi``: its momenta, the pair symbol at
+    them and the fields, from which :meth:`FiberOperator.blocks` assembles
+    the blocks of any mode range.
 
     Particle block: ``(-i h d/dx + h a)^2 - mu + h^2 w`` expanded in the
     plane-wave basis (kinetic diagonal ``h^2 kappa^2 - mu``, field
@@ -283,9 +375,6 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     The particle and hole blocks are real arrays when every coefficient
     of ``a`` and ``w`` is exactly real, the pairing block when every
     coefficient of ``psi`` is, so a stored block is never rounded.
-    ``coupling[d]`` is the larger of the bounds ``h^2 (2 max|kappa|
-    |a_d| + |(a^2)_d| + |w_d|)`` on the particle and hole entries and
-    ``h max t |psi_d|`` on the pairing entries ``d`` modes apart.
 
     Returns
     -------
@@ -293,34 +382,9 @@ def build_fiber(basis: FiberBasis, xi: float, psi: TorusField,
     """
     if not (a.is_real() and w.is_real()):
         raise ValueError("external fields a and w must be real-valued")
-    h = basis.h
-    modes = basis.modes
     kappa = basis.momenta(xi)
-    kinetic = h * h * kappa * kappa - mu
-    cross = h * h * (kappa[:, None] + kappa[None, :]) * _coeff_matrix(a, modes)
-    a2 = _field_square(a)
-    a2_mat = h * h * _coeff_matrix(a2, modes)
-    w_mat = h * h * _coeff_matrix(w, modes)
-
-    k_block = np.diag(kinetic) + cross + a2_mat + w_mat
-    m22 = -np.diag(kinetic) + cross - a2_mat - w_mat
-
-    tk = np.asarray(t(h * kappa), dtype=float)
-    delta = -(h / 2.0) * _coeff_matrix(psi, modes) * (tk[:, None] + tk[None, :])
-    coupling = np.maximum(
-        h * h * (2.0 * np.abs(kappa).max() * _mode_profile(a, basis.size)
-                 + _mode_profile(a2, basis.size) + _mode_profile(w, basis.size)),
-        h * np.abs(tk).max() * _mode_profile(psi, basis.size))
-
-    # the off-diagonal blocks are adjoints by construction, so the
-    # diagonal blocks carry all of the fiber's drift
-    drift = max(np.abs(b - b.conj().T).max() for b in (k_block, m22))
-    scale = max(1.0, *(np.abs(b).max() for b in (k_block, delta, m22)))
-    if drift > 1e-12 * scale:
-        raise FloatingPointError(
-            f"fiber at xi={xi:.6f} lost Hermiticity by {drift:.3e}"
-        )
-    return FiberOperator(kappa, tk, k_block, delta, m22, coupling)
+    tk = np.asarray(t(basis.h * kappa), dtype=float)
+    return FiberOperator(kappa, tk, psi, a, w, basis.h, mu)
 
 
 def _mode_profile(f: TorusField, n: int) -> np.ndarray:
@@ -550,8 +614,11 @@ class _FiberPass(NamedTuple):
     trace: float
     #: ``sum_j |f(beta lam_j)| + |f(beta lam0_j)|``, the summation mass.
     mass: float
-    #: The pair block: the upper-right block of ``(1 + e^{beta H})^{-1}``.
-    alpha: np.ndarray
+    #: The pair block, the upper-right block of ``(1 + e^{beta H})^{-1}``,
+    #: as ``(row, col, rows)`` blocks: ``alpha[row:row + len(rows),
+    #: col:col + rows.shape[1]] = rows``, one per window (its core rows),
+    #: and 0 elsewhere.
+    alpha: tuple
     #: ``(core, buffer, leak)`` of the window partition used.
     window: tuple
 
@@ -586,26 +653,34 @@ def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
     kinetic scale ``||H||``.  The mass is the core diagonal of
     ``|f(beta H_w)| + |f(beta H0_w)|``.
     """
-    k = op.k_block[lo:hi, lo:hi]
-    delta = op.delta_block[lo:hi, lo:hi]
-    m22 = op.m22_block[lo:hi, lo:hi]
+    k, delta, m22 = op.blocks(lo, hi)
     w, core = hi - lo, slice(a - lo, b - lo)
     lam, u = np.linalg.eigh(_bdg_matrix(k, delta, m22))
-    mu_p, v_p = np.linalg.eigh(k)
-    mu_h, v_h = np.linalg.eigh(m22)
     up, uh = u[:w], u[w:]
-    g = np.concatenate([uh.conj().T @ (delta.conj().T @ v_p),
-                        up.conj().T @ (delta @ v_h)], axis=1)
-    o = np.concatenate([up[core].T @ v_p[core].conj(),
-                        uh[core].T @ v_h[core].conj()], axis=1)
-    z, z0 = beta * lam, beta * np.concatenate([mu_p, mu_h])
-    f_dd = specfun.fermi_f_divided_difference(z[:, None], z0[None, :])
-    trace = beta * float(np.sum(f_dd * (g * o).real))
+    z = beta * lam
+    # F o Re(G o O), one free block's columns at a time, so that the
+    # window's scratch is a few w x 2w arrays: the particle block couples
+    # to the hole rows of U through Delta^*, the hole block to the
+    # particle rows through Delta
+    terms = np.empty((2 * w, 2 * w))
+    z0, in_core0 = [], []
+
+    def free_block(cols, block, gamma, u_gamma, u_core):
+        mu, v = np.linalg.eigh(block)
+        z0.append(beta * mu)
+        f_dd = specfun.fermi_f_divided_difference(z[:, None], z0[-1][None, :])
+        g = u_gamma.conj().T @ (gamma @ v)
+        g *= u_core[core].T @ v[core].conj()
+        np.multiply(f_dd, g.real, out=terms[:, cols])
+        in_core0.append(np.sum(np.abs(v[core]) ** 2, axis=0))
+
+    free_block(slice(0, w), k, delta.conj().T, uh, up)
+    free_block(slice(w, 2 * w), m22, delta, up, uh)
+    trace = beta * float(np.sum(terms))
     in_core = np.sum(np.abs(up[core]) ** 2 + np.abs(uh[core]) ** 2, axis=0)
-    in_core0 = np.concatenate([np.sum(np.abs(v[core]) ** 2, axis=0)
-                               for v in (v_p, v_h)])
     mass = -float(np.dot(specfun.fermi_f(z), in_core)
-                  + np.dot(specfun.fermi_f(z0), in_core0))
+                  + np.dot(specfun.fermi_f(np.concatenate(z0)),
+                           np.concatenate(in_core0)))
     rows = (up[core] * specfun.fermi_rho(z)) @ uh.conj().T
     return trace, mass, rows
 
@@ -623,34 +698,45 @@ def _fiber_pass(op: FiberOperator, beta: float) -> _FiberPass:
     that much times the Fermi function's slope, at most ``1/4``.  While the
     leak exceeds ``_WINDOW_LEAK_BOUND``, the buffer doubles, up to one
     window on the whole fiber, which is the dense solve; so a field mode
-    farther than the buffer never goes unseen.  The pair block keeps the
-    core rows of each window and is 0 beyond its window.
+    farther than the buffer never goes unseen.  The coupling part falls
+    only as the buffer grows, so after a pass over the bound the next
+    buffer is the smallest doubling whose coupling part is within it: the
+    partitions in between would fail on it before their eigensolves.
+
+    Each window assembles its own blocks (:meth:`FiberOperator.blocks`),
+    and the pair block is kept as the core rows of each window (0 beyond
+    it), so no ``N x N`` array is built short of the one-window fallback.
     """
-    n = len(op.k_block)
-    alpha = np.zeros((n, n), np.result_type(op.k_block, op.delta_block,
-                                            op.m22_block))
+    n = len(op.momenta)
+
+    def far(buffer):
+        return 2.0 * beta * float(op.coupling[buffer + 1:].sum())
+
     buffer = _WINDOW_BUFFER
     while True:
         spans = _window_spans(n, buffer)
-        traces, masses, edge = [], [], 0.0
+        traces, masses, alpha, edge = [], [], [], 0.0
         for lo, hi, a, b in spans:
             trace, mass, rows = _window(op, beta, lo, hi, a, b)
             traces.append(trace)
             masses.append(mass)
-            alpha[a:b, lo:hi] = rows
+            alpha.append((a, lo, rows))
             cut = [j for j, inner in ((0, lo > 0), (-1, hi < n)) if inner]
             if cut:
                 edge = max(edge, float(np.abs(rows[:, cut]).max()))
         if len(spans) > 1:
-            edge = max(edge, 2.0 * beta * float(op.coupling[buffer + 1:].sum()))
-        scale = float(np.abs(alpha).max())
+            edge = max(edge, far(buffer))
+        scale = max(float(np.abs(block).max()) for _, _, block in alpha)
         leak = edge / scale if scale > 0.0 else 0.0
         if leak <= _WINDOW_LEAK_BOUND or len(spans) == 1:
             break
         buffer *= 2
+        while far(buffer) / scale > _WINDOW_LEAK_BOUND:
+            buffer *= 2
     window = (max(b - a for _, _, a, b in spans),
               0 if len(spans) == 1 else buffer, leak)
-    return _FiberPass(math.fsum(traces), math.fsum(masses), alpha, window)
+    return _FiberPass(math.fsum(traces), math.fsum(masses), tuple(alpha),
+                      window)
 
 
 def _window_record(windows) -> dict:
@@ -660,9 +746,53 @@ def _window_record(windows) -> dict:
     return {"core": max(cores), "buffer": max(buffers), "leak": max(leaks)}
 
 
-def _partner_block(alpha: np.ndarray) -> np.ndarray:
-    """Pair block at ``-xi`` from the one at ``xi``: ``J alpha^T J``."""
-    return alpha[::-1, ::-1].T
+def _partner_blocks(alpha: tuple, n: int) -> tuple:
+    """Pair block at ``-xi`` from the one at ``xi``, ``J alpha^T J``, block
+    by block (``n`` modes; the blocks as in :class:`_FiberPass`)."""
+    return tuple((n - col - rows.shape[1], n - row - len(rows),
+                  rows[::-1, ::-1].T) for row, col, rows in alpha)
+
+
+def _pair_sums(op: FiberOperator, alpha: tuple, beta: float) -> tuple:
+    """The pair-block sums of one fiber: the row-weighted and the
+    column-weighted ``sum (1 + h^2 kappa^2) |alpha - lead|^2``, the plain
+    ``sum |alpha - lead|^2`` and ``sum |lead|^2``, with ``lead = (h/2)
+    psihat(n - n') (phi_n + phi_n')`` (:func:`alpha_delta_distance`).
+
+    ``alpha`` is the pass's blocks (:class:`_FiberPass`).  The sums run
+    one core row block at a time, in ``O(core N)`` memory: ``lead`` has
+    entries beyond a window's columns wherever ``psi`` has modes, where
+    ``alpha`` is 0.
+    """
+    h, kappa = op.h, op.momenta
+    phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - op.mu)) \
+        * op.t_values
+    h1_weight = 1.0 + (h * kappa) ** 2
+    modes = np.arange(len(kappa))
+    sums = []
+    for row, col, rows in alpha:
+        end = row + len(rows)
+        lead = (h / 2.0) * _coeff_matrix(op.psi, modes[row:end], modes) \
+            * (phi[row:end, None] + phi[None, :])
+        lead_sq = np.sum(np.abs(lead) ** 2)
+        diff = lead.astype(np.result_type(lead, rows), copy=False)
+        diff[:, col:col + rows.shape[1]] -= rows
+        diff_sq = np.abs(diff) ** 2
+        sums.append((np.sum(h1_weight[row:end, None] * diff_sq),
+                     np.sum(diff_sq * h1_weight[None, :]),
+                     np.sum(diff_sq), lead_sq))
+    return tuple(math.fsum(float(s[i]) for s in sums) for i in range(4))
+
+
+def _pair_band(alpha: tuple, e1x: np.ndarray,
+               phases_u: np.ndarray) -> np.ndarray:
+    """``((e1x @ alpha) * conj(e1x)) @ phases_u``, with ``e1x @ alpha``
+    accumulated block by block (the blocks as in :class:`_FiberPass`)."""
+    e1x_alpha = np.zeros(e1x.shape, complex)
+    for row, col, rows in alpha:
+        e1x_alpha[:, col:col + rows.shape[1]] += \
+            e1x[:, row:row + len(rows)] @ rows
+    return (e1x_alpha * e1x.conj()) @ phases_u
 
 
 def _expansion_constants(source: GapSolution, beta: float) -> tuple:
@@ -752,26 +882,15 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
     :data:`PAIR_NORMS`) and records their ``delta_<key>``."""
     t, mu, beta = _as_symbol(source)
     basis = _resolve_basis(source, h, m_fibers, n_max)
-    modes = basis.modes
 
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
         tr, mass, alpha, window = _fiber_pass(op, beta)
-        kappa = op.momenta
-        phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - mu)) \
-            * op.t_values
-        lead = (h / 2.0) * _coeff_matrix(psi, modes) * (phi[:, None] + phi[None, :])
-        diff_sq = np.abs(alpha - lead) ** 2
-        h1_weight = 1.0 + (h * kappa) ** 2
-        l2 = float(np.sum(diff_sq))
-        lead_sq = float(np.sum(np.abs(lead) ** 2))
-        own = (tr, mass, float(np.sum(h1_weight[:, None] * diff_sq)), l2,
-               lead_sq, window)
+        h1_row, h1_col, l2, lead_sq = _pair_sums(op, alpha, beta)
+        own = (tr, mass, h1_row, l2, lead_sq, window)
         if not partnered:
             return (own,)
-        partner = (tr, mass, float(np.sum(diff_sq * h1_weight[None, :])), l2,
-                   lead_sq, window)
-        return own, partner
+        return own, (tr, mass, h1_col, l2, lead_sq, window)
 
     def quadrature(parts, m):
         tr, mass, h1_sq, l2_sq, lead_sq = (
@@ -950,7 +1069,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         phases_u = np.exp(
             -1j * np.outer(2.0 * math.pi * modes + xi, h * u_nodes)
         )
-        return ((e1x @ alpha) * e1x.conj()) @ phases_u
+        return _pair_band(alpha, e1x, phases_u)
 
     def one(xi, partnered):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
@@ -958,7 +1077,8 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         own = (tr, mass, band_of(alpha, xi), window)
         if not partnered:
             return (own,)
-        return own, (tr, mass, band_of(_partner_block(alpha), -xi), window)
+        partner = _partner_blocks(alpha, basis.size)
+        return own, (tr, mass, band_of(partner, -xi), window)
 
     psi_mode_index = np.nonzero(psi.coeffs)[0]
     p_values = 2.0 * math.pi * psi.modes[psi_mode_index]

@@ -214,17 +214,20 @@ class TorusField:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_matrix(f: TorusField, modes: np.ndarray) -> np.ndarray:
+def _coeff_matrix(f: TorusField, modes: np.ndarray,
+                  cols: np.ndarray | None = None) -> np.ndarray:
     """Matrix of multiplication by ``f`` on the plane waves ``modes``:
-    ``C[i, j] = f.coeff(modes[i] - modes[j])``, stored real when every
-    coefficient of ``f`` is exactly real."""
+    ``C[i, j] = f.coeff(modes[i] - cols[j])`` on ascending ``modes`` and
+    ``cols`` (default: ``modes``), stored real when every coefficient of
+    ``f`` is exactly real."""
+    cols = modes if cols is None else cols
     coeffs = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
-    span = int(modes[-1] - modes[0])
+    span = int(max(modes[-1] - cols[0], cols[-1] - modes[0]))
     lookup = np.zeros(2 * span + 1, dtype=coeffs.dtype)
     keep = min(span, f.n_max)
     lookup[span - keep: span + keep + 1] = coeffs[f.n_max - keep:
                                                   f.n_max + keep + 1]
-    nu = modes[:, None] - modes[None, :]
+    nu = modes[:, None] - cols[None, :]
     return lookup[nu + span]
 
 

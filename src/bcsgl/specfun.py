@@ -530,17 +530,24 @@ def fermi_f_divided_difference(x, y):
     """
     xa, xs = _as_float_array(x)
     ya, ys = _as_float_array(y)
-    lo, hi = (np.atleast_1d(v) for v in np.broadcast_arrays(
-        np.minimum(xa, ya), np.maximum(xa, ya)))
-    d = lo - hi
+    # in place where it can be: the window pass holds few full-size arrays
+    lo = np.atleast_1d(np.minimum(xa, ya))
+    d = np.atleast_1d(np.maximum(xa, ya))
+    np.subtract(lo, d, out=d)
     out = _occupation(lo)
     near = (d > -1.0) & (d != 0.0)
-    dn = d[near]
-    out[near] = np.log1p(out[near] * np.expm1(dn)) / dn
     far = d <= -1.0
-    lf, df = lo[far], d[far]
-    out[far] = np.logaddexp(-np.logaddexp(0.0, -lf),
-                            df - np.logaddexp(0.0, lf)) / df
+    dn, lf, df = d[near], lo[far], d[far]
+    del lo, d
+    part = out[near]
+    part *= np.expm1(dn)
+    out[near] = np.divide(np.log1p(part, out=part), dn, out=part)
+    del dn, part
+    part = np.logaddexp(0.0, -lf)
+    np.negative(part, out=part)
+    rest = np.logaddexp(0.0, lf)
+    np.subtract(df, rest, out=rest)
+    out[far] = np.divide(np.logaddexp(part, rest, out=part), df, out=part)
     return float(out[0]) if xs and ys else out
 
 

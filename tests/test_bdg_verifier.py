@@ -6,6 +6,7 @@ values for the composite observables.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from bcsgl import bdg_verifier as bv
 from bcsgl import specfun
 from bcsgl.gap_solver import normalize
 from bcsgl.gl_minimizer import TorusField
+from pair_blocks import dense_alpha
 from synthetic_symbol import SyntheticPairSymbol
 
 # Frozen outputs of the reference configuration (gaussian well g=2, w=1,
@@ -84,6 +86,65 @@ def dense_pass(op, beta):
     """``(trace, mass, alpha)`` of one fiber by the dense route."""
     lam, alpha = pair_block(op.matrix, beta)
     return (*fiber_trace(op, lam, beta), alpha)
+
+
+def pair_sums(op, alpha, beta):
+    """The pair-block sums of ``bv._pair_sums`` from a dense ``alpha``,
+    with whole ``N x N`` arrays: row- and column-weighted H1, L2 of
+    ``alpha - lead`` and L2 of ``lead``."""
+    h, kappa = op.h, op.momenta
+    phi = (beta / 2.0) * specfun.g0(beta * (h * h * kappa * kappa - op.mu)) \
+        * op.t_values
+    modes = np.arange(len(kappa))
+    lead = (h / 2.0) * bv._coeff_matrix(op.psi, modes) \
+        * (phi[:, None] + phi[None, :])
+    diff_sq = np.abs(alpha - lead) ** 2
+    weight = 1.0 + (h * kappa) ** 2
+    return (float(np.sum(weight[:, None] * diff_sq)),
+            float(np.sum(diff_sq * weight[None, :])),
+            float(np.sum(diff_sq)), float(np.sum(np.abs(lead) ** 2)))
+
+
+def single_mode_fiber(xi0, delta):
+    """The one-mode fiber ``K = [[xi0]]``, ``Delta = [[delta]]``, ``M22 =
+    [[-xi0]]``: momentum 0, ``mu = -xi0``, ``t = 1`` and ``psi = -delta``
+    at ``h = 1``, so that ``-(h/2) psi (t + t)`` is ``delta`` exactly."""
+    return bv.FiberOperator(np.zeros(1), np.ones(1),
+                            TorusField.constant(-delta), ZERO, ZERO, 1.0,
+                            -xi0)
+
+
+#: Where a fiber would hold an ``N x N`` array in its instance dictionary.
+FULL_ARRAYS = {"k_block", "delta_block", "m22_block", "full_blocks", "matrix"}
+
+
+def spied_buffers(monkeypatch):
+    """The buffer of each partition the fiber pass runs, in order."""
+    buffers, spans = [], bv._window_spans
+
+    def recording(n, buffer):
+        buffers.append(buffer)
+        return spans(n, buffer)
+
+    monkeypatch.setattr(bv, "_window_spans", recording)
+    return buffers
+
+
+def assert_doublings(op, beta, buffers, scale):
+    """Each buffer doubles the one before, once or more times; each
+    doubling skipped has a coupling part of the leak over the bound (its
+    partition would fail), and each buffer run has it within."""
+    def far(buffer):
+        return 2.0 * beta * op.coupling[buffer + 1:].sum()
+
+    assert buffers[0] == bv._WINDOW_BUFFER
+    for before, after in zip(buffers, buffers[1:]):
+        skipped = 2 * before
+        while skipped < after:
+            assert far(skipped) > bv._WINDOW_LEAK_BOUND * scale, skipped
+            skipped *= 2
+        assert skipped == after
+        assert far(after) <= bv._WINDOW_LEAK_BOUND * scale, after
 
 
 def occupations(matrix, beta):
@@ -201,13 +262,19 @@ class TestFiberAssembly:
     def test_non_hermitian_diagonal_block_raises(self, gap_sol, fields,
                                                  monkeypatch):
         # a complex w that gets past the reality guard makes the particle
-        # and hole blocks non-Hermitian; the check on those blocks sees it
+        # and hole blocks non-Hermitian; the check on every assembled block
+        # sees it: a window of the fiber pass, and the full blocks
         psi, a, _ = fields
         monkeypatch.setattr(TorusField, "is_real", lambda self, tol=0: True)
         bad = TorusField.from_modes({1: 0.3j}, n_max=1)
-        with pytest.raises(FloatingPointError, match="lost Hermiticity"):
-            bv.build_fiber(bv.FiberBasis(0.25, 8, 4), 0.7, psi, a, bad,
-                           gap_sol.t, gap_sol.mu)
+        op = bv.build_fiber(bv.FiberBasis(0.25, 8, 4), 0.7, psi, a, bad,
+                            gap_sol.t, gap_sol.mu)
+        for assemble in (lambda: op.blocks(3, 9),
+                         lambda: bv._fiber_pass(op, gap_sol.beta_c),
+                         lambda: op.matrix):
+            with pytest.raises(FloatingPointError,
+                               match="xi=0.700000 lost Hermiticity"):
+                assemble()
 
     def test_complex_external_field_rejected(self, gap_sol, fields):
         psi, a, w = fields
@@ -477,12 +544,14 @@ class TestWindowedPass:
         op = windowed_fibers[case]
         beta = gap_sol.beta_c
         fp = bv._fiber_pass(op, beta)
-        assert len(bv._window_spans(len(op.k_block), fp.window[1])) > 1
+        n = len(op.momenta)
+        assert len(bv._window_spans(n, fp.window[1])) > 1
         trace, mass, alpha = dense_pass(op, beta)
         eps = np.finfo(float).eps
         assert abs(fp.trace - trace) <= eps * mass
         assert fp.mass == pytest.approx(mass, rel=1e-14)
-        assert np.abs(fp.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
+        assert np.abs(dense_alpha(fp.alpha, n) - alpha).max() \
+            <= 1e-11 * np.abs(alpha).max()
 
     @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_partitions_agree(self, gap_sol, windowed_fibers, monkeypatch,
@@ -498,32 +567,32 @@ class TestWindowedPass:
         assert other.window[:2] != base.window[:2]
         eps = np.finfo(float).eps
         assert abs(other.trace - base.trace) <= 1e-2 * eps * base.mass
-        assert np.abs(other.alpha - base.alpha).max() \
-            <= 1e-11 * np.abs(base.alpha).max()
+        n = len(op.momenta)
+        base_alpha = dense_alpha(base.alpha, n)
+        assert np.abs(dense_alpha(other.alpha, n) - base_alpha).max() \
+            <= 1e-11 * np.abs(base_alpha).max()
 
     def test_a_tiny_buffer_doubles(self, gap_sol, windowed_fibers,
                                    monkeypatch):
         # one buffer mode leaks 0.3 of max |alpha|: the buffer doubles
-        # until the leak is below the bound, and the values are those of
-        # the default partition
+        # until the leak is below the bound, skipping the doublings whose
+        # coupling part is over it (the rich fields couple modes up to 4
+        # apart), and the values are those of the default partition
         op = windowed_fibers["rich_fields"]
         beta = gap_sol.beta_c
         base = bv._fiber_pass(op, beta)
-        buffers, spans = [], bv._window_spans
-
-        def recording(n, buffer):
-            buffers.append(buffer)
-            return spans(n, buffer)
-
-        monkeypatch.setattr(bv, "_window_spans", recording)
+        buffers = spied_buffers(monkeypatch)
         monkeypatch.setattr(bv, "_WINDOW_BUFFER", 1)
         doubled = bv._fiber_pass(op, beta)
-        assert buffers == [2 ** k for k in range(len(buffers))]
+        n = len(op.momenta)
+        base_alpha = dense_alpha(base.alpha, n)
+        assert_doublings(op, beta, buffers, np.abs(base_alpha).max())
+        assert buffers[:2] == [1, 4]
         assert len(buffers) > 2 and doubled.window[1] == buffers[-1]
         eps = np.finfo(float).eps
         assert abs(doubled.trace - base.trace) <= 1e-2 * eps * base.mass
-        assert np.abs(doubled.alpha - base.alpha).max() \
-            <= 1e-11 * np.abs(base.alpha).max()
+        assert np.abs(dense_alpha(doubled.alpha, n) - base_alpha).max() \
+            <= 1e-11 * np.abs(base_alpha).max()
 
     def test_a_leak_above_the_bound_grows_to_the_whole_fiber(
             self, gap_sol, windowed_fibers, monkeypatch):
@@ -533,38 +602,48 @@ class TestWindowedPass:
         beta = gap_sol.beta_c
         monkeypatch.setattr(bv, "_WINDOW_LEAK_BOUND", 0.0)
         fp = bv._fiber_pass(op, beta)
-        n = len(op.k_block)
+        n = len(op.momenta)
         assert fp.window == (n, 0, 0.0)
         trace, mass, alpha = dense_pass(op, beta)
         assert abs(fp.trace - trace) <= np.finfo(float).eps * mass
-        assert np.abs(fp.alpha - alpha).max() <= 1e-12 * np.abs(alpha).max()
+        assert np.abs(dense_alpha(fp.alpha, n) - alpha).max() \
+            <= 1e-12 * np.abs(alpha).max()
 
-    @pytest.mark.parametrize("a, w, windows", [
-        (ZERO, TorusField.cosine(0.5, 12), "several"),
-        (ZERO, TorusField.cosine(0.5, 48), "one"),
-        (TorusField.cosine(0.2, 24), ZERO, "one"),
+    @pytest.mark.parametrize("a, w, windows, partitions", [
+        (ZERO, TorusField.cosine(0.5, 12), "several", [8, 16, 32]),
+        (ZERO, TorusField.cosine(0.5, 48), "one", [8, 64]),
+        (TorusField.cosine(0.2, 24), ZERO, "one", [8, 64]),
     ], ids=["W at 12", "W at 48", "A at 24"])
-    def test_a_far_field_mode_widens_the_windows(self, gap_sol, fields, a, w,
-                                                 windows):
+    def test_a_far_field_mode_widens_the_windows(self, gap_sol, fields,
+                                                 monkeypatch, a, w, windows,
+                                                 partitions):
         # a coupling farther than the buffer is no leak the pair block
         # shows at the buffer's edge (W at 48 with buffer 8 left alpha off
         # by 4.2e-6 of its max); its weight in the leak widens the buffer
         # past it (W at 12: buffer 32) or to the whole fiber.  Measured:
-        # traces within 0.53 eps * mass, pair blocks within 9.5e-13
+        # traces within 0.53 eps * mass, pair blocks within 9.5e-13.  The
+        # buffer jumps over the doublings whose coupling part is over the
+        # bound: W at 48 and A at 24 ran 8, 16, 32, 64 by plain doubling,
+        # with the same window record and values
         basis = bv._resolve_basis(gap_sol, 0.015625, 16, None)
         op = bv.build_fiber(basis, basis.half_nodes[3], fields[0], a, w,
                             gap_sol.t, gap_sol.mu)
         beta = gap_sol.beta_c
+        buffers = spied_buffers(monkeypatch)
         fp = bv._fiber_pass(op, beta)
+        n = len(op.momenta)
         reach = int(np.nonzero(op.coupling)[0].max())
         core, buffer, _ = fp.window
         if windows == "several":
-            assert core < len(op.k_block) and buffer >= reach
+            assert core < n and buffer >= reach and buffer == 32
         else:
-            assert fp.window == (len(op.k_block), 0, 0.0)
+            assert fp.window == (n, 0, 0.0)
+        assert buffers == partitions
         trace, mass, alpha = dense_pass(op, beta)
+        assert_doublings(op, beta, buffers, np.abs(alpha).max())
         assert abs(fp.trace - trace) <= np.finfo(float).eps * mass
-        assert np.abs(fp.alpha - alpha).max() <= 1e-11 * np.abs(alpha).max()
+        assert np.abs(dense_alpha(fp.alpha, n) - alpha).max() \
+            <= 1e-11 * np.abs(alpha).max()
 
     def test_coupling_bounds_the_blocks(self, gap_sol, rich_fields):
         # every entry d modes off the diagonal is within coupling[d]
@@ -582,8 +661,87 @@ class TestWindowedPass:
         op = bv.build_fiber(bv.FiberBasis(0.0625, 40, 4), 0.3, psi, a, w,
                             gap_sol.t, gap_sol.mu)
         bv._fiber_pass(op, gap_sol.beta_c)
-        assert "matrix" not in vars(op)
+        assert not FULL_ARRAYS & set(vars(op))
         assert op.matrix is op.matrix
+        assert op.k_block is op.k_block
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_blocks_are_slices_of_the_full_blocks(self, windowed_fibers,
+                                                  case):
+        # each window's blocks are the slices of the full blocks, bit for
+        # bit and in their dtype: real (the GL state) and complex (the
+        # probe's pairing block, the rich fields' particle and hole blocks)
+        op = windowed_fibers[case]
+        n = len(op.momenta)
+        fresh = replace(op)
+        ranges = [(lo, hi) for lo, hi, _, _ in bv._window_spans(n, 8)]
+        ranges += [(0, 1), (n - 1, n), (5, 200), (0, n)]
+        for lo, hi in ranges:
+            for part, full in zip(fresh.blocks(lo, hi), op.full_blocks):
+                assert part.dtype == full.dtype
+                assert np.array_equal(part, full[lo:hi, lo:hi]), (lo, hi)
+        kinds = [b.dtype.kind for b in op.full_blocks]
+        assert kinds == {"probe": ["f", "c", "f"], "gl_state": ["f", "f", "f"],
+                         "rich_fields": ["c", "c", "c"]}[case]
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_pair_sums_match_the_dense_oracle(self, gap_sol, windowed_fibers,
+                                              case):
+        # the sums one core row block at a time against whole N x N arrays
+        # on the same pair block, densified: the same terms in another
+        # order (the GL state's psi has 65 modes, so lead reaches far
+        # beyond each window's columns).  Measured within 2.9e-16 relative
+        op = windowed_fibers[case]
+        beta = gap_sol.beta_c
+        fp = bv._fiber_pass(op, beta)
+        got = bv._pair_sums(op, fp.alpha, beta)
+        want = pair_sums(op, dense_alpha(fp.alpha, len(op.momenta)), beta)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_band_and_partner_match_the_dense_oracle(
+            self, gap_sol, windowed_fibers, case):
+        # the trial-state band ((e1x @ alpha) * conj(e1x)) @ phases at xi,
+        # and at -xi with J alpha^T J, block by block against the dense
+        # pair block.  Measured within 3.6e-16 of the largest entry
+        op = windowed_fibers[case]
+        fp = bv._fiber_pass(op, gap_sol.beta_c)
+        n = len(op.momenta)
+        alpha = dense_alpha(fp.alpha, n)
+        modes = np.arange(n) - n // 2
+        x_nodes = (np.arange(129) + 0.5) / 129
+        u_nodes = np.linspace(-8.0, 8.0, 129)
+        e1x = np.exp(2j * math.pi * np.outer(x_nodes, modes))
+        for blocks, dense, xi in (
+                (fp.alpha, alpha, op.xi),
+                (bv._partner_blocks(fp.alpha, n), alpha[::-1, ::-1].T,
+                 -op.xi)):
+            phases = np.exp(-1j * np.outer(2.0 * math.pi * modes + xi,
+                                           op.h * u_nodes))
+            want = ((e1x @ dense) * e1x.conj()) @ phases
+            got = bv._pair_band(blocks, e1x, phases)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_a_probe_fiber_pass_holds_no_full_block(self, gap_sol, fields):
+        # at h = 1/128 (N = 507 modes) the pass peaks below a quarter of
+        # one dense complex N x N block (measured 0.87 MiB against 0.98;
+        # the parent's N x N pair block and blocks took 5.9 MiB).  The
+        # fiber is built before tracing: the pair symbol's N x 512 kernel
+        # temporaries are the build's, not the pass's
+        basis = bv._resolve_basis(gap_sol, 0.0078125, 16, None)
+        op = bv.build_fiber(basis, basis.half_nodes[1], *fields, gap_sol.t,
+                            gap_sol.mu)
+        n = len(op.momenta)
+        assert n == 507
+        tracemalloc.start()
+        try:
+            fp = bv._fiber_pass(op, gap_sol.beta_c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fp.window[:2] == (32, 8)
+        assert peak < n * n * np.dtype(complex).itemsize / 4
+        assert not FULL_ARRAYS & set(vars(op))
 
     @pytest.mark.parametrize("xi0, delta", [(0.3, 0.2 + 0.1j),
                                             (-2.5, 0.05j), (40.0, 1e-3)])
@@ -591,16 +749,16 @@ class TestWindowedPass:
         # one mode: eigenvalues +-sqrt(xi0^2 + |Delta|^2) against +-xi0,
         # and alpha = -Delta tanh(beta E / 2) / (2 E)
         beta = 5.0
-        op = bv.FiberOperator(np.zeros(1), np.zeros(1), np.array([[xi0]]),
-                              np.array([[delta]]), np.array([[-xi0]]),
-                              np.zeros(1))
+        op = single_mode_fiber(xi0, delta)
+        assert [b.tolist() for b in op.full_blocks] == [
+            [[xi0]], [[delta]], [[-xi0]]]
         fp = bv._fiber_pass(op, beta)
         energy = math.hypot(xi0, abs(delta))
         f = specfun.fermi_f
         expected = (f(beta * energy) + f(-beta * energy)
                     - f(beta * xi0) - f(-beta * xi0))
         assert fp.trace == pytest.approx(expected, rel=1e-13)
-        assert fp.alpha[0, 0] == pytest.approx(
+        assert dense_alpha(fp.alpha, 1)[0, 0] == pytest.approx(
             -delta * math.tanh(beta * energy / 2.0) / (2.0 * energy),
             rel=1e-13)
         assert fp.window == (1, 0, 0.0)
@@ -680,7 +838,7 @@ class TestSupercellOracle:
                          basis.xi_nodes):
             idx = (basis.modes * m_cells + k) % n_g
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
-            alpha = bv._fiber_pass(op, beta).alpha
+            alpha = dense_alpha(bv._fiber_pass(op, beta).alpha, basis.size)
             assert np.abs(alpha_pw[np.ix_(idx, idx)] - alpha).max() <= 1e-12
 
     def test_trace_difference_matches(self, gap_sol, fields,
@@ -886,28 +1044,32 @@ class TestRealFibers:
         assert kinds(gl_min_state.psi, TorusField.sine(0.2, 1)) == [
             "c", "f", "c"]
 
-    def test_pair_block_matches_complex_route(self, gap_sol, gl_min_state):
+    def test_pair_block_matches_complex_route(self, gap_sol, gl_min_state,
+                                              monkeypatch):
         # The windowed pass on these real fibers (2N = 282) and on the same
-        # blocks stored complex.  Measured: traces within 3.8e-5 eps * mass,
+        # blocks stored complex (every window assembled from complex
+        # coefficient tables).  Measured: traces within 3.8e-5 eps * mass,
         # pair blocks within 1.2e-13 relative (Frobenius).
         h = 0.03125
         beta = gap_sol.beta_c / (1.0 - h * h * gap_sol.D)
         basis = bv._resolve_basis(gap_sol, h, 16, None)
         eps = np.finfo(float).eps
-        for xi in basis.half_nodes:
-            op = bv.build_fiber(basis, xi, gl_min_state.psi, ZERO,
-                                TorusField.cosine(0.5, 1), gap_sol.t,
-                                gap_sol.mu)
-            blocks = (op.k_block, op.delta_block, op.m22_block)
-            assert all(np.isrealobj(b) for b in blocks)
-            real = bv._fiber_pass(op, beta)
-            cplx = bv._fiber_pass(replace(
-                op, **{name: b.astype(complex) for name, b in zip(
-                    ("k_block", "delta_block", "m22_block"), blocks)}), beta)
-            assert np.isrealobj(real.alpha)
-            assert abs(real.trace - cplx.trace) <= eps * real.mass, xi
-            assert np.linalg.norm(real.alpha - cplx.alpha) <= 1e-11 * \
-                np.linalg.norm(cplx.alpha), xi
+        n = basis.size
+        ops = [bv.build_fiber(basis, xi, gl_min_state.psi, ZERO,
+                              TorusField.cosine(0.5, 1), gap_sol.t, gap_sol.mu)
+               for xi in basis.half_nodes]
+        real = [bv._fiber_pass(op, beta) for op in ops]
+        assert all(np.isrealobj(b) for op in ops for b in op.full_blocks)
+        _complex_coeff_matrix(monkeypatch)
+        for op, fp in zip(ops, real):
+            cplx = bv._fiber_pass(op, beta)
+            assert all(np.iscomplexobj(rows) for _, _, rows in cplx.alpha)
+            real_alpha = dense_alpha(fp.alpha, n)
+            cplx_alpha = dense_alpha(cplx.alpha, n)
+            assert np.isrealobj(real_alpha)
+            assert abs(fp.trace - cplx.trace) <= eps * fp.mass, op.xi
+            assert np.linalg.norm(real_alpha - cplx_alpha) <= 1e-11 * \
+                np.linalg.norm(cplx_alpha), op.xi
 
     def test_energy_matches_complex_route(self, gap_sol, gl_min_state,
                                           monkeypatch):
@@ -967,7 +1129,8 @@ class TestPartnerFibers:
             assert spec_dev <= 1e-12 * np.abs(lam_p).max()
             # alpha(-xi) = J alpha(xi)^T J
             partner = alpha_p[::-1, ::-1].T
-            np.testing.assert_array_equal(bv._partner_block(alpha_p), partner)
+            np.testing.assert_array_equal(dense_alpha(bv._partner_blocks(
+                ((0, 0, alpha_p),), basis.size), basis.size), partner)
             assert np.abs(partner - alpha_m).max() \
                 <= 1e-12 * np.abs(alpha_p).max()
 

@@ -23,6 +23,7 @@ from bcsgl import cli
 from bcsgl import gap_solver as gs
 from bcsgl import gl_coeffs as gc
 from bcsgl import gl_minimizer as gm
+from pair_blocks import dense_alpha
 
 REFERENCE_TC = 0.6716278342041448
 
@@ -535,17 +536,18 @@ class TestSharedFiberPass:
                 sorted(nodes),
                 bv.FiberBasis(0.5, 1, extra["m_fibers"]).half_nodes)
         # one pass per fiber: an eigh of each window's 2w x 2w matrix and
-        # of its two w x w free blocks, no eigvalsh, and no 2N x 2N fiber
-        # assembled
+        # of its two w x w free blocks, no eigvalsh, and neither the
+        # 2N x 2N fiber nor its N x N blocks assembled
         assert ([id(op) for _, _, op in built]
                 == [id(op) for op, _, _ in passes])
         for op, fiber_solves, (_, buffer, _) in passes:
-            spans = bv._window_spans(len(op.k_block), buffer)
+            spans = bv._window_spans(len(op.momenta), buffer)
             assert len(spans) > 1
             assert sorted(fiber_solves) == sorted(
                 ("eigh", size) for lo, hi, _, _ in spans
                 for size in (2 * (hi - lo), hi - lo, hi - lo))
-            assert "matrix" not in vars(op)
+            assert not {"k_block", "delta_block", "m22_block", "full_blocks",
+                        "matrix"} & set(vars(op))
         assert (tmp_path / "out" / "sweeps" / "pair_distance.json").is_file()
 
         built.clear()
@@ -1081,7 +1083,7 @@ class TestWorkerPool:
             op = bv.build_fiber(basis, xi, psi, cfg.a_field, cfg.w_field,
                                 sol.t, sol.mu)
             fp = bv._fiber_pass(op, sol.beta_c)
-            own = (fp.trace, fp.alpha.tobytes())
+            own = (fp.trace, dense_alpha(fp.alpha, basis.size).tobytes())
             return (own, own) if partnered else (own,)
 
         folds = [bv._fold_fibers(basis, one, workers) for workers in (1, 3)]
