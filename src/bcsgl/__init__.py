@@ -27,23 +27,16 @@ dimension, the semiclassical statements that connect the two descriptions:
 
 The package module itself holds what the CLI needs before, or without,
 any numerical stage, and so imports the standard library alone: the
-default gap grid and its coverage rule, the thread pool every command
-computes on (:class:`Pool`), and the order fits of the h-sweeps
-(:func:`h_sweep`), which :mod:`bcsgl.bdg_verifier` re-exports.
+default gap grid and its coverage rule, and the order fits of the
+h-sweeps (:func:`h_sweep`), which :mod:`bcsgl.bdg_verifier` re-exports.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import os
 import sys
-import threading
-from typing import TYPE_CHECKING, Callable, Sequence
-
-if TYPE_CHECKING:  # loaded with the first task: a pool is not always used
-    from concurrent.futures import Future
+from typing import Callable, Sequence
 
 #: The BLAS and OpenMP thread variables the console entry sets.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -74,110 +67,6 @@ def gap_grid_coverage_error(cutoff: float, mu: float, width: float
         return (f"momentum cutoff {cutoff:.3f} below kinematic coverage "
                 f"threshold {minimum:.3f} (sqrt(2 mu) + 5/w)")
     return None
-
-
-class Pool:
-    """A pool of ``threads`` threads that runs the most urgent task first,
-    and whose waiting callers run tasks too.
-
-    A task's urgency is the ``size`` it was submitted with: the largest
-    first, and tasks of one size in the order submitted.  Fibers are
-    submitted with their matrix size and every other task with 0, so the
-    biggest pending fiber starts first and the rest wait behind every
-    pending fiber.  :meth:`work_until_done` is how a task waits on the
-    tasks it submitted: its thread runs the most urgent pending task,
-    of any kind, until they are done.  Only the fibers' fold waits that
-    way, and fibers never wait, so helping cannot deadlock.  The threads
-    start with the first task; a pool of 0 threads runs its tasks on the
-    threads that wait for them.
-
-    It is a context manager that shuts it down (:meth:`shutdown`).
-    """
-
-    def __init__(self, threads: int):
-        self._cond = threading.Condition()
-        self._queue = []   # heap of (-size, order, future, fn, args)
-        self._order = itertools.count()
-        self._closed = False
-        self._size, self._threads = threads, []
-
-    def __enter__(self) -> "Pool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def submit(self, fn: Callable, *args, size: int = 0) -> Future:
-        """Queue ``fn(*args)`` with urgency ``size``; returns its future."""
-        from concurrent.futures import Future
-
-        future = Future()
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("cannot submit to a pool shut down")
-            heapq.heappush(self._queue,
-                           (-size, next(self._order), future, fn, args))
-            self._cond.notify_all()
-            # the threads start with the first task
-            while len(self._threads) < self._size:
-                self._threads.append(threading.Thread(target=self._serve,
-                                                      daemon=True))
-                self._threads[-1].start()
-        return future
-
-    def work_until_done(self, futures: Sequence[Future]) -> None:
-        """Run the most urgent pending task on the calling thread until
-        every one of ``futures`` is done; block, until a task is queued
-        or one of them finishes, only while nothing is pending."""
-        undone = list(futures)
-        while True:
-            with self._cond:
-                while True:
-                    undone = [f for f in undone if not f.done()]
-                    if not undone:
-                        return
-                    if self._queue:
-                        break
-                    self._cond.wait()
-                task = heapq.heappop(self._queue)
-            self._run(task)
-
-    def shutdown(self, cancel_futures: bool = False) -> None:
-        """Stop taking tasks, cancel the queued ones when
-        ``cancel_futures``, and wait until the threads have run the rest."""
-        with self._cond:
-            self._closed = True
-            if cancel_futures:
-                for task in self._queue:
-                    task[2].cancel()
-                self._queue.clear()
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-
-    def _serve(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue:
-                    if self._closed:
-                        return
-                    self._cond.wait()
-                task = heapq.heappop(self._queue)
-            self._run(task)
-
-    def _run(self, task) -> None:
-        _, _, future, fn, args = task
-        if future.set_running_or_notify_cancel():
-            try:
-                result = fn(*args)
-            except BaseException as exc:  # noqa: BLE001
-                # raised again by ``future.result()`` in the task's
-                # owner, not on the thread that happened to run it
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-        with self._cond:   # wake the waiters of this future
-            self._cond.notify_all()
 
 
 # ---------------------------------------------------------------------------

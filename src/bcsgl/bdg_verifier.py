@@ -87,15 +87,10 @@ Fermi weights for ``lhs`` and ``f_bcs_diff``, a relative ``1e-9`` for the
 pair-block norms.  A point that reaches the cap unconverged is recorded
 and warned about.
 
-Every observable takes ``workers``: a thread count, or the
-:class:`bcsgl.Pool` of a command that also runs the h points of its
-sweeps, so that the points and their fibers share one pool.  The fibers
-of a point go to that pool, urgent by their matrix size, so the finest
-point's fibers start first; the thread that asked for them runs pending
-tasks of the pool until they are done (:func:`_fold_fibers`).  A thread
-count ``n`` makes a pool of ``n - 1`` threads plus the calling thread.
-So at most ``workers`` threads compute, and the contributions, summed in
-node order, do not depend on which thread computed them.
+Every observable folds its fibers serially, in node order, on the
+calling thread (:func:`_fold_fibers`).  A command runs its h points in
+parallel, one point per thread, so a point's fibers never leave its
+thread and its value does not depend on how many points run at once.
 
 The order fits of the sweeps (:func:`h_sweep`, :func:`fit_order`,
 :func:`local_orders`) and :data:`LADDER_KEYS` live in :mod:`bcsgl`, on
@@ -113,8 +108,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import (LADDER_KEYS, PAIR_NORMS, Pool, fit_order, h_sweep,
-               local_orders, specfun)
+from . import (LADDER_KEYS, PAIR_NORMS, fit_order, h_sweep, local_orders,
+               specfun)
 from .gap_solver import GapSolution
 from .gl_coeffs import e1_constant, e2_constants
 from .gl_minimizer import (TorusField, _coeff_matrix, _covariant_square,
@@ -402,26 +397,16 @@ def _mode_profile(f: TorusField, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fold_fibers(basis: FiberBasis, one: Callable,
-                 workers: int | Pool) -> list:
+def _fold_fibers(basis: FiberBasis, one: Callable) -> list:
     """Per-fiber contributions over the whole Bloch grid.
 
     ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi`` and
     returns a tuple: the contribution of fiber ``xi`` and, when
     ``partnered`` (``0 < xi < pi``), that of its particle-hole partner
     ``-xi``, derived from fiber ``xi`` without another eigensolve.  The
-    result lists one contribution per node of ``basis.xi_nodes``.  A
-    failing eigensolver is reported with the fiber's ``xi``.
-
-    ``workers`` is a :class:`bcsgl.Pool`, all of whose threads compute
-    (a command's pool, shared with the h points that call this), or a
-    thread count ``n``, for which a pool of ``n - 1`` threads serves
-    this fold.  Each fiber is submitted to the pool with its matrix size
-    as its urgency, and the calling thread runs the pool's most urgent
-    pending tasks, its own fibers or any other, until every fiber is
-    done (:meth:`bcsgl.Pool.work_until_done`).  So a fold on one of the
-    pool's own threads never idles while work is queued, and at most
-    ``workers`` threads compute.
+    result lists one contribution per node of ``basis.xi_nodes``.  The
+    fibers run in node order on the calling thread, the thread of their h
+    point.  A failing eigensolver is reported with the fiber's ``xi``.
     """
 
     def run(k, xi):
@@ -432,17 +417,10 @@ def _fold_fibers(basis: FiberBasis, one: Callable,
                 f"eigensolver failed on the fiber at xi={xi:.6f}"
             ) from exc
 
-    if isinstance(workers, int):
-        with Pool(max(0, workers - 1)) as pool:
-            return _fold_fibers(basis, one, pool)
-    futures = [workers.submit(run, k, xi, size=2 * basis.size)
-               for k, xi in enumerate(basis.half_nodes)]
-    workers.work_until_done(futures)
-    return [c for fut in futures for c in fut.result()]
+    return [c for k, xi in enumerate(basis.half_nodes) for c in run(k, xi)]
 
 
-def _bloch_ladder(basis: FiberBasis, one: Callable,
-                  workers: int | Pool, quadrature: Callable,
+def _bloch_ladder(basis: FiberBasis, one: Callable, quadrature: Callable,
                   above: float = 0.0) -> tuple[dict, dict]:
     """The Bloch quadrature of every sweep: nested doubling of the grid up
     to the cap ``basis.m_fibers``.
@@ -485,11 +463,11 @@ def _bloch_ladder(basis: FiberBasis, one: Callable,
     while m <= above and 2 * m <= cap:
         m *= 2
     if 2 * m <= cap:
-        _fold_fibers(replace(basis, m_fibers=2 * m), once, workers)
+        _fold_fibers(replace(basis, m_fibers=2 * m), once)
     coarse = None
     while True:
         fine, floors = quadrature(
-            _fold_fibers(replace(basis, m_fibers=m), once, workers), m)
+            _fold_fibers(replace(basis, m_fibers=m), once), m)
         deltas = {k: None if coarse is None else abs(fine[k] - coarse[k])
                   for k in floors}
         converged = coarse is not None and all(
@@ -812,8 +790,7 @@ def _expansion_constants(source: GapSolution, beta: float) -> tuple:
 
 def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
                          w: TorusField, h: float, *, m_fibers: int = 16,
-                         n_max: int | None = None,
-                         workers: int | Pool = 1) -> dict:
+                         n_max: int | None = None) -> dict:
     """Trace expansion and pair-block distance from one pass over the fibers.
 
     Each fiber is built once and goes through one windowed spectral pass
@@ -853,9 +830,6 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         Cap of the Bloch ladder.
     n_max : int
         Mode cutoff (auto-scaled coverage by default).
-    workers : int or Pool
-        Threads for the fibers, or the pool to share
-        (:func:`_fold_fibers`).
 
     Returns
     -------
@@ -869,14 +843,13 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
         partition: the largest ``core`` and ``buffer`` in modes and the
         worst ``leak`` (:func:`_fiber_pass`).
     """
-    return _trace_and_pair(source, psi, a, w, h, m_fibers, n_max, workers,
+    return _trace_and_pair(source, psi, a, w, h, m_fibers, n_max,
                            ("lhs", *PAIR_NORMS))
 
 
 def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
                     w: TorusField, h: float, m_fibers: int,
-                    n_max: int | None, workers: int | Pool,
-                    compared: tuple) -> dict:
+                    n_max: int | None, compared: tuple) -> dict:
     """The pass of :func:`alpha_delta_distance`, whose Bloch ladder
     compares the values named in ``compared`` (``"lhs"`` and those of
     :data:`PAIR_NORMS`) and records their ``delta_<key>``."""
@@ -907,7 +880,7 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
                   **{k: _PAIR_REL_TOL * q[k] for k in PAIR_NORMS}}
         return q, {k: floors[k] for k in compared}
 
-    q, ladder = _bloch_ladder(basis, one, workers, quadrature)
+    q, ladder = _bloch_ladder(basis, one, quadrature)
 
     ips = field_inner_products(psi, a, w)
     e1_per_norm, blocks = _expansion_constants(source, beta)
@@ -943,8 +916,7 @@ _TRACE_KEYS = ("lhs", "e1_term", "e2_term", "residual", "h", "beta", "n_max",
 
 def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
                         w: TorusField, h: float, *, m_fibers: int = 16,
-                        n_max: int | None = None,
-                        workers: int | Pool = 1) -> dict:
+                        n_max: int | None = None) -> dict:
     """Trace of ``f(beta H_Delta) - f(beta H_0)`` vs its h-expansion: the
     trace keys of the pass of :func:`alpha_delta_distance`, whose Bloch
     ladder (:func:`_bloch_ladder`) here waits for ``lhs`` alone.
@@ -955,8 +927,7 @@ def semiclassical_trace(source: GapSolution, psi: TorusField, a: TorusField,
         ``lhs``, ``e1_term``, ``e2_term``, ``residual`` and the run
         parameters.
     """
-    res = _trace_and_pair(source, psi, a, w, h, m_fibers, n_max, workers,
-                          ("lhs",))
+    res = _trace_and_pair(source, psi, a, w, h, m_fibers, n_max, ("lhs",))
     return {k: res[k] for k in _TRACE_KEYS}
 
 
@@ -975,8 +946,7 @@ def _pair_interaction_quadrature(sol: GapSolution, h: float,
 
 def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
                        w: TorusField, h: float, *, m_fibers: int = 16,
-                       n_max: int | None = None,
-                       workers: int | Pool = 1) -> dict:
+                       n_max: int | None = None) -> dict:
     """Free-energy difference of the pairing trial state at
     ``beta = beta_c / (1 - h^2 D)``.
 
@@ -1114,8 +1084,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         }
         return q, {"f_bcs_diff": q["f_bcs_diff_floor"]}
 
-    q, ladder = _bloch_ladder(basis, one, workers, quadrature,
-                              above=2.0 * h * u_max)
+    q, ladder = _bloch_ladder(basis, one, quadrature, above=2.0 * h * u_max)
     term_iii, term_iii_coarse = q["term_remainder"], q["term_remainder_check"]
     if abs(term_iii - term_iii_coarse) > max(1e-12, 0.1 * abs(term_iii)):
         warnings.warn(

@@ -34,11 +34,10 @@ directory, a cold ``all``) load them.  A cached result is reported from
 its artifact payload; objects are decoded from it only for a stage that
 computes on them, and a sweep is refitted from its points' payloads.
 
-A command computes on one :class:`bcsgl.Pool` of ``--workers`` threads.
-The h points of its sweeps are queued on it finest h first, behind the
-stage chain and, under ``all``, the property suite; a point's fibers
-are queued ahead of every other task, the largest first, and the thread
-of a point that waits for its fibers runs pending tasks meanwhile.  So
+A command computes on one :class:`~concurrent.futures.ThreadPoolExecutor`
+of ``--workers`` threads.  The h points of its sweeps are queued on it
+finest h first, behind the stage chain and, under ``all``, the property
+suite, and each point folds its fibers serially on its own thread.  So
 at most ``--workers`` threads compute at once, and no artifact depends
 on that count.
 
@@ -56,11 +55,11 @@ import math
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import (LADDER_KEYS, Pool, default_gap_grid, gap_grid_coverage_error,
+from . import (LADDER_KEYS, default_gap_grid, gap_grid_coverage_error,
                h_sweep)
 
 __all__ = [
@@ -525,18 +524,18 @@ class _Run:
     records, for every stage run so far, whether its artifact was read
     back.
 
-    The run owns the command's :class:`bcsgl.Pool`, ``pool``, of
-    ``workers`` threads, and is a context manager that shuts it down,
-    cancelling what is still queued.  The h points of a sweep that are
-    not on disk are tasks on it (:meth:`submit`), whose fibers go to the
-    same pool, ahead of every other task and the largest first
+    The run owns the command's executor, ``pool``, of ``workers``
+    threads, and is a context manager that shuts it down, cancelling what
+    is still queued.  The h points of a sweep that are not on disk are
+    tasks on it (:meth:`submit`), run in the order queued, and each folds
+    its fibers serially on its own thread
     (:func:`bdg_verifier._fold_fibers`); a sweep (:meth:`sweep`, from
     its row of :data:`_SWEEPS`) only collects their futures.
     """
 
     def __init__(self, cfg: RunConfig, workers: int):
         self.cfg = cfg
-        self.pool = Pool(max(1, workers))
+        self.pool = ThreadPoolExecutor(workers)
         self.cached, self._sweeps, self._points = {}, {}, {}
         norm, grids = cfg.normalized, cfg.normalized["grids"]
         gap = _key("gap", norm["potential"], grids["gap"], norm["D"])
@@ -584,16 +583,16 @@ class _Run:
         cfg = self.cfg
         if kind == "fiber":
             def compute():
-                res = bv.alpha_delta_distance(
-                    *inputs, h, m_fibers=cfg.fiber_m, workers=self.pool)
+                res = bv.alpha_delta_distance(*inputs, h,
+                                              m_fibers=cfg.fiber_m)
                 # how far the residual sits above the roundoff of its lhs
                 res["residual_over_floor"] = (abs(res["residual"])
                                               / res["lhs_floor"])
                 return res
         else:
             def compute():
-                return bv.trial_state_energy(
-                    *inputs, h, m_fibers=cfg.fiber_m, workers=self.pool)
+                return bv.trial_state_energy(*inputs, h,
+                                             m_fibers=cfg.fiber_m)
         return _stage(cfg.outputs / "points" / f"{key}.json", key,
                       compute)[0]
 
@@ -914,6 +913,16 @@ def _stage_error(exc: StageError) -> int:
     return EXIT_NUMERICAL
 
 
+def _positive_int(text: str) -> int:
+    """``text`` as an integer of at least 1: the ``type`` of ``--workers``."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcsgl",
@@ -926,12 +935,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "reference run)")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="override the output directory")
-    parser.add_argument("--workers", metavar="N", type=int,
+    parser.add_argument("--workers", metavar="N", type=_positive_int,
                         default=os.cpu_count() or 1,
-                        help="threads of the command's one pool: the h "
-                             "points of every sweep, their fibers and, "
-                             "under 'all', the property suite run on it, "
-                             "at most N computing at once; GL descents run "
+                        help="threads that compute, N >= 1: the h points "
+                             "of every sweep run in parallel, each point's "
+                             "fibers in order on its own thread, beside the "
+                             "property suite under 'all'; GL descents run "
                              "serially (default: hardware parallelism).  "
                              "Each thread calls BLAS, so the 'bcsgl' "
                              "script sets OPENBLAS_NUM_THREADS, "

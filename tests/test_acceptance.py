@@ -24,7 +24,6 @@ pytestmark = pytest.mark.acceptance
 
 H_LIST = (0.125, 0.0625, 0.03125, 0.015625)
 ZERO = TorusField.zero(0)
-WORKERS = 4
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +60,7 @@ def fiber_pass(gap_sol, two_mode_fields):
     """One pass over the fibers per h gives the trace and the pair
     sweep, as in the command line."""
     psi, a, w = two_mode_fields
-    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h,
-                                       workers=WORKERS)
+    return {h: bv.alpha_delta_distance(gap_sol, psi, a, w, h)
             for h in H_LIST}
 
 

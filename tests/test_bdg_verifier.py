@@ -361,16 +361,6 @@ def _op_family(gap_sol, fields, basis):
 
 
 class TestTracePerUnitVolume:
-    def test_workers_reduce_identically(self, gap_sol, fields):
-        # at h = 1/4 every ladder converges by M = 16
-        psi, a, w = fields
-        for observable in (bv.semiclassical_trace, bv.alpha_delta_distance,
-                           bv.trial_state_energy):
-            serial = observable(gap_sol, psi, a, w, 0.25, m_fibers=16)
-            threaded = observable(gap_sol, psi, a, w, 0.25, m_fibers=16,
-                                  workers=4)
-            assert serial == threaded, observable.__name__
-
     def test_expansion_constants_once_per_solution(self, gap_sol, fields,
                                                    monkeypatch):
         # every h point contracts the same E1 and E2 blocks: a solution
@@ -925,14 +915,6 @@ class TestSemiclassicalTrace:
         assert {"lhs", "e1_term", "e2_term", "residual"} <= set(trace)
         assert "h1_distance" not in trace
 
-    def test_workers_match_serial(self, gap_sol, fields):
-        psi, a, w = fields
-        serial = bv.semiclassical_trace(gap_sol, psi, a, w, 0.125, m_fibers=8)
-        threaded = bv.semiclassical_trace(
-            gap_sol, psi, a, w, 0.125, m_fibers=8, workers=4
-        )
-        assert serial["lhs"] == threaded["lhs"]
-
 
 # ---------------------------------------------------------------------------
 # Pair-block distance
@@ -955,6 +937,27 @@ class TestAlphaDistance:
         d1, d2 = shared_pass[0.0625], shared_pass[0.03125]
         order = math.log2(d1["h1_distance"] / d2["h1_distance"])
         assert 2.0 < order < 3.0
+
+    def test_eigensolver_failure_names_the_fiber(self, gap_sol, fields,
+                                                 monkeypatch):
+        # the windowed pass fails at xi = pi/2 alone, which the ladder
+        # reaches on its M = 4 rung; a fiber's middle momentum is its xi
+        psi, a, w = fields
+        target = bv.FiberBasis(0.25, 8, 4).half_nodes[1]
+        fiber_pass, passed = bv._fiber_pass, []
+
+        def failing(op, beta):
+            passed.append(op.momenta[op.momenta.size // 2])
+            if passed[-1] == target:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return fiber_pass(op, beta)
+
+        monkeypatch.setattr(bv, "_fiber_pass", failing)
+        with pytest.raises(RuntimeError, match="eigensolver failed on the "
+                           f"fiber at xi={target:.6f}") as raised:
+            bv.alpha_delta_distance(gap_sol, psi, a, w, 0.25, m_fibers=4)
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+        assert passed == [0.0, math.pi, target]
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1112,7 @@ def rich_fields():
     )
 
 
-def _all_nodes(basis, one, workers):
+def _all_nodes(basis, one):
     """Every node of the grid diagonalized on its own, no folding."""
     return [c for xi in basis.xi_nodes for c in one(xi, False)]
 
@@ -1224,11 +1227,11 @@ class TestPartnerFibers:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_grid(basis, one, workers, quadrature, above=0.0):
+def _fixed_grid(basis, one, quadrature, above=0.0):
     """The fixed M-node pass in place of the ladder: every node of the cap
     grid folded at once, one ``quadrature`` over all of them."""
     m = basis.m_fibers
-    q, _ = quadrature(bv._fold_fibers(basis, one, workers), m)
+    q, _ = quadrature(bv._fold_fibers(basis, one), m)
     return q, {"m_fibers": m, "capped": False}
 
 
@@ -1256,7 +1259,7 @@ class TestBlochLadder:
             return {"M": m}, {"M": -1.0}
 
         with pytest.warns(UserWarning, match="reached the cap m_fibers=12"):
-            q, record = bv._bloch_ladder(basis, one, 1, quadrature)
+            q, record = bv._bloch_ladder(basis, one, quadrature)
         assert rungs == [3, 6, 12]
         assert q == {"M": 12}
         assert record == {"m_fibers": 12, "capped": True, "delta_M": 6}
@@ -1274,7 +1277,7 @@ class TestBlochLadder:
 
         with pytest.warns(UserWarning, match="reached the cap"):
             _, record = bv._bloch_ladder(
-                basis, lambda xi, partnered: ((xi,),) * (1 + partnered), 1,
+                basis, lambda xi, partnered: ((xi,),) * (1 + partnered),
                 quadrature, above=above)
         assert seen == rungs
         assert record["delta_M"] == (None if len(rungs) == 1 else 6)
@@ -1393,9 +1396,9 @@ class TestEnergyLadder:
         folded = []
         fold = bv._fold_fibers
 
-        def recording(basis, one, workers):
+        def recording(basis, one):
             folded.append(basis.m_fibers)
-            return fold(basis, one, workers)
+            return fold(basis, one)
 
         monkeypatch.setattr(bv, "_fold_fibers", recording)
         res = bv.trial_state_energy(gap_sol, gl_min_state.psi, ZERO,

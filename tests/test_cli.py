@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcsgl import Pool
 from bcsgl import bdg_verifier as bv
 from bcsgl import cli
 from bcsgl import gap_solver as gs
@@ -814,36 +813,57 @@ class TestCacheContracts:
 
 
 class TestWorkerPool:
-    """One pool of ``--workers`` threads runs the h points of every sweep,
-    their fibers and the property suite."""
+    """One executor of ``--workers`` threads runs the h points of every
+    sweep, each with its fibers, and the property suite."""
 
     H_LIST = [0.25, 0.125, 0.0625]
 
     def test_at_most_workers_fibers_in_flight(self, tmp_path, monkeypatch):
+        from bcsgl import properties
         lock, running, peak, threads = threading.Lock(), [0], [0], set()
-        build = bv.build_fiber
+        build, point = bv.build_fiber, cli._Run._point
+        suite = properties.run_suite
+        # what each thread runs: an h point (its h) or the property suite
+        owner, owners = threading.local(), []
 
-        def counted(*args, **kwargs):
+        def owned(run, value):
+            def wrapper(*args, **kwargs):
+                owner.value = value(*args)
+                try:
+                    return run(*args, **kwargs)
+                finally:
+                    del owner.value
+            return wrapper
+
+        def counted(basis, *args, **kwargs):
             with lock:
                 running[0] += 1
                 peak[0] = max(peak[0], running[0])
                 threads.add(threading.get_ident())
+                owners.append((getattr(owner, "value", None), basis.h))
             try:
                 # long enough for every computing thread to overlap
                 time.sleep(0.002)
-                return build(*args, **kwargs)
+                return build(basis, *args, **kwargs)
             finally:
                 with lock:
                     running[0] -= 1
 
         monkeypatch.setattr(bv, "build_fiber", counted)
+        monkeypatch.setattr(cli._Run, "_point",
+                            owned(point, lambda run, kind, h, *_: h))
+        monkeypatch.setattr(properties, "run_suite",
+                            owned(suite, lambda *_: "suite"))
         path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             cli.run_pipeline(cli.validate_config(path), workers=2)
         assert 1 <= peak[0] <= 2
-        # the main thread only waits: every fiber ran on the pool
+        # the main thread only waits: every fiber ran on the executor
         assert threading.get_ident() not in threads
+        # every fiber ran on the thread of its own h point, or of the suite
+        assert all(own in ("suite", h) for own, h in owners), owners
+        assert {own for own, _ in owners} == {"suite", *self.H_LIST}
 
     def test_more_workers_than_cores_write_the_serial_bytes(self, tmp_path):
         # a stress run: eight threads on few cores, switching every
@@ -934,6 +954,36 @@ class TestWorkerPool:
         assert {p.name for p in (tmp_path / "out" / "points").glob("*")} == {
             f"{cli._key(fiber, h)}.json" for h in kept}
 
+    def test_failing_fiber_is_listed_and_not_cached(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the eigensolver fails on the fiber at xi = 0 of one point, whose
+        # middle momentum is its xi; the sweep drops that point alone
+        h_list, lost = [*self.H_LIST, 0.03125], self.H_LIST[1]
+        fiber_pass = bv._fiber_pass
+
+        def failing(op, beta):
+            if op.h == lost and op.momenta[op.momenta.size // 2] == 0.0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return fiber_pass(op, beta)
+
+        monkeypatch.setattr(bv, "_fiber_pass", failing)
+        path = write_config(tmp_path, grids=fast_grids(h_list=h_list))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code, _ = run_cli(capsys, "--config", str(path), "--workers",
+                              "2", "verify-thm2")
+        assert code in (cli.EXIT_OK, cli.EXIT_REGRESSION)
+        kept = [h for h in h_list if h != lost]
+        report = json.loads((tmp_path / "out" / "sweeps"
+                             / "trace_expansion.json").read_text())["report"]
+        assert report["h_values"] == kept
+        assert report["failures"] == [[lost, "RuntimeError('eigensolver "
+                                             "failed on the fiber at "
+                                             "xi=0.000000')"]]
+        fiber = cli._Run(cli.validate_config(path), 1).keys["fiber"]
+        assert {p.name for p in (tmp_path / "out" / "points").glob("*")} == {
+            f"{cli._key(fiber, h)}.json" for h in kept}
+
     @pytest.mark.parametrize("attr, stage", [("find_tc", "gap"),
                                              ("minimize", "gl-min")])
     def test_failed_stage_starts_no_point(self, tmp_path, monkeypatch, attr,
@@ -971,128 +1021,6 @@ class TestWorkerPool:
         assert out["stage"] == stage and "stage lost" in out["message"]
         assert started == []
         assert not (tmp_path / "out" / "points").exists()
-
-    @staticmethod
-    def _occupied(pool):
-        """Keep the pool's one thread busy until the returned event is set."""
-        started, release = threading.Event(), threading.Event()
-
-        def block():
-            started.set()
-            assert release.wait(timeout=30)
-
-        blocker = pool.submit(block)
-        assert started.wait(timeout=30)
-        return release, blocker
-
-    def test_largest_fiber_first_then_other_tasks_in_order(self):
-        ran = []
-        with Pool(1) as pool:
-            release, _ = self._occupied(pool)
-            for name, size in (("point 1", 0), ("fiber 10", 10),
-                               ("fiber 30", 30), ("point 2", 0),
-                               ("fiber 20", 20), ("fiber 30 later", 30)):
-                pool.submit(ran.append, name, size=size)
-            release.set()
-        assert ran == ["fiber 30", "fiber 30 later", "fiber 20", "fiber 10",
-                       "point 1", "point 2"]
-
-    def test_waiting_fold_runs_another_points_task(self):
-        # fiber 0 frees the pool's thread, which takes fiber 1, the most
-        # urgent task left; fiber 1 waits for the other point's task, so
-        # the fold's thread, done with fiber 0, must run that task
-        # instead of blocking on fiber 1
-        fiber_1_started, other_ran = threading.Event(), threading.Event()
-        other_ran_on = []
-
-        def other_point():
-            other_ran_on.append(threading.current_thread())
-            other_ran.set()
-
-        with Pool(1) as pool:
-            release, _ = self._occupied(pool)
-            other = pool.submit(other_point)
-
-            def one(xi, partnered):
-                if xi == 0.0:
-                    release.set()
-                    assert fiber_1_started.wait(timeout=30)
-                else:
-                    fiber_1_started.set()
-                    assert other_ran.wait(timeout=30), "the fold idled"
-                return (xi,)
-
-            parts = bv._fold_fibers(bv.FiberBasis(0.25, 4, 2), one, pool)
-        assert other.done()
-        assert other_ran_on == [threading.current_thread()]
-        assert parts == [0.0, math.pi]
-
-    def test_shutdown_cancels_queued_tasks(self):
-        ran = []
-        pool = Pool(1)
-        release, blocker = self._occupied(pool)
-        queued = [pool.submit(ran.append, k, size=k) for k in (0, 5)]
-        closing = threading.Thread(
-            target=pool.shutdown, kwargs={"cancel_futures": True}, daemon=True)
-        closing.start()
-        deadline = time.monotonic() + 30
-        while not all(f.cancelled() for f in queued):
-            assert time.monotonic() < deadline, "queued tasks not cancelled"
-            time.sleep(0.001)
-        release.set()
-        closing.join(timeout=30)
-        assert not closing.is_alive(), "shutdown did not return"
-        assert blocker.done() and blocker.exception() is None
-        assert ran == []
-        with pytest.raises(RuntimeError, match="shut down"):
-            pool.submit(ran.append, 1)
-
-    def test_helped_task_exception_lands_on_its_own_future(self):
-        def failing():
-            raise FloatingPointError("helped task lost")
-
-        raised = []
-
-        def wait(futures):
-            try:
-                pool.work_until_done(futures)
-            except BaseException as exc:  # noqa: BLE001 -- asserted below
-                raised.append(exc)
-
-        with Pool(0) as pool:
-            failed = pool.submit(failing)
-            own = pool.submit(lambda: "fiber", size=10)
-            # the waiting thread runs the failing task too, after its own
-            waiting = threading.Thread(target=wait, args=([own, failed],),
-                                       daemon=True)
-            waiting.start()
-            waiting.join(timeout=30)
-        assert not waiting.is_alive(), "the waiting thread did not return"
-        assert raised == []
-        assert own.result() == "fiber"
-        assert isinstance(failed.exception(), FloatingPointError)
-
-    def test_fold_is_bit_identical_on_any_pool(self, tmp_path):
-        cfg = cli.validate_config(write_config(tmp_path, grids=fast_grids()))
-        with cli._Run(cfg, 1) as run:
-            sol = run.sol
-        psi = gm.TorusField.from_modes(cli._SWEEP_PSI_MODES, n_max=2)
-        basis = bv.FiberBasis(0.125, 12, 8)
-
-        def one(xi, partnered):
-            op = bv.build_fiber(basis, xi, psi, cfg.a_field, cfg.w_field,
-                                sol.t, sol.mu)
-            fp = bv._fiber_pass(op, sol.beta_c)
-            own = (fp.trace, dense_alpha(fp.alpha, basis.size).tobytes())
-            return (own, own) if partnered else (own,)
-
-        folds = [bv._fold_fibers(basis, one, workers) for workers in (1, 3)]
-        for threads in (1, 2, 3):
-            with Pool(threads) as pool:
-                folds.append(bv._fold_fibers(basis, one, pool))
-        assert len(folds[0]) == 8
-        assert all(fold == folds[0] for fold in folds)
-
 
 
 class TestPropTests:
@@ -1256,7 +1184,9 @@ class TestEntryPoint:
         assert entry("--workers", "2", "--wo", "1") == dict.fromkeys(names)
         # a dangling or malformed option stops in the CLI's parser with its
         # usage error, before any variable is set
-        for argv in (["--workers"], ["--workers=two"], ["--w", "validate"]):
+        for argv in (["--workers"], ["--workers=two"], ["--w", "validate"],
+                     ["--workers", "0", "validate"],
+                     ["--workers", "-3", "validate"]):
             for name in names:
                 monkeypatch.delenv(name, raising=False)
             with pytest.raises(SystemExit) as exit_, \
@@ -1266,6 +1196,17 @@ class TestEntryPoint:
             assert "--workers" in err.getvalue(), argv
             assert {name: os.environ.get(name) for name in names} == \
                 dict.fromkeys(names), argv
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_workers_below_one_is_a_usage_error(self, value):
+        # a worker count counts threads: the parser refuses what is not a
+        # positive integer, before any command runs
+        with pytest.raises(SystemExit) as exit_, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            cli.main(["--workers", value, "validate"])
+        assert exit_.value.code == 2
+        assert f"--workers: not a positive integer: '{value}'" in \
+            err.getvalue()
 
     def test_console_entry_sets_the_policy_before_numpy(self, tmp_path):
         # fresh interpreters: the package loads no NumPy, the entry sets
