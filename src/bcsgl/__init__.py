@@ -27,8 +27,11 @@ dimension, the semiclassical statements that connect the two descriptions:
 
 The package module itself holds what the CLI needs before, or without,
 any numerical stage, and so imports the standard library alone: the
-default gap grid and its coverage rule, and the order fits of the
-h-sweeps (:func:`h_sweep`), which :mod:`bcsgl.bdg_verifier` re-exports.
+gap solve's rules on the potential and its grid, each returning why an
+input breaks it or ``None``, which the gap solve raises and the config
+validation reports under the input's key; the default gap grid; and
+the order fits of the h-sweeps (:func:`h_sweep`), which
+:mod:`bcsgl.bdg_verifier` re-exports.
 """
 
 from __future__ import annotations
@@ -41,6 +44,30 @@ from typing import Callable, Sequence
 #: The BLAS and OpenMP thread variables the console entry sets.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
+
+
+# ---------------------------------------------------------------------------
+# The gap solve's rules, shared with the CLI's config validation
+# ---------------------------------------------------------------------------
+
+#: The gap solve's rule on each parameter of a potential.
+POTENTIAL_RULES = {
+    "family": lambda family: (
+        None if family in ("gaussian_well", "square_well")
+        else "must be 'gaussian_well' or 'square_well'"),
+    # 0 encodes the free problem V = 0
+    "g": lambda g: (f"well depth g must be >= 0, got {float(g)}" if g < 0
+                    else None),
+    "w": lambda w: (None if w > 0
+                    else f"well width w must be positive, got {float(w)}"),
+}
+
+
+def gap_grid_error(cutoff: float, n_points: int) -> str | None:
+    """Why ``(cutoff, n_points)`` is no momentum grid of the gap solve."""
+    if not cutoff > 0:
+        return "cutoff must be positive"
+    return "n_points must be at least 8" if n_points < 8 else None
 
 
 def default_gap_grid(mu: float, width: float) -> tuple[float, int]:

@@ -426,12 +426,11 @@ def _bloch_ladder(basis: FiberBasis, one: Callable, quadrature: Callable,
     to the cap ``basis.m_fibers``.
 
     ``M`` runs over ``c0, 2 c0, 4 c0, ...`` with ``c0`` the odd part of
-    the cap, from the first ``M > above``; the first batch folds the
-    ``2 M`` grid, which holds the ``M`` grid, so it gives two rungs at
-    once.  Every node is folded once (:func:`_fold_fibers` with ``one``),
-    and ``quadrature(parts, M)`` turns the contributions of the
-    ``M``-node grid into its values ``Q_M`` (bit-identical to a fixed
-    ``M``-node pass) and the floor of each value the ladder compares.
+    the cap, from the first ``M > above``.  Every node is folded once
+    (:func:`_fold_fibers` with ``one``), and ``quadrature(parts, M)``
+    turns the contributions of the ``M``-node grid into its values
+    ``Q_M`` (bit-identical to a fixed ``M``-node pass) and the floor of
+    each value the ladder compares.
     The ladder stops at the first ``M`` where every compared value moved
     by at most its floor against ``Q_{M/2}``, or at the cap.  A point
     that reaches the cap unconverged, or whose ladder has one rung, emits
@@ -462,8 +461,6 @@ def _bloch_ladder(basis: FiberBasis, one: Callable, quadrature: Callable,
     m = cap // (cap & -cap)
     while m <= above and 2 * m <= cap:
         m *= 2
-    if 2 * m <= cap:
-        _fold_fibers(replace(basis, m_fibers=2 * m), once)
     coarse = None
     while True:
         fine, floors = quadrature(

@@ -59,8 +59,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import (LADDER_KEYS, default_gap_grid, gap_grid_coverage_error,
-               h_sweep)
+from . import (LADDER_KEYS, POTENTIAL_RULES, default_gap_grid,
+               gap_grid_coverage_error, gap_grid_error, h_sweep)
 
 __all__ = [
     "ConfigError",
@@ -127,8 +127,7 @@ class RunConfig:
         from .gap_solver import PotentialSpec
 
         pot = self.normalized["potential"]
-        return PotentialSpec(pot["family"], {"g": pot["g"], "w": pot["w"]},
-                             pot["mu"])
+        return PotentialSpec(pot["family"], pot["g"], pot["w"], pot["mu"])
 
     @functools.cached_property
     def gap_grid(self):
@@ -202,29 +201,132 @@ def _is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _check_field_list(key: str, entries, errors: list) -> list:
-    normalized = []
+def _finite(rule=lambda value: None):
+    """Rule of a leaf that is a finite number obeying ``rule``."""
+    return lambda value: (rule(value) if _is_finite_number(value)
+                          else "must be a finite number")
+
+
+def _count(value):
+    """Rule of a leaf that counts modes or fibers."""
+    return None if _is_int(value) and value >= 1 else "must be an integer >= 1"
+
+
+def _check_field_list(entries, key: str, errors: list) -> list:
     if not isinstance(entries, list):
         errors.append({"key": key, "message": "must be a list of "
                        "[frequency, amplitude] pairs"})
-        return normalized
+        return []
+    normalized = []
     for i, entry in enumerate(entries):
-        where = f"{key}[{i}]"
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2):
-            errors.append({"key": where,
-                           "message": "must be a [frequency, amplitude] pair"})
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            message = "must be a [frequency, amplitude] pair"
+        elif not (_is_int(entry[0]) and entry[0] >= 0):
+            message = "frequency must be an integer >= 0"
+        elif not _is_finite_number(entry[1]):
+            message = "amplitude must be a finite number"
+        else:
+            normalized.append([int(entry[0]), float(entry[1])])
             continue
-        freq, amp = entry
-        if not (_is_int(freq) and freq >= 0):
-            errors.append({"key": where,
-                           "message": "frequency must be an integer >= 0"})
-            continue
-        if not _is_finite_number(amp):
-            errors.append({"key": where,
-                           "message": "amplitude must be a finite number"})
-            continue
-        normalized.append([int(freq), float(amp)])
+        errors.append({"key": f"{key}[{i}]", "message": message})
     return normalized
+
+
+def _check_gap(gap, key: str, errors: list) -> dict | None:
+    """A given gap grid, normalized; ``None`` for ``null``, which
+    :func:`validate_config` replaces by the potential's default grid."""
+    if gap is None:
+        return None
+    if not isinstance(gap, dict) or set(gap) != {"cutoff", "n_points"}:
+        message = ("must be null or an object with keys 'cutoff' and "
+                   "'n_points'")
+    elif not _is_finite_number(gap["cutoff"]):
+        key, message = f"{key}.cutoff", "must be a finite number"
+    elif not _is_int(gap["n_points"]):
+        key, message = f"{key}.n_points", "must be an integer"
+    else:
+        message = gap_grid_error(gap["cutoff"], gap["n_points"])
+    if message:
+        errors.append({"key": key, "message": message})
+        return None
+    return {"cutoff": float(gap["cutoff"]), "n_points": gap["n_points"]}
+
+
+def _check_h_list(h_list, key: str, errors: list) -> list:
+    if (not isinstance(h_list, list) or not h_list
+            or not all(_is_finite_number(h) for h in h_list)):
+        errors.append({"key": key,
+                       "message": "must be a nonempty list of finite numbers"})
+        return h_list
+    if not all(0.0 < h < 1.0 for h in h_list):
+        errors.append({"key": key, "message": "entries must lie in (0, 1)"})
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        errors.append({"key": key, "message": "must be strictly decreasing"})
+    return [float(h) for h in h_list]
+
+
+#: The check of each leaf of :func:`default_config`.  A number or string
+#: leaf has a rule that returns its violation or ``None``, and takes the
+#: type of its default; a list or grid leaf has a check that appends its
+#: violations and returns its normalized value.
+_LEAVES = {
+    "potential.family": POTENTIAL_RULES["family"],
+    "potential.g": _finite(POTENTIAL_RULES["g"]),
+    "potential.w": _finite(POTENTIAL_RULES["w"]),
+    "potential.mu": _finite(),
+    "potential.dim": lambda value: (None if _is_int(value) and value == 1
+                                    else "the pipeline runs in dimension 1"),
+    "D": lambda value: (None if _is_finite_number(value) and value > 0
+                        else "must be a finite number > 0"),
+    "fields.W": _check_field_list,
+    "fields.A": _check_field_list,
+    "grids.gap": _check_gap,
+    "grids.torus_n_max": _count,
+    "grids.fiber_m": _count,
+    "grids.h_list": _check_h_list,
+    "outputs": lambda value: (None if isinstance(value, str) and value
+                              else "must be a nonempty path string"),
+    # NumPy's generators take no negative seed
+    "seed": lambda value: ("must be an integer" if not _is_int(value)
+                           else None if value >= 0
+                           else "must be an integer >= 0"),
+}
+
+#: The leaves without a default, and the violation of leaving them out.
+_REQUIRED = {"D": "required (temperature-distance parameter; no default)"}
+
+
+def _merge(raw, defaults: dict, where: str, overrides: dict,
+           errors: list) -> dict | None:
+    """The object ``raw`` of the config at key ``where``, merged over
+    ``defaults`` and normalized, and its violations appended to
+    ``errors``: a non-object, each unknown key, and those of each leaf
+    (:data:`_LEAVES`).  A leaf named in ``overrides`` takes the value
+    given there in place of the configured one."""
+    if not isinstance(raw, dict):
+        errors.append({"key": where, "message": "must be an object" if where
+                       else "top level must be a JSON object"})
+        return None
+    prefix = f"{where}." if where else ""
+    errors.extend({"key": prefix + name, "message": "unknown key"}
+                  for name in raw if name not in defaults)
+    merged = {}
+    for name, default in defaults.items():
+        key = prefix + name
+        value = overrides.get(name, raw.get(name, default))
+        if isinstance(default, dict):
+            merged[name] = _merge(value, default, key, overrides, errors)
+        elif key in _REQUIRED and name not in raw:
+            errors.append({"key": key, "message": _REQUIRED[key]})
+        elif isinstance(default, (int, float, str)):
+            message = _LEAVES[key](value)
+            if message:
+                errors.append({"key": key, "message": message})
+            else:
+                merged[name] = type(default)(value)
+        else:
+            merged[name] = _LEAVES[key](value, key, errors)
+    return merged
 
 
 def _field_from_list(entries: list):
@@ -239,173 +341,6 @@ def _field_from_list(entries: list):
     return total
 
 
-def _validate_raw(raw: dict) -> RunConfig:
-    errors: list[dict] = []
-    if not isinstance(raw, dict):
-        raise ConfigError([{"key": "", "message": "top level must be a "
-                            "JSON object"}])
-    defaults = default_config()
-    known = set(defaults)
-    for key in raw:
-        if key not in known:
-            errors.append({"key": key, "message": "unknown key"})
-
-    # -- potential ---------------------------------------------------------
-    pot_raw = raw.get("potential", defaults["potential"])
-    pot_norm = None
-    if not isinstance(pot_raw, dict):
-        errors.append({"key": "potential", "message": "must be an object"})
-    else:
-        merged = {**defaults["potential"], **pot_raw}
-        for key in pot_raw:
-            if key not in defaults["potential"]:
-                errors.append({"key": f"potential.{key}",
-                               "message": "unknown key"})
-        family = merged["family"]
-        if family not in ("gaussian_well", "square_well"):
-            errors.append({
-                "key": "potential.family",
-                "message": "must be 'gaussian_well' or 'square_well'",
-            })
-        for name in ("g", "w", "mu"):
-            if not _is_finite_number(merged[name]):
-                errors.append({"key": f"potential.{name}",
-                               "message": "must be a finite number"})
-        g, w = merged["g"], merged["w"]
-        if _is_finite_number(g) and g < 0:
-            errors.append({"key": "potential.g", "message":
-                           f"well depth g must be >= 0, got {float(g)}"})
-        if _is_finite_number(w) and not w > 0:
-            errors.append({"key": "potential.w", "message":
-                           f"well width w must be positive, got {float(w)}"})
-        if not (_is_int(merged["dim"]) and merged["dim"] == 1):
-            errors.append({"key": "potential.dim",
-                           "message": "the pipeline runs in dimension 1"})
-        if not any(e["key"].startswith("potential") for e in errors):
-            g, w, mu = (float(merged[k]) for k in ("g", "w", "mu"))
-            pot_norm = {"family": family, "g": g, "w": w, "mu": mu, "dim": 1}
-
-    # -- D -----------------------------------------------------------------
-    d_value = None
-    if "D" not in raw:
-        errors.append({"key": "D", "message": "required (temperature-"
-                       "distance parameter; no default)"})
-    elif not _is_finite_number(raw["D"]) or raw["D"] <= 0:
-        errors.append({"key": "D", "message": "must be a finite number > 0"})
-    else:
-        d_value = float(raw["D"])
-
-    # -- fields ------------------------------------------------------------
-    fields_raw = raw.get("fields", {})
-    if not isinstance(fields_raw, dict):
-        errors.append({"key": "fields", "message": "must be an object"})
-        fields_raw = {}
-    for key in fields_raw:
-        if key not in ("W", "A"):
-            errors.append({"key": f"fields.{key}", "message": "unknown key"})
-    w_list = _check_field_list(
-        "fields.W", fields_raw.get("W", defaults["fields"]["W"]), errors)
-    a_list = _check_field_list(
-        "fields.A", fields_raw.get("A", defaults["fields"]["A"]), errors)
-
-    # -- grids -------------------------------------------------------------
-    grids_raw = raw.get("grids", {})
-    if not isinstance(grids_raw, dict):
-        errors.append({"key": "grids", "message": "must be an object"})
-        grids_raw = {}
-    for key in grids_raw:
-        if key not in defaults["grids"]:
-            errors.append({"key": f"grids.{key}", "message": "unknown key"})
-    merged_grids = {**defaults["grids"], **grids_raw}
-
-    gap_norm = None
-    gap_raw = merged_grids["gap"]
-    if gap_raw is not None:
-        if (not isinstance(gap_raw, dict)
-                or set(gap_raw) != {"cutoff", "n_points"}):
-            errors.append({"key": "grids.gap", "message": "must be null or "
-                           "an object with keys 'cutoff' and 'n_points'"})
-        elif not _is_finite_number(gap_raw["cutoff"]):
-            errors.append({"key": "grids.gap.cutoff",
-                           "message": "must be a finite number"})
-        elif not _is_int(gap_raw["n_points"]):
-            errors.append({"key": "grids.gap.n_points",
-                           "message": "must be an integer"})
-        elif not gap_raw["cutoff"] > 0:
-            errors.append({"key": "grids.gap",
-                           "message": "cutoff must be positive"})
-        elif gap_raw["n_points"] < 8:
-            errors.append({"key": "grids.gap",
-                           "message": "n_points must be at least 8"})
-        else:
-            gap_norm = {"cutoff": float(gap_raw["cutoff"]),
-                        "n_points": gap_raw["n_points"]}
-            coverage = pot_norm and gap_grid_coverage_error(
-                gap_norm["cutoff"], pot_norm["mu"], pot_norm["w"])
-            if coverage:
-                errors.append({"key": "grids.gap", "message": coverage})
-    elif pot_norm is not None:
-        cutoff, n_points = default_gap_grid(pot_norm["mu"], pot_norm["w"])
-        gap_norm = {"cutoff": cutoff, "n_points": n_points}
-
-    n_max = merged_grids["torus_n_max"]
-    if not (_is_int(n_max) and n_max >= 1):
-        errors.append({"key": "grids.torus_n_max",
-                       "message": "must be an integer >= 1"})
-    fiber_m = merged_grids["fiber_m"]
-    if not (_is_int(fiber_m) and fiber_m >= 1):
-        errors.append({"key": "grids.fiber_m",
-                       "message": "must be an integer >= 1"})
-
-    h_list = merged_grids["h_list"]
-    if (not isinstance(h_list, list) or not h_list
-            or not all(_is_finite_number(h) for h in h_list)):
-        errors.append({"key": "grids.h_list",
-                       "message": "must be a nonempty list of finite numbers"})
-    else:
-        if not all(0.0 < h < 1.0 for h in h_list):
-            errors.append({"key": "grids.h_list",
-                           "message": "entries must lie in (0, 1)"})
-        if any(b >= a for a, b in zip(h_list, h_list[1:])):
-            errors.append({"key": "grids.h_list",
-                           "message": "must be strictly decreasing"})
-
-    # -- outputs / seed ----------------------------------------------------
-    outputs = raw.get("outputs", defaults["outputs"])
-    if not isinstance(outputs, str) or not outputs:
-        errors.append({"key": "outputs",
-                       "message": "must be a nonempty path string"})
-    seed = raw.get("seed", defaults["seed"])
-    if not _is_int(seed):
-        errors.append({"key": "seed", "message": "must be an integer"})
-
-    if errors:
-        raise ConfigError(errors)
-
-    normalized = {
-        "potential": pot_norm,
-        "D": d_value,
-        "fields": {"W": w_list, "A": a_list},
-        "grids": {
-            "gap": gap_norm,
-            "torus_n_max": int(n_max),
-            "fiber_m": int(fiber_m),
-            "h_list": [float(h) for h in h_list],
-        },
-        "outputs": outputs,
-        "seed": int(seed),
-    }
-    return RunConfig(
-        D=d_value,
-        torus_n_max=int(n_max),
-        fiber_m=int(fiber_m),
-        h_list=tuple(float(h) for h in h_list),
-        outputs=Path(outputs),
-        seed=int(seed),
-        normalized=normalized,
-    )
-
-
 def validate_config(path, overrides: dict | None = None) -> RunConfig:
     """Load, schema-check and normalize a JSON run configuration.
 
@@ -414,9 +349,9 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     path : str or Path or None
         Configuration file; ``None`` uses the built-in reference run.
     overrides : dict, optional
-        Command-line overrides (``outputs``, ``seed``, ``h_list``)
-        applied to the raw configuration before validation, so the
-        content hash reflects them.
+        Command-line overrides (``outputs``, ``seed``, ``h_list``), each
+        replacing the configured value of its key once the objects that
+        hold the key are checked, so the content hash reflects them.
 
     Returns
     -------
@@ -439,16 +374,27 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError([{"key": "--config",
                                 "message": f"invalid JSON: {exc}"}]) from exc
-    if overrides:
-        if "outputs" in overrides:
-            raw["outputs"] = overrides["outputs"]
-        if "seed" in overrides:
-            raw["seed"] = overrides["seed"]
-        if "h_list" in overrides:
-            raw.setdefault("grids", {})
-            if isinstance(raw["grids"], dict):
-                raw["grids"]["h_list"] = overrides["h_list"]
-    return _validate_raw(raw)
+    errors: list[dict] = []
+    config = _merge(raw, default_config(), "", overrides or {}, errors)
+    if config is None:
+        raise ConfigError(errors)
+    # the gap grid's default and coverage depend on valid mu and w
+    pot, grids = config["potential"], config["grids"]
+    if pot and grids and {"mu", "w"} <= pot.keys():
+        if grids["gap"] is None:
+            cutoff, n_points = default_gap_grid(pot["mu"], pot["w"])
+            grids["gap"] = {"cutoff": cutoff, "n_points": n_points}
+        else:
+            coverage = gap_grid_coverage_error(grids["gap"]["cutoff"],
+                                               pot["mu"], pot["w"])
+            if coverage:
+                errors.append({"key": "grids.gap", "message": coverage})
+    if errors:
+        raise ConfigError(errors)
+    return RunConfig(D=config["D"], torus_n_max=grids["torus_n_max"],
+                     fiber_m=grids["fiber_m"], h_list=tuple(grids["h_list"]),
+                     outputs=Path(config["outputs"]), seed=config["seed"],
+                     normalized=config)
 
 
 # ---------------------------------------------------------------------------
@@ -913,14 +859,17 @@ def _stage_error(exc: StageError) -> int:
     return EXIT_NUMERICAL
 
 
-def _positive_int(text: str) -> int:
-    """``text`` as an integer of at least 1: the ``type`` of ``--workers``."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+def _at_least(least: int, what: str):
+    """The ``type`` of an integer option of at least ``least``; any other
+    value is a usage error, not a ``what`` integer."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not a {what} integer: {text!r}")
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -935,7 +884,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "reference run)")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="override the output directory")
-    parser.add_argument("--workers", metavar="N", type=_positive_int,
+    parser.add_argument("--workers", metavar="N", type=_at_least(1, "positive"),
                         default=os.cpu_count() or 1,
                         help="threads that compute, N >= 1: the h points "
                              "of every sweep run in parallel, each point's "
@@ -946,8 +895,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "script sets OPENBLAS_NUM_THREADS, "
                              "OMP_NUM_THREADS and MKL_NUM_THREADS to 1 "
                              "where unset when N > 1")
-    parser.add_argument("--seed", metavar="K", type=int, default=None,
-                        help="override the configured random seed")
+    parser.add_argument("--seed", metavar="K",
+                        type=_at_least(0, "non-negative"), default=None,
+                        help="override the configured random seed, K >= 0")
     parser.add_argument("--h-list", metavar="a,b,c", default=None,
                         help="override the semiclassical h values "
                              "(comma-separated, strictly decreasing)")
@@ -975,14 +925,10 @@ def _parse_h_list(text: str) -> list:
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {}
-    if args.out is not None:
-        overrides["outputs"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.h_list is not None:
-        overrides["h_list"] = _parse_h_list(args.h_list)
-    return validate_config(args.config, overrides)
+    h_list = None if args.h_list is None else _parse_h_list(args.h_list)
+    overrides = {"outputs": args.out, "seed": args.seed, "h_list": h_list}
+    return validate_config(args.config, {k: v for k, v in overrides.items()
+                                         if v is not None})
 
 
 def _cmd_validate(cfg: RunConfig) -> int:

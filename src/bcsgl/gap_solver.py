@@ -38,7 +38,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import default_gap_grid, gap_grid_coverage_error, specfun
+from . import (POTENTIAL_RULES, default_gap_grid, gap_grid_coverage_error,
+               gap_grid_error, specfun)
 
 __all__ = [
     "NoPairingError",
@@ -108,48 +109,38 @@ class PotentialSpec:
     ----------
     family : str
         ``"gaussian_well"`` or ``"square_well"``.
-    parameters : mapping
-        ``g`` (depth, >= 0; 0 encodes the free V = 0 problem) and ``w``
-        (width, > 0).
+    g : float
+        Depth, >= 0; 0 encodes the free V = 0 problem.
+    w : float
+        Width, > 0: the range below which ``V`` is non-negligible.
     mu : float
         Chemical potential.
     """
 
     family: str
-    parameters: Mapping[str, object]
+    g: float
+    w: float
     mu: float
 
     def __post_init__(self):
-        if self.family not in ("gaussian_well", "square_well"):
-            raise ValueError(f"unknown potential family {self.family!r}")
-        g = float(self.parameters["g"])
-        w = float(self.parameters["w"])
-        if g < 0:
-            raise ValueError(f"well depth g must be >= 0, got {g}")
-        if not w > 0:
-            raise ValueError(f"well width w must be positive, got {w}")
+        for name, rule in POTENTIAL_RULES.items():
+            error = rule(getattr(self, name))
+            if error:
+                raise ValueError(error)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def gaussian(cls, g: float, w: float, mu: float) -> "PotentialSpec":
         """Gaussian well ``V(x) = -g exp(-x^2 / w^2)``."""
-        return cls("gaussian_well", {"g": float(g), "w": float(w)}, float(mu))
+        return cls("gaussian_well", float(g), float(w), float(mu))
 
     @classmethod
     def square(cls, g: float, w: float, mu: float) -> "PotentialSpec":
         """Square well ``V(x) = -g`` for ``|x| <= w``, else 0."""
-        return cls("square_well", {"g": float(g), "w": float(w)}, float(mu))
+        return cls("square_well", float(g), float(w), float(mu))
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def g(self) -> float:
-        return float(self.parameters["g"])
-
-    @property
-    def w(self) -> float:
-        return float(self.parameters["w"])
 
     def v(self, x):
         """Real-space potential ``V(x)`` (attractive wells are negative)."""
@@ -185,13 +176,9 @@ class PotentialSpec:
         h = 1e-4
         return (self.vhat(k + h) - 2.0 * self.vhat(k) + self.vhat(k - h)) / h**2
 
-    def interaction_range(self) -> float:
-        """Length scale below which ``V`` is non-negligible: the width ``w``."""
-        return self.w
-
     def reach(self) -> float:
         """Radius beyond which ``|V|`` drops below ``1e-12 * max |V|``."""
-        x = np.linspace(0.0, 50.0 * self.interaction_range(), 8192)
+        x = np.linspace(0.0, 50.0 * self.w, 8192)
         mags = np.abs(self.v(x))
         above = np.nonzero(mags >= 1e-12 * mags.max())[0]
         if not above.size:
@@ -201,13 +188,14 @@ class PotentialSpec:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "parameters": {k: float(v) for k, v in self.parameters.items()},
+            "parameters": {"g": self.g, "w": self.w},
             "mu": self.mu,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PotentialSpec":
-        return cls(data["family"], dict(data["parameters"]), float(data["mu"]))
+        return cls(data["family"], mu=float(data["mu"]),
+                   **{k: float(v) for k, v in data["parameters"].items()})
 
 
 def reference_well() -> PotentialSpec:
@@ -228,10 +216,9 @@ class MomentumGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
-        if self.n_points < 8:
-            raise ValueError("n_points must be at least 8")
+        error = gap_grid_error(self.cutoff, self.n_points)
+        if error:
+            raise ValueError(error)
 
     @property
     def dq(self) -> float:
@@ -249,7 +236,7 @@ class MomentumGrid:
     @classmethod
     def default_for(cls, spec: PotentialSpec) -> "MomentumGrid":
         """Desk-scale default resolving the Fermi surface and the well."""
-        return cls(*default_gap_grid(spec.mu, spec.interaction_range()))
+        return cls(*default_gap_grid(spec.mu, spec.w))
 
     def to_dict(self) -> dict:
         return {"cutoff": self.cutoff, "n_points": self.n_points}
@@ -260,8 +247,7 @@ class MomentumGrid:
 
 
 def _validate(spec: PotentialSpec, grid: MomentumGrid) -> None:
-    error = gap_grid_coverage_error(grid.cutoff, spec.mu,
-                                    spec.interaction_range())
+    error = gap_grid_coverage_error(grid.cutoff, spec.mu, spec.w)
     if error is not None:
         raise ValueError(error)
 

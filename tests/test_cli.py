@@ -56,6 +56,167 @@ def run_cli(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def _config(**entries):
+    """A config file's content: ``D = 1`` and ``entries``."""
+    return {"D": 1.0, **entries}
+
+
+_GAP_KEYS = "must be null or an object with keys 'cutoff' and 'n_points'"
+_PAIR = "must be a [frequency, amplitude] pair"
+_FREQUENCY = "frequency must be an integer >= 0"
+_AMPLITUDE = "amplitude must be a finite number"
+_FINITE = "must be a finite number"
+_COUNT = "must be an integer >= 1"
+_H_LIST = "must be a nonempty list of finite numbers"
+_OBJECT = "must be an object"
+
+#: One row per violation the validation emits: a config file's content
+#: and the exact ``(key, message)`` list it gives.
+VIOLATIONS = [pytest.param(*row, id=row_id) for row_id, *row in [
+    ("top-level-list", [], [("", "top level must be a JSON object")]),
+    ("top-level-string", "x", [("", "top level must be a JSON object")]),
+    ("top-level-number", 3, [("", "top level must be a JSON object")]),
+    ("unknown-key", _config(mystery=1), [("mystery", "unknown key")]),
+    ("missing-D", {}, [("D", "required (temperature-distance parameter; "
+                             "no default)")]),
+    ("D-zero", _config(D=0), [("D", "must be a finite number > 0")]),
+    ("D-negative", _config(D=-1.5), [("D", "must be a finite number > 0")]),
+    ("D-string", _config(D="1"), [("D", "must be a finite number > 0")]),
+    ("D-bool", _config(D=True), [("D", "must be a finite number > 0")]),
+    ("D-infinite", _config(D=math.inf), [("D", "must be a finite number > 0")]),
+    ("potential-list", _config(potential=[]), [("potential", _OBJECT)]),
+    ("potential-unknown", _config(potential={"depth": 2}),
+     [("potential.depth", "unknown key")]),
+    ("family", _config(potential={"family": "lorentz_well"}),
+     [("potential.family", "must be 'gaussian_well' or 'square_well'")]),
+    ("g-string", _config(potential={"g": "2"}), [("potential.g", _FINITE)]),
+    ("g-infinite", _config(potential={"g": math.inf}),
+     [("potential.g", _FINITE)]),
+    ("w-nan", _config(potential={"w": math.nan}), [("potential.w", _FINITE)]),
+    ("mu-infinite", _config(potential={"mu": -math.inf}),
+     [("potential.mu", _FINITE)]),
+    ("mu-bool", _config(potential={"mu": False}), [("potential.mu", _FINITE)]),
+    ("g-negative", _config(potential={"g": -1}),
+     [("potential.g", "well depth g must be >= 0, got -1.0")]),
+    ("w-zero", _config(potential={"w": 0}),
+     [("potential.w", "well width w must be positive, got 0.0")]),
+    ("w-negative", _config(potential={"w": -2.5}),
+     [("potential.w", "well width w must be positive, got -2.5")]),
+    ("dim", _config(potential={"dim": 2}),
+     [("potential.dim", "the pipeline runs in dimension 1")]),
+    ("potential-all", _config(potential={
+        "family": "x", "g": -1, "w": 0, "dim": 3, "extra": 0}),
+     [("potential.extra", "unknown key"),
+      ("potential.family", "must be 'gaussian_well' or 'square_well'"),
+      ("potential.g", "well depth g must be >= 0, got -1.0"),
+      ("potential.w", "well width w must be positive, got 0.0"),
+      ("potential.dim", "the pipeline runs in dimension 1")]),
+    ("fields-list", _config(fields=[]), [("fields", _OBJECT)]),
+    ("fields-unknown", _config(fields={"V": []}),
+     [("fields.V", "unknown key")]),
+    ("W-object", _config(fields={"W": {}}), [("fields.W", "must be a list "
+                                               "of [frequency, amplitude] "
+                                               "pairs")]),
+    ("A-null", _config(fields={"A": None}), [("fields.A", "must be a list "
+                                               "of [frequency, amplitude] "
+                                               "pairs")]),
+    ("W-triple", _config(fields={"W": [[1, 0.5, 2]]}),
+     [("fields.W[0]", _PAIR)]),
+    ("W-number", _config(fields={"W": [3]}), [("fields.W[0]", _PAIR)]),
+    ("W-negative-frequency", _config(fields={"W": [[-1, 0.5]]}),
+     [("fields.W[0]", _FREQUENCY)]),
+    ("W-fractional-frequency", _config(fields={"W": [[1.5, 0.5]]}),
+     [("fields.W[0]", _FREQUENCY)]),
+    ("A-bool-frequency", _config(fields={"A": [[True, 0.5]]}),
+     [("fields.A[0]", _FREQUENCY)]),
+    ("A-infinite-amplitude", _config(fields={"A": [[1, math.inf]]}),
+     [("fields.A[0]", _AMPLITUDE)]),
+    ("A-string-amplitude", _config(fields={"A": [[0, "x"]]}),
+     [("fields.A[0]", _AMPLITUDE)]),
+    ("fields-each-entry", _config(fields={
+        "W": [[1, 0.5], [2], [-1, 0], [2, math.nan]], "A": [[1, 0.1], "a"],
+        "B": 0}),
+     [("fields.B", "unknown key"), ("fields.W[1]", _PAIR),
+      ("fields.W[2]", _FREQUENCY), ("fields.W[3]", _AMPLITUDE),
+      ("fields.A[1]", _PAIR)]),
+    ("grids-string", _config(grids="fine"), [("grids", _OBJECT)]),
+    ("grids-unknown", _config(grids={"n": 3}), [("grids.n", "unknown key")]),
+    ("gap-number", _config(grids={"gap": 12}), [("grids.gap", _GAP_KEYS)]),
+    ("gap-missing-key", _config(grids={"gap": {"cutoff": 12}}),
+     [("grids.gap", _GAP_KEYS)]),
+    ("gap-extra-key", _config(grids={"gap": {
+        "cutoff": 12, "n_points": 64, "dq": 0.1}}), [("grids.gap", _GAP_KEYS)]),
+    ("gap-infinite-cutoff", _config(grids={"gap": {
+        "cutoff": math.inf, "n_points": 64}}), [("grids.gap.cutoff", _FINITE)]),
+    ("gap-string-n-points", _config(grids={"gap": {
+        "cutoff": 12, "n_points": "64"}}),
+     [("grids.gap.n_points", "must be an integer")]),
+    ("gap-negative-cutoff", _config(grids={"gap": {
+        "cutoff": -12, "n_points": 64}}),
+     [("grids.gap", "cutoff must be positive")]),
+    ("gap-few-points", _config(grids={"gap": {"cutoff": 12, "n_points": 7}}),
+     [("grids.gap", "n_points must be at least 8")]),
+    # coverage is checked only against a valid potential
+    ("gap-uncovered-invalid-potential", _config(
+        potential=3, grids={"gap": {"cutoff": 3.0, "n_points": 64}}),
+     [("potential", _OBJECT)]),
+    ("gap-uncovered-square-well", _config(
+        potential={"family": "square_well", "w": 0.5, "mu": 2},
+        grids={"gap": {"cutoff": 10, "n_points": 64}}),
+     [("grids.gap", "momentum cutoff 10.000 below kinematic coverage "
+                    "threshold 12.000 (sqrt(2 mu) + 5/w)")]),
+    ("torus-n-max-zero", _config(grids={"torus_n_max": 0}),
+     [("grids.torus_n_max", _COUNT)]),
+    ("torus-n-max-float", _config(grids={"torus_n_max": 8.0}),
+     [("grids.torus_n_max", _COUNT)]),
+    ("fiber-m-zero", _config(grids={"fiber_m": 0}),
+     [("grids.fiber_m", _COUNT)]),
+    ("fiber-m-string", _config(grids={"fiber_m": "16"}),
+     [("grids.fiber_m", _COUNT)]),
+    ("h-list-empty", _config(grids={"h_list": []}),
+     [("grids.h_list", _H_LIST)]),
+    ("h-list-string", _config(grids={"h_list": "0.1"}),
+     [("grids.h_list", _H_LIST)]),
+    ("h-list-nan", _config(grids={"h_list": [0.1, math.nan]}),
+     [("grids.h_list", _H_LIST)]),
+    ("h-list-outside", _config(grids={"h_list": [2.0, 1.5]}),
+     [("grids.h_list", "entries must lie in (0, 1)")]),
+    ("h-list-increasing", _config(grids={"h_list": [0.125, 0.25]}),
+     [("grids.h_list", "must be strictly decreasing")]),
+    ("h-list-repeated", _config(grids={"h_list": [0.125, 0.125]}),
+     [("grids.h_list", "must be strictly decreasing")]),
+    ("h-list-outside-and-increasing", _config(grids={"h_list": [0.5, 1.5]}),
+     [("grids.h_list", "entries must lie in (0, 1)"),
+      ("grids.h_list", "must be strictly decreasing")]),
+    ("grids-all", _config(grids={
+        "gap": {"cutoff": 0, "n_points": 64}, "torus_n_max": -1,
+        "fiber_m": 1.5, "h_list": [], "z": 0}),
+     [("grids.z", "unknown key"), ("grids.gap", "cutoff must be positive"),
+      ("grids.torus_n_max", _COUNT), ("grids.fiber_m", _COUNT),
+      ("grids.h_list", _H_LIST)]),
+    ("outputs-empty", _config(outputs=""),
+     [("outputs", "must be a nonempty path string")]),
+    ("outputs-number", _config(outputs=3),
+     [("outputs", "must be a nonempty path string")]),
+    ("seed-string", _config(seed="zero"), [("seed", "must be an integer")]),
+    ("seed-float", _config(seed=1.0), [("seed", "must be an integer")]),
+    ("seed-bool", _config(seed=True), [("seed", "must be an integer")]),
+    ("seed-negative", _config(seed=-1), [("seed", "must be an integer >= 0")]),
+    ("every-section", {
+        "potential": {"g": -1, "w": 0}, "fields": {"A": [[0, None]]},
+        "grids": {"h_list": [0.125, 0.25]}, "outputs": "", "seed": "zero",
+        "mystery": 1},
+     [("mystery", "unknown key"),
+      ("potential.g", "well depth g must be >= 0, got -1.0"),
+      ("potential.w", "well width w must be positive, got 0.0"),
+      ("D", "required (temperature-distance parameter; no default)"),
+      ("fields.A[0]", _AMPLITUDE),
+      ("grids.h_list", "must be strictly decreasing"),
+      ("outputs", "must be a nonempty path string"),
+      ("seed", "must be an integer")]),
+]]
+
+
 class TestValidate:
     def test_minimal_config_fills_documented_defaults(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -188,6 +349,56 @@ class TestValidate:
                             "0.25,oops", "validate")
         assert code == 2
         assert out["violations"][0]["key"] == "--h-list"
+
+    @pytest.mark.parametrize("raw, violations", VIOLATIONS)
+    def test_each_violation_is_named(self, tmp_path, capsys, raw,
+                                     violations):
+        # the whole config file, and every violation in the order given
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        code, out = run_cli(capsys, "--config", str(path), "validate")
+        assert code == 2
+        assert out == {"status": "error", "stage": "config", "violations": [
+            {"key": key, "message": message} for key, message in violations]}
+
+    @pytest.mark.parametrize("flag", [["--out", "o"], ["--seed", "3"],
+                                      ["--h-list", "0.1,0.05"]],
+                             ids=["out", "seed", "h-list"])
+    @pytest.mark.parametrize("raw", [[], "x", 3],
+                             ids=["list", "string", "number"])
+    def test_non_object_top_level_with_a_flag(self, tmp_path, capsys, raw,
+                                              flag):
+        # a flag overrides a key of the top-level object, so it is applied
+        # only once the file is one
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        code, out = run_cli(capsys, "--config", str(path), *flag, "validate")
+        assert code == 2
+        assert out["violations"] == [
+            {"key": "", "message": "top level must be a JSON object"}]
+
+    @pytest.mark.parametrize("command", ["validate", "gl-min"])
+    def test_negative_config_seed_is_a_violation(self, tmp_path, capsys,
+                                                 command):
+        # NumPy's generators take no negative seed, so the config names it
+        # before any stage runs
+        path = write_config(tmp_path, seed=-1)
+        code, out = run_cli(capsys, "--config", str(path), command)
+        assert code == 2
+        assert out["violations"] == [
+            {"key": "seed", "message": "must be an integer >= 0"}]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "gl-min", "prop-tests"])
+    def test_negative_seed_flag_is_a_usage_error(self, command):
+        # the parser refuses it, so prop-tests, which reads no config, stops
+        # there too
+        with pytest.raises(SystemExit) as exit_, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            cli.main(["--seed", "-1", command])
+        assert exit_.value.code == 2
+        assert "--seed: not a non-negative integer: '-1'" in err.getvalue()
+
 
 
 class TestConfigObjects:

@@ -94,8 +94,8 @@ class TestPotentialSpec:
             gs.PotentialSpec.gaussian(-1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             gs.PotentialSpec.gaussian(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            gs.PotentialSpec("weird_well", {}, 0.0)
+        with pytest.raises(ValueError, match="'gaussian_well' or "):
+            gs.PotentialSpec("weird_well", 1.0, 1.0, 0.0)
 
     def test_serialization_round_trip(self):
         spec = gs.reference_well()

@@ -349,6 +349,23 @@ class TestMinimize:
         assert state.energy <= repulsive.B3
         assert np.abs(state.psi.coeffs).max() < 1e-4
 
+    def test_zero_state_when_no_descent_beats_b3(self, gl_coef):
+        # B2 W = 2 B3 + 1e-9 makes E - B3 = B1 |psi'|^2 + 1e-9 |psi|^2
+        # + B3 |psi|^4 >= 0, so psi = 0 is the minimum.  With B1 = 100 the
+        # trust step drops the constant mode, whose Hessian eigenvalue near
+        # psi = 0 falls below 1e-12 of the largest, so every descent stops
+        # at a small constant psi, some 100 units of roundoff above B3
+        coef = GLCoefficients(np.array([[100.0]]), 2.0 * gl_coef.B3 + 1e-9,
+                              gl_coef.B3, gl_coef.D, gl_coef.beta_c)
+        state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=16)
+        assert all(rec["energy"] > coef.B3 for rec in state.history)
+        assert state.energy == coef.B3
+        assert state.converged
+        assert state.gradient_norm == 0.0
+        assert not state.psi.coeffs.any()
+        assert [rec["start"] for rec in state.history] == [
+            "constant-1", "constant-0.5", "random-0", "random-1"]
+
     def test_mode_doubling_stability(self, reference_state, gl_coef):
         fine = minimize(ZERO, TorusField.cosine(0.5, 1), gl_coef, n_max=64)
         rel = abs(fine.energy - reference_state.energy) / abs(fine.energy)
