@@ -27,16 +27,16 @@ dimension, the semiclassical statements that connect the two descriptions:
 
 The package module itself holds what the CLI needs before, or without,
 any numerical stage, and so imports the standard library alone: the
-gap solve's rules on the potential and its grid, each returning why an
-input breaks it or ``None``, which the gap solve raises and the config
-validation reports under the input's key; the default gap grid; and
-the order fits of the h-sweeps (:func:`h_sweep`), which
-:mod:`bcsgl.bdg_verifier` re-exports.
+rules on the potential, the gap grid, ``D`` and the h-list, each
+returning why an input breaks it, which the library raises and the
+config validation reports under the input's key; the default gap grid;
+and the order fits of the h-sweeps (:func:`h_sweep`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from typing import Callable, Sequence
@@ -47,7 +47,7 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 # ---------------------------------------------------------------------------
-# The gap solve's rules, shared with the CLI's config validation
+# The library's input rules, shared with the CLI's config validation
 # ---------------------------------------------------------------------------
 
 #: The gap solve's rule on each parameter of a potential.
@@ -68,6 +68,24 @@ def gap_grid_error(cutoff: float, n_points: int) -> str | None:
     if not cutoff > 0:
         return "cutoff must be positive"
     return "n_points must be at least 8" if n_points < 8 else None
+
+
+def d_error(D) -> str | None:
+    """Why ``D`` is no coefficient of the gap normalization."""
+    if (isinstance(D, numbers.Real) and not isinstance(D, bool)
+            and math.isfinite(D) and D > 0):
+        return None
+    return "must be a finite number > 0"
+
+
+def h_list_errors(h_list: Sequence[float]) -> list[str]:
+    """Why a list of numbers is no h-list of a sweep: each rule it breaks."""
+    errors = []
+    if not all(0.0 < h < 1.0 for h in h_list):
+        errors.append("entries must lie in (0, 1)")
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        errors.append("must be strictly decreasing")
+    return errors
 
 
 def default_gap_grid(mu: float, width: float) -> tuple[float, int]:
@@ -156,10 +174,9 @@ def h_sweep(observable: Callable, h_list: Sequence[float], *,
     of ``observed - reference`` (of ``observed`` without a reference).
     """
     h_list = list(h_list)
-    if any(not 0.0 < h < 1.0 for h in h_list):
-        raise ValueError("h values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be strictly decreasing")
+    errors = h_list_errors(h_list)
+    if errors:
+        raise ValueError("; ".join(f"h_list {e}" for e in errors))
 
     h_ok, values, extras, failures = [], [], [], []
     for h in h_list:

@@ -91,11 +91,6 @@ Every observable folds its fibers serially, in node order, on the
 calling thread (:func:`_fold_fibers`).  A command runs its h points in
 parallel, one point per thread, so a point's fibers never leave its
 thread and its value does not depend on how many points run at once.
-
-The order fits of the sweeps (:func:`h_sweep`, :func:`fit_order`,
-:func:`local_orders`) and :data:`LADDER_KEYS` live in :mod:`bcsgl`, on
-the standard library alone, so that the CLI refits a sweep from points
-on disk without NumPy; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -108,8 +103,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import (LADDER_KEYS, PAIR_NORMS, fit_order, h_sweep, local_orders,
-               specfun)
+from . import PAIR_NORMS, specfun
 from .gap_solver import GapSolution
 from .gl_coeffs import e1_constant, e2_constants
 from .gl_minimizer import (TorusField, _coeff_matrix, _covariant_square,
@@ -124,11 +118,7 @@ __all__ = [
     "default_mode_cutoff",
     "semiclassical_trace",
     "alpha_delta_distance",
-    "LADDER_KEYS",
     "trial_state_energy",
-    "h_sweep",
-    "fit_order",
-    "local_orders",
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -833,7 +823,7 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     dict
         ``lhs``, ``e1_term``, ``e2_term``, ``residual``, ``h1_distance``,
         ``l2_distance``, ``l2_leading``, the run parameters, and the
-        ladder's record (:data:`LADDER_KEYS`): ``m_fibers`` (the ``M``
+        ladder's record (:data:`bcsgl.LADDER_KEYS`): ``m_fibers`` (the ``M``
         used), ``capped`` (cap reached unconverged), ``lhs_floor`` and the
         last change ``delta_<key>`` of each observable (``None`` when the
         cap is odd, a one-rung ladder); and ``window``, the fibers' window

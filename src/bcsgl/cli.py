@@ -13,22 +13,23 @@ directory.  Every artifact carries the ``key`` of its own inputs and of
 the package source: the gap solve keys on the potential, the gap grid
 and D; the coefficients on the gap key; the GL minimum on that key, the
 fields, ``torus_n_max`` and the seed; a sweep on its upstream key and
-the h-list; the property suite on the seed alone.  Each sweep is one
-row of the table ``_SWEEPS``: one fit over the h points of its kind,
-plus its gates.  A sweep whose artifact is stale is refitted from those
-points, each read back or computed as ``points/<key>.json``: a fiber
-point (shared by the trace and pair sweeps) keys on the gap key, the
-fields, ``fiber_m`` and h, an energy point on the GL key, ``fiber_m``
-and h.  ``points/`` is never pruned; it holds one small file per
-distinct (key, h).  A re-run leaves every file byte-identical, and an
-edited run recomputes only what its edit touches and writes the bytes
-of a cold run of the edited config.
+the h-list; the property suite on the seed alone.  The stages, the
+suite and the h points (``points/<key>.json``) are read back or
+computed: a fiber point (shared by the trace and pair sweeps) keys on
+the gap key, the fields, ``fiber_m`` and h, an energy point on the GL
+key, ``fiber_m`` and h.  ``points/`` is never pruned; it holds one small
+file per distinct (key, h).  A sweep, one row of ``_SWEEPS``, is a view
+of the h points of its kind: their fit and its gates, refitted on every
+run and, like ``report.csv``, written when its bytes change.  A re-run
+leaves every file byte-identical, and an edited run recomputes only
+what its edit touches and writes the bytes of a cold run of the edited
+config.
 
 The module imports the standard library alone; NumPy and the numerical
 modules load in the first stage, h point or property suite that
-computes.  So ``validate`` and every command whose artifacts or h points
-are all read back (a warm ``all``, a cached ``tc`` or sweep, an ``all``
-whose edited h-list holds only points on disk) run without them, while
+computes.  So ``validate`` and every command whose artifacts and h
+points are all read back (a warm ``all``, a cached ``tc``, a sweep or
+an edited ``all`` whose h points are on disk) run without them, while
 ``prop-tests`` and a command that computes (``tc`` on a fresh output
 directory, a cold ``all``) load them.  A cached result is reported from
 its artifact payload; objects are decoded from it only for a stage that
@@ -59,8 +60,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import (LADDER_KEYS, POTENTIAL_RULES, default_gap_grid,
-               gap_grid_coverage_error, gap_grid_error, h_sweep)
+from . import (LADDER_KEYS, POTENTIAL_RULES, d_error, default_gap_grid,
+               gap_grid_coverage_error, gap_grid_error, h_list_errors,
+               h_sweep)
 
 __all__ = [
     "ConfigError",
@@ -258,10 +260,8 @@ def _check_h_list(h_list, key: str, errors: list) -> list:
         errors.append({"key": key,
                        "message": "must be a nonempty list of finite numbers"})
         return h_list
-    if not all(0.0 < h < 1.0 for h in h_list):
-        errors.append({"key": key, "message": "entries must lie in (0, 1)"})
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        errors.append({"key": key, "message": "must be strictly decreasing"})
+    errors.extend({"key": key, "message": message}
+                  for message in h_list_errors(h_list))
     return [float(h) for h in h_list]
 
 
@@ -276,8 +276,7 @@ _LEAVES = {
     "potential.mu": _finite(),
     "potential.dim": lambda value: (None if _is_int(value) and value == 1
                                     else "the pipeline runs in dimension 1"),
-    "D": lambda value: (None if _is_finite_number(value) and value > 0
-                        else "must be a finite number > 0"),
+    "D": d_error,
     "fields.W": _check_field_list,
     "fields.A": _check_field_list,
     "grids.gap": _check_gap,
@@ -402,35 +401,37 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str) -> bool:
     """Write through a temporary file in the same directory, then
     ``os.replace`` it, so an interrupted write never leaves a partial
-    artifact in place of a complete one."""
+    artifact in place of a complete one; returns whether it wrote.  A
+    file that holds these bytes already, UTF-8 or not, is left alone."""
+    data = text.encode()
+    if path.is_file() and path.read_bytes() == data:
+        return False
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return True
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _dump_json(path: Path, payload: dict) -> bool:
+    return _write_atomic(path,
+                         json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_cached(path: Path, key: str) -> dict | None:
-    """Artifact content if it is a JSON object carrying ``key``.
-
-    A missing, unreadable or undecodable file is a miss, and so is a
-    sweep that dropped an h point, so that the point is retried.
-    """
+    """Artifact content if it is a JSON object carrying ``key``; a
+    missing, unreadable or undecodable file is a miss."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if (not isinstance(payload, dict) or payload.get("key") != key
-            or payload.get("report", {}).get("failures")):
+    if not isinstance(payload, dict) or payload.get("key") != key:
         return None
     return payload
 
@@ -456,6 +457,17 @@ def _stage(path: Path, key: str, compute) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _guarded(stage: str, compute):
+    """``compute()``, whose failure becomes a :class:`StageError` naming
+    ``stage``."""
+    try:
+        return compute()
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, "numerical", repr(exc)) from exc
+
+
 class _Run:
     """The stages of one command, each read back or computed at most once.
 
@@ -468,7 +480,8 @@ class _Run:
     stale; a sweep reads them before the h points it computes, which
     would otherwise record their failure as dropped points.  ``cached``
     records, for every stage run so far, whether its artifact was read
-    back.
+    back, and for every sweep refitted so far (:meth:`sweep`), whether
+    it computed no h point and left its artifact as it was.
 
     The run owns the command's executor, ``pool``, of ``workers``
     threads, and is a context manager that shuts it down, cancelling what
@@ -482,7 +495,7 @@ class _Run:
     def __init__(self, cfg: RunConfig, workers: int):
         self.cfg = cfg
         self.pool = ThreadPoolExecutor(workers)
-        self.cached, self._sweeps, self._points = {}, {}, {}
+        self.cached, self._points, self._computed = {}, {}, set()
         norm, grids = cfg.normalized, cfg.normalized["grids"]
         gap = _key("gap", norm["potential"], grids["gap"], norm["D"])
         coeffs = _key("coeffs", gap)
@@ -490,10 +503,12 @@ class _Run:
                       norm["seed"])
         fiber = _key("fiber", gap, norm["fields"], grids["fiber_m"])
         energy = _key("energy", gl_min, grids["fiber_m"])
-        #: Stage or sweep artifact name -> key; ``fiber`` and ``energy``
-        #: are what the h points of those sweeps read (:meth:`_point`).
+        #: Artifact name -> key; ``fiber`` and ``energy`` are what the h
+        #: points of those sweeps read (:meth:`_point`), and the property
+        #: suite, which reads no config, keys on the seed alone.
         self.keys = {"gap": gap, "coeffs": coeffs, "gl-min": gl_min,
-                     "fiber": fiber, "energy": energy}
+                     "fiber": fiber, "energy": energy,
+                     "properties": _key("properties", norm["seed"])}
         self.keys |= {row.name: _key(row.name, self.keys[row.kind],
                                      cfg.h_list) for row in _SWEEPS.values()}
 
@@ -504,19 +519,12 @@ class _Run:
         # a failed stage leaves queued tasks unstarted
         self.pool.shutdown(cancel_futures=True)
 
-    def _payload(self, name: str, file: str, stage: str, compute) -> dict:
-        """The artifact ``file`` of stage ``name``, whose failure becomes
-        a :class:`StageError` naming ``stage``."""
-        def guarded():
-            try:
-                return compute()
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(stage, "numerical", repr(exc)) from exc
-
-        payload, self.cached[name] = _stage(self.cfg.outputs / file,
-                                            self.keys[name], guarded)
+    def _payload(self, name: str, file: str, compute) -> dict:
+        """The artifact ``file`` of the cached result ``name``, whose
+        failure becomes a :class:`StageError` naming it."""
+        payload, self.cached[name] = _stage(
+            self.cfg.outputs / file, self.keys[name],
+            functools.partial(_guarded, name, compute))
         return payload
 
     def _point(self, kind: str, h: float, key: str, inputs: tuple) -> dict:
@@ -581,14 +589,9 @@ class _Run:
                    else TorusField.from_dict(self.gl["state"]["psi"]))
             inputs[kind] = (self.sol, psi, cfg.a_field, cfg.w_field)
         for kind, h, key in missing:
+            self._computed.add(kind)
             self._points[kind][h] = self.pool.submit(self._point, kind, h,
                                                      key, inputs[kind])
-
-    def stale(self, command: str) -> bool:
-        """Whether the artifact of the sweep ``command`` must be rebuilt."""
-        name = _SWEEPS[command].name
-        return _load_cached(self.cfg.outputs / "sweeps" / f"{name}.json",
-                            self.keys[name]) is None
 
     @functools.cached_property
     def gap(self) -> dict:
@@ -604,7 +607,7 @@ class _Run:
                 raise StageError("gap", "no-pairing", str(exc)) from exc
             return {"solution": gs.normalize(sol, cfg.D).to_dict()}
 
-        return self._payload("gap", "gap.json", "gap", compute)
+        return self._payload("gap", "gap.json", compute)
 
     @functools.cached_property
     def sol(self):
@@ -622,7 +625,7 @@ class _Run:
             coef = gl_coeffs.compute_coefficients(self.sol)
             return {"coefficients": coef.to_dict()}
 
-        return self._payload("coeffs", "coeffs.json", "coeffs", compute)
+        return self._payload("coeffs", "coeffs.json", compute)
 
     @functools.cached_property
     def gl(self) -> dict:
@@ -638,35 +641,28 @@ class _Run:
                              n_max=cfg.torus_n_max, seed=cfg.seed)
             return {"state": state.to_dict()}
 
-        return self._payload("gl-min", "gl.json", "gl-min", compute)
+        return self._payload("gl-min", "gl.json", compute)
 
     def sweep(self, command: str) -> dict:
-        """Payload of the artifact of the sweep ``command`` runs.
+        """Refit the sweep ``command`` runs from its h points, write its
+        artifact when the bytes change, and return the artifact payload.
 
         Every sweep is one :func:`bcsgl.h_sweep` over the h points
-        of its kind (:data:`_SWEEPS`), plus its gates.  The sweeps of one
-        kind share their points, so the one that computes them writes
-        the artifacts of the others too.
+        of its kind (:data:`_SWEEPS`), plus its gates.
         """
         row = _SWEEPS[command]
-        if row.name in self._sweeps:
-            return self._sweeps[row.name]
 
-        def compute():
+        def refit():
             self.submit(row.kind)
             points = self._points[row.kind]
-            # a fiber point also keeps its Bloch-ladder record; a
-            # reference of 0.0 leaves a fiber observable as it is
-            if row.kind == "fiber":
-                extras, reference = row.extras + LADDER_KEYS, 0.0
-            else:
-                extras = row.extras
-                reference = (self.gl["state"]["energy"]
-                             - self.coeffs["coefficients"]["B3"])
+            # a reference of 0.0 leaves a fiber observable as it is
+            reference = (0.0 if row.kind == "fiber"
+                         else self.gl["state"]["energy"]
+                         - self.coeffs["coefficients"]["B3"])
 
             def observe(h):
                 res = points[h].result()
-                return res[row.observed], {k: res[k] for k in extras}
+                return res[row.observed], {k: res[k] for k in row.extras}
 
             report = h_sweep(observe, self.cfg.h_list,
                              reference=reference, label=row.name)
@@ -679,16 +675,14 @@ class _Run:
             # stops short of it.
             gates["finest_point_ok"] = self.cfg.h_list[-1] in report["h_values"]
             gates["passed"] = all(gates[k] for k in gates if k.endswith("_ok"))
-            return {"report": report, "gates": gates,
-                    "passed": gates["passed"]}
+            return {"key": self.keys[row.name], "report": report,
+                    "gates": gates, "passed": gates["passed"]}
 
-        self._sweeps[row.name] = self._payload(
-            row.name, f"sweeps/{row.name}.json", command, compute)
-        if not self.cached[row.name]:
-            for other, other_row in _SWEEPS.items():
-                if other_row.kind == row.kind:
-                    self.sweep(other)
-        return self._sweeps[row.name]
+        payload = _guarded(command, refit)
+        wrote = _dump_json(self.cfg.outputs / "sweeps" / f"{row.name}.json",
+                           payload)
+        self.cached[row.name] = not wrote and row.kind not in self._computed
+        return payload
 
 
 #: One row of :data:`_SWEEPS`.
@@ -739,18 +733,19 @@ _FIBER_PASS_HELP = ("one fiber pass per h writes both the verify-thm2 and "
                     "to fiber_m until lhs and the pair norms stop moving")
 
 #: Sweep command -> (artifact name ``sweeps/<name>.json``, kind of its h
-#: points, the point key it fits, the point keys kept per h besides a
-#: fiber point's :data:`bcsgl.LADDER_KEYS`, least fitted order
-#: that passes, its own gates from its record, help text).
+#: points, the point key it fits, the point keys kept per h, a fiber
+#: point's with its Bloch-ladder record :data:`bcsgl.LADDER_KEYS`, least
+#: fitted order that passes, its own gates from its record, help text).
 _SWEEPS = {
     "verify-thm2": _Sweep(
         "trace_expansion", "fiber", "residual",
-        ("lhs", "e1_term", "e2_term", "residual_over_floor", "window"),
+        ("lhs", "e1_term", "e2_term", "residual_over_floor", "window",
+         *LADDER_KEYS),
         4.5, _trace_gates,
         "trace-expansion order sweep; " + _FIBER_PASS_HELP),
     "verify-thm3": _Sweep(
         "pair_distance", "fiber", "h1_distance",
-        ("l2_distance", "l2_leading", "window"),
+        ("l2_distance", "l2_leading", "window", *LADDER_KEYS),
         2.3, _pair_gates,
         "pair-operator distance sweep; " + _FIBER_PASS_HELP),
     # the remainder term and its half-resolution check show, also for a
@@ -774,11 +769,7 @@ def _write_report_csv(cfg: RunConfig, payloads: dict) -> None:
         ref = report["reference"]
         for h, obs in zip(report["h_values"], report["observed"]):
             lines.append(f"{name},{h!r},{obs!r},{ref!r},{obs - ref!r}")
-    path = cfg.outputs / "report.csv"
-    content = "\n".join(lines) + "\n"
-    if path.is_file() and path.read_text() == content:
-        return
-    _write_atomic(path, content)
+    _write_atomic(cfg.outputs / "report.csv", "\n".join(lines) + "\n")
 
 
 def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
@@ -789,22 +780,19 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
     raises StageError on numerical failure.
     """
     with _Run(cfg, workers) as run:
-        # the suite reads no config, so its result keys on the seed alone
-        props_file = cfg.outputs / "properties.json"
-        props_key = _key("properties", cfg.seed)
-        if _load_cached(props_file, props_key) is None:
+        if _load_cached(cfg.outputs / "properties.json",
+                        run.keys["properties"]) is None:
             # a suite to compute loads every numerical module here,
             # before the pool computes, so no module is first imported
             # on two threads at once
             from . import properties  # noqa: F401
-        props = run.pool.submit(_stage, props_file, props_key,
+        props = run.pool.submit(run._payload, "properties", "properties.json",
                                 lambda: prop_test_suite(seed=cfg.seed))
         # every upstream stage before any sweep, so none runs if one
         # fails; on the pool, so no more than ``workers`` threads compute
         gap, coeffs, gl = run.pool.submit(
             lambda: (run.gap, run.coeffs, run.gl)).result()
-        run.submit(*dict.fromkeys(row.kind for command, row in
-                                  _SWEEPS.items() if run.stale(command)))
+        run.submit("fiber", "energy")
         payloads = {row.name: run.sweep(command)
                     for command, row in _SWEEPS.items()}
         _write_report_csv(cfg, payloads)
@@ -818,8 +806,7 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
             "all_gates_passed": all(p["passed"] for p in payloads.values()),
             "cached_stages": run.cached,
         }
-        checks, run.cached["properties"] = props.result()
-        summary["properties"] = {k: v for k, v in checks.items()
+        summary["properties"] = {k: v for k, v in props.result().items()
                                  if k != "key"}
     return summary
 
@@ -954,11 +941,15 @@ def _cmd_stage(run: _Run, command: str) -> int:
 
 
 def _cmd_verify(run: _Run, command: str) -> int:
-    payload = run.sweep(command)
-    name = _SWEEPS[command].name
+    row, payload = _SWEEPS[command], run.sweep(command)
+    # the other sweeps of its kind are refitted from the same h points
+    for other in _SWEEPS:
+        if other != command and _SWEEPS[other].kind == row.kind:
+            run.sweep(other)
     status = "ok" if payload["passed"] else "regression"
-    _emit({"status": status, "sweep": name, "gates": payload["gates"],
-           "config_hash": run.cfg.config_hash, "cached": run.cached[name]})
+    _emit({"status": status, "sweep": row.name, "gates": payload["gates"],
+           "config_hash": run.cfg.config_hash,
+           "cached": run.cached[row.name]})
     return EXIT_OK if payload["passed"] else EXIT_REGRESSION
 
 

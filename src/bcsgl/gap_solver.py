@@ -38,8 +38,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import (POTENTIAL_RULES, default_gap_grid, gap_grid_coverage_error,
-               gap_grid_error, specfun)
+from . import (POTENTIAL_RULES, d_error, default_gap_grid,
+               gap_grid_coverage_error, gap_grid_error, specfun)
 
 __all__ = [
     "NoPairingError",
@@ -708,15 +708,16 @@ def normalize(sol: GapSolution, D: float) -> GapSolution:
     ----------
     sol : GapSolution
     D : float
-        Temperature-offset coefficient, > 0.
+        Temperature-offset coefficient, a finite number > 0.
 
     Returns
     -------
     GapSolution
         A new solution with ``norm_scale`` and ``D`` recorded.
     """
-    if not D > 0:
-        raise ValueError(f"D must be positive, got {D}")
+    error = d_error(D)
+    if error:
+        raise ValueError(f"D {error}, got {D}")
     i2, i4 = _normalization_integrals(sol)
     if not i4 > 0:
         raise ValueError("quartic integral must be positive")

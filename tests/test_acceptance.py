@@ -16,6 +16,7 @@ grid and sample the free minimum at 256 points.
 import numpy as np
 import pytest
 
+import bcsgl
 from bcsgl import bdg_verifier as bv
 from bcsgl import gap_solver as gs
 from bcsgl.gl_minimizer import TorusField, gl_energy, minimize
@@ -70,7 +71,7 @@ def trace_sweep(fiber_pass):
         res = fiber_pass[h]
         return res["residual"], {"e2_term": res["e2_term"]}
 
-    return bv.h_sweep(observe, H_LIST, label="trace_expansion")
+    return bcsgl.h_sweep(observe, H_LIST, label="trace_expansion")
 
 
 class TestTraceExpansionOrder:
@@ -89,7 +90,7 @@ def pair_distance_sweep(fiber_pass):
         res = fiber_pass[h]
         return res["h1_distance"], {"l2_leading": res["l2_leading"]}
 
-    return bv.h_sweep(observe, H_LIST, label="pair_distance")
+    return bcsgl.h_sweep(observe, H_LIST, label="pair_distance")
 
 
 class TestPairDistanceOrder:

@@ -15,6 +15,7 @@ import pytest
 from scipy.linalg import block_diag
 from scipy.special import xlogy
 
+import bcsgl
 from bcsgl import bdg_verifier as bv
 from bcsgl import specfun
 from bcsgl.gap_solver import normalize
@@ -1327,7 +1328,7 @@ class TestBlochLadder:
             res = bv.alpha_delta_distance(gap_sol, psi, a, w, 0.0625)
         assert res["capped"] is False
         assert res["m_fibers"] == 4
-        assert set(bv.LADDER_KEYS) <= set(res)
+        assert set(bcsgl.LADDER_KEYS) <= set(res)
         window = res["window"]
         assert set(window) == {"core", "buffer", "leak"}
 
@@ -1554,7 +1555,7 @@ class TestSweep:
     H_LIST = [0.125, 0.0625, 0.03125, 0.015625]
 
     def test_synthetic_cubic_order(self):
-        report = bv.h_sweep(lambda h: 2.5 * h**3, self.H_LIST)
+        report = bcsgl.h_sweep(lambda h: 2.5 * h**3, self.H_LIST)
         assert report["fitted_order"] == pytest.approx(3.0, abs=1e-6)
 
     def test_fit_order_matches_polyfit(self):
@@ -1569,17 +1570,17 @@ class TestSweep:
                 keep = obs > 100.0 * np.finfo(float).eps
                 expected = np.polyfit(np.log(h[keep]), np.log(obs[keep]),
                                       1)[0]
-                assert bv.fit_order(list(h), list(obs)) == pytest.approx(
+                assert bcsgl.fit_order(list(h), list(obs)) == pytest.approx(
                     expected, rel=0, abs=1e-12)
 
     def test_constant_observable_has_zero_order(self):
-        report = bv.h_sweep(lambda h: 0.7, self.H_LIST)
+        report = bcsgl.h_sweep(lambda h: 0.7, self.H_LIST)
         assert abs(report["fitted_order"]) < 1e-9
 
     def test_roundoff_floor_excluded_from_fit(self):
         values = {0.125: 2.5 * 0.125**3, 0.0625: 2.5 * 0.0625**3,
                   0.03125: 1e-18}
-        report = bv.h_sweep(lambda h: values[h], list(values))
+        report = bcsgl.h_sweep(lambda h: values[h], list(values))
         assert report["fitted_order"] == pytest.approx(3.0, abs=1e-9)
 
     def test_failures_aggregate(self):
@@ -1591,27 +1592,27 @@ class TestSweep:
             return observable
 
         # three of four points survive: kept, with the failure recorded
-        report = bv.h_sweep(failing_below(0.02), self.H_LIST)
+        report = bcsgl.h_sweep(failing_below(0.02), self.H_LIST)
         assert len(report["h_values"]) == 3
         assert [h for h, _ in report["failures"]] == [0.015625]
         assert all("too small" in msg for _, msg in report["failures"])
         # two of four survive: aborted
         with pytest.raises(RuntimeError, match="too small"):
-            bv.h_sweep(failing_below(0.06), self.H_LIST)
+            bcsgl.h_sweep(failing_below(0.06), self.H_LIST)
         # a two-point list needs both points
-        assert len(bv.h_sweep(failing_below(0.02), self.H_LIST[:2])
+        assert len(bcsgl.h_sweep(failing_below(0.02), self.H_LIST[:2])
                    ["h_values"]) == 2
         with pytest.raises(RuntimeError, match="kept 1 of 2"):
-            bv.h_sweep(failing_below(0.1), self.H_LIST[:2])
+            bcsgl.h_sweep(failing_below(0.1), self.H_LIST[:2])
 
     def test_h_list_validation(self):
         with pytest.raises(ValueError, match="decreasing"):
-            bv.h_sweep(lambda h: h, [0.0625, 0.125])
+            bcsgl.h_sweep(lambda h: h, [0.0625, 0.125])
         with pytest.raises(ValueError, match="lie in"):
-            bv.h_sweep(lambda h: h, [1.5, 0.125, 0.0625])
+            bcsgl.h_sweep(lambda h: h, [1.5, 0.125, 0.0625])
 
     def test_extras_reference_and_serialization(self):
-        report = bv.h_sweep(
+        report = bcsgl.h_sweep(
             lambda h: (h**2, {"n_max": int(1 / h)}),
             self.H_LIST,
             reference=0.001,
@@ -1630,10 +1631,11 @@ class TestSweep:
         # a pair with a gap at or below the roundoff floor has none
         values = {0.125: 1.0 + 2.5 * 0.125**3, 0.0625: 1.0 + 2.5 * 0.0625**2,
                   0.03125: 1.0}
-        report = bv.h_sweep(lambda h: values[h], list(values), reference=1.0)
+        report = bcsgl.h_sweep(lambda h: values[h], list(values),
+                               reference=1.0)
         assert len(report["local_orders"]) == 2
         assert report["local_orders"][0] == pytest.approx(
             math.log(2.5 * 0.125**3 / (2.5 * 0.0625**2)) / math.log(2.0),
             rel=1e-9)
         assert report["local_orders"][1] is None
-        assert bv.h_sweep(lambda h: h**2, [0.5])["local_orders"] == []
+        assert bcsgl.h_sweep(lambda h: h**2, [0.5])["local_orders"] == []

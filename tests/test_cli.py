@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bcsgl
 from bcsgl import bdg_verifier as bv
 from bcsgl import cli
 from bcsgl import gap_solver as gs
@@ -768,30 +769,38 @@ class TestSharedFiberPass:
         assert built == []
 
     @coarse_ladder
-    @pytest.mark.parametrize("command, names, others", [
-        ("verify-thm2", {"trace_expansion", "pair_distance"},
+    @pytest.mark.parametrize("command, fitted, others", [
+        ("verify-thm2", ["trace_expansion", "pair_distance"],
          ["verify-thm3"]),
-        ("verify-thm3", {"trace_expansion", "pair_distance"},
+        ("verify-thm3", ["pair_distance", "trace_expansion"],
          ["verify-thm2"]),
-        ("verify-energy", {"energy_upper_bound"}, []),
+        ("verify-energy", ["energy_upper_bound"], []),
     ])
     def test_a_sweep_command_writes_the_artifacts_of_its_kind(
-            self, tmp_path, capsys, monkeypatch, command, names, others):
-        # a sweep command writes the artifacts of every sweep that shares
-        # its h points, and no other; those sweeps then read theirs back
-        built = []
-        build = bv.build_fiber
+            self, tmp_path, capsys, monkeypatch, command, fitted, others):
+        # a sweep command refits its own sweep, then every other sweep
+        # that shares its h points, each once (a second refit would find
+        # its own bytes and report the sweep cached), and writes no other;
+        # those sweeps then compute nothing and are cache hits
+        built, labels = [], []
+        build, h_sweep = bv.build_fiber, cli.h_sweep
 
         def recording_build(basis, xi, *args):
             built.append((basis.h, xi))
             return build(basis, xi, *args)
 
+        def recording_sweep(*args, label, **kwargs):
+            labels.append(label)
+            return h_sweep(*args, label=label, **kwargs)
+
         monkeypatch.setattr(bv, "build_fiber", recording_build)
+        monkeypatch.setattr(cli, "h_sweep", recording_sweep)
         path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
         _, first = run_cli(capsys, "--config", str(path), command)
         assert first["cached"] is False
+        assert labels == fitted
         sweeps = tmp_path / "out" / "sweeps"
-        assert {p.stem for p in sweeps.glob("*.json")} == names
+        assert {p.stem for p in sweeps.glob("*.json")} == set(fitted)
         built.clear()
         for other in others:
             _, second = run_cli(capsys, "--config", str(path), other)
@@ -864,6 +873,9 @@ class TestCacheContracts:
                   gl["state"]["energy"]]
         assert json.dumps(reported, sort_keys=True) == json.dumps(
             stored, sort_keys=True)
+        # the warm run refits report.csv and rewrites it whole, even from
+        # bytes that are not UTF-8
+        (out / "report.csv").write_bytes(b"\x80\xff not utf-8")
         warm_code, warm = run_cli(capsys, "--config", str(path), "all")
         assert warm_code == code
         assert not any(summary.pop("cached_stages").values())
@@ -962,6 +974,31 @@ class TestCacheContracts:
         # every fiber and energy point of the h-list is new
         assert len(self.points(tmp_path / "out") - before) == 4
         assert all(self.pipeline(changed).values())
+
+    @coarse_ladder
+    def test_hand_edited_sweep_is_rewritten(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a sweep is a view of its h points: an artifact that carries the
+        # right key but not the fit of those points is refitted from
+        # them, and no point is computed for it
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        artifact = tmp_path / "out" / "sweeps" / "pair_distance.json"
+        run_cli(capsys, "--config", str(path), "verify-thm3")
+        fresh = artifact.read_bytes()
+        edited = json.loads(fresh)
+        edited["gates"] = {**edited["gates"], "passed": True,
+                           "order_ok": True}
+        cli._dump_json(artifact, edited)
+
+        def no_point(*args, **kwargs):
+            raise AssertionError("an h point was recomputed")
+
+        monkeypatch.setattr(bv, "alpha_delta_distance", no_point)
+        code, out = run_cli(capsys, "--config", str(path), "verify-thm3")
+        assert code == cli.EXIT_REGRESSION
+        assert out["cached"] is False
+        assert out["gates"] == json.loads(fresh)["gates"]
+        assert artifact.read_bytes() == fresh
 
     @coarse_ladder
     def test_dropped_point_is_retried(self, tmp_path, capsys, monkeypatch):
@@ -1254,6 +1291,23 @@ class TestPropTests:
         assert code == 0
         assert out["total"] == 0
 
+    @coarse_ladder
+    def test_failing_suite_exits_3_naming_it(self, tmp_path, capsys,
+                                             monkeypatch):
+        from bcsgl import properties
+
+        def failing(seed):
+            raise FloatingPointError("suite lost")
+
+        monkeypatch.setattr(properties, "run_suite", failing)
+        path = write_config(tmp_path, grids=fast_grids())
+        code, out = run_cli(capsys, "--config", str(path), "all")
+        assert code == cli.EXIT_NUMERICAL
+        assert out["stage"] == "properties"
+        assert out["kind"] == "numerical"
+        assert "suite lost" in out["message"]
+        assert not (tmp_path / "out" / "properties.json").exists()
+
     def test_prop_failures_enumerated(self, capsys, monkeypatch):
         from bcsgl import specfun
         original = specfun.g1
@@ -1302,8 +1356,8 @@ class TestFullPipeline:
             (out_dir / "sweeps" / "energy_upper_bound.json").read_text())
         report, gates = payload["report"], payload["gates"]
         assert report["fitted_order"] == gates["fitted_order"]
-        assert gates["fitted_order"] == bv.fit_order(report["h_values"],
-                                                     gates["gaps"])
+        assert gates["fitted_order"] == bcsgl.fit_order(report["h_values"],
+                                                        gates["gaps"])
 
     def test_rerun_is_byte_identical(self, full_run):
         out_dir, _ = full_run
@@ -1339,7 +1393,7 @@ class TestFullPipeline:
             report = json.loads(
                 (out_dir / "sweeps" / f"{name}.json").read_text())["report"]
             # the artifact holds the record h_sweep returns
-            assert set(report) == set(bv.h_sweep(lambda h: h, [0.5, 0.25]))
+            assert set(report) == set(bcsgl.h_sweep(lambda h: h, [0.5, 0.25]))
             ref = report["reference"]
             expected += [f"{name},{h!r},{obs!r},{ref!r},{obs - ref!r}"
                          for h, obs in zip(report["h_values"],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, linalg, signal
 
 from bcsgl import gap_solver as gs
+from bcsgl import gl_coeffs as gc
 from bcsgl import specfun as sf
 
 # Frozen regression values from the converged reference run
@@ -88,6 +89,28 @@ class TestPotentialSpec:
         assert spec.vhat(k) == pytest.approx(
             -1.5 * math.sqrt(2 / math.pi) * math.sin(2.0 * k) / k, rel=1e-12
         )
+
+    def test_square_well_finite_difference_derivatives(self, scan_solutions):
+        # the square well's V is a step, and its vhat_d1 and vhat_d2 are
+        # central differences; the pair symbol's derivatives built on them
+        # agree with differences of t itself, and the t'' check of
+        # e2_constants stays silent
+        sol = scan_solutions[("square", 2.0, 1.0, 1.0)]
+        assert sol.spec.v([0.0, 1.0, 1.0 + 1e-9]).tolist() == [-2.0, -2.0,
+                                                                0.0]
+        # the first sample of its 8192-point grid on [0, 50 w] past w
+        assert 1.0 < sol.spec.reach() < 1.0 + 50.0 / 8191
+        p = np.linspace(0.0, sol.grid.nodes[-1], 9)[1:-1]
+        step = 1e-4
+        d1 = (sol.t(p + step) - sol.t(p - step)) / (2 * step)
+        assert np.abs(sol.t_prime(p) - d1).max() <= 1e-7 * np.abs(d1).max()
+        step = 1e-3
+        d2 = (-sol.t(p + 2 * step) + 16 * sol.t(p + step) - 30 * sol.t(p)
+              + 16 * sol.t(p - step) - sol.t(p - 2 * step)) / (12 * step**2)
+        assert np.abs(sol.t_second(p) - d2).max() <= 1e-6 * np.abs(d2).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gc.e2_constants(sol, sol.beta_c)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -433,8 +456,11 @@ class TestNormalize:
         assert (s2 / s1) ** 2 == pytest.approx(2.0, rel=1e-12)
 
     def test_validation(self, gap_sol_raw):
-        with pytest.raises(ValueError):
-            gs.normalize(gap_sol_raw, 0.0)
+        # the rule of the config's D leaf, in its words
+        for D in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match="D must be a finite number > 0"):
+                gs.normalize(gap_sol_raw, D)
         with pytest.raises(ValueError):
             gs.normalization_residual(gap_sol_raw)
 
