@@ -133,6 +133,8 @@ _WINDOW_CORE = 32
 _WINDOW_BUFFER = 8
 #: Largest window leak a fiber pass keeps (:func:`_fiber_pass`).
 _WINDOW_LEAK_BOUND = 1e-12
+#: Modes per product of the trial-state band (:func:`_pair_band`).
+_BAND_MODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +754,22 @@ def _pair_sums(op: FiberOperator, alpha: tuple, beta: float) -> tuple:
 def _pair_band(alpha: tuple, e1x: np.ndarray,
                phases_u: np.ndarray) -> np.ndarray:
     """``((e1x @ alpha) * conj(e1x)) @ phases_u``, with ``e1x @ alpha``
-    accumulated block by block (the blocks as in :class:`_FiberPass`)."""
+    accumulated block by block (the blocks as in :class:`_FiberPass`) and
+    the last product summed over ``_BAND_MODES`` modes at a time.
+
+    OpenBLAS (0.3.31) cuts a complex matrix product's sum over more than
+    128 terms in two at a point that depends on the BLAS thread count, so
+    one product over all ``N`` modes has bits that depend on it; a
+    product over 64 modes is one pass at any thread count, and the passes
+    are added in mode order.
+    """
     e1x_alpha = np.zeros(e1x.shape, complex)
     for row, col, rows in alpha:
         e1x_alpha[:, col:col + rows.shape[1]] += \
             e1x[:, row:row + len(rows)] @ rows
-    return (e1x_alpha * e1x.conj()) @ phases_u
+    e1x_alpha *= e1x.conj()
+    return sum(e1x_alpha[:, n:n + _BAND_MODES] @ phases_u[n:n + _BAND_MODES]
+               for n in range(0, len(phases_u), _BAND_MODES))
 
 
 def _expansion_constants(source: GapSolution, beta: float) -> tuple:

@@ -73,6 +73,11 @@ _FACTOR_TOLERANCE = 1e-15
 _EIGEN_TOLERANCE = 1e-15
 _GROUND_STATE_RESIDUAL = 1e-12
 
+#: Element budget of one block of the transforms (:meth:`GapSolution.t`,
+#: :meth:`GapSolution.alpha0`): they form their (points x nodes) table
+#: about this many elements at a time (:func:`_row_blocks`).
+_BLOCK_ELEMENTS = 1 << 16
+
 #: :func:`decay_report` warns when its fitted rate falls below this
 #: fraction of ``kappa_c``: the fit then sits on a truncation floor of
 #: the profile, not on its decay.
@@ -298,6 +303,27 @@ def _anchored(vec: np.ndarray) -> np.ndarray:
     return -vec if anchor < 0 else vec
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices covering ``range(n_rows)`` of an ``n_rows x
+    n_cols`` table: ``_BLOCK_ELEMENTS // n_cols`` rows each, rounded down
+    to a multiple of 32 and at least 32.
+
+    Each block's product with a vector has the bits of the same rows of
+    one product over the whole table: a block starts at a multiple of 32
+    rows, so every row keeps its place in the BLAS kernel's row
+    unrolling, and a last single row joins the block before it, since
+    NumPy takes a one-row product as a dot.  Up to 8192 columns a block
+    also stays below the size at which OpenBLAS splits a matrix-vector
+    product across threads (460800 elements in OpenBLAS 0.3.31), so no
+    product over a block depends on the BLAS thread count.
+    """
+    step = max(32, _BLOCK_ELEMENTS // n_cols // 32 * 32)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
 @dataclass
 class GapSolution:
     """Solved gap problem: ``T_c``, ground state, pair symbol, diagnostics.
@@ -343,17 +369,26 @@ class GapSolution:
 
     # -- pair symbol --------------------------------------------------------
 
+    def _transform(self, table, points) -> np.ndarray:
+        """``table(points[:, None], nodes[None, :]) @ alpha0_hat``, one row
+        block of ``points`` at a time (:func:`_row_blocks`), so no call
+        holds more than one block of the (points x nodes) table; the
+        values have the bits of one product over all points."""
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        q = self.grid.nodes[None, :]
+        out = np.empty(len(points))
+        for rows in _row_blocks(len(points), self.grid.n_points):
+            out[rows] = table(points[rows, None], q) @ self.alpha0_hat
+        return out
+
     def _kernel_sum(self, profile, p):
         """``-2 (2 pi)^{-1/2} sum_q (profile(p - q) + profile(p + q))
-        alpha0_hat(q) dq`` over the grid nodes ``q``."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        q = self.grid.nodes
-        kernel = profile(p_arr[:, None] - q[None, :]) + profile(
-            p_arr[:, None] + q[None, :]
-        )
-        out = -2.0 * (kernel @ self.alpha0_hat) * self.grid.dq / math.sqrt(
-            2.0 * math.pi
-        )
+        alpha0_hat(q) dq`` over the grid nodes ``q``, in row blocks of
+        ``p`` (:meth:`_transform`): ``build_fiber`` evaluates ``t`` at
+        every fiber momentum."""
+        out = self._transform(
+            lambda p_col, q: profile(p_col - q) + profile(p_col + q), p)
+        out = -2.0 * out * self.grid.dq / math.sqrt(2.0 * math.pi)
         return out if np.ndim(p) else float(out[0])
 
     def t(self, p):
@@ -386,11 +421,12 @@ class GapSolution:
     # -- real space ---------------------------------------------------------
 
     def alpha0(self, x) -> np.ndarray:
-        """``alpha0(x)`` by the even-sector inverse transform."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """``alpha0(x)`` by the even-sector inverse transform
+        ``(2/pi)^{1/2} sum_q cos(q x) alpha0_hat(q) dq``, in row blocks of
+        ``x`` (:meth:`_transform`), so the 4096 points of
+        :func:`decay_report` hold one block of cosines at a time."""
         weight = math.sqrt(2.0 / math.pi) * self.grid.dq
-        return weight * (np.cos(self.grid.nodes[None, :] * x[:, None])
-                         @ self.alpha0_hat)
+        return weight * self._transform(lambda x_col, q: np.cos(q * x_col), x)
 
     @cached_property
     def interaction_density(self) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +434,8 @@ class GapSolution:
 
         The integrand of the pair-interaction term of the trial-state
         energy apart from its ``h``-dependent factor, so every ``h`` of a
-        sweep shares it.
+        sweep shares it; :meth:`alpha0` takes the 2048 nodes one row
+        block at a time.
         """
         u = np.linspace(0.0, self.spec.reach(), 2048)
         return u, self.spec.v(u) * self.alpha0(u) ** 2

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -300,6 +301,69 @@ class TestFindTc:
         p = np.linspace(0.0, 8.0, 41)
         assert np.allclose(gap_sol.t(-p), gap_sol.t(p), atol=1e-14)
         assert gap_sol.t_samples.dtype == np.float64
+
+
+def dense_alpha0(sol, x):
+    """``alpha0`` as one product of the whole (points x nodes) cosine table."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    weight = math.sqrt(2.0 / math.pi) * sol.grid.dq
+    return weight * (np.cos(sol.grid.nodes[None, :] * x[:, None]) @ sol.alpha0_hat)
+
+
+def dense_kernel_sum(sol, profile, p):
+    """The pair symbol's kernel sum as one product of the whole
+    (momenta x nodes) kernel table."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    q = sol.grid.nodes
+    kernel = profile(p[:, None] - q[None, :]) + profile(p[:, None] + q[None, :])
+    return -2.0 * (kernel @ sol.alpha0_hat) * sol.grid.dq / math.sqrt(2.0 * math.pi)
+
+
+class TestRowBlockedTransforms:
+    """``alpha0`` and the pair symbol go through the (points x nodes)
+    table one row block at a time, with the bits of one product."""
+
+    @pytest.mark.parametrize("solution", ["gap_sol", "gap_sol_fine"])
+    def test_bit_identical_to_the_dense_formula(self, request, solution):
+        # 128 rows per block on 512 nodes, 64 on 1024
+        sol = request.getfixturevalue(solution)
+        block = gs._BLOCK_ELEMENTS // sol.grid.n_points
+        assert gs._row_blocks(4096, sol.grid.n_points)[0] == slice(0, block)
+        for n in (1, block - 1, block, block + 1, 4096):
+            x = np.linspace(0.0, 40.0, n)
+            p = np.linspace(-3.0, 16.0, n)
+            assert sol.alpha0(x).tobytes() == dense_alpha0(sol, x).tobytes()
+            for method, profile in ((sol.t, sol.spec.vhat),
+                                    (sol.t_prime, sol.spec.vhat_d1),
+                                    (sol.t_second, sol.spec.vhat_d2)):
+                assert method(p).tobytes() == dense_kernel_sum(sol, profile, p).tobytes()
+        assert sol.t(16.0) == dense_kernel_sum(sol, sol.spec.vhat, 16.0)[0]
+
+    def test_row_blocks_cover_the_rows_in_order(self):
+        for n_rows in (0, 1, 2, 127, 128, 129, 130, 257, 4096):
+            blocks = gs._row_blocks(n_rows, 512)
+            assert [i for b in blocks for i in range(n_rows)[b]] == list(range(n_rows))
+            assert all(b.start % 32 == 0 for b in blocks)
+            assert all(b.stop - b.start >= 2 for b in blocks) or n_rows <= 1
+
+    @pytest.mark.parametrize("solution", ["gap_sol", "gap_sol_fine"])
+    def test_transforms_hold_one_block(self, request, solution):
+        # 4096 points of alpha0 (decay_report's grid) and 1015 momenta of t
+        # and its derivatives (a fiber at h = 1/256) stay below 3 MiB;
+        # measured 1.0 MiB and 2.0-2.5 MiB on 512 and 1024 nodes, against
+        # 32 and 16-20 MiB (64 and 32-40 MiB) for the whole table
+        sol = request.getfixturevalue(solution)
+        for method, points in ((sol.alpha0, np.linspace(0.0, 40.0, 4096)),
+                               (sol.t, np.linspace(0.0, 16.0, 1015)),
+                               (sol.t_prime, np.linspace(0.0, 16.0, 1015)),
+                               (sol.t_second, np.linspace(0.0, 16.0, 1015))):
+            tracemalloc.start()
+            try:
+                method(points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, (method.__name__, peak)
 
 
 class TestBirmanSchwingerEstimate:
