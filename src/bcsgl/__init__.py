@@ -21,7 +21,8 @@ dimension, the semiclassical statements that connect the two descriptions:
     Fiber-decomposed Bogoliubov-de Gennes operators, trace asymptotics,
     pair-operator decomposition, and free-energy upper-bound sweeps.
 ``properties``
-    Registry of named cross-module invariant checks with witness values.
+    Named checks of one run: identities its gap solution, coefficients
+    and GL state satisfy on every config, with witness values.
 ``cli``
     Command-line pipeline driver writing JSON/CSV artifacts.
 

@@ -66,9 +66,7 @@ blocks of each window from the fields' Fourier coefficients
 (:meth:`FiberOperator.blocks`); the pair block is kept as each window's
 core rows, and the pair-block norms (:func:`_pair_sums`) and the
 trial-state band (:func:`_pair_band`) are summed one row block at a time.
-The full blocks and the ``2N x 2N`` matrix are assembled only when read,
-by the named checks and the tests.  Each block is stored real when its
-data are (see :func:`build_fiber`).  With ``A = 0`` and an even ``W`` the
+Each block is stored real when its data are (see :func:`build_fiber`).  With ``A = 0`` and an even ``W`` the
 GL minimizer is real, so the trial-state energy diagonalizes real
 symmetric windows with LAPACK's real symmetric eigensolvers, several
 times faster than the complex ones; the trace and pair sweeps probe a
@@ -113,7 +111,6 @@ __all__ = [
     "FiberBasis",
     "FiberOperator",
     "build_fiber",
-    "supercell_hamiltonian",
     "field_inner_products",
     "default_mode_cutoff",
     "semiclassical_trace",
@@ -237,11 +234,6 @@ class FiberOperator:
     ``N x N`` array.  ``coupling[d]`` bounds the blocks' entries between
     modes ``d`` apart, from the fields' Fourier coefficients; the fiber
     pass weighs the couplings its windows drop with it.
-
-    The full blocks ``k_block``, ``delta_block`` and ``m22_block``
-    (:meth:`blocks` on every mode) and the Hermitian ``2N x 2N`` fiber
-    :attr:`matrix` are assembled on first read; the named checks and the
-    tests read them, the sweeps do not.
     """
 
     momenta: np.ndarray
@@ -305,32 +297,6 @@ class FiberOperator:
                 f"fiber at xi={self.xi:.6f} lost Hermiticity by {drift:.3e}"
             )
         return k_block, delta, m22
-
-    @functools.cached_property
-    def full_blocks(self) -> tuple:
-        """``(K, Delta, M22)`` on every mode: :meth:`blocks` of ``(0, N)``."""
-        return self.blocks(0, len(self.momenta))
-
-    @property
-    def k_block(self) -> np.ndarray:
-        """The particle block."""
-        return self.full_blocks[0]
-
-    @property
-    def delta_block(self) -> np.ndarray:
-        """The pairing block."""
-        return self.full_blocks[1]
-
-    @property
-    def m22_block(self) -> np.ndarray:
-        """The hole block, the negated conjugate of the particle block of
-        the reflected fiber."""
-        return self.full_blocks[2]
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The fiber ``[[K, Delta], [Delta^*, M22]]``."""
-        return _bdg_matrix(*self.full_blocks)
 
 
 def _bdg_matrix(k_block: np.ndarray, delta: np.ndarray,
@@ -473,60 +439,6 @@ def _bloch_ladder(basis: FiberBasis, one: Callable, quadrature: Callable,
                 else "one rung, no estimate"), UserWarning)
     return fine, {"m_fibers": m, "capped": not converged,
                   **{f"delta_{k}": v for k, v in deltas.items()}}
-
-
-# ---------------------------------------------------------------------------
-# Supercell oracle
-# ---------------------------------------------------------------------------
-
-
-def supercell_hamiltonian(h: float, m_cells: int, n_grid_per_cell: int,
-                          psi: TorusField, a: TorusField, w: TorusField,
-                          t: Callable, mu: float
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense real-space discretization on ``m_cells`` unit cells.
-
-    Multiplication operators are diagonal on the collocation grid; the
-    momentum operator and ``t(-i h d/dx)`` act through the discrete
-    Fourier transform (grid momenta ``2 pi j / m_cells``), so the
-    construction is spectrally exact up to the grid's momentum cutoff.
-    Returns the pairing Hamiltonian and its ``Delta = 0`` counterpart;
-    their spectra oracle the fiber path.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Hermitian ``2 N_g x 2 N_g`` matrices, ``N_g = m_cells *
-        n_grid_per_cell``.
-    """
-    n_g = m_cells * n_grid_per_cell
-    x = np.arange(n_g) * (m_cells / n_g)
-    kappa = 2.0 * math.pi * np.fft.fftfreq(n_g, d=m_cells / n_g)
-
-    fwd = np.fft.fft(np.eye(n_g), axis=0)
-    inv = np.fft.ifft(np.eye(n_g), axis=0)
-    momentum = (inv * (h * kappa)) @ fwd          # -i h d/dx
-    t_op = (inv * t(h * kappa)) @ fwd             # t(-i h d/dx)
-
-    a_diag = np.diag(a.evaluate(x))
-    w_diag = np.diag(w.evaluate(x))
-    psi_diag = np.diag(psi.evaluate(x))
-
-    k_block = (
-        momentum @ momentum
-        + h * (momentum @ a_diag + a_diag @ momentum)
-        + h * h * (a_diag @ a_diag)
-        - mu * np.eye(n_g)
-        + h * h * w_diag
-    )
-    delta = -(h / 2.0) * (psi_diag @ t_op + t_op @ psi_diag)
-    h_delta = np.block([
-        [k_block, delta],
-        [delta.conj().T, -k_block.conj()],
-    ])
-    zero = np.zeros_like(delta)
-    h_free = np.block([[k_block, zero], [zero, -k_block.conj()]])
-    return 0.5 * (h_delta + h_delta.conj().T), 0.5 * (h_free + h_free.conj().T)
 
 
 # ---------------------------------------------------------------------------

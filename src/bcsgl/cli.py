@@ -7,22 +7,23 @@ stage chain
     -> semiclassical sweeps
 
 and writes machine-readable artifacts (``gap.json``, ``coeffs.json``,
-``gl.json``, ``sweeps/*.json``, ``report.csv``, and under ``all`` the
-property suite's ``properties.json``) into the configured output
-directory.  Every artifact carries the ``key`` of its own inputs and of
-the package source: the gap solve keys on the potential, the gap grid
-and D; the coefficients on the gap key; the GL minimum on that key, the
-fields, ``torus_n_max`` and the seed; a sweep on its upstream key and
-the h-list; the property suite on the seed alone.  The stages, the
-suite and the h points (``points/<key>.json``) are read back or
-computed: a fiber point (shared by the trace and pair sweeps) keys on
-the gap key, the fields, ``fiber_m`` and h, an energy point on the GL
-key, ``fiber_m`` and h.  ``points/`` is never pruned; it holds one small
-file per distinct (key, h).  A sweep, one row of ``_SWEEPS``, is a view
-of the h points of its kind: their fit and its gates, refitted on every
-run and, like ``report.csv``, written when its bytes change.  A re-run
-leaves every file byte-identical, and an edited run recomputes only
-what its edit touches and writes the bytes of a cold run of the edited
+``gl.json``, ``sweeps/*.json``, ``report.csv``, and under ``all`` and
+``prop-tests`` the property suite's ``properties.json``) into the
+configured output directory.  Every artifact carries the ``key`` of its
+own inputs and of the package source: the gap solve keys on the
+potential, the gap grid and D; the coefficients on the gap key; the GL
+minimum on that key, the fields, ``torus_n_max`` and the seed; a sweep
+on its upstream key and the h-list; the property suite on the gap,
+coefficient and GL keys, whose results it checks.  The stages, the suite
+and the h points (``points/<key>.json``) are read back or computed: a
+fiber point (shared by the trace and pair sweeps) keys on the gap key,
+the fields, ``fiber_m`` and h, an energy point on the GL key,
+``fiber_m`` and h.  ``points/`` is never pruned; it holds one small file
+per distinct (key, h).  A sweep, one row of ``_SWEEPS``, is a view of
+the h points of its kind: their fit and its gates, refitted on every run
+and, like ``report.csv``, written when its bytes change.  A re-run
+leaves every file byte-identical, and an edited run recomputes only what
+its edit touches and writes the bytes of a cold run of the edited
 config.
 
 The module imports the standard library alone; NumPy and the numerical
@@ -30,17 +31,18 @@ modules load in the first stage, h point or property suite that
 computes.  So ``validate`` and every command whose artifacts and h
 points are all read back (a warm ``all``, a cached ``tc``, a sweep or
 an edited ``all`` whose h points are on disk) run without them, while
-``prop-tests`` and a command that computes (``tc`` on a fresh output
-directory, a cold ``all``) load them.  A cached result is reported from
+a command that computes (``tc`` on a fresh output directory, a cold
+``all``) loads them.  A cached result is reported from
 its artifact payload; objects are decoded from it only for a stage that
 computes on them, and a sweep is refitted from its points' payloads.
 
 A command computes on one :class:`~concurrent.futures.ThreadPoolExecutor`
 of ``--workers`` threads.  The h points of its sweeps are queued on it
-finest h first, behind the stage chain and, under ``all``, the property
-suite, and each point folds its fibers serially on its own thread.  So
-at most ``--workers`` threads compute at once, and no artifact depends
-on that count.
+finest h first, behind the stage chain, and each point folds its fibers
+serially on its own thread; under ``all`` the property suite, which
+reads the stages' results, is queued behind the h points.  So at most
+``--workers`` threads compute at once, and no artifact depends on that
+count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
@@ -68,7 +70,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "main",
-    "prop_test_suite",
     "run_pipeline",
     "validate_config",
 ]
@@ -505,10 +506,10 @@ class _Run:
         energy = _key("energy", gl_min, grids["fiber_m"])
         #: Artifact name -> key; ``fiber`` and ``energy`` are what the h
         #: points of those sweeps read (:meth:`_point`), and the property
-        #: suite, which reads no config, keys on the seed alone.
+        #: suite keys on the three stages it checks.
         self.keys = {"gap": gap, "coeffs": coeffs, "gl-min": gl_min,
                      "fiber": fiber, "energy": energy,
-                     "properties": _key("properties", norm["seed"])}
+                     "properties": _key("properties", gap, coeffs, gl_min)}
         self.keys |= {row.name: _key(row.name, self.keys[row.kind],
                                      cfg.h_list) for row in _SWEEPS.values()}
 
@@ -592,6 +593,42 @@ class _Run:
             self._computed.add(kind)
             self._points[kind][h] = self.pool.submit(self._point, kind, h,
                                                      key, inputs[kind])
+
+    def suite(self) -> Future:
+        """The payload of ``properties.json``, read back or else put on
+        the pool: the property suite on this run's gap solution,
+        coefficients and GL state (:func:`properties.run_suite`).
+
+        Like :meth:`submit`, it runs the stages and decodes their results
+        here first, so the suite computes no stage and no pool thread is
+        the first to load a module.
+        """
+        payload = _load_cached(self.cfg.outputs / "properties.json",
+                               self.keys["properties"])
+        if payload is not None:
+            self.cached["properties"] = True
+            done = Future()
+            done.set_result(payload)
+            return done
+        from . import properties
+        from .gl_coeffs import GLCoefficients
+        from .gl_minimizer import TorusField
+
+        cfg = self.cfg
+        run = properties.RunObjects(
+            self.sol, GLCoefficients.from_dict(self.coeffs["coefficients"]),
+            TorusField.from_dict(self.gl["state"]["psi"]), cfg.a_field,
+            cfg.w_field, cfg.seed)
+
+        def compute():
+            results = properties.run_suite(run)
+            failures = [r.to_dict() for r in results if not r.passed]
+            return {"total": len(results),
+                    "passed": len(results) - len(failures),
+                    "failures": failures, "all_passed": not failures}
+
+        return self.pool.submit(self._payload, "properties",
+                                "properties.json", compute)
 
     @functools.cached_property
     def gap(self) -> dict:
@@ -780,19 +817,12 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
     raises StageError on numerical failure.
     """
     with _Run(cfg, workers) as run:
-        if _load_cached(cfg.outputs / "properties.json",
-                        run.keys["properties"]) is None:
-            # a suite to compute loads every numerical module here,
-            # before the pool computes, so no module is first imported
-            # on two threads at once
-            from . import properties  # noqa: F401
-        props = run.pool.submit(run._payload, "properties", "properties.json",
-                                lambda: prop_test_suite(seed=cfg.seed))
         # every upstream stage before any sweep, so none runs if one
         # fails; on the pool, so no more than ``workers`` threads compute
         gap, coeffs, gl = run.pool.submit(
             lambda: (run.gap, run.coeffs, run.gl)).result()
         run.submit("fiber", "energy")
+        props = run.suite()
         payloads = {row.name: run.sweep(command)
                     for command, row in _SWEEPS.items()}
         _write_report_csv(cfg, payloads)
@@ -809,20 +839,6 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
         summary["properties"] = {k: v for k, v in props.result().items()
                                  if k != "key"}
     return summary
-
-
-def prop_test_suite(seed: int = 0) -> dict:
-    """Run the named invariant checks; summarize failures with witnesses."""
-    from . import properties
-
-    results = properties.run_suite(seed=seed)
-    failures = [r.to_dict() for r in results if not r.passed]
-    return {
-        "total": len(results),
-        "passed": len(results) - len(failures),
-        "failures": failures,
-        "all_passed": not failures,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +891,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=os.cpu_count() or 1,
                         help="threads that compute, N >= 1: the h points "
                              "of every sweep run in parallel, each point's "
-                             "fibers in order on its own thread, beside the "
+                             "fibers in order on its own thread, and the "
                              "property suite under 'all'; GL descents run "
                              "serially (default: hardware parallelism).  "
                              "Each thread calls BLAS, so the 'bcsgl' "
@@ -896,7 +912,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("coeffs", "derive the macroscopic coefficients"),
         ("gl-min", "minimize the macroscopic energy"),
         *((command, row.help) for command, row in _SWEEPS.items()),
-        ("prop-tests", "run the named invariant checks"),
+        ("prop-tests", "run the named checks on the run's gap solution, "
+                       "coefficients and GL state"),
         ("all", "full pipeline plus invariant checks"),
     ]:
         sub.add_parser(name, help=text)
@@ -953,10 +970,11 @@ def _cmd_verify(run: _Run, command: str) -> int:
     return EXIT_OK if payload["passed"] else EXIT_REGRESSION
 
 
-def _cmd_prop_tests(seed: int) -> int:
-    summary = prop_test_suite(seed=seed)
+def _cmd_prop_tests(run: _Run) -> int:
+    summary = {k: v for k, v in run.suite().result().items() if k != "key"}
     status = "ok" if summary["all_passed"] else "regression"
-    _emit({"status": status, **summary})
+    _emit({"status": status, **summary, "config_hash": run.cfg.config_hash,
+           "cached": run.cached["properties"]})
     return EXIT_OK if summary["all_passed"] else EXIT_REGRESSION
 
 
@@ -972,9 +990,6 @@ def _cmd_all(cfg: RunConfig, workers: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "prop-tests":
-            seed = args.seed if args.seed is not None else 0
-            return _cmd_prop_tests(seed)
         cfg = _load_config(args)
         if args.command == "validate":
             return _cmd_validate(cfg)
@@ -983,6 +998,8 @@ def main(argv=None) -> int:
         with _Run(cfg, args.workers) as run:
             if args.command in _SWEEPS:
                 return _cmd_verify(run, args.command)
+            if args.command == "prop-tests":
+                return _cmd_prop_tests(run)
             return _cmd_stage(run, args.command)
     except ConfigError as exc:
         return _config_error(exc)

@@ -31,7 +31,6 @@ from such matrices, and one eigensolver counting their eigenvalues above
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
@@ -47,12 +46,9 @@ __all__ = [
     "PotentialSpec",
     "MomentumGrid",
     "GapSolution",
-    "DecayReport",
-    "reference_well",
     "build_gap_matrix",
     "find_tc",
     "normalize",
-    "decay_report",
 ]
 
 #: Temperature at which :func:`find_tc` probes for pairing, and the
@@ -77,11 +73,6 @@ _GROUND_STATE_RESIDUAL = 1e-12
 #: :meth:`GapSolution.alpha0`): they form their (points x nodes) table
 #: about this many elements at a time (:func:`_row_blocks`).
 _BLOCK_ELEMENTS = 1 << 16
-
-#: :func:`decay_report` warns when its fitted rate falls below this
-#: fraction of ``kappa_c``: the fit then sits on a truncation floor of
-#: the profile, not on its decay.
-MIN_DECAY_RATIO = 0.9
 
 
 class NoPairingError(RuntimeError):
@@ -164,14 +155,6 @@ class PotentialSpec:
             self.w * k / math.pi
         )
 
-    def vhat_d1(self, k):
-        """First derivative of ``vhat`` (square well: central difference)."""
-        k = np.asarray(k, dtype=float)
-        if self.family == "gaussian_well":
-            return -(k * self.w**2 / 2.0) * self.vhat(k)
-        h = 1e-5
-        return (self.vhat(k + h) - self.vhat(k - h)) / (2.0 * h)
-
     def vhat_d2(self, k):
         """Second derivative of ``vhat`` (square well: central difference)."""
         k = np.asarray(k, dtype=float)
@@ -201,11 +184,6 @@ class PotentialSpec:
     def from_dict(cls, data: Mapping) -> "PotentialSpec":
         return cls(data["family"], mu=float(data["mu"]),
                    **{k: float(v) for k, v in data["parameters"].items()})
-
-
-def reference_well() -> PotentialSpec:
-    """The reference configuration used throughout the examples and tests."""
-    return PotentialSpec.gaussian(g=2.0, w=1.0, mu=1.0)
 
 
 @dataclass(frozen=True)
@@ -395,10 +373,6 @@ class GapSolution:
         """Pair symbol ``t(p)``, smooth in ``p``, even, real-valued."""
         return self._kernel_sum(self.spec.vhat, p)
 
-    def t_prime(self, p):
-        """First derivative ``t'(p)``."""
-        return self._kernel_sum(self.spec.vhat_d1, p)
-
     def t_second(self, p):
         """Second derivative ``t''(p)``."""
         return self._kernel_sum(self.spec.vhat_d2, p)
@@ -423,8 +397,8 @@ class GapSolution:
     def alpha0(self, x) -> np.ndarray:
         """``alpha0(x)`` by the even-sector inverse transform
         ``(2/pi)^{1/2} sum_q cos(q x) alpha0_hat(q) dq``, in row blocks of
-        ``x`` (:meth:`_transform`), so the 4096 points of
-        :func:`decay_report` hold one block of cosines at a time."""
+        ``x`` (:meth:`_transform`), so many points hold one block of
+        cosines at a time."""
         weight = math.sqrt(2.0 / math.pi) * self.grid.dq
         return weight * self._transform(lambda x_col, q: np.cos(q * x_col), x)
 
@@ -765,92 +739,4 @@ def normalize(sol: GapSolution, D: float) -> GapSolution:
         t_samples=s * sol.t_samples,
         norm_scale=s if sol.norm_scale is None else s * sol.norm_scale,
         D=float(D),
-    )
-
-
-@dataclass
-class DecayReport:
-    """Exponential decay fit of the real-space profile."""
-
-    fitted_decay_rate: float
-    kappa_c: float
-    n_fit_points: int
-    fit_window: tuple[float, float]
-
-
-def _local_maxima(x: np.ndarray) -> np.ndarray:
-    """Indices of the local maxima of a 1-D array.
-
-    A maximum is a sample, or a flat run of equal samples, higher than its
-    neighbours on both sides; a flat run counts once, at its middle sample
-    (the left one of two), and runs touching either end never count.  This
-    is the index set of ``scipy.signal.find_peaks(x)[0]``.
-    """
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    ends = np.append(starts[1:] - 1, len(x) - 1)
-    run = x[starts]
-    top = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
-    return (starts[top] + ends[top]) // 2
-
-
-def decay_report(
-    sol: GapSolution, x_max: float | None = None, n_x: int = 4096
-) -> DecayReport:
-    """Real-space decay rate of the ground state.
-
-    Fits ``ln |alpha0|`` at its local maxima (envelope peaks) over the
-    window where ``|alpha0|`` lies in ``[1e-10, 1e-3] * max``; the fitted
-    rate should approach ``kappa_c`` from below, and a ``UserWarning``
-    flags a rate below ``MIN_DECAY_RATIO * kappa_c``.  With no sample in
-    the window it warns and reports a NaN rate and window and no fit
-    points.
-
-    Parameters
-    ----------
-    sol : GapSolution
-    x_max : float, optional
-        Extent of the real-space grid; default covers decay to ~1e-12
-        while staying below the aliasing limit ``pi / dq``.
-    n_x : int
-        Number of grid points.
-
-    Returns
-    -------
-    DecayReport
-    """
-    kappa = sol.kappa_c
-    alias_limit = math.pi / sol.grid.dq
-    if x_max is None:
-        x_max = min(30.0 / kappa, 0.85 * alias_limit)
-    x = np.linspace(0.0, x_max, n_x)
-    abs_alpha = np.abs(sol.alpha0(x))
-    peak = abs_alpha.max()
-    lo_threshold, hi_threshold = 1e-10 * peak, 1e-3 * peak
-    peaks = _local_maxima(abs_alpha)
-    in_window = peaks[
-        (abs_alpha[peaks] >= lo_threshold) & (abs_alpha[peaks] <= hi_threshold)
-    ]
-    if in_window.size >= 5:
-        fit_x, fit_y = x[in_window], np.log(abs_alpha[in_window])
-    else:
-        mask = (abs_alpha >= lo_threshold) & (abs_alpha <= hi_threshold)
-        fit_x, fit_y = x[mask], np.log(abs_alpha[mask])
-    if fit_x.size == 0:
-        warnings.warn("empty decay-fit window; grid too coarse for the fit")
-        rate, fit_window = math.nan, (math.nan, math.nan)
-    else:
-        rate = -float(np.polyfit(fit_x, fit_y, 1)[0])
-        fit_window = (float(fit_x[0]), float(fit_x[-1]))
-        if rate < MIN_DECAY_RATIO * kappa:
-            warnings.warn(
-                f"fitted decay rate {rate:.4g} is below {MIN_DECAY_RATIO} "
-                f"kappa_c = {MIN_DECAY_RATIO * kappa:.4g}: the fit window "
-                "sits on a truncation floor of the profile; refine the "
-                "momentum grid")
-
-    return DecayReport(
-        fitted_decay_rate=rate,
-        kappa_c=kappa,
-        n_fit_points=int(len(fit_x)),
-        fit_window=fit_window,
     )

@@ -6,19 +6,14 @@ evaluates, on the solver's momentum grid,
 * the macroscopic GL coefficients ``B1`` (gradient block), ``B2``
   (external-potential coupling) and ``B3`` (quartic coefficient),
 * the quadratic/quartic trace-expansion constants ``E1`` and the four
-  coefficient blocks of ``E2``,
-* the small-momentum constants ``F(0,0,0)``, ``G(0)``, the Hessian of
-  ``G`` at 0 and ``L(0,0)`` -- each both by confluent divided-difference
-  quadrature and by its closed g-function form, so the two independent
-  routes can be compared.
+  coefficient blocks of ``E2``.
 
 ``B1``-``B3``, ``E1`` and three of the four ``E2`` blocks are fixed
 prefactors times one table of four moments at a given ``beta``
 (:func:`_moments`): the integrals of ``t^2 g0``, ``t^2 g1``, ``t^2 (g1 +
 2 beta q^2 g2)`` and ``t^4 g1_over_z``, all g-arguments ``beta (q^2 -
-mu)``.  Only the plain-gradient block of ``E2`` also needs ``t''``, and
-the closed small-momentum forms are fixed multiples of ``E1`` and the
-``E2`` blocks.  At ``beta = beta_c`` the ``E2`` blocks are exactly twice
+mu)``.  Only the plain-gradient block of ``E2`` also needs ``t''``.  At
+``beta = beta_c`` the ``E2`` blocks are exactly twice
 the GL coefficients, and every block is a scalar (dim 1).
 
 The removable factor ``g1(beta (q^2 - mu)) / (q^2 - mu)`` is evaluated
@@ -42,12 +37,10 @@ from .gap_solver import GapSolution, _normalization_integrals
 __all__ = [
     "GLCoefficients",
     "E2Constants",
-    "SmallPConstants",
     "compute_coefficients",
     "b3_alternative_form",
     "e1_constant",
     "e2_constants",
-    "semiclassical_smallp_constants",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -280,97 +273,3 @@ def _check_t_second(source) -> None:
             "analytic second derivative of t disagrees with the finite-"
             "difference cross-check beyond 1e-5 relative"
         )
-
-
-# ---------------------------------------------------------------------------
-# Small-momentum constants: two independent evaluation routes
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SmallPConstants:
-    """``F(0,0,0)``, ``G(0)``, ``(p . grad)^2 G(0)`` and ``L(0,0)``.
-
-    Each value is computed twice: ``*_dd`` by confluent divided-difference
-    quadrature of the defining momentum integrals, ``*_closed`` by the
-    equivalent g-function forms.  The pairs agree to quadrature accuracy.
-    """
-
-    f000_dd: float
-    f000_closed: float
-    g0_dd: float
-    g0_closed: float
-    hess_g0_dd: float
-    hess_g0_closed: float
-    l00_dd: float
-    l00_closed: float
-
-    def max_relative_mismatch(self) -> float:
-        pairs = [
-            (self.f000_dd, self.f000_closed),
-            (self.g0_dd, self.g0_closed),
-            (self.hess_g0_dd, self.hess_g0_closed),
-            (self.l00_dd, self.l00_closed),
-        ]
-        return max(abs(a - b) / max(abs(b), 1e-300) for a, b in pairs)
-
-
-def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
-    """Small-momentum trace-expansion constants by two routes (dim 1).
-
-    Divided-difference route (nodes ``a = beta (q^2 - mu)``):
-
-    * ``F(0,0,0) = beta^4 integral t^4 [a,a,a,-a,-a]_f dq / 2 pi``
-    * ``G(0) = beta^2 integral t^2 [a,a,-a]_f dq / 2 pi``
-    * ``G''(0) = beta^2 integral { (t'^2/2 + t t'') [a,a,-a]
-      + 8 beta q t t' [a,a,a,-a]
-      + t^2 (4 beta [a,a,a,-a] + 24 beta^2 q^2 [a,a,a,a,-a]) } dq / 2 pi``
-      (analytic momentum derivatives of the defining integrand, using the
-      confluent-node derivative rule)
-    * ``L(0,0) = beta^3 integral t^2 (2 [a,a,a,-a] + [a,a,-a,-a]) dq / 2 pi``
-
-    Closed g-function route, as multiples of the trace-expansion
-    constants at the same ``beta``: ``F = (beta/2) c_quartic``,
-    ``G(0) = (beta/2) E1``, ``G''(0) = beta (c_grad_t + c_grad_psi)``
-    (the integration-by-parts form), ``L(0,0) = (beta/2) c_W``.
-
-    Parameters
-    ----------
-    source : GapSolution
-    beta : float
-
-    Returns
-    -------
-    SmallPConstants
-    """
-    blocks = e2_constants(source, beta)
-    e1 = e1_constant(source, beta)
-    grid = source.grid
-    q = grid.nodes
-    a = beta * (q * q - source.mu)
-    t = source.t_samples
-    t2 = t * t
-    t_prime = source.t_prime(q)
-    t_second = source.t_second(q)
-
-    def dd(plus, minus):
-        # [a,..,a,-a,..,-a]_f at every grid node, one node set per row
-        return specfun.divided_difference(
-            "f", np.stack([a] * plus + [-a] * minus, axis=1))
-
-    dd3, dd4, dd4b, dd5, dd5h = dd(2, 1), dd(3, 1), dd(2, 2), dd(3, 2), dd(4, 1)
-
-    return SmallPConstants(
-        f000_dd=beta**4 * grid.integrate(t2 * t2 * dd5) / _TWO_PI,
-        f000_closed=(beta / 2.0) * blocks.c_quartic,
-        g0_dd=beta**2 * grid.integrate(t2 * dd3) / _TWO_PI,
-        g0_closed=(beta / 2.0) * e1,
-        hess_g0_dd=beta**2 * grid.integrate(
-            (0.5 * t_prime**2 + t * t_second) * dd3
-            + 8.0 * beta * q * t * t_prime * dd4
-            + t2 * (4.0 * beta * dd4 + 24.0 * beta**2 * q * q * dd5h)
-        ) / _TWO_PI,
-        hess_g0_closed=beta * (blocks.c_grad_t + blocks.c_grad_psi),
-        l00_dd=beta**3 * grid.integrate(t2 * (2.0 * dd4 + dd4b)) / _TWO_PI,
-        l00_closed=(beta / 2.0) * blocks.c_W,
-    )

@@ -52,7 +52,6 @@ __all__ = [
     "gl_energy",
     "gl_gradient",
     "minimize",
-    "gauge_transform",
     "directional_derivative",
 ]
 
@@ -567,38 +566,3 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
         )
     best.history = history
     return best
-
-
-# ---------------------------------------------------------------------------
-# Gauge transformation
-# ---------------------------------------------------------------------------
-
-
-def gauge_transform(psi: TorusField, a: TorusField, chi: TorusField
-                    ) -> tuple[TorusField, TorusField]:
-    """Apply the pair-charge-2 gauge map ``psi -> psi e^{-2 i chi}``,
-    ``a -> a + chi'``.
-
-    ``e^{-2 i chi}`` is not band-limited; the transformed ``psi`` keeps
-    ``psi.n_max + chi.n_max + 16`` modes, which captures the
-    exponentially decaying tail far below the energy-invariance
-    tolerance for smooth ``chi``.
-
-    Parameters
-    ----------
-    psi, a : TorusField
-    chi : TorusField
-        Real-valued gauge function.
-
-    Returns
-    -------
-    (TorusField, TorusField)
-        The transformed ``(psi, a)``.
-    """
-    if not chi.is_real(tol=1e-10):
-        raise ValueError("gauge function chi must be real-valued")
-    new_n_max = psi.n_max + chi.n_max + 16
-    m = next_fast_len(2 * new_n_max + 2)
-    transformed = psi.values_on_grid(m) * np.exp(-2j * chi.values_on_grid(m))
-    out = TorusField(_grid_coeffs(transformed, new_n_max), new_n_max)
-    return out, a + chi.derivative()

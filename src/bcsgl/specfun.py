@@ -13,9 +13,7 @@ scalar functions of the dimensionless energy ``z = beta * (p^2 - mu)``:
   of ``f`` or ``rho``, the building blocks of semiclassical trace
   expansions,
 * ``fermi_f_divided_difference`` -- the two-node ``f[x, y]``, elementwise
-  over arrays, for the Daleckii-Krein trace differences of the fibers,
-* ``entropy_inequality_margin`` -- the scalar relative-entropy lower bound
-  used to control the quartic remainder.
+  over arrays, for the Daleckii-Krein trace differences of the fibers.
 
 All functions switch to Taylor series below ``SERIES_THRESHOLD = 1e-2`` so
 removable singularities are exact, and to asymptotic forms at large
@@ -46,7 +44,6 @@ __all__ = [
     "kt_symbol",
     "divided_difference",
     "fermi_f_divided_difference",
-    "entropy_inequality_margin",
     "next_fast_len",
 ]
 
@@ -549,51 +546,6 @@ def fermi_f_divided_difference(x, y):
     np.subtract(df, rest, out=rest)
     out[far] = np.divide(np.logaddexp(part, rest, out=part), df, out=part)
     return float(out[0]) if xs and ys else out
-
-
-def entropy_inequality_margin(x, y):
-    """Margin of the scalar relative-entropy inequality (>= 0 up to roundoff).
-
-    Returns ``LHS - RHS`` of::
-
-        x ln(x/y) + (1-x) ln((1-x)/(1-y))
-            >=  [ln((1-y)/y) / (1-2y)] (x-y)^2
-              + (4/3) (x(1-x) - y(1-y))^2
-
-    The prefactor equals ``2 artanh(w)/w`` with ``w = 1 - 2y`` and is
-    evaluated by its series ``2 + 2w^2/3 + 2w^4/5`` for ``|w| < 1e-4``, so
-    ``y = 1/2`` takes the limit value 2 exactly.
-
-    Parameters
-    ----------
-    x, y : array_like
-        Values in the open interval (0, 1); broadcast against each other.
-
-    Returns
-    -------
-    float or ndarray
-        The margin, nonnegative up to roundoff for all valid inputs.
-    """
-    xa, xs = _as_float_array(x)
-    ya, ys = _as_float_array(y)
-    if np.any(xa <= 0.0) or np.any(xa >= 1.0) or np.any(ya <= 0.0) or np.any(ya >= 1.0):
-        raise ValueError("x and y must lie strictly inside (0, 1)")
-    xa, ya = np.broadcast_arrays(xa, ya)
-
-    lhs = xa * np.log(xa / ya) + (1.0 - xa) * np.log((1.0 - xa) / (1.0 - ya))
-
-    w = 1.0 - 2.0 * ya
-    factor = np.empty_like(w)
-    small = np.abs(w) < 1e-4
-    w2 = w[small] * w[small]
-    factor[small] = 2.0 + 2.0 * w2 / 3.0 + 2.0 * w2 * w2 / 5.0
-    factor[~small] = 2.0 * np.arctanh(w[~small]) / w[~small]
-
-    rhs = factor * (xa - ya) ** 2 + (4.0 / 3.0) * (
-        xa * (1.0 - xa) - ya * (1.0 - ya)
-    ) ** 2
-    out = lhs - rhs
-    return _maybe_scalar(out, xs and ys)
 
 
 def next_fast_len(n: int) -> int:

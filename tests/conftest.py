@@ -7,7 +7,8 @@ from bcsgl import gap_solver as gs
 
 @pytest.fixture(scope="session")
 def ref_spec() -> gs.PotentialSpec:
-    return gs.reference_well()
+    """The reference well: Gaussian, g = 2, w = 1, mu = 1."""
+    return gs.PotentialSpec.gaussian(g=2.0, w=1.0, mu=1.0)
 
 
 @pytest.fixture(scope="session")

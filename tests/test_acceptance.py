@@ -6,9 +6,11 @@ normalized with D=1).  The trace and pair sweeps run with a vector
 potential, which the command-line reference run does not; the energy
 sweep's gates run on that reference run in ``test_cli.py``.
 
-The twenty named invariant checks of ``bcsgl.properties`` run by name in
-``test_properties.py``.  The one kept restatement below asserts exact
-equality where its named check allows 1e-13.  The free-problem and
+The six named checks of ``bcsgl.properties`` check the artifacts of one
+run; ``test_properties.py`` runs each by name on the reference run, with
+the reference well's checks of ``reference_checks.py``.  The
+one kept restatement below asserts exact equality where its named check
+allows 1e-13.  The free-problem and
 free-minimum gates stay here: they alone solve on ``find_tc``'s default
 grid and sample the free minimum at 256 points.
 """

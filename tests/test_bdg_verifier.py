@@ -20,7 +20,8 @@ from bcsgl import bdg_verifier as bv
 from bcsgl import specfun
 from bcsgl.gap_solver import normalize
 from bcsgl.gl_minimizer import TorusField
-from pair_blocks import dense_alpha
+import reference_checks as rc
+from pair_blocks import dense_alpha, fiber_matrix, full_blocks, held_arrays
 from synthetic_symbol import SyntheticPairSymbol
 
 # Frozen outputs of the reference configuration (gaussian well g=2, w=1,
@@ -51,7 +52,8 @@ def pair_interaction_symbol_form(sol, h, p_modes):
 
 def free_matrix(op):
     """The decoupled (``Delta = 0``) fiber as a dense block-diagonal matrix."""
-    return block_diag(op.k_block, op.m22_block)
+    k, _, m22 = full_blocks(op)
+    return block_diag(k, m22)
 
 
 # The dense fiber route, the oracle of the windowed pass: one eigh of the
@@ -60,8 +62,9 @@ def free_matrix(op):
 
 def free_spectrum(op):
     """Sorted spectrum of the decoupled fiber (block-diagonal)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(op.k_block),
-                                   np.linalg.eigvalsh(op.m22_block)]))
+    k, _, m22 = full_blocks(op)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(k),
+                                   np.linalg.eigvalsh(m22)]))
 
 
 def pair_block(matrix, beta):
@@ -85,7 +88,7 @@ def fiber_trace(op, lam, beta):
 
 def dense_pass(op, beta):
     """``(trace, mass, alpha)`` of one fiber by the dense route."""
-    lam, alpha = pair_block(op.matrix, beta)
+    lam, alpha = pair_block(fiber_matrix(op), beta)
     return (*fiber_trace(op, lam, beta), alpha)
 
 
@@ -113,10 +116,6 @@ def single_mode_fiber(xi0, delta):
     return bv.FiberOperator(np.zeros(1), np.ones(1),
                             TorusField.constant(-delta), ZERO, ZERO, 1.0,
                             -xi0)
-
-
-#: Where a fiber would hold an ``N x N`` array in its instance dictionary.
-FULL_ARRAYS = {"k_block", "delta_block", "m22_block", "full_blocks", "matrix"}
 
 
 def spied_buffers(monkeypatch):
@@ -247,16 +246,16 @@ class TestFiberAssembly:
         psi, a, w = fields
         basis = bv.FiberBasis(0.25, 8, 4)
         op = bv.build_fiber(basis, 0.7, psi, a, w, gap_sol.t, gap_sol.mu)
-        full = op.matrix
+        full = fiber_matrix(op)
         assert np.abs(full - full.conj().T).max() <= 1e-12
 
     def test_matrix_is_the_block_assembly(self, gap_sol, fields):
         psi, a, w = fields
         basis = bv.FiberBasis(0.25, 8, 4)
         op = bv.build_fiber(basis, 0.7, psi, a, w, gap_sol.t, gap_sol.mu)
-        np.testing.assert_array_equal(op.matrix, np.block([
-            [op.k_block, op.delta_block],
-            [op.delta_block.conj().T, op.m22_block]]))
+        k, delta, m22 = full_blocks(op)
+        np.testing.assert_array_equal(fiber_matrix(op), np.block([
+            [k, delta], [delta.conj().T, m22]]))
         np.testing.assert_array_equal(op.t_values,
                                       gap_sol.t(basis.h * op.momenta))
 
@@ -272,7 +271,7 @@ class TestFiberAssembly:
                             gap_sol.t, gap_sol.mu)
         for assemble in (lambda: op.blocks(3, 9),
                          lambda: bv._fiber_pass(op, gap_sol.beta_c),
-                         lambda: op.matrix):
+                         lambda: fiber_matrix(op)):
             with pytest.raises(FloatingPointError,
                                match="xi=0.700000 lost Hermiticity"):
                 assemble()
@@ -299,8 +298,8 @@ class TestFiberAssembly:
                                   gap_sol.mu)
         # hole block at xi = -conj(particle block at -xi, modes reversed)
         np.testing.assert_allclose(
-            op_plus.m22_block,
-            -np.conj(op_minus.k_block[::-1, ::-1]),
+            full_blocks(op_plus)[2],
+            -np.conj(full_blocks(op_minus)[0][::-1, ::-1]),
             atol=1e-12,
         )
 
@@ -313,8 +312,8 @@ class TestFiberAssembly:
                                   gap_sol.mu)
         # symmetric kernel: Delta^xi[n, n'] = Delta^{-xi}[-n', -n]
         np.testing.assert_allclose(
-            op_plus.delta_block,
-            op_minus.delta_block[::-1, ::-1].T,
+            full_blocks(op_plus)[1],
+            full_blocks(op_minus)[1][::-1, ::-1].T,
             atol=1e-12,
         )
 
@@ -322,7 +321,7 @@ class TestFiberAssembly:
         _, a, w = fields
         basis = bv.FiberBasis(0.25, 8, 4)
         op = bv.build_fiber(basis, 0.3, ZERO, a, w, gap_sol.t, gap_sol.mu)
-        assert np.abs(op.delta_block).max() == 0.0
+        assert np.abs(full_blocks(op)[1]).max() == 0.0
 
     def test_free_spectrum_matches_dense(self, gap_sol, fields):
         psi, a, w = fields
@@ -475,7 +474,7 @@ class TestTranslationInvariantOracle:
             basis, basis.xi_nodes[3], TorusField.constant(c), ZERO, ZERO,
             gap_sol.t, gap_sol.mu,
         )
-        lam, vec = np.linalg.eigh(op.matrix)
+        lam, vec = np.linalg.eigh(fiber_matrix(op))
         gamma = (vec * specfun.fermi_rho(beta * lam)) @ vec.conj().T
         alpha = gamma[:basis.size, basis.size:]
 
@@ -640,21 +639,25 @@ class TestWindowedPass:
         # every entry d modes off the diagonal is within coupling[d]
         basis = bv.FiberBasis(0.0625, 40, 4)
         op = bv.build_fiber(basis, 0.3, *rich_fields, gap_sol.t, gap_sol.mu)
-        n = len(op.k_block)
+        blocks = full_blocks(op)
+        n = len(blocks[0])
         d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        for block in (op.k_block, op.delta_block, op.m22_block):
+        for block in blocks:
             off = d > 0
             assert np.all(np.abs(block[off]) <= op.coupling[d[off]])
         assert np.nonzero(op.coupling[1:])[0].max() + 1 == 4
 
     def test_matrix_is_assembled_only_when_asked(self, gap_sol, fields):
+        # the fiber holds the data of its blocks: a pass over its windows
+        # leaves no N x N array on it, and neither do its full blocks
         psi, a, w = fields
         op = bv.build_fiber(bv.FiberBasis(0.0625, 40, 4), 0.3, psi, a, w,
                             gap_sol.t, gap_sol.mu)
         bv._fiber_pass(op, gap_sol.beta_c)
-        assert not FULL_ARRAYS & set(vars(op))
-        assert op.matrix is op.matrix
-        assert op.k_block is op.k_block
+        assert held_arrays(op) == []
+        n = len(op.momenta)
+        assert [b.shape for b in full_blocks(op)] == [(n, n)] * 3
+        assert held_arrays(op) == []
 
     @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_blocks_are_slices_of_the_full_blocks(self, windowed_fibers,
@@ -668,10 +671,10 @@ class TestWindowedPass:
         ranges = [(lo, hi) for lo, hi, _, _ in bv._window_spans(n, 8)]
         ranges += [(0, 1), (n - 1, n), (5, 200), (0, n)]
         for lo, hi in ranges:
-            for part, full in zip(fresh.blocks(lo, hi), op.full_blocks):
+            for part, full in zip(fresh.blocks(lo, hi), full_blocks(op)):
                 assert part.dtype == full.dtype
                 assert np.array_equal(part, full[lo:hi, lo:hi]), (lo, hi)
-        kinds = [b.dtype.kind for b in op.full_blocks]
+        kinds = [b.dtype.kind for b in full_blocks(op)]
         assert kinds == {"probe": ["f", "c", "f"], "gl_state": ["f", "f", "f"],
                          "rich_fields": ["c", "c", "c"]}[case]
 
@@ -733,7 +736,7 @@ class TestWindowedPass:
             tracemalloc.stop()
         assert fp.window[:2] == (32, 8)
         assert peak < n * n * np.dtype(complex).itemsize / 4
-        assert not FULL_ARRAYS & set(vars(op))
+        assert held_arrays(op) == []
 
     @pytest.mark.parametrize("xi0, delta", [(0.3, 0.2 + 0.1j),
                                             (-2.5, 0.05j), (40.0, 1e-3)])
@@ -742,7 +745,7 @@ class TestWindowedPass:
         # and alpha = -Delta tanh(beta E / 2) / (2 E)
         beta = 5.0
         op = single_mode_fiber(xi0, delta)
-        assert [b.tolist() for b in op.full_blocks] == [
+        assert [b.tolist() for b in full_blocks(op)] == [
             [[xi0]], [[delta]], [[-xi0]]]
         fp = bv._fiber_pass(op, beta)
         energy = math.hypot(xi0, abs(delta))
@@ -766,7 +769,7 @@ def supercell_instance(gap_sol, fields):
     psi, a, w = fields
     h, n_max, m_cells = 0.25, 8, 4
     basis = bv.FiberBasis(h, n_max, m_cells)
-    h_pair, h_free = bv.supercell_hamiltonian(
+    h_pair, h_free = rc.supercell_hamiltonian(
         h, m_cells, 2 * (n_max + 8) + 1, psi, a, w, gap_sol.t, gap_sol.mu
     )
     return basis, h_pair, h_free
@@ -803,7 +806,7 @@ class TestSupercellOracle:
         res = bv.semiclassical_trace(gap_sol, psi, a, w, h, n_max=n_max)
         m = res["m_fibers"]
         assert not res["capped"] and m < 16
-        h_pair, h_free = bv.supercell_hamiltonian(
+        h_pair, h_free = rc.supercell_hamiltonian(
             h, m, 2 * (n_max + 8) + 1, psi, a, w, gap_sol.t, gap_sol.mu)
         sup_tr = (
             np.sum(specfun.fermi_f(beta * np.linalg.eigvalsh(h_pair)))
@@ -903,7 +906,7 @@ class TestSemiclassicalTrace:
         for xi in basis.xi_nodes:
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
             values.append(float(np.sum(
-                specfun.fermi_f(beta * np.linalg.eigvalsh(op.matrix))
+                specfun.fermi_f(beta * np.linalg.eigvalsh(fiber_matrix(op)))
                 - specfun.fermi_f(beta * free_spectrum(op)))))
         oracle = h / beta * math.fsum(values) / basis.m_fibers
         assert abs(res["lhs"] - oracle) <= 5e-13
@@ -1040,8 +1043,7 @@ class TestRealFibers:
 
         def kinds(psi, a):
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
-            return [b.dtype.kind
-                    for b in (op.k_block, op.delta_block, op.m22_block)]
+            return [b.dtype.kind for b in full_blocks(op)]
 
         assert kinds(gl_min_state.psi, ZERO) == ["f", "f", "f"]
         assert kinds(gl_min_state.psi, a_cos) == ["f", "f", "f"]
@@ -1064,7 +1066,7 @@ class TestRealFibers:
                               TorusField.cosine(0.5, 1), gap_sol.t, gap_sol.mu)
                for xi in basis.half_nodes]
         real = [bv._fiber_pass(op, beta) for op in ops]
-        assert all(np.isrealobj(b) for op in ops for b in op.full_blocks)
+        assert all(np.isrealobj(b) for op in ops for b in full_blocks(op))
         _complex_coeff_matrix(monkeypatch)
         for op, fp in zip(ops, real):
             cplx = bv._fiber_pass(op, beta)
@@ -1128,8 +1130,8 @@ class TestPartnerFibers:
             plus = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
             minus = bv.build_fiber(basis, -xi, psi, a, w, gap_sol.t,
                                    gap_sol.mu)
-            lam_p, alpha_p = pair_block(plus.matrix, beta)
-            lam_m, alpha_m = pair_block(minus.matrix, beta)
+            lam_p, alpha_p = pair_block(fiber_matrix(plus), beta)
+            lam_m, alpha_m = pair_block(fiber_matrix(minus), beta)
             spec_dev = np.abs(np.sort(-lam_p) - lam_m).max()
             assert spec_dev <= 1e-12 * np.abs(lam_p).max()
             # alpha(-xi) = J alpha(xi)^T J
@@ -1194,7 +1196,7 @@ class TestPartnerFibers:
 
         def weighted_sq(x):
             op = bv.build_fiber(basis, x, psi, a, w, gap_sol.t, gap_sol.mu)
-            _, alpha = pair_block(op.matrix, beta)
+            _, alpha = pair_block(fiber_matrix(op), beta)
             return np.abs(alpha) ** 2, 1.0 + (basis.h * op.momenta) ** 2
 
         sq_plus, weight_plus = weighted_sq(xi)
@@ -1349,7 +1351,7 @@ class TestBlochLadder:
         values = []
         for k, xi in enumerate(basis.half_nodes):
             op = bv.build_fiber(basis, xi, psi, a, w, gap_sol.t, gap_sol.mu)
-            lam, _ = np.linalg.eigh(op.matrix[np.ix_(perm, perm)])
+            lam, _ = np.linalg.eigh(fiber_matrix(op)[np.ix_(perm, perm)])
             tr, _ = fiber_trace(op, lam, beta)
             values += [tr] * (2 if 0 < k < basis.m_fibers / 2 else 1)
         permuted = h / beta * math.fsum(values) / basis.m_fibers
@@ -1482,7 +1484,7 @@ def pair_of_fibers(gap_sol, fields):
 
 class TestOccupationsAndEntropy:
     def test_occupations_bounded(self, gap_sol, pair_of_fibers):
-        occ = occupations(pair_of_fibers[0].matrix, gap_sol.beta_c)
+        occ = occupations(fiber_matrix(pair_of_fibers[0]), gap_sol.beta_c)
         assert occ.min() >= -1e-12
         assert occ.max() <= 1.0 + 1e-12
 
@@ -1490,16 +1492,17 @@ class TestOccupationsAndEntropy:
         self, gap_sol, pair_of_fibers
     ):
         op_plus, op_minus = pair_of_fibers
-        occ_plus = np.sort(occupations(op_plus.matrix, gap_sol.beta_c))
-        occ_minus = np.sort(occupations(op_minus.matrix, gap_sol.beta_c))
+        beta = gap_sol.beta_c
+        occ_plus = np.sort(occupations(fiber_matrix(op_plus), beta))
+        occ_minus = np.sort(occupations(fiber_matrix(op_minus), beta))
         np.testing.assert_allclose(
             occ_minus, np.sort(1.0 - occ_plus), atol=1e-10
         )
 
     def test_entropy_symmetric_and_positive(self, gap_sol, pair_of_fibers):
         op_plus, op_minus = pair_of_fibers
-        s_plus = entropy(op_plus.matrix, gap_sol.beta_c)
-        s_minus = entropy(op_minus.matrix, gap_sol.beta_c)
+        s_plus = entropy(fiber_matrix(op_plus), gap_sol.beta_c)
+        s_minus = entropy(fiber_matrix(op_minus), gap_sol.beta_c)
         assert s_plus > 0.0
         assert s_plus == pytest.approx(s_minus, abs=1e-10)
 

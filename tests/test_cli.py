@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from bcsgl import cli
 from bcsgl import gap_solver as gs
 from bcsgl import gl_coeffs as gc
 from bcsgl import gl_minimizer as gm
-from pair_blocks import dense_alpha
+from pair_blocks import dense_alpha, fiber_matrix, held_arrays
 
 REFERENCE_TC = 0.6716278342041448
 
@@ -392,8 +393,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "gl-min", "prop-tests"])
     def test_negative_seed_flag_is_a_usage_error(self, command):
-        # the parser refuses it, so prop-tests, which reads no config, stops
-        # there too
+        # the parser refuses it before any config is read
         with pytest.raises(SystemExit) as exit_, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             cli.main(["--seed", "-1", command])
@@ -673,7 +673,7 @@ class TestSweepCommands:
 
         def recording(*args, **kwargs):
             op = original(*args, **kwargs)
-            kinds.add(op.matrix.dtype.kind)
+            kinds.add(fiber_matrix(op).dtype.kind)
             return op
 
         monkeypatch.setattr(bv, "build_fiber", recording)
@@ -757,8 +757,7 @@ class TestSharedFiberPass:
             assert sorted(fiber_solves) == sorted(
                 ("eigh", size) for lo, hi, _, _ in spans
                 for size in (2 * (hi - lo), hi - lo, hi - lo))
-            assert not {"k_block", "delta_block", "m22_block", "full_blocks",
-                        "matrix"} & set(vars(op))
+            assert held_arrays(op) == []
         assert (tmp_path / "out" / "sweeps" / "pair_distance.json").is_file()
 
         built.clear()
@@ -930,12 +929,40 @@ class TestCacheContracts:
         assert warm == cold
 
     @coarse_ladder
+    def test_cold_all_solves_the_gap_once(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the property suite checks the run's own gap solution
+        calls, find_tc = [], gs.find_tc
+        monkeypatch.setattr(gs, "find_tc",
+                            lambda *args: calls.append(args) or find_tc(*args))
+        path = write_config(tmp_path, grids=fast_grids())
+        _, out = run_cli(capsys, "--config", str(path), "all")
+        assert len(calls) == 1
+        assert out["properties"]["all_passed"] is True
+
+    @coarse_ladder
+    def test_suite_keys_on_the_stages_it_checks(self, tmp_path, capsys):
+        # an edited h-list reads the suite back; another potential is
+        # another run, whose suite is computed anew
+        path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
+        run_cli(capsys, "--config", str(path), "all")
+        _, edited = run_cli(capsys, "--config", str(path), "--h-list",
+                            "0.25,0.125", "all")
+        assert edited["pipeline"]["cached_stages"]["properties"] is True
+        deeper = write_config(tmp_path, name="deeper.json",
+                              grids=fast_grids(h_list=self.H_LIST),
+                              potential={"g": 2.5})
+        _, other = run_cli(capsys, "--config", str(deeper), "all")
+        assert other["pipeline"]["cached_stages"]["properties"] is False
+        assert other["properties"]["all_passed"] is True
+
+    @coarse_ladder
     def test_seed_change_keeps_the_gap_and_the_fiber_sweeps(
             self, tmp_path, capsys, monkeypatch):
         from bcsgl import properties
         seeds = []
         monkeypatch.setattr(properties, "run_suite",
-                            lambda seed: seeds.append(seed) or [])
+                            lambda run: seeds.append(run.seed) or [])
         path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
         run_cli(capsys, "--config", str(path), "all")
         before = self.points(tmp_path / "out")
@@ -950,10 +977,10 @@ class TestCacheContracts:
     @coarse_ladder
     @pytest.mark.parametrize("overrides, recomputed", [
         ({"D": 2.0}, {"gap", "coeffs", "gl-min", "trace_expansion",
-                      "pair_distance", "energy_upper_bound"}),
+                      "pair_distance", "energy_upper_bound", "properties"}),
         ({"fields": {"A": [[1, 0.2]]}}, {"gl-min", "trace_expansion",
                                          "pair_distance",
-                                         "energy_upper_bound"}),
+                                         "energy_upper_bound", "properties"}),
         ({"grids": fast_grids(fiber_m=8)}, {"trace_expansion",
                                             "pair_distance",
                                             "energy_upper_bound"}),
@@ -962,8 +989,7 @@ class TestCacheContracts:
                                                      monkeypatch, overrides,
                                                      recomputed):
         from bcsgl import properties
-        # the suite keys on the seed alone, which no case changes
-        monkeypatch.setattr(properties, "run_suite", lambda seed: [])
+        monkeypatch.setattr(properties, "run_suite", lambda run: [])
         path = write_config(tmp_path, grids=fast_grids())
         assert not any(self.pipeline(path).values())
         before = self.points(tmp_path / "out")
@@ -1070,8 +1096,8 @@ class TestWorkerPool:
         from bcsgl import properties
         lock, running, peak, threads = threading.Lock(), [0], [0], set()
         build, point = bv.build_fiber, cli._Run._point
-        suite = properties.run_suite
-        # what each thread runs: an h point (its h) or the property suite
+        suite, suite_threads = properties.run_suite, []
+        # the h point (its h) each thread runs
         owner, owners = threading.local(), []
 
         def owned(run, value):
@@ -1100,8 +1126,8 @@ class TestWorkerPool:
         monkeypatch.setattr(bv, "build_fiber", counted)
         monkeypatch.setattr(cli._Run, "_point",
                             owned(point, lambda run, kind, h, *_: h))
-        monkeypatch.setattr(properties, "run_suite",
-                            owned(suite, lambda *_: "suite"))
+        monkeypatch.setattr(properties, "run_suite", lambda run: (
+            suite_threads.append(threading.get_ident()) or suite(run)))
         path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -1109,9 +1135,12 @@ class TestWorkerPool:
         assert 1 <= peak[0] <= 2
         # the main thread only waits: every fiber ran on the executor
         assert threading.get_ident() not in threads
-        # every fiber ran on the thread of its own h point, or of the suite
-        assert all(own in ("suite", h) for own, h in owners), owners
-        assert {own for own, _ in owners} == {"suite", *self.H_LIST}
+        # every fiber ran on the thread of its own h point, and the
+        # suite, which builds none, ran once, on the executor too
+        assert all(own == h for own, h in owners), owners
+        assert {own for own, _ in owners} == set(self.H_LIST)
+        assert len(suite_threads) == 1
+        assert threading.get_ident() not in suite_threads
 
     def test_more_workers_than_cores_write_the_serial_bytes(self, tmp_path):
         # a stress run: eight threads on few cores, switching every
@@ -1251,7 +1280,7 @@ class TestWorkerPool:
         monkeypatch.setattr(owner, attr, failing)
         monkeypatch.setattr(bv, "alpha_delta_distance", point)
         monkeypatch.setattr(bv, "trial_state_energy", point)
-        monkeypatch.setattr(properties, "run_suite", lambda seed: [])
+        monkeypatch.setattr(properties, "run_suite", lambda run: [])
         path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
         result, stdout = {}, io.StringIO()
 
@@ -1272,31 +1301,70 @@ class TestWorkerPool:
 
 
 class TestPropTests:
-    def test_prop_tests_pass(self, capsys):
-        code, out = run_cli(capsys, "prop-tests")
+    def test_prop_tests_pass(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "--out", str(tmp_path / "out"),
+                            "prop-tests")
         assert code == 0
-        assert out["total"] == 20
-        assert out["passed"] == 20
+        assert out["total"] == out["passed"] == 6
         assert out["failures"] == []
+        assert out["all_passed"] is True
+        assert out["cached"] is False
 
-    def test_prop_tests_never_reads_the_cached_suite(self, tmp_path, capsys,
-                                                     monkeypatch):
+    @coarse_ladder
+    def test_prop_tests_reads_the_suite_of_all(self, tmp_path, capsys,
+                                               monkeypatch):
+        # prop-tests checks the run of its config: after `all`, it reads
+        # that run's properties.json back and computes nothing
         from bcsgl import properties
-        out_dir = tmp_path / "out"
-        cli._dump_json(out_dir / "properties.json", {
-            "key": cli._key("properties", 0), "total": 99, "passed": 99,
-            "failures": [], "all_passed": True})
-        monkeypatch.setattr(properties, "run_suite", lambda seed: [])
-        code, out = run_cli(capsys, "--out", str(out_dir), "prop-tests")
+        path = write_config(tmp_path, grids=fast_grids())
+        run_cli(capsys, "--config", str(path), "all")
+        stored = json.loads((tmp_path / "out" / "properties.json").read_text())
+
+        def no_suite(run):
+            raise AssertionError("the suite ran again")
+
+        monkeypatch.setattr(properties, "run_suite", no_suite)
+        monkeypatch.setattr(gs, "find_tc", no_suite)
+        code, out = run_cli(capsys, "--config", str(path), "prop-tests")
         assert code == 0
-        assert out["total"] == 0
+        assert out.pop("cached") is True
+        assert out.pop("status") == "ok"
+        assert out.pop("config_hash") == cli.validate_config(path).config_hash
+        assert out == {k: v for k, v in stored.items() if k != "key"}
+
+    def test_square_well_witnesses_are_the_wells(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the suite checks the run it reads: on the (2, 1, 1) square well
+        # the dense eigenvalue is that well's, on its grid at the T_c of
+        # its gap.json, and B3's two forms are its coeffs.json's
+        from bcsgl import properties
+        results, run_suite = [], properties.run_suite
+        monkeypatch.setattr(properties, "run_suite", lambda run: (
+            results.extend(run_suite(run)) or results))
+        path = write_config(tmp_path, potential={
+            "family": "square_well", "g": 2.0, "w": 1.0, "mu": 1.0})
+        code, out = run_cli(capsys, "--config", str(path), "prop-tests")
+        assert code == 0
+        assert out["all_passed"] is True
+        assert out["passed"] == len(results) == 6
+        sol = gs.GapSolution.from_dict(json.loads(
+            (tmp_path / "out" / "gap.json").read_text())["solution"])
+        assert sol.spec == gs.PotentialSpec.square(2.0, 1.0, 1.0)
+        witness = {r.name: r.witness for r in results}
+        matrix = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
+        assert witness["critical_eigenvalue_residual"][
+            "lambda_min_at_tc"] == float(np.linalg.eigvalsh(matrix)[0])
+        b3 = json.loads((tmp_path / "out" / "coeffs.json").read_text())[
+            "coefficients"]["B3"]
+        assert witness["quartic_alternative_form"]["relative_difference"] \
+            == abs(gc.b3_alternative_form(sol) - b3) / abs(b3)
 
     @coarse_ladder
     def test_failing_suite_exits_3_naming_it(self, tmp_path, capsys,
                                              monkeypatch):
         from bcsgl import properties
 
-        def failing(seed):
+        def failing(run):
             raise FloatingPointError("suite lost")
 
         monkeypatch.setattr(properties, "run_suite", failing)
@@ -1308,15 +1376,20 @@ class TestPropTests:
         assert "suite lost" in out["message"]
         assert not (tmp_path / "out" / "properties.json").exists()
 
-    def test_prop_failures_enumerated(self, capsys, monkeypatch):
-        from bcsgl import specfun
-        original = specfun.g1
-        monkeypatch.setattr(specfun, "g1", lambda z: -original(z))
-        code, out = run_cli(capsys, "prop-tests")
+    def test_prop_failures_enumerated(self, tmp_path, capsys, monkeypatch):
+        # a gap stage that scales the profile for another D than the one
+        # it records breaks the balance condition and B3's normalization
+        # identity: exit 4, the two failures with their witnesses
+        original = gs.normalize
+        monkeypatch.setattr(gs, "normalize", lambda sol, D: replace(
+            original(sol, 1.001 * D), D=D))
+        code, out = run_cli(capsys, "--out", str(tmp_path / "out"),
+                            "prop-tests")
         assert code == 4
-        assert out["failures"]
-        entry = out["failures"][0]
-        assert {"module", "name", "witness"} <= set(entry)
+        assert out["status"] == "regression"
+        assert [f["name"] for f in out["failures"]] == [
+            "normalization_balance", "quartic_alternative_form"]
+        assert out["failures"][0]["witness"]["relative_residual"] > 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -1569,7 +1642,7 @@ class TestEntryPoint:
             "validate": set(),
             "tc": {"numpy", "bcsgl.specfun", "bcsgl.gap_solver"},
             "verify-thm2": numerical - {"bcsgl.properties"},
-            "prop-tests": numerical,
+            "prop-tests": numerical - {"bcsgl.bdg_verifier"},
             "all": numerical,
             "verify-thm3": set(),
             "all, warm": set(),

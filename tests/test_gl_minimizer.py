@@ -25,11 +25,11 @@ from bcsgl.gl_minimizer import (
     _quadratic_part,
     _trust_step,
     directional_derivative,
-    gauge_transform,
     gl_energy,
     gl_gradient,
     minimize,
 )
+from reference_checks import gauge_transform
 
 # Frozen from a converged multistart run (all four starts agree to 13
 # digits; stable under doubling n_max to 8e-13 relative).

