@@ -139,11 +139,11 @@ _BAND_MODES = 64
 # ---------------------------------------------------------------------------
 
 
-def _as_symbol(source):
-    """``(t callable, mu, beta_c)`` of a gap solution."""
+def _check_source(source) -> None:
+    """The type guard that each fiber observable passes first: they take
+    the pair symbol, ``mu`` and ``beta_c`` from a gap solution."""
     if not isinstance(source, GapSolution):
         raise TypeError(f"expected a GapSolution, got {type(source).__name__}")
-    return source.t, source.mu, source.beta_c
 
 
 def default_mode_cutoff(h: float, q_support: float) -> int:
@@ -764,7 +764,8 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
     """The pass of :func:`alpha_delta_distance`, whose Bloch ladder
     compares the values named in ``compared`` (``"lhs"`` and those of
     :data:`PAIR_NORMS`) and records their ``delta_<key>``."""
-    t, mu, beta = _as_symbol(source)
+    _check_source(source)
+    t, mu, beta = source.t, source.mu, source.beta_c
     basis = _resolve_basis(source, h, m_fibers, n_max)
 
     def one(xi, partnered):
@@ -913,6 +914,7 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         Quadrature sizes are four points per fastest oscillation
         (``u``) and four points per field mode (``x``).
     """
+    _check_source(sol)
     if sol.D is None:
         raise ValueError("gap solution must be normalized (D set)")
     if h * h * sol.D >= 1.0:

@@ -37,12 +37,13 @@ its artifact payload; objects are decoded from it only for a stage that
 computes on them, and a sweep is refitted from its points' payloads.
 
 A command computes on one :class:`~concurrent.futures.ThreadPoolExecutor`
-of ``--workers`` threads.  The h points of its sweeps are queued on it
+of ``--workers`` threads: every stage, h point and the property suite
+that is not read back is a task on it, and the main thread only reads
+back, decodes, queues and waits.  The h points of its sweeps are queued
 finest h first, behind the stage chain, and each point folds its fibers
-serially on its own thread; under ``all`` the property suite, which
-reads the stages' results, is queued behind the h points.  So at most
-``--workers`` threads compute at once, and no artifact depends on that
-count.
+serially on its own thread; under ``all`` the property suite is queued
+behind the h points.  So at most ``--workers`` threads compute at once,
+and no artifact depends on that count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance regression (a convergence gate or property check failed).
@@ -437,22 +438,6 @@ def _load_cached(path: Path, key: str) -> dict | None:
     return payload
 
 
-def _stage(path: Path, key: str, compute) -> tuple[dict, bool]:
-    """Read back or compute one cached result; returns (payload,
-    was_cached).
-
-    The artifact at ``path`` is read back when it carries ``key``;
-    otherwise ``compute()`` gives the payload, which is written with that
-    key.  An exception of ``compute`` propagates and writes nothing.
-    """
-    cached = _load_cached(path, key)
-    if cached is not None:
-        return cached, True
-    payload = {"key": key, **compute()}
-    _dump_json(path, payload)
-    return payload, False
-
-
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
@@ -470,33 +455,35 @@ def _guarded(stage: str, compute):
 
 
 class _Run:
-    """The stages of one command, each read back or computed at most once.
+    """The results of one command, each read back or computed at most once.
+
+    Every result, a stage, an h point or the property suite, passes
+    through :meth:`_result`: it is read back when its artifact carries
+    its key, and otherwise computed by a task on the command's executor,
+    ``pool``, of ``workers`` threads.  The main thread only reads back,
+    decodes, queues and waits, so no more than ``workers`` threads
+    compute.  ``cached`` maps the key of every result asked for so far to
+    whether its artifact was read back, and that of every sweep refitted
+    so far (:meth:`sweep`) to whether it computed no h point and left its
+    artifact as it was.
 
     A stage's artifact payload is the attribute named after its file
-    (:attr:`gap`, :attr:`coeffs`, :attr:`gl`).  Only a stage or h point
-    that computes on a payload decodes objects from it, which loads the
-    numerical modules; hits and misses alike are decoded from the
-    payload, and :attr:`sol` is the decoded gap solution.  A stage
-    runs its upstream stages only when its own artifact is missing or
-    stale; a sweep reads them before the h points it computes, which
-    would otherwise record their failure as dropped points.  ``cached``
-    records, for every stage run so far, whether its artifact was read
-    back, and for every sweep refitted so far (:meth:`sweep`), whether
-    it computed no h point and left its artifact as it was.
+    (:attr:`gap`, :attr:`coeffs`, :attr:`gl`), and :attr:`sol` is the
+    decoded gap solution.  Only a result that computes runs the stages it
+    reads and decodes objects from their payloads, which loads the
+    numerical modules.  A sweep (:meth:`sweep`, from its row of
+    :data:`_SWEEPS`) collects the futures of its h points
+    (:meth:`submit`), each of which folds its fibers serially on its own
+    thread (:func:`bdg_verifier._fold_fibers`).
 
-    The run owns the command's executor, ``pool``, of ``workers``
-    threads, and is a context manager that shuts it down, cancelling what
-    is still queued.  The h points of a sweep that are not on disk are
-    tasks on it (:meth:`submit`), run in the order queued, and each folds
-    its fibers serially on its own thread
-    (:func:`bdg_verifier._fold_fibers`); a sweep (:meth:`sweep`, from
-    its row of :data:`_SWEEPS`) only collects their futures.
+    The run is a context manager that shuts the executor down,
+    cancelling what is still queued.
     """
 
     def __init__(self, cfg: RunConfig, workers: int):
         self.cfg = cfg
         self.pool = ThreadPoolExecutor(workers)
-        self.cached, self._points, self._computed = {}, {}, set()
+        self.cached, self._points = {}, {}
         norm, grids = cfg.normalized, cfg.normalized["grids"]
         gap = _key("gap", norm["potential"], grids["gap"], norm["D"])
         coeffs = _key("coeffs", gap)
@@ -505,7 +492,7 @@ class _Run:
         fiber = _key("fiber", gap, norm["fields"], grids["fiber_m"])
         energy = _key("energy", gl_min, grids["fiber_m"])
         #: Artifact name -> key; ``fiber`` and ``energy`` are what the h
-        #: points of those sweeps read (:meth:`_point`), and the property
+        #: points of those sweeps read (:meth:`submit`), and the property
         #: suite keys on the three stages it checks.
         self.keys = {"gap": gap, "coeffs": coeffs, "gl-min": gl_min,
                      "fiber": fiber, "energy": energy,
@@ -520,131 +507,124 @@ class _Run:
         # a failed stage leaves queued tasks unstarted
         self.pool.shutdown(cancel_futures=True)
 
-    def _payload(self, name: str, file: str, compute) -> dict:
-        """The artifact ``file`` of the cached result ``name``, whose
-        failure becomes a :class:`StageError` naming it."""
-        payload, self.cached[name] = _stage(
-            self.cfg.outputs / file, self.keys[name],
-            functools.partial(_guarded, name, compute))
-        return payload
+    def _result(self, path: Path, key: str, prepare) -> Future:
+        """The payload of the artifact at ``path``, as a future.
 
-    def _point(self, kind: str, h: float, key: str, inputs: tuple) -> dict:
-        """Compute one h point of the ``fiber`` or ``energy`` sweeps on
-        ``inputs`` (gap solution, pair field, A, W) and write it as
-        ``points/<key>.json``.  A failure propagates as it is, so the
-        sweep lists it and never caches it."""
+        An artifact that carries ``key`` is read back: a done future.
+        Otherwise ``prepare()`` runs on the calling thread; it runs the
+        stages the result reads, decodes its inputs, imports its modules
+        and returns a compute, which a task on the pool runs and whose
+        payload it writes with ``key``.  So no task resolves a stage or is
+        the first to load a module, and a failed stage queues nothing.  An
+        exception of the compute is the future's and writes nothing.
+        """
+        payload = _load_cached(path, key)
+        self.cached[key] = payload is not None
+        if payload is None:
+            compute = prepare()
+
+            def task():
+                payload = {"key": key, **compute()}
+                _dump_json(path, payload)
+                return payload
+
+            return self.pool.submit(task)
+        done = Future()
+        done.set_result(payload)
+        return done
+
+    def submit(self, *kinds: str) -> None:
+        """Read back, or else queue, the h points of ``kinds`` (``fiber``,
+        ``energy``) not yet submitted, finest h first across all of them;
+        :meth:`_prepare_point` is the ``prepare`` of each."""
+        new = [kind for kind in kinds if kind not in self._points]
+        for kind in new:
+            self._points[kind] = {}
+        for h in reversed(self.cfg.h_list):
+            for kind in new:
+                key = _key(self.keys[kind], h)
+                self._points[kind][h] = self._result(
+                    self.cfg.outputs / "points" / f"{key}.json", key,
+                    functools.partial(self._prepare_point, kind, h))
+
+    def _prepare_point(self, kind: str, h: float):
+        """The ``prepare`` (:meth:`_result`) of the ``kind`` h point at
+        ``h``: a ``fiber`` point is :func:`bdg_verifier.alpha_delta_distance`
+        of the probe field :data:`_SWEEP_PSI_MODES`, an ``energy`` point
+        :func:`bdg_verifier.trial_state_energy` of the GL state.  A
+        failure of its compute propagates as it is, so the sweep lists it
+        and never caches it."""
         from . import bdg_verifier as bv
+        from .gl_minimizer import TorusField
 
         cfg = self.cfg
         if kind == "fiber":
-            def compute():
-                res = bv.alpha_delta_distance(*inputs, h,
-                                              m_fibers=cfg.fiber_m)
+            observable = bv.alpha_delta_distance
+            psi = TorusField.from_modes(_SWEEP_PSI_MODES, n_max=2)
+        else:
+            observable = bv.trial_state_energy
+            psi = TorusField.from_dict(self.gl["state"]["psi"])
+        inputs = (self.sol, psi, cfg.a_field, cfg.w_field, h)
+
+        def compute():
+            res = observable(*inputs, m_fibers=cfg.fiber_m)
+            if kind == "fiber":
                 # how far the residual sits above the roundoff of its lhs
                 res["residual_over_floor"] = (abs(res["residual"])
                                               / res["lhs_floor"])
-                return res
-        else:
-            def compute():
-                return bv.trial_state_energy(*inputs, h,
-                                             m_fibers=cfg.fiber_m)
-        return _stage(cfg.outputs / "points" / f"{key}.json", key,
-                      compute)[0]
+            return res
 
-    def submit(self, *kinds: str) -> None:
-        """Read back, or else put on the pool, the h points of ``kinds``
-        (``fiber``, ``energy``) not yet submitted, finest h first across
-        all of them; a point read back is a done future.
-
-        For the points to compute, their upstream stages run and their
-        inputs are built here first, so that no point computes a stage,
-        a failed stage starts no point, and no pool thread is the first
-        to load a module.  When every point is on disk, none of that
-        happens and nothing numerical loads.
-        """
-        new = [kind for kind in kinds if kind not in self._points]
-        if not new:
-            return
-        cfg, missing = self.cfg, []
-        for kind in new:
-            self._points[kind] = {}
-        for h in reversed(cfg.h_list):
-            for kind in new:
-                key = _key(self.keys[kind], h)
-                payload = _load_cached(cfg.outputs / "points" / f"{key}.json",
-                                       key)
-                if payload is None:
-                    missing.append((kind, h, key))
-                else:
-                    self._points[kind][h] = Future()
-                    self._points[kind][h].set_result(payload)
-        if not missing:
-            return
-        from . import bdg_verifier  # noqa: F401  (what the points run)
-        from .gl_minimizer import TorusField
-
-        inputs = {}
-        for kind in dict.fromkeys(kind for kind, _, _ in missing):
-            psi = (TorusField.from_modes(_SWEEP_PSI_MODES, n_max=2)
-                   if kind == "fiber"
-                   else TorusField.from_dict(self.gl["state"]["psi"]))
-            inputs[kind] = (self.sol, psi, cfg.a_field, cfg.w_field)
-        for kind, h, key in missing:
-            self._computed.add(kind)
-            self._points[kind][h] = self.pool.submit(self._point, kind, h,
-                                                     key, inputs[kind])
+        return compute
 
     def suite(self) -> Future:
-        """The payload of ``properties.json``, read back or else put on
-        the pool: the property suite on this run's gap solution,
-        coefficients and GL state (:func:`properties.run_suite`).
+        """The payload of ``properties.json`` (:meth:`_result`): the
+        property suite on this run's gap solution, coefficients and GL
+        state (:func:`properties.run_suite`), whose failure becomes a
+        :class:`StageError` naming it."""
+        def prepare():
+            from . import properties
+            from .gl_coeffs import GLCoefficients
+            from .gl_minimizer import TorusField
 
-        Like :meth:`submit`, it runs the stages and decodes their results
-        here first, so the suite computes no stage and no pool thread is
-        the first to load a module.
-        """
-        payload = _load_cached(self.cfg.outputs / "properties.json",
-                               self.keys["properties"])
-        if payload is not None:
-            self.cached["properties"] = True
-            done = Future()
-            done.set_result(payload)
-            return done
-        from . import properties
-        from .gl_coeffs import GLCoefficients
-        from .gl_minimizer import TorusField
+            cfg = self.cfg
+            run = properties.RunObjects(
+                self.sol, GLCoefficients.from_dict(self.coeffs["coefficients"]),
+                TorusField.from_dict(self.gl["state"]["psi"]), cfg.a_field,
+                cfg.w_field, cfg.seed)
 
-        cfg = self.cfg
-        run = properties.RunObjects(
-            self.sol, GLCoefficients.from_dict(self.coeffs["coefficients"]),
-            TorusField.from_dict(self.gl["state"]["psi"]), cfg.a_field,
-            cfg.w_field, cfg.seed)
+            def compute():
+                results = properties.run_suite(run)
+                failures = [r.to_dict() for r in results if not r.passed]
+                return {"total": len(results),
+                        "passed": len(results) - len(failures),
+                        "failures": failures, "all_passed": not failures}
 
-        def compute():
-            results = properties.run_suite(run)
-            failures = [r.to_dict() for r in results if not r.passed]
-            return {"total": len(results),
-                    "passed": len(results) - len(failures),
-                    "failures": failures, "all_passed": not failures}
+            return functools.partial(_guarded, "properties", compute)
 
-        return self.pool.submit(self._payload, "properties",
-                                "properties.json", compute)
+        return self._result(self.cfg.outputs / "properties.json",
+                            self.keys["properties"], prepare)
 
     @functools.cached_property
     def gap(self) -> dict:
         """Payload of ``gap.json``."""
         cfg = self.cfg
 
-        def compute():
+        def prepare():
             from . import gap_solver as gs
 
-            try:
-                sol = gs.find_tc(cfg.potential, cfg.gap_grid)
-            except gs.NoPairingError as exc:
-                raise StageError("gap", "no-pairing", str(exc)) from exc
-            return {"solution": gs.normalize(sol, cfg.D).to_dict()}
+            potential, grid = cfg.potential, cfg.gap_grid
 
-        return self._payload("gap", "gap.json", compute)
+            def compute():
+                try:
+                    sol = gs.find_tc(potential, grid)
+                except gs.NoPairingError as exc:
+                    raise StageError("gap", "no-pairing", str(exc)) from exc
+                return {"solution": gs.normalize(sol, cfg.D).to_dict()}
+
+            return compute
+
+        return _guarded("gap", lambda: self._result(
+            cfg.outputs / "gap.json", self.keys["gap"], prepare).result())
 
     @functools.cached_property
     def sol(self):
@@ -656,29 +636,33 @@ class _Run:
     @functools.cached_property
     def coeffs(self) -> dict:
         """Payload of ``coeffs.json``."""
-        def compute():
+        def prepare():
             from . import gl_coeffs
 
-            coef = gl_coeffs.compute_coefficients(self.sol)
-            return {"coefficients": coef.to_dict()}
+            sol = self.sol
+            return lambda: {"coefficients":
+                            gl_coeffs.compute_coefficients(sol).to_dict()}
 
-        return self._payload("coeffs", "coeffs.json", compute)
+        return _guarded("coeffs", lambda: self._result(
+            self.cfg.outputs / "coeffs.json", self.keys["coeffs"],
+            prepare).result())
 
     @functools.cached_property
     def gl(self) -> dict:
         """Payload of ``gl.json``."""
         cfg = self.cfg
 
-        def compute():
+        def prepare():
+            from . import gl_minimizer
             from .gl_coeffs import GLCoefficients
-            from .gl_minimizer import minimize
 
             coef = GLCoefficients.from_dict(self.coeffs["coefficients"])
-            state = minimize(cfg.a_field, cfg.w_field, coef,
-                             n_max=cfg.torus_n_max, seed=cfg.seed)
-            return {"state": state.to_dict()}
+            a, w = cfg.a_field, cfg.w_field
+            return lambda: {"state": gl_minimizer.minimize(
+                a, w, coef, n_max=cfg.torus_n_max, seed=cfg.seed).to_dict()}
 
-        return self._payload("gl-min", "gl.json", compute)
+        return _guarded("gl-min", lambda: self._result(
+            cfg.outputs / "gl.json", self.keys["gl-min"], prepare).result())
 
     def sweep(self, command: str) -> dict:
         """Refit the sweep ``command`` runs from its h points, write its
@@ -718,7 +702,9 @@ class _Run:
         payload = _guarded(command, refit)
         wrote = _dump_json(self.cfg.outputs / "sweeps" / f"{row.name}.json",
                            payload)
-        self.cached[row.name] = not wrote and row.kind not in self._computed
+        points = (_key(self.keys[row.kind], h) for h in self.cfg.h_list)
+        self.cached[self.keys[row.name]] = not wrote and all(
+            self.cached[key] for key in points)
         return payload
 
 
@@ -817,10 +803,9 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
     raises StageError on numerical failure.
     """
     with _Run(cfg, workers) as run:
-        # every upstream stage before any sweep, so none runs if one
-        # fails; on the pool, so no more than ``workers`` threads compute
-        gap, coeffs, gl = run.pool.submit(
-            lambda: (run.gap, run.coeffs, run.gl)).result()
+        # every upstream stage before any h point, so none is queued if
+        # one fails
+        gap, coeffs, gl = run.gap, run.coeffs, run.gl
         run.submit("fiber", "energy")
         props = run.suite()
         payloads = {row.name: run.sweep(command)
@@ -834,7 +819,9 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
             "sweeps": {name: payload["gates"]
                        for name, payload in payloads.items()},
             "all_gates_passed": all(p["passed"] for p in payloads.values()),
-            "cached_stages": run.cached,
+            "cached_stages": {name: run.cached[key]
+                              for name, key in run.keys.items()
+                              if key in run.cached},
         }
         summary["properties"] = {k: v for k, v in props.result().items()
                                  if k != "key"}
@@ -848,18 +835,6 @@ def run_pipeline(cfg: RunConfig, workers: int = 1) -> dict:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _config_error(exc: ConfigError) -> int:
-    _emit({"status": "error", "stage": "config",
-           "violations": exc.violations})
-    return EXIT_CONFIG
-
-
-def _stage_error(exc: StageError) -> int:
-    _emit({"status": "error", "stage": exc.stage, "kind": exc.kind,
-           "message": str(exc)})
-    return EXIT_NUMERICAL
 
 
 def _at_least(least: int, what: str):
@@ -889,11 +864,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the output directory")
     parser.add_argument("--workers", metavar="N", type=_at_least(1, "positive"),
                         default=os.cpu_count() or 1,
-                        help="threads that compute, N >= 1: the h points "
-                             "of every sweep run in parallel, each point's "
-                             "fibers in order on its own thread, and the "
-                             "property suite under 'all'; GL descents run "
-                             "serially (default: hardware parallelism).  "
+                        help="threads that compute, N >= 1: each stage, "
+                             "h point and the property suite is a task on "
+                             "them, the h points of the sweeps run in "
+                             "parallel, each point's fibers in order on its "
+                             "own thread, and GL descents run serially "
+                             "(default: hardware parallelism).  "
                              "Each thread calls BLAS, so the 'bcsgl' "
                              "script sets OPENBLAS_NUM_THREADS, "
                              "OMP_NUM_THREADS and MKL_NUM_THREADS to 1 "
@@ -935,56 +911,36 @@ def _load_config(args) -> RunConfig:
                                          if v is not None})
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    _emit({"status": "ok", "config_hash": cfg.config_hash,
-           "normalized": cfg.normalized})
-    return EXIT_OK
-
-
-def _cmd_stage(run: _Run, command: str) -> int:
-    """``tc``, ``coeffs`` or ``gl-min``: one stage and what it needs."""
+def _command(run: _Run, command: str) -> int:
+    """A command that reads one result: a stage (``tc``, ``coeffs``,
+    ``gl-min``), a sweep or the property suite (``prop-tests``).  Prints
+    the result with its status, the config hash and whether it was read
+    back, and returns its exit code."""
+    passed = True
     if command == "tc":
         sol = run.gap["solution"]
-        key, body = "gap", {"T_c": sol["T_c"], "beta_c": sol["beta_c"]}
+        name, body = "gap", {"T_c": sol["T_c"], "beta_c": sol["beta_c"]}
     elif command == "coeffs":
-        key, body = command, {"coefficients": run.coeffs["coefficients"]}
-    else:
+        name, body = command, {"coefficients": run.coeffs["coefficients"]}
+    elif command == "gl-min":
         state = run.gl["state"]
-        key, body = command, {k: state[k] for k in
-                              ("energy", "gradient_norm", "converged")}
-    _emit({"status": "ok", **body, "config_hash": run.cfg.config_hash,
-           "cached": run.cached[key]})
-    return EXIT_OK
-
-
-def _cmd_verify(run: _Run, command: str) -> int:
-    row, payload = _SWEEPS[command], run.sweep(command)
-    # the other sweeps of its kind are refitted from the same h points
-    for other in _SWEEPS:
-        if other != command and _SWEEPS[other].kind == row.kind:
-            run.sweep(other)
-    status = "ok" if payload["passed"] else "regression"
-    _emit({"status": status, "sweep": row.name, "gates": payload["gates"],
+        name, body = command, {k: state[k] for k in
+                               ("energy", "gradient_norm", "converged")}
+    elif command == "prop-tests":
+        body = {k: v for k, v in run.suite().result().items() if k != "key"}
+        name, passed = "properties", body["all_passed"]
+    else:
+        row, payload = _SWEEPS[command], run.sweep(command)
+        # the other sweeps of its kind are refitted from the same h points
+        for other in _SWEEPS:
+            if other != command and _SWEEPS[other].kind == row.kind:
+                run.sweep(other)
+        name, passed = row.name, payload["passed"]
+        body = {"sweep": row.name, "gates": payload["gates"]}
+    _emit({"status": "ok" if passed else "regression", **body,
            "config_hash": run.cfg.config_hash,
-           "cached": run.cached[row.name]})
-    return EXIT_OK if payload["passed"] else EXIT_REGRESSION
-
-
-def _cmd_prop_tests(run: _Run) -> int:
-    summary = {k: v for k, v in run.suite().result().items() if k != "key"}
-    status = "ok" if summary["all_passed"] else "regression"
-    _emit({"status": status, **summary, "config_hash": run.cfg.config_hash,
-           "cached": run.cached["properties"]})
-    return EXIT_OK if summary["all_passed"] else EXIT_REGRESSION
-
-
-def _cmd_all(cfg: RunConfig, workers: int) -> int:
-    pipeline = run_pipeline(cfg, workers)
-    props = pipeline.pop("properties")
-    ok = pipeline["all_gates_passed"] and props["all_passed"]
-    _emit({"status": "ok" if ok else "regression",
-           "pipeline": pipeline, "properties": props})
-    return EXIT_OK if ok else EXIT_REGRESSION
+           "cached": run.cached[run.keys[name]]})
+    return EXIT_OK if passed else EXIT_REGRESSION
 
 
 def main(argv=None) -> int:
@@ -992,19 +948,26 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if args.command == "validate":
-            return _cmd_validate(cfg)
-        if args.command == "all":
-            return _cmd_all(cfg, args.workers)
-        with _Run(cfg, args.workers) as run:
-            if args.command in _SWEEPS:
-                return _cmd_verify(run, args.command)
-            if args.command == "prop-tests":
-                return _cmd_prop_tests(run)
-            return _cmd_stage(run, args.command)
+            _emit({"status": "ok", "config_hash": cfg.config_hash,
+                   "normalized": cfg.normalized})
+            return EXIT_OK
+        if args.command != "all":
+            with _Run(cfg, args.workers) as run:
+                return _command(run, args.command)
+        pipeline = run_pipeline(cfg, args.workers)
+        props = pipeline.pop("properties")
+        ok = pipeline["all_gates_passed"] and props["all_passed"]
+        _emit({"status": "ok" if ok else "regression",
+               "pipeline": pipeline, "properties": props})
+        return EXIT_OK if ok else EXIT_REGRESSION
     except ConfigError as exc:
-        return _config_error(exc)
+        _emit({"status": "error", "stage": "config",
+               "violations": exc.violations})
+        return EXIT_CONFIG
     except StageError as exc:
-        return _stage_error(exc)
+        _emit({"status": "error", "stage": exc.stage, "kind": exc.kind,
+               "message": str(exc)})
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -55,8 +55,8 @@ __all__ = [
     "directional_derivative",
 ]
 
-#: l2 gradient-norm target of a converged descent, and the step cap of
-#: each descent.
+#: l2 gradient-norm target of a descent, which converges below a tenth
+#: of it (:func:`_descend`), and the step cap of each descent.
 _GTOL = 1e-9
 _MAX_STEPS = 100
 
@@ -465,7 +465,8 @@ def _descend(start: TorusField, label: str, a, w, coef):
     accepted when the energy falls by a quarter of the model's
     prediction or, at roundoff, stays within a 1e-13 relative slack
     while the gradient falls; the descent ends once the gradient is
-    below ``_GTOL / 10`` and a step no longer halves it.
+    below ``_GTOL / 10`` and a step no longer halves it, and is
+    converged only then, not when it stops on ``_MAX_STEPS``.
     """
     n_max = start.n_max
     quad = _quadratic_part(a, w, coef, n_max)
@@ -487,7 +488,8 @@ def _descend(start: TorusField, label: str, a, w, coef):
     energies = [energy]
     slack = 1e-13 * max(1.0, abs(energy))
     radius, halved, iterations = 1.0, True, 0
-    while iterations < _MAX_STEPS and (grad_norm >= 0.1 * _GTOL or halved):
+    while (not (converged := grad_norm < 0.1 * _GTOL and not halved)
+           and iterations < _MAX_STEPS):
         iterations += 1
         step = _trust_step(hess, jac, radius)
         trial = evaluate(z + step)
@@ -507,7 +509,7 @@ def _descend(start: TorusField, label: str, a, w, coef):
               "iterations": iterations,
               "monotone": bool(np.all(np.diff(energies) <= slack))}
     return GLState(TorusField(to_coeffs(z), n_max), energy, grad_norm,
-                   converged=grad_norm < _GTOL, history=[record])
+                   converged=converged, history=[record])
 
 
 def _default_starts(n_max: int, seed: int) -> list[tuple[str, TorusField]]:

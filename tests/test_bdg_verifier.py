@@ -884,7 +884,8 @@ class TestSemiclassicalTrace:
         # the fiber observables take t, mu and beta_c from a gap solution
         psi, a, w = fields
         synth = SyntheticPairSymbol(mu=1.0)
-        for observable in (bv.semiclassical_trace, bv.alpha_delta_distance):
+        for observable in (bv.semiclassical_trace, bv.alpha_delta_distance,
+                           bv.trial_state_energy):
             with pytest.raises(TypeError, match="GapSolution"):
                 observable(synth, psi, a, w, 0.25)
 

@@ -1095,7 +1095,7 @@ class TestWorkerPool:
     def test_at_most_workers_fibers_in_flight(self, tmp_path, monkeypatch):
         from bcsgl import properties
         lock, running, peak, threads = threading.Lock(), [0], [0], set()
-        build, point = bv.build_fiber, cli._Run._point
+        build = bv.build_fiber
         suite, suite_threads = properties.run_suite, []
         # the h point (its h) each thread runs
         owner, owners = threading.local(), []
@@ -1124,8 +1124,9 @@ class TestWorkerPool:
                     running[0] -= 1
 
         monkeypatch.setattr(bv, "build_fiber", counted)
-        monkeypatch.setattr(cli._Run, "_point",
-                            owned(point, lambda run, kind, h, *_: h))
+        for observable in ("alpha_delta_distance", "trial_state_energy"):
+            monkeypatch.setattr(bv, observable, owned(
+                getattr(bv, observable), lambda sol, psi, a, w, h: h))
         monkeypatch.setattr(properties, "run_suite", lambda run: (
             suite_threads.append(threading.get_ident()) or suite(run)))
         path = write_config(tmp_path, grids=fast_grids(h_list=self.H_LIST))
@@ -1141,6 +1142,46 @@ class TestWorkerPool:
         assert {own for own, _ in owners} == set(self.H_LIST)
         assert len(suite_threads) == 1
         assert threading.get_ident() not in suite_threads
+
+    _STAGES = {"find_tc", "compute_coefficients", "minimize"}
+
+    @coarse_ladder
+    @pytest.mark.parametrize("command, computed", [
+        ("tc", {"find_tc"}),
+        ("coeffs", {"find_tc", "compute_coefficients"}),
+        ("gl-min", _STAGES),
+        ("prop-tests", {*_STAGES, "run_suite"}),
+        ("verify-thm2", {"find_tc", "alpha_delta_distance"}),
+        ("verify-energy", {*_STAGES, "trial_state_energy"}),
+        ("all", {*_STAGES, "run_suite", "alpha_delta_distance",
+                 "trial_state_energy"}),
+    ])
+    def test_main_thread_only_waits(self, tmp_path, capsys, monkeypatch,
+                                    command, computed):
+        # in a fresh directory every stage, h point and the property suite
+        # of a command computes, each on the executor: the main thread
+        # only reads back, decodes, queues and waits
+        from bcsgl import properties
+        ran = {}
+
+        def spy(name, run):
+            def recording(*args, **kwargs):
+                ran.setdefault(name, set()).add(threading.get_ident())
+                return run(*args, **kwargs)
+            return recording
+
+        for owner, name in ((gs, "find_tc"), (gc, "compute_coefficients"),
+                            (gm, "minimize"), (properties, "run_suite"),
+                            (bv, "alpha_delta_distance"),
+                            (bv, "trial_state_energy")):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        path = write_config(tmp_path, grids=fast_grids())
+        code, _ = run_cli(capsys, "--config", str(path), "--workers", "2",
+                          command)
+        assert code in (cli.EXIT_OK, cli.EXIT_REGRESSION)
+        assert set(ran) == computed
+        assert not any(threading.get_ident() in ids
+                       for ids in ran.values()), ran
 
     def test_more_workers_than_cores_write_the_serial_bytes(self, tmp_path):
         # a stress run: eight threads on few cores, switching every
