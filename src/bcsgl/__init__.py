@@ -129,10 +129,11 @@ LADDER_KEYS = ("m_fibers", "capped", "lhs_floor", "delta_lhs",
                *(f"delta_{k}" for k in PAIR_NORMS))
 
 
-def fit_order(h_values: Sequence[float], observed: Sequence[float]) -> float:
+def fit_order(h_values: Sequence[float], observed: Sequence[float]
+              ) -> float | None:
     """Log-log least-squares slope over the points above the roundoff
     floor ``_ROUNDOFF_FLOOR`` (100x unit roundoff), so sub-roundoff values
-    never pollute the fit; NaN with fewer than two such points.
+    never pollute the fit; ``None`` (valid JSON) with fewer than two.
 
     The slope is the closed form ``sum dx dy / sum dx^2`` about the means,
     every sum a :func:`math.fsum`.
@@ -141,7 +142,7 @@ def fit_order(h_values: Sequence[float], observed: Sequence[float]) -> float:
             for h, v in zip(h_values, observed)
             if abs(float(v)) > _ROUNDOFF_FLOOR]
     if len(kept) < 2:
-        return float("nan")
+        return None
     x_mean = math.fsum(x for x, _ in kept) / len(kept)
     y_mean = math.fsum(y for _, y in kept) / len(kept)
     return (math.fsum((x - x_mean) * (y - y_mean) for x, y in kept)

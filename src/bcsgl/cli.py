@@ -690,7 +690,7 @@ class _Run:
             order = report["fitted_order"]
             gates = {**row.gates(report), "fitted_order": order,
                      "order_threshold": row.order,
-                     "order_ok": bool(order >= row.order)}
+                     "order_ok": order is not None and order >= row.order}
             # A dropped h point is listed in the report's failures;
             # dropping the finest one also fails the sweep, whose fit then
             # stops short of it.

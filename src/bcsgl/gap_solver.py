@@ -5,10 +5,9 @@ symmetric functions; its lowest eigenvalue is strictly increasing in the
 temperature ``T``, so the critical temperature is the unique ``T_c`` with
 ``lambda_min(T_c) = 0`` (or 0 if no pairing occurs at any temperature).
 This module discretizes the problem in the even momentum sector on a
-uniform half-line grid, locates ``T_c`` (see :func:`find_tc`) by
-bisection on the positive definiteness of ``K_T + V`` (``T < T_c``
-exactly when it is not positive definite), and packages the ground
-state ``alpha0`` together with the induced pair symbol
+uniform half-line grid, locates ``T_c`` (see :func:`find_tc`) as the
+Newton root of ``lambda_min(T)``, and packages the ground state
+``alpha0`` together with the induced pair symbol
 
     t(p) = -2 (2 pi)^{-1/2} integral [Vhat(p - q) + Vhat(p + q)] alpha0_hat(q) dq
 
@@ -20,12 +19,12 @@ temperature-offset coefficient ``D``.
 
 Every factorization is NumPy's LAPACK, and a normal solve factors no
 matrix larger than ``r x r``: with ``-V = B B^T`` (``B`` of rank ``r``
-about 30), ``K_T + V`` is positive definite exactly when the top
-eigenvalue of the ``r x r`` Birman-Schwinger matrix ``B^T K_T^{-1} B`` is
-below 1 (Hainzl, Hamza, Seiringer, Solovej, Commun. Math. Phys. 281
-(2008) 349).  :func:`find_tc` takes every sign test of its bisection
-from such matrices, and one eigensolver counting their eigenvalues above
-1 gives the ground state and the spectral gap.
+about 30), the eigenvalues of ``K_T - B B^T`` below ``x`` are counted by
+the ``r x r`` Birman-Schwinger matrix ``B^T (K_T - x)^{-1} B`` (Hainzl,
+Hamza, Seiringer, Solovej, Commun. Math. Phys. 281 (2008) 349).  One
+eigensolver built on such counts (:func:`_eigenpair`) gives every
+``lambda_min(T)`` of the search, with its ground state, and the spectral
+gap at ``T_c``.
 """
 
 from __future__ import annotations
@@ -52,11 +51,11 @@ __all__ = [
 ]
 
 #: Temperature at which :func:`find_tc` probes for pairing, and the
-#: relative width of its final bracket.
+#: number of evaluations of ``lambda_min(T)`` after which it raises.
 _PROBE_TEMPERATURE = 1e-6
-_REL_TOLERANCE = 1e-10
+_MAX_EVALUATIONS = 100
 
-#: The factor ``B`` of ``-V = B B^T`` behind the sign tests stops at the
+#: The factor ``B`` of ``-V = B B^T`` behind the search stops at the
 #: first pivot at or below this fraction of the largest diagonal of
 #: ``-V``.  At 1e-16 the updated diagonals never fall below the stop and
 #: the factor runs to full rank.
@@ -88,7 +87,7 @@ class NoPairingError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """The bisection bracket could not be established."""
+    """``lambda_min`` is negative at the top of the search's bracket."""
 
 
 def _sech_squared(z):
@@ -450,20 +449,6 @@ class GapSolution:
         )
 
 
-def _positive_definite(matrix: np.ndarray) -> bool:
-    """Whether the real symmetric ``matrix`` is positive definite.
-
-    Decided by a Cholesky factorization (``np.linalg.cholesky``, LAPACK
-    ``potrf`` on the lower triangle), which fails as soon as a
-    nonpositive pivot appears.
-    """
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _attraction_factor(interaction: np.ndarray) -> tuple[np.ndarray, float]:
     """``B`` (``n x r``) with ``-V = B B^T + E``, ``V`` the ``interaction``
     matrix, and ``s = tr E``.
@@ -492,11 +477,13 @@ def _attraction_factor(interaction: np.ndarray) -> tuple[np.ndarray, float]:
     return columns[:rank].T, float(np.maximum(residual, 0.0).sum())
 
 
-def _birman_schwinger(factor: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """``B^T diag(inverse) B`` (``r x r``) for a positive ``inverse``,
-    exactly symmetric."""
-    scaled = factor * np.sqrt(inverse)[:, None]
-    return scaled.T @ scaled
+def _kt_slope(x: np.ndarray, T: float) -> np.ndarray:
+    """``d K_T(x) / dT = 2 (w / sinh w)^2`` with ``w = x / 2T``, without
+    overflow for any real ``x`` (the removable value 2 at ``x = 0``)."""
+    w = np.abs(x) / (2.0 * T)
+    ratio = np.divide(2.0 * w * np.exp(-w), -np.expm1(-2.0 * w),
+                      out=np.ones_like(w), where=w > 0.0)
+    return 2.0 * ratio * ratio
 
 
 def _eigenpair(factor: np.ndarray, kt: np.ndarray, k: int, lo: float,
@@ -552,39 +539,32 @@ def find_tc(
 ) -> GapSolution:
     """Locate ``T_c`` and return the (unnormalized) solution.
 
-    ``lambda_min(T)`` is strictly increasing, so ``T < T_c`` exactly when
-    ``K_T + V`` is not positive definite.  ``T_c`` is the midpoint of the
-    bracket that bisection of ``[1e-6, 10 max(|mu|, 1)]`` leaves at a
-    relative width of 1e-10, each midpoint decided by one such sign test.
+    ``T_c`` is the root of ``lambda_min(T)``, the lowest eigenvalue of
+    ``K_T + V``, which increases strictly with ``T``.  With ``-V = B B^T
+    + E``, ``0 <= E <= s`` (:func:`_attraction_factor`), one evaluation
+    is :func:`_eigenpair` on ``K_T - B B^T`` from 0 (``r x r`` eigensolves
+    only) and gives the unit ground state ``v`` too.  After the two ends
+    of the bracket ``[1e-6, 10 max(|mu|, 1)]``, each step is Newton's on
+    ``T``, with the Hellmann-Feynman slope ``<v, (dK_T/dT) v>``
+    (:func:`_kt_slope`), or the midpoint of the bracket, which each
+    evaluation narrows, where the step would leave it or has no slope.
+    The search stops on a step or a bracket below ``max(4 eps T,
+    resolution / slope)``, ``resolution`` the tolerance of
+    :func:`_eigenpair` at ``T``, and its last evaluation gives ``T_c``,
+    ``lambda_min`` and the ground state; it raises ``RuntimeError`` after
+    ``_MAX_EVALUATIONS``.
 
-    ``-V = B B^T + E`` with ``0 <= E <= s`` (:func:`_attraction_factor`),
-    so ``K_T - B B^T - s <= K_T + V <= K_T - B B^T``.  A sign test
-    therefore first factors ``r x r`` Birman-Schwinger matrices: "paired"
-    when ``I - B^T K_T^{-1} B`` fails a Cholesky factorization, "not
-    paired" when ``I - B^T (K_T - s)^{-1} B`` passes one.  Only inside
-    that band does the ``n x n`` Cholesky of ``K_T + V``
-    (:func:`_positive_definite`) decide, so the decisions never depend on
-    the factor, only their cost does.
+    A ground-state residual ``|(K_T + V) v - lambda_min v|`` above
+    ``_GROUND_STATE_RESIDUAL`` (a poor factor) reruns the search on dense
+    ``eigh``s of ``K_T + V``.  Only then does ``lambda_min >= 0`` at
+    ``T = 1e-6`` raise :class:`NoPairingError` (``T_c = 0``), and
+    ``lambda_min < 0`` at the top :class:`BracketError`.  The spectral gap
+    is :func:`_eigenpair`'s second eigenvalue, or the dense ``eigh``'s.
 
-    Pairing is probed at ``T = 1e-6``; ``K_T + V`` positive definite
-    there raises :class:`NoPairingError` (T_c = 0), and not positive
-    definite at the top of the bracket :class:`BracketError`; both
-    report the lowest eigenvalue there, from a dense ``eigvalsh``.
-
-    At ``T_c`` :func:`_eigenpair` gives ``lambda_min`` and the ground
-    state of ``K_T - B B^T`` from 0, and the second eigenvalue, and so the
-    spectral gap, from the midpoint of the two smallest ``K_T``.  A
-    residual of ``K_T + V`` on the ground state above
-    ``_GROUND_STATE_RESIDUAL`` (a poor factor) takes all three from a
-    dense ``eigh`` of ``K_T + V`` instead.
-
-    The solution's ``tc_search`` records the work: ``attraction_rank``,
-    the rank ``r`` of ``B``; ``sign_tests``, the ends of the initial
-    bracket and every midpoint; ``dense_tests``, the ``n x n``
-    factorizations taken, one per sign test inside the band and one for
-    the dense ``eigh``, 0 in a normal solve; and ``factor_residual``,
-    ``s``.  The grid samples of the pair symbol are ``-2 V alpha0_hat``,
-    the interaction matrix applied to the ground state.
+    ``tc_search`` records ``attraction_rank`` (``r``), ``lambda_evals``
+    and ``dense_evals`` (the ``r x r`` and the ``n x n`` evaluations, the
+    latter 0 in a normal solve) and ``factor_residual`` (``s``).  The
+    pair symbol's grid samples are ``-2 V alpha0_hat``.
 
     Parameters
     ----------
@@ -602,67 +582,76 @@ def find_tc(
     q = grid.nodes
     kinetic = q * q - spec.mu
     interaction = _interaction_matrix(spec, grid)
-    factor, band = _attraction_factor(interaction)
-    identity = np.eye(factor.shape[1])
-    tests = {"sign_tests": 0, "dense_tests": 0}
+    factor, truncation = _attraction_factor(interaction)
+    mass = float(np.sum(factor * factor))
+    work = {"lambda_evals": 0, "dense_evals": 0}
+    probe, top = _PROBE_TEMPERATURE, 10.0 * max(abs(spec.mu), 1.0)
 
-    def paired(T: float) -> bool:
-        """``lambda_min(T) < 0``: ``K_T + V`` is not positive definite."""
-        tests["sign_tests"] += 1
-        kt = specfun.kt_symbol(kinetic, T)
-        if not _positive_definite(identity - _birman_schwinger(factor, 1.0 / kt)):
-            return True
-        if kt.min() > band and _positive_definite(
-                identity - _birman_schwinger(factor, 1.0 / (kt - band))):
-            return False
-        tests["dense_tests"] += 1
-        return not _positive_definite(build_gap_matrix(spec, grid, T))
+    def search(dense: bool):
+        """``(T, K_T, lambda_min, vector, dense eigenvalues or None)``
+        of the converged evaluation, or of a bracket end with no root."""
+        lo, hi, T = probe, top, probe
+        for count in range(_MAX_EVALUATIONS):
+            kt = specfun.kt_symbol(kinetic, T)
+            values = None
+            if dense:
+                work["dense_evals"] += 1
+                matrix = interaction + np.diag(kt)
+                values, vectors = np.linalg.eigh(matrix)
+                # the Rayleigh quotient is accurate to about eps, the
+                # eigenvalue only to eps max|K_T + V|
+                vector = vectors[:, 0]
+                value = float(vector @ (matrix @ vector))
+            else:
+                work["lambda_evals"] += 1
+                value, vector = _eigenpair(factor, kt, 1, kt.min() - mass, 0.0)
+            lo, hi = (T, hi) if value < 0.0 else (lo, T)
+            if hi == probe or lo == top:
+                return T, kt, value, vector, values
+            if count == 0:
+                T = top
+                continue
+            tolerance = 4.0 * np.finfo(float).eps * T
+            T_next = 0.5 * (lo + hi)
+            rate = (0.0 if vector is None
+                    else float(vector @ (_kt_slope(kinetic, T) * vector)))
+            if rate > 0.0:
+                resolution = _EIGEN_TOLERANCE * max(abs(kt.min() - mass),
+                                                    kt.min())
+                tolerance = max(tolerance, resolution / rate)
+                step = value / rate
+                if abs(step) <= tolerance:
+                    return T, kt, value, vector, values
+                if lo < T - step < hi:
+                    T_next = T - step
+            if hi - lo <= tolerance:
+                return T, kt, value, vector, values
+            T = T_next
+        raise RuntimeError(
+            f"T_c search did not converge in {_MAX_EVALUATIONS} evaluations "
+            f"of lambda_min; bracket [{lo!r}, {hi!r}]")
 
-    def lam(T: float) -> float:
-        return float(np.linalg.eigvalsh(build_gap_matrix(spec, grid, T))[0])
-
-    probe = _PROBE_TEMPERATURE
-    if not paired(probe):
-        raise NoPairingError(lam(probe), probe)
-
-    lo, hi = probe, 10.0 * max(abs(spec.mu), 1.0)
-    if paired(hi):
+    for dense in (False, True):
+        T_c, kt, lambda_min, vec, values = search(dense)
+        if vec is not None:
+            vec = _anchored(vec)
+            pulled = interaction @ vec
+            eig_norm = float(np.linalg.norm(pulled + (kt - lambda_min) * vec))
+            if eig_norm <= _GROUND_STATE_RESIDUAL:
+                break
+    if T_c == probe and lambda_min >= 0.0:
+        raise NoPairingError(lambda_min, probe)
+    if T_c == top and lambda_min < 0.0:
         raise BracketError(
-            f"lambda_min({hi:.3f}) = {lam(hi):.3e} <= 0; no sign change up "
-            "to the upper temperature bracket"
-        )
-
-    while (hi - lo) > _REL_TOLERANCE * lo:
-        mid = 0.5 * (lo + hi)
-        if paired(mid):
-            lo = mid
-        else:
-            hi = mid
-
-    T_c = 0.5 * (lo + hi)
-    kt = specfun.kt_symbol(kinetic, T_c)
-
-    def residual(value: float, vector: np.ndarray) -> tuple[float, np.ndarray]:
-        """``|(K_T + V) vector - value vector|`` and ``V vector``."""
-        pulled = interaction @ vector
-        return float(np.linalg.norm(pulled + (kt - value) * vector)), pulled
-
-    weyl = float(kt.min() - np.sum(factor * factor))
-    lambda_min, vec = _eigenpair(factor, kt, 1, weyl, 0.0)
-    vec = _anchored(vec)
-    eig_norm, pulled = residual(lambda_min, vec)
-    if eig_norm <= _GROUND_STATE_RESIDUAL:
+            f"lambda_min({top:.3f}) = {lambda_min:.3e} < 0; no sign change up "
+            "to the upper temperature bracket")
+    if values is None:
         first, second = np.partition(kt, 1)[:2]
-        spectral_gap = _eigenpair(factor, kt, 2, lambda_min,
-                                  0.5 * (first + second))[0] - lambda_min
-    else:
-        tests["dense_tests"] += 1
-        values, vectors = np.linalg.eigh(build_gap_matrix(spec, grid, T_c))
-        lambda_min, spectral_gap = float(values[0]), float(values[1] - values[0])
-        vec = _anchored(vectors[:, 0])
-        eig_norm, pulled = residual(lambda_min, vec)
+        values = (lambda_min, _eigenpair(factor, kt, 2, lambda_min,
+                                         0.5 * (first + second))[0])
+    spectral_gap = float(values[1] - values[0])
     # ||(K + V) alpha0|| / ||alpha0|| at solver resolution: the eigenvalue
-    # itself is within the bracket tolerance of zero.
+    # itself is within the search's tolerance of zero.
     eig_residual = abs(lambda_min) + eig_norm
 
     scale = 1.0 / math.sqrt(grid.dq)
@@ -674,8 +663,8 @@ def find_tc(
         lambda_min=lambda_min,
         eig_residual=eig_residual,
         spectral_gap=spectral_gap,
-        tc_search={"attraction_rank": factor.shape[1], **tests,
-                   "factor_residual": band},
+        tc_search={"attraction_rank": factor.shape[1], **work,
+                   "factor_residual": truncation},
         t_samples=-2.0 * scale * pulled,
     )
 

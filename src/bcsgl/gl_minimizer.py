@@ -38,6 +38,7 @@ returned ``psi`` has imaginary parts exactly 0.0.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -538,7 +539,9 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     the gradient's roundoff floor, and reduces by lowest energy.
     ``psi = 0`` is always a critical point with energy exactly ``B3``;
     if no descent beats it, the zero state is returned, so the reported
-    energy never exceeds ``min(B3, E(psi = 1))``.
+    energy never exceeds ``min(B3, E(psi = 1))``.  A returned state that
+    is not converged warns (``UserWarning``), naming the starts whose
+    descents stopped on ``_MAX_STEPS``.
 
     Parameters
     ----------
@@ -559,6 +562,7 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     """
     states = [_descend(start, label, a, w, coef)
               for label, start in _default_starts(n_max, seed)]
+    stopped = [s.history[0]["start"] for s in states if not s.converged]
     history = [rec for state in states for rec in state.history]
     best = min(states, key=lambda s: s.energy)
     if coef.B3 < best.energy:
@@ -567,4 +571,8 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
             gradient_norm=0.0, converged=True,
         )
     best.history = history
+    if not best.converged:
+        warnings.warn(
+            "GL minimum not converged: the descents from "
+            f"{', '.join(stopped)} stopped at {_MAX_STEPS} steps", UserWarning)
     return best

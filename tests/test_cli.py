@@ -437,19 +437,19 @@ class TestStages:
         assert gap["key"] == cli._Run(cli.validate_config(path), 1).keys["gap"]
 
     def test_gap_artifact_records_the_search(self, tmp_path, capsys):
-        # the rank of -V = B B^T behind the sign tests, their number, the
-        # n x n factorizations taken and the width of the sign tests' band
+        # the rank of -V = B B^T behind the search, its r x r and n x n
+        # evaluations of lambda_min(T) and the factor's truncation residual
         # are part of the record, and as deterministic as the rest of it
         path = write_config(tmp_path, grids=fast_grids())
         run_cli(capsys, "--config", str(path), "tc")
         gap = json.loads((tmp_path / "out" / "gap.json").read_text())
         search = gap["solution"]["tc_search"]
-        assert set(search) == {"attraction_rank", "sign_tests", "dense_tests",
+        assert set(search) == {"attraction_rank", "lambda_evals", "dense_evals",
                                "factor_residual"}
         assert isinstance(search["attraction_rank"], int)
         assert 0 < search["attraction_rank"] <= 64
-        assert search["sign_tests"] == 40
-        assert search["dense_tests"] == 0
+        assert search["lambda_evals"] == 7
+        assert search["dense_evals"] == 0
         assert 0.0 < search["factor_residual"] <= 1e-13
 
     def test_cache_hit_preserves_bytes(self, tmp_path, capsys):
@@ -542,6 +542,20 @@ class TestStages:
         assert out["energy"] < 1e-4
         assert (tmp_path / "out" / "gl.json").exists()
 
+    def test_gl_min_warns_when_not_converged(self, tmp_path, capsys,
+                                             monkeypatch):
+        # descents cut at one step return a state that is not converged;
+        # the stage warns, naming the starts (on stderr outside pytest),
+        # and still writes its artifact
+        monkeypatch.setattr(gm, "_MAX_STEPS", 1)
+        path = write_config(tmp_path, grids=fast_grids())
+        with pytest.warns(UserWarning, match="GL minimum not converged: the "
+                          "descents from constant-1, constant-0.5"):
+            code, out = run_cli(capsys, "--config", str(path), "gl-min")
+        assert code == 0
+        assert out["converged"] is False
+        assert (tmp_path / "out" / "gl.json").exists()
+
 
 class TestSweepCommands:
     @coarse_ladder
@@ -570,6 +584,28 @@ class TestSweepCommands:
         payload = json.loads(
             (tmp_path / "out" / "sweeps" / "pair_distance.json").read_text())
         assert payload["passed"] is False
+
+    @coarse_ladder
+    def test_one_point_sweep_writes_valid_json(self, tmp_path, capsys):
+        # one h point leaves no fit: its order is null, as its local
+        # orders are, and not NaN, which RFC 8259 JSON has no word for;
+        # the order gate fails and the command exits 4
+        def no_constants(name):
+            raise ValueError(f"{name} in JSON")
+
+        path = write_config(tmp_path, grids=fast_grids(h_list=[0.125]))
+        code = cli.main(["--config", str(path), "verify-thm3"])
+        out = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert code == 4
+        assert out["gates"]["fitted_order"] is None
+        assert out["gates"]["order_ok"] is False
+        for name in ("trace_expansion", "pair_distance"):
+            payload = json.loads(
+                (tmp_path / "out" / "sweeps" / f"{name}.json").read_text(),
+                parse_constant=no_constants)
+            assert payload["report"]["fitted_order"] is None
+            assert payload["report"]["local_orders"] == []
+            assert payload["gates"]["order_ok"] is False
 
     @coarse_ladder
     def test_workers_do_not_change_sweep_bytes(self, tmp_path, capsys):

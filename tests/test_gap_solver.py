@@ -24,29 +24,26 @@ REFERENCE_NORM_SCALE = 0.990882090348
 REFERENCE_KAPPA_C = 0.816993306904
 
 # T_c of the three potentials of the benchmark's GL scan (D = 1, default
-# grids), as the eigenvalue bisection found them; the Cholesky bisection
-# takes the same decisions, so they must come back bit for bit.
+# grids), the Newton root of the r x r lambda_min(T), bit for bit.
 SCAN_TC = {
-    ("gaussian", 2.0, 1.0, 1.0): 0.6716278342041448,
-    ("square", 2.0, 1.0, 1.0): 0.8348228845734245,
-    ("gaussian", 3.0, 0.7, 0.5): 0.9118789657891966,
+    ("gaussian", 2.0, 1.0, 1.0): 0.67162783421896,
+    ("square", 2.0, 1.0, 1.0): 0.8348228845789717,
+    ("gaussian", 3.0, 0.7, 0.5): 0.9118789657866195,
 }
 
 
-# T_c (as float.hex) of further wells and grids, as the n x n Cholesky
-# bisection found them; the r x r Birman-Schwinger sign tests must leave
-# every decision, and so every bit, as it was.
+# T_c (as float.hex) of further wells and grids, the same root.
 # Keys: (family, g, w, mu, grid), grid None for the default one.
 ESTIMATE_TC = {
-    ("gaussian", 2.0, 1.0, 1.0, None): "0x1.57df9a7dfaf00p-1",
-    ("square", 2.0, 1.0, 1.0, None): "0x1.ab6de7b663f6ap-1",
-    ("gaussian", 3.0, 0.7, 0.5, None): "0x1.d2e1ccbff3266p-1",
-    ("gaussian", 0.4, 1.0, 1.0, None): "0x1.618bc622fdfecp-8",
-    ("gaussian", 8.0, 1.0, 1.0, None): "0x1.b2890b4404592p+1",
-    ("gaussian", 2.0, 1.0, -0.5, None): "0x1.0bb3135377660p-1",
-    ("gaussian", 2.0, 1.0, 3.0, None): "0x1.6aa8e0a0a2464p-2",
-    ("square", 3.0, 0.5, 0.5, None): "0x1.c80df9fe9d7fap-1",
-    ("gaussian", 2.0, 1.0, 1.0, (24.0, 1024)): "0x1.57df9a7dfaf00p-1",
+    ("gaussian", 2.0, 1.0, 1.0, None): "0x1.57df9a7e1b843p-1",
+    ("square", 2.0, 1.0, 1.0, None): "0x1.ab6de7b670297p-1",
+    ("gaussian", 3.0, 0.7, 0.5, None): "0x1.d2e1ccbfed7bap-1",
+    ("gaussian", 0.4, 1.0, 1.0, None): "0x1.618bc622e825ap-8",
+    ("gaussian", 8.0, 1.0, 1.0, None): "0x1.b2890b43f8df1p+1",
+    ("gaussian", 2.0, 1.0, -0.5, None): "0x1.0bb31353833a2p-1",
+    ("gaussian", 2.0, 1.0, 3.0, None): "0x1.6aa8e0a0c1e6fp-2",
+    ("square", 3.0, 0.5, 0.5, None): "0x1.c80df9fe6c28bp-1",
+    ("gaussian", 2.0, 1.0, 1.0, (24.0, 1024)): "0x1.57df9a7e1b841p-1",
 }
 
 
@@ -251,22 +248,43 @@ class TestFindTc:
             assert sol.T_c == SCAN_TC[key], key
 
     @pytest.mark.parametrize("key", list(SCAN_TC))
-    def test_sign_test_matches_lowest_eigenvalue(self, key):
-        spec = getattr(gs.PotentialSpec, key[0])(*key[1:])
-        grid = gs.MomentumGrid.default_for(spec)
-        for k in range(1, 9):
-            for T in (SCAN_TC[key] * (1 - 10.0**-k), SCAN_TC[key] * (1 + 10.0**-k)):
-                mat = gs.build_gap_matrix(spec, grid, T)
+    def test_lowest_eigenvalue_changes_sign_at_tc(self, key, scan_solutions):
+        # the dense lambda_min of K_T + V has the sign of T - T_c down to a
+        # relative distance of 1e-12 from T_c, where |lambda_min| (about
+        # 1e-12) is still far above the eigensolve's roundoff
+        sol = scan_solutions[key]
+        for k in range(1, 13):
+            for T in (sol.T_c * (1 - 10.0**-k), sol.T_c * (1 + 10.0**-k)):
+                mat = gs.build_gap_matrix(sol.spec, sol.grid, T)
                 lam = linalg.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0]
-                assert gs._positive_definite(mat) == (lam >= 0.0), (k, T, lam)
-                assert (lam < 0.0) == (T < SCAN_TC[key])
+                assert (lam < 0.0) == (T < sol.T_c), (k, T, lam)
+
+    def test_slope_is_the_temperature_derivative_of_the_symbol(self):
+        # d K_T / dT = 2 (w / sinh w)^2, w = x / 2T: against a central
+        # difference of kt_symbol, with the value 2 at x = 0 and no
+        # overflow far from the Fermi surface
+        x = np.array([-3.0, -0.4, 0.0, 1e-9, 0.05, 0.7, 2.0, 9.0])
+        T, step = 0.6, 1e-5
+        fd = (sf.kt_symbol(x, T + step) - sf.kt_symbol(x, T - step)) / (2 * step)
+        # (the difference loses about eps |x| / step to cancellation)
+        assert np.allclose(gs._kt_slope(x, T), fd, rtol=1e-8, atol=1e-9)
+        assert gs._kt_slope(np.array([0.0]), T)[0] == 2.0
+        assert gs._kt_slope(np.array([-1e4, 1e4]), 1e-6).tolist() == [0.0, 0.0]
+
+    def test_search_that_does_not_converge_raises(self, ref_spec, ref_grid,
+                                                  monkeypatch):
+        # a T_c that did not converge is never returned: three evaluations
+        # (the two ends and one step) leave the bracket wide
+        monkeypatch.setattr(gs, "_MAX_EVALUATIONS", 3)
+        with pytest.raises(RuntimeError, match="did not converge in 3"):
+            gs.find_tc(ref_spec, ref_grid)
 
     def test_no_dense_factorization(self, ref_spec, ref_grid, gap_sol_raw,
                                     monkeypatch):
         # every factorization is NumPy's, and in a normal solve every one
-        # is r x r: the Birman-Schwinger sign tests (one or two Cholesky
-        # each), the ground state and the spectral gap; no LU solve and no
-        # n x n factorization
+        # is r x r: each evaluation of lambda_min(T) in the search, and
+        # the spectral gap; no Cholesky, no LU solve and no n x n
+        # factorization
         calls = collections.Counter()
         sizes = collections.Counter()
         for name in ("eigh", "eigvalsh", "cholesky", "solve"):
@@ -283,12 +301,11 @@ class TestFindTc:
         rank = search["attraction_rank"]
         assert 0 < rank <= 64
         assert set(sizes) == {(rank, rank)}
-        assert calls["solve"] == 0
-        assert search["dense_tests"] == 0
+        assert calls["solve"] == calls["cholesky"] == 0
+        assert search["dense_evals"] == 0
         assert 0.0 < search["factor_residual"] <= 1e-13
-        # the two ends of [1e-6, 10] and 38 midpoints
-        assert search["sign_tests"] == 40
-        assert search["sign_tests"] <= calls["cholesky"] <= 2 * search["sign_tests"]
+        # the two ends of [1e-6, 10] and five Newton steps
+        assert search["lambda_evals"] == 7
 
     def test_t_samples_match_the_pair_symbol(self, gap_sol_raw):
         # the samples are V alpha0_hat through the interaction matrix; t()
@@ -365,10 +382,10 @@ class TestRowBlockedTransforms:
 
 
 class TestBirmanSchwingerEstimate:
-    """With ``-V = B B^T``, the sign tests, ``lambda_min``, the spectral gap
-    and the ground state are estimated from ``r x r`` matrices such as
-    ``B^T K_T^{-1} B``; every sign decision, and so ``T_c``, stays as
-    pinned, and the rest matches a dense ``eigh`` of ``K_T + V``."""
+    """With ``-V = B B^T``, every evaluation of ``lambda_min(T)``, the
+    spectral gap and the ground state come from ``r x r`` matrices such
+    as ``B^T (K_T - x)^{-1} B``; ``T_c`` stays as pinned, and the rest
+    matches a dense ``eigh`` of ``K_T + V``."""
 
     @staticmethod
     def solve(key, scan_solutions):
@@ -382,16 +399,18 @@ class TestBirmanSchwingerEstimate:
     def test_tc_bit_identical_without_dense_tests(self, key, scan_solutions):
         sol = self.solve(key, scan_solutions)
         assert sol.T_c.hex() == ESTIMATE_TC[key]
-        assert sol.tc_search["dense_tests"] == 0
+        assert sol.tc_search["dense_evals"] == 0
+        assert sol.tc_search["lambda_evals"] <= 12
         interaction = gs._interaction_matrix(sol.spec, sol.grid)
-        factor, band = gs._attraction_factor(interaction)
+        factor, truncation = gs._attraction_factor(interaction)
         assert factor.shape[1] == sol.tc_search["attraction_rank"]
-        assert band == sol.tc_search["factor_residual"]
+        assert truncation == sol.tc_search["factor_residual"]
         scale = np.abs(interaction).max()
         assert np.abs(-interaction - factor @ factor.T).max() <= 1e-14 * scale
         # s = tr E bounds the truncation residual E = -V - B B^T; each of
         # its n remaining diagonals is at most the factor's stop
-        assert 0.0 < band <= gs._FACTOR_TOLERANCE * scale * sol.grid.n_points
+        assert 0.0 < truncation <= (gs._FACTOR_TOLERANCE * scale
+                                    * sol.grid.n_points)
 
     @pytest.mark.parametrize("key", list(ESTIMATE_TC))
     def test_ground_state_and_gap_match_dense_eigh(self, key, scan_solutions):
@@ -399,11 +418,13 @@ class TestBirmanSchwingerEstimate:
         # matrices; the dense eigh of K_T + V at T_c is their oracle.  Its
         # backward error is a few eps max|K_T + V|, so eigenvalues agree to
         # that and the unit eigenvector to that over the gap (measured:
-        # at most 0.06, 0.46 and 0.23 of eps max|K_T + V| respectively)
+        # at most 0.06, 0.46 and 0.23 of eps max|K_T + V| respectively);
+        # T_c is a root of the dense lambda_min to the same roundoff
         sol = self.solve(key, scan_solutions)
         mat = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
         values, vectors = np.linalg.eigh(mat)
         tol = 2.0 * np.finfo(float).eps * np.abs(mat).max()
+        assert abs(values[0]) <= tol
         assert abs(sol.lambda_min - values[0]) <= tol
         gap = values[1] - values[0]
         assert abs(sol.spectral_gap - gap) <= 2.0 * tol
@@ -412,12 +433,12 @@ class TestBirmanSchwingerEstimate:
         assert np.abs(unit - oracle).max() <= tol / gap
         assert sol.eig_residual - abs(sol.lambda_min) <= tol
 
-    def test_rank_one_factor_keeps_tc_bit_identical(self, monkeypatch):
-        # the wide band leaves the decisions near T_c to n x n Cholesky
-        # tests, which decide as the r x r ones would; the ground state of
-        # the poor factor fails the residual check, so lambda_min, the gap
-        # and the vector come from the dense eigh, checked with the
-        # tolerances of test_ground_state_and_gap_match_dense_eigh
+    def test_rank_one_factor_reruns_dense(self, monkeypatch):
+        # the ground state of a poor factor fails the residual check, so
+        # the search reruns on dense eighs of K_T + V and lands within a
+        # few ulp of the normal T_c; lambda_min, the gap and the vector
+        # are the dense eigh's, checked with the tolerances of
+        # test_ground_state_and_gap_match_dense_eigh
         full = gs._attraction_factor
 
         def rank_one(interaction):
@@ -427,10 +448,10 @@ class TestBirmanSchwingerEstimate:
         monkeypatch.setattr(gs, "_attraction_factor", rank_one)
         for key, T_c in SCAN_TC.items():
             sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
-            assert sol.T_c == T_c, key
+            assert abs(sol.T_c - T_c) <= 4 * math.ulp(T_c), key
             assert sol.tc_search["attraction_rank"] == 1, key
             assert sol.eig_residual < 1e-8, key
-            assert sol.tc_search["dense_tests"] > 2, key
+            assert sol.tc_search["dense_evals"] > 0, key
             mat = gs.build_gap_matrix(sol.spec, sol.grid, sol.T_c)
             values, vectors = np.linalg.eigh(mat)
             tol = 2.0 * np.finfo(float).eps * np.abs(mat).max()
@@ -441,20 +462,6 @@ class TestBirmanSchwingerEstimate:
             unit = sol.alpha0_hat / np.linalg.norm(sol.alpha0_hat)
             assert np.abs(unit - oracle).max() <= tol / gap, key
             assert sol.eig_residual - abs(sol.lambda_min) <= tol, key
-
-    def test_inflated_band_keeps_tc_bit_identical(self, monkeypatch, scan_solutions):
-        # a larger s is still a bound on the truncation residual: the sign
-        # tests inside the wider band go to n x n Cholesky tests, which
-        # decide as the r x r ones would
-        full = gs._attraction_factor
-        monkeypatch.setattr(gs, "_attraction_factor",
-                            lambda interaction: (full(interaction)[0], 1e-9))
-        for key, T_c in SCAN_TC.items():
-            sol = gs.find_tc(getattr(gs.PotentialSpec, key[0])(*key[1:]))
-            assert sol.T_c == T_c, key
-            assert sol.tc_search["factor_residual"] == 1e-9
-            assert sol.tc_search["dense_tests"] > 0, key
-            assert sol.eig_residual == scan_solutions[key].eig_residual, key
 
 
 class TestEigenpair:

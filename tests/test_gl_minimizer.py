@@ -371,10 +371,14 @@ class TestMinimize:
         # B2 W = 2 B3 - 1e-6 makes E - B3 = B1 |psi'|^2 - 1e-6 |psi|^2
         # + B3 |psi|^4, whose minimum -1e-12 / (4 B3) sits at |psi|^2 =
         # 1e-6 / (2 B3); the same flat constant mode as above keeps every
-        # descent stepping until the cap, short of that minimum
+        # descent stepping until the cap, short of that minimum; the
+        # returned state says so, and so does a warning that names the
+        # four starts
         coef = GLCoefficients(np.array([[100.0]]), 2.0 * 0.25 - 1e-6, 0.25,
                               gl_coef.D, gl_coef.beta_c)
-        state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=32)
+        with pytest.warns(UserWarning, match="not converged: the descents from "
+                          "constant-1, constant-0.5, random-0, random-1 stopped"):
+            state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=32)
         assert [rec["iterations"] for rec in state.history] == [
             gm._MAX_STEPS] * 4
         assert state.energy - coef.B3 > -1e-12
