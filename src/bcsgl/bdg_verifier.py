@@ -23,9 +23,12 @@ reflecting the modes (``n -> -n``, matrix ``J``) and conjugating maps
 spectrum at ``xi`` and the pair block there is ``J alpha(xi)^T J``;
 every observable diagonalizes only ``xi = 0``, the positive nodes and
 (for even ``M``) ``xi = pi`` -- ``floor(M/2) + 1`` fibers -- and folds in
-each partner's contribution without another eigensolve.  ``xi = pi``
-has no partner on the grid: its reflection ``-pi`` shifts the mode
-window by one.
+each partner's contribution without another eigensolve.  The fibers
+``xi = 0`` and ``xi = pi`` are their own partners, ``xi = pi`` through
+the reflection ``n -> -1 - n`` (``kappa_n -> -kappa_n``), which leaves
+mode ``n_max`` without a mirror.  The map holds window by window, so on
+a partition symmetric under the reflection their pass solves one window
+of each mirror pair and derives the other (:func:`_fiber_pass`).
 
 Everything is exact-spectral: the kinetic term, the field couplings
 (finite Fourier series), and the pair symbol ``t`` (evaluated through
@@ -174,7 +177,10 @@ class FiberBasis:
         symmetric about 0 (``xi = pi`` aside, for even ``M``), so each
         node ``0 < xi < pi`` has its particle-hole partner ``-xi`` on the
         grid and the observables diagonalize only the last
-        ``floor(M/2) + 1`` nodes (:attr:`half_nodes`).  The grids nest:
+        ``floor(M/2) + 1`` nodes (:attr:`half_nodes`).  ``xi = 0`` and
+        ``xi = pi`` are their own partners, window by window, and their
+        passes solve about half of their windows (:func:`_fiber_pass`).
+        The grids nest:
         the ``M``-node grid is the even-``k`` subset of the ``2M``-node
         grid with the same floats (``2 pi 2k / 2M`` rounds like ``2 pi k /
         M``), which the quadrature ladder (:func:`_bloch_ladder`) relies
@@ -358,18 +364,25 @@ def _mode_profile(f: TorusField, n: int) -> np.ndarray:
 def _fold_fibers(basis: FiberBasis, one: Callable) -> list:
     """Per-fiber contributions over the whole Bloch grid.
 
-    ``one(xi, partnered)`` runs on the half grid ``0 <= xi <= pi`` and
-    returns a tuple: the contribution of fiber ``xi`` and, when
+    ``one(xi, partnered, mirror)`` runs on the half grid ``0 <= xi <= pi``
+    and returns a tuple: the contribution of fiber ``xi`` and, when
     ``partnered`` (``0 < xi < pi``), that of its particle-hole partner
     ``-xi``, derived from fiber ``xi`` without another eigensolve.  The
+    fibers ``xi = 0`` and ``xi = pi`` are their own partners: ``mirror``
+    is the shift ``s`` of the reflection ``n -> -n - s`` that maps their
+    modes onto themselves, 0 for the first node and 1 for the node
+    ``k = M/2`` (told apart by index, not by comparing ``xi`` with
+    ``pi``), and ``None`` for every other node (:func:`_fiber_pass`).  The
     result lists one contribution per node of ``basis.xi_nodes``.  The
     fibers run in node order on the calling thread, the thread of their h
     point.  A failing eigensolver is reported with the fiber's ``xi``.
     """
+    m = basis.m_fibers
 
     def run(k, xi):
+        mirror = 0 if k == 0 else 1 if 2 * k == m else None
         try:
-            return one(xi, 0 < k < basis.m_fibers / 2)
+            return one(xi, 0 < k < m / 2, mirror)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"eigensolver failed on the fiber at xi={xi:.6f}"
@@ -410,9 +423,9 @@ def _bloch_ladder(basis: FiberBasis, one: Callable, quadrature: Callable,
     """
     done = {}
 
-    def once(xi, partnered):
+    def once(xi, partnered, mirror):
         if xi not in done:
-            done[xi] = one(xi, partnered)
+            done[xi] = one(xi, partnered, mirror)
         return done[xi]
 
     cap = basis.m_fibers
@@ -502,15 +515,20 @@ class _FiberPass(NamedTuple):
     window: tuple
 
 
-def _window_spans(n: int, buffer: int) -> list:
+def _window_spans(n: int, buffer: int, mirror: int | None = None) -> list:
     """``(lo, hi, a, b)`` per window of an ``n``-mode fiber: modes
     ``lo:hi``, the core ``a:b`` padded by ``buffer`` modes on each side.
-    The ``ceil(n / _WINDOW_CORE)`` cores split the modes evenly.  When one
-    window covers the fiber, or the windows' eigensolves would cost more
-    than the whole fiber's (``sum w^3 >= n^3``), the one window on the
-    whole fiber is the partition."""
+    The ``ceil(n / _WINDOW_CORE)`` cores split the modes evenly; a fiber
+    of more than one core that reflects onto itself (``mirror``) gets
+    cores symmetric under its reflection (:func:`_mirror_edges`) instead.
+    When one window covers the fiber, or the windows' eigensolves would
+    cost more than the whole fiber's (``sum w^3 >= n^3``), the one window
+    on the whole fiber is the partition."""
     cores = -(-n // _WINDOW_CORE)
-    edges = [k * n // cores for k in range(cores + 1)]
+    if mirror is None or cores == 1:
+        edges = [k * n // cores for k in range(cores + 1)]
+    else:
+        edges = _mirror_edges(n, cores, mirror)
     spans = [(max(0, a - buffer), min(n, b + buffer), a, b)
              for a, b in zip(edges, edges[1:])]
     if sum((hi - lo) ** 3 for lo, hi, _, _ in spans) >= n ** 3:
@@ -518,10 +536,44 @@ def _window_spans(n: int, buffer: int) -> list:
     return spans
 
 
+def _mirror_edges(n: int, cores: int, shift: int) -> list:
+    """Core edges of an ``n``-mode fiber whose reflection ``i -> n - 1 -
+    shift - i`` maps its modes onto themselves (``xi = 0``: ``shift`` 0;
+    ``xi = pi``: ``shift`` 1, where mode ``n - 1`` has no mirror).
+
+    The reflection maps ``[-shift, n)`` onto itself.  That range is cut
+    into the fewest cores, at least ``cores``, whose sizes differ by at
+    most one, lie symmetric under the reflection and are no larger than
+    the ``ceil(n / cores)`` of the generic split; an odd range takes an
+    odd count, so that its middle mode is the middle of a core.  The
+    virtual mode ``-1`` then leaves the first core, so at ``xi = pi`` the
+    first and last cores are not mirrors.
+    """
+    span = n + shift
+    largest = -(-n // cores)
+    while span % 2 > cores % 2 or -(-span // cores) > largest:
+        cores += 1
+    half = [(2 * k * span + cores) // (2 * cores)
+            for k in range(cores // 2 + 1)]
+    edges = half + [span - e for e in reversed(half[:(cores + 1) // 2])]
+    return [max(0, e - shift) for e in edges]
+
+
+def _window_mirrors(spans: list, n: int, mirror: int | None) -> list:
+    """Per window of ``spans``, the index of the window that the fiber's
+    reflection ``i -> n - 1 - mirror - i`` maps it onto, or ``None``."""
+    if mirror is None:
+        return [None] * len(spans)
+    end = n - mirror
+    index = {span: j for j, span in enumerate(spans)}
+    return [index.get((end - hi, end - lo, end - b, end - a))
+            for lo, hi, a, b in spans]
+
+
 def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
-            b: int) -> tuple[float, float, np.ndarray]:
-    """Trace, mass and pair-block rows of the core ``a:b`` of the window
-    on the modes ``lo:hi``.
+            b: int, columns: bool = False) -> tuple:
+    """Trace, mass, pair-block rows and (when ``columns``) pair-block
+    columns of the core ``a:b`` of the window on the modes ``lo:hi``.
 
     With ``H_w = H0_w + Gamma`` (``Gamma`` the window's pairing blocks),
     eigenpairs ``(lam, U)`` of ``H_w`` and ``(mu, V)`` of its two free
@@ -530,7 +582,9 @@ def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
     diagonal sums to ``sum_jk F_jk G_jk O_jk``, ``G = U^* Gamma V`` and
     ``O = U_c^T conj(V_c)`` over the core rows.  No term carries the
     kinetic scale ``||H||``.  The mass is the core diagonal of
-    ``|f(beta H_w)| + |f(beta H0_w)|``.
+    ``|f(beta H_w)| + |f(beta H0_w)|``.  The columns (``None`` unless
+    asked for) are the window's pair block on the core columns, from
+    which :func:`_fiber_pass` derives the rows of the mirror window.
     """
     k, delta, m22 = op.blocks(lo, hi)
     w, core = hi - lo, slice(a - lo, b - lo)
@@ -560,11 +614,14 @@ def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
     mass = -float(np.dot(specfun.fermi_f(z), in_core)
                   + np.dot(specfun.fermi_f(np.concatenate(z0)),
                            np.concatenate(in_core0)))
-    rows = (up[core] * specfun.fermi_rho(z)) @ uh.conj().T
-    return trace, mass, rows
+    rho = specfun.fermi_rho(z)
+    rows = (up[core] * rho) @ uh.conj().T
+    cols = (up * rho) @ uh[core].conj().T if columns else None
+    return trace, mass, rows, cols
 
 
-def _fiber_pass(op: FiberOperator, beta: float) -> _FiberPass:
+def _fiber_pass(op: FiberOperator, beta: float,
+                mirror: int | None = None) -> _FiberPass:
     """Trace difference, its mass and the pair block of one fiber from
     windowed eigensolves (:func:`_window`).
 
@@ -582,6 +639,16 @@ def _fiber_pass(op: FiberOperator, beta: float) -> _FiberPass:
     buffer is the smallest doubling whose coupling part is within it: the
     partitions in between would fail on it before their eigensolves.
 
+    A fiber that is its own particle-hole partner (``xi = 0`` and ``xi =
+    pi``, :func:`_fold_fibers`) has ``mirror``, the shift of the
+    reflection ``n -> -n - mirror`` of its modes, under which ``H`` maps
+    to ``-H`` window by window.  Its partition is symmetric under that
+    reflection (:func:`_window_spans`), and of each pair of mirror windows
+    only the first is solved: the second has the same trace and mass (as
+    a partner fiber does) and the core rows ``J cols^T J``, from the core
+    columns ``cols`` of the first.  A window that is its own mirror, and
+    the two end windows at ``xi = pi``, are solved directly.
+
     Each window assembles its own blocks (:meth:`FiberOperator.blocks`),
     and the pair block is kept as the core rows of each window (0 beyond
     it), so no ``N x N`` array is built short of the one-window fallback.
@@ -593,10 +660,18 @@ def _fiber_pass(op: FiberOperator, beta: float) -> _FiberPass:
 
     buffer = _WINDOW_BUFFER
     while True:
-        spans = _window_spans(n, buffer)
-        traces, masses, alpha, edge = [], [], [], 0.0
-        for lo, hi, a, b in spans:
-            trace, mass, rows = _window(op, beta, lo, hi, a, b)
+        spans = _window_spans(n, buffer, mirror)
+        traces, masses, alpha, edge, solved = [], [], [], 0.0, {}
+        for i, ((lo, hi, a, b), twin) in enumerate(
+                zip(spans, _window_mirrors(spans, n, mirror))):
+            if twin is not None and twin < i:
+                trace, mass, cols = solved.pop(twin)
+                rows = cols[::-1, ::-1].T
+            else:
+                trace, mass, rows, cols = _window(
+                    op, beta, lo, hi, a, b, twin is not None and twin > i)
+                if cols is not None:
+                    solved[i] = trace, mass, cols
             traces.append(trace)
             masses.append(mass)
             alpha.append((a, lo, rows))
@@ -768,9 +843,9 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
     t, mu, beta = source.t, source.mu, source.beta_c
     basis = _resolve_basis(source, h, m_fibers, n_max)
 
-    def one(xi, partnered):
+    def one(xi, partnered, mirror):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
-        tr, mass, alpha, window = _fiber_pass(op, beta)
+        tr, mass, alpha, window = _fiber_pass(op, beta, mirror)
         h1_row, h1_col, l2, lead_sq = _pair_sums(op, alpha, beta)
         own = (tr, mass, h1_row, l2, lead_sq, window)
         if not partnered:
@@ -954,9 +1029,9 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         )
         return _pair_band(alpha, e1x, phases_u)
 
-    def one(xi, partnered):
+    def one(xi, partnered, mirror):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
-        tr, mass, alpha, window = _fiber_pass(op, beta)
+        tr, mass, alpha, window = _fiber_pass(op, beta, mirror)
         own = (tr, mass, band_of(alpha, xi), window)
         if not partnered:
             return (own,)

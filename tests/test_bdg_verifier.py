@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.special import xlogy
 
@@ -122,9 +124,9 @@ def spied_buffers(monkeypatch):
     """The buffer of each partition the fiber pass runs, in order."""
     buffers, spans = [], bv._window_spans
 
-    def recording(n, buffer):
+    def recording(n, buffer, mirror=None):
         buffers.append(buffer)
-        return spans(n, buffer)
+        return spans(n, buffer, mirror)
 
     monkeypatch.setattr(bv, "_window_spans", recording)
     return buffers
@@ -494,20 +496,92 @@ class TestTranslationInvariantOracle:
 
 
 @pytest.fixture(scope="module")
-def windowed_fibers(gap_sol, fields, gl_min_state, rich_fields):
-    """Fibers of many windows at h = 1/64 (2N = 526): the sweep probe
+def window_fields(fields, gl_min_state, rich_fields):
+    """The field triples of the windowed-pass cases: the sweep probe
     (complex), the real GL state (A = 0, W = 0.5 cos) and the rich fields
     (A != 0)."""
+    return {"probe": fields,
+            "gl_state": (gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1)),
+            "rich_fields": rich_fields}
+
+
+@pytest.fixture(scope="module")
+def windowed_fibers(gap_sol, window_fields):
+    """Fibers of many windows at h = 1/64 (2N = 526), one per case of
+    :func:`window_fields`, at a node with a partner elsewhere."""
     basis = bv._resolve_basis(gap_sol, 0.015625, 16, None)
     xi = basis.half_nodes[3]
-    cases = {"probe": fields,
-             "gl_state": (gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1)),
-             "rich_fields": rich_fields}
     return {name: bv.build_fiber(basis, xi, *f, gap_sol.t, gap_sol.mu)
-            for name, f in cases.items()}
+            for name, f in window_fields.items()}
+
+
+@pytest.fixture(scope="module")
+def self_partnered_fibers(gap_sol, window_fields):
+    """The fibers ``xi = 0`` (mirror 0) and ``xi = pi`` (mirror 1) of each
+    case, keyed ``(h, case, mirror)``: at h = 1/64 (N = 263, nine cores at
+    both nodes, the middle one its own mirror) and at h = 1/32 with 80
+    modes a side (N = 161, seven cores at xi = 0 and six at xi = pi, which
+    meet at its centre)."""
+    fibers = {}
+    for h, n_max in ((0.015625, None), (0.03125, 80)):
+        basis = bv._resolve_basis(gap_sol, h, 16, n_max)
+        for mirror, xi in ((0, basis.half_nodes[0]),
+                           (1, basis.half_nodes[-1])):
+            for name, f in window_fields.items():
+                fibers[h, name, mirror] = bv.build_fiber(
+                    basis, xi, *f, gap_sol.t, gap_sol.mu)
+    return fibers
 
 
 WINDOW_CASES = ["probe", "gl_state", "rich_fields"]
+SELF_PARTNERED = [(h, case, mirror) for h in (0.015625, 0.03125)
+                  for case in WINDOW_CASES for mirror in (0, 1)]
+
+
+def generic_spans(n, buffer):
+    """The partition of an ``n``-mode fiber with a partner elsewhere:
+    ``ceil(n / 32)`` even cores, or one window where the windows would
+    cost more than the whole fiber."""
+    cores = -(-n // 32)
+    edges = [k * n // cores for k in range(cores + 1)]
+    spans = [(max(0, a - buffer), min(n, b + buffer), a, b)
+             for a, b in zip(edges, edges[1:])]
+    if sum((hi - lo) ** 3 for lo, hi, _, _ in spans) >= n ** 3:
+        return [(0, n, 0, n)]
+    return spans
+
+
+def check_tiny_buffer(op, beta, monkeypatch, mirror=None):
+    """One buffer mode leaks 0.3 of max |alpha|: the buffer doubles until
+    the leak is below the bound, skipping the doublings whose coupling
+    part is over it (the rich fields couple modes up to 4 apart), and the
+    values are those of the default partition."""
+    base = bv._fiber_pass(op, beta, mirror)
+    buffers = spied_buffers(monkeypatch)
+    monkeypatch.setattr(bv, "_WINDOW_BUFFER", 1)
+    doubled = bv._fiber_pass(op, beta, mirror)
+    n = len(op.momenta)
+    base_alpha = dense_alpha(base.alpha, n)
+    assert_doublings(op, beta, buffers, np.abs(base_alpha).max())
+    assert buffers[:2] == [1, 4]
+    assert len(buffers) > 2 and doubled.window[1] == buffers[-1]
+    eps = np.finfo(float).eps
+    assert abs(doubled.trace - base.trace) <= 1e-2 * eps * base.mass
+    assert np.abs(dense_alpha(doubled.alpha, n) - base_alpha).max() \
+        <= 1e-11 * np.abs(base_alpha).max()
+
+
+def check_whole_fiber_fallback(op, beta, monkeypatch, mirror=None):
+    """No partition meets a bound of 0: the windows grow to one window on
+    the whole fiber, the dense solve, and record no buffer."""
+    monkeypatch.setattr(bv, "_WINDOW_LEAK_BOUND", 0.0)
+    fp = bv._fiber_pass(op, beta, mirror)
+    n = len(op.momenta)
+    assert fp.window == (n, 0, 0.0)
+    trace, mass, alpha = dense_pass(op, beta)
+    assert abs(fp.trace - trace) <= np.finfo(float).eps * mass
+    assert np.abs(dense_alpha(fp.alpha, n) - alpha).max() \
+        <= 1e-12 * np.abs(alpha).max()
 
 
 class TestWindowedPass:
@@ -525,6 +599,31 @@ class TestWindowedPass:
         # would cost more eigensolve work than the whole fiber
         assert len(bv._window_spans(100, 16)) == 4
         assert bv._window_spans(100, 24) == [(0, 100, 0, 100)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 2100), st.sampled_from([1, 8, 64]),
+           st.sampled_from([None, 0, 1]))
+    def test_partitions(self, n, buffer, mirror):
+        # the cores tile [0, n), each padded by the buffer within the
+        # fiber; a generic fiber keeps the even split, and a fiber that
+        # reflects onto itself (i -> n - 1 - mirror - i) has the mirror of
+        # each window clear of both ends (of every window at xi = 0) in
+        # its partition, with no core larger than the even split's
+        spans = bv._window_spans(n, buffer, mirror)
+        assert spans[0][2] == 0 and spans[-1][3] == n
+        assert all(b == a for (*_, b), (_, _, a, _) in zip(spans, spans[1:]))
+        for lo, hi, a, b in spans:
+            assert a < b
+            assert (lo, hi) == (max(0, a - buffer), min(n, b + buffer))
+        if mirror is None:
+            assert spans == generic_spans(n, buffer)
+            return
+        end = n - mirror
+        for lo, hi, a, b in spans:
+            if mirror == 0 or (lo > 0 and hi < n):
+                assert (end - hi, end - lo, end - b, end - a) in spans
+        if len(spans) > 1:
+            assert max(b - a for _, _, a, b in spans) <= -(-n // -(-n // 32))
 
     @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_matches_the_dense_route(self, gap_sol, windowed_fibers, case):
@@ -564,40 +663,13 @@ class TestWindowedPass:
 
     def test_a_tiny_buffer_doubles(self, gap_sol, windowed_fibers,
                                    monkeypatch):
-        # one buffer mode leaks 0.3 of max |alpha|: the buffer doubles
-        # until the leak is below the bound, skipping the doublings whose
-        # coupling part is over it (the rich fields couple modes up to 4
-        # apart), and the values are those of the default partition
-        op = windowed_fibers["rich_fields"]
-        beta = gap_sol.beta_c
-        base = bv._fiber_pass(op, beta)
-        buffers = spied_buffers(monkeypatch)
-        monkeypatch.setattr(bv, "_WINDOW_BUFFER", 1)
-        doubled = bv._fiber_pass(op, beta)
-        n = len(op.momenta)
-        base_alpha = dense_alpha(base.alpha, n)
-        assert_doublings(op, beta, buffers, np.abs(base_alpha).max())
-        assert buffers[:2] == [1, 4]
-        assert len(buffers) > 2 and doubled.window[1] == buffers[-1]
-        eps = np.finfo(float).eps
-        assert abs(doubled.trace - base.trace) <= 1e-2 * eps * base.mass
-        assert np.abs(dense_alpha(doubled.alpha, n) - base_alpha).max() \
-            <= 1e-11 * np.abs(base_alpha).max()
+        check_tiny_buffer(windowed_fibers["rich_fields"], gap_sol.beta_c,
+                          monkeypatch)
 
     def test_a_leak_above_the_bound_grows_to_the_whole_fiber(
             self, gap_sol, windowed_fibers, monkeypatch):
-        # no partition meets a bound of 0: the windows grow to one window
-        # on the whole fiber, the dense solve, and record no buffer
-        op = windowed_fibers["gl_state"]
-        beta = gap_sol.beta_c
-        monkeypatch.setattr(bv, "_WINDOW_LEAK_BOUND", 0.0)
-        fp = bv._fiber_pass(op, beta)
-        n = len(op.momenta)
-        assert fp.window == (n, 0, 0.0)
-        trace, mass, alpha = dense_pass(op, beta)
-        assert abs(fp.trace - trace) <= np.finfo(float).eps * mass
-        assert np.abs(dense_alpha(fp.alpha, n) - alpha).max() \
-            <= 1e-12 * np.abs(alpha).max()
+        check_whole_fiber_fallback(windowed_fibers["gl_state"],
+                                   gap_sol.beta_c, monkeypatch)
 
     @pytest.mark.parametrize("a, w, windows, partitions", [
         (ZERO, TorusField.cosine(0.5, 12), "several", [8, 16, 32]),
@@ -757,6 +829,80 @@ class TestWindowedPass:
             -delta * math.tanh(beta * energy / 2.0) / (2.0 * energy),
             rel=1e-13)
         assert fp.window == (1, 0, 0.0)
+
+
+class TestSelfPartneredFibers:
+    """The fibers xi = 0 and xi = pi map to themselves under the
+    particle-hole reflection, window by window: their pass solves one
+    window of each mirror pair and derives the other."""
+
+    @pytest.mark.parametrize("h, case, mirror", SELF_PARTNERED)
+    def test_matches_the_dense_route(self, gap_sol, self_partnered_fibers,
+                                     h, case, mirror):
+        # the tolerances of the generic fibers; measured: traces within
+        # 0.31 eps * mass, masses within 3.3e-16 relative, pair blocks
+        # within 2.4e-12 of max |alpha|
+        op = self_partnered_fibers[h, case, mirror]
+        beta = gap_sol.beta_c
+        fp = bv._fiber_pass(op, beta, mirror)
+        n = len(op.momenta)
+        assert len(bv._window_spans(n, fp.window[1], mirror)) > 1
+        trace, mass, alpha = dense_pass(op, beta)
+        eps = np.finfo(float).eps
+        assert abs(fp.trace - trace) <= eps * mass
+        assert fp.mass == pytest.approx(mass, rel=1e-14)
+        assert np.abs(dense_alpha(fp.alpha, n) - alpha).max() \
+            <= 1e-11 * np.abs(alpha).max()
+
+    @pytest.mark.parametrize("h, case, mirror", SELF_PARTNERED)
+    def test_derived_windows_match_direct_solves(
+            self, gap_sol, self_partnered_fibers, monkeypatch, h, case,
+            mirror):
+        # each derived window against its own solve: the trace of its
+        # mirror within 1.4e-3 eps * its mass, and the core rows J cols^T J
+        # within 1.8e-13 of max |alpha| (measured).  Of the windows other
+        # than the middle one at xi = 0 (its own mirror) and the two ends
+        # at xi = pi (no mirror), half are derived
+        op = self_partnered_fibers[h, case, mirror]
+        beta = gap_sol.beta_c
+        window, solved = bv._window, []
+
+        def recording(op, beta, lo, hi, a, b, columns=False):
+            solved.append((lo, hi, a, b))
+            return window(op, beta, lo, hi, a, b, columns)
+
+        monkeypatch.setattr(bv, "_window", recording)
+        fp = bv._fiber_pass(op, beta, mirror)
+        n = len(op.momenta)
+        spans = bv._window_spans(n, fp.window[1], mirror)
+        derived = [j for j, span in enumerate(spans) if span not in solved]
+        assert len(solved) == len(set(solved))
+        assert len(derived) == (len(spans) - 1 - mirror) // 2
+        scale = max(np.abs(rows).max() for *_, rows in fp.alpha)
+        eps, end = np.finfo(float).eps, n - mirror
+        for j in derived:
+            lo, hi, a, b = spans[j]
+            source = (end - hi, end - lo, end - b, end - a)
+            assert source in solved
+            trace, mass, rows, _ = window(op, beta, lo, hi, a, b)
+            assert abs(window(op, beta, *source)[0] - trace) \
+                <= 1e-2 * eps * mass
+            assert fp.alpha[j][:2] == (a, lo)
+            assert np.abs(fp.alpha[j][2] - rows).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("mirror", [0, 1])
+    def test_a_tiny_buffer_doubles(self, gap_sol, self_partnered_fibers,
+                                   monkeypatch, mirror):
+        check_tiny_buffer(self_partnered_fibers[0.015625, "rich_fields",
+                                                mirror],
+                          gap_sol.beta_c, monkeypatch, mirror)
+
+    @pytest.mark.parametrize("mirror", [0, 1])
+    def test_a_leak_above_the_bound_grows_to_the_whole_fiber(
+            self, gap_sol, self_partnered_fibers, monkeypatch, mirror):
+        check_whole_fiber_fallback(
+            self_partnered_fibers[0.015625, "gl_state", mirror],
+            gap_sol.beta_c, monkeypatch, mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -952,11 +1098,11 @@ class TestAlphaDistance:
         target = bv.FiberBasis(0.25, 8, 4).half_nodes[1]
         fiber_pass, passed = bv._fiber_pass, []
 
-        def failing(op, beta):
+        def failing(op, beta, mirror=None):
             passed.append(op.momenta[op.momenta.size // 2])
             if passed[-1] == target:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return fiber_pass(op, beta)
+            return fiber_pass(op, beta, mirror)
 
         monkeypatch.setattr(bv, "_fiber_pass", failing)
         with pytest.raises(RuntimeError, match="eigensolver failed on the "
@@ -1119,7 +1265,7 @@ def rich_fields():
 
 def _all_nodes(basis, one):
     """Every node of the grid diagonalized on its own, no folding."""
-    return [c for xi in basis.xi_nodes for c in one(xi, False)]
+    return [c for xi in basis.xi_nodes for c in one(xi, False, None)]
 
 
 class TestPartnerFibers:
@@ -1249,10 +1395,11 @@ class TestBlochLadder:
         # odd part 3: rungs M = 3, 6, 12, the first two from one batch;
         # each rung's contributions are those of its own full grid
         basis = bv.FiberBasis(0.25, 4, 12)
-        built, rungs = [], []
+        built, rungs, flags = [], [], {}
 
-        def one(xi, partnered):
+        def one(xi, partnered, mirror):
             built.append(xi)
+            flags[xi] = partnered, mirror
             return ((xi,), (-xi,)) if partnered else ((xi,),)
 
         def quadrature(parts, m):
@@ -1270,6 +1417,12 @@ class TestBlochLadder:
         assert record == {"m_fibers": 12, "capped": True, "delta_M": 6}
         assert len(built) == len(set(built))
         np.testing.assert_array_equal(sorted(built), basis.half_nodes)
+        # xi = 0 and xi = pi are their own partners, with the reflections
+        # n -> -n and n -> -1 - n of their modes
+        nodes = basis.half_nodes
+        assert flags[nodes[0]] == (False, 0)
+        assert flags[nodes[-1]] == (False, 1)
+        assert all(flags[xi] == (True, None) for xi in nodes[1:-1])
 
     @pytest.mark.parametrize("above, rungs", [(3.0, [6, 12]), (11.5, [12])])
     def test_rungs_start_above_the_lower_bound(self, above, rungs):
@@ -1282,7 +1435,7 @@ class TestBlochLadder:
 
         with pytest.warns(UserWarning, match="reached the cap"):
             _, record = bv._bloch_ladder(
-                basis, lambda xi, partnered: ((xi,),) * (1 + partnered),
+                basis, lambda xi, partnered, mirror: ((xi,),) * (1 + partnered),
                 quadrature, above=above)
         assert seen == rungs
         assert record["delta_M"] == (None if len(rungs) == 1 else 6)

@@ -713,7 +713,7 @@ class TestSweepCommands:
             return op
 
         monkeypatch.setattr(bv, "build_fiber", recording)
-        # eight fibers: partnered nodes plus the unpartnered 0 and pi
+        # eight fibers: partnered nodes plus the self-partnered 0 and pi
         path = write_config(
             tmp_path,
             grids=fast_grids(h_list=[0.25, 0.125, 0.0625], fiber_m=8))
@@ -727,6 +727,17 @@ class TestSweepCommands:
         # A = 0 and W = 0.5 cos make the GL state real, so the energy
         # sweep runs on real fibers; the other two probe a complex psi
         assert kinds == ({"f"} if command == "verify-energy" else {"c"})
+
+
+def solved_windows(spans, n, mirror):
+    """The windows a fiber pass solves: all of ``spans`` but the images,
+    under the fiber's reflection ``i -> n - 1 - mirror - i``, of earlier
+    windows."""
+    if mirror is None:
+        return spans
+    end = n - mirror
+    return [(lo, hi, a, b) for i, (lo, hi, a, b) in enumerate(spans)
+            if (end - hi, end - lo, end - b, end - a) not in spans[:i]]
 
 
 class TestSharedFiberPass:
@@ -747,12 +758,12 @@ class TestSharedFiberPass:
             built.append((basis.h, xi, op))
             return op
 
-        def recording_pass(op, beta):
+        def recording_pass(op, beta, mirror=None):
             # one worker: the eigensolves between entry and exit are the
             # pass's own
             solves.clear()
-            fp = fiber_pass(op, beta)
-            passes.append((op, list(solves), fp.window))
+            fp = fiber_pass(op, beta, mirror)
+            passes.append((op, list(solves), fp.window, mirror))
             return fp
 
         def recording(kind, solver):
@@ -782,18 +793,26 @@ class TestSharedFiberPass:
             np.testing.assert_array_equal(
                 sorted(nodes),
                 bv.FiberBasis(0.5, 1, extra["m_fibers"]).half_nodes)
-        # one pass per fiber: an eigh of each window's 2w x 2w matrix and
-        # of its two w x w free blocks, no eigvalsh, and neither the
-        # 2N x 2N fiber nor its N x N blocks assembled
+        # one pass per fiber: an eigh of each solved window's 2w x 2w
+        # matrix and of its two w x w free blocks, no eigvalsh, and neither
+        # the 2N x 2N fiber nor its N x N blocks assembled.  The fibers
+        # xi = 0 and xi = pi solve one window of each mirror pair
         assert ([id(op) for _, _, op in built]
-                == [id(op) for op, _, _ in passes])
-        for op, fiber_solves, (_, buffer, _) in passes:
-            spans = bv._window_spans(len(op.momenta), buffer)
+                == [id(op) for op, _, _, _ in passes])
+        assert sorted(mirror for *_, mirror in passes
+                      if mirror is not None) == [0, 0, 0, 1, 1, 1]
+        derived = 0
+        for op, fiber_solves, (_, buffer, _), mirror in passes:
+            n = len(op.momenta)
+            spans = bv._window_spans(n, buffer, mirror)
+            solved = solved_windows(spans, n, mirror)
             assert len(spans) > 1
+            derived += len(spans) - len(solved)
             assert sorted(fiber_solves) == sorted(
-                ("eigh", size) for lo, hi, _, _ in spans
+                ("eigh", size) for lo, hi, _, _ in solved
                 for size in (2 * (hi - lo), hi - lo, hi - lo))
             assert held_arrays(op) == []
+        assert derived > 0
         assert (tmp_path / "out" / "sweeps" / "pair_distance.json").is_file()
 
         built.clear()
@@ -1315,10 +1334,10 @@ class TestWorkerPool:
         h_list, lost = [*self.H_LIST, 0.03125], self.H_LIST[1]
         fiber_pass = bv._fiber_pass
 
-        def failing(op, beta):
+        def failing(op, beta, mirror=None):
             if op.h == lost and op.momenta[op.momenta.size // 2] == 0.0:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return fiber_pass(op, beta)
+            return fiber_pass(op, beta, mirror)
 
         monkeypatch.setattr(bv, "_fiber_pass", failing)
         path = write_config(tmp_path, grids=fast_grids(h_list=h_list))
