@@ -13,16 +13,19 @@ and a quartic term averaged over a grid that depends on psi alone: with
 ``4 N + 1`` points integrate it exactly.  Neither part has any
 quadrature or dealiasing error.
 
-One routine evaluates the energy and its Wirtinger gradient on the
-grid; the descent assembles the exact Hessian from the same grid
-samples, as ``Q`` plus two convolution matrices of the grid
+One evaluator per descent, built once from the fields, returns the
+energy, its Wirtinger gradient and the exact Hessian from the same grid
+samples: the Hessian is ``Q`` plus two convolution matrices of the grid
 coefficients of ``|psi|^2`` and ``psi^2``.  The unknowns are few (the
 real and imaginary parts of ``2 N + 1`` coefficients), so minimization
-runs a dense trust-region Newton descent, one eigendecomposition of the
-Hessian per step, from several starting fields and keeps the lowest
-local minimum; the constant fields ``psi = 1`` and ``psi = 0`` (always a
-critical point, with energy exactly ``B3``) bound the reported energy
-from above by construction.
+runs a dense trust-region Newton descent from several starting fields
+and keeps the lowest local minimum.  An interior Newton step comes from
+a Cholesky test and one solve, with the global-phase zero mode of
+complex descents lifted by a rank-one term; one eigendecomposition runs
+only when the Hessian is indefinite or the step leaves the trust region.
+The constant fields ``psi = 1`` and ``psi = 0`` (always a critical
+point, with energy exactly ``B3``) bound the reported energy from above
+by construction.
 
 When ``A = 0`` and ``W`` is even (every coefficient of ``a`` exactly 0,
 every coefficient of ``w`` exactly real) the energy is invariant under
@@ -60,6 +63,9 @@ __all__ = [
 #: of it (:func:`_descend`), and the step cap of each descent.
 _GTOL = 1e-9
 _MAX_STEPS = 100
+#: Machine epsilon: a gradient below ``_EPS * |Q psi|``, one of the
+#: terms it is the sum of, is zero to working precision.
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -271,60 +277,100 @@ def _unpack(z: np.ndarray) -> np.ndarray:
     return z[:half] + 1j * z[half:]
 
 
-def _grid_coeffs(values: np.ndarray, n_max: int) -> np.ndarray:
-    """Fourier coefficients ``-n_max .. n_max`` of grid samples."""
-    m = len(values)
-    return (np.fft.fft(values) / m)[np.arange(-n_max, n_max + 1) % m]
+class _Evaluator:
+    """Energy, gradient and Hessian of one descent, in its unknowns.
 
-
-def _evaluate(psi: TorusField, quad: np.ndarray, coef: GLCoefficients,
-              m: int | None = None):
-    """Energy and Wirtinger gradient at ``psi``.
-
-    ``quad`` is :func:`_quadratic_part` on ``psi``'s modes; the quartic
-    term is averaged over ``m`` grid points (default: the smallest fast
-    size ``>= 4 N + 1``).  Returns ``(energy, grad, psi_g)``: ``grad``
-    holds the coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``, and
-    ``psi_g`` the samples of ``psi`` on the grid, from which
-    :func:`_hessian` assembles the Hessian.
+    Built once per ``(a, w, coef, n_max)``: ``Q`` (:func:`_quadratic_part`
+    on the modes ``-N .. N``), the collocation grid of ``m`` points
+    (default: the smallest fast size ``>= 4 N + 1``), the FFT slots of
+    psi's modes on that grid, and the Toeplitz gather index that reads a
+    multiplier's matrix ``C[i, j] = f_{n_i - n_j}`` off the multiplier's
+    FFT.  The unknowns are the real coefficients when ``A = 0`` and ``W``
+    is even (module docstring), the packed ``[Re, Im]`` ones otherwise.
     """
-    n_max = psi.n_max
-    m = m or next_fast_len(4 * n_max + 1)
-    q_psi = quad @ psi.coeffs
-    psi_g = psi.values_on_grid(m)
-    abs2 = np.abs(psi_g) ** 2
-    # B3 multiplies the *mean* of the quartic term, not the grid values,
-    # so a mean that is exact (e.g. at psi = 0) contributes without
-    # reduction roundoff
-    energy = np.vdot(psi.coeffs, q_psi) + coef.B3 * np.mean((1.0 - abs2) ** 2)
-    scale = max(1.0, abs(energy))
-    if abs(energy.imag) > 1e-12 * scale:
-        raise FloatingPointError(
-            f"energy has imaginary residue {energy.imag:.3e}; "
-            "are the external fields real?"
-        )
-    grad = q_psi + _grid_coeffs(-2.0 * coef.B3 * (1.0 - abs2) * psi_g, n_max)
-    return float(energy.real), grad, psi_g
 
+    def __init__(self, a: TorusField, w: TorusField, coef: GLCoefficients,
+                 n_max: int, m: int | None = None):
+        modes = np.arange(-n_max, n_max + 1)
+        self.coef = coef
+        self.quad = _quadratic_part(a, w, coef, n_max)
+        self.real = not a.coeffs.any() and not w.coeffs.imag.any()
+        self.m = m or next_fast_len(4 * n_max + 1)
+        self.slots = modes % self.m
+        self.gather = (modes[:, None] - modes[None, :]) % self.m
 
-def _hessian(quad: np.ndarray, coef: GLCoefficients, psi_g: np.ndarray,
-             n_max: int):
-    """Exact Hessian ``(lin, conj)`` at the field with grid samples
-    ``psi_g`` (from :func:`_evaluate`) and modes ``-n_max .. n_max``:
-    ``lin @ eta + conj @ conj(eta)`` holds the coefficients of
-    ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``, whose
-    multipliers (frequencies up to ``2 N``) the grid resolves.
-    """
-    modes = np.arange(-n_max, n_max + 1)
+    def coeffs(self, z: np.ndarray) -> np.ndarray:
+        return z.astype(complex) if self.real else _unpack(z)
 
-    def multiplier(values):
-        f = TorusField(_grid_coeffs(values, 2 * n_max), 2 * n_max)
-        return 2.0 * coef.B3 * _coeff_matrix(f, modes)
+    def unknowns(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs.real if self.real else _pack(coeffs)
 
-    # conj(eta) has coefficient conj(eta_{-n}) at mode n, hence the
-    # reversed columns
-    return (quad + multiplier(2.0 * np.abs(psi_g) ** 2 - 1.0),
-            multiplier(psi_g ** 2)[:, ::-1])
+    def phase(self, z: np.ndarray) -> np.ndarray | None:
+        """The global-phase direction ``i psi`` in packed unknowns; None
+        for real ones, which have no continuous phase."""
+        if self.real:
+            return None
+        half = len(z) // 2
+        return np.concatenate([-z[half:], z[:half]])
+
+    def energy(self, coeffs: np.ndarray):
+        """Energy and Wirtinger gradient at the field with ``coeffs``.
+
+        Returns ``(energy, grad, psi_g, q_psi)``: ``grad`` holds the
+        coefficients of ``Q psi - 2 B3 (1-|psi|^2) psi``, ``psi_g`` the
+        samples of ``psi`` on the grid, from which :meth:`hessian`
+        assembles the Hessian, and ``q_psi`` those of ``Q psi``.
+        """
+        q_psi = self.quad @ coeffs
+        packed = np.zeros(self.m, dtype=complex)
+        packed[self.slots] = coeffs
+        psi_g = np.fft.ifft(packed) * self.m
+        abs2 = np.abs(psi_g) ** 2
+        # B3 multiplies the *mean* of the quartic term, not the grid values,
+        # so a mean that is exact (e.g. at psi = 0) contributes without
+        # reduction roundoff
+        energy = np.vdot(coeffs, q_psi) + self.coef.B3 * np.mean(
+            (1.0 - abs2) ** 2)
+        scale = max(1.0, abs(energy))
+        if abs(energy.imag) > 1e-12 * scale:
+            raise FloatingPointError(
+                f"energy has imaginary residue {energy.imag:.3e}; "
+                "are the external fields real?"
+            )
+        quartic = np.fft.fft(-2.0 * self.coef.B3 * (1.0 - abs2) * psi_g)
+        grad = q_psi + (quartic / self.m)[self.slots]
+        return float(energy.real), grad, psi_g, q_psi
+
+    def hessian(self, psi_g: np.ndarray):
+        """Exact Hessian ``(lin, conj)`` at the field with grid samples
+        ``psi_g``: ``lin @ eta + conj @ conj(eta)`` holds the coefficients
+        of ``Q eta + 2 B3 ((2 |psi|^2 - 1) eta + psi^2 conj(eta))``, whose
+        multipliers (frequencies up to ``2 N``) the grid resolves.
+        """
+        def multiplier(values):
+            return 2.0 * self.coef.B3 * (np.fft.fft(values) / self.m)[
+                self.gather]
+
+        # conj(eta) has coefficient conj(eta_{-n}) at mode n, hence the
+        # reversed columns
+        return (self.quad + multiplier(2.0 * np.abs(psi_g) ** 2 - 1.0),
+                multiplier(psi_g ** 2)[:, ::-1])
+
+    def __call__(self, z: np.ndarray):
+        """Energy, gradient and Hessian in the unknowns, the l2 norm of
+        the full Wirtinger gradient, and its roundoff floor."""
+        energy, grad, psi_g, q_psi = self.energy(self.coeffs(z))
+        lin, conj = self.hessian(psi_g)
+        if self.real:
+            jac, hess = 2.0 * grad.real, 2.0 * (lin + conj).real
+        else:
+            n = len(grad)
+            plus, minus = 2.0 * (lin + conj), 2.0 * (lin - conj)
+            jac, hess = 2.0 * _pack(grad), np.empty((2 * n, 2 * n))
+            hess[:n, :n], hess[:n, n:] = plus.real, -minus.imag
+            hess[n:, :n], hess[n:, n:] = plus.imag, minus.real
+        return (energy, jac, hess, float(np.linalg.norm(grad)),
+                _EPS * float(np.linalg.norm(q_psi)))
 
 
 def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
@@ -337,7 +383,7 @@ def gl_energy(psi: TorusField, a: TorusField, w: TorusField,
     points, so every term is integrated exactly; the imaginary residue
     is checked against 1e-12 before being discarded.
     """
-    return _evaluate(psi, _quadratic_part(a, w, coef, psi.n_max), coef)[0]
+    return _Evaluator(a, w, coef, psi.n_max).energy(psi.coeffs)[0]
 
 
 def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
@@ -350,8 +396,8 @@ def gl_gradient(psi: TorusField, a: TorusField, w: TorusField,
     derivative of the energy along ``eta`` is
     ``2 Re <eta, grad>`` (see :func:`directional_derivative`).
     """
-    quad = _quadratic_part(a, w, coef, psi.n_max)
-    return TorusField(_evaluate(psi, quad, coef)[1], psi.n_max)
+    grad = _Evaluator(a, w, coef, psi.n_max).energy(psi.coeffs)[1]
+    return TorusField(grad, psi.n_max)
 
 
 def directional_derivative(grad: TorusField, eta: TorusField) -> float:
@@ -409,28 +455,39 @@ class GLState:
         )
 
 
-def _in_unknowns(grad: np.ndarray, hess, real: bool):
-    """:func:`_evaluate`'s gradient and :func:`_hessian` in the real
-    unknowns: the real coefficients (``real``) or the packed ``[Re, Im]``
-    ones."""
-    lin, conj = hess
-    if real:
-        return 2.0 * grad.real, 2.0 * (lin + conj).real
-    return 2.0 * _pack(grad), 2.0 * np.block(
-        [[(lin + conj).real, (conj - lin).imag],
-         [(lin + conj).imag, (lin - conj).real]])
+def _trust_step(hess: np.ndarray, jac: np.ndarray, radius: float,
+                phase: np.ndarray | None = None) -> np.ndarray:
+    """Minimizer of ``jac.p + p.hess.p / 2`` over ``|p| <= radius``.
 
+    The interior Newton step comes from one Cholesky test and one solve
+    (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983) 553; Nocedal
+    and Wright, *Numerical Optimization*, 2nd ed., Alg. 4.3).  ``phase``
+    is the global-phase direction ``v = i psi`` of packed unknowns: the
+    energy does not change along it, so ``jac`` is orthogonal to it and,
+    at a critical point, ``hess v = 0``.  ``sigma v v^T``, with ``sigma
+    |v|^2`` the largest diagonal entry of ``hess``, lifts that zero mode
+    out of the solve.  When the shifted matrix factors and its Newton
+    step fits in the radius, that step is returned.
 
-def _trust_step(hess: np.ndarray, jac: np.ndarray,
-                radius: float) -> np.ndarray:
-    """Minimizer of ``jac.p + p.hess.p / 2`` over ``|p| <= radius`` from
-    one ``eigh`` (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)
-    553): ``p = -(hess + s)^+ jac`` for the least shift
-    ``s >= max(0, -lambda_min)`` that fits.  Eigenvalues within roundoff
-    of ``-s`` are left out: at ``s = 0`` the zero modes, such as the
-    global phase; on an indefinite ``hess`` the lowest, whose eigenvector
-    makes up the length, signed to descend, in the hard case.
+    Otherwise one ``eigh`` of ``hess`` gives ``p = -(hess + s)^+ jac``
+    for the least shift ``s >= max(0, -lambda_min)`` that fits.
+    Eigenvalues within roundoff of ``-s`` are left out: at ``s = 0`` the
+    zero modes, such as the global phase; on an indefinite ``hess`` the
+    lowest, whose eigenvector makes up the length, signed to descend, in
+    the hard case.
     """
+    shifted = hess
+    if phase is not None and (norm2 := phase @ phase) > 0.0:
+        shifted = hess + (np.diag(hess).max() / norm2) * np.outer(phase,
+                                                                  phase)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        step = np.linalg.solve(shifted, -jac)
+        if np.linalg.norm(step) <= radius:
+            return step
     lam, vecs = np.linalg.eigh(hess)
     c = vecs.T @ jac
     tol = 1e-12 * np.abs(lam).max()
@@ -460,57 +517,48 @@ def _trust_step(hess: np.ndarray, jac: np.ndarray,
 def _descend(start: TorusField, label: str, a, w, coef):
     """Trust-region Newton descent on the exact Hessian from one start.
 
-    The unknowns are the real coefficients when ``A = 0`` and ``W`` is
-    even (module docstring), the packed ``[Re, Im]`` ones otherwise; the
-    reported gradient norm is that of the full gradient.  A step is
-    accepted when the energy falls by a quarter of the model's
-    prediction or, at roundoff, stays within a 1e-13 relative slack
-    while the gradient falls; the descent ends once the gradient is
-    below ``_GTOL / 10`` and a step no longer halves it, and is
-    converged only then, not when it stops on ``_MAX_STEPS``.
+    One :class:`_Evaluator` serves the whole descent; the reported
+    gradient norm is that of the full gradient.  Each step is
+    :func:`_trust_step`'s, with the global phase deflated on packed
+    unknowns.  A step is accepted when the energy falls by a quarter of
+    the model's prediction or, at roundoff, stays within a 1e-13
+    relative slack while the gradient falls.  The descent ends once the
+    gradient is below ``_GTOL / 10`` and either a step no longer halves
+    it or it is below its roundoff floor ``_EPS * |Q psi|``, and is
+    converged only then, not when it stops on ``_MAX_STEPS``.  The floor
+    ends a descent whose state is exactly symmetric: a Cholesky solve
+    keeps it so, and its gradient can halve down to underflow.
     """
-    n_max = start.n_max
-    quad = _quadratic_part(a, w, coef, n_max)
-    real = not a.coeffs.any() and not w.coeffs.imag.any()
-
-    def to_coeffs(z):
-        return z.astype(complex) if real else _unpack(z)
-
-    def evaluate(z):
-        """Energy, gradient, Hessian, full gradient norm."""
-        energy, grad, psi_g = _evaluate(
-            TorusField(to_coeffs(z), n_max), quad, coef)
-        hess = _hessian(quad, coef, psi_g, n_max)
-        return (energy, *_in_unknowns(grad, hess, real),
-                float(np.linalg.norm(grad)))
-
-    z = start.coeffs.real if real else _pack(start.coeffs)
-    energy, jac, hess, grad_norm = evaluate(z)
+    evaluate = _Evaluator(a, w, coef, start.n_max)
+    z = evaluate.unknowns(start.coeffs)
+    energy, jac, hess, grad_norm, floor = evaluate(z)
     energies = [energy]
     slack = 1e-13 * max(1.0, abs(energy))
     radius, halved, iterations = 1.0, True, 0
-    while (not (converged := grad_norm < 0.1 * _GTOL and not halved)
+    while (not (converged := grad_norm < 0.1 * _GTOL
+                and (not halved or grad_norm <= floor))
            and iterations < _MAX_STEPS):
         iterations += 1
-        step = _trust_step(hess, jac, radius)
+        step = _trust_step(hess, jac, radius, evaluate.phase(z))
+        length = np.linalg.norm(step)
         trial = evaluate(z + step)
         predicted = -(jac @ step + 0.5 * step @ hess @ step)
         rho = (energy - trial[0]) / predicted if predicted > 0 else -math.inf
         halved = trial[3] <= 0.5 * grad_norm
         if rho < 0.25 and not (trial[0] <= energy + slack
                                and trial[3] < grad_norm):
-            radius, halved = 0.25 * np.linalg.norm(step), False
+            radius, halved = 0.25 * length, False
             continue
-        if rho > 0.75 and np.linalg.norm(step) >= 0.99 * radius:
+        if rho > 0.75 and length >= 0.99 * radius:
             radius *= 2.0
         z = z + step
-        energy, jac, hess, grad_norm = trial
+        energy, jac, hess, grad_norm, floor = trial
         energies.append(energy)
     record = {"start": label, "energy": energy, "gradient_norm": grad_norm,
               "iterations": iterations,
               "monotone": bool(np.all(np.diff(energies) <= slack))}
-    return GLState(TorusField(to_coeffs(z), n_max), energy, grad_norm,
-                   converged=converged, history=[record])
+    return GLState(TorusField(evaluate.coeffs(z), start.n_max), energy,
+                   grad_norm, converged=converged, history=[record])
 
 
 def _default_starts(n_max: int, seed: int) -> list[tuple[str, TorusField]]:
@@ -539,8 +587,9 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     the gradient's roundoff floor, and reduces by lowest energy.
     ``psi = 0`` is always a critical point with energy exactly ``B3``;
     if no descent beats it, the zero state is returned, so the reported
-    energy never exceeds ``min(B3, E(psi = 1))``.  A returned state that
-    is not converged warns (``UserWarning``), naming the starts whose
+    energy never exceeds ``min(B3, E(psi = 1))``.  That zero state is
+    converged only if some descent converged.  A returned state that is
+    not converged warns (``UserWarning``), naming the starts whose
     descents stopped on ``_MAX_STEPS``.
 
     Parameters
@@ -568,7 +617,7 @@ def minimize(a: TorusField, w: TorusField, coef: GLCoefficients,
     if coef.B3 < best.energy:
         best = GLState(
             psi=TorusField.constant(0.0, n_max), energy=coef.B3,
-            gradient_norm=0.0, converged=True,
+            gradient_norm=0.0, converged=len(stopped) < len(states),
         )
     best.history = history
     if not best.converged:

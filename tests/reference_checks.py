@@ -234,7 +234,9 @@ def gauge_transform(psi, a, chi):
     new_n_max = psi.n_max + chi.n_max + 16
     m = next_fast_len(2 * new_n_max + 2)
     transformed = psi.values_on_grid(m) * np.exp(-2j * chi.values_on_grid(m))
-    out = gm.TorusField(gm._grid_coeffs(transformed, new_n_max), new_n_max)
+    coeffs = (np.fft.fft(transformed) / m)[
+        np.arange(-new_n_max, new_n_max + 1) % m]
+    out = gm.TorusField(coeffs, new_n_max)
     return out, a + chi.derivative()
 
 

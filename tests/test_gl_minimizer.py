@@ -19,10 +19,7 @@ from bcsgl.gl_minimizer import (
     GLState,
     TorusField,
     _descend,
-    _evaluate,
-    _hessian,
-    _in_unknowns,
-    _quadratic_part,
+    _Evaluator,
     _trust_step,
     directional_derivative,
     gl_energy,
@@ -55,16 +52,16 @@ def _norm_l2(f):
 def _hessian_action(psi, eta, a, w, coef):
     """Exact Hessian action along ``eta`` as complex coefficients, with
     the Wirtinger gradient at ``psi``."""
-    quad = _quadratic_part(a, w, coef, psi.n_max)
-    _, grad, psi_g = _evaluate(psi, quad, coef)
-    lin, conj = _hessian(quad, coef, psi_g, psi.n_max)
+    evaluate = _Evaluator(a, w, coef, psi.n_max)
+    _, grad, psi_g, _ = evaluate.energy(psi.coeffs)
+    lin, conj = evaluate.hessian(psi_g)
     return lin @ eta.coeffs + conj @ np.conj(eta.coeffs), grad
 
 
 def _grid_route(psi, a, w, coef):
     """Energy, gradient and Hessian action with the covariant derivative
     applied on the collocation grid, the route the matrix form replaced:
-    an independent oracle for :func:`_evaluate`."""
+    an independent oracle for :class:`_Evaluator`."""
     n_max = psi.n_max
     m = next_fast_len(4 * max(psi.n_max, a.n_max, w.n_max) + 1)
     mult = 2j * np.pi * np.fft.fftfreq(m, d=1.0 / m)
@@ -91,6 +88,19 @@ def _grid_route(psi, a, w, coef):
             + 2.0 * coef.B3 * (abs2 * eta_g + psi_g ** 2 * np.conj(eta_g)))
 
     return energy, grad, hessp
+
+
+def _eigh_spy(monkeypatch):
+    """Route ``numpy.linalg.eigh`` through a spy; returns the list of the
+    matrix shapes it is called on."""
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
 
 
 def _assert_hessian_action(psi, eta, a, w, coef, eps=1e-5):
@@ -208,8 +218,8 @@ class TestEnergy:
         a = TorusField.cosine(0.2, 1)
         w = TorusField.cosine(0.5, 1)
         coarse = gl_energy(psi, a, w, gl_coef)
-        quad = _quadratic_part(a, w, gl_coef, psi.n_max)
-        fine = _evaluate(psi, quad, gl_coef, m=512)[0]
+        fine = _Evaluator(a, w, gl_coef, psi.n_max, m=512).energy(
+            psi.coeffs)[0]
         assert coarse == pytest.approx(fine, rel=1e-14)
 
     def test_global_phase_invariance(self, gl_coef):
@@ -237,8 +247,8 @@ class TestGridOracle:
         else:
             psi = TorusField(_random_field(7, rng).coeffs.real, 7)
             a, w = ZERO, TorusField.cosine(0.5, 1)
-        energy, grad, _ = _evaluate(
-            psi, _quadratic_part(a, w, gl_coef, psi.n_max), gl_coef)
+        energy, grad, _, _ = _Evaluator(a, w, gl_coef, psi.n_max).energy(
+            psi.coeffs)
         energy_g, grad_g, hessp_g = _grid_route(psi, a, w, gl_coef)
         assert energy == pytest.approx(energy_g, rel=1e-12)
         pairs = [(grad, grad_g)]
@@ -349,40 +359,79 @@ class TestMinimize:
         assert state.energy <= repulsive.B3
         assert np.abs(state.psi.coeffs).max() < 1e-4
 
-    def test_zero_state_when_no_descent_beats_b3(self, gl_coef):
+    def test_zero_state_when_no_descent_beats_b3(self, gl_coef, monkeypatch):
         # B2 W = 2 B3 + 1e-9 makes E - B3 = B1 |psi'|^2 + 1e-9 |psi|^2
-        # + B3 |psi|^4 >= 0, so psi = 0 is the minimum.  With B1 = 100 the
-        # trust step drops the constant mode, whose Hessian eigenvalue near
-        # psi = 0 falls below 1e-12 of the largest, so every descent stops
-        # at a small constant psi, some 100 units of roundoff above B3
+        # + B3 |psi|^4 >= 0, so psi = 0 is the minimum.  Three steps leave
+        # every descent visibly above B3, so minimize returns the zero
+        # state; no descent converged, so neither did the search, and the
+        # warning names the four starts
+        monkeypatch.setattr(gm, "_MAX_STEPS", 3)
+        coef = GLCoefficients(np.array([[100.0]]), 2.0 * gl_coef.B3 + 1e-9,
+                              gl_coef.B3, gl_coef.D, gl_coef.beta_c)
+        with pytest.warns(UserWarning, match="not converged: the descents from "
+                          "constant-1, constant-0.5, random-0, random-1 stopped"
+                          " at 3 steps"):
+            state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=16)
+        assert all(rec["energy"] > coef.B3 for rec in state.history)
+        assert state.energy == coef.B3
+        assert not state.converged
+        assert state.gradient_norm == 0.0
+        assert not state.psi.coeffs.any()
+        assert [rec["start"] for rec in state.history] == [
+            "constant-1", "constant-0.5", "random-0", "random-1"]
+
+    def test_zero_state_is_converged_when_a_descent_converged(
+            self, gl_coef, monkeypatch):
+        """The zero state takes its convergence from the descents: one
+        converged descent above B3 makes it converged, with no warning."""
+        monkeypatch.setattr(gm, "_MAX_STEPS", 3)
+        descend = gm._descend
+
+        def first_converged(start, label, a, w, coef):
+            state = descend(start, label, a, w, coef)
+            state.converged = label == "constant-1"
+            return state
+
+        monkeypatch.setattr(gm, "_descend", first_converged)
         coef = GLCoefficients(np.array([[100.0]]), 2.0 * gl_coef.B3 + 1e-9,
                               gl_coef.B3, gl_coef.D, gl_coef.beta_c)
         state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=16)
         assert all(rec["energy"] > coef.B3 for rec in state.history)
         assert state.energy == coef.B3
         assert state.converged
-        assert state.gradient_norm == 0.0
-        assert not state.psi.coeffs.any()
-        assert [rec["start"] for rec in state.history] == [
-            "constant-1", "constant-0.5", "random-0", "random-1"]
 
-    def test_descents_stopped_by_the_step_cap_are_not_converged(self,
-                                                                gl_coef):
-        # B2 W = 2 B3 - 1e-6 makes E - B3 = B1 |psi'|^2 - 1e-6 |psi|^2
-        # + B3 |psi|^4, whose minimum -1e-12 / (4 B3) sits at |psi|^2 =
-        # 1e-6 / (2 B3); the same flat constant mode as above keeps every
-        # descent stepping until the cap, short of that minimum; the
-        # returned state says so, and so does a warning that names the
-        # four starts
-        coef = GLCoefficients(np.array([[100.0]]), 2.0 * 0.25 - 1e-6, 0.25,
-                              gl_coef.D, gl_coef.beta_c)
+    def test_descents_stopped_by_the_step_cap_are_not_converged(
+            self, gl_coef, monkeypatch):
+        # one step from each start leaves every descent short of the
+        # reference minimum (the constant-1 one by 7e-12) and below B3;
+        # the returned state says so, and so does a warning that names
+        # the four starts
+        monkeypatch.setattr(gm, "_MAX_STEPS", 1)
         with pytest.warns(UserWarning, match="not converged: the descents from "
-                          "constant-1, constant-0.5, random-0, random-1 stopped"):
-            state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=32)
-        assert [rec["iterations"] for rec in state.history] == [
-            gm._MAX_STEPS] * 4
-        assert state.energy - coef.B3 > -1e-12
+                          "constant-1, constant-0.5, random-0, random-1 stopped"
+                          " at 1 steps"):
+            state = minimize(ZERO, TorusField.cosine(0.5, 1), gl_coef,
+                             n_max=32)
+        assert [rec["iterations"] for rec in state.history] == [1] * 4
+        assert all(rec["energy"] - REFERENCE_MIN_ENERGY > 1e-12
+                   for rec in state.history)
+        assert state.energy < gl_coef.B3
         assert not state.converged
+
+    @pytest.mark.parametrize("eps, n_max, max_steps", [
+        (1e-3, 16, 20), (1e-3, 32, 20), (1e-6, 32, 25), (1e-6, 64, 25)])
+    def test_condensation_threshold_converges(self, eps, n_max, max_steps):
+        """B1 = 100, B3 = 0.25, W = 1 and B2 = 2 B3 - eps: the minimum
+        ``-eps^2 / (4 B3)`` at constant ``|psi|^2 = eps / (2 B3)`` is
+        reached to the energy's roundoff, though the constant mode's
+        curvature is below 1e-12 of the largest Hessian eigenvalue at
+        eps = 1e-6."""
+        coef = GLCoefficients(np.array([[100.0]]), 2.0 * 0.25 - eps, 0.25,
+                              1.0, 1.0)
+        state = minimize(ZERO, TorusField.constant(1.0), coef, n_max=n_max)
+        assert state.converged
+        assert abs(state.energy - coef.B3 + eps ** 2 / (4 * coef.B3)) <= 1e-16
+        assert all(rec["iterations"] <= max_steps for rec in state.history)
 
     def test_mode_doubling_stability(self, reference_state, gl_coef):
         fine = minimize(ZERO, TorusField.cosine(0.5, 1), gl_coef, n_max=64)
@@ -513,10 +562,9 @@ class TestTrustRegion:
         descent must pass the psi = 0 saddle (energy B3) to the minimum."""
         w = TorusField.cosine(0.5, 1)
         start = TorusField.constant(0.5, 8)
-        quad = _quadratic_part(ZERO, w, square_coef, 8)
-        _, grad, psi_g = _evaluate(start, quad, square_coef)
-        hess = _hessian(quad, square_coef, psi_g, 8)
-        assert np.linalg.eigvalsh(_in_unknowns(grad, hess, True)[1])[0] < 0
+        evaluate = _Evaluator(ZERO, w, square_coef, 8)
+        hess = evaluate(evaluate.unknowns(start.coeffs))[2]
+        assert np.linalg.eigvalsh(hess)[0] < 0
         record = _descend(start, "constant-0.5", ZERO, w,
                           square_coef).history[0]
         best = minimize(ZERO, w, square_coef, n_max=8)
@@ -528,14 +576,79 @@ class TestTrustRegion:
         """At the A = 0.2 sin minimum the packed Hessian has the phase
         direction as a zero mode; the step pseudo-inverts it."""
         psi = g3_sin_state.psi
-        quad = _quadratic_part(TorusField.sine(0.2, 1),
-                               TorusField.cosine(0.5, 1), g3_coef, psi.n_max)
-        _, grad, psi_g = _evaluate(psi, quad, g3_coef)
-        hess = _hessian(quad, g3_coef, psi_g, psi.n_max)
-        jac, packed = _in_unknowns(grad, hess, False)
+        evaluate = _Evaluator(TorusField.sine(0.2, 1),
+                              TorusField.cosine(0.5, 1), g3_coef, psi.n_max)
+        _, jac, packed, _, _ = evaluate(evaluate.unknowns(psi.coeffs))
         lam = np.linalg.eigvalsh(packed)
         assert np.abs(lam).min() <= 1e-12 * np.abs(lam).max()
         assert np.linalg.norm(_trust_step(packed, jac, 1.0)) <= 1e-12
+
+    def test_cholesky_step_matches_eigh_step(self, reference_state, gl_coef,
+                                             monkeypatch):
+        """On a positive-definite Hessian the interior step comes from a
+        Cholesky test and one solve, without ``eigh``, and equals the
+        eigendecomposition's Newton step."""
+        w = TorusField.cosine(0.5, 1)
+        evaluate = _Evaluator(ZERO, w, gl_coef, 32)
+        _, jac, hess, _, _ = evaluate(
+            evaluate.unknowns(0.9 * reference_state.psi.coeffs))
+        lam, vecs = np.linalg.eigh(hess)
+        assert lam[0] > 0
+        newton = -vecs @ ((vecs.T @ jac) / lam)
+        calls = _eigh_spy(monkeypatch)
+        step = _trust_step(hess, jac, 2.0 * np.linalg.norm(newton))
+        assert calls == []
+        assert np.linalg.norm(step - newton) <= 1e-12 * np.linalg.norm(newton)
+
+    def test_indefinite_start_takes_the_hard_case(self, square_coef,
+                                                  monkeypatch):
+        """At the square well's psi = 0.5 the Cholesky test fails; the
+        one ``eigh`` finds the shifted Newton step inside the radius and
+        fills the length along the lowest eigenvector (the hard case)."""
+        w = TorusField.cosine(0.5, 1)
+        evaluate = _Evaluator(ZERO, w, square_coef, 8)
+        z = evaluate.unknowns(TorusField.constant(0.5, 8).coeffs)
+        _, jac, hess, _, _ = evaluate(z)
+        assert evaluate.phase(z) is None
+        lam, vecs = np.linalg.eigh(hess)
+        calls = _eigh_spy(monkeypatch)
+        step = _trust_step(hess, jac, 1.0)
+        assert calls == [hess.shape]
+        assert lam[0] < 0
+        assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-12)
+        # the length is made up along the lowest eigenvector
+        assert abs(vecs[:, 0] @ step) > 0.99
+
+    def test_deflated_step_has_no_phase_component(self, g3_sin_state,
+                                                  g3_coef):
+        """At the A = 0.2 sin minimum the packed Hessian's phase zero mode
+        is lifted by ``sigma v v^T``: the Cholesky step is the
+        pseudo-inverse step, and its part along ``i psi`` is the
+        gradient's roundoff along it over the lifted eigenvalue."""
+        psi = g3_sin_state.psi
+        evaluate = _Evaluator(TorusField.sine(0.2, 1),
+                              TorusField.cosine(0.5, 1), g3_coef, psi.n_max)
+        z = evaluate.unknowns(psi.coeffs)
+        _, jac, hess, _, _ = evaluate(z)
+        phase = evaluate.phase(z)
+        assert np.array_equal(evaluate.coeffs(phase), 1j * psi.coeffs)
+        unit = phase / np.linalg.norm(phase)
+        step = _trust_step(hess, jac, 1.0, phase)
+        pseudo = _trust_step(hess, jac, 1.0)
+        assert 0.0 < np.linalg.norm(step) <= 1e-12
+        assert abs(unit @ step) <= 2.0 * abs(unit @ jac) / np.diag(hess).max()
+        assert abs(unit @ step) <= 1e-6 * np.linalg.norm(step)
+        assert np.linalg.norm(step - pseudo) <= 1e-6 * np.linalg.norm(pseudo)
+
+    def test_fewer_eigensolves_than_steps(self, gl_coef, monkeypatch):
+        """On the benchmark scan's W = 0.5 call most steps are interior
+        Newton steps, which take no ``eigh``."""
+        calls = _eigh_spy(monkeypatch)
+        state = minimize(ZERO, TorusField.cosine(0.5, 1), gl_coef, n_max=16,
+                         seed=1)
+        steps = sum(rec["iterations"] for rec in state.history)
+        assert state.converged
+        assert len(calls) < steps
 
     @pytest.mark.parametrize("a_amp", [0.0, 0.2])
     @pytest.mark.parametrize("w_amp", [0.5, 2.0])
