@@ -6,7 +6,8 @@ dimension, the semiclassical statements that connect the two descriptions:
 
 ``specfun``
     Numerically stable special functions (Fermi weight f, occupation rho,
-    the g-family, the gap-operator symbol) and confluent divided differences.
+    the g-family, the gap-operator symbol) and the two-node divided
+    difference f[x, y] of the fiber traces.
 ``gap_solver``
     Critical temperature and translation-invariant gap profile for a local
     attractive potential, solved in the even momentum sector.

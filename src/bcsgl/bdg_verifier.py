@@ -20,15 +20,16 @@ The Bloch grid is symmetric about 0, ``xi_k = 2 pi k / M`` for
 and ``-xi`` are particle-hole partners: swapping particle and hole,
 reflecting the modes (``n -> -n``, matrix ``J``) and conjugating maps
 ``H(xi)`` to ``-H(-xi)``.  So the spectrum at ``-xi`` is the mirrored
-spectrum at ``xi`` and the pair block there is ``J alpha(xi)^T J``;
-every observable diagonalizes only ``xi = 0``, the positive nodes and
-(for even ``M``) ``xi = pi`` -- ``floor(M/2) + 1`` fibers -- and folds in
-each partner's contribution without another eigensolve.  The fibers
-``xi = 0`` and ``xi = pi`` are their own partners, ``xi = pi`` through
-the reflection ``n -> -1 - n`` (``kappa_n -> -kappa_n``), which leaves
-mode ``n_max`` without a mirror.  The map holds window by window, so on
-a partition symmetric under the reflection their pass solves one window
-of each mirror pair and derives the other (:func:`_fiber_pass`).
+spectrum at ``xi`` and the pair block there is ``J alpha(xi)^T J``
+(:func:`_reflection`); every observable diagonalizes only ``xi = 0``,
+the positive nodes and (for even ``M``) ``xi = pi`` -- ``floor(M/2) +
+1`` fibers -- and folds in each partner's contribution without another
+eigensolve.  The fibers ``xi = 0`` and ``xi = pi`` are their own
+partners, ``xi = pi`` through the reflection ``n -> -1 - n`` (``kappa_n
+-> -kappa_n``), which leaves mode ``n_max`` without a mirror.  The map
+holds window by window, so on a partition symmetric under the reflection
+their pass solves one window of each mirror pair and derives the other
+(:func:`_fiber_pass`).
 
 Everything is exact-spectral: the kinetic term, the field couplings
 (finite Fourier series), and the pair symbol ``t`` (evaluated through
@@ -364,25 +365,25 @@ def _mode_profile(f: TorusField, n: int) -> np.ndarray:
 def _fold_fibers(basis: FiberBasis, one: Callable) -> list:
     """Per-fiber contributions over the whole Bloch grid.
 
-    ``one(xi, partnered, mirror)`` runs on the half grid ``0 <= xi <= pi``
-    and returns a tuple: the contribution of fiber ``xi`` and, when
-    ``partnered`` (``0 < xi < pi``), that of its particle-hole partner
-    ``-xi``, derived from fiber ``xi`` without another eigensolve.  The
-    fibers ``xi = 0`` and ``xi = pi`` are their own partners: ``mirror``
-    is the shift ``s`` of the reflection ``n -> -n - s`` that maps their
-    modes onto themselves, 0 for the first node and 1 for the node
-    ``k = M/2`` (told apart by index, not by comparing ``xi`` with
-    ``pi``), and ``None`` for every other node (:func:`_fiber_pass`).  The
-    result lists one contribution per node of ``basis.xi_nodes``.  The
-    fibers run in node order on the calling thread, the thread of their h
-    point.  A failing eigensolver is reported with the fiber's ``xi``.
+    ``one(xi, mirror)`` runs on the half grid ``0 <= xi <= pi`` and
+    returns a tuple: the contribution of fiber ``xi`` and, when ``mirror``
+    is ``None`` (``0 < xi < pi``), that of its particle-hole partner
+    ``-xi``, derived from fiber ``xi`` without another eigensolve
+    (:func:`_reflection`).  The fibers ``xi = 0`` and ``xi = pi`` are
+    their own partners: ``mirror`` is the shift ``s`` of the reflection
+    ``n -> -n - s`` that maps their modes onto themselves, 0 for the first
+    node and 1 for the node ``k = M/2`` (told apart by index, not by
+    comparing ``xi`` with ``pi``; :func:`_fiber_pass`).  The result lists
+    one contribution per node of ``basis.xi_nodes``.  The fibers run in
+    node order on the calling thread, the thread of their h point.  A
+    failing eigensolver is reported with the fiber's ``xi``.
     """
     m = basis.m_fibers
 
     def run(k, xi):
         mirror = 0 if k == 0 else 1 if 2 * k == m else None
         try:
-            return one(xi, 0 < k < m / 2, mirror)
+            return one(xi, mirror)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"eigensolver failed on the fiber at xi={xi:.6f}"
@@ -423,9 +424,9 @@ def _bloch_ladder(basis: FiberBasis, one: Callable, quadrature: Callable,
     """
     done = {}
 
-    def once(xi, partnered, mirror):
+    def once(xi, mirror):
         if xi not in done:
-            done[xi] = one(xi, partnered, mirror)
+            done[xi] = one(xi, mirror)
         return done[xi]
 
     cap = basis.m_fibers
@@ -601,7 +602,7 @@ def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
     def free_block(cols, block, gamma, u_gamma, u_core):
         mu, v = np.linalg.eigh(block)
         z0.append(beta * mu)
-        f_dd = specfun.fermi_f_divided_difference(z[:, None], z0[-1][None, :])
+        f_dd = specfun.divided_difference(z[:, None], z0[-1][None, :])
         g = u_gamma.conj().T @ (gamma @ v)
         g *= u_core[core].T @ v[core].conj()
         np.multiply(f_dd, g.real, out=terms[:, cols])
@@ -618,6 +619,34 @@ def _window(op: FiberOperator, beta: float, lo: int, hi: int, a: int,
     rows = (up[core] * rho) @ uh.conj().T
     cols = (up * rho) @ uh[core].conj().T if columns else None
     return trace, mass, rows, cols
+
+
+def _reflection(op: FiberOperator, beta: float, part: tuple, shift: int = 0,
+                core: slice = slice(None)) -> tuple:
+    """``(trace, mass, blocks)`` of the particle-hole mirror of ``part``,
+    the ``(trace, mass, blocks)`` of the core modes ``core`` of ``op``,
+    under the reflection ``i -> N - 1 - shift - i`` of its ``N`` modes
+    (``J``): the partner fiber ``-xi`` of a whole fiber pass (``shift``
+    0), or the mirror of a window of a fiber that is its own partner
+    (:func:`_fiber_pass`).
+
+    The mirror of ``H`` is ``-H`` up to ``J``, the particle-hole swap and
+    conjugation, and ``f(-z) = f(z) - z``.  So the trace difference is the
+    same (``H`` and ``H_0`` have the same diagonal), and the mass, the
+    core diagonal of ``|f(beta H)| + |f(beta H_0)|`` with ``f < 0``, grows
+    by ``2 beta sum_core (K_ii + M22_ii) = 8 beta h^2 a_0 sum_core
+    kappa_i``: only the cross term of the constant Fourier mode ``a_0`` of
+    ``a`` stays on that diagonal, so with ``a_0 = 0`` the mass is the
+    same.  The pair blocks are ``J b^T J`` of each block ``b`` (the blocks
+    as in :class:`_FiberPass`).
+    """
+    trace, mass, blocks = part
+    end = len(op.momenta) - shift
+    a0 = float(op.a.coeffs[op.a.n_max].real)
+    mass += 8.0 * beta * op.h * op.h * a0 * math.fsum(op.momenta[core])
+    return trace, mass, tuple(
+        (end - col - rows.shape[1], end - row - len(rows), rows[::-1, ::-1].T)
+        for row, col, rows in blocks)
 
 
 def _fiber_pass(op: FiberOperator, beta: float,
@@ -644,10 +673,11 @@ def _fiber_pass(op: FiberOperator, beta: float,
     reflection ``n -> -n - mirror`` of its modes, under which ``H`` maps
     to ``-H`` window by window.  Its partition is symmetric under that
     reflection (:func:`_window_spans`), and of each pair of mirror windows
-    only the first is solved: the second has the same trace and mass (as
-    a partner fiber does) and the core rows ``J cols^T J``, from the core
-    columns ``cols`` of the first.  A window that is its own mirror, and
-    the two end windows at ``xi = pi``, are solved directly.
+    only the first is solved: the second has its trace, its mass and the
+    core rows ``J cols^T J`` from the trace, the mass and the core columns
+    ``cols`` of the first, as a partner fiber has (:func:`_reflection`).
+    A window that is its own mirror, and the two end windows at ``xi =
+    pi``, are solved directly.
 
     Each window assembles its own blocks (:meth:`FiberOperator.blocks`),
     and the pair block is kept as the core rows of each window (0 beyond
@@ -665,13 +695,14 @@ def _fiber_pass(op: FiberOperator, beta: float,
         for i, ((lo, hi, a, b), twin) in enumerate(
                 zip(spans, _window_mirrors(spans, n, mirror))):
             if twin is not None and twin < i:
-                trace, mass, cols = solved.pop(twin)
-                rows = cols[::-1, ::-1].T
+                trace, mass, ((_, _, rows),) = solved.pop(twin)
             else:
                 trace, mass, rows, cols = _window(
                     op, beta, lo, hi, a, b, twin is not None and twin > i)
                 if cols is not None:
-                    solved[i] = trace, mass, cols
+                    solved[i] = _reflection(
+                        op, beta, (trace, mass, ((lo, a, cols),)), mirror,
+                        slice(a, b))
             traces.append(trace)
             masses.append(mass)
             alpha.append((a, lo, rows))
@@ -698,13 +729,6 @@ def _window_record(windows) -> dict:
     of its fibers: the largest core and buffer and the worst leak."""
     cores, buffers, leaks = zip(*windows)
     return {"core": max(cores), "buffer": max(buffers), "leak": max(leaks)}
-
-
-def _partner_blocks(alpha: tuple, n: int) -> tuple:
-    """Pair block at ``-xi`` from the one at ``xi``, ``J alpha^T J``, block
-    by block (``n`` modes; the blocks as in :class:`_FiberPass`)."""
-    return tuple((n - col - rows.shape[1], n - row - len(rows),
-                  rows[::-1, ::-1].T) for row, col, rows in alpha)
 
 
 def _pair_sums(op: FiberOperator, alpha: tuple, beta: float) -> tuple:
@@ -789,7 +813,8 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     against the spectral inner products of the fields, and ``residual =
     lhs - e1_term - e2_term``.  ``spec H(-xi) = -spec H(xi)`` and
     ``tr H_Delta = tr H_0``, so with ``f(-z) = f(z) - z`` the partner
-    fiber ``-xi`` contributes the value of fiber ``xi`` again.
+    fiber ``-xi`` contributes the value of fiber ``xi`` again, and its
+    mass follows from that of fiber ``xi`` (:func:`_reflection`).
 
     Pair block: the leading operator is ``(h/2)(psi phi(-ih d/dx) +
     phi(-ih d/dx) psi)`` with ``phi(p) = (beta/2) g0(beta (p^2 - mu))
@@ -820,7 +845,9 @@ def alpha_delta_distance(source: GapSolution, psi: TorusField, a: TorusField,
     Returns
     -------
     dict
-        ``lhs``, ``e1_term``, ``e2_term``, ``residual``, ``h1_distance``,
+        ``lhs``, ``e1_term``, ``e2_term``, ``residual``,
+        ``residual_over_floor`` (``|residual| / lhs_floor``, how far the
+        residual sits above the roundoff of ``lhs``), ``h1_distance``,
         ``l2_distance``, ``l2_leading``, the run parameters, and the
         ladder's record (:data:`bcsgl.LADDER_KEYS`): ``m_fibers`` (the ``M``
         used), ``capped`` (cap reached unconverged), ``lhs_floor`` and the
@@ -843,13 +870,14 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
     t, mu, beta = source.t, source.mu, source.beta_c
     basis = _resolve_basis(source, h, m_fibers, n_max)
 
-    def one(xi, partnered, mirror):
+    def one(xi, mirror):
         op = build_fiber(basis, xi, psi, a, w, t, mu)
         tr, mass, alpha, window = _fiber_pass(op, beta, mirror)
         h1_row, h1_col, l2, lead_sq = _pair_sums(op, alpha, beta)
         own = (tr, mass, h1_row, l2, lead_sq, window)
-        if not partnered:
+        if mirror is not None:
             return (own,)
+        tr, mass, _ = _reflection(op, beta, (tr, mass, alpha))
         return own, (tr, mass, h1_col, l2, lead_sq, window)
 
     def quadrature(parts, m):
@@ -880,11 +908,15 @@ def _trace_and_pair(source: GapSolution, psi: TorusField, a: TorusField,
     )
     e1_term = h * h * e1
     e2_term = h**4 * e2
+    residual = q["lhs"] - e1_term - e2_term
     return {
         "lhs": q["lhs"],
         "e1_term": e1_term,
         "e2_term": e2_term,
-        "residual": q["lhs"] - e1_term - e2_term,
+        "residual": residual,
+        # a zero floor (no roundoff allowed) has every residual above it
+        "residual_over_floor": (abs(residual) / q["lhs_floor"]
+                                if q["lhs_floor"] else math.inf),
         "h1_distance": q["h1_distance"],
         "l2_distance": q["l2_distance"],
         "l2_leading": q["l2_leading"],
@@ -951,8 +983,9 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
     Each fiber goes through one windowed spectral pass
     (:func:`_fiber_pass`): term (i) is its Daleckii-Krein trace
     difference and term (iii) its pair block.  The partner fiber ``-xi``
-    contributes the trace term of fiber ``xi`` again and the band of
-    ``J alpha^T J`` at ``-xi``.
+    contributes the trace term of fiber ``xi`` again, the mass that
+    follows from fiber ``xi``'s and the band of ``J alpha^T J`` at ``-xi``
+    (:func:`_reflection`).
 
     ``scaled = (sum of terms) / h^{4-d}`` approaches the GL energy
     minus its quartic offset as ``h`` decreases.
@@ -1029,13 +1062,13 @@ def trial_state_energy(sol: GapSolution, psi: TorusField, a: TorusField,
         )
         return _pair_band(alpha, e1x, phases_u)
 
-    def one(xi, partnered, mirror):
+    def one(xi, mirror):
         op = build_fiber(basis, xi, psi, a, w, sol.t, sol.mu)
         tr, mass, alpha, window = _fiber_pass(op, beta, mirror)
         own = (tr, mass, band_of(alpha, xi), window)
-        if not partnered:
+        if mirror is not None:
             return (own,)
-        partner = _partner_blocks(alpha, basis.size)
+        tr, mass, partner = _reflection(op, beta, (tr, mass, alpha))
         return own, (tr, mass, band_of(partner, -xi), window)
 
     psi_mode_index = np.nonzero(psi.coeffs)[0]

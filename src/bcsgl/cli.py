@@ -564,17 +564,8 @@ class _Run:
         else:
             observable = bv.trial_state_energy
             psi = TorusField.from_dict(self.gl["state"]["psi"])
-        inputs = (self.sol, psi, cfg.a_field, cfg.w_field, h)
-
-        def compute():
-            res = observable(*inputs, m_fibers=cfg.fiber_m)
-            if kind == "fiber":
-                # how far the residual sits above the roundoff of its lhs
-                res["residual_over_floor"] = (abs(res["residual"])
-                                              / res["lhs_floor"])
-            return res
-
-        return compute
+        return functools.partial(observable, self.sol, psi, cfg.a_field,
+                                 cfg.w_field, h, m_fibers=cfg.fiber_m)
 
     def suite(self) -> Future:
         """The payload of ``properties.json`` (:meth:`_result`): the

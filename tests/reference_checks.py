@@ -2,7 +2,8 @@
 test-side oracles they share with the unit tests.
 
 ``bcsgl.properties`` checks identities of one run.  The checks here are
-about the library instead: divided differences, the Fermi weights, the
+about the library instead: the confluent divided differences
+(``divided_differences``, the tests' oracle), the Fermi weights, the
 relative-entropy inequality, the decay of the reference profile, the
 small-momentum constants, the GL energy's gauge invariance and the
 fibers and their supercell.  Each runs on the reference configuration
@@ -29,6 +30,7 @@ from bcsgl import gl_coeffs as gc
 from bcsgl import gl_minimizer as gm
 from bcsgl import specfun
 from bcsgl.properties import PropertyResult
+from divided_differences import divided_difference
 from pair_blocks import fiber_matrix, full_blocks
 from pair_symbol import t_prime
 
@@ -199,7 +201,7 @@ def semiclassical_smallp_constants(source, beta: float) -> SmallPConstants:
 
     def dd(plus, minus):
         # [a,..,a,-a,..,-a]_f at every grid node, one node set per row
-        return specfun.divided_difference(
+        return divided_difference(
             "f", np.stack([a] * plus + [-a] * minus, axis=1))
 
     dd3, dd4, dd4b, dd5, dd5h = dd(2, 1), dd(3, 1), dd(2, 2), dd(3, 2), dd(4, 1)
@@ -331,11 +333,11 @@ def _occupations(matrix: np.ndarray, beta: float) -> np.ndarray:
 
 def _dd_permutation_symmetry(ctx: _Context):
     nodes = ctx.rng.uniform(-4.0, 4.0, size=5)
-    base = specfun.divided_difference("f", nodes)
+    base = divided_difference("f", nodes)
     worst = 0.0
     for _ in range(4):
         perm = ctx.rng.permutation(nodes)
-        worst = max(worst, abs(specfun.divided_difference("f", perm) - base))
+        worst = max(worst, abs(divided_difference("f", perm) - base))
     return worst <= 1e-9, {"max_permutation_deviation": float(worst),
                            "tol": 1e-9}
 
@@ -348,19 +350,19 @@ def _dd_closed_form_identities(ctx: _Context):
     for a in np.linspace(0.2, 6.0, 8):
         local = {
             "quintuple_vs_g1_over_16a": abs(
-                specfun.divided_difference("f", [a, a, a, -a, -a])
+                divided_difference("f", [a, a, a, -a, -a])
                 - specfun.g1(a) / (16.0 * a)),
             "quadruple_vs_g1_over_8": abs(
-                specfun.divided_difference("f", [a, a, a, -a])
+                divided_difference("f", [a, a, a, -a])
                 - specfun.g1(a) / 8.0),
             "rho_triple_antisymmetry": abs(
-                specfun.divided_difference("rho", [a, a, -a])
-                + specfun.divided_difference("rho", [a, -a, -a])),
+                divided_difference("rho", [a, a, -a])
+                + divided_difference("rho", [a, -a, -a])),
             "triple_vs_minus_g0_over_4": abs(
-                specfun.divided_difference("f", [a, a, -a])
+                divided_difference("f", [a, a, -a])
                 + specfun.g0(a) / 4.0),
             "balanced_quadruple_vanishes": abs(
-                specfun.divided_difference("f", [a, a, -a, -a])),
+                divided_difference("f", [a, a, -a, -a])),
         }
         peak = max(local.values())
         if peak > worst:

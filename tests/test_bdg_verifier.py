@@ -498,11 +498,16 @@ class TestTranslationInvariantOracle:
 @pytest.fixture(scope="module")
 def window_fields(fields, gl_min_state, rich_fields):
     """The field triples of the windowed-pass cases: the sweep probe
-    (complex), the real GL state (A = 0, W = 0.5 cos) and the rich fields
-    (A != 0)."""
+    (complex), the real GL state (A = 0, W = 0.5 cos), the rich fields
+    (A != 0) and the probe with A = 0.3 + 0.2 cos, whose constant mode
+    a_0 puts the cross term 2 h^2 kappa a_0 on the diagonal of both
+    blocks, so that a derived window or partner fiber has another mass
+    than its source."""
+    psi, a, w = fields
     return {"probe": fields,
             "gl_state": (gl_min_state.psi, ZERO, TorusField.cosine(0.5, 1)),
-            "rich_fields": rich_fields}
+            "rich_fields": rich_fields,
+            "constant_a": (psi, TorusField.constant(0.3) + a, w)}
 
 
 @pytest.fixture(scope="module")
@@ -533,7 +538,7 @@ def self_partnered_fibers(gap_sol, window_fields):
     return fibers
 
 
-WINDOW_CASES = ["probe", "gl_state", "rich_fields"]
+WINDOW_CASES = ["probe", "gl_state", "rich_fields", "constant_a"]
 SELF_PARTNERED = [(h, case, mirror) for h in (0.015625, 0.03125)
                   for case in WINDOW_CASES for mirror in (0, 1)]
 
@@ -643,6 +648,59 @@ class TestWindowedPass:
             <= 1e-11 * np.abs(alpha).max()
 
     @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_partner_matches_the_dense_route(self, gap_sol,
+                                             windowed_fibers, case):
+        # the partner -xi that the sweeps derive from the pass at xi
+        # (_reflection), against the dense route of the fiber built at
+        # -xi, with the tolerances of the fiber itself.  Measured: traces
+        # within 0.55 eps * mass, masses within 2.3e-16 relative, pair
+        # blocks within 8.5e-13 of max |alpha|; with a_0 != 0 the mass
+        # copied from xi was off by 6.3e-6 relative
+        op = windowed_fibers[case]
+        beta = gap_sol.beta_c
+        trace, mass, blocks = bv._reflection(op, beta,
+                                             bv._fiber_pass(op, beta)[:3])
+        basis = bv._resolve_basis(gap_sol, op.h, 16, len(op.momenta) // 2)
+        minus = bv.build_fiber(basis, -op.xi, op.psi, op.a, op.w, gap_sol.t,
+                               gap_sol.mu)
+        dense_trace, dense_mass, alpha = dense_pass(minus, beta)
+        eps = np.finfo(float).eps
+        assert abs(trace - dense_trace) <= eps * dense_mass
+        assert mass == pytest.approx(dense_mass, rel=1e-14)
+        assert np.abs(dense_alpha(blocks, len(op.momenta)) - alpha).max() \
+            <= 1e-11 * np.abs(alpha).max()
+
+    @pytest.mark.parametrize("mirror", [None, 0])
+    def test_two_divided_differences_per_solved_window(
+            self, gap_sol, windowed_fibers, self_partnered_fibers,
+            monkeypatch, mirror):
+        # each solved window takes f[x, y] once per free block through
+        # the module attribute specfun.divided_difference, which is where
+        # the benchmark's tracer times it; a derived window takes none
+        op = (windowed_fibers["probe"] if mirror is None
+              else self_partnered_fibers[0.015625, "probe", mirror])
+        calls, solved = [], []
+        divided_difference, window = specfun.divided_difference, bv._window
+
+        def counting(x, y):
+            calls.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return divided_difference(x, y)
+
+        def recording(op, beta, lo, hi, a, b, columns=False):
+            solved.append(2 * (hi - lo))
+            return window(op, beta, lo, hi, a, b, columns)
+
+        monkeypatch.setattr(specfun, "divided_difference", counting)
+        monkeypatch.setattr(bv, "_window", recording)
+        fp = bv._fiber_pass(op, gap_sol.beta_c, mirror)
+        spans = bv._window_spans(len(op.momenta), fp.window[1], mirror)
+        derived = 0 if mirror is None else (len(spans) - 1 - mirror) // 2
+        assert len(solved) == len(spans) - derived
+        assert derived > 0 or mirror is None
+        assert calls == [(size, size // 2) for size in solved
+                         for _ in range(2)]
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_partitions_agree(self, gap_sol, windowed_fibers, monkeypatch,
                               case):
         # the Daleckii-Krein trace of a partition is exact up to the
@@ -748,7 +806,8 @@ class TestWindowedPass:
                 assert np.array_equal(part, full[lo:hi, lo:hi]), (lo, hi)
         kinds = [b.dtype.kind for b in full_blocks(op)]
         assert kinds == {"probe": ["f", "c", "f"], "gl_state": ["f", "f", "f"],
-                         "rich_fields": ["c", "c", "c"]}[case]
+                         "rich_fields": ["c", "c", "c"],
+                         "constant_a": ["f", "c", "f"]}[case]
 
     @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_pair_sums_match_the_dense_oracle(self, gap_sol, windowed_fibers,
@@ -781,8 +840,8 @@ class TestWindowedPass:
         e1x = np.exp(2j * math.pi * np.outer(x_nodes, modes))
         for blocks, dense, xi in (
                 (fp.alpha, alpha, op.xi),
-                (bv._partner_blocks(fp.alpha, n), alpha[::-1, ::-1].T,
-                 -op.xi)):
+                (bv._reflection(op, gap_sol.beta_c, fp[:3])[2],
+                 alpha[::-1, ::-1].T, -op.xi)):
             phases = np.exp(-1j * np.outer(2.0 * math.pi * modes + xi,
                                            op.h * u_nodes))
             want = ((e1x @ dense) * e1x.conj()) @ phases
@@ -840,8 +899,9 @@ class TestSelfPartneredFibers:
     def test_matches_the_dense_route(self, gap_sol, self_partnered_fibers,
                                      h, case, mirror):
         # the tolerances of the generic fibers; measured: traces within
-        # 0.31 eps * mass, masses within 3.3e-16 relative, pair blocks
-        # within 2.4e-12 of max |alpha|
+        # 0.31 eps * mass, masses within 3.3e-16 relative (5.6e-16 with
+        # a_0 != 0, where a derived window's mass was off by 2.0e-3 while
+        # it copied its source's), pair blocks within 2.4e-12 of max |alpha|
         op = self_partnered_fibers[h, case, mirror]
         beta = gap_sol.beta_c
         fp = bv._fiber_pass(op, beta, mirror)
@@ -1264,8 +1324,10 @@ def rich_fields():
 
 
 def _all_nodes(basis, one):
-    """Every node of the grid diagonalized on its own, no folding."""
-    return [c for xi in basis.xi_nodes for c in one(xi, False, None)]
+    """Every node of the grid diagonalized on its own, no folding: each
+    node's own contribution, on the partition of a fiber with a partner
+    elsewhere."""
+    return [one(xi, None)[0] for xi in basis.xi_nodes]
 
 
 class TestPartnerFibers:
@@ -1283,8 +1345,10 @@ class TestPartnerFibers:
             assert spec_dev <= 1e-12 * np.abs(lam_p).max()
             # alpha(-xi) = J alpha(xi)^T J
             partner = alpha_p[::-1, ::-1].T
-            np.testing.assert_array_equal(dense_alpha(bv._partner_blocks(
-                ((0, 0, alpha_p),), basis.size), basis.size), partner)
+            _, _, blocks = bv._reflection(plus, beta,
+                                          (0.0, 0.0, ((0, 0, alpha_p),)))
+            np.testing.assert_array_equal(dense_alpha(blocks, basis.size),
+                                          partner)
             assert np.abs(partner - alpha_m).max() \
                 <= 1e-12 * np.abs(alpha_p).max()
 
@@ -1397,10 +1461,10 @@ class TestBlochLadder:
         basis = bv.FiberBasis(0.25, 4, 12)
         built, rungs, flags = [], [], {}
 
-        def one(xi, partnered, mirror):
+        def one(xi, mirror):
             built.append(xi)
-            flags[xi] = partnered, mirror
-            return ((xi,), (-xi,)) if partnered else ((xi,),)
+            flags[xi] = mirror
+            return ((xi,), (-xi,)) if mirror is None else ((xi,),)
 
         def quadrature(parts, m):
             rungs.append(m)
@@ -1418,11 +1482,12 @@ class TestBlochLadder:
         assert len(built) == len(set(built))
         np.testing.assert_array_equal(sorted(built), basis.half_nodes)
         # xi = 0 and xi = pi are their own partners, with the reflections
-        # n -> -n and n -> -1 - n of their modes
+        # n -> -n and n -> -1 - n of their modes; every other node has
+        # its partner -xi
         nodes = basis.half_nodes
-        assert flags[nodes[0]] == (False, 0)
-        assert flags[nodes[-1]] == (False, 1)
-        assert all(flags[xi] == (True, None) for xi in nodes[1:-1])
+        assert flags[nodes[0]] == 0
+        assert flags[nodes[-1]] == 1
+        assert all(flags[xi] is None for xi in nodes[1:-1])
 
     @pytest.mark.parametrize("above, rungs", [(3.0, [6, 12]), (11.5, [12])])
     def test_rungs_start_above_the_lower_bound(self, above, rungs):
@@ -1435,7 +1500,7 @@ class TestBlochLadder:
 
         with pytest.warns(UserWarning, match="reached the cap"):
             _, record = bv._bloch_ladder(
-                basis, lambda xi, partnered, mirror: ((xi,),) * (1 + partnered),
+                basis, lambda xi, mirror: ((xi,),) * (1 + (mirror is None)),
                 quadrature, above=above)
         assert seen == rungs
         assert record["delta_M"] == (None if len(rungs) == 1 else 6)

@@ -1,4 +1,6 @@
-"""Unit tests for the stable special functions and divided differences."""
+"""Unit tests for the stable special functions, the two-node divided
+difference of the fiber traces and the confluent divided-difference
+oracle of the tests (``divided_differences``)."""
 
 import math
 import warnings
@@ -9,6 +11,7 @@ import pytest
 from scipy import fft, integrate, special
 
 from bcsgl import specfun as sf
+import divided_differences as dd
 from reference_checks import entropy_inequality_margin
 
 
@@ -24,7 +27,7 @@ def feynman_divided_difference(nodes) -> float:
 
     def integrand(*c: float) -> float:
         weights = np.append(np.asarray(c), 1.0 - sum(c))
-        return sf.f_derivative(float(weights @ arr), n - 1)
+        return dd.f_derivative(float(weights @ arr), n - 1)
 
     # Simplex { c_i >= 0, sum c_i <= 1 } in n-1 variables, inner-to-outer.
     def limit(*outer: float) -> tuple[float, float]:
@@ -70,15 +73,15 @@ class TestFermiWeights:
         for z in (-3.2, -0.4, 0.0, 1.7, 6.0):
             for k in range(1, 5):
                 fd = (
-                    sf.f_derivative(z + h, k - 1) - sf.f_derivative(z - h, k - 1)
+                    dd.f_derivative(z + h, k - 1) - dd.f_derivative(z - h, k - 1)
                 ) / (2 * h)
-                assert sf.f_derivative(z, k) == pytest.approx(fd, abs=5e-7)
+                assert dd.f_derivative(z, k) == pytest.approx(fd, abs=5e-7)
 
     def test_derivative_order_validation(self):
         with pytest.raises(ValueError):
-            sf.f_derivative(0.0, sf.MAX_DERIVATIVE_ORDER + 1)
+            dd.f_derivative(0.0, dd.MAX_DERIVATIVE_ORDER + 1)
         with pytest.raises(ValueError):
-            sf.rho_derivative(0.0, -1)
+            dd.rho_derivative(0.0, -1)
 
 
 class TestScipyEquivalence:
@@ -103,7 +106,7 @@ class TestScipyEquivalence:
     def test_rho_matches_expit(self):
         ref = special.expit(-self.Z)
         for rho in (self.quiet(sf.fermi_rho, self.Z),
-                    self.quiet(sf.rho_derivative, self.Z, 0)):
+                    self.quiet(dd.rho_derivative, self.Z, 0)):
             assert np.all(np.abs(rho - ref) <= self.REL * ref + self.ABS)
 
     @pytest.mark.parametrize("z", [-np.inf, -745.0, -3.5, 0.0, 3.5, 745.0,
@@ -111,7 +114,7 @@ class TestScipyEquivalence:
     def test_zero_dimensional_input(self, z):
         ref = float(special.expit(-z))
         for rho in (self.quiet(sf.fermi_rho, np.asarray(z)),
-                    self.quiet(sf.rho_derivative, np.float64(z), 0)):
+                    self.quiet(dd.rho_derivative, np.float64(z), 0)):
             assert isinstance(rho, float)
             assert abs(rho - ref) <= self.REL * ref + self.ABS
 
@@ -120,12 +123,12 @@ class TestScipyEquivalence:
         # with P the order-th rho polynomial, rho moved by REL relative
         # moves P(rho) by at most REL sum_k k |c_k| rho^k
         poly = np.polynomial.polynomial
-        coeffs = sf._RHO_POLYS[order]
+        coeffs = dd._RHO_POLYS[order]
         rho = special.expit(-self.Z)
         ref = poly.polyval(rho, coeffs)
         bound = self.REL * poly.polyval(
             rho, np.arange(len(coeffs)) * np.abs(coeffs)) + self.ABS
-        got = self.quiet(sf.rho_derivative, self.Z, order)
+        got = self.quiet(dd.rho_derivative, self.Z, order)
         assert np.all(np.abs(got - ref) <= bound)
 
     def test_next_fast_len_matches_scipy(self):
@@ -288,11 +291,11 @@ class TestPiecewiseBranches:
 
 class TestDividedDifference:
     def test_base_cases(self):
-        assert sf.divided_difference("f", [1.5]) == pytest.approx(sf.fermi_f(1.5))
-        assert sf.divided_difference("f", [0.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
+        assert dd.divided_difference("f", [1.5]) == pytest.approx(sf.fermi_f(1.5))
+        assert dd.divided_difference("f", [0.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_confluent_quintuple_example(self):
-        val = sf.divided_difference("f", [2, 2, 2, -2, -2])
+        val = dd.divided_difference("f", [2, 2, 2, -2, -2])
         assert val == pytest.approx(sf.g1(2.0) / 32.0, abs=1e-12)
         assert val == pytest.approx(0.00267, abs=5e-6)
 
@@ -300,49 +303,49 @@ class TestDividedDifference:
         points = identity_sample()
         assert len(points) == 100
         for a in points:
-            lhs = sf.divided_difference("f", [a, a, a, -a, -a])
+            lhs = dd.divided_difference("f", [a, a, a, -a, -a])
             assert abs(lhs - sf.g1(a) / (16.0 * a)) < 1e-9
-            lhs = sf.divided_difference("f", [a, a, a, -a])
+            lhs = dd.divided_difference("f", [a, a, a, -a])
             assert abs(lhs - sf.g1(a) / 8.0) < 1e-9
-            lhs = sf.divided_difference("rho", [a, a, -a])
-            rhs = sf.divided_difference("rho", [a, -a, -a])
+            lhs = dd.divided_difference("rho", [a, a, -a])
+            rhs = dd.divided_difference("rho", [a, -a, -a])
             assert abs(lhs + rhs) < 1e-9
 
     def test_auxiliary_identities(self):
         # [a,a,-a]_f = -g0(a)/4 and [a,a,-a,-a]_f = 0: both are consumed by
         # the coefficient quadratures, so pin them here as well.
         for a in identity_sample(25, seed=3):
-            assert sf.divided_difference("f", [a, a, -a]) == pytest.approx(
+            assert dd.divided_difference("f", [a, a, -a]) == pytest.approx(
                 -sf.g0(a) / 4.0, abs=1e-10
             )
-            assert abs(sf.divided_difference("f", [a, a, -a, -a])) < 1e-10
+            assert abs(dd.divided_difference("f", [a, a, -a, -a])) < 1e-10
 
     def test_permutation_symmetry_exact(self):
         rng = np.random.default_rng(7)
         nodes = list(rng.uniform(-5, 5, 5))
-        ref = sf.divided_difference("f", nodes)
+        ref = dd.divided_difference("f", nodes)
         for _ in range(10):
             rng.shuffle(nodes)
-            assert sf.divided_difference("f", nodes) == ref
+            assert dd.divided_difference("f", nodes) == ref
 
     def test_matches_feynman_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             nodes = list(rng.uniform(-4, 4, 3))
-            rec = sf.divided_difference("f", nodes)
+            rec = dd.divided_difference("f", nodes)
             ora = feynman_divided_difference(nodes)
             assert abs(rec - ora) < 1e-6
 
     def test_mixed_cluster_matches_oracle(self):
         nodes = [1.2000000004, 1.2, -3.0]
-        rec = sf.divided_difference("f", nodes)
+        rec = dd.divided_difference("f", nodes)
         ora = feynman_divided_difference(nodes)
         assert abs(rec - ora) < 1e-8
 
     def test_sampled_decay(self):
         for a in (-2.0, 0.5, 3.0):
             scaled = [
-                abs(sf.divided_difference("f", [a, a, M])) * (1.0 + M)
+                abs(dd.divided_difference("f", [a, a, M])) * (1.0 + M)
                 for M in (10.0, 1e2, 1e3, 1e4)
             ]
             assert all(s <= 1.5 * scaled[0] for s in scaled)
@@ -355,38 +358,38 @@ class TestDividedDifference:
         # momentum node of the reference gap grid
         a = gap_sol.beta_c * (gap_sol.grid.nodes ** 2 - gap_sol.mu)
         nodes = np.stack([a] * plus + [-a] * minus, axis=1)
-        batched = sf.divided_difference("f", nodes)
+        batched = dd.divided_difference("f", nodes)
         assert batched.shape == (len(a),)
-        scalar = [sf.divided_difference("f", row) for row in nodes]
+        scalar = [dd.divided_difference("f", row) for row in nodes]
         assert batched.tolist() == scalar
 
     def test_batch_mixing_every_route_equals_scalar(self):
         # rows on the Taylor, Hermite and cluster-snapping routes, with
         # exact repeats, in one batch of each node count
         rng = np.random.default_rng(3)
-        for n in range(1, sf.MAX_NODES + 1):
+        for n in range(1, dd.MAX_NODES + 1):
             spread = np.repeat([1e-12, 1e-3, 0.05, 1.0, 30.0], 8)[:, None]
             nodes = rng.normal(size=(40, 1)) * 5 \
                 + rng.normal(size=(40, n)) * spread
             nodes[::3, -1] = nodes[::3, 0]
             for func in ("f", "rho"):
-                batched = sf.divided_difference(func, nodes)
-                assert batched.tolist() == [sf.divided_difference(func, row)
+                batched = dd.divided_difference(func, nodes)
+                assert batched.tolist() == [dd.divided_difference(func, row)
                                             for row in nodes]
 
     def test_node_validation(self):
         with pytest.raises(ValueError):
-            sf.divided_difference("f", [])
+            dd.divided_difference("f", [])
         with pytest.raises(ValueError):
-            sf.divided_difference("f", np.zeros((3, sf.MAX_NODES + 1)))
+            dd.divided_difference("f", np.zeros((3, dd.MAX_NODES + 1)))
         with pytest.raises(ValueError):
-            sf.divided_difference("f", np.zeros((2, 2, 2)))
+            dd.divided_difference("f", np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
-            sf.divided_difference("f", [0.0] * (sf.MAX_NODES + 1))
+            dd.divided_difference("f", [0.0] * (dd.MAX_NODES + 1))
         with pytest.raises(ValueError):
-            sf.divided_difference("f", [np.inf])
+            dd.divided_difference("f", [np.inf])
         with pytest.raises(ValueError):
-            sf.divided_difference("tanh", [1.0])
+            dd.divided_difference("tanh", [1.0])
 
 
 def _decimal_fermi_divided_difference(x: float, y: float) -> Decimal:
@@ -422,7 +425,7 @@ class TestTwoNodeDividedDifference:
         # measured: at most 1.0 eps from the 50-digit value, 305 pairs
         pairs = _two_node_sample()
         x, y = (np.array(v) for v in zip(*pairs))
-        got = sf.fermi_f_divided_difference(x, y)
+        got = sf.divided_difference(x, y)
         eps = np.finfo(float).eps
         for value, a, b in zip(got, x, y):
             exact = _decimal_fermi_divided_difference(a, b)
@@ -432,10 +435,10 @@ class TestTwoNodeDividedDifference:
 
     def test_symmetric_and_equal_nodes(self):
         x, y = (np.array(v) for v in zip(*_two_node_sample()))
-        forward = sf.fermi_f_divided_difference(x, y)
+        forward = sf.divided_difference(x, y)
         np.testing.assert_array_equal(forward,
-                                      sf.fermi_f_divided_difference(y, x))
-        np.testing.assert_array_equal(sf.fermi_f_divided_difference(x, x),
+                                      sf.divided_difference(y, x))
+        np.testing.assert_array_equal(sf.divided_difference(x, x),
                                       sf.fermi_rho(x))
         # f' = rho lies in (0, 1), up to the few eps of the evaluation
         assert np.all((forward >= 0.0)
@@ -444,12 +447,12 @@ class TestTwoNodeDividedDifference:
     def test_broadcast_and_scalar(self):
         x = np.linspace(-5.0, 5.0, 7)
         y = np.linspace(-3.0, 9.0, 4)
-        table = sf.fermi_f_divided_difference(x[:, None], y[None, :])
+        table = sf.divided_difference(x[:, None], y[None, :])
         assert table.shape == (7, 4)
-        assert table[2, 3] == sf.fermi_f_divided_difference(x[2], y[3])
-        assert isinstance(sf.fermi_f_divided_difference(0.3, 2.0), float)
-        assert sf.fermi_f_divided_difference(0.3, 2.0) == pytest.approx(
-            sf.divided_difference("f", [0.3, 2.0]), rel=1e-14)
+        assert table[2, 3] == sf.divided_difference(x[2], y[3])
+        assert isinstance(sf.divided_difference(0.3, 2.0), float)
+        assert sf.divided_difference(0.3, 2.0) == pytest.approx(
+            dd.divided_difference("f", [0.3, 2.0]), rel=1e-14)
 
 
 class TestEntropyMargin:
